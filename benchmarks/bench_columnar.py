@@ -35,13 +35,18 @@ MEMORY_BUDGET_MB = 1
 ROUNDS = 3
 
 TINY_SCALE = 0.5
-TINY_BUDGET_MB = 4
+#: Small enough that the tiny run holds more partitions than the store
+#: caches (8 vs 4 slots): its ~70 cold loads are what the smoke's
+#: prefetch-hit-rate floor is judged on.  (At 4 MB the whole run makes
+#: four cold loads, and the first pair visited takes two of them before
+#: any lookahead has run.)
+TINY_BUDGET_MB = 0.125
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUT = os.path.join(ROOT, "BENCH_columnar.json")
 
 
-def _measure_in_this_process(scale: float, budget_mb: int) -> dict:
+def _measure_in_this_process(scale: float, budget_mb: float) -> dict:
     from repro import (
         EngineOptions,
         Grapple,
@@ -53,7 +58,9 @@ def _measure_in_this_process(scale: float, budget_mb: int) -> dict:
     source = build_subject(SUBJECT, scale=scale).source
     fsms = [c.fsm for c in default_checkers()]
     options = GrappleOptions(
-        engine=EngineOptions(memory_budget=budget_mb << 20, workers=1)
+        engine=EngineOptions(
+            memory_budget=int(budget_mb * (1 << 20)), workers=1
+        )
     )
     run = Grapple(source, fsms, options).run()
     stats = run.stats
@@ -83,7 +90,7 @@ def _measure_in_this_process(scale: float, budget_mb: int) -> dict:
     return entry
 
 
-def _measure_in_subprocess(scale: float, budget_mb: int) -> dict:
+def _measure_in_subprocess(scale: float, budget_mb: float) -> dict:
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -188,7 +195,7 @@ def smoke() -> dict:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--one":
         print(json.dumps(
-            _measure_in_this_process(float(sys.argv[2]), int(sys.argv[3]))
+            _measure_in_this_process(float(sys.argv[2]), float(sys.argv[3]))
         ))
     elif "--baseline" in sys.argv:
         print(json.dumps(freeze_baseline(), indent=2))

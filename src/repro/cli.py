@@ -361,6 +361,10 @@ def cmd_check(args) -> int:
         print(f"vertices            : {stats.vertices}")
         print(f"edges before/after  : {stats.edges_before} / {stats.edges_after}")
         print(f"partitions          : {stats.final_partitions}")
+        print(f"pairs processed/skipped : {stats.pairs_processed}"
+              f" / {stats.pairs_skipped}"
+              f" ({stats.pairs_delta_seeded} delta-seeded)")
+        print(f"compositions tried  : {stats.compositions_tried}")
         print(f"constraints solved  : {stats.constraints_solved}")
         print(f"cache hit rate      : {stats.cache_hit_rate:.0%}")
         print(f"prefetch hit rate   : {stats.prefetch_hit_rate:.0%}"

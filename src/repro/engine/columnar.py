@@ -276,17 +276,18 @@ class EdgeColumns:
 
     def merge_dict(self, chunk: dict, collect: list | None = None) -> int:
         """Union a tuple-keyed dict chunk; returns the number of new rows.
-        With ``collect``, appends new ``(src, dst, label_id, encoding)``
-        tuples (for the parallel coordinator's delta logs)."""
+        With ``collect``, appends the new ``(src, dst, label_id, enc_id)``
+        rows (for the closure's arrival log)."""
         intern = self.table.intern
         added = 0
         for s, targets in chunk.items():
             for (d, l), encodings in targets.items():
                 for encoding in encodings:
-                    if self.insert(s, d, l, intern(encoding)):
+                    eid = intern(encoding)
+                    if self.insert(s, d, l, eid):
                         added += 1
                         if collect is not None:
-                            collect.append((s, d, l, encoding))
+                            collect.append((s, d, l, eid))
         return added
 
     # -- compaction / splitting / serialisation -------------------------------

@@ -6,22 +6,35 @@ their interval-sequence path encodings, checks the merged constraint's
 satisfiability (through the memoisation caches), and inserts the
 transitive edge.  New edges owned by unloaded partitions are spilled to
 delta files; oversized partitions are split eagerly.  A pair becomes
-re-eligible whenever either partition gained edges since the pair was last
-processed, and the computation stops when no pair is eligible -- the
+eligible again whenever either partition gained edges since its last
+visit, and the computation stops when no pair is eligible -- the
 fixpoint "no new edges can be found".
 
-Since the columnar-store rewrite the inner loop runs entirely on interned
-integer ids: partitions are :class:`~repro.engine.columnar.EdgeColumns`
-(sorted ``array('q')`` columns plus an insert overlay), every path
-encoding is hash-consed to a dense id by the engine's
-:class:`~repro.engine.columnar.EncodingTable`, and the frontier drain is
-a merge-join -- each round sorts the pending left operands by their join
-vertex and probes the right-hand sorted source runs once per distinct
-vertex instead of once per edge.  Encoding merges, reversals, label
-compositions, and feasibility verdicts are all memoised by id, so the
-hot path compares machine ints where it used to hash variable-length
-tuples.  Ids never leave the process; anything that crosses a process or
-disk boundary is converted back to encoding tuples at the edge.
+Visits are *semi-naive* (:meth:`GraphEngine._pair_body`, the one pair
+drain, shared by the serial loop and the parallel workers).  A visit
+composes every new edge both as a left operand (the frontier drain) and
+as a right operand (against a per-visit reverse index of the in-edges
+that can join inside the pair), so one visit reaches in-pair closure and
+the pair is marked at its *post*-visit versions.  A first visit seeds
+with the joinable edges only; a revisit seeds with just the edges that
+arrived since the pair's last visit, read from the phase's
+:class:`~repro.engine.scheduling.DeltaLog`; a pair no relevant-source
+edge points into is retired without being loaded.  Which compositions
+are retried never changes the fixpoint (the closure is a terminating,
+confluent rewrite), only the work.
+
+The inner loop runs entirely on interned integer ids: partitions are
+:class:`~repro.engine.columnar.EdgeColumns` (sorted ``array('q')``
+columns plus an insert overlay), every path encoding is hash-consed to a
+dense id by the engine's :class:`~repro.engine.columnar.EncodingTable`,
+and the frontier drain is a merge-join (``engine/kernel.py``) -- each
+round sorts the pending left operands by their join vertex and probes
+the right-hand sorted source runs once per distinct vertex instead of
+once per edge.  Encoding merges, reversals, label compositions, and
+feasibility verdicts are all memoised by id, so the hot path compares
+machine ints where it used to hash variable-length tuples.  Ids never
+leave the process; anything that crosses a process or disk boundary is
+converted back to encoding tuples at the edge.
 """
 
 from __future__ import annotations
@@ -39,10 +52,10 @@ from repro.engine import checkpoint as ckpt
 from repro.engine import kernel as kernel_mod
 from repro.engine import serialize
 from repro.engine.cache import FeasibilityMemo, LRUCache
-from repro.engine.columnar import EncodingTable
+from repro.engine.columnar import ROW_BYTES, EncodingTable
 from repro.engine.io_pipeline import PrefetchReader, SpillWriter
 from repro.engine.partition import Partition, PartitionStore
-from repro.engine.scheduling import PairScheduler
+from repro.engine.scheduling import DeltaLog, PairScheduler
 from repro.engine.stats import EngineStats
 from repro.faults import resolve_plan
 from repro.obs.trace import NULL_RECORDER
@@ -270,11 +283,14 @@ class GraphEngine:
         # eligibility must peek the LRU before claiming a certain miss.
         self._lru_external = False
         self._split_epoch = 0
-        # Optional callback ``(owner_index, src, dst, label_id, enc_id)``
-        # invoked for every new edge inserted into a *loaded* partition;
-        # the parallel worker uses it to report delta edges back to the
-        # coordinator.
-        self._new_edge_sink = None
+        # Semi-naive state: the phase's arrival log (every edge inserted
+        # into a loaded partition is recorded there), and the current
+        # visit's reverse index (join vertex -> relevant-source in-edges
+        # ``(src, label id, enc id)``) and pending right operands, both
+        # kept live by _insert.
+        self._log = None
+        self._pair_in_index: dict = {}
+        self._pair_rhs: list = []
         # Fault-tolerance state: where checkpoint manifests go (None =
         # checkpointing off), the manifest being resumed from, the live
         # scheduler (its frontier rides in every manifest), and the
@@ -482,6 +498,51 @@ class GraphEngine:
             # a --resume of this workdir must pick up right here.
             self.faults.kill_self()
 
+    def _open_log(self) -> DeltaLog:
+        """Start the phase's arrival log and seed its join index from
+        the partitions' present contents."""
+        store = self._store
+        log = DeltaLog(
+            self._rel_src_id,
+            cap_rows=max(1, self.options.memory_budget // 2 // ROW_BYTES),
+        )
+        if self._resume_manifest is not None:
+            # Restored partitions hold input *and* derived edges (the
+            # graph's edge map only the former): read the files.
+            for part in store.partitions:
+                log.reset(part.index, store.load(part))
+        else:
+            for src, targets in self._graph.edges.items():
+                index = store.partition_of(src).index
+                for dst, label_id in targets:
+                    log.note_target(index, dst, label_id)
+        self._log = store.log = log
+        return log
+
+    def _close_log(self) -> None:
+        self._log = self._store.log = None
+
+    def _mark_visited(self, pair) -> None:
+        """A visit reaches in-pair closure, so the pair's own insertions
+        cannot make it eligible again: record its *post*-visit versions
+        and move its cursor past its own edges."""
+        scheduler = self._scheduler
+        scheduler.mark_processed(pair, scheduler.captured_versions(pair))
+        self._log.advance(pair)
+
+    def _retire_if_dead(self, pair) -> bool:
+        """Retire a quarantined or provably inert pair without loading
+        it (nothing to join means nothing to find).  True when retired."""
+        quarantined = self._quarantined_parts
+        if quarantined and (pair[0] in quarantined or pair[1] in quarantined):
+            pass  # already warned at the partition level
+        elif self._log.has_join(self._store.partitions, pair):
+            return False
+        else:
+            self.stats.pairs_skipped += 1
+        self._mark_visited(pair)
+        return True
+
     def _serial_loop(self) -> None:
         stats = self.stats
         store = self._store
@@ -491,44 +552,53 @@ class GraphEngine:
         self._scheduler = scheduler
         if self._scheduler_seed:
             scheduler.restore(self._scheduler_seed)
-        while True:
-            pair = scheduler.next_pair()
-            if pair is None:
-                break
-            if (
-                self.options.max_pairs is not None
-                and stats.pairs_processed >= self.options.max_pairs
-            ):
-                break
-            if self._deadline is not None and time.perf_counter() > self._deadline:
-                self.timed_out = True
-                stats.timed_out = True
-                break
-            captured = scheduler.captured_versions(pair)
-            scheduler.pop_pair(pair)
-            # Overlap the next pair's disk reads with this pair's compute:
-            # the lookahead is a prediction (processing this pair may
-            # change eligibility), so stale prefetches simply miss.
-            if store.prefetch is not None:
-                busy = set(pair)
-                depth = max(1, self.options.prefetch_depth)
-                for upcoming in scheduler.peek_pairs(depth):
-                    for index in set(upcoming) - busy:
-                        store.prefetch_schedule(store.partitions[index])
-            if trace.enabled:
-                with trace.span(
-                    "iteration", iteration=stats.pairs_processed + 1,
-                    pair=f"{pair[0]},{pair[1]}",
+        self._open_log()
+        try:
+            while True:
+                pair = scheduler.next_pair()
+                if pair is None:
+                    break
+                if self._retire_if_dead(pair):
+                    continue
+                if (
+                    self.options.max_pairs is not None
+                    and stats.pairs_processed >= self.options.max_pairs
                 ):
+                    break
+                if (
+                    self._deadline is not None
+                    and time.perf_counter() > self._deadline
+                ):
+                    self.timed_out = True
+                    stats.timed_out = True
+                    break
+                scheduler.pop_pair(pair)
+                # Overlap the next pair's disk reads with this pair's
+                # compute: the lookahead is a prediction (processing this
+                # pair may change eligibility), so stale prefetches
+                # simply miss.
+                if store.prefetch is not None:
+                    busy = set(pair)
+                    depth = max(1, self.options.prefetch_depth)
+                    for upcoming in scheduler.peek_pairs(depth):
+                        for index in set(upcoming) - busy:
+                            store.prefetch_schedule(store.partitions[index])
+                if trace.enabled:
+                    with trace.span(
+                        "iteration", iteration=stats.pairs_processed + 1,
+                        pair=f"{pair[0]},{pair[1]}",
+                    ):
+                        self._attempt_pair(pair)
+                else:
                     self._attempt_pair(pair)
-            else:
-                self._attempt_pair(pair)
-            scheduler.mark_processed(pair, captured)
-            stats.pairs_processed += 1
-            stats.iterations = stats.pairs_processed
-            self._write_checkpoint()
-            if heartbeat is not None:
-                heartbeat.maybe_beat(stats, store, scheduler)
+                self._mark_visited(pair)
+                stats.pairs_processed += 1
+                stats.iterations = stats.pairs_processed
+                self._write_checkpoint()
+                if heartbeat is not None:
+                    heartbeat.maybe_beat(stats, store, scheduler)
+        finally:
+            self._close_log()
 
     # -- retry / quarantine ------------------------------------------------------
 
@@ -708,85 +778,97 @@ class GraphEngine:
             metrics.observe("pair_new_edges", yielded)
 
     def _pair_body(self, i: int, j: int) -> None:
-        """Merge-join frontier drain over one partition pair.
+        """Semi-naive visit of one partition pair.
 
-        Each round takes the whole pending frontier, sorts it by the join
-        vertex (the left operand's destination), and walks the distinct
-        join vertices in order -- one sorted-run probe of the right-hand
-        columns per vertex, shared by every left operand joining there,
-        instead of one dict probe per edge.  Edges produced by a round
-        join the next round's frontier; convergence is unchanged because
-        pair re-eligibility (version counters) already covers any
-        composition a snapshot probe misses.
+        The visit keeps a reverse index of the relevant-source in-edges
+        whose destination lies inside the pair -- the only edges that
+        can be a left operand here -- and composes every edge that is
+        new to the pair twice: as a *left* operand through the frontier
+        drain (``kernel.drain``: sort by join vertex, probe the
+        right-hand source run once per vertex), and as a *right* operand
+        against the reverse index, which catches the old-left x
+        new-right compositions a left-only drain would leave to a
+        second visit.  One visit therefore reaches in-pair closure.
+
+        "New to the pair" is, on a first visit (or after a split or a
+        salvaged delta file invalidated a partition's arrival log),
+        every joinable edge, seeded as left operands only -- the drain
+        meets every right operand already present; on a revisit, just
+        the edges the log recorded since the last one.  Edges the visit
+        inserts are added to the frontier, the reverse index and the
+        right-operand queue by :meth:`_insert`.
         """
         store = self._store
         parts = {i: store.partitions[i]}
-        loaded = {i: store.load(store.partitions[i])}
+        loaded = {i: store.load(parts[i])}
         if j != i:
             parts[j] = store.partitions[j]
-            loaded[j] = store.load(store.partitions[j])
+            loaded[j] = store.load(parts[j])
+        # After the loads: folding a damaged delta file resets the log.
+        seeds = self._pair_seeds((i, j))
         dirty: set = set()
         spills: dict = {}
-
-        def out_rows(v: int):
-            for index, part in parts.items():
-                if part.owns(v):
-                    return loaded[index].out_rows(v)
-            return None
+        rel_src = self._rel_src_id
+        rel_tgt = self._rel_tgt_id
+        rel_memo = self._rel_src_memo
+        # The pair's vertex intervals (they only move once inserts begin).
+        lo1, hi1, lo2, hi2 = parts[i].lo, parts[i].hi, parts[j].lo, parts[j].hi
 
         frontier: list = []
-        self._seed_pair((i, j), loaded, parts, spills, dirty, frontier)
+        in_index = self._pair_in_index = {}
+        rhs = self._pair_rhs = []
+        for cols in loaded.values():
+            for row in cols.iter_rows():
+                dst = row[1]
+                if lo1 <= dst < hi1 or lo2 <= dst < hi2:
+                    rel = rel_memo.get(row[2])
+                    if rel is None:
+                        rel = rel_src(row[2])
+                    if rel:
+                        lefts = in_index.get(dst)
+                        if lefts is None:
+                            lefts = in_index[dst] = []
+                        lefts.append((row[0], row[2], row[3]))
+                        if seeds is None:
+                            frontier.append(row)
+        seeded: set = set()
+        if seeds is not None:
+            self.stats.pairs_delta_seeded += 1
+            seeded = set(seeds)
+            for edge in seeds:
+                dst = edge[1]
+                if rel_src(edge[2]) and (
+                    lo1 <= dst < hi1 or lo2 <= dst < hi2
+                ):
+                    frontier.append(edge)
+                if rel_tgt(edge[2]):
+                    rhs.append(edge)
 
-        if self._kernel is not None:
-            kernel_mod.drain(self, loaded, parts, spills, dirty, frontier)
-            self._flush_spills(spills)
-            self._finalize_pair(loaded, parts, dirty)
-            return
-
-        stats = self.stats
-        rel_tgt = self._rel_tgt_id
-        while frontier:
-            batch = frontier
-            frontier = []
-            batch.sort(key=lambda edge: edge[1])
-            stats.join_batches += 1
-            at, n = 0, len(batch)
-            while at < n:
-                dst = batch[at][1]
-                end = at + 1
-                while end < n and batch[end][1] == dst:
-                    end += 1
-                rows = out_rows(dst)
-                if rows:
-                    stats.join_probes += 1
-                    rows = [row for row in rows if rel_tgt(row[1])]
-                if rows:
-                    for k in range(at, end):
-                        src, _, label1_id, enc1 = batch[k]
-                        for dst2, label2_id, enc2 in rows:
-                            self._compose_edges(
-                                src, dst, label1_id, enc1,
-                                dst2, label2_id, enc2,
-                                loaded, parts, spills, dirty, frontier,
-                            )
-                at = end
+        while frontier or rhs:
+            if frontier:
+                kernel_mod.drain(self, loaded, parts, spills, dirty, frontier)
+            if rhs:
+                src2, dst2, label2_id, enc2 = item = rhs.pop()
+                # Seeded rights were already present when the seeded
+                # lefts drained, so skipping seeded x seeded here loses
+                # nothing; edges inserted by this visit get no such
+                # guarantee (a left may have drained before this right
+                # appeared) and duplicate attempts dedup away on insert.
+                item_seeded = item in seeded
+                for src1, label1_id, enc1 in list(in_index.get(src2, ())):
+                    if item_seeded and (src1, src2, label1_id, enc1) in seeded:
+                        continue
+                    self._compose_edges(
+                        src1, src2, label1_id, enc1, dst2, label2_id, enc2,
+                        loaded, parts, spills, dirty, frontier,
+                    )
 
         self._flush_spills(spills)
         self._finalize_pair(loaded, parts, dirty)
 
-    def _seed_pair(self, pair, loaded, parts, spills, dirty, frontier) -> None:
-        """Build the initial frontier for one pair processing.
-
-        The serial engine reseeds with *every* relevant-source edge of the
-        loaded partitions and recomposes from scratch; the parallel
-        engine's workers override this with delta seeding (only edges new
-        since the pair was last processed).
-        """
-        rel_src = self._rel_src_id
-        for cols in loaded.values():
-            for row in cols.iter_rows():
-                if rel_src(row[2]):
-                    frontier.append(row)
+    def _pair_seeds(self, pair):
+        """Edges new to ``pair`` since its last visit (None = all)."""
+        return self._log.delta(pair)
 
     def _finalize_pair(self, loaded, parts, dirty) -> None:
         """Persist the pair's loaded partitions (splitting any
@@ -897,15 +979,25 @@ class GraphEngine:
                 return
             cols.insert(src, dst, label_id, eid)
             stats.new_edges += 1
-            if self._new_edge_sink is not None:
-                self._new_edge_sink(owner_index, src, dst, label_id, eid)
+            self._log.record(owner_index, src, dst, label_id, eid)
             owner = parts[owner_index]
             dirty.add(owner_index)
             owner.version += 1
             owner.edge_count += 1
             owner.byte_estimate += self._enc.row_bytes(eid)
+            # New to the pair: a left operand if it can join inside the
+            # pair at all, and a right operand for the in-edges of its
+            # source that may already have drained.
             if self._rel_src_id(label_id):
-                frontier.append((src, dst, label_id, eid))
+                for part in parts.values():
+                    if part.owns(dst):
+                        frontier.append((src, dst, label_id, eid))
+                        self._pair_in_index.setdefault(dst, []).append(
+                            (src, label_id, eid)
+                        )
+                        break
+            if self._rel_tgt_id(label_id):
+                self._pair_rhs.append((src, dst, label_id, eid))
             # Eager repartitioning (§4.3): split as soon as the loaded
             # partition's edge data exceeds the threshold, not at the end
             # of the iteration.
@@ -961,7 +1053,11 @@ class GraphEngine:
     def _split_loaded(self, index, loaded, parts, spills, dirty) -> None:
         """Mid-iteration split of a loaded partition that outgrew the
         budget: the left half stays loaded, the right half goes to disk
-        (its pairs become re-eligible via the version bump)."""
+        (a new partition: its pairs are all unvisited, and the store
+        resets both halves' arrival logs, so every pair touching either
+        seeds fully).  Reverse-index entries and queued right operands
+        that now point outside the pair stay behind -- composing them
+        still derives valid edges, which spill."""
         # Pending spills may be routed by stale boundaries; flush first.
         self._flush_spills(spills)
         spills.clear()
@@ -975,23 +1071,13 @@ class GraphEngine:
         dirty.discard(index)  # split() persisted the left half already
 
     def _flush_spills(self, spills) -> None:
-        """Write buffered edges for unloaded partitions, re-routing each
-        source by the *current* partition boundaries (splits may have
-        moved them since the edge was buffered).  Spill buffers hold
-        encoding ids; the delta files speak tuples, so decode here."""
+        """Hand the edges buffered for unloaded partitions to the store,
+        still id-encoded.  Buffers are keyed by owner at buffering time
+        and never outlive a boundary change: the only split that can
+        happen while they hold edges (:meth:`_split_loaded`) flushes
+        them first."""
         store = self._store
-        decode = self._enc.decode
-        rerouted: dict = {}
-        for chunk in spills.values():
-            for src, targets in chunk.items():
-                owner = store.partition_of(src)
-                bucket = rerouted.setdefault(owner.index, {})
-                mine = bucket.setdefault(src, {})
-                for key, eids in targets.items():
-                    slot = mine.setdefault(key, set())
-                    for eid in eids:
-                        slot.add(decode(eid))
-        for index, chunk in rerouted.items():
+        for index, chunk in spills.items():
             store.append_delta(store.partitions[index], chunk)
 
     # -- constraint feasibility --------------------------------------------------

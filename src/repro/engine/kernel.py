@@ -1,14 +1,15 @@
 """Batched closure kernel: bulk run-intersection, vectorised probes,
 and grouped feasibility (DESIGN.md §12).
 
-The scalar frontier drain in ``engine/computation.py`` composes one
-edge at a time: for every pending left operand it probes the right-hand
-partition's sorted source run, walks the rows, composes labels, merges
-encodings, and solves each merged constraint the moment the edge is
-inserted.  This module replaces that inner loop with a three-pass
-batched schedule while reproducing the scalar path *byte for byte* --
-same edges in the same insertion order (the witness cap makes order
-semantically significant), same counter totals, same memo contents:
+The scalar frontier drain (:func:`_drain_scalar`, ``--kernel off``)
+composes one edge at a time: for every pending left operand it probes
+the right-hand partition's sorted source run, walks the rows, composes
+labels, merges encodings, and solves each merged constraint the moment
+the edge is inserted.  This module replaces that inner loop with a
+three-pass batched schedule while reproducing the scalar path *byte for
+byte* -- same edges in the same insertion order (the witness cap makes
+order semantically significant), same counter totals, same memo
+contents:
 
 1. **Bulk run-intersection** -- each round sorts the frontier by join
    vertex once (as before), but the ``[lo, hi)`` runs of *all* the
@@ -37,7 +38,8 @@ semantically significant), same counter totals, same memo contents:
 Both backends produce identical results: the numpy path exists purely
 to move per-row Python work into C loops.  The backend is selected at
 import time (``--kernel auto``) or forced (``--kernel numpy|stdlib``);
-``--kernel off`` keeps the scalar drain.
+``--kernel off`` keeps the scalar drain.  Either way the engine reaches
+the drain through the single :func:`drain` entry point.
 
 **Counter-parity discipline.**  The scalar path interleaves composition
 and insertion, so a batched schedule reorders feasibility queries.
@@ -190,13 +192,21 @@ def _cache_for(engine, cols, backend: str) -> _ColsCache:
 
 
 def drain(engine, loaded, parts, spills, dirty, frontier) -> None:
-    """Batched replacement for the scalar merge-join frontier drain.
+    """Merge-join drain of one pair's pending left operands.
 
-    Mutates ``frontier`` in place (the engine's insert path appends the
-    next round's left operands to it) and returns when it is empty.
+    Each round takes the whole frontier, sorts it by join vertex (the
+    left operand's destination) and walks the distinct join vertices in
+    order -- one probe of the right-hand sorted source run per vertex,
+    shared by every left operand joining there.  Mutates ``frontier``
+    in place (the engine's insert path appends the next round's left
+    operands to it) and returns when it is empty.  ``--kernel off``
+    takes the scalar loop, every other backend the batched schedule.
     """
     stats = engine.stats
     backend = engine._kernel
+    if backend is None:
+        _drain_scalar(engine, loaded, parts, spills, dirty, frontier)
+        return
     batch_size = max(1, engine.options.batch_size)
     while frontier:
         batch = sorted(frontier, key=_join_vertex)
@@ -223,6 +233,42 @@ def drain(engine, loaded, parts, spills, dirty, frontier) -> None:
 
 def _join_vertex(edge) -> int:
     return edge[1]
+
+
+def _drain_scalar(engine, loaded, parts, spills, dirty, frontier) -> None:
+    """The one-edge-at-a-time reference the batched schedule reproduces
+    byte for byte: compose, merge and check each (left, row) pair the
+    moment it is met."""
+    stats = engine.stats
+    rel_tgt = engine._rel_tgt_id
+    compose = engine._compose_edges
+    while frontier:
+        batch = sorted(frontier, key=_join_vertex)
+        del frontier[:]
+        stats.join_batches += 1
+        at, n = 0, len(batch)
+        while at < n:
+            dst = batch[at][1]
+            end = at + 1
+            while end < n and batch[end][1] == dst:
+                end += 1
+            rows = None
+            for index, part in parts.items():
+                if part.owns(dst):
+                    rows = loaded[index].out_rows(dst)
+                    break
+            if rows:
+                stats.join_probes += 1
+                rows = [row for row in rows if rel_tgt(row[1])]
+            if rows:
+                for k in range(at, end):
+                    src, _, label1_id, enc1 = batch[k]
+                    for dst2, label2_id, enc2 in rows:
+                        compose(
+                            src, dst, label1_id, enc1, dst2, label2_id,
+                            enc2, loaded, parts, spills, dirty, frontier,
+                        )
+            at = end
 
 
 def _round_plan(engine, loaded, parts, batch, backend: str) -> dict:

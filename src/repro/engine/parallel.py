@@ -22,21 +22,20 @@ task; DESIGN.md §11 describes the retry/quarantine protocol):
   warm cache broadcast with the next wave, applies version bumps, and
   splits oversized partitions serially *between* waves.
 
-Workers seed each pair's frontier *semi-naively*: only the edges that
-arrived in either partition since this pair was last processed, plus the
-compositions of old edges with those new right-hand edges (via a per-pair
-reverse index).  The first processing of a pair -- and any processing
-after a split invalidated a partition's delta log -- falls back to the
-serial engine's full reseeding, so the computed fixpoint is the same.
+Workers run the engine's one pair drain (``GraphEngine._pair_body``:
+semi-naive, in-pair closure per visit) and the coordinator keeps the
+same bookkeeping the serial loop does -- one
+:class:`~repro.engine.scheduling.DeltaLog` per phase, fed by the store
+for merged and spilled edges and by the inline engine for its own
+inserts.  An inline task reads its seed straight from the log; a pooled
+task gets the same rows decoded to tuples (``WaveTask.seeds``).
 
 Not every pair is worth a round trip: the first pair of every wave runs
 in the coordinator process against the store's write-back cache (paying
 no IPC and no file I/O) while the pool chews the rest.  When the machine
 has a single CPU -- or ``parallel_dispatch`` is ``"inline"`` -- the pool
 is skipped entirely: a worker process that can never run concurrently
-with the coordinator is pure overhead, and the wave protocol's
-semi-naive seeding already does strictly less work than the serial
-engine's full recomposition.
+with the coordinator is pure overhead.
 
 Pool workers are forked, so they inherit the ICFET, grammar, and
 vertex/label tables read-only by copy-on-write; only pair descriptors,
@@ -49,10 +48,11 @@ inline.
 
 Encoding ids are a different story: each process hash-conses encodings
 into its own :class:`~repro.engine.columnar.EncodingTable`, so ids are
-never valid across the boundary.  Everything that crosses it -- delta
-edges in :class:`WaveTask`, new edges and spill chunks in
-:class:`WaveResult`, warm-cache entries -- stays tuple-encoded; workers
-intern on receipt, the engine decodes on send.
+never valid across the boundary.  Everything that crosses it -- seed
+edges in :class:`WaveTask`, new edges and spill chunks in a pooled
+:class:`WaveResult`, warm-cache entries -- is tuple-encoded: the sender
+decodes, the receiver interns.  What stays in the coordinator process
+(the log, the inline engine's spills) keeps the store's ids.
 
 Three layers rebuilt the data plane on top of that protocol
 (DESIGN.md §13):
@@ -99,8 +99,8 @@ from repro.engine import shm as shm_mod
 from repro.engine.cache import LRUCache
 from repro.engine.columnar import EdgeColumns, EncodingTable
 from repro.engine.computation import GraphEngine
-from repro.engine.partition import _merge_edges
-from repro.engine.scheduling import PairScheduler, StratumPlanner
+from repro.engine.partition import _merge_edges, recode_chunk
+from repro.engine.scheduling import DeltaLog, PairScheduler, StratumPlanner
 from repro.engine.stats import EngineStats
 from repro.obs.trace import NULL_RECORDER
 
@@ -147,10 +147,11 @@ class WaveTask:
     #: stable for the whole wave since splits only happen between waves.
     #: ``None`` for inline tasks, which see the real store directly.
     parts: dict | None
-    #: Pair-partition index -> delta edges since the pair was last
-    #: processed; ``None`` means "unknown / process fully".  Edges are
-    #: tuple-encoded (ids are process-local).
-    deltas: dict
+    #: Pooled tasks only (filled when the pair is staged; an inline task
+    #: reads the coordinator's log itself): ``(src, dst, label_id,
+    #: encoding)`` rows that arrived in the pair since its last visit,
+    #: tuple-encoded; ``None`` means "seed fully".
+    seeds: list | None = None
     #: Warm constraint-cache entries to fold into the worker-local LRU.
     cache_seed: list = field(default_factory=list)
     #: Redelivery count: bumped by the coordinator each time the task is
@@ -173,14 +174,16 @@ class WaveResult:
     """Everything a worker sends back for one processed pair."""
 
     pair: tuple
-    #: partition index -> list of new (src, dst, label_id, encoding)
-    #: (inline tasks only; pooled tasks return ``columns`` instead)
-    new_edges: dict = field(default_factory=dict)
-    #: partition index -> new edges as one encoded columnar slice
-    #: (``serialize.encode_columnar`` bytes, rows in insertion order) --
-    #: the compact cross-process form of ``new_edges``.
+    #: Pooled tasks: partition index -> the task's new edges as one
+    #: encoded columnar slice (``serialize.encode_columnar`` bytes, rows
+    #: in insertion order), for the coordinator to merge.
     columns: dict = field(default_factory=dict)
-    #: partition index -> spill chunk {src: {(dst, label_id): set}}
+    #: Inline tasks: indices of the partitions the task added edges to
+    #: (the edges themselves are already in the store and its log).
+    dirty: tuple = ()
+    #: partition index -> spill chunk {src: {(dst, label_id): set}} --
+    #: encodings as tuples from a pooled task, store ids from an inline
+    #: one.
     spills: dict = field(default_factory=dict)
     stats: EngineStats = field(default_factory=EngineStats)
     cache_entries: list = field(default_factory=list)
@@ -197,20 +200,21 @@ class WaveResult:
     telemetry: dict | None = None
 
 
-def _encode_edge_rows(edges: list) -> bytes:
-    """Pack ``(src, dst, label_id, encoding)`` tuples into one columnar
-    slice (v2 wire format, rows kept in insertion order)."""
+def _encode_edge_rows(rows: list, decode) -> bytes:
+    """Pack ``(src, dst, label_id, enc_id)`` rows into one columnar
+    slice (v2 wire format, rows kept in insertion order, encodings
+    decoded into the slice's own table)."""
     src = array("q")
     dst = array("q")
     label = array("q")
     enc_local = array("q")
     local: dict = {}
     encodings: list = []
-    for s, d, l, encoding in edges:
-        lid = local.get(encoding)
+    for s, d, l, eid in rows:
+        lid = local.get(eid)
         if lid is None:
-            lid = local[encoding] = len(encodings)
-            encodings.append(encoding)
+            lid = local[eid] = len(encodings)
+            encodings.append(decode(eid))
         src.append(s)
         dst.append(d)
         label.append(l)
@@ -224,8 +228,7 @@ def _decode_edge_rows(data: bytes) -> dict:
     ``ColumnarFile.to_dict`` groups rows in file order -- which
     :func:`_encode_edge_rows` made insertion order -- so the chunk's
     dict/set construction order (and therefore every downstream
-    witness-capped merge) is identical to building it from the tuple
-    list directly.
+    witness-capped merge) follows the worker's insertion order.
     """
     return serialize.parse_columnar(data).to_dict()
 
@@ -270,8 +273,9 @@ class _WorkerStore:
     Loads the pair's partitions from their files through a small
     version-validated cache of decoded :class:`EdgeColumns` (the
     persistent worker sees the same partitions wave after wave, interning
-    into the worker-local encoding table), never splits, and records
-    deltas for unloaded partitions as in-memory spill chunks.
+    into the worker-local encoding table), never splits, and collects
+    edges for unloaded partitions as in-memory spill chunks (still
+    id-encoded; a pooled task decodes them once, on the way out).
     """
 
     def __init__(self, stats: EngineStats, table: EncodingTable):
@@ -380,9 +384,11 @@ class _WorkerStore:
 
 
 class _WorkerEngine(GraphEngine):
-    """Engine variant for pair tasks: delta seeding, no splits, and a
+    """Engine variant for pair tasks: no splits, per-task stats, and a
     logging LRU whose tuple-keyed entries ride back to the coordinator
-    (the id-keyed memos of the base engine stay process-local)."""
+    (the id-keyed memos of the base engine stay process-local).  The
+    drain is the base engine's; only where a visit's seed comes from
+    and where its new edges go differ by mode (see :meth:`run_task`)."""
 
     def __init__(self, icfet, grammar, options, graph, store=None):
         super().__init__(icfet, grammar, options)
@@ -432,135 +438,25 @@ class _WorkerEngine(GraphEngine):
             feasible=self._feasible, vertex=graph.vertices.lookup
         )
         self._deadline = None
-        self._task_deltas: dict = {}
+        self._task_seeds: list | None = None
 
-    def _pair_body(self, i: int, j: int) -> None:
-        """Semi-naive worklist over one pair.
-
-        Unlike the serial drain -- which composes new edges only as
-        *left* operands and relies on whole-pair reprocessing to catch
-        old-left x new-right compositions -- this maintains a reverse
-        index of relevant-source in-edges and composes every new edge as
-        a right operand too.  One processing therefore reaches true
-        in-pair closure, which is what lets the coordinator mark pairs
-        with their post-processing versions (no quiescence re-runs), and
-        a reprocessing seeds only from the pair's delta edges.
-        """
-        store = self._store
-        parts = {i: store.partitions[i]}
-        loaded = {i: store.load(store.partitions[i])}
-        if j != i:
-            parts[j] = store.partitions[j]
-            loaded[j] = store.load(store.partitions[j])
-        dirty: set = set()
-        spills: dict = {}
-        rel_src = self._rel_src_id
-        rel_tgt = self._rel_tgt_id
-        intern = self._enc.intern
-
-        def out_rows(v: int):
-            for index, part in parts.items():
-                if part.owns(v):
-                    return loaded[index].out_rows(v)
+    def _pair_seeds(self, pair):
+        if self._inline_mode:
+            return super()._pair_seeds(pair)
+        if self._task_seeds is None:
             return None
-
-        def owned(v: int) -> bool:
-            return any(part.owns(v) for part in parts.values())
-
-        frontier: list = []
-        rhs: list = []
-        # A left operand is only ever joined through its destination, so
-        # edges pointing outside the pair can't compose here; skipping
-        # them (unlike the serial engine, which seeds and discards them)
-        # removes the O(P) frontier churn of wide stores.
-        in_index: dict = {}
-        self._pair_owned = owned
-        for cols in loaded.values():
-            for src, dst, label_id, eid in cols.iter_rows():
-                if owned(dst) and rel_src(label_id):
-                    in_index.setdefault(dst, []).append((src, label_id, eid))
-        # The new-edge sink (installed by run_task) keeps both live.
-        self._pair_in_index = in_index
-        self._pair_rhs = rhs
-
-        seeded: set = set()
-        deltas = [self._task_deltas.get(index) for index in parts]
-        if any(delta is None for delta in deltas):
-            # First processing (or delta log invalidated by a split):
-            # seed with every relevant-source edge joinable in the pair.
-            for cols in loaded.values():
-                for row in cols.iter_rows():
-                    if owned(row[1]) and rel_src(row[2]):
-                        frontier.append(row)
-        else:
-            new_edges = [
-                (src, dst, label_id, intern(encoding))
-                for delta in deltas
-                for src, dst, label_id, encoding in delta
-            ]
-            seeded = set(new_edges)
-            for edge in new_edges:
-                if owned(edge[1]) and rel_src(edge[2]):
-                    frontier.append(edge)
-                if rel_tgt(edge[2]):
-                    rhs.append(edge)
-
-        stats = self.stats
-        from repro.engine import kernel as kernel_mod
-
-        while frontier or rhs:
-            if frontier and self._kernel is not None:
-                # Same batched kernel as the serial engine, so serial
-                # and parallel runs stay byte-identical per path.
-                kernel_mod.drain(self, loaded, parts, spills, dirty, frontier)
-            while frontier:
-                # Same merge-join drain as the serial engine: sort the
-                # round's left operands by join vertex, probe each
-                # distinct vertex's sorted right-hand run once.
-                batch = frontier
-                frontier = []
-                batch.sort(key=lambda edge: edge[1])
-                stats.join_batches += 1
-                at, n = 0, len(batch)
-                while at < n:
-                    dst = batch[at][1]
-                    end = at + 1
-                    while end < n and batch[end][1] == dst:
-                        end += 1
-                    rows = out_rows(dst)
-                    if rows:
-                        stats.join_probes += 1
-                        rows = [row for row in rows if rel_tgt(row[1])]
-                    if rows:
-                        for k in range(at, end):
-                            src, _, label1_id, enc1 = batch[k]
-                            for dst2, label2_id, enc2 in rows:
-                                self._compose_edges(
-                                    src, dst, label1_id, enc1,
-                                    dst2, label2_id, enc2,
-                                    loaded, parts, spills, dirty, frontier,
-                                )
-                    at = end
-            if rhs:
-                src2, dst2, label2_id, enc2 = item = rhs.pop()
-                # Seeded rights were already present when the seeded
-                # lefts drained, so skipping seeded x seeded here loses
-                # nothing; runtime-inserted edges get no such guarantee
-                # (a left may have drained before this right appeared)
-                # and duplicate attempts simply dedup away on insert.
-                item_seeded = item in seeded
-                for src1, label1_id, enc1 in list(in_index.get(src2, ())):
-                    if item_seeded and (src1, src2, label1_id, enc1) in seeded:
-                        continue
-                    self._compose_edges(
-                        src1, src2, label1_id, enc1, dst2, label2_id, enc2,
-                        loaded, parts, spills, dirty, frontier,
-                    )
-
-        self._flush_spills(spills)
-        self._finalize_pair(loaded, parts, dirty)
+        intern = self._enc.intern
+        return [
+            (src, dst, label_id, intern(encoding))
+            for src, dst, label_id, encoding in self._task_seeds
+        ]
 
     def run_task(self, task: WaveTask) -> WaveResult:
+        """Visit one pair.  Inline, the engine works against the
+        coordinator's store and log directly: its inserts are already
+        applied and recorded when it returns.  Pooled, the seed arrives
+        in the task and a per-task log collects the new edges, which go
+        back as one columnar slice per dirty partition."""
         busy_start = time.perf_counter()
         self.stats = EngineStats()
         if self.options.metrics:
@@ -568,63 +464,44 @@ class _WorkerEngine(GraphEngine):
         store = self._store
         store.stats = self.stats
         store.set_snapshot(task.parts, task.shm, task.table_ref)
-        self._task_deltas = task.deltas
+        if not self._inline_mode:
+            self._task_seeds = task.seeds
+            self._log = DeltaLog(self._rel_src_id)
         self.cache.seed(task.cache_seed)
         labels = self._graph.labels
         labels_before = len(labels)
-
-        new_edges: dict = {}
-        rel_src = self._rel_src_id
-        rel_tgt = self._rel_tgt_id
-        decode = self._enc.decode
-
-        def sink(owner, src, dst, label_id, eid):
-            new_edges.setdefault(owner, []).append(
-                (src, dst, label_id, decode(eid))
-            )
-            if rel_src(label_id) and self._pair_owned(dst):
-                self._pair_in_index.setdefault(dst, []).append(
-                    (src, label_id, eid)
-                )
-            if rel_tgt(label_id):
-                self._pair_rhs.append((src, dst, label_id, eid))
-
-        self._new_edge_sink = sink
-        try:
-            self._process_pair(*task.pair)
-        finally:
-            self._new_edge_sink = None
+        self._process_pair(*task.pair)
         if len(labels) != labels_before:
             fresh = [labels.lookup(i) for i in range(labels_before, len(labels))]
             raise RuntimeError(
                 "parallel worker interned labels the coordinator never saw"
                 f" ({fresh!r}); Grammar.closure_labels() is incomplete"
             )
-        if self._inline_mode:
-            edges_out = {i: new_edges.get(i, []) for i in store.dirty}
-            columns_out = {}
-        else:
-            # Compact columnar slices over the wire instead of per-edge
-            # tuples; the coordinator's decode rebuilds the identical
-            # chunk (see _decode_edge_rows).
-            edges_out = {}
-            columns_out = {
-                i: _encode_edge_rows(new_edges.get(i, []))
-                for i in store.dirty
-            }
-        self.stats.worker_busy_s += time.perf_counter() - busy_start
-        return WaveResult(
+        result = WaveResult(
             pair=task.pair,
-            new_edges=edges_out,
-            columns=columns_out,
-            spills=store.spill_chunks,
             stats=self.stats,
             cache_entries=self.cache.drain_added(CACHE_LOG_CAP),
-            trace=self.trace.ship() if self._ships_trace else None,
-            telemetry=(
-                self._sampler.ship() if self._sampler is not None else None
-            ),
         )
+        if self._inline_mode:
+            result.applied = True
+            result.dirty = tuple(store.dirty)
+            result.spills = store.spill_chunks
+        else:
+            decode = self._enc.decode
+            result.columns = {
+                index: _encode_edge_rows(self._log.rows(index), decode)
+                for index in store.dirty
+            }
+            result.spills = {
+                index: recode_chunk(chunk, decode)
+                for index, chunk in store.spill_chunks.items()
+            }
+            if self._ships_trace:
+                result.trace = self.trace.ship()
+            if self._sampler is not None:
+                result.telemetry = self._sampler.ship()
+        self.stats.worker_busy_s += time.perf_counter() - busy_start
+        return result
 
 
 def _worker_init() -> None:
@@ -696,64 +573,6 @@ class _InlineStore(_WorkerStore):
         return self._real.partition_of(src)
 
 
-class _JoinIndex:
-    """Per-partition set of destinations of relevant-source edges.
-
-    A pair can only produce edges if some relevant-source edge in one of
-    its partitions points *into* the pair, so a pair whose partitions'
-    destination sets both miss both vertex intervals is provably inert
-    and can be retired without even loading it -- this is what keeps the
-    first-pass cost of a P-partition store from growing with P^2 on
-    phases whose facts are localised.  Destinations are tracked as sets
-    (over-approximations never skip wrongly: entries are only added,
-    except on splits which rebuild both halves from their actual edges).
-    """
-
-    def __init__(self, relevant_source, lookup):
-        self._relevant_source = relevant_source
-        self._lookup = lookup
-        self._rel_memo: dict = {}
-        self._sets: dict = {}
-        self._sorted: dict = {}  # index -> sorted snapshot (None = stale)
-
-    def _relevant(self, label_id: int) -> bool:
-        value = self._rel_memo.get(label_id)
-        if value is None:
-            value = self._rel_memo[label_id] = self._relevant_source(
-                self._lookup(label_id)
-            )
-        return value
-
-    def add(self, index: int, dst: int, label_id: int) -> None:
-        if self._relevant(label_id):
-            self._sets.setdefault(index, set()).add(dst)
-            self._sorted[index] = None
-
-    def rebuild(self, index: int, cols: EdgeColumns) -> None:
-        dsts = set()
-        for _src, dst, label_id, _eid in cols.iter_rows():
-            if self._relevant(label_id):
-                dsts.add(dst)
-        self._sets[index] = dsts
-        self._sorted[index] = None
-
-    def _overlaps(self, index: int, lo: int, hi: int) -> bool:
-        snapshot = self._sorted.get(index)
-        if snapshot is None:
-            snapshot = sorted(self._sets.get(index, ()))
-            self._sorted[index] = snapshot
-        at = bisect_right(snapshot, lo - 1)
-        return at < len(snapshot) and snapshot[at] < hi
-
-    def pair_has_join(self, partitions, pair) -> bool:
-        for index in set(pair):
-            for other in set(pair):
-                part = partitions[other]
-                if self._overlaps(index, part.lo, part.hi):
-                    return True
-        return False
-
-
 class ParallelCoordinator:
     """Drives the wave loop over an already-initialised engine/store."""
 
@@ -823,24 +642,13 @@ class ParallelCoordinator:
             engine.icfet, engine.grammar, engine.options, engine._graph,
             store=_InlineStore(self.store),
         )
-        self._joins = _JoinIndex(engine.grammar.relevant_source, labels.lookup)
-        if engine._resume_manifest is not None:
-            # Resumed run: the restored partitions hold input *and*
-            # derived edges (the graph's edge map only the former), so
-            # rebuild the destination sets from the files themselves.
-            for part in self.store.partitions:
-                self._joins.rebuild(part.index, self.store.load(part))
-        else:
-            # Seed the join index from the initial graph (partition
-            # contents at this point are exactly the post-derivation
-            # input edges).
-            for src, targets in engine._graph.edges.items():
-                index = self.store.partition_of(src).index
-                for dst, label_id in targets:
-                    self._joins.add(index, dst, label_id)
+        # The inline engine visits pairs against the real store, so it
+        # shares the phase's arrival log with it.
+        self._inline._log = engine._open_log()
         try:
             self._wave_loop()
         finally:
+            engine._close_log()
             _FORK_STATE = None
             if sampler is not None and self._hub is not None:
                 sampler.unbind("shm_bytes_mapped")
@@ -868,11 +676,6 @@ class ParallelCoordinator:
             pass
         self._pool = self._make_pool()
 
-    def _run_inline(self, task: WaveTask) -> WaveResult:
-        result = self._inline.run_task(task)
-        result.applied = True
-        return result
-
     def _publish(self, index: int) -> dict | None:
         """Publish one partition to shared memory; None means the worker
         must fall back to the file (caller materialises it)."""
@@ -891,7 +694,9 @@ class ParallelCoordinator:
         partitions may have advanced since the wave snapshot, and a
         stale view version would let the worker serve a stale decoded
         copy from its version cache (the delta seeds assume the base
-        content contains them)."""
+        content contains them).  The seed is cut last: staging loads the
+        partitions, and a load that salvages a damaged delta file
+        resets the log."""
         store = self.store
         refs = {}
         for index in set(task.pair):
@@ -904,6 +709,11 @@ class ParallelCoordinator:
                 task.parts[index] = self._view(store.partitions[index])
         task.shm = refs
         task.table_ref = self._hub.table_ref if self._hub else None
+        rows = self.engine._log.delta(task.pair)
+        if rows is not None:
+            decode = store.table.decode
+            rows = [(s, d, l, decode(eid)) for s, d, l, eid in rows]
+        task.seeds = rows
 
     @staticmethod
     def _view(p) -> _PartView:
@@ -920,7 +730,7 @@ class ParallelCoordinator:
         same way pooled tasks are requeued."""
         while True:
             try:
-                return self._run_inline(task)
+                return self._inline.run_task(task)
             except serialize.CorruptPartition as exc:
                 if task.attempt >= self.options.max_retries:
                     return self._quarantine_task(task, exc)
@@ -935,35 +745,7 @@ class ParallelCoordinator:
             self._rebuild_pool()
             return self._pool.submit(_worker_run, task)
 
-    def _retire_if_dead(self, pair, logs, epochs, last_pos) -> bool:
-        """Retire a quarantined or provably inert pair without loading
-        it: nothing to seed means nothing to find, so mark it processed
-        at its current versions and advance its delta positions.  True
-        when the pair was retired."""
-        engine = self.engine
-        scheduler = engine._scheduler
-        if engine._quarantined_parts and (
-            pair[0] in engine._quarantined_parts
-            or pair[1] in engine._quarantined_parts
-        ):
-            # Unrecoverable partition: retire the pair silently (the
-            # quarantine already printed a warning) so it stops
-            # re-entering wave selection.
-            pass
-        elif self._joins.pair_has_join(self.store.partitions, pair):
-            return False
-        else:
-            self.stats.pairs_skipped += 1
-        scheduler.mark_processed(pair, scheduler.captured_versions(pair))
-        last_pos[pair] = (
-            epochs[pair[0]], len(logs.setdefault(pair[0], [])),
-            epochs[pair[1]], len(logs.setdefault(pair[1], [])),
-        )
-        return True
-
-    def _stream_wave(
-        self, tasks, absorb, build_task, seed_fn, logs, epochs, last_pos
-    ) -> None:
+    def _stream_wave(self, tasks, absorb, build_task, seed_fn) -> None:
         """Dispatch a wave's pooled tasks, absorb results strictly in
         dispatch (``seq``) order, and -- when stealing is on -- refill
         freed pool slots with further eligible pairs between absorbs.
@@ -1021,7 +803,7 @@ class ParallelCoordinator:
                 if not got:
                     return
                 pair = got[0]
-                if self._retire_if_dead(pair, logs, epochs, last_pos):
+                if engine._retire_if_dead(pair):
                     continue
                 task = build_task(pair, dispatched, seed_fn())
                 dispatched += 1
@@ -1143,14 +925,6 @@ class ParallelCoordinator:
         engine._scheduler = scheduler
         if engine._scheduler_seed:
             scheduler.restore(engine._scheduler_seed)
-        # Per-partition delta logs: every edge added since initialisation,
-        # in arrival order (tuple-encoded -- they cross into workers).
-        # last_pos[pair] records (epoch_i, len_i, epoch_j, len_j) at
-        # dispatch; an epoch mismatch (the partition split since) forces
-        # full reprocessing of the pair.
-        logs: dict = {i: [] for i in range(len(store.partitions))}
-        epochs: dict = {i: 0 for i in range(len(store.partitions))}
-        last_pos: dict = {}
         warm_cache: dict = {}
         fresh_entries: list = []
 
@@ -1164,7 +938,7 @@ class ParallelCoordinator:
             # Without a pool there is nothing to overlap: a wide wave
             # only disperses the store cache's locality and schedules
             # pairs on staler eligibility, so fall back to one pair at a
-            # time (the serial order, still delta-seeded).
+            # time (the serial order).
             width = self.options.workers if self._pool is not None else 1
             if self.options.max_pairs is not None:
                 width = min(
@@ -1175,14 +949,9 @@ class ParallelCoordinator:
             wave = scheduler.select_wave(width, self._planner)
             if not wave:
                 break
-            # Retire provably inert pairs without loading them: nothing
-            # to seed means nothing to find, so mark them processed at
-            # their current versions and delta positions.
-            live = [
-                pair for pair in wave
-                if not self._retire_if_dead(pair, logs, epochs, last_pos)
+            wave = [
+                pair for pair in wave if not engine._retire_if_dead(pair)
             ]
-            wave = live
             if not wave:
                 continue
             stats.waves += 1
@@ -1206,28 +975,12 @@ class ParallelCoordinator:
                 }
 
             def build_task(pair, seq, cache_seed):
-                deltas = {}
-                positions = last_pos.get(pair)
-                for slot, index in enumerate(dict.fromkeys(pair)):
-                    if (
-                        positions is not None
-                        and positions[2 * slot] == epochs[index]
-                    ):
-                        deltas[index] = logs[index][positions[2 * slot + 1]:]
-                    else:
-                        deltas[index] = None
-                task = WaveTask(
+                return WaveTask(
                     pair=pair,
                     parts=snapshot if seq > 0 and pooled else None,
-                    deltas=deltas,
                     cache_seed=cache_seed,
                     seq=seq,
                 )
-                last_pos[pair] = (
-                    epochs[pair[0]], len(logs[pair[0]]),
-                    epochs[pair[1]], len(logs[pair[1]]),
-                )
-                return task
 
             tasks = [
                 build_task(pair, seq, seed) for seq, pair in enumerate(wave)
@@ -1260,45 +1013,19 @@ class ParallelCoordinator:
                     pool_busy[0] += result.stats.worker_busy_s
                 stats.pairs_processed += 1
                 stats.iterations = stats.pairs_processed
-                merged = list(result.new_edges.items())
-                merged.extend(result.columns.items())
-                for index, payload in merged:
+                # An inline task's edges and version bumps already
+                # landed in the real store (and its log); a pooled
+                # task's are merged, deduplicated and logged here.
+                touched.update(result.dirty)
+                for index, payload in result.columns.items():
                     touched.add(index)
-                    if result.applied:
-                        # Inline task: its edges and version bumps
-                        # already landed in the real store.
-                        edges = payload
-                    else:
-                        if isinstance(payload, (bytes, bytearray)):
-                            chunk = _decode_edge_rows(payload)
-                        else:
-                            chunk = {}
-                            for src, dst, label_id, encoding in payload:
-                                chunk.setdefault(src, {}).setdefault(
-                                    (dst, label_id), set()
-                                ).add(encoding)
-                        edges = store.merge_chunk(
-                            store.partitions[index], chunk
-                        )
-                    logs.setdefault(index, []).extend(edges)
-                    for _src, dst, label_id, _enc in edges:
-                        self._joins.add(index, dst, label_id)
-                # The frontier drain reaches in-pair closure, so the
-                # pair's own insertions cannot make it eligible again:
-                # mark it with the *post-merge* versions and advance its
-                # delta positions past its own edges.  (The serial loop
-                # marks with pre-processing versions and pays one full
-                # "quiescence check" recompose per dirty pair instead.)
+                    store.merge_chunk(
+                        store.partitions[index], _decode_edge_rows(payload)
+                    )
                 # Spill chunks from this wave merge below, after all
                 # marks, so cross-pair edges still re-activate pairs.
-                scheduler.mark_processed(
-                    result.pair, scheduler.captured_versions(result.pair)
-                )
+                engine._mark_visited(result.pair)
                 i, j = result.pair
-                last_pos[result.pair] = (
-                    epochs[i], len(logs.setdefault(i, [])),
-                    epochs[j], len(logs.setdefault(j, [])),
-                )
                 for key, value in result.cache_entries:
                     if key not in warm_cache:
                         warm_cache[key] = value
@@ -1314,7 +1041,6 @@ class ParallelCoordinator:
                 self._stream_wave(
                     tasks, absorb, build_task,
                     lambda: fresh_entries[-CACHE_SEED_CAP:],
-                    logs, epochs, last_pos,
                 )
             else:
                 for task in tasks:
@@ -1332,39 +1058,27 @@ class ParallelCoordinator:
 
             # Spill chunks after the pairs' own edges so the dedup merge
             # sees each partition's freshest contents.  Chunks are
-            # combined per partition first, and partitions not resident
-            # in the write-back cache take the serial engine's cheap
-            # delta-file append instead of a load-merge-save round trip;
-            # their logs then over-approximate (duplicates are harmless
-            # seeds -- they recompose into edges that dedup away).
+            # combined per partition first, id-encoded (a pooled task's
+            # arrive as tuples and are interned here); the store merges
+            # them into a resident partition and appends them to the
+            # delta file of any other, logging the arrivals either way.
             spill_tick = trace.begin() if trace.enabled else 0.0
             combined: dict = {}
+            intern = store.table.intern
             for result in spill_results:
                 for index, chunk in result.spills.items():
+                    if not result.applied:
+                        chunk = recode_chunk(chunk, intern)
                     _merge_edges(combined.setdefault(index, {}), chunk)
             for index, chunk in combined.items():
-                part = store.partitions[index]
-                if store.is_cached(part):
-                    added = store.merge_chunk(part, chunk)
-                else:
-                    store.append_delta(part, chunk)
-                    added = [
-                        (src, dst, label_id, encoding)
-                        for src, targets in chunk.items()
-                        for (dst, label_id), encodings in targets.items()
-                        for encoding in encodings
-                    ]
-                if added:
-                    logs.setdefault(index, []).extend(added)
+                if store.append_delta(store.partitions[index], chunk):
                     touched.add(index)
-                    for _src, dst, label_id, _enc in added:
-                        self._joins.add(index, dst, label_id)
             if trace.enabled and combined:
                 trace.end(
                     "spill-merge", spill_tick, cat="merge",
                     partitions=len(combined),
                 )
-            self._split_oversized(touched, logs, epochs)
+            self._split_oversized(touched)
             # One manifest per completed wave: everything merged above is
             # flushed durable first, so a crash from here on resumes at
             # the *next* wave (no-op when checkpointing is off).  The
@@ -1394,9 +1108,9 @@ class ParallelCoordinator:
             if heartbeat is not None:
                 heartbeat.maybe_beat(stats, store, scheduler)
 
-    def _split_oversized(self, touched, logs: dict, epochs: dict) -> None:
-        """Serial between-wave repartitioning; a split moves edges between
-        partitions, so both halves' delta logs restart from scratch."""
+    def _split_oversized(self, touched) -> None:
+        """Serial between-wave repartitioning (the store resets both
+        halves' arrival logs: a split moves edges between partitions)."""
         store = self.store
         for index in sorted(touched):
             part = store.partitions[index]
@@ -1404,17 +1118,11 @@ class ParallelCoordinator:
                 continue
             cols = store.load(part)
             while store.needs_split(part):
-                part, cols, new_part, new_cols = store.split(part, cols)
+                part, cols, new_part, _new_cols = store.split(part, cols)
                 if new_part is None:
                     break
-                logs[part.index] = []
-                epochs[part.index] = epochs.get(part.index, 0) + 1
-                logs[new_part.index] = []
-                epochs[new_part.index] = 0
                 if self._hub is not None:
                     # Both halves changed identity; retire any published
                     # segment so the next stage republishes fresh.
                     self._hub.invalidate(part.index)
                     self._hub.invalidate(new_part.index)
-                self._joins.rebuild(part.index, cols)
-                self._joins.rebuild(new_part.index, new_cols)

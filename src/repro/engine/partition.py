@@ -14,10 +14,20 @@ the bulk columnar wire format (``serialize.encode_columnar``), so a load
 is four ``frombytes`` calls plus one pass over the (small) encoding table
 rather than a per-edge varint loop.  The memory budget is accounted in
 columnar bytes (32 per row plus string-payload text).  Delta files remain
-sequences of CRC-framed v1 payloads -- they hold small tuple-shaped
-chunks arriving from spills and out-of-process workers -- optionally
-written through a background :class:`~repro.engine.io_pipeline.SpillWriter`
-and zlib-compressed per frame.
+sequences of CRC-framed v1 payloads -- they hold small chunks arriving
+from spills -- optionally written through a background
+:class:`~repro.engine.io_pipeline.SpillWriter` and zlib-compressed per
+frame.  Spill chunks reach :meth:`PartitionStore.append_delta` encoded
+as ids of the store's table and are decoded to tuples only when bytes
+actually go to a delta file; a resident target takes them as they are.
+
+Every way edges enter or move between partitions outside the engine's
+own insert loop passes through this module, so the store also keeps the
+closure's :class:`~repro.engine.scheduling.DeltaLog` (``store.log``,
+attached by the engine for the duration of a phase) truthful: appended
+and merged edges are recorded as arrivals; a split, or a delta file
+salvaged around corrupt frames, resets the partition's log so every
+pair touching it seeds fully on its next visit.
 
 Durability (DESIGN.md §11): partition files are replaced atomically
 (temp + fsync + rename), so a crash leaves the previous complete version
@@ -86,6 +96,9 @@ class PartitionStore:
         # appends delta frames in the background.
         self.prefetch = prefetch
         self.spill_writer = spill_writer
+        # The closure's arrival log (scheduling.DeltaLog), attached by
+        # the engine while a phase runs; None = nobody is listening.
+        self.log = None
         self.partitions: list[Partition] = []
         self._next_file = 0
         # Write-back cache of recently used partitions: index -> columns.
@@ -307,6 +320,10 @@ class PartitionStore:
         if corrupt:
             self.stats.delta_frames_corrupt += corrupt
             part.version += 1
+            if self.log is not None:
+                # Logged arrivals are gone from the partition: delta
+                # seeds can no longer stand in for its contents.
+                self.log.reset(part.index)
         return chunks
 
     def rebuild(self, part: Partition) -> bool:
@@ -335,23 +352,45 @@ class PartitionStore:
         self.stats.partitions_rebuilt += 1
         return True
 
-    def append_delta(self, part: Partition, chunk: dict) -> None:
-        """Buffer new edges for a partition that is not currently loaded
-        by the computation (merged directly when the partition is cached).
-        ``chunk`` is tuple-shaped: ``{src: {(dst, label_id): set}}``."""
+    def append_delta(self, part: Partition, chunk: dict) -> int:
+        """Add spilled edges to a partition the computation does not
+        have loaded; returns how many arrived.  ``chunk`` is
+        ``{src: {(dst, label_id): set}}`` of encoding *ids* (this
+        store's table): a resident partition takes them as they are,
+        deduplicating; otherwise they are decoded and appended to its
+        delta file (duplicates fold away on load, so the arrival log
+        over-approximates -- a duplicate is a harmless seed whose
+        compositions dedup away)."""
         if not chunk:
-            return
-        cached = self._cache.get(part.index)
+            return 0
+        log = self.log
+        index = part.index
+        cached = self._cache.get(index)
+        row_bytes = self.table.row_bytes
+        added = 0
+        for src, targets in chunk.items():
+            for (dst, label_id), eids in targets.items():
+                for eid in eids:
+                    if cached is not None:
+                        if not cached.insert(src, dst, label_id, eid):
+                            continue
+                    else:
+                        part.byte_estimate += row_bytes(eid)
+                    added += 1
+                    if log is not None:
+                        log.record(index, src, dst, label_id, eid)
+        if not added:
+            return 0
+        part.version += 1
+        part.edge_count += added
         if cached is not None:
-            added = cached.merge_dict(chunk)
-            if added:
-                self._dirty.add(part.index)
-                part.version += 1
-                part.edge_count += added
-                part.byte_estimate = cached.columnar_bytes()
-            return
+            self._dirty.add(index)
+            part.byte_estimate = cached.columnar_bytes()
+            return added
         with self.stats.timing("io_time"):
-            data = serialize.encode_partition(chunk)
+            data = serialize.encode_partition(
+                recode_chunk(chunk, self.table.decode)
+            )
             if self.spill_writer is not None:
                 self.spill_writer.append(part.delta_path, data)
             else:
@@ -363,9 +402,7 @@ class PartitionStore:
                 # the trailing frame, which the reader drops.
                 with open(part.delta_path, "ab") as f:
                     f.write(frame)
-        part.version += 1
-        part.edge_count += _count_edges(chunk)
-        part.byte_estimate += _estimate_bytes(chunk)
+        return added
 
     # -- prefetch ---------------------------------------------------------------
 
@@ -467,31 +504,36 @@ class PartitionStore:
         self.save(part, left_cols)
         self.save(new_part, right_cols)
         self.stats.repartitions += 1
+        if self.log is not None:
+            # Edges changed owner: neither half's log describes it now.
+            self.log.reset(part.index, left_cols)
+            self.log.reset(new_part.index, right_cols)
         return part, left_cols, new_part, right_cols
 
     # -- parallel-coordinator support ------------------------------------------
 
-    def is_cached(self, part: Partition) -> bool:
-        return part.index in self._cache
-
-    def merge_chunk(self, part: Partition, chunk: dict) -> list:
-        """Deduplicating merge of a tuple-shaped ``chunk`` into a partition.
+    def merge_chunk(self, part: Partition, chunk: dict) -> int:
+        """Deduplicating merge of a tuple-shaped ``chunk`` (a pooled
+        worker's new edges) into a partition.
 
         Unlike :meth:`append_delta` on an uncached partition, this loads
         the partition and only bumps the version when genuinely new edges
         arrived -- the parallel coordinator relies on that to keep pair
-        re-eligibility (and hence termination) tight.  Returns the list of
-        newly added ``(src, dst, label_id, encoding)`` edges.
+        re-eligibility (and hence termination) tight.  Returns the number
+        of newly added edges, each recorded in the arrival log.
         """
         if not chunk:
-            return []
+            return 0
         cols = self.load(part)
-        new_edges: list = []
-        added = cols.merge_dict(chunk, collect=new_edges)
+        new_rows: list = []
+        added = cols.merge_dict(chunk, collect=new_rows)
         if added:
             self.save(part, cols)  # recomputes edge_count/byte_estimate
             part.version += 1
-        return new_edges
+            if self.log is not None:
+                for row in new_rows:
+                    self.log.record(part.index, *row)
+        return added
 
     def materialize(self, part: Partition) -> None:
         """Guarantee ``part.path`` on disk holds the partition's full,
@@ -551,30 +593,23 @@ def _balanced_boundaries(edges: dict, num_vertices: int, wanted: int):
     return boundaries
 
 
-def _merge_edges(edges: dict, chunk: dict, collect: list | None = None) -> int:
-    """Union tuple-shaped ``chunk`` into tuple-shaped ``edges``; returns
-    the number of genuinely new edges.  When ``collect`` is given, the new
-    ``(src, dst, label_id, encoding)`` tuples are appended to it."""
-    added = 0
+def recode_chunk(chunk: dict, convert) -> dict:
+    """``{src: {(dst, label_id): set}}`` with every set element mapped
+    through ``convert`` (``table.decode``: ids -> tuples on the way out
+    of the process; ``table.intern``: back)."""
+    return {
+        src: {key: {convert(e) for e in encs} for key, encs in targets.items()}
+        for src, targets in chunk.items()
+    }
+
+
+def _merge_edges(edges: dict, chunk: dict) -> None:
+    """Union ``chunk`` into ``edges`` (both ``{src: {(dst, label_id):
+    set}}``, same element encoding)."""
     for src, targets in chunk.items():
         mine = edges.setdefault(src, {})
         for key, encodings in targets.items():
-            slot = mine.setdefault(key, set())
-            if collect is None:
-                before = len(slot)
-                slot |= encodings
-                added += len(slot) - before
-            else:
-                for encoding in encodings:
-                    if encoding not in slot:
-                        slot.add(encoding)
-                        collect.append((src, key[0], key[1], encoding))
-                        added += 1
-    return added
-
-
-def _count_edges(edges: dict) -> int:
-    return sum(len(encs) for t in edges.values() for encs in t.values())
+            mine.setdefault(key, set()).update(encodings)
 
 
 def _estimate_bytes(edges: dict) -> int:

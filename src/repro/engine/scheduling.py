@@ -1,4 +1,4 @@
-"""Eligible-pair scheduling for the closure engine.
+"""Eligible-pair scheduling and revisit bookkeeping for the closure engine.
 
 A partition pair ``(i, j)`` (with ``i <= j``) is *eligible* when it has
 never been processed, or when either partition's version advanced since
@@ -14,11 +14,19 @@ The same eligibility source feeds the parallel engine's *wave* selection:
 such that no partition appears in two pairs of one wave -- the in-flight
 pairs of a wave touch disjoint partition sets, so workers never load or
 save the same partition concurrently.
+
+:class:`PairScheduler` says *which* pair to visit; :class:`DeltaLog` says
+what a visit has to look at: the edges that arrived in the pair since
+its last visit (or everything, when that cannot be trusted), or nothing
+at all when no edge can join inside the pair.  Both the serial loop and
+the wave coordinator drive one instance of each per closure phase.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
 
 
 class StratumPlanner:
@@ -59,6 +67,135 @@ class StratumPlanner:
         if si == sj:
             return (0, si, pair)
         return (1, min(si, sj), pair)
+
+
+class DeltaLog:
+    """Semi-naive bookkeeping for pair revisits, shared by the serial
+    loop and the wave coordinator (one object per closure phase).
+
+    Three things live here, all in memory only (dropped at phase end,
+    never checkpointed -- after ``--resume`` every cursor is gone, so
+    the first visit of each eligible pair seeds fully):
+
+    * a per-partition **arrival log**: every edge added to the partition
+      since the log was last reset, in arrival order, as four parallel
+      ``array('q')`` columns ``(src, dst, label_id, enc_id)`` -- ids of
+      the store's own encoding table, so nothing is decoded in-process;
+    * per-pair **cursors** ``(epoch_i, len_i, epoch_j, len_j)`` recorded
+      when a visit ends: the next visit's seed is each partition's log
+      past its cursor.  Whoever moves edges other than by appending
+      (a split, a salvaged corrupt delta file) calls :meth:`reset`,
+      which bumps the partition's *epoch*; a cursor from another epoch
+      yields no delta and the pair seeds fully.  A log that outgrows
+      ``cap_rows`` (its partition's own byte cap) resets the same way,
+      so the log never holds more than the partitions it describes;
+    * a per-partition **join index**: the destinations of its
+      relevant-source edges.  A pair can only produce edges if some
+      relevant-source edge in one of its partitions points *into* the
+      pair, so a pair whose destination sets both miss both vertex
+      intervals is inert and is retired without being loaded.  The sets
+      over-approximate (entries are only ever added, except on a reset
+      that rebuilds one from the partition's actual columns), which can
+      only keep a pair alive, never retire one wrongly.
+    """
+
+    def __init__(self, relevant_source, cap_rows: int | None = None):
+        self._relevant = relevant_source  # label id -> bool
+        self._cap = cap_rows
+        self._rows: dict = {}  # index -> (src, dst, label, enc) arrays
+        self._epoch: dict = {}
+        self._cursor: dict = {}
+        self._dsts: dict = {}
+        self._sorted: dict = {}  # index -> sorted snapshot (None = stale)
+
+    def note_target(self, index: int, dst: int, label_id: int) -> None:
+        """Join-index half of :meth:`record` (edges that predate the log)."""
+        if self._relevant(label_id):
+            dsts = self._dsts.get(index)
+            if dsts is None:
+                dsts = self._dsts[index] = set()
+            if dst not in dsts:
+                dsts.add(dst)
+                self._sorted[index] = None
+
+    def record(self, index: int, src: int, dst: int, label_id: int,
+               eid: int) -> None:
+        """One edge arrived in partition ``index``."""
+        cols = self._rows.get(index)
+        if cols is not None and self._cap is not None \
+                and len(cols[0]) >= self._cap:
+            self.reset(index)
+            cols = None
+        if cols is None:
+            cols = self._rows[index] = tuple(array("q") for _ in range(4))
+        cols[0].append(src)
+        cols[1].append(dst)
+        cols[2].append(label_id)
+        cols[3].append(eid)
+        self.note_target(index, dst, label_id)
+
+    def reset(self, index: int, cols=None) -> None:
+        """Forget ``index``'s log and invalidate every cursor into it;
+        with ``cols`` (the partition's new contents after a split) also
+        rebuild its destination set."""
+        self._epoch[index] = self._epoch.get(index, 0) + 1
+        self._rows.pop(index, None)
+        if cols is not None:
+            relevant = self._relevant
+            self._dsts[index] = {
+                dst for _src, dst, label_id, _eid in cols.iter_rows()
+                if relevant(label_id)
+            }
+            self._sorted[index] = None
+
+    def rows(self, index: int, start: int = 0) -> list:
+        """``(src, dst, label_id, enc_id)`` rows logged from ``start``."""
+        cols = self._rows.get(index)
+        if cols is None:
+            return []
+        return list(zip(*(col[start:] for col in cols)))
+
+    def delta(self, pair):
+        """Rows that arrived in the pair's partitions since its last
+        visit, or None when it must seed fully (first visit, or an
+        epoch moved)."""
+        cursor = self._cursor.get(pair)
+        if cursor is None:
+            return None
+        out: list = []
+        for slot, index in enumerate(dict.fromkeys(pair)):
+            if cursor[2 * slot] != self._epoch.get(index, 0):
+                return None
+            out.extend(self.rows(index, cursor[2 * slot + 1]))
+        return out
+
+    def advance(self, pair) -> None:
+        """The pair was just visited (or retired): move its cursor to the
+        end of both logs."""
+        i, j = pair
+        rows, epoch = self._rows, self._epoch
+        self._cursor[pair] = (
+            epoch.get(i, 0), len(rows[i][0]) if i in rows else 0,
+            epoch.get(j, 0), len(rows[j][0]) if j in rows else 0,
+        )
+
+    def _overlaps(self, index: int, lo: int, hi: int) -> bool:
+        snapshot = self._sorted.get(index)
+        if snapshot is None:
+            snapshot = sorted(self._dsts.get(index, ()))
+            self._sorted[index] = snapshot
+        at = bisect_right(snapshot, lo - 1)
+        return at < len(snapshot) and snapshot[at] < hi
+
+    def has_join(self, partitions, pair) -> bool:
+        """False when no relevant-source edge of either partition points
+        into the pair -- visiting it cannot produce an edge."""
+        for index in set(pair):
+            for other in set(pair):
+                part = partitions[other]
+                if self._overlaps(index, part.lo, part.hi):
+                    return True
+        return False
 
 
 class PairScheduler:

@@ -60,12 +60,15 @@ class EngineStats:
     repartitions: int = stat_field(scope="coordinator")
     final_partitions: int = stat_field(kind="gauge", scope="coordinator")
     timed_out: bool = stat_field(False, kind="flag")
-    # Parallel engine: number of dispatched waves of disjoint pairs, and
-    # number of eligible pairs retired without processing because the
-    # coordinator's join index proved them empty (coordinator-side
-    # counters; 0 for a serial run, not summed by merge()).
+    # Pair scheduling: dispatched waves of disjoint pairs (parallel
+    # engine only; 0 for a serial run), and eligible pairs retired
+    # without being loaded because the join index proved them inert
+    # (both counted by whoever runs the pair loop, not summed by
+    # merge()); and visits seeded from the arrival log's delta instead
+    # of every joinable edge (counted where the pair is drained).
     waves: int = stat_field(scope="coordinator")
     pairs_skipped: int = stat_field(scope="coordinator")
+    pairs_delta_seeded: int = stat_field()
     # I/O pipeline: partition loads served from the background reader's
     # parse vs. loads that fell back to a synchronous read, and delta
     # frames written through the background spill writer.

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.lang import ast
 
 
@@ -60,25 +58,57 @@ def _calls_in(expr):
 
 def build_call_graph(program: ast.Program) -> CallGraph:
     """Build the call graph; unknown callees are ignored (extern calls)."""
-    graph = nx.DiGraph()
     edges: dict[str, set[str]] = {}
     for name, fn in program.functions.items():
-        graph.add_node(name)
         targets = edges.setdefault(name, set())
         for call in call_sites(fn):
             if call.func in program.functions:
                 targets.add(call.func)
-                graph.add_edge(name, call.func)
-
-    condensation = nx.condensation(graph)
-    scc_of: dict[str, frozenset] = {}
-    members: dict[int, frozenset] = {}
-    for node_id, data in condensation.nodes(data=True):
-        scc = frozenset(data["members"])
-        members[node_id] = scc
-        for func in scc:
-            scc_of[func] = scc
-    # Topological order of the condensation is callers-first; reverse it.
-    order = [members[n] for n in nx.topological_sort(condensation)]
-    order.reverse()
+    order = list(_sccs_callees_first(edges))
+    scc_of = {func: scc for scc in order for func in scc}
     return CallGraph(edges=edges, scc_of=scc_of, scc_order=order)
+
+
+def _sccs_callees_first(edges: dict[str, set[str]]):
+    """Tarjan's algorithm, iteratively (call chains can be deeper than
+    the interpreter's recursion limit).  An SCC is emitted when its root
+    is finished, i.e. after every SCC it can reach -- reverse
+    topological order of the condensation, callees before callers.
+    Roots are tried in definition order and callees in name order, so
+    the result is deterministic."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(edges[root])))]
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    index[callee] = low[callee] = len(index)
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(sorted(edges[callee]))))
+                    break
+                if callee in on_stack:
+                    low[node] = min(low[node], index[callee])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        members.append(member)
+                        if member == node:
+                            break
+                    yield frozenset(members)

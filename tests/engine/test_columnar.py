@@ -110,8 +110,9 @@ def test_merge_dict_dedups_and_collects():
         collect=collected,
     )
     assert added == 2
+    # Collected rows are id-encoded (they feed the arrival log).
     assert sorted(collected) == sorted(
-        [(1, 2, 0, ENC_B), (7, 8, 1, ENC_A)]
+        [(1, 2, 0, table.intern(ENC_B)), (7, 8, 1, table.intern(ENC_A))]
     )
 
 

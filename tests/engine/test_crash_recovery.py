@@ -64,7 +64,7 @@ def test_rebuild_from_cached_copy(tmp_path):
     store = _store(tmp_path)
     part = store.partitions[0]
     store.load(part)  # populate the write-back cache
-    assert store.is_cached(part)
+    assert part.index in store._cache
     with open(part.path, "wb") as f:
         f.write(b"NOPE" + b"\x00" * 8)  # torn write hit the file
     assert store.rebuild(part) is True
@@ -268,19 +268,23 @@ def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
 
 
 @pytest.mark.slow
-def test_kill9_resume_matches_uninterrupted_run(tmp_path):
-    """SIGKILL a 4-worker closure at a seeded checkpoint, resume it, and
-    require byte-identical warnings and TP/FP accounting."""
+@pytest.mark.parametrize("workers", [1, 4])
+def test_kill9_resume_matches_uninterrupted_run(tmp_path, workers):
+    """SIGKILL a closure (serial, and 4 forked workers) at a seeded
+    checkpoint, resume it -- the arrival log is not persisted, so every
+    eligible pair seeds fully -- and require byte-identical warnings
+    and TP/FP accounting."""
     workdir = tmp_path / "wd"
     killed = _subject_run(
-        tmp_path, workdir, fault_plan="kill_run@checkpoint:2"
+        tmp_path, workdir, fault_plan="kill_run@checkpoint:2",
+        workers=workers,
     )
     assert killed.returncode == -9, killed.stderr[-2000:]
     assert json.load(open(workdir / "alias" / "checkpoint.json"))
 
-    resumed = _subject_run(tmp_path, workdir, resume=True)
+    resumed = _subject_run(tmp_path, workdir, resume=True, workers=workers)
     assert resumed.returncode == 0, resumed.stderr[-2000:]
 
-    clean = _subject_run(tmp_path, tmp_path / "wd-clean")
+    clean = _subject_run(tmp_path, tmp_path / "wd-clean", workers=workers)
     assert clean.returncode == 0, clean.stderr[-2000:]
     assert resumed.stdout == clean.stdout

@@ -155,7 +155,7 @@ class _StealHarness(ParallelCoordinator):
         self.engine = SimpleNamespace(
             _scheduler=_StealQueue(candidates),
             _deadline=None,
-            _quarantined_parts=set(),
+            _retire_if_dead=lambda pair: False,
         )
         self.store = SimpleNamespace(partitions=[])
         self.stats = EngineStats()
@@ -164,7 +164,6 @@ class _StealHarness(ParallelCoordinator):
         self._steal = True
         self._planner = None
         self._hub = None
-        self._joins = SimpleNamespace(pair_has_join=lambda parts, pair: True)
         self.by_future: dict = {}
         self.stolen: list = []
         self.absorbed: list = []
@@ -222,15 +221,14 @@ def test_steal_schedule_immune_to_completion_timing(monkeypatch):
 
         def build_task(pair, seq, seed):
             harness.stolen.append(pair)
-            return WaveTask(pair=pair, parts=None, deltas={}, seq=seq)
+            return WaveTask(pair=pair, parts=None, seq=seq)
 
         tasks = [
-            WaveTask(pair=pair, parts=None, deltas={}, seq=seq)
+            WaveTask(pair=pair, parts=None, seq=seq)
             for seq, pair in enumerate(wave)
         ]
         harness._stream_wave(
             tasks, harness.absorbed.append, build_task, lambda: [],
-            {}, {}, {},
         )
         return harness
 

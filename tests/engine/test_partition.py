@@ -60,9 +60,10 @@ def test_append_delta_merged_on_load(tmp_path):
     for part in store.partitions[1:]:
         store.load(part)
     assert target.index not in store._cache
-    delta = {0: {(42, 1): {(("I", "g", 0, 0),)}}}
+    # Spill chunks are id-encoded (the store's own table).
+    delta = {0: {(42, 1): {store.table.intern((("I", "g", 0, 0),))}}}
     version_before = target.version
-    store.append_delta(target, delta)
+    assert store.append_delta(target, delta) == 1
     assert target.version > version_before
     loaded = store.load(target).to_dict()
     assert (42, 1) in loaded[0]
@@ -72,8 +73,13 @@ def test_append_delta_into_cached_partition(store):
     store.initialize(edges_for(range(4)), num_vertices=100, min_partitions=2)
     target = store.partitions[0]
     store.load(target)
-    store.append_delta(target, {0: {(9, 9): {(("I", "g", 0, 0),)}}})
+    chunk = {0: {(9, 9): {store.table.intern((("I", "g", 0, 0),))}}}
+    assert store.append_delta(target, chunk) == 1
     assert (9, 9) in store.load(target).to_dict()[0]
+    # A resident target deduplicates: nothing arrives the second time.
+    version = target.version
+    assert store.append_delta(target, chunk) == 0
+    assert target.version == version
 
 
 def test_flush_persists_dirty_partitions(tmp_path):

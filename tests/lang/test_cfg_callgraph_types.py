@@ -173,3 +173,53 @@ def test_event_base_is_object():
     program = core("func main() { conn.open(); }")
     info = infer_object_vars(program)
     assert info.is_object_var("main", "conn")
+
+
+def _random_program(seed: int, n: int = 40):
+    import random
+
+    rng = random.Random(seed)
+    names = [f"f{i}" for i in range(n)]
+    rng.shuffle(names)
+    lines = []
+    for name in names:
+        callees = rng.sample(names, rng.randint(0, 3))
+        body = " ".join(f"{callee}();" for callee in callees)
+        lines.append(f"func {name}() {{ {body} }}")
+    return core("\n".join(lines))
+
+
+def test_call_graph_sccs_match_networkx():
+    """The stdlib Tarjan must find networkx's SCCs and emit them in a
+    valid bottom-up order (every callee's SCC no later than its
+    caller's), identically run over run."""
+    nx = pytest.importorskip("networkx")
+    for seed in range(20):
+        program = _random_program(seed)
+        cg = build_call_graph(program)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(program.functions)
+        for caller, callees in cg.edges.items():
+            graph.add_edges_from((caller, callee) for callee in callees)
+        want = {frozenset(scc) for scc in nx.strongly_connected_components(graph)}
+        assert set(cg.scc_order) == want
+        assert len(cg.scc_order) == len(want)
+        assert all(cg.scc_of[f] in want and f in cg.scc_of[f] for f in program.functions)
+        position = {scc: at for at, scc in enumerate(cg.scc_order)}
+        for caller, callees in cg.edges.items():
+            for callee in callees:
+                assert position[cg.scc_of[callee]] <= position[cg.scc_of[caller]]
+        again = build_call_graph(_random_program(seed))
+        assert again.scc_order == cg.scc_order
+        assert again.bottom_up_functions() == cg.bottom_up_functions()
+
+
+def test_call_graph_survives_call_chains_deeper_than_the_stack():
+    import sys
+
+    depth = sys.getrecursionlimit() + 200
+    lines = [f"func f{i}() {{ f{i + 1}(); }}" for i in range(depth)]
+    lines.append(f"func f{depth}() {{ }}")
+    cg = build_call_graph(core("\n".join(lines)))
+    order = cg.bottom_up_functions()
+    assert order[0] == f"f{depth}" and order[-1] == "f0"

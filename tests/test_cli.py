@@ -50,6 +50,8 @@ def test_check_stats_flag(source_file, capsys):
     out = capsys.readouterr().out
     assert "constraints solved" in out
     assert "cache hit rate" in out
+    assert "pairs processed/skipped" in out
+    assert "compositions tried" in out
 
 
 def test_check_unknown_checker_fails(source_file):
