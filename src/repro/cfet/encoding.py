@@ -19,9 +19,15 @@ interval contributes its branch literals, each call edge its parameter-
 passing equations, each return edge its result equation.  Symbols are given
 per-invocation instances (``foo::x@2``) so that two invocations of the same
 method on one path do not share constraint variables.
+
+:func:`form_key` answers "do these encodings decode to the same constraint
+up to variable names?" without decoding: it stitches per-element pieces
+(computed once per distinct element) along the same walk.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.smt import expr as E
 from repro.cfet.icfet import Icfet
@@ -136,27 +142,27 @@ def _cid_of_rid(rid: int) -> int:
     return rid - 1
 
 
-def decode_constraint(enc: Encoding, icfet: Icfet) -> E.Expr:
-    """Recover the path constraint of an encoding (Algorithm 1 + §3.2).
+def _walk(enc: Encoding, icfet: Icfet):
+    """The instance-stack discipline of §3.2, shared by
+    :func:`decode_constraint` and :func:`form_key` so the two cannot drift.
 
-    Returns a boolean :class:`repro.smt.expr.Expr`; the caller sends it to
-    the solver.
+    Yields ``(elem, record, last_interval, callee_inst, caller_inst)`` for
+    every element that can contribute literals: ``record`` is None for an
+    interval (whose symbols all take ``caller_inst``), else the call record
+    of the call/return edge; ``last_interval`` is the ``(func, end_node)``
+    of the element preceding a return edge, when that was an interval.
     """
-    literals: list[E.Expr] = []
     stack: list[int] = [0]
     next_instance = 1
-    last_interval: tuple | None = None  # (func, end_node) of previous elem
-
+    last_interval: tuple | None = None
     for elem in enc:
-        if elem[0] == INTERVAL:
-            _, func, start, end = elem
-            cfet = icfet.cfets.get(func)
-            if cfet is not None:
-                constraint = cfet.path_constraint(start, end)
-                literals.append(_instanced(constraint, stack[-1]))
-            last_interval = (func, end)
+        tag = elem[0]
+        if tag == INTERVAL:
+            inst = stack[-1]
+            yield elem, None, None, inst, inst
+            last_interval = (elem[1], elem[3])
             continue
-        if elem[0] == CALL:
+        if tag == CALL:
             record = icfet.by_cid.get(elem[1])
             if record is None:
                 continue
@@ -164,15 +170,10 @@ def decode_constraint(enc: Encoding, icfet: Icfet) -> E.Expr:
             callee_inst = next_instance
             next_instance += 1
             stack.append(callee_inst)
-            for equation in record.equations:
-                literals.append(
-                    _instanced_by_namespace(
-                        equation, record.callee, callee_inst, caller_inst
-                    )
-                )
+            yield elem, record, None, callee_inst, caller_inst
             last_interval = None
             continue
-        if elem[0] == RETURN:
+        if tag == RETURN:
             record = icfet.by_rid.get(elem[1])
             if record is None:
                 continue
@@ -186,14 +187,41 @@ def decode_constraint(enc: Encoding, icfet: Icfet) -> E.Expr:
                 caller_inst = next_instance
                 next_instance += 1
                 stack[-1] = caller_inst
-            for equation in _return_equations(record, last_interval, icfet):
+            yield elem, record, last_interval, callee_inst, caller_inst
+            last_interval = None
+
+
+def _element_literals(elem, record, last_interval, icfet: Icfet):
+    """Un-instanced literals one walked element contributes: an interval
+    its branch literals, a call edge its parameter-passing equations, a
+    return edge its result equations."""
+    if record is None:
+        cfet = icfet.cfets.get(elem[1])
+        if cfet is None:
+            return ()
+        return (cfet.path_constraint(elem[2], elem[3]),)
+    if elem[0] == CALL:
+        return record.equations
+    return _return_equations(record, last_interval, icfet)
+
+
+def decode_constraint(enc: Encoding, icfet: Icfet) -> E.Expr:
+    """Recover the path constraint of an encoding (Algorithm 1 + §3.2).
+
+    Returns a boolean :class:`repro.smt.expr.Expr`; the caller sends it to
+    the solver.
+    """
+    literals: list[E.Expr] = []
+    for elem, record, last, callee_inst, caller_inst in _walk(enc, icfet):
+        for literal in _element_literals(elem, record, last, icfet):
+            if record is None:
+                literals.append(_instanced(literal, caller_inst))
+            else:
                 literals.append(
                     _instanced_by_namespace(
-                        equation, record.callee, callee_inst, caller_inst
+                        literal, record.callee, callee_inst, caller_inst
                     )
                 )
-            last_interval = None
-            continue
     return E.and_(*literals)
 
 
@@ -240,3 +268,148 @@ def _instanced_by_namespace(
         return name if inst == 0 else f"{name}@{inst}"
 
     return E.rename_variables(expr, rename)
+
+
+# -- structural canonical-form keys ---------------------------------------------
+
+# Key markers; shape ids and variable indexes are non-negative.
+_FALSE_KEY = -1  # the encoding's conjunction is FALSE
+_NEXT_KEY = -2  # boundary between the encodings of one query
+
+_ABSORBED = None  # piece of an element that contributes a FALSE literal
+_UNCACHED = object()
+
+
+class FormPieces:
+    """The per-element partial results :func:`form_key` stitches together.
+
+    A *piece* is what one walked element contributes to the conjunction,
+    flattened the way :func:`repro.smt.expr.and_` flattens it: a tuple of
+    ``(shape id, ((symbol id, in callee namespace?), ...))`` per literal,
+    with TRUE literals dropped, or ``None`` when a literal is FALSE.
+    Shapes (a literal with its variables blanked to their sorts) and
+    symbols (``(name, sort)``) are interned to dense ids here, so keys
+    built through one ``FormPieces`` are comparable with each other and
+    with no others.  ``cap`` bounds the piece table like the engine's other
+    id-keyed memos: once full it stops accepting writes, which costs
+    recomputation but never changes a key.
+    """
+
+    __slots__ = ("cap", "pieces", "shapes", "symbols")
+
+    def __init__(self, cap: int = sys.maxsize):
+        self.cap = cap
+        self.pieces: dict = {}
+        self.shapes: dict = {}
+        self.symbols: dict = {}
+
+    def of_literals(self, literals, callee: str | None):
+        """The piece of un-instanced ``literals``; symbols prefixed
+        ``callee::`` are flagged as living in the callee's namespace."""
+        prefix = None if callee is None else f"{callee}::"
+        shapes, symbols = self.shapes, self.symbols
+        piece = []
+        for literal in literals:
+            for term in literal.args if literal.kind == E.AND else (literal,):
+                if term is E.FALSE:
+                    return _ABSORBED
+                if term is E.TRUE:
+                    continue
+                variables: list = []
+                shape = _shape(term, variables)
+                piece.append((
+                    shapes.setdefault(shape, len(shapes)),
+                    tuple(
+                        (
+                            symbols.setdefault(var, len(symbols)),
+                            prefix is not None and var[0].startswith(prefix),
+                        )
+                        for var in variables
+                    ),
+                ))
+        return tuple(piece)
+
+
+def _shape(expr: E.Expr, variables: list):
+    """``expr`` with every variable blanked to its sort; the blanked
+    ``(name, sort)`` pairs are appended to ``variables`` in pre-order."""
+    if expr.kind == E.VAR:
+        variables.append((expr.args[0], expr.sort))
+        return expr.sort
+    if expr.is_const:
+        return (expr.kind, expr.args[0])
+    return (expr.kind, *[_shape(arg, variables) for arg in expr.args])
+
+
+def _emit(piece, callee_inst: int, caller_inst: int, index: dict, append) -> None:
+    """Append one piece's literals to a key: per literal its shape id,
+    then each variable occurrence's first-appearance number in ``index``."""
+    for shape_id, occurrences in piece:
+        append(shape_id)
+        for symbol_id, in_callee in occurrences:
+            var = (symbol_id, callee_inst if in_callee else caller_inst)
+            slot = index.get(var)
+            if slot is None:
+                slot = index[var] = len(index)
+            append(slot)
+
+
+def form_key(encodings, icfet: Icfet, pieces: FormPieces) -> tuple:
+    """Canonical-form key of the conjunction of the encodings' constraints,
+    computed from the encodings' shape alone -- nothing is decoded.
+
+    Two encoding tuples get the same key exactly when their decoded
+    constraints, rendered one after the other, are equal up to a renaming
+    of variables by first appearance; alpha-equivalent conjunctions are
+    equisatisfiable, so one solver verdict answers every query with the
+    same key.  The key is a flat tuple: per literal its shape id followed
+    by the first-appearance number of each variable occurrence, where a
+    variable is a ``(symbol, invocation instance)`` pair under the same
+    instance discipline as :func:`decode_constraint` (a fresh instance
+    stack per encoding, one numbering across the query).
+    """
+    index: dict = {}
+    key: list = []
+    append = key.append
+    cache = pieces.pieces
+    for position, enc in enumerate(encodings):
+        if position:
+            append(_NEXT_KEY)
+        mark, known = len(key), len(index)
+        for elem, record, last, callee_inst, caller_inst in _walk(enc, icfet):
+            piece_key = elem if last is None else (elem, last)
+            piece = cache.get(piece_key, _UNCACHED)
+            if piece is _UNCACHED:
+                piece = pieces.of_literals(
+                    _element_literals(elem, record, last, icfet),
+                    None if record is None else record.callee,
+                )
+                if len(cache) < pieces.cap:
+                    cache[piece_key] = piece
+            if piece:
+                _emit(piece, callee_inst, caller_inst, index, append)
+            elif piece is _ABSORBED:
+                # FALSE absorbs this constraint: its earlier literals, and
+                # the variables only they mention, are not in the formula.
+                del key[mark:]
+                while len(index) > known:
+                    index.popitem()
+                append(_FALSE_KEY)
+                break
+    return tuple(key)
+
+
+def constraint_form_key(constraints, pieces: FormPieces) -> tuple:
+    """:func:`form_key` for constraints that are already expressions (the
+    string-constraint baseline parses them off its edges)."""
+    index: dict = {}
+    key: list = []
+    for position, constraint in enumerate(constraints):
+        if position:
+            key.append(_NEXT_KEY)
+        piece = pieces.of_literals((constraint,), None)
+        if piece is _ABSORBED:
+            key.append(_FALSE_KEY)
+        else:
+            _emit(piece, 0, 0, index, key.append)
+    return tuple(key)

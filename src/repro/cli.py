@@ -366,6 +366,8 @@ def cmd_check(args) -> int:
               f" ({stats.pairs_delta_seeded} delta-seeded)")
         print(f"compositions tried  : {stats.compositions_tried}")
         print(f"constraints solved  : {stats.constraints_solved}")
+        print(f"constraints decoded/solved : {stats.constraints_decoded}"
+              f" / {stats.constraints_solved}")
         print(f"cache hit rate      : {stats.cache_hit_rate:.0%}")
         print(f"prefetch hit rate   : {stats.prefetch_hit_rate:.0%}"
               f" ({stats.prefetch_hits}/"
@@ -496,7 +498,20 @@ def main(argv=None) -> int:
         "generate": cmd_generate,
         "serve": cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        # Flush inside the guard: output buffered for a reader that went
+        # away (``repro check ... | head``) would otherwise fail in the
+        # interpreter's exit-time flush, past any handler.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Give that exit-time flush somewhere to write, and report what a
+        # shell reports for a SIGPIPE death (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -268,13 +268,12 @@ class GraphEngine:
         self._table_driven = getattr(grammar, "table_driven", False)
         # Batched kernel state (engine/kernel.py): the resolved backend
         # (None = scalar drain), the canonical-form verdict memo shared
-        # by the lazy and grouped feasibility paths, per-id serialised
-        # constraint / form-key caches, and verdicts the kernel solved
-        # ahead of their insert-time query.
+        # by the lazy and grouped feasibility paths, the per-element
+        # pieces its structural keys are stitched from, and verdicts the
+        # kernel solved ahead of their insert-time query.
         self._kernel = kernel_mod.resolve_backend(self.options.kernel)
-        self._form_memo: dict = {}  # canonical form text -> verdict
-        self._sexpr_cache: dict = {}  # enc id -> serialised constraint
-        self._form_key_cache: dict = {}  # enc id -> canonical form text
+        self._form_memo: dict = {}  # structural form key -> verdict
+        self._pieces = enc_mod.FormPieces(DECODE_CACHE_CAP)
         self._presolved: dict = {}  # enc id -> pre-solved verdict
         self._derived_closure: dict = {}  # label id -> ((label id, flip), ...)
         # True when tuple-keyed LRU entries were seeded from outside this
@@ -1119,14 +1118,14 @@ class GraphEngine:
                 return cached
         return self._feasible_solve((eid,), (self._enc.decode(eid),))
 
-    def _feasible_solve(self, ids: tuple, encodings: tuple) -> bool:
-        """Memo-miss path: consult the tuple-keyed LRU (shareable across
-        processes), then the kernel's pre-solved verdicts and the
-        canonical-form memo, then decode and solve."""
+    def _feasible_solve(self, ids: tuple, lru_key: tuple) -> bool:
+        """Memo-miss path: consult the LRU (keyed by the sorted encoding
+        tuple, shareable across processes), then the kernel's pre-solved
+        verdicts and the canonical-form memo, and only then materialise
+        the constraint and solve it."""
         stats = self.stats
         self.solver.stats.memo_misses += 1
         memo_key = ids[0] if len(ids) == 1 else ids
-        lru_key = encodings if len(encodings) == 1 else tuple(sorted(encodings))
         enable_cache = self.options.enable_cache
         if enable_cache:
             cached = self.cache.get(lru_key)
@@ -1137,23 +1136,25 @@ class GraphEngine:
             if len(ids) == 1:
                 presolved = self._presolved.pop(memo_key, None)
                 if presolved is not None:
-                    # The batched kernel already decoded and solved this
-                    # constraint (charging the decode/solve counters);
-                    # only the cache writes are left.
+                    # The batched kernel already keyed (and, for a new
+                    # form, decoded and solved) this constraint, charging
+                    # the counters; only the cache writes are left.
                     self.cache.put(lru_key, presolved)
                     self._feasible_memo.put(memo_key, presolved)
                     return presolved
         start = time.perf_counter()
-        with stats.timing("encode_time"):
-            constraints = [self._constraint_for(eid) for eid in ids]
-            form = self._form_key(ids, constraints) if enable_cache else None
-        if form is not None and form in self._form_memo:
+        form = result = None
+        if enable_cache:
+            with stats.timing("encode_time"):
+                form = self._form_key(ids)
+            result = self._form_memo.get(form)
+        if result is not None:
             # Alpha-equivalent constraint already solved: edges in
             # different scopes share constraint shapes, so this is the
             # common case once the closure warms up.
             stats.group_hits += 1
-            result = self._form_memo[form]
         else:
+            constraints = self._constraints_for(ids)
             gave_up = self.solver.stats.gave_up
             result = self._solve_formula(E.and_(*constraints))
             if form is not None and self.solver.stats.gave_up == gave_up:
@@ -1167,6 +1168,14 @@ class GraphEngine:
             self.cache.put(lru_key, result)
             self._feasible_memo.put(memo_key, result)
         return result
+
+    def _constraints_for(self, ids: tuple) -> list:
+        """Materialise one query's constraints for the solver (the query
+        missed the form memo, or caching is off)."""
+        stats = self.stats
+        stats.constraints_decoded += 1
+        with stats.timing("encode_time"):
+            return [self._constraint_for(eid) for eid in ids]
 
     def _constraint_for(self, eid: int):
         """Decoded constraint of one encoding id, through the decode memo.
@@ -1183,38 +1192,22 @@ class GraphEngine:
                 self._decode_cache[eid] = constraint
         return constraint
 
-    def _sexpr_for(self, eid: int, constraint) -> str:
-        text = self._sexpr_cache.get(eid)
-        if text is None:
-            from repro.smt.sexpr import serialize_expr
-
-            text = serialize_expr(constraint)
-            if len(self._sexpr_cache) < DECODE_CACHE_CAP:
-                self._sexpr_cache[eid] = text
-        return text
-
-    def _form_key(self, ids: tuple, constraints: list) -> str:
-        """Alpha-normalised canonical text of the ids' conjunction.
-
-        Keyed per id for the single-encoding hot path; multi-encoding
-        queries join the per-id serialisations and normalise jointly
-        (the renaming must be one bijection across the conjunction).
+    def _form_key(self, ids: tuple) -> tuple:
+        """Structural canonical-form key of the ids' conjunction
+        (:func:`repro.cfet.encoding.form_key`): equal keys mean
+        alpha-equivalent, hence equisatisfiable, conjunctions.  Interval
+        encodings are keyed without being decoded; string-mode edges carry
+        their constraint as text, which has to be parsed to be keyed.
+        Keys are not cached per id: every exit of :meth:`_feasible_solve`
+        memoises the verdict by id, so an id is keyed once.
         """
-        if len(ids) == 1:
-            eid = ids[0]
-            key = self._form_key_cache.get(eid)
-            if key is None:
-                key = kernel_mod.alpha_normalize(
-                    self._sexpr_for(eid, constraints[0])
-                )
-                if len(self._form_key_cache) < DECODE_CACHE_CAP:
-                    self._form_key_cache[eid] = key
-            return key
-        return kernel_mod.alpha_normalize(
-            " ".join(
-                self._sexpr_for(eid, constraint)
-                for eid, constraint in zip(ids, constraints)
+        if self.options.constraint_mode == "string":
+            return enc_mod.constraint_form_key(
+                [self._constraint_for(eid) for eid in ids], self._pieces
             )
+        decode = self._enc.decode
+        return enc_mod.form_key(
+            [decode(eid) for eid in ids], self.icfet, self._pieces
         )
 
     def _solve_formula(self, formula) -> bool:

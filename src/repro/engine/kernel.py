@@ -28,12 +28,13 @@ contents:
    with plain dict lookups hoisted out of the engine's method-call
    plumbing.
 3. **Grouped feasibility** -- composed candidates are cut into
-   ``batch_size`` chunks; each chunk's *certainly-queried* constraints
-   (see below) are alpha-normalised to canonical forms, distinct unseen
-   forms are handed to :meth:`repro.smt.solver.Solver.check_batch` as
-   one group, and the verdicts are parked in ``engine._presolved`` for
-   the insert pass to consume.  Forms already proven are short-circuited
-   (``group_hits``).
+   ``batch_size`` chunks; each chunk's *certainly-queried* encodings
+   (see below) are keyed by canonical form -- structurally, without
+   decoding (:func:`repro.cfet.encoding.form_key`) -- one constraint per
+   distinct unseen form is decoded and handed to
+   :meth:`repro.smt.solver.Solver.check_batch` as one group, and the
+   verdicts are parked in ``engine._presolved`` for the insert pass to
+   consume.  Forms already proven are short-circuited (``group_hits``).
 
 Both backends produce identical results: the numpy path exists purely
 to move per-row Python work into C loops.  The backend is selected at
@@ -57,7 +58,6 @@ lazy path in ``GraphEngine._feasible_solve``.
 
 from __future__ import annotations
 
-import re
 import time
 from bisect import bisect_left, bisect_right
 
@@ -103,33 +103,6 @@ def resolve_backend(choice: str) -> str | None:
     if choice == "stdlib":
         return "stdlib"
     raise ValueError(f"unknown kernel backend {choice!r} (want one of {BACKENDS})")
-
-
-# -- canonical constraint forms ------------------------------------------------
-
-#: A serialised variable node: ``(var int x)`` / ``(var bool b)``.
-_VAR_PATTERN = re.compile(r"\(var (int|bool) ([^)]*)\)")
-
-
-def alpha_normalize(text: str) -> str:
-    """Rename a serialised constraint's variables by first appearance.
-
-    Two constraints with the same canonical text are alpha-equivalent
-    (the renaming is a bijection per formula), hence equisatisfiable --
-    edges in different program scopes share constraint *shapes* even
-    though their variable names differ, so grouping by canonical form
-    collapses thousands of solver calls into one per distinct form.
-    """
-    names: dict[str, str] = {}
-
-    def rename(match: re.Match) -> str:
-        key = match.group(0)
-        canon = names.get(key)
-        if canon is None:
-            canon = names[key] = f"(var {match.group(1)} !{len(names)})"
-        return canon
-
-    return _VAR_PATTERN.sub(rename, text)
 
 
 # -- per-columns kernel cache --------------------------------------------------
@@ -475,8 +448,7 @@ def _presolve_chunk(engine, chunk, loaded, parts) -> None:
     slot_seen: set = set()
     picked: list = []
     start = time.perf_counter()
-    for cand in chunk:
-        src, dst2, comps, merged = cand
+    for src, dst2, comps, merged in chunk:
         label0 = comps[0]
         slot = (src, dst2, label0)
         # ``presolved`` also bars re-collecting a merged id an earlier
@@ -500,7 +472,7 @@ def _presolve_chunk(engine, chunk, loaded, parts) -> None:
                 and cols.witness_count(src, dst2, label0) < witness_cap
                 and (not need_peek or peek((decode(merged),)) is None)
             ):
-                picked.append((merged, cand))
+                picked.append(merged)
                 presolved[merged] = None  # placeholder: bars duplicates
         # Conservatively mark every slot this candidate (and its derived
         # edges) may touch, so later chunk members whose dedup/witness
@@ -510,16 +482,9 @@ def _presolve_chunk(engine, chunk, loaded, parts) -> None:
     by_form: dict = {}
     if picked:
         form_key = engine._form_key
-        constraint_for = engine._constraint_for
         with stats.timing("encode_time"):
-            keyed = [
-                (merged, constraint_for(merged)) for merged, _cand in picked
-            ]
-            keys = [
-                form_key((merged,), (constraint,))
-                for merged, constraint in keyed
-            ]
-        for (merged, constraint), form in zip(keyed, keys):
+            keys = [form_key((merged,)) for merged in picked]
+        for merged, form in zip(picked, keys):
             verdict = form_memo.get(form)
             if verdict is not None:
                 stats.group_hits += 1
@@ -527,6 +492,8 @@ def _presolve_chunk(engine, chunk, loaded, parts) -> None:
             else:
                 entry = by_form.get(form)
                 if entry is None:
+                    # Only a form nobody has solved yet is decoded.
+                    constraint = engine._constraints_for((merged,))[0]
                     by_form[form] = (constraint, [merged])
                     forms.append(form)
                 else:

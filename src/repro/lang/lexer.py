@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = {
@@ -42,47 +43,69 @@ class Token:
         return f"{self.kind}:{self.text}@{self.line}"
 
 
+# One master pattern; alternatives are tried in order at each position.
+# ``int`` and ``word`` are the ASCII fast classes.  The language's tokens
+# are defined by the str predicates (``isdigit`` starts and continues a
+# number; ``isalpha`` or ``_`` starts a name, ``isalnum`` or ``_`` -- which
+# is exactly ``\w`` -- continues it), so a run of word characters the fast
+# classes decline (it has a non-ASCII letter or digit at a token start)
+# lands in ``odd`` and is split by the predicates themselves.
+_SCANNER = re.compile(
+    r"(?P<skip>[ \t\r]+|//[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<word>[A-Za-z_]\w*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + r")"
+    r"|(?P<int>[0-9]+(?![0-9])(?![^\x00-\x7f]))"
+    r"|(?P<odd>\w+)"
+    r"|(?P<bad>.)"
+)
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens; comments run from ``//`` to newline."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        if group == "word":
+            text = match.group()
+            append(Token("keyword" if text in KEYWORDS else "ident", text, line))
+        elif group == "op":
+            text = match.group()
+            append(Token(text, text, line))
+        elif group == "skip":
+            continue
+        elif group == "newline":
             line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
+        elif group == "int":
+            append(Token("int", match.group(), line))
+        elif group == "odd":
+            _split_odd_run(match.group(), line, tokens)
+        else:
+            raise LexError(
+                f"line {line}: unexpected character {match.group()!r}"
+            )
+    append(Token("eof", "", line))
+    return tokens
+
+
+def _split_odd_run(run: str, line: int, tokens: list[Token]) -> None:
+    """Tokenise a run of word characters by the str predicates: numbers
+    (``isdigit``) until a name starts, which takes the rest of the run."""
+    i, n = 0, len(run)
+    while i < n:
+        ch = run[i]
         if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
+            j = i + 1
+            while j < n and run[j].isdigit():
                 j += 1
-            tokens.append(Token("int", source[i:j], line))
+            tokens.append(Token("int", run[i:j], line))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        elif ch.isalpha() or ch == "_":
+            text = run[i:]
             kind = "keyword" if text in KEYWORDS else "ident"
             tokens.append(Token(kind, text, line))
-            i = j
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(op, op, line))
-                i += len(op)
-                break
+            return
         else:
             raise LexError(f"line {line}: unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line))
-    return tokens

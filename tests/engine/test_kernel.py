@@ -4,8 +4,8 @@ The kernel must be *invisible*: same edges in the same order, same
 counter totals, same memo contents as the scalar drain, on both the
 numpy and the pure-stdlib backend.  The differential fuzz tests here
 drive randomly generated graphs through all three configurations and
-compare everything observable; the unit tests pin the canonical-form
-normaliser and backend selection.
+compare everything observable; the unit tests pin backend selection
+(the canonical-form key has its own tests in ``tests/cfet``).
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 
 from repro.cfet import encoding as enc
 from repro.cfet.icfet import build_icfet
+from repro.engine import computation as computation_mod
 from repro.engine import kernel as kernel_mod
 from repro.engine.computation import EngineOptions, GraphEngine
 from repro.graph.model import ProgramGraph
@@ -43,33 +44,6 @@ PARITY_FIELDS = (
     "feasibility_groups", "group_hits", "join_batches", "join_probes",
     "encoding_overflow_dropped", "iterations", "pairs_processed",
 )
-
-
-# -- unit: canonical forms -----------------------------------------------------
-
-
-def test_alpha_normalize_renames_by_first_appearance():
-    text = "(and (== (var int x) (var int y)) (< (var int x) (int 3)))"
-    assert kernel_mod.alpha_normalize(text) == (
-        "(and (== (var int !0) (var int !1)) (< (var int !0) (int 3)))"
-    )
-
-
-def test_alpha_normalize_is_sort_aware_and_stable():
-    a = kernel_mod.alpha_normalize("(== (var bool p) (var bool q))")
-    b = kernel_mod.alpha_normalize("(== (var bool q) (var bool r))")
-    assert a == b == "(== (var bool !0) (var bool !1))"
-    # Distinct variables stay distinct: no two names collapse to one.
-    c = kernel_mod.alpha_normalize("(== (var int a) (var int a))")
-    assert c == "(== (var int !0) (var int !0))"
-    d = kernel_mod.alpha_normalize("(== (var int a) (var int b))")
-    assert d != c
-
-
-def test_alpha_normalize_idempotent():
-    text = "(and (== (var int s) (var int t)) (var bool flag))"
-    once = kernel_mod.alpha_normalize(text)
-    assert kernel_mod.alpha_normalize(once) == once
 
 
 # -- unit: backend selection ---------------------------------------------------
@@ -133,11 +107,48 @@ def _random_graph(seed: int, icfet):
     return graph
 
 
+def _holes(shape) -> int:
+    """Variable occurrences in a literal shape (a variable is blanked to
+    its sort, a bare string in operand position)."""
+    if isinstance(shape, str):
+        return 1
+    return sum(_holes(arg) for arg in shape[1:] if isinstance(arg, (str, tuple)))
+
+
+def _form_memo_by_shape(engine) -> dict:
+    """The form memo with each key's shape ids spelled out: ids are
+    handed out in first-seen order, which a batched schedule may permute;
+    the shapes and the variable numbering are what must agree."""
+    shapes = {sid: shape for shape, sid in engine._pieces.shapes.items()}
+    out = {}
+    for key, verdict in engine._form_memo.items():
+        spelled, i = [], 0
+        while i < len(key):
+            if key[i] < 0:  # FALSE / next-encoding marker
+                spelled.append(key[i])
+                i += 1
+                continue
+            shape = shapes[key[i]]
+            width = 1 + _holes(shape)
+            spelled.append((shape, key[i + 1:i + width]))
+            i += width
+        out[tuple(spelled)] = verdict
+    assert len(out) == len(engine._form_memo)
+    return out
+
+
 def _run_config(graph_seed, icfet, kernel, **opts):
+    return _observe(*_run_engine(graph_seed, icfet, kernel, **opts))
+
+
+def _run_engine(graph_seed, icfet, kernel, **opts):
     graph = _random_graph(graph_seed, icfet)
     options = EngineOptions(memory_budget=1 << 20, kernel=kernel, **opts)
     engine = GraphEngine(icfet, ChainGrammar(), options)
-    result = engine.run(graph)
+    return engine, engine.run(graph)
+
+
+def _observe(engine, result):
     edges = sorted(
         (s, d, tuple(l), tuple(tuple(e) for e in encs))
         for s, d, l, encs in result.iter_edges()
@@ -145,7 +156,7 @@ def _run_config(graph_seed, icfet, kernel, **opts):
     counters = {f: getattr(result.stats, f) for f in PARITY_FIELDS}
     memos = {
         "feasible_memo": len(engine._feasible_memo),
-        "form_memo": dict(engine._form_memo),
+        "form_memo": _form_memo_by_shape(engine),
         "lru_keys": set(engine.cache._data),
         "merge_memo": dict(engine._merge_memo),
     }
@@ -175,6 +186,23 @@ def test_fuzz_presolve_path_matches_scalar(icfet, seed, monkeypatch):
         assert edges == base[0], f"{backend}: edge sets diverge"
         assert counters == base[1], f"{backend}: counters diverge"
         assert memos == base[2], f"{backend}: memo state diverges"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_decode_caches_change_nothing(icfet, seed, monkeypatch):
+    """DECODE_CACHE_CAP bounds the decode memo and the form-key piece
+    table; once full they stop accepting writes, which may cost
+    recomputation but no verdict, counter or memo entry."""
+    monkeypatch.setattr(kernel_mod, "PRESOLVE_MIN", 1)
+    for backend in BACKENDS:
+        base = _run_config(seed, icfet, backend)
+        with monkeypatch.context() as patch:
+            patch.setattr(computation_mod, "DECODE_CACHE_CAP", 2)
+            engine, result = _run_engine(seed, icfet, backend)
+        assert len(engine._pieces.pieces) == 2
+        assert len(engine._decode_cache) == 2
+        assert result.stats.constraints_decoded > 2
+        assert _observe(engine, result) == base, backend
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 2048])

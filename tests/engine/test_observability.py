@@ -311,6 +311,29 @@ def test_run_report_schema_roundtrip():
     assert validate_run_report(broken)
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("kernel", ["off", "stdlib", "auto"])
+def test_constraints_are_decoded_only_to_be_solved(kernel, workers):
+    """Feasibility queries are keyed by their encodings' structure; a
+    constraint is materialised only for a query that then goes to the
+    solver, and the counter reaches the run report."""
+    source = build_subject("zookeeper", scale=1.0).source
+    options = GrappleOptions(
+        engine=EngineOptions(kernel=kernel, workers=workers)
+    )
+    run = Grapple(source, [c.fsm for c in default_checkers()], options).run()
+    stats = run.stats
+    assert 0 < stats.constraints_decoded <= stats.constraints_solved
+    assert stats.constraints_decoded < stats.group_hits
+    report = build_run_report(run)
+    assert report["counters"]["constraints_decoded"] == (
+        stats.constraints_decoded
+    )
+    # Optional, like every counter: older reports lack it and stay valid.
+    del report["counters"]["constraints_decoded"]
+    assert validate_run_report(report) == []
+
+
 def test_run_report_omits_waves_for_serial_runs():
     """A serial run dispatches no waves; reporting ``"waves": 0`` next to
     a populated ``iterations`` reads as a stalled parallel run, so the

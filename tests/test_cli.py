@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -49,9 +53,31 @@ def test_check_stats_flag(source_file, capsys):
     main(["check", source_file(CLEAN), "--checkers", "io", "--stats"])
     out = capsys.readouterr().out
     assert "constraints solved" in out
+    assert "constraints decoded/solved" in out
     assert "cache hit rate" in out
     assert "pairs processed/skipped" in out
     assert "compositions tried" in out
+
+
+def test_check_survives_a_closed_stdout(source_file):
+    """``repro check ... | head``: the reader goes away before the
+    report is written.  That is not a crash -- no traceback, and the exit
+    status a shell gives a SIGPIPE death."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "check", source_file(BUGGY),
+         "--checkers", "io", "--stats"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()  # the child has not got as far as printing yet
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def test_check_unknown_checker_fails(source_file):
