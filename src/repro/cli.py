@@ -374,6 +374,8 @@ def cmd_check(args) -> int:
               f"{stats.prefetch_hits + stats.prefetch_misses} loads)")
         print(f"spill frames        : {stats.spill_frames}"
               f" ({stats.spill_bytes} bytes)")
+        print(f"partition files written : {stats.partition_writes}"
+              f" ({stats.partition_bytes_written} bytes)")
         print(f"join batches/probes : {stats.join_batches}"
               f" / {stats.join_probes}")
         if stats.kernel_batches:

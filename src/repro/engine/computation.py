@@ -74,14 +74,15 @@ DECODE_CACHE_CAP = 500_000
 class EngineOptions:
     """Engine tuning knobs; defaults suit test-sized workloads."""
 
-    workdir: str | None = None  # temp dir when None
+    # None = scratch: a temp directory created only if partitions have
+    # to leave memory, written without fsync, removed with the result.
+    workdir: str | None = None
     memory_budget: int = 64 * 1024 * 1024
     min_partitions: int = 2
     witness_cap: int = 3  # max distinct encodings kept per (src, dst, label)
     cache_capacity: int = 200_000
     enable_cache: bool = True
     max_pairs: int | None = None  # safety cap on processed pairs
-    keep_workdir: bool = False
     # Ablation switch: with path sensitivity off, every composition is
     # considered feasible (no constraint decoding or solving), matching a
     # purely grammar-guided Graspan-style closure.
@@ -174,7 +175,9 @@ class EngineOptions:
 
 @dataclass
 class EngineResult:
-    """Outcome of one engine run; edges stream from disk on demand."""
+    """Outcome of one engine run.  Edges stream out of the run's
+    partition store on demand: resident partitions as they are, the
+    rest loaded from the workdir one at a time."""
 
     stats: EngineStats
     store: PartitionStore
@@ -304,10 +307,14 @@ class GraphEngine:
 
     def run(self, graph: ProgramGraph) -> EngineResult:
         workdir = self.options.workdir
-        cleanup = False
-        if workdir is None:
-            workdir = tempfile.mkdtemp(prefix="grapple_")
-            cleanup = not self.options.keep_workdir
+        scratch = workdir is None
+        if scratch:
+            # Only a name (unguessable, like mkdtemp's): the store makes
+            # the directory when the first partition has to leave
+            # memory, so an in-budget closure touches no disk at all.
+            workdir = os.path.join(
+                tempfile.gettempdir(), f"grapple_{os.urandom(8).hex()}"
+            )
         else:
             if self.phase:
                 workdir = os.path.join(workdir, self.phase)
@@ -315,12 +322,12 @@ class GraphEngine:
         try:
             result = self._run(graph, workdir)
         except BaseException:
-            if cleanup:
+            if scratch:
                 shutil.rmtree(workdir, ignore_errors=True)
             raise
-        if cleanup:
-            # The result streams edges from disk; tie the directory's
-            # lifetime to the result object.
+        if scratch:
+            # Evicted partitions are read back from the directory; tie
+            # its lifetime to the result object.
             result.own_workdir(workdir)
         return result
 
@@ -376,6 +383,7 @@ class GraphEngine:
                 table=self._enc, prefetch=prefetch,
                 spill_writer=spill_writer, trace=trace,
                 faults=self.faults,
+                durable=self.options.workdir is not None,
             )
             if manifest is not None:
                 # Refuse a resume that would not continue the original
@@ -453,7 +461,7 @@ class GraphEngine:
             stats.spill_frames += spill_writer.frames_written
             stats.spill_bytes += spill_writer.bytes_written
 
-        store.flush()
+        store.settle()
         stats.edges_after = store.total_edges()
         stats.final_partitions = len(store.partitions)
         if not resumed_complete:

@@ -1,11 +1,20 @@
-"""On-disk edge partitions and the partition store.
+"""Edge partitions and the memory-first partition store.
 
 A partition owns a half-open interval of source-vertex ids and stores every
-edge whose source falls in the interval.  Partitions live on disk between
-iterations; the store loads at most two at a time (the computation's pair),
-buffers new edges destined for unloaded partitions in per-partition delta
-files, and splits any partition whose estimated in-memory size exceeds the
-budget ("eager repartitioning", §4.3).
+edge whose source falls in the interval.  The store keeps partitions
+*resident* (a small write-back cache of
+:class:`~repro.engine.columnar.EdgeColumns`) while they fit and goes to
+disk only for what does not (paper §4.3: partitions are loaded, kept
+while they fit, evicted and repartitioned eagerly when they do not).  A
+new partition is handed to the cache as it is built; a partition *file*
+is produced by an eviction, by :meth:`PartitionStore.materialize` for a
+pooled worker, or by a checkpoint flush -- never by construction.  A
+closure whose partitions all stay resident therefore writes nothing (and
+a scratch store does not even create its directory).  The computation
+loads at most two partitions at a time (its pair), buffers new edges
+destined for non-resident partitions in per-partition delta files, and
+splits any partition whose estimated in-memory size exceeds the budget
+("eager repartitioning", §4.3).
 
 Loaded partitions are :class:`~repro.engine.columnar.EdgeColumns` (sorted
 int64 columns plus an insert overlay, encodings interned in the store's
@@ -29,16 +38,23 @@ and merged edges are recorded as arrivals; a split, or a delta file
 salvaged around corrupt frames, resets the partition's log so every
 pair touching it seeds fully on its next visit.
 
-Durability (DESIGN.md §11): partition files are replaced atomically
-(temp + fsync + rename), so a crash leaves the previous complete version
-on disk; delta frames are appended in single checksummed writes, so a
-crash leaves at most one truncated trailing frame, dropped on read.  A
-partition's delta file is only removed *after* the next durable
-partition write folds it in (``Partition.delta_folded``) -- until then
-the edges it holds remain replayable.  Interior delta corruption is
-salvaged around: the bad frames are discarded and the partition's
-version is bumped, so every pair touching it recomputes (the closure is
-a monotone fixpoint -- dropped derived edges are re-derived).
+Durability (DESIGN.md §11) is paid where a run can be resumed, i.e. by a
+``durable`` store (the engine's explicit ``workdir``): partition files
+are replaced atomically (temp + fsync + rename), so a crash leaves the
+previous complete version on disk; delta frames are appended in single
+checksummed writes, so a crash leaves at most one truncated trailing
+frame, dropped on read.  A partition's delta file is only removed
+*after* the next durable partition write folds it in
+(``Partition.delta_folded``) -- until then the edges it holds remain
+replayable.  Interior delta corruption is salvaged around: the bad
+frames are discarded and the partition's version is bumped, so every
+pair touching it recomputes (the closure is a monotone fixpoint --
+dropped derived edges are re-derived).  A scratch store
+(``durable=False``: a temp directory nothing can point at again, removed
+with the result) keeps temp + rename -- the prefetch thread must never
+read a torn file -- but skips the fsync, and :meth:`PartitionStore.settle`
+compacts its resident columns at the end of a phase instead of writing
+them.
 """
 
 from __future__ import annotations
@@ -58,7 +74,7 @@ from repro.obs.trace import NULL_RECORDER
 
 @dataclass
 class Partition:
-    """Descriptor of one on-disk partition."""
+    """Descriptor of one partition (resident, on disk, or both)."""
 
     index: int
     lo: int
@@ -84,8 +100,12 @@ class PartitionStore:
                  stats: EngineStats | None = None, cache_slots: int = 4,
                  table: EncodingTable | None = None,
                  prefetch=None, spill_writer=None, trace=None,
-                 faults=None):
+                 faults=None, durable: bool = True):
         self.workdir = workdir
+        # False = scratch: nothing can resume from ``workdir``, so
+        # writes skip fsync and the directory is only created by the
+        # first byte that has to leave memory.
+        self.durable = durable
         self.memory_budget = memory_budget
         self.stats = stats or EngineStats()
         self.trace = trace if trace is not None else NULL_RECORDER
@@ -101,10 +121,11 @@ class PartitionStore:
         self.log = None
         self.partitions: list[Partition] = []
         self._next_file = 0
-        # Write-back cache of recently used partitions: index -> columns.
-        # Dirty entries are flushed on eviction.  Keeping a few partitions
-        # resident is what keeps the I/O share of the runtime at the few
-        # percent the paper reports.
+        # Write-back cache of resident partitions: index -> columns.
+        # New partitions start here (dirty); dirty entries are written
+        # on eviction.  Keeping a few partitions resident is what keeps
+        # the I/O share of the runtime at the few percent the paper
+        # reports.
         self.cache_slots = max(2, cache_slots)
         self._cache: dict[int, EdgeColumns] = {}
         self._dirty: set[int] = set()
@@ -113,7 +134,8 @@ class PartitionStore:
         self._bounds_los: list[int] = []
         self._bounds_index: list[int] = []
         self._bounds_stale = True
-        os.makedirs(workdir, exist_ok=True)
+        if durable:
+            os.makedirs(workdir, exist_ok=True)
 
     # -- construction --------------------------------------------------------
 
@@ -147,9 +169,15 @@ class PartitionStore:
         cols = EdgeColumns.from_dict(chunk, self.table)
         part.edge_count = cols.edge_count
         part.byte_estimate = cols.columnar_bytes()
-        self._save(part, cols)
         self.partitions.append(part)
         self._bounds_stale = True
+        if len(self._cache) < self.cache_slots:
+            # Memory-first: resident and dirty, so the file appears only
+            # if the partition is ever evicted, shipped or checkpointed.
+            self._cache[part.index] = cols
+            self._dirty.add(part.index)
+        else:
+            self._save(part, cols)
         return part
 
     def _fresh_path(self, prefix: str) -> str:
@@ -159,6 +187,19 @@ class PartitionStore:
 
     # -- I/O ------------------------------------------------------------------
 
+    def _make_dir(self) -> None:
+        """A scratch store's directory is made by its first write."""
+        if not self.durable:
+            os.makedirs(self.workdir, mode=0o700, exist_ok=True)
+
+    def _write_file(self, path: str, data: bytes, replace: bool = True) -> None:
+        self._make_dir()
+        self.stats.partition_writes += 1
+        self.stats.partition_bytes_written += len(data)
+        serialize.atomic_write_bytes(
+            path, data, replace=replace, durable=self.durable
+        )
+
     def _save(self, part: Partition, cols: EdgeColumns) -> None:
         with self.stats.timing("io_time"):
             data = cols.encode()
@@ -166,14 +207,15 @@ class PartitionStore:
             if spec is not None and spec.mode == "short_write":
                 # The legacy torn write this layer eliminates: truncated
                 # bytes straight at the destination path.
+                self._make_dir()
                 with open(part.path, "wb") as f:
                     f.write(data[: max(1, len(data) // 2)])
             elif spec is not None and spec.mode == "torn_rename":
                 # Crash between temp write and rename: the previous
                 # durable version stays; the new bytes sit in the temp.
-                serialize.atomic_write_bytes(part.path, data, replace=False)
+                self._write_file(part.path, data, replace=False)
             else:
-                serialize.atomic_write_bytes(part.path, data)
+                self._write_file(part.path, data)
                 if part.delta_folded:
                     # The columns just written include every delta frame;
                     # only now is the replay log safe to discard.
@@ -291,6 +333,19 @@ class PartitionStore:
             self._dirty.discard(index)
             self._save(self.partitions[index], self._cache[index])
 
+    def settle(self) -> None:
+        """End of a phase.  A durable store flushes (a resume must find
+        every partition on disk).  A scratch store's results are read
+        back through :meth:`load`, which hits the cache, so it only
+        compacts the resident columns: a flush did that as a side effect
+        of encoding, and without it the phase's insert overlays would
+        stay alive for as long as the result does."""
+        if self.durable:
+            self.flush()
+            return
+        for cols in self._cache.values():
+            cols.compact()
+
     def _read_delta(self, part: Partition) -> list:
         """Read (without removing) the pending delta file; a list of
         tuple-shaped edge chunks (possibly empty).
@@ -348,7 +403,7 @@ class PartitionStore:
             serialize.parse_columnar(data)
         except Exception:
             return False
-        serialize.atomic_write_bytes(part.path, data)
+        self._write_file(part.path, data)
         self.stats.partitions_rebuilt += 1
         return True
 
@@ -564,7 +619,9 @@ class PartitionStore:
         return resident / self.memory_budget
 
     def iter_all_edges(self):
-        """Stream every edge from disk: ``(src, dst, label_id, encoding)``."""
+        """Stream every edge, partition by partition (resident columns
+        first-hand, the rest from disk): ``(src, dst, label_id,
+        encoding)``."""
         decode = self.table.decode
         for part in self.partitions:
             cols = self.load(part)

@@ -50,7 +50,8 @@ raises :class:`CorruptPartition` (a ``ValueError``) rather than leaking
 Durability primitives live here too: :func:`atomic_write_bytes` is the
 write-temp -> fsync -> ``os.replace`` helper every partition/manifest
 write goes through (a crash can only ever leave the previous complete
-version, never a truncated file), and delta files are sequences of
+version, never a truncated file; a scratch store that nothing can
+resume from asks it to skip the fsync), and delta files are sequences of
 *checksummed* frames (:func:`encode_frame` / :func:`split_frames`): a
 4-byte length, a CRC-32 of the payload, then the payload, appended in a
 single ``write`` call.  A crash mid-append leaves a truncated tail frame
@@ -147,18 +148,25 @@ def compress_payload(data: bytes, level: int = 1) -> bytes:
 FRAME_HEADER_BYTES = 8
 
 
-def atomic_write_bytes(path: str, data: bytes, replace: bool = True) -> str:
-    """Durably replace ``path`` with ``data``: write a temp file in the
-    same directory, flush + fsync it, then ``os.replace`` over the
+def atomic_write_bytes(path: str, data: bytes, replace: bool = True,
+                       durable: bool = True) -> str:
+    """Atomically replace ``path`` with ``data``: write a temp file in
+    the same directory, flush + fsync it, then ``os.replace`` over the
     target.  A crash at any point leaves either the old complete file or
     the new complete file -- never a truncated mix.  Returns the temp
     path (``replace=False`` skips the rename; fault injection uses it to
-    simulate a crash between write and rename)."""
+    simulate a crash between write and rename).
+
+    ``durable=False`` keeps the temp + rename (a concurrent reader still
+    never sees a torn file) but skips the fsync: for scratch files that
+    die with the process that wrote them, surviving a power cut buys
+    nothing."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
+        if durable:
+            f.flush()
+            os.fsync(f.fileno())
     if not replace:
         return tmp
     os.replace(tmp, path)

@@ -88,6 +88,11 @@ class EngineStats:
     prefetch_errors: int = stat_field()
     spill_frames: int = stat_field()
     spill_bytes: int = stat_field()
+    # Partition files written (evictions, worker materialisation,
+    # checkpoint flushes, rebuilds) and their bytes.  Both 0 means the
+    # closure never left memory.
+    partition_writes: int = stat_field()
+    partition_bytes_written: int = stat_field()
     # Fault tolerance: truncated trailing delta frames dropped on read
     # (benign crash artifacts), interior delta frames discarded on CRC or
     # decode failure (real corruption; the partition's pairs recompute),

@@ -131,18 +131,16 @@ class ServeEngine:
         #: stratum digest -> {"files": [...], "warnings": [local dicts]}
         self.strata: dict[str, dict] = {}
         self.errors: dict[str, str] = {}
-        self._load_state()
-
-    # -- config ------------------------------------------------------------
-
-    def config_digest(self) -> str:
+        # The analysis config is fixed for the engine's lifetime; its
+        # digest goes into every stratum digest and every state write.
         payload = {
-            "unroll": self.unroll,
-            "reduce": self.reduce,
+            "unroll": unroll,
+            "reduce": reduce,
             "fsms": sorted(fsm.name for fsm in self.fsms),
         }
         text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
+        self.config_digest = hashlib.sha256(text.encode()).hexdigest()
+        self._load_state()
 
     # -- persistence -------------------------------------------------------
 
@@ -153,7 +151,7 @@ class ServeEngine:
         doc = {
             "schema": STATE_SCHEMA,
             "version": STATE_VERSION,
-            "config": self.config_digest(),
+            "config": self.config_digest,
             "files": {p: m.to_json() for p, m in sorted(self.files.items())},
             "strata": {
                 digest: entry for digest, entry in sorted(self.strata.items())
@@ -175,7 +173,7 @@ class ServeEngine:
             return
         if (doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
-                or doc.get("config") != self.config_digest()):
+                or doc.get("config") != self.config_digest):
             return  # different analysis config: results are not reusable
         self.files = {
             path: FileMeta.from_json(path, meta)
@@ -310,7 +308,7 @@ class ServeEngine:
 
     def _stratum_digest(self, membership: list[str]) -> str:
         payload = [[p, self.files[p].digest] for p in membership]
-        payload.append(["<config>", self.config_digest()])
+        payload.append(["<config>", self.config_digest])
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -367,10 +365,6 @@ class ServeEngine:
                            rounds=closure_delta.rounds,
                            joins=closure_delta.joins)
 
-        before = {
-            _identity(w): w
-            for entry in self.strata.values() for w in entry["warnings"]
-        }
         new_strata: dict[str, dict] = {}
         runs = []
         for component in self.closure.components(self.files):
@@ -398,11 +392,20 @@ class ServeEngine:
             new_strata[digest] = entry
 
         tick = self.trace.begin() if self.trace is not None else 0.0
-        self.strata = new_strata
+        # Strata partition the files, so a stratum whose digest survived
+        # contributes the same warnings to both sides of the diff: only
+        # the strata that left or entered need keying.
+        before = {
+            _identity(w): w
+            for digest, entry in self.strata.items()
+            if digest not in new_strata for w in entry["warnings"]
+        }
         after = {
             _identity(w): w
-            for entry in self.strata.values() for w in entry["warnings"]
+            for digest, entry in new_strata.items()
+            if digest not in self.strata for w in entry["warnings"]
         }
+        self.strata = new_strata
         added = [after[k] for k in sorted(after.keys() - before.keys())]
         retracted = [before[k] for k in sorted(before.keys() - after.keys())]
         self.stats.warnings_retracted += len(retracted)

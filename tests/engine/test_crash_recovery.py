@@ -54,6 +54,7 @@ def _store(tmp_path, **kw):
          1: {(2, 0): {(("I", "g", 0, 0),)}}},
         num_vertices=4, min_partitions=1,
     )
+    store.flush()  # a new partition is resident; the file comes on demand
     return store
 
 

@@ -46,6 +46,7 @@ def test_truncated_partition_file_raises(tmp_path):
     store = PartitionStore(str(tmp_path), memory_budget=1 << 20, cache_slots=2)
     store.initialize({0: {(1, 0): {(("I", "f", 0, 0),)}}}, num_vertices=2,
                      min_partitions=1)
+    store.flush()  # a new partition is resident; the file comes on demand
     part = store.partitions[0]
     data = open(part.path, "rb").read()
     with open(part.path, "wb") as f:
@@ -59,6 +60,7 @@ def test_corrupt_magic_raises(tmp_path):
     store = PartitionStore(str(tmp_path), memory_budget=1 << 20, cache_slots=2)
     store.initialize({0: {(1, 0): {(("I", "f", 0, 0),)}}}, num_vertices=2,
                      min_partitions=1)
+    store.flush()  # a new partition is resident; the file comes on demand
     part = store.partitions[0]
     with open(part.path, "wb") as f:
         f.write(b"NOPE" + b"\x01" * 16)
@@ -71,6 +73,7 @@ def test_missing_partition_file_raises(tmp_path):
     store = PartitionStore(str(tmp_path), memory_budget=1 << 20, cache_slots=2)
     store.initialize({0: {(1, 0): {(("I", "f", 0, 0),)}}}, num_vertices=2,
                      min_partitions=1)
+    store.flush()  # a new partition is resident; the file comes on demand
     part = store.partitions[0]
     os.remove(part.path)
     store._cache.clear()
@@ -121,9 +124,11 @@ def test_zero_unroll_rejected():
 
 
 def test_result_cleanup_removes_workdir(icfet):
-    options = EngineOptions(memory_budget=1 << 20)
+    # A budget that forces evictions: an in-budget scratch run never
+    # creates the directory in the first place.
+    options = EngineOptions(memory_budget=256)
     engine = GraphEngine(icfet, ChainGrammar(), options)
-    result = engine.run(chain(3))
+    result = engine.run(chain(8))
     workdir = os.path.dirname(result.store.partitions[0].path)
     assert os.path.isdir(workdir)
     result.cleanup()

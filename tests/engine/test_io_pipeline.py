@@ -126,7 +126,7 @@ def test_store_counts_prefetch_errors_and_reraises(tmp_path, monkeypatch):
                           60: {(61, 0): {(("I", "g", 0, 0),)}}},
                          num_vertices=100, min_partitions=2)
         target = store.partitions[0]
-        store.load(store.partitions[1])  # evict target from the cache
+        store._evict(target.index)  # new partitions start out resident
         monkeypatch.setattr(
             serialize, "parse_columnar",
             lambda data: (_ for _ in ()).throw(TypeError("boom")),
