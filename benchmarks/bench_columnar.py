@@ -77,8 +77,7 @@ def _measure_in_this_process(scale: float, budget_mb: float) -> dict:
     }
     for name in ("prefetch_hits", "prefetch_misses", "join_batches",
                  "join_probes", "spill_frames", "spill_bytes",
-                 "kernel_batches", "batch_fill", "feasibility_groups",
-                 "group_hits"):
+                 "feasibility_groups", "group_hits"):
         if hasattr(stats, name):
             entry[name] = getattr(stats, name)
     if hasattr(stats, "prefetch_hit_rate"):
@@ -173,11 +172,7 @@ def smoke() -> dict:
     """Tiny-scale end-to-end exercise for CI: no timings recorded."""
     entry = _measure_in_subprocess(TINY_SCALE, TINY_BUDGET_MB)
     assert entry["warnings"] > 0, "tiny run produced no findings"
-    assert entry.get("kernel_batches", 0) > 0, (
-        "batched closure kernel never engaged (kernel_batches == 0)"
-    )
-    assert entry["batch_fill"] >= entry["kernel_batches"]
-    assert entry["group_hits"] > 0, "grouped feasibility produced no hits"
+    assert entry["group_hits"] > 0, "the form memo produced no hits"
     loads = entry.get("prefetch_hits", 0) + entry.get("prefetch_misses", 0)
     if loads:
         assert entry["prefetch_hit_rate"] > PR4_PREFETCH_HIT_RATE, (

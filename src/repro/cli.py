@@ -102,15 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-prefetch", action="store_true",
                        help="disable the background partition prefetcher"
                        " (loads become synchronous reads)")
-    check.add_argument("--kernel", default="auto",
-                       choices=("auto", "numpy", "stdlib", "off"),
-                       help="batched closure-kernel backend: 'auto' uses"
-                       " numpy when installed and the pure-stdlib"
-                       " fallback otherwise (bit-identical results),"
-                       " 'off' keeps the scalar drain (default auto)")
-    check.add_argument("--batch-size", type=int, default=2048,
-                       help="composed candidates per grouped-feasibility"
-                       " kernel chunk (default 2048)")
     check.add_argument("--stats", action="store_true",
                        help="print engine statistics")
     check.add_argument("--trace", metavar="FILE", default=None,
@@ -303,8 +294,6 @@ def cmd_check(args) -> int:
             steal=not args.no_steal,
             compress_spills=args.compress_spills,
             prefetch=not args.no_prefetch,
-            kernel=args.kernel,
-            batch_size=args.batch_size,
             trace=recorder,
             metrics=bool(args.metrics_json),
             heartbeat=args.heartbeat,
@@ -378,12 +367,8 @@ def cmd_check(args) -> int:
               f" ({stats.partition_bytes_written} bytes)")
         print(f"join batches/probes : {stats.join_batches}"
               f" / {stats.join_probes}")
-        if stats.kernel_batches:
-            fill = stats.batch_fill / stats.kernel_batches
-            print(f"kernel batches      : {stats.kernel_batches}"
-                  f" (avg fill {fill:.1f})")
-            print(f"feasibility groups  : {stats.feasibility_groups}"
-                  f" ({stats.group_hits} group hits)")
+        print(f"feasibility groups  : {stats.feasibility_groups}"
+              f" ({stats.group_hits} group hits)")
         if run.reduction is not None:
             print(f"reduction           : {run.reduction.summary()}")
         if run.compiled.resolution is not None:

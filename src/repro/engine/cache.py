@@ -35,13 +35,6 @@ class LRUCache:
         self.hits += 1
         return value
 
-    def peek(self, key):
-        """The cached value, or None -- without recency promotion or
-        hit/miss accounting.  The batched kernel uses this to predict
-        whether a future query will miss, which must not disturb the
-        state that query will observe."""
-        return self._data.get(key)
-
     def put(self, key, value):
         """Insert/refresh an entry.  Returns the evicted ``(key, value)``
         pair when capacity was exceeded, else None -- callers owning

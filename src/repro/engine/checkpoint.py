@@ -44,7 +44,6 @@ FORMAT = 1
 CONFIG_FIELDS = (
     "memory_budget",
     "min_partitions",
-    "parallel_min_partitions",
     "witness_cap",
     "path_sensitive",
     "constraint_mode",

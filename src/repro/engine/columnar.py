@@ -86,7 +86,7 @@ class EdgeColumns:
 
     __slots__ = (
         "table", "src", "dst", "label", "enc",
-        "extra", "_extra_rows", "_probe", "_bytes", "_kcache",
+        "extra", "_extra_rows", "_probe", "_bytes",
     )
 
     def __init__(self, table: EncodingTable) -> None:
@@ -99,10 +99,6 @@ class EdgeColumns:
         self._extra_rows = 0
         self._probe: dict[int, dict[tuple, set[int]]] = {}
         self._bytes = 0
-        # Batched-kernel views of the base columns (engine/kernel.py);
-        # validated against the ``src`` array's identity, so compaction
-        # and splits -- which replace the arrays -- invalidate it.
-        self._kcache = None
 
     # -- construction ---------------------------------------------------------
 
@@ -328,7 +324,6 @@ class EdgeColumns:
         self.extra = {}
         self._extra_rows = 0
         self._probe = {}
-        self._kcache = None
 
     def split_at(self, mid: int) -> tuple["EdgeColumns", "EdgeColumns"]:
         """Split into (sources < mid, sources >= mid) after compacting."""
@@ -387,7 +382,7 @@ class SharedEdgeColumns(EdgeColumns):
     ``memoryview`` casts over the attached segment; only ``enc`` is a
     private ``array('q')`` because coordinator encoding ids must be
     remapped to the worker's local :class:`EncodingTable` ids.  Every
-    read path (bisect runs, probes, kernel batches) works on the views
+    read path (bisect runs, probes, row walks) works on the views
     unchanged; mutation goes through the ``extra`` overlay as usual,
     and :meth:`~EdgeColumns.compact` replaces the views with private
     arrays, at which point the instance quietly stops being shared.

@@ -107,11 +107,6 @@ class EngineOptions:
     # in the coordinator process -- same wave protocol, no IPC); "fork"
     # always forks `workers` processes; "inline" never forks.
     parallel_dispatch: str = "auto"
-    # Partition floor for the parallel path: more partitions widen the
-    # waves (up to P // 2 disjoint pairs in flight).  None derives
-    # 2 * effective workers; the serial path ignores this and uses
-    # min_partitions.
-    parallel_min_partitions: int | None = None
     # Background I/O pipeline (engine/io_pipeline.py): prefetch upcoming
     # partitions on a reader thread, and zlib-compress buffered spill
     # frames on the writer thread.
@@ -146,13 +141,6 @@ class EngineOptions:
     resume: bool = False
     max_retries: int = 2
     fault_plan: object = None
-    # Batched closure kernel (engine/kernel.py).  ``kernel`` selects the
-    # backend: "auto" uses numpy when installed and the pure-stdlib
-    # fallback otherwise (both bit-identical), "numpy"/"stdlib" force
-    # one, "off" keeps the scalar drain.  ``batch_size`` bounds how many
-    # composed candidates one grouped-feasibility chunk holds.
-    kernel: str = "auto"
-    batch_size: int = 2048
     # How many upcoming scheduled pairs the serial loop hands to the
     # background prefetcher each iteration (deeper lookahead keeps the
     # reader busy across pairs whose partitions were already resident).
@@ -269,22 +257,10 @@ class GraphEngine:
         self._rel_tgt_memo: dict = {}  # label id -> bool
         self._derived_memo: dict = {}  # label id -> ((label id, rev), ...)
         self._table_driven = getattr(grammar, "table_driven", False)
-        # Batched kernel state (engine/kernel.py): the resolved backend
-        # (None = scalar drain), the canonical-form verdict memo shared
-        # by the lazy and grouped feasibility paths, the per-element
-        # pieces its structural keys are stitched from, and verdicts the
-        # kernel solved ahead of their insert-time query.
-        self._kernel = kernel_mod.resolve_backend(self.options.kernel)
+        # The canonical-form verdict memo and the per-element pieces
+        # its structural keys are stitched from.
         self._form_memo: dict = {}  # structural form key -> verdict
         self._pieces = enc_mod.FormPieces(DECODE_CACHE_CAP)
-        self._presolved: dict = {}  # enc id -> pre-solved verdict
-        self._derived_closure: dict = {}  # label id -> ((label id, flip), ...)
-        # True when tuple-keyed LRU entries were seeded from outside this
-        # process (parallel workers): then an id unknown to the feasible
-        # memo can still hit the LRU, and the kernel's pre-solve
-        # eligibility must peek the LRU before claiming a certain miss.
-        self._lru_external = False
-        self._split_epoch = 0
         # Semi-naive state: the phase's arrival log (every edge inserted
         # into a loaded partition is recorded there), and the current
         # visit's reverse index (join vertex -> relevant-source in-edges
@@ -344,10 +320,11 @@ class GraphEngine:
         if parallel:
             from repro.engine.parallel import effective_workers
 
-            floor = self.options.parallel_min_partitions
-            if floor is None:
-                floor = 2 * effective_workers(self.options)
-            min_partitions = max(min_partitions, floor)
+            # More partitions widen the waves (up to P // 2 disjoint
+            # pairs in flight).
+            min_partitions = max(
+                min_partitions, 2 * effective_workers(self.options)
+            )
         trace = self.trace
         if self.options.heartbeat:
             from repro.obs.report import Heartbeat
@@ -1068,7 +1045,6 @@ class GraphEngine:
         # Pending spills may be routed by stale boundaries; flush first.
         self._flush_spills(spills)
         spills.clear()
-        self._split_epoch += 1  # invalidates the kernel's round plan
         part, cols = parts[index], loaded[index]
         left, left_cols, right, _right_cols = self._store.split(part, cols)
         if right is None:
@@ -1128,9 +1104,8 @@ class GraphEngine:
 
     def _feasible_solve(self, ids: tuple, lru_key: tuple) -> bool:
         """Memo-miss path: consult the LRU (keyed by the sorted encoding
-        tuple, shareable across processes), then the kernel's pre-solved
-        verdicts and the canonical-form memo, and only then materialise
-        the constraint and solve it."""
+        tuple, shareable across processes), then the canonical-form memo,
+        and only then materialise the constraint and solve it."""
         stats = self.stats
         self.solver.stats.memo_misses += 1
         memo_key = ids[0] if len(ids) == 1 else ids
@@ -1141,15 +1116,6 @@ class GraphEngine:
                 stats.cache_hits += 1
                 self._feasible_memo.put(memo_key, cached)
                 return cached
-            if len(ids) == 1:
-                presolved = self._presolved.pop(memo_key, None)
-                if presolved is not None:
-                    # The batched kernel already keyed (and, for a new
-                    # form, decoded and solved) this constraint, charging
-                    # the counters; only the cache writes are left.
-                    self.cache.put(lru_key, presolved)
-                    self._feasible_memo.put(memo_key, presolved)
-                    return presolved
         start = time.perf_counter()
         form = result = None
         if enable_cache:
@@ -1220,7 +1186,7 @@ class GraphEngine:
 
     def _solve_formula(self, formula) -> bool:
         """One instrumented solver call (smt timing, trace span, latency
-        histogram) -- shared by the lazy path and the kernel's groups."""
+        histogram)."""
         stats = self.stats
         trace = self.trace
         metrics = stats.metrics

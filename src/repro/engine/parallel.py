@@ -393,9 +393,6 @@ class _WorkerEngine(GraphEngine):
     def __init__(self, icfet, grammar, options, graph, store=None):
         super().__init__(icfet, grammar, options)
         self.cache = _LoggingLRU(options.cache_capacity)
-        # Wave broadcasts seed this LRU with coordinator entries whose
-        # ids the local feasible memo has never seen.
-        self._lru_external = True
         self._graph = graph
         self._inline_mode = store is not None
         if store is not None:

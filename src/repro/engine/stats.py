@@ -120,14 +120,8 @@ class EngineStats:
     # vertices probed against the right-hand sorted runs.
     join_batches: int = stat_field()
     join_probes: int = stat_field()
-    # Batched closure kernel (engine/kernel.py): candidate chunks cut
-    # for grouped feasibility, total candidates across those chunks
-    # (average fill = batch_fill / kernel_batches), distinct canonical
-    # constraint forms actually solved, and queries answered by an
-    # already-solved form (kernel groups and lazy-path form-memo hits
-    # both count here).
-    kernel_batches: int = stat_field()
-    batch_fill: int = stat_field()
+    # Feasibility by canonical form: distinct constraint forms actually
+    # solved, and queries answered by an already-solved form.
     feasibility_groups: int = stat_field()
     group_hits: int = stat_field()
     # Shared-memory data plane (engine/shm.py): worker-side segment

@@ -418,15 +418,31 @@ class ServeEngine:
             rederived,
         )
 
+    def _workspace_path(self, path) -> str:
+        """Where a request's ``path`` lives, or ValueError: only a bare
+        ``*.mini`` name -- all :meth:`_workspace_files` ever observes --
+        is accepted, so no request reaches outside the workspace."""
+        if (
+            not isinstance(path, str)
+            or not path.endswith(".mini")
+            or os.path.basename(path) != path
+        ):
+            raise ValueError(
+                f"path must be a bare .mini file name, got {path!r}"
+            )
+        return os.path.join(self.workspace, path)
+
     def edit(self, path: str, text: str) -> dict:
         """Apply one edit (write-through to the workspace) and answer."""
-        full = os.path.join(self.workspace, path)
+        full = self._workspace_path(path)
+        if not isinstance(text, str):
+            raise ValueError(f"text must be a string, got {text!r}")
         serialize.atomic_write_bytes(full, text.encode())
         return self.scan(only={path})
 
     def remove(self, path: str) -> dict:
         try:
-            os.remove(os.path.join(self.workspace, path))
+            os.remove(self._workspace_path(path))
         except OSError:
             pass
         return self.scan(only=set())
@@ -586,7 +602,9 @@ class Server:
         self.out.write("\n")
         self.out.flush()
 
-    def _handle(self, request: dict) -> dict:
+    def _handle(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "op": "ping"}

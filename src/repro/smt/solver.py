@@ -95,14 +95,14 @@ class Solver:
         """Check the conjunction of several formulas."""
         return self.check(E.and_(*formulas))
 
+    # No in-tree caller since the engine solves each query as it meets
+    # it; kept because the committed benchmarks/harness wraps it
+    # (layers.WRAPS).  Drop with that entry.
     def check_batch(self, formulas, gave_up_flags: list | None = None):
         """Check several independent formulas in one call.
 
-        Entry point for the engine's grouped feasibility checks
-        (``engine/kernel.py``): a batch of distinct canonical constraint
-        forms arrives together instead of one solver round-trip per
-        composed edge.  Each formula is charged to the same counters as
-        an individual :meth:`check`.  When ``gave_up_flags`` is given it
+        Each formula is charged to the same counters as an individual
+        :meth:`check`.  When ``gave_up_flags`` is given it
         receives one bool per formula saying whether that check
         exhausted the DPLL(T) iteration budget (such verdicts are
         conservative and must not be memoised by form).

@@ -43,8 +43,7 @@ def canonical_run(run) -> dict:
 
 
 def run_subject(name: str, scale: float, workers: int = 1,
-                reduce: bool = False, kernel: str = "auto",
-                **engine_kwargs):
+                reduce: bool = False, **engine_kwargs):
     from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
     from repro.workloads import build_subject
 
@@ -57,8 +56,7 @@ def run_subject(name: str, scale: float, workers: int = 1,
     options = GrappleOptions(
         reduce=reduce,
         engine=EngineOptions(
-            memory_budget=MEMORY_BUDGET, workers=workers, kernel=kernel,
-            **engine_kwargs,
+            memory_budget=MEMORY_BUDGET, workers=workers, **engine_kwargs,
         ),
     )
     return Grapple(source, fsms, options).run()

@@ -1,10 +1,10 @@
 """The engine against an independent oracle (ROADMAP 4a/4c).
 
 Every other closure test compares the engine with *itself* (an earlier
-version, serial vs parallel, kernel on vs off).  Here the reference is a
-naive worklist closure that shares nothing with it -- no partitions, no
-ids, no caches, no schedule: it composes every edge with every other
-until nothing new appears.  With ``witness_cap`` too high to bind, the
+version, serial vs parallel).  Here the reference is a naive worklist
+closure that shares nothing with it -- no partitions, no ids, no caches,
+no schedule: it composes every edge with every other until nothing new
+appears.  With ``witness_cap`` too high to bind, the
 closure is a terminating, confluent rewrite, so the engine must land on
 exactly that edge set whatever the budget does to its schedule
 (partitions that never split, split only between visits, or split in
@@ -174,15 +174,13 @@ def test_engine_matches_naive_closure_across_budgets(
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_engine_matches_naive_closure_under_every_kernel(icfet, workers):
+def test_engine_matches_naive_closure_serial_and_pooled(icfet, workers):
     n, edges = random_edges(0)
     want = naive_closure(edges, LabelledGrammar(), icfet)
-    for kernel in ("off", "stdlib", "auto"):
-        got, _stats = run_engine(
-            n, edges, icfet, memory_budget=2 << 10, kernel=kernel,
-            workers=workers,
-        )
-        assert got == want, kernel
+    got, _stats = run_engine(
+        n, edges, icfet, memory_budget=2 << 10, workers=workers
+    )
+    assert got == want
 
 
 @pytest.mark.parametrize("order_seed", range(5))

@@ -312,19 +312,23 @@ def test_run_report_schema_roundtrip():
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("kernel", ["off", "stdlib", "auto"])
-def test_constraints_are_decoded_only_to_be_solved(kernel, workers):
+def test_constraints_are_decoded_only_to_be_solved(workers):
     """Feasibility queries are keyed by their encodings' structure; a
     constraint is materialised only for a query that then goes to the
     solver, and the counter reaches the run report."""
     source = build_subject("zookeeper", scale=1.0).source
+    # Inline dispatch: forked workers keep private form memos, so their
+    # totals depend on which process happens to take which pair.
     options = GrappleOptions(
-        engine=EngineOptions(kernel=kernel, workers=workers)
+        engine=EngineOptions(workers=workers, parallel_dispatch="inline")
     )
     run = Grapple(source, [c.fsm for c in default_checkers()], options).run()
     stats = run.stats
     assert 0 < stats.constraints_decoded <= stats.constraints_solved
     assert stats.constraints_decoded < stats.group_hits
+    # Captured from the scalar drain (``--kernel off``) of the commit
+    # that still had batched backends beside it.
+    assert (stats.feasibility_groups, stats.group_hits) == (518, 8655)
     report = build_run_report(run)
     assert report["counters"]["constraints_decoded"] == (
         stats.constraints_decoded

@@ -6,9 +6,8 @@ synthetic subjects, captured before the columnar-store refactor.  The
 columnar engine -- serial and parallel -- must reproduce them exactly:
 the refactor is a representation change, not a semantics change.
 
-These are the slowest tests in tier 1 (~40s total); they are the ones
-that catch witness-cap order dependence and fixpoint divergence that
-unit tests cannot see.
+These are the tests that catch witness-cap order dependence and
+fixpoint divergence that unit tests cannot see.
 """
 
 import json
@@ -18,19 +17,12 @@ import pytest
 from .oracle_capture import SUBJECTS, canonical_run, golden_path, run_subject
 
 
-#: The batched-kernel matrix: the scalar drain, the pure-stdlib backend,
-#: and "auto" (numpy when installed, stdlib otherwise) must all land on
-#: the same fixpoint byte for byte, serial and parallel.
-KERNELS = ("off", "stdlib", "auto")
-
-
 @pytest.mark.parametrize("name,scale", SUBJECTS)
 @pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_matches_pre_columnar_golden(name, scale, workers, kernel):
+def test_matches_pre_columnar_golden(name, scale, workers):
     with open(golden_path(name, scale)) as f:
         golden = json.load(f)
-    run = run_subject(name, scale, workers=workers, kernel=kernel)
+    run = run_subject(name, scale, workers=workers)
     got = canonical_run(run)
     assert got["warnings"] == golden["warnings"]
     assert got["edges"] == golden["edges"]

@@ -6,6 +6,7 @@ to a from-scratch run over the final sources, while each edit only
 re-derives its own stratum.
 """
 
+import contextlib
 import json
 import os
 import random
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import threading
 import time
+
+import pytest
 
 from repro.analysis.pipeline import Grapple
 from repro.checkers.checker import pack_checkers
@@ -221,18 +224,32 @@ def test_incr_spans_are_recorded(tmp_path):
     assert {"incr-diff", "incr-join", "incr-retract"} <= names
 
 
+@contextlib.contextmanager
+def _serving(engine, tmp_path):
+    """A real daemon on a unix socket; yields the socket path, and on
+    exit shuts the daemon down if the test has not and joins its thread."""
+    sock_path = str(tmp_path / "serve.sock")
+    with open(os.devnull, "w") as out:
+        server = Server(engine, socket_path=sock_path, poll=0.05, out=out)
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        try:
+            for _ in range(200):
+                if os.path.exists(sock_path):
+                    break
+                time.sleep(0.01)
+            yield sock_path
+        finally:
+            if thread.is_alive():
+                with contextlib.suppress(OSError, ValueError):
+                    request(sock_path, {"op": "shutdown"})
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_unix_socket_roundtrip(tmp_path):
     engine = _engine(tmp_path)
-    sock_path = str(tmp_path / "serve.sock")
-    out = open(os.devnull, "w")
-    server = Server(engine, socket_path=sock_path, poll=0.05, out=out)
-    thread = threading.Thread(target=server.run, daemon=True)
-    thread.start()
-    try:
-        for _ in range(200):
-            if os.path.exists(sock_path):
-                break
-            time.sleep(0.01)
+    with _serving(engine, tmp_path) as sock_path:
         assert request(sock_path, {"op": "ping"})["ok"] is True
         path = os.path.join(engine.workspace, "g0left.mini")
         text = open(path).read() + "func g0_sock(v) {\n    return v;\n}\n"
@@ -245,12 +262,38 @@ def test_unix_socket_roundtrip(tmp_path):
         assert report["schema"] == "grapple/serve-report"
         assert report["counters"]["edits_served"] >= 2
         assert request(sock_path, {"op": "shutdown"})["ok"] is True
-    finally:
-        thread.join(timeout=10)
-        out.close()
-    assert not thread.is_alive()
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
+
+
+def _tree(root):
+    """Every file under ``root`` with its size (sockets excluded)."""
+    return {
+        os.path.join(base, name): os.path.getsize(os.path.join(base, name))
+        for base, _dirs, names in os.walk(root)
+        for name in names
+        if not name.endswith(".sock")
+    }
+
+
+@pytest.mark.parametrize("payload", [
+    {"op": "edit", "path": "../escaped.mini", "text": "func f() {\n}\n"},
+    {"op": "remove", "path": "../victim.mini"},
+    [1],
+    {"op": "edit", "path": "g0left.mini", "text": 5},
+    {"op": "edit", "path": 7, "text": ""},
+], ids=["edit-escapes", "remove-escapes", "not-an-object", "text-not-str",
+        "path-not-str"])
+def test_hostile_socket_request_is_refused_and_daemon_survives(
+    tmp_path, payload
+):
+    engine = _engine(tmp_path)
+    (tmp_path / "victim.mini").write_text("func victim() {\n}\n")
+    with _serving(engine, tmp_path) as sock_path:
+        before = _tree(tmp_path)
+        assert "error" in request(sock_path, payload)
+        assert _tree(tmp_path) == before
+        assert request(sock_path, {"op": "ping"})["ok"] is True
 
 
 def test_cli_serve_once_emits_valid_fragment(tmp_path):
