@@ -1,10 +1,9 @@
 """Columnar-store closure benchmark: before/after the PR 2 engine rewrite.
 
-Measures single-worker *closure* time (``GrappleRun.computation_time``:
-wall clock minus frontend and preprocessing) on the ``hadoop`` subject at
-scale 4 with a 1 MiB memory budget -- the same store-stressing
-configuration as ``bench_parallel_scaling`` -- and writes the result to
-``BENCH_columnar.json`` at the repository root.
+Measures *closure* time (``GrappleRun.computation_time``: wall clock
+minus frontend and preprocessing) on the ``hadoop`` subject at scale 4
+with a 1 MiB memory budget -- a store-stressing configuration -- and
+writes the result to ``BENCH_columnar.json`` at the repository root.
 
 The ``baseline`` section of that file was recorded with this harness
 *before* the columnar rewrite landed (dict-of-dicts partitions, per-edge
@@ -58,9 +57,7 @@ def _measure_in_this_process(scale: float, budget_mb: float) -> dict:
     source = build_subject(SUBJECT, scale=scale).source
     fsms = [c.fsm for c in default_checkers()]
     options = GrappleOptions(
-        engine=EngineOptions(
-            memory_budget=int(budget_mb * (1 << 20)), workers=1
-        )
+        engine=EngineOptions(memory_budget=int(budget_mb * (1 << 20)))
     )
     run = Grapple(source, fsms, options).run()
     stats = run.stats

@@ -49,7 +49,7 @@ def _measure_in_this_process(scale: float, budget_mb: int,
     fsms = [c.fsm for c in default_checkers()]
     options = GrappleOptions(
         reduce=reduce,
-        engine=EngineOptions(memory_budget=budget_mb << 20, workers=1),
+        engine=EngineOptions(memory_budget=budget_mb << 20),
     )
     run = Grapple(source, fsms, options).run()
     entry = {

@@ -20,8 +20,8 @@ per-kind rules tuned for what each metric means:
   (the absolute floor keeps millisecond-scale metrics from tripping on
   scheduler noise).  Improvements always pass.
 * paths containing ``speedup`` gate **higher-is-better**, mirrored.
-* ``null`` on either side means *not applicable* (e.g. the serial row's
-  parallel-only counters) -- skipped, never a regression.
+* ``null`` on either side means *not applicable* (a counter a
+  configuration does not produce) -- skipped, never a regression.
 * lists (raw per-round samples) and everything else -- counters, flags,
   host facts like ``cpu_count`` -- are reported as drift but do not
   gate: they vary legitimately across hosts and workloads, and the

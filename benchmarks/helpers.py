@@ -110,17 +110,3 @@ def emit(title: str, lines: list[str], capsys=None, payload=None) -> None:
         with open(os.path.join(RESULTS_DIR, slug + ".json"), "w") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
-        # Every bench that persists a run-report also gets its bottleneck
-        # analysis (the counter-derived report-only mode -- benches keep
-        # no trace): serialized-fraction bounds and the Amdahl projection
-        # land next to the raw numbers, so a perf investigation starts
-        # from results/ instead of a re-run.
-        if isinstance(payload, dict) and (
-            payload.get("schema") == "grapple/run-report"
-        ):
-            from repro.obs.analyze import analyze_report
-
-            path = os.path.join(RESULTS_DIR, slug + ".bottleneck.json")
-            with open(path, "w") as f:
-                json.dump(analyze_report(payload), f, indent=2)
-                f.write("\n")

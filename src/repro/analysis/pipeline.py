@@ -58,8 +58,8 @@ class GrappleRun:
 
         Cross-phase aggregation is :meth:`EngineStats.merge_phase`,
         derived entirely from field metadata: counters and gauges sum
-        (whatever their scope -- both operands are final per-phase
-        results, not worker deltas), flags OR, registries merge.
+        (both operands are final per-phase results), flags OR,
+        registries merge.
         """
         merged = EngineStats()
         merged.merge_phase(self.alias_phase.engine_result.stats)

@@ -16,11 +16,30 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from repro import EngineOptions, Grapple, GrappleOptions
 from repro.checkers.checker import ALL_CHECKERS, PAPER_CHECKERS, Checker
+
+
+class UsageError(Exception):
+    """A command-line value the run cannot start with: :func:`main`
+    prints it as one ``repro: ...`` line and exits 2, so a bad flag is
+    never mistaken for a verdict (exit 1 = warnings found)."""
+
+
+def _named_checkers(text: str) -> list[Checker]:
+    try:
+        return [Checker.by_name(name.strip()) for name in text.split(",")]
+    except KeyError as exc:  # by_name's message names the checker
+        raise UsageError(exc.args[0]) from None
+
+
+def _check_unroll(unroll: int) -> None:
+    if unroll < 1:
+        raise UsageError(f"--unroll wants a bound >= 1, not {unroll}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,30 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--memory-budget", type=float, default=64,
                        help="engine memory budget in MiB; fractions allowed"
                        " (default 64)")
-    check.add_argument("--workers", type=int, default=1,
-                       help="parallel partition-pair workers (default 1,"
-                       " i.e. the serial engine)")
-    check.add_argument("--dispatch", default="fork",
-                       choices=("fork", "auto", "inline"),
-                       help="how --workers > 1 runs pairs: 'fork' always"
-                       " forks worker processes, 'auto' falls back to"
-                       " in-process dispatch on single-CPU machines,"
-                       " 'inline' never forks (default fork)")
-    check.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory data plane: pooled"
-                       " pairs' partitions are materialised to disk for"
-                       " workers instead of published as zero-copy"
-                       " /dev/shm column segments")
-    check.add_argument("--shard-by-source", default="auto",
-                       metavar="N|auto|off",
-                       help="order waves by contiguous source strata:"
-                       " 'auto' derives one stratum per pool slot, an"
-                       " integer fixes the stratum count, 'off' keeps"
-                       " the serial pair order (default auto)")
-    check.add_argument("--no-steal", action="store_true",
-                       help="keep the hard wave barrier: do not refill"
-                       " freed pool slots with further eligible pairs"
-                       " while a wave's results stream back")
     check.add_argument("--no-cache", action="store_true",
                        help="disable constraint memoisation")
     check.add_argument("--compress-spills", action="store_true",
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resource-sampler cadence under --profile"
                        " (default 0.25)")
     check.add_argument("--workdir", metavar="DIR", default=None,
-                       help="keep partition files (and per-wave checkpoint"
+                       help="keep partition files (and per-pair checkpoint"
                        " manifests) in DIR instead of a throwaway temp"
                        " directory; required for --resume")
     check.add_argument("--resume", action="store_true",
@@ -137,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
                        " manifest in --workdir (validated against the"
                        " current subject and engine options)")
     check.add_argument("--max-retries", type=int, default=2,
-                       help="requeue a partition pair whose worker died or"
-                       " whose partition was corrupt up to N times before"
-                       " degrading it to a warning (default 2)")
+                       help="retry a partition pair whose partition was"
+                       " corrupt up to N times before degrading it to a"
+                       " warning (default 2)")
     check.add_argument("--fault-plan", metavar="SPEC", default=None,
                        help="deterministic fault injection for testing, e.g."
-                       " 'short_write@partition-write:2,kill_worker@"
-                       "worker-task:3' (see repro.faults)")
+                       " 'short_write@partition-write:2,bad_frame@"
+                       "delta-append:3' (see repro.faults)")
 
     sub.add_parser("subjects", help="list built-in synthetic subjects")
 
@@ -232,16 +227,26 @@ def _gather_sources(file_args: list[str]):
 
 def cmd_check(args) -> int:
     """``repro check``: exit 1 when warnings are found, else 0."""
-    subject_name, source = _gather_sources(args.file)
+    _check_unroll(args.unroll)
+    budget = args.memory_budget
+    budget_bytes = int(budget * (1 << 20)) if math.isfinite(budget) else 0
+    if budget_bytes < 1:
+        raise UsageError(
+            f"--memory-budget wants a finite size > 0 MiB, not {budget}"
+        )
+    if args.resume and not args.workdir:
+        raise UsageError(
+            "--resume requires --workdir (a checkpoint can only live in a"
+            " directory that survives the run)"
+        )
     if args.spec:
         from repro.checkers.spec import load_fsm_specs
 
         fsms = [fsm for path in args.spec for fsm in load_fsm_specs(path)]
         checkers = [Checker(fsm.name, fsm) for fsm in fsms]
     else:
-        checkers = [
-            Checker.by_name(n.strip()) for n in args.checkers.split(",")
-        ]
+        checkers = _named_checkers(args.checkers)
+    subject_name, source = _gather_sources(args.file)
     if args.profile:
         # --profile is the bundle: trace + run report + gauge sampler,
         # with conventional filenames unless the dedicated flags chose.
@@ -259,15 +264,6 @@ def cmd_check(args) -> int:
         from repro.obs.profile import ResourceSampler
 
         sampler = ResourceSampler(interval=args.sample_interval)
-    if args.resume and not args.workdir:
-        print("repro: --resume requires --workdir (a checkpoint can only"
-              " live in a directory that survives the run)", file=sys.stderr)
-        return 2
-    if args.shard_by_source not in ("auto", "off") \
-            and not args.shard_by_source.isdigit():
-        print("repro: --shard-by-source wants an integer, 'auto', or 'off'",
-              file=sys.stderr)
-        return 2
     fault_plan = None
     if args.fault_plan:
         from repro.faults import FaultPlan, FaultPlanError
@@ -275,23 +271,13 @@ def cmd_check(args) -> int:
         try:
             fault_plan = FaultPlan.parse(args.fault_plan)
         except FaultPlanError as exc:
-            print(f"repro: bad --fault-plan: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --fault-plan: {exc}") from None
     options = GrappleOptions(
         unroll=args.unroll,
         reduce=args.reduce,
         engine=EngineOptions(
-            memory_budget=int(args.memory_budget * (1 << 20)),
+            memory_budget=budget_bytes,
             enable_cache=not args.no_cache,
-            workers=args.workers,
-            parallel_dispatch=args.dispatch,
-            shm=not args.no_shm,
-            shard_by_source=(
-                int(args.shard_by_source)
-                if args.shard_by_source.isdigit()
-                else args.shard_by_source
-            ),
-            steal=not args.no_steal,
             compress_spills=args.compress_spills,
             prefetch=not args.no_prefetch,
             trace=recorder,
@@ -328,8 +314,7 @@ def cmd_check(args) -> int:
     if recorder is not None:
         recorder.export(args.trace)
         print(
-            f"trace: {len(recorder.events)} events from"
-            f" {len(recorder.pids())} process(es) -> {args.trace}",
+            f"trace: {len(recorder.events)} events -> {args.trace}",
             file=sys.stderr,
         )
     if args.metrics_json:
@@ -455,7 +440,8 @@ def cmd_serve(args) -> int:
         from repro.obs.trace import TraceRecorder
 
         recorder = TraceRecorder()
-    checkers = [Checker.by_name(n.strip()) for n in args.checkers.split(",")]
+    _check_unroll(args.unroll)
+    checkers = _named_checkers(args.checkers)
     engine = ServeEngine(
         args.workspace, args.workdir, [c.fsm for c in checkers],
         unroll=args.unroll, reduce=args.reduce, trace=recorder,
@@ -491,6 +477,9 @@ def main(argv=None) -> int:
         # away (``repro check ... | head``) would otherwise fail in the
         # interpreter's exit-time flush, past any handler.
         sys.stdout.flush()
+    except UsageError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Give that exit-time flush somewhere to write, and report what a
         # shell reports for a SIGPIPE death (128 + 13).

@@ -66,8 +66,7 @@ class FeasibilityMemo:
     Sits in front of the tuple-keyed :class:`LRUCache` and the SMT
     solver: once an encoding (or sorted id combination) has a verdict,
     the next query is a single int-keyed dict probe -- no tuple hashing,
-    no LRU reordering.  Ids are process-local, so the memo never crosses
-    a process boundary (the LRU's tuple entries do instead).
+    no LRU reordering.
 
     The memo is insertion-bounded rather than LRU: verdicts are tiny
     (int -> bool) and the id space is already bounded by the encoding

@@ -1,13 +1,13 @@
 """Checkpoint manifests: resumable closure runs (DESIGN.md §11).
 
-After every completed wave (serial: every processed pair) the
-coordinator flushes the store and writes a small JSON manifest beside
-the partition files.  The manifest is everything the closure needs to
-restart from that point -- partition descriptors and versions, the
-scheduler's processed-pair frontier, a scalar snapshot of
-:class:`~repro.engine.stats.EngineStats`, and the full label table -- it
-is RNG-free by design: the engine derives everything else (encoding
-ids, caches, join indexes) deterministically from the partition files.
+After every processed pair the engine flushes the store and writes a
+small JSON manifest beside the partition files.  The manifest is
+everything the closure needs to restart from that point -- partition
+descriptors and versions, the scheduler's processed-pair frontier, a
+scalar snapshot of :class:`~repro.engine.stats.EngineStats`, and the
+full label table -- it is RNG-free by design: the engine derives
+everything else (encoding ids, caches, join indexes) deterministically
+from the partition files.
 
 ``--resume`` re-runs the front end (deterministic), then validates the
 manifest before adopting it:
@@ -90,8 +90,7 @@ def manifest_path(workdir: str) -> str:
 
 
 def write_manifest(workdir: str, *, phase: str, options, store,
-                   last_seen: dict, stats, graph,
-                   complete: bool, steal_frontier: dict | None = None) -> str:
+                   last_seen: dict, stats, graph, complete: bool) -> dict:
     """Atomically write the checkpoint manifest for one engine run."""
     parts = []
     for part in store.partitions:
@@ -133,12 +132,6 @@ def write_manifest(workdir: str, *, phase: str, options, store,
         "stats": scalars,
         "labels": [_jsonable(label) for _i, label in labels.items()],
     }
-    if steal_frontier is not None:
-        # Informational: waves end only once every dispatched (stolen
-        # included) pair is absorbed, so the frontier records how far
-        # the steal schedule had run at this quiescent point; resume
-        # correctness rests on last_seen alone.
-        manifest["steal_frontier"] = steal_frontier
     path = manifest_path(workdir)
     data = json.dumps(manifest, indent=1).encode()
     serialize.atomic_write_bytes(path, data)

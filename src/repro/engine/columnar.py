@@ -10,9 +10,8 @@ analogue:
 
 * :class:`EncodingTable` hash-conses path encodings (interval-sequence
   tuples) into dense integer ids, so the closure kernel compares and
-  hashes machine ints instead of variable-length tuples.  Ids are
-  process-local: anything crossing a process boundary is converted back
-  to tuples at the edge (see ``engine/parallel.py``).
+  hashes machine ints instead of variable-length tuples.  Ids are local
+  to one table: partition and delta files hold the tuples themselves.
 * :class:`EdgeColumns` keeps a partition as four parallel ``array('q')``
   columns -- ``src``/``dst``/``label``/``enc`` -- sorted by source, plus
   a small dict overlay for edges inserted since the last compaction.
@@ -37,7 +36,7 @@ ROW_BYTES = 32
 
 
 class EncodingTable:
-    """Hash-consing of encoding tuples to dense, process-local int ids."""
+    """Hash-consing of encoding tuples to dense int ids."""
 
     __slots__ = ("_ids", "_tuples", "_extras")
 
@@ -250,7 +249,7 @@ class EdgeColumns:
         return seen
 
     def to_dict(self) -> dict:
-        """Back to the tuple-keyed dict shape (cross-process / legacy)."""
+        """Back to the tuple-keyed dict shape."""
         decode = self.table.decode
         edges: dict = {}
         for s, d, l, eid in zip(self.src, self.dst, self.label, self.enc):
@@ -270,10 +269,8 @@ class EdgeColumns:
                     slot.add(decode(eid))
         return edges
 
-    def merge_dict(self, chunk: dict, collect: list | None = None) -> int:
-        """Union a tuple-keyed dict chunk; returns the number of new rows.
-        With ``collect``, appends the new ``(src, dst, label_id, enc_id)``
-        rows (for the closure's arrival log)."""
+    def merge_dict(self, chunk: dict) -> int:
+        """Union a tuple-keyed dict chunk; returns the number of new rows."""
         intern = self.table.intern
         added = 0
         for s, targets in chunk.items():
@@ -282,8 +279,6 @@ class EdgeColumns:
                     eid = intern(encoding)
                     if self.insert(s, d, l, eid):
                         added += 1
-                        if collect is not None:
-                            collect.append((s, d, l, eid))
         return added
 
     # -- compaction / splitting / serialisation -------------------------------
@@ -373,46 +368,3 @@ class EdgeColumns:
         return serialize.encode_columnar(
             self.src, self.dst, self.label, enc_local, encodings
         )
-
-
-class SharedEdgeColumns(EdgeColumns):
-    """Partition columns backed by a coordinator-published shm segment.
-
-    The ``src``/``dst``/``label`` base columns are zero-copy
-    ``memoryview`` casts over the attached segment; only ``enc`` is a
-    private ``array('q')`` because coordinator encoding ids must be
-    remapped to the worker's local :class:`EncodingTable` ids.  Every
-    read path (bisect runs, probes, row walks) works on the views
-    unchanged; mutation goes through the ``extra`` overlay as usual,
-    and :meth:`~EdgeColumns.compact` replaces the views with private
-    arrays, at which point the instance quietly stops being shared.
-
-    ``segment`` keeps the mapping alive exactly as long as the columns;
-    the attach cache (``engine/shm.py``) closes retired segments only
-    once their views are gone.
-    """
-
-    __slots__ = ("segment",)
-
-    @classmethod
-    def attach(cls, segment, header_size: int, rows: int, remap,
-               table: EncodingTable) -> "SharedEdgeColumns":
-        cols = cls(table)
-        cols.segment = segment
-        width = rows * 8
-        view = memoryview(segment.buf)
-        offset = header_size
-        cols.src = view[offset:offset + width].cast("q")
-        offset += width
-        cols.dst = view[offset:offset + width].cast("q")
-        offset += width
-        cols.label = view[offset:offset + width].cast("q")
-        offset += width
-        coord_enc = view[offset:offset + width].cast("q")
-        cols.enc = array("q", map(remap.__getitem__, coord_enc))
-        coord_enc.release()
-        if table.has_extras():
-            cols._bytes = sum(map(table.row_bytes, cols.enc))
-        else:
-            cols._bytes = ROW_BYTES * rows
-        return cols

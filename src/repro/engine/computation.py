@@ -11,11 +11,11 @@ visit, and the computation stops when no pair is eligible -- the
 fixpoint "no new edges can be found".
 
 Visits are *semi-naive* (:meth:`GraphEngine._pair_body`, the one pair
-drain, shared by the serial loop and the parallel workers).  A visit
-composes every new edge both as a left operand (the frontier drain) and
-as a right operand (against a per-visit reverse index of the in-edges
-that can join inside the pair), so one visit reaches in-pair closure and
-the pair is marked at its *post*-visit versions.  A first visit seeds
+drain).  A visit composes every new edge both as a left operand (the
+frontier drain) and as a right operand (against a per-visit reverse
+index of the in-edges that can join inside the pair), so one visit
+reaches in-pair closure and the pair is marked at its *post*-visit
+versions.  A first visit seeds
 with the joinable edges only; a revisit seeds with just the edges that
 arrived since the pair's last visit, read from the phase's
 :class:`~repro.engine.scheduling.DeltaLog`; a pair no relevant-source
@@ -33,8 +33,7 @@ the right-hand sorted source runs once per distinct vertex instead of
 once per edge.  Encoding merges, reversals, label compositions, and
 feasibility verdicts are all memoised by id, so the hot path compares
 machine ints where it used to hash variable-length tuples.  Ids never
-leave the process; anything that crosses a process or disk boundary is
-converted back to encoding tuples at the edge.
+reach the disk: partition and delta files hold encoding tuples.
 """
 
 from __future__ import annotations
@@ -97,47 +96,34 @@ class EngineOptions:
     # baseline did not terminate in 200 hours on HBase -- the budget lets
     # the benchmark report "timeout" instead of hanging.
     time_budget: float | None = None
-    # Number of worker processes for the partition-pair computation.
-    # 1 keeps the serial in-process path (the correctness oracle); >1
-    # dispatches waves of disjoint pairs to a multiprocessing pool (see
-    # repro.engine.parallel).
-    workers: int = 1
-    # How the parallel path runs pair tasks: "auto" forks a pool only
-    # when the machine has more than one CPU (otherwise every task runs
-    # in the coordinator process -- same wave protocol, no IPC); "fork"
-    # always forks `workers` processes; "inline" never forks.
-    parallel_dispatch: str = "auto"
     # Background I/O pipeline (engine/io_pipeline.py): prefetch upcoming
     # partitions on a reader thread, and zlib-compress buffered spill
     # frames on the writer thread.
     prefetch: bool = True
     compress_spills: bool = False
     # Observability (repro.obs) -- all three default off and cost nothing
-    # when disabled.  ``trace`` is a TraceRecorder (forked workers inherit
-    # it through _FORK_STATE and ship their spans back in WaveResults);
-    # ``metrics`` attaches the standard histogram registry to the stats;
-    # ``heartbeat`` prints a progress line on stderr every N seconds.
+    # when disabled.  ``trace`` is a TraceRecorder; ``metrics`` attaches
+    # the standard histogram registry to the stats; ``heartbeat`` prints
+    # a progress line on stderr every N seconds.
     trace: object = None
     metrics: bool = False
     heartbeat: float | None = None
     # Resource telemetry (repro.obs.profile): a ResourceSampler whose
     # background thread records gauge timeseries (RSS, cache occupancy,
-    # eligible pairs, shm bytes, GC pauses).  The engine binds its
-    # providers during a run; forked workers see the object through
-    # _FORK_STATE copy-on-write and build their *own* sampler from its
-    # interval (a thread never survives fork).  None = profiling off,
-    # and -- like the rest of the observability stack -- off costs
-    # nothing and adds nothing to the run report.
+    # eligible pairs, GC pauses).  The engine binds its providers
+    # during a run.  None = profiling off, and -- like the rest of the
+    # observability stack -- off costs nothing and adds nothing to the
+    # run report.
     sampler: object = None
     # Fault tolerance (DESIGN.md §11).  Checkpoint manifests are written
-    # after every wave (serial: every pair) when ``workdir`` is explicit
-    # -- a temp workdir cannot be pointed at again, so checkpointing is
-    # skipped (and costs nothing) there.  ``resume`` restarts a killed
-    # run from ``workdir``'s last manifest; ``max_retries`` bounds how
-    # often a pair whose worker died or whose partition load raised
-    # CorruptPartition is requeued before it degrades to a warning;
-    # ``fault_plan`` is a repro.faults.FaultPlan (or its spec string)
-    # injecting deterministic failures for tests and smoke runs.
+    # after every processed pair when ``workdir`` is explicit -- a temp
+    # workdir cannot be pointed at again, so checkpointing is skipped
+    # (and costs nothing) there.  ``resume`` restarts a killed run from
+    # ``workdir``'s last manifest; ``max_retries`` bounds how often a
+    # pair whose partition load raised CorruptPartition is retried
+    # before it degrades to a warning; ``fault_plan`` is a
+    # repro.faults.FaultPlan (or its spec string) injecting
+    # deterministic failures for tests and smoke runs.
     resume: bool = False
     max_retries: int = 2
     fault_plan: object = None
@@ -145,20 +131,6 @@ class EngineOptions:
     # background prefetcher each iteration (deeper lookahead keeps the
     # reader busy across pairs whose partitions were already resident).
     prefetch_depth: int = 4
-    # Parallel data plane (engine/shm.py, DESIGN.md §13).  ``shm``
-    # publishes pooled pairs' partitions as named shared-memory column
-    # segments that workers map zero-copy (--no-shm falls back to the
-    # materialise-to-disk protocol; also the automatic fallback wherever
-    # POSIX shared memory is unavailable).  ``shard_by_source`` orders
-    # waves by contiguous source strata ("auto" = one stratum per pool
-    # slot, an int fixes the count, 0/"off" keeps the serial pair
-    # order).  ``steal`` lets the coordinator refill freed pool slots
-    # with further eligible pairs while a wave's results stream back
-    # (deterministic: steal decisions are keyed to absorb order, never
-    # wall-clock); it is disabled automatically under --max-pairs.
-    shm: bool = True
-    shard_by_source: object = "auto"
-    steal: bool = True
 
 
 @dataclass
@@ -231,9 +203,8 @@ class GraphEngine:
         # files and checkpoint manifests never collide across phases.
         self.phase = phase
         # Normalise the fault plan once and write it back, so the two
-        # pipeline phases (which share one EngineOptions) and forked
-        # workers (which inherit it through _FORK_STATE) all hold the
-        # same armed plan with its once-per-run latches.
+        # pipeline phases (which share one EngineOptions) hold the same
+        # armed plan with its once-per-run latches.
         self.faults = resolve_plan(self.options.fault_plan)
         self.options.fault_plan = self.faults
         self.stats = EngineStats()
@@ -245,7 +216,7 @@ class GraphEngine:
             self.stats.ensure_metrics()
         self._heartbeat = None
         self.cache = LRUCache(self.options.cache_capacity)
-        # All id-keyed memo tables below are process-local, like the
+        # All id-keyed memo tables below live and die with the
         # EncodingTable that defines the ids.
         self._enc = EncodingTable()
         self._decode_cache: dict = {}  # enc id -> constraint expr
@@ -315,16 +286,6 @@ class GraphEngine:
         if self.options.time_budget is not None:
             self._deadline = time.perf_counter() + self.options.time_budget
         self.timed_out = False
-        parallel = self.options.workers > 1
-        min_partitions = self.options.min_partitions
-        if parallel:
-            from repro.engine.parallel import effective_workers
-
-            # More partitions widen the waves (up to P // 2 disjoint
-            # pairs in flight).
-            min_partitions = max(
-                min_partitions, 2 * effective_workers(self.options)
-            )
         trace = self.trace
         if self.options.heartbeat:
             from repro.obs.report import Heartbeat
@@ -386,13 +347,14 @@ class GraphEngine:
                 stats.edges_before = graph.edge_count()
                 stats.vertices = len(graph.vertices)
                 store.initialize(
-                    graph.edges, len(graph.vertices), min_partitions
+                    graph.edges, len(graph.vertices),
+                    self.options.min_partitions,
                 )
         self._graph = graph
         self._store = store
-        # Telemetry providers for this phase: the sampler thread (one per
-        # process, started idempotently) polls these at its cadence; they
-        # are unbound below before the store is torn down.
+        # Telemetry providers for this phase: the sampler thread (started
+        # idempotently) polls these at its cadence; they are unbound
+        # below before the store is torn down.
         sampler = self.options.sampler
         if sampler is not None:
             sampler.bind("partition_cache_occupancy", store.cache_occupancy)
@@ -411,17 +373,9 @@ class GraphEngine:
 
         resumed_complete = manifest is not None and manifest["complete"]
         try:
-            with trace.span(
-                "closure", workers=self.options.workers,
-                partitions=len(store.partitions),
-            ):
-                if resumed_complete:
-                    pass  # the manifest says this phase already finished
-                elif parallel:
-                    from repro.engine.parallel import ParallelCoordinator
-
-                    ParallelCoordinator(self).run()
-                else:
+            with trace.span("closure", partitions=len(store.partitions)):
+                # A complete manifest says this phase already finished.
+                if not resumed_complete:
                     self._serial_loop()
         finally:
             if sampler is not None:
@@ -465,7 +419,6 @@ class GraphEngine:
             self._ckpt_dir, phase=self.phase or "closure",
             options=self.options, store=store, last_seen=last_seen,
             stats=self.stats, graph=self._graph, complete=complete,
-            steal_frontier=getattr(self, "_steal_frontier", None),
         )
         # With the manifest durable, anything it does not reference is
         # superseded garbage (folded delta logs, torn-write temps); a
@@ -789,7 +742,7 @@ class GraphEngine:
             parts[j] = store.partitions[j]
             loaded[j] = store.load(parts[j])
         # After the loads: folding a damaged delta file resets the log.
-        seeds = self._pair_seeds((i, j))
+        seeds = self._log.delta((i, j))
         dirty: set = set()
         spills: dict = {}
         rel_src = self._rel_src_id
@@ -849,10 +802,6 @@ class GraphEngine:
 
         self._flush_spills(spills)
         self._finalize_pair(loaded, parts, dirty)
-
-    def _pair_seeds(self, pair):
-        """Edges new to ``pair`` since its last visit (None = all)."""
-        return self._log.delta(pair)
 
     def _finalize_pair(self, loaded, parts, dirty) -> None:
         """Persist the pair's loaded partitions (splitting any
@@ -1104,7 +1053,7 @@ class GraphEngine:
 
     def _feasible_solve(self, ids: tuple, lru_key: tuple) -> bool:
         """Memo-miss path: consult the LRU (keyed by the sorted encoding
-        tuple, shareable across processes), then the canonical-form memo,
+        tuple), then the canonical-form memo,
         and only then materialise the constraint and solve it."""
         stats = self.stats
         self.solver.stats.memo_misses += 1

@@ -3,15 +3,14 @@
 Grapple hides disk latency behind computation (paper §4.3): while one
 partition pair is being composed, the next pair's partitions are already
 being read and decoded.  The scheduler knows the upcoming pairs
-(:meth:`PairScheduler.peek_pairs` / the coordinator's ``select_wave``),
-so the engine hands them to a :class:`PrefetchReader` whose daemon
-thread reads the partition file *and* any pending delta frames and
-parses them into plain data (``serialize.parse_columnar`` is pure --
-no shared interning state is touched off-thread).  The consumer
-validates the partition's version at :meth:`PrefetchReader.take` time:
-any write that happened after the prefetch was scheduled bumps the
-version and turns the prefetch into a miss, so stale bytes can never be
-adopted.
+(:meth:`PairScheduler.peek_pairs`), so the engine hands them to a
+:class:`PrefetchReader` whose daemon thread reads the partition file
+*and* any pending delta frames and parses them into plain data
+(``serialize.parse_columnar`` is pure -- no shared interning state is
+touched off-thread).  The consumer validates the partition's version at
+:meth:`PrefetchReader.take` time: any write that happened after the
+prefetch was scheduled bumps the version and turns the prefetch into a
+miss, so stale bytes can never be adopted.
 
 Spill (delta) writes go the other way: :class:`SpillWriter` queues
 payloads and appends them as CRC-framed records from a writer thread,

@@ -7,14 +7,13 @@ edge whose source falls in the interval.  The store keeps partitions
 disk only for what does not (paper §4.3: partitions are loaded, kept
 while they fit, evicted and repartitioned eagerly when they do not).  A
 new partition is handed to the cache as it is built; a partition *file*
-is produced by an eviction, by :meth:`PartitionStore.materialize` for a
-pooled worker, or by a checkpoint flush -- never by construction.  A
-closure whose partitions all stay resident therefore writes nothing (and
-a scratch store does not even create its directory).  The computation
-loads at most two partitions at a time (its pair), buffers new edges
-destined for non-resident partitions in per-partition delta files, and
-splits any partition whose estimated in-memory size exceeds the budget
-("eager repartitioning", §4.3).
+is produced by an eviction or by a checkpoint flush -- never by
+construction.  A closure whose partitions all stay resident therefore
+writes nothing (and a scratch store does not even create its
+directory).  The computation loads at most two partitions at a time (its
+pair), buffers new edges destined for non-resident partitions in
+per-partition delta files, and splits any partition whose estimated
+in-memory size exceeds the budget ("eager repartitioning", §4.3).
 
 Loaded partitions are :class:`~repro.engine.columnar.EdgeColumns` (sorted
 int64 columns plus an insert overlay, encodings interned in the store's
@@ -34,7 +33,7 @@ Every way edges enter or move between partitions outside the engine's
 own insert loop passes through this module, so the store also keeps the
 closure's :class:`~repro.engine.scheduling.DeltaLog` (``store.log``,
 attached by the engine for the duration of a phase) truthful: appended
-and merged edges are recorded as arrivals; a split, or a delta file
+edges are recorded as arrivals; a split, or a delta file
 salvaged around corrupt frames, resets the partition's log so every
 pair touching it seeds fully on its next visit.
 
@@ -173,7 +172,7 @@ class PartitionStore:
         self._bounds_stale = True
         if len(self._cache) < self.cache_slots:
             # Memory-first: resident and dirty, so the file appears only
-            # if the partition is ever evicted, shipped or checkpointed.
+            # if the partition is ever evicted or checkpointed.
             self._cache[part.index] = cols
             self._dirty.add(part.index)
         else:
@@ -565,46 +564,6 @@ class PartitionStore:
             self.log.reset(new_part.index, right_cols)
         return part, left_cols, new_part, right_cols
 
-    # -- parallel-coordinator support ------------------------------------------
-
-    def merge_chunk(self, part: Partition, chunk: dict) -> int:
-        """Deduplicating merge of a tuple-shaped ``chunk`` (a pooled
-        worker's new edges) into a partition.
-
-        Unlike :meth:`append_delta` on an uncached partition, this loads
-        the partition and only bumps the version when genuinely new edges
-        arrived -- the parallel coordinator relies on that to keep pair
-        re-eligibility (and hence termination) tight.  Returns the number
-        of newly added edges, each recorded in the arrival log.
-        """
-        if not chunk:
-            return 0
-        cols = self.load(part)
-        new_rows: list = []
-        added = cols.merge_dict(chunk, collect=new_rows)
-        if added:
-            self.save(part, cols)  # recomputes edge_count/byte_estimate
-            part.version += 1
-            if self.log is not None:
-                for row in new_rows:
-                    self.log.record(part.index, *row)
-        return added
-
-    def materialize(self, part: Partition) -> None:
-        """Guarantee ``part.path`` on disk holds the partition's full,
-        current contents (pending delta folded in, dirty cache flushed)
-        so an out-of-process worker can read the file directly."""
-        if self.spill_writer is not None:
-            self.spill_writer.flush(part.delta_path)
-        cached = self._cache.get(part.index)
-        has_delta = os.path.exists(part.delta_path)
-        if cached is None and not has_delta and part.index not in self._dirty:
-            return  # disk already current
-        cols = self.load(part)  # folds delta, may mark dirty
-        if part.index in self._dirty:
-            self._dirty.discard(part.index)
-            self._save(part, cols)
-
     def total_edges(self) -> int:
         return sum(p.edge_count for p in self.partitions)
 
@@ -652,21 +611,12 @@ def _balanced_boundaries(edges: dict, num_vertices: int, wanted: int):
 
 def recode_chunk(chunk: dict, convert) -> dict:
     """``{src: {(dst, label_id): set}}`` with every set element mapped
-    through ``convert`` (``table.decode``: ids -> tuples on the way out
-    of the process; ``table.intern``: back)."""
+    through ``convert`` (``table.decode``: ids -> tuples on the way to
+    a delta file)."""
     return {
         src: {key: {convert(e) for e in encs} for key, encs in targets.items()}
         for src, targets in chunk.items()
     }
-
-
-def _merge_edges(edges: dict, chunk: dict) -> None:
-    """Union ``chunk`` into ``edges`` (both ``{src: {(dst, label_id):
-    set}}``, same element encoding)."""
-    for src, targets in chunk.items():
-        mine = edges.setdefault(src, {})
-        for key, encodings in targets.items():
-            mine.setdefault(key, set()).update(encodings)
 
 
 def _estimate_bytes(edges: dict) -> int:

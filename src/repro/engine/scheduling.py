@@ -6,20 +6,14 @@ the pair was last processed.  The serial engine used to rediscover the
 next eligible pair with an O(P^2) scan per step; :class:`PairScheduler`
 keeps a min-heap of candidate pairs instead, refreshed by an O(P) sweep
 over partition versions, and pops the lexicographically smallest eligible
-pair -- exactly the pair the old scan would have returned, so the serial
-path's processing order (and therefore its output) is unchanged.
-
-The same eligibility source feeds the parallel engine's *wave* selection:
-:meth:`select_wave` greedily picks eligible pairs, in the serial order,
-such that no partition appears in two pairs of one wave -- the in-flight
-pairs of a wave touch disjoint partition sets, so workers never load or
-save the same partition concurrently.
+pair -- exactly the pair the old scan would have returned, so the
+processing order (and therefore the output) is unchanged.
 
 :class:`PairScheduler` says *which* pair to visit; :class:`DeltaLog` says
 what a visit has to look at: the edges that arrived in the pair since
 its last visit (or everything, when that cannot be trusted), or nothing
-at all when no edge can join inside the pair.  Both the serial loop and
-the wave coordinator drive one instance of each per closure phase.
+at all when no edge can join inside the pair.  The engine's loop drives
+one instance of each per closure phase.
 """
 
 from __future__ import annotations
@@ -29,49 +23,9 @@ from array import array
 from bisect import bisect_right
 
 
-class StratumPlanner:
-    """Source-stratified wave planning (``--shard-by-source``).
-
-    Partitions are contiguous source-vertex ranges (``partition_of``
-    bisects over their start vertices), so slicing the partition list
-    into ``strata`` contiguous blocks shards the closure by source
-    stratum, SSC-style (Yang & Zaniolo's single-source closure): pairs
-    whose partitions fall in one stratum extend paths rooted in one
-    source range and are mutually independent fan-out work, so the
-    planner orders them first, keeping a wave's pairs clustered instead
-    of striped across the whole graph.  Cross-stratum pairs (the
-    stitch-up work) follow, by lowest stratum touched.
-
-    The planner only *reorders* eligible pairs -- eligibility, the
-    disjointness rule, and the fixpoint are :class:`PairScheduler`'s,
-    which remains the fallback path and the golden oracle.
-    """
-
-    def __init__(self, store, strata: int):
-        self.store = store
-        self.strata = max(1, int(strata))
-        self._of: list[int] = []
-
-    def rebuild(self) -> None:
-        """Recompute the partition -> stratum map (splits move it)."""
-        n = len(self.store.partitions)
-        k = min(self.strata, n)
-        self._of = [i * k // n for i in range(n)]
-
-    def stratum(self, index: int) -> int:
-        return self._of[index]
-
-    def wave_key(self, pair) -> tuple:
-        i, j = pair
-        si, sj = self._of[i], self._of[j]
-        if si == sj:
-            return (0, si, pair)
-        return (1, min(si, sj), pair)
-
-
 class DeltaLog:
-    """Semi-naive bookkeeping for pair revisits, shared by the serial
-    loop and the wave coordinator (one object per closure phase).
+    """Semi-naive bookkeeping for pair revisits (one object per closure
+    phase).
 
     Three things live here, all in memory only (dropped at phase end,
     never checkpointed -- after ``--resume`` every cursor is gone, so
@@ -80,7 +34,7 @@ class DeltaLog:
     * a per-partition **arrival log**: every edge added to the partition
       since the log was last reset, in arrival order, as four parallel
       ``array('q')`` columns ``(src, dst, label_id, enc_id)`` -- ids of
-      the store's own encoding table, so nothing is decoded in-process;
+      the store's own encoding table, so nothing is decoded;
     * per-pair **cursors** ``(epoch_i, len_i, epoch_j, len_j)`` recorded
       when a visit ends: the next visit's seed is each partition's log
       past its cursor.  Whoever moves edges other than by appending
@@ -303,87 +257,8 @@ class PairScheduler:
                     break
         return out
 
-    def peek_wave(self, max_width: int, planner=None) -> list:
-        """Predict :meth:`select_wave`'s next result without consuming
-        anything (same greedy disjointness rule over current
-        eligibility, same planner ordering).  Wave lookahead for the
-        prefetch pipeline."""
-        self._refresh()
-        candidates = heapq.nsmallest(len(self._heap), self._heap)
-        if planner is not None:
-            planner.rebuild()
-            candidates = sorted(
-                (p for p in candidates if self._eligible(p)),
-                key=planner.wave_key,
-            )
-        wave: list = []
-        busy: set = set()
-        for pair in candidates:
-            if len(wave) >= max_width:
-                break
-            if not self._eligible(pair):
-                continue
-            i, j = pair
-            if i in busy or j in busy:
-                continue
-            busy.add(i)
-            busy.add(j)
-            wave.append(pair)
-        return wave
-
     def pop_pair(self, pair) -> None:
         """Remove ``pair`` from the queue (it is about to be processed)."""
         if self._heap and self._heap[0] == pair:
             heapq.heappop(self._heap)
             self._in_heap.discard(pair)
-
-    def select_wave(self, max_width: int, planner=None, busy=None) -> list:
-        """Up to ``max_width`` mutually disjoint eligible pairs.
-
-        Pairs are considered in the serial processing order (or, with a
-        :class:`StratumPlanner`, in stratum order); a pair joins the
-        wave only if neither of its partitions is already claimed --
-        including any passed in via ``busy`` (partitions of pairs still
-        in flight, for the coordinator's steal refills) -- so no
-        partition is in two in-flight pairs.  Skipped-over pairs stay
-        queued for later waves.
-        """
-        self._refresh()
-        wave: list = []
-        claimed: set = set() if busy is None else set(busy)
-        kept: list = []
-        heap = self._heap
-        if planner is not None:
-            planner.rebuild()
-            eligible: list = []
-            while heap:
-                pair = heapq.heappop(heap)
-                self._in_heap.discard(pair)
-                if self._eligible(pair):
-                    eligible.append(pair)
-            eligible.sort(key=planner.wave_key)
-            for pair in eligible:
-                i, j = pair
-                if len(wave) < max_width \
-                        and i not in claimed and j not in claimed:
-                    claimed.add(i)
-                    claimed.add(j)
-                    wave.append(pair)
-                else:
-                    kept.append(pair)
-        else:
-            while heap and len(wave) < max_width:
-                pair = heapq.heappop(heap)
-                self._in_heap.discard(pair)
-                if not self._eligible(pair):
-                    continue
-                i, j = pair
-                if i in claimed or j in claimed:
-                    kept.append(pair)  # still eligible; revisit next wave
-                    continue
-                claimed.add(i)
-                claimed.add(j)
-                wave.append(pair)
-        for pair in kept:
-            self._push(pair)
-        return wave

@@ -5,20 +5,14 @@ constraint encoding/decoding (lookup), SMT solving, and in-memory edge-pair
 computation -- summed across all processing threads.  :class:`EngineStats`
 collects exactly those, plus the counters behind Tables 3-5.
 
-Every field carries metadata describing how it aggregates:
-
-* ``kind``: ``counter`` (sums), ``gauge`` (point-in-time, last-set-wins),
-  ``flag`` (ORs), or ``registry`` (a nested
-  :class:`~repro.obs.metrics.MetricsRegistry` of histograms).
-* ``scope``: ``worker`` fields are summed by :meth:`EngineStats.merge`
-  when a worker's delta folds into the coordinator; ``coordinator``
-  fields belong to the coordinating process only and are left alone.
-
-:meth:`merge` is derived from this metadata rather than a hand-written
-field list, so a newly added counter aggregates correctly by default --
-a field with no explicit metadata is treated as a summed worker counter,
-the fail-safe direction (the old hand-maintained tuple silently dropped
-``preprocess_time``).
+Every field carries a ``kind`` describing how it aggregates across the
+pipeline's phases (:meth:`EngineStats.merge_phase`) and how it is
+exported: ``counter`` (sums), ``gauge`` (point-in-time within a phase),
+``flag`` (ORs), or ``registry`` (a nested
+:class:`~repro.obs.metrics.MetricsRegistry` of histograms).  The
+aggregation is derived from this metadata rather than a hand-written
+field list, so a newly added counter aggregates correctly by default (a
+hand-maintained tuple once silently dropped ``preprocess_time``).
 """
 
 from __future__ import annotations
@@ -28,9 +22,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 
-def stat_field(default=0, kind: str = "counter", scope: str = "worker"):
+def stat_field(default=0, kind: str = "counter"):
     """Dataclass field with aggregation metadata (see module docstring)."""
-    return field(default=default, metadata={"kind": kind, "scope": scope})
+    return field(default=default, metadata={"kind": kind})
 
 
 @dataclass
@@ -45,11 +39,11 @@ class EngineStats:
     # encode_time/smt_time and is excluded from the Figure 9 breakdown.
     feasibility_time: float = stat_field(0.0)
 
-    iterations: int = stat_field(scope="coordinator")
+    iterations: int = stat_field()
     pairs_processed: int = stat_field()
-    edges_before: int = stat_field(kind="gauge", scope="coordinator")
-    edges_after: int = stat_field(kind="gauge", scope="coordinator")
-    vertices: int = stat_field(kind="gauge", scope="coordinator")
+    edges_before: int = stat_field(kind="gauge")
+    edges_after: int = stat_field(kind="gauge")
+    vertices: int = stat_field(kind="gauge")
     new_edges: int = stat_field()
     compositions_tried: int = stat_field()
     constraints_solved: int = stat_field()  # solver invocations (cache misses)
@@ -60,17 +54,13 @@ class EngineStats:
     cache_hits: int = stat_field()
     infeasible_dropped: int = stat_field()
     encoding_overflow_dropped: int = stat_field()
-    repartitions: int = stat_field(scope="coordinator")
-    final_partitions: int = stat_field(kind="gauge", scope="coordinator")
+    repartitions: int = stat_field()
+    final_partitions: int = stat_field(kind="gauge")
     timed_out: bool = stat_field(False, kind="flag")
-    # Pair scheduling: dispatched waves of disjoint pairs (parallel
-    # engine only; 0 for a serial run), and eligible pairs retired
-    # without being loaded because the join index proved them inert
-    # (both counted by whoever runs the pair loop, not summed by
-    # merge()); and visits seeded from the arrival log's delta instead
-    # of every joinable edge (counted where the pair is drained).
-    waves: int = stat_field(scope="coordinator")
-    pairs_skipped: int = stat_field(scope="coordinator")
+    # Pair scheduling: eligible pairs retired without being loaded
+    # because the join index proved them inert, and visits seeded from
+    # the arrival log's delta instead of every joinable edge.
+    pairs_skipped: int = stat_field()
     pairs_delta_seeded: int = stat_field()
     # I/O pipeline: partition loads served from the background reader's
     # parse vs. loads that fell back to a synchronous read, and delta
@@ -88,34 +78,33 @@ class EngineStats:
     prefetch_errors: int = stat_field()
     spill_frames: int = stat_field()
     spill_bytes: int = stat_field()
-    # Partition files written (evictions, worker materialisation,
-    # checkpoint flushes, rebuilds) and their bytes.  Both 0 means the
-    # closure never left memory.
+    # Partition files written (evictions, checkpoint flushes, rebuilds)
+    # and their bytes.  Both 0 means the closure never left memory.
     partition_writes: int = stat_field()
     partition_bytes_written: int = stat_field()
     # Fault tolerance: truncated trailing delta frames dropped on read
     # (benign crash artifacts), interior delta frames discarded on CRC or
     # decode failure (real corruption; the partition's pairs recompute),
-    # pair-task retries, pairs degraded to a warning after retry
-    # exhaustion, partitions rebuilt from their resident cached copy, and
-    # checkpoint manifests written (coordinator-side).
+    # pair retries, pairs degraded to a warning after retry exhaustion,
+    # partitions rebuilt from their resident cached copy, and checkpoint
+    # manifests written.
     delta_frames_dropped: int = stat_field()
     delta_frames_corrupt: int = stat_field()
-    retries: int = stat_field(scope="coordinator")
-    pairs_quarantined: int = stat_field(scope="coordinator")
-    partitions_rebuilt: int = stat_field(scope="coordinator")
-    partitions_quarantined: int = stat_field(scope="coordinator")
-    checkpoints_written: int = stat_field(scope="coordinator")
+    retries: int = stat_field()
+    pairs_quarantined: int = stat_field()
+    partitions_rebuilt: int = stat_field()
+    partitions_quarantined: int = stat_field()
+    checkpoints_written: int = stat_field()
     # Superseded workdir files (folded delta logs, torn-write temps,
     # repartition orphans) garbage-collected after a durable manifest
     # write -- keeps a long-running serve workdir from growing forever.
-    checkpoint_files_pruned: int = stat_field(scope="coordinator")
+    checkpoint_files_pruned: int = stat_field()
     # Incremental serve daemon (repro.serve): edits answered, closure
     # pairs added/removed by the incremental transitive-closure delta,
     # and accumulated warnings retracted when their stratum re-derived.
-    edits_served: int = stat_field(scope="coordinator")
-    edges_rederived: int = stat_field(scope="coordinator")
-    warnings_retracted: int = stat_field(scope="coordinator")
+    edits_served: int = stat_field()
+    edges_rederived: int = stat_field()
+    warnings_retracted: int = stat_field()
     # Merge-join frontier drain: rounds processed and distinct join
     # vertices probed against the right-hand sorted runs.
     join_batches: int = stat_field()
@@ -124,23 +113,6 @@ class EngineStats:
     # solved, and queries answered by an already-solved form.
     feasibility_groups: int = stat_field()
     group_hits: int = stat_field()
-    # Shared-memory data plane (engine/shm.py): worker-side segment
-    # attaches and bytes mapped, attaches that had to be abandoned
-    # (segment vanished / stale -> pair retried), coordinator-side
-    # partition publishes, and wall-clock a worker spent computing
-    # tasks (summed exactly across processes by merge()).
-    shm_attaches: int = stat_field()
-    shm_bytes_mapped: int = stat_field()
-    shm_attach_lost: int = stat_field()
-    shm_publishes: int = stat_field(scope="coordinator")
-    worker_busy_s: float = stat_field(0.0)
-    # Steal/stratum scheduling (coordinator-side): pairs dispatched
-    # past a wave's initial fill while results streamed back, estimated
-    # pool idle seconds (slots x wall - busy), and the stratum count the
-    # planner sharded sources into (0 = planner off).
-    pairs_stolen: int = stat_field(scope="coordinator")
-    worker_idle_s: float = stat_field(0.0, scope="coordinator")
-    strata: int = stat_field(kind="gauge", scope="coordinator")
     # Optional histogram registry (solve latency, per-pair compute time and
     # edge yield, prefetch waits).  None unless metrics collection is on --
     # hot paths guard on ``is not None`` so a disabled run pays nothing.
@@ -150,31 +122,6 @@ class EngineStats:
         # Self-time stack for reentrant timing(); not a dataclass field so
         # keyword construction and equality keep their historical shape.
         self._tstack: list[float] = []
-
-    # -- field classification --------------------------------------------------
-
-    @classmethod
-    def _meta(cls, f) -> tuple[str, str]:
-        return (
-            f.metadata.get("kind", "counter"),
-            f.metadata.get("scope", "worker"),
-        )
-
-    @classmethod
-    def summed_fields(cls) -> tuple[str, ...]:
-        """Worker-scope counters: summed across processes by merge()."""
-        return tuple(
-            f.name
-            for f in fields(cls)
-            if cls._meta(f) == ("counter", "worker")
-        )
-
-    @classmethod
-    def coordinator_fields(cls) -> tuple[str, ...]:
-        """Fields merge() leaves alone (coordinator-only bookkeeping)."""
-        return tuple(
-            f.name for f in fields(cls) if f.metadata.get("scope") == "coordinator"
-        )
 
     # -- timing ----------------------------------------------------------------
 
@@ -222,7 +169,7 @@ class EngineStats:
 
         registry = MetricsRegistry()
         for f in fields(self):
-            kind, _scope = self._meta(f)
+            kind = f.metadata["kind"]
             value = getattr(self, f.name)
             if kind == "counter":
                 registry.counter(f.name).inc(value)
@@ -274,46 +221,15 @@ class EngineStats:
     def merge_phase(self, other: "EngineStats") -> None:
         """Fold a *completed phase's* stats into a cross-phase total.
 
-        Unlike :meth:`merge` (worker delta -> coordinator, which must
-        leave coordinator bookkeeping alone), both sides here are final
-        per-phase results, so every numeric field aggregates: counters
-        sum regardless of scope, gauges sum (a whole-run edge/vertex
+        Both sides are final per-phase results, so every numeric field
+        aggregates: counters sum, gauges sum (a whole-run edge/vertex
         total is the sum of per-phase totals), flags OR, registries
         merge.  Derived from field metadata -- a newly added field
         aggregates correctly without touching any hand-written list.
         """
         for f in fields(self):
-            kind, _scope = self._meta(f)
+            kind = f.metadata["kind"]
             if kind in ("counter", "gauge"):
-                setattr(
-                    self, f.name, getattr(self, f.name) + getattr(other, f.name)
-                )
-            elif kind == "flag":
-                setattr(
-                    self, f.name, getattr(self, f.name) or getattr(other, f.name)
-                )
-            elif kind == "registry":
-                theirs = getattr(other, f.name)
-                if theirs is None:
-                    continue
-                mine = getattr(self, f.name)
-                if mine is None:
-                    setattr(self, f.name, theirs.clone())
-                else:
-                    mine.merge(theirs)
-
-    def merge(self, other: "EngineStats") -> None:
-        """Fold a worker's stats into this one (times sum across threads).
-
-        Driven by field metadata: worker counters sum, flags OR,
-        registries merge histogram-by-histogram, and coordinator-scope
-        fields are left untouched.
-        """
-        for f in fields(self):
-            kind, scope = self._meta(f)
-            if scope == "coordinator":
-                continue
-            if kind == "counter":
                 setattr(
                     self, f.name, getattr(self, f.name) + getattr(other, f.name)
                 )

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the disk engine.
 
 Grapple's durability claims (atomic partition writes, crash-tolerant
-delta frames, worker retry, checkpoint/resume) are only worth anything
+delta frames, pair retry, checkpoint/resume) are only worth anything
 if they are exercised; this module injects the failures those mechanisms
 exist to survive, at *deterministic* points, so every recovery path has
 a repeatable test.
@@ -9,11 +9,10 @@ a repeatable test.
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each
 naming an injection *site* (a well-known string the engine passes to
 :meth:`FaultPlan.fire` at the instrumented operation), a *mode* (what to
-break), and *nth* (fire on the nth operation at that site, counted
-per process).  Specs parse from a compact string so they can ride the
-CLI::
+break), and *nth* (fire on the nth operation at that site).  Specs parse
+from a compact string so they can ride the CLI::
 
-    --fault-plan "short_write@partition-write:2,kill_worker@worker-task:1"
+    --fault-plan "short_write@partition-write:2,bad_frame@delta-append:1"
 
 Sites and their legal modes:
 
@@ -34,26 +33,15 @@ Sites and their legal modes:
     frame and a *valid* CRC (corruption below the checksum: surfaces as
     :class:`~repro.engine.serialize.CorruptPartition` at decode time).
 
-``worker-task``  (:func:`repro.engine.parallel._worker_run`)
-    ``kill_worker``  -- SIGKILL the worker process at task start; the
-    coordinator must detect the broken pool, rebuild it, and retry.
-
 ``checkpoint``  (:meth:`GraphEngine._write_checkpoint`, after the
 manifest is durable)
     ``kill_run``  -- SIGKILL the whole process; a later ``--resume``
     must restart from this manifest.
 
-``attach``  (:meth:`repro.engine.shm.ShmAttachCache.attach`, before a
-worker maps a published segment)
-    ``shm_unlink``  -- unlink the segment out from under the worker
-    (as if the coordinator died mid-republish); the attach must fail
-    with ``ShmAttachLost`` and the pair go through the retry path,
-    never silently fall back to the (possibly stale) partition file.
-
 Every spec fires **at most once per run**, enforced by a latch file in
-the engine workdir created with ``O_EXCL`` -- so a retried worker (a
-fresh fork whose per-process counters restarted) does not re-kill
-itself, and a resumed run does not re-trip the faults that crashed it.
+the engine workdir created with ``O_EXCL`` -- so a resumed run (a fresh
+process whose counters restarted) does not re-trip the faults that
+crashed it.
 The optional ``seed`` feeds the byte-mutation modes so corruption is
 repeatable bit-for-bit.
 """
@@ -69,9 +57,7 @@ from dataclasses import dataclass
 SITES = {
     "partition-write": ("short_write", "torn_rename"),
     "delta-append": ("short_frame", "bad_frame", "bad_zlib"),
-    "worker-task": ("kill_worker",),
     "checkpoint": ("kill_run",),
-    "attach": ("shm_unlink",),
 }
 
 
@@ -156,7 +142,7 @@ class FaultPlan:
         return os.path.join(self._latch_dir, f"fault-{k:02d}.fired")
 
     def _acquire(self, k: int) -> bool:
-        """Latch spec ``k``; True exactly once across all processes."""
+        """Latch spec ``k``; True exactly once per run (resumes included)."""
         if self._latch_dir is None:
             if k in self._fired:
                 return False
@@ -209,7 +195,7 @@ class FaultPlan:
 
     @staticmethod
     def kill_self() -> None:
-        """SIGKILL the current process (``kill_worker`` / ``kill_run``)."""
+        """SIGKILL the current process (``kill_run``)."""
         os.kill(os.getpid(), signal.SIGKILL)
 
 

@@ -47,17 +47,6 @@ class Grammar:
         """
         raise NotImplementedError
 
-    def closure_labels(self, initial_labels: Iterable[tuple]) -> Iterable[tuple]:
-        """Every label :meth:`compose` or :meth:`derived` can ever produce
-        given a graph whose initial edges carry ``initial_labels``.
-
-        The parallel engine pre-interns these so worker processes never
-        allocate new label ids (ids must agree across processes).  A
-        grammar whose closure labels cannot be enumerated must return
-        every label it may emit or stay on the serial path.
-        """
-        return ()
-
     def relevant_source(self, label: tuple) -> bool:
         """Whether edges with this label can be the *left* edge of a pair.
 

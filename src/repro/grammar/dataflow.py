@@ -72,15 +72,6 @@ class DataflowGrammar(Grammar):
                 new_state = fsm.step(new_state, method)
         return (state_label(fsm.name, new_state),)
 
-    def closure_labels(self, initial_labels):
-        seen = set()
-        for fsm, _alias_obj, _tracked in self.objects.values():
-            if fsm.name in seen:
-                continue
-            seen.add(fsm.name)
-            for state in fsm.states():
-                yield state_label(fsm.name, state)
-
     def relevant_source(self, label: tuple) -> bool:
         return label[0] == "st"
 

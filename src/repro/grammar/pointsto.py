@@ -68,15 +68,6 @@ class PointsToGrammar(Grammar):
             return ()
         return ()
 
-    def closure_labels(self, initial_labels):
-        yield FLOWS_TO
-        yield FLOWS_TO_BAR
-        yield ALIAS
-        yield HEAP
-        for label in initial_labels:
-            if label[0] == "store":
-                yield sa_label(label[1])
-
     def relevant_source(self, label: tuple) -> bool:
         return label[0] in ("flowsTo", "flowsToBar", "store", "sa")
 

@@ -3,10 +3,9 @@
 Three layers, all zero-cost when disabled:
 
 * :mod:`repro.obs.trace` -- span recording in Chrome ``trace_event``
-  format (plus a compact JSONL fallback).  The engine, the I/O pipeline
-  threads, and forked parallel workers all record into (or ship spans
-  back to) one :class:`TraceRecorder`; load the exported file in
-  ``chrome://tracing`` or https://ui.perfetto.dev.
+  format (plus a compact JSONL fallback).  The engine and the I/O
+  pipeline threads all record into one :class:`TraceRecorder`; load the
+  exported file in ``chrome://tracing`` or https://ui.perfetto.dev.
 * :mod:`repro.obs.metrics` -- counters, gauges, and fixed-bucket
   histograms in a :class:`MetricsRegistry`.
   :class:`~repro.engine.stats.EngineStats` exposes its whole field list
@@ -21,16 +20,15 @@ Three layers, all zero-cost when disabled:
 Two analysis layers sit on top (PR 8):
 
 * :mod:`repro.obs.profile` -- the :class:`ResourceSampler` background
-  gauge thread (RSS, /dev/shm bytes, cache occupancy, eligible pairs,
-  GC pauses) whose timeseries ride in the run report's ``telemetry``
-  section under ``repro check --profile``;
-* :mod:`repro.obs.analyze` -- the critical-path analyzer
-  (``python -m repro.obs analyze``): per-stage wall attribution,
-  serialized fraction, steal-idle histograms, and an Amdahl-style
-  speedup projection, emitted as a ``grapple/bottleneck-report``.
+  gauge thread (RSS, cache occupancy, eligible pairs, GC pauses) whose
+  timeseries ride in the run report's ``telemetry`` section under
+  ``repro check --profile``;
+* :mod:`repro.obs.analyze` -- the trace analyzer
+  (``python -m repro.obs analyze``): per-stage wall attribution of the
+  closure windows, emitted as a ``grapple/bottleneck-report``.
 """
 
-from repro.obs.analyze import analyze, analyze_report, analyze_trace, format_bottleneck
+from repro.obs.analyze import analyze_trace, format_bottleneck
 
 from repro.obs.metrics import (
     Counter,
@@ -49,8 +47,6 @@ from repro.obs.profile import ResourceSampler
 from repro.obs.trace import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = [
-    "analyze",
-    "analyze_report",
     "analyze_trace",
     "format_bottleneck",
     "ResourceSampler",

@@ -3,8 +3,8 @@
 ``validate`` checks a Chrome trace (``--trace``) and/or a run report
 (``--metrics``) against the schemas in :mod:`repro.obs.report`; CI runs
 this over the files produced by the bench smoke job.  ``analyze`` runs
-the critical-path analyzer (:mod:`repro.obs.analyze`) over a trace
-(plus, optionally, its run report) and emits the bottleneck report --
+the per-stage analyzer (:mod:`repro.obs.analyze`) over a trace (plus,
+optionally, its run report) and emits the bottleneck report --
 human-readable to stdout, machine-readable JSON with ``--output``.
 Exits 1 when any file fails validation or cannot be parsed.
 """
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from repro.obs.analyze import analyze, format_bottleneck
+from repro.obs.analyze import analyze_trace, format_bottleneck
 from repro.obs.report import trace_coverage, validate_run_report, validate_trace
 
 
@@ -77,18 +77,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = report = None
-    if args.trace:
-        trace, load_error = _load_checked(args.trace)
-        if load_error:
-            print(f"{args.trace}: INVALID\n  - {load_error}")
-            return 1
-        errors = validate_trace(trace)
-        if errors:
-            print(f"{args.trace}: INVALID")
-            for error in errors:
-                print(f"  - {error}")
-            return 1
+    report = None
+    trace, load_error = _load_checked(args.trace)
+    if load_error:
+        print(f"{args.trace}: INVALID\n  - {load_error}")
+        return 1
+    errors = validate_trace(trace)
+    if errors:
+        print(f"{args.trace}: INVALID")
+        for error in errors:
+            print(f"  - {error}")
+        return 1
     if args.metrics:
         report, load_error = _load_checked(args.metrics)
         if load_error:
@@ -101,7 +100,7 @@ def _cmd_analyze(args) -> int:
                 print(f"  - {error}")
             return 1
     try:
-        doc = analyze(trace, report, top_n=args.top)
+        doc = analyze_trace(trace, report, top_n=args.top)
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
@@ -122,13 +121,14 @@ def main(argv=None) -> int:
     val.add_argument("--metrics", help="run-report JSON to validate")
     ana = sub.add_parser(
         "analyze",
-        help="critical-path bottleneck report from a trace (and run report)",
+        help="per-stage bottleneck report from a trace (and run report)",
     )
-    ana.add_argument("--trace", help="Chrome trace JSON (or JSONL) to analyze")
+    ana.add_argument("--trace", required=True,
+                     help="Chrome trace JSON (or JSONL) to analyze")
     ana.add_argument(
         "--metrics",
-        help="run-report JSON; with no --trace, a counter-derived"
-        " report-only analysis",
+        help="run-report JSON: its subject and wall are carried into"
+        " the bottleneck report",
     )
     ana.add_argument(
         "-o", "--output", metavar="FILE",
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     )
     ana.add_argument(
         "--top", type=int, default=10, metavar="N",
-        help="critical-path segments to keep (default 10)",
+        help="longest segments to keep (default 10)",
     )
     args = parser.parse_args(argv)
 

@@ -1,58 +1,41 @@
-"""Critical-path analysis of an engine trace: where did the wall go?
+"""Per-stage attribution of an engine trace: where did the wall go?
 
-The parallel data plane overlaps worker pair-compute with coordinator
-work, so neither the Figure-9 component breakdown nor the busy/idle
-counters answer the scaling question directly -- "what fraction of the
-wall is serialized, which stage is it, and what speedup is achievable?"
-This module answers it from the Chrome trace the engine already records.
+The Figure-9 component breakdown says how much time went to I/O,
+encoding, SMT and compute; it does not say how much of the closure's
+wall was spent *outside* pair visits (checkpoint flushes, retries,
+scheduling glue).  This module answers that from the Chrome trace the
+engine already records.
 
 The attribution model is a sweep over each ``closure`` window (the
 engine emits one per phase).  Every instant inside a window gets exactly
 one label, by precedence:
 
-1. covered by at least one ``pair-compute`` span (any process) -->
-   ``pair-compute``: useful work was in flight, parallelizable;
-2. else covered by a serialized coordinator stage span (``absorb``,
-   ``spill-merge``, ``checkpoint``, ``repartition`` -- innermost wins
-   when they nest) --> that stage;
-3. else --> ``idle``: nobody computing, no serialized stage running
-   (steal-refill gaps, dispatch latency, GC).
+1. covered by a ``pair-compute`` span --> ``pair-compute``;
+2. else covered by a stage span (``checkpoint``, ``repartition``,
+   ``retry`` -- innermost wins when they nest) --> that stage;
+3. else --> ``idle``: no span running (pair scheduling, arrival-log
+   bookkeeping, prefetch hints, the heartbeat).
 
 Labels partition the window, so per-stage attributions sum *exactly* to
-the wall by construction.  The serialized fraction is everything not
-labelled ``pair-compute``; merged same-label runs, sorted by duration,
-are the critical-path segments worth staring at.
-
-The speedup projection is Amdahl over the measured split: with
-``P`` = total pair-compute span time, ``C`` = wall time covered by any
-pair-compute span, and ``S = wall - C`` the serialized remainder,
-``T(N) = S + P/N`` and speedup is relative to ``T(1) = S + P``.  This
-assumes the serialized stages do not grow with N -- exactly the
-assumption the report exists to check.
-
-Without a trace (bench runs that only kept the run-report), a degraded
-``report-only`` mode bounds the same quantities from the busy/idle
-counters; its serialized time is a lower bound (``wall - P``) and its
-projection correspondingly optimistic.
+the wall by construction.  Merged same-label runs, sorted by duration,
+are the segments worth staring at.
 """
 
 from __future__ import annotations
 
 import time
 
-from .metrics import LATENCY_BUCKETS_S, Histogram
-
 BOTTLENECK_SCHEMA = "grapple/bottleneck-report"
-BOTTLENECK_VERSION = 1
+#: Version 2 dropped what only a worker pool could make non-trivial (the
+#: serialized fraction, concurrency, steal gaps, the Amdahl projection
+#: and the report-only mode); ``overhead_*`` is the time outside pair
+#: visits.
+BOTTLENECK_VERSION = 2
 
-#: Coordinator span names that serialize the data plane: while one of
-#: these runs with no pair-compute in flight, adding workers buys nothing.
-SERIAL_STAGES = ("absorb", "spill-merge", "checkpoint", "repartition")
+#: Engine span names attributed when no pair visit is running.
+STAGES = ("checkpoint", "repartition", "retry")
 
-#: Worker-count points for the Amdahl projection.
-PROJECTION_WORKERS = (2, 4, 8)
-
-#: Critical-path segments kept in the report.
+#: Longest segments kept in the report.
 TOP_N_SEGMENTS = 10
 
 
@@ -61,33 +44,17 @@ def _spans(trace) -> list[dict]:
     return [e for e in events if isinstance(e, dict) and e.get("ph") == "X"]
 
 
-def _instants(trace, name: str) -> int:
-    events = trace.get("traceEvents", []) if isinstance(trace, dict) else trace
-    return sum(
-        1 for e in events
-        if isinstance(e, dict) and e.get("ph") == "i" and e.get("name") == name
-    )
-
-
 def _interval(event: dict) -> tuple[float, float]:
     start = event["ts"] / 1e6
     return start, start + event.get("dur", 0) / 1e6
-
-
-def _clip(lo: float, hi: float, windows) -> float:
-    """Length of [lo, hi] that falls inside the window list."""
-    total = 0.0
-    for w_lo, w_hi in windows:
-        total += max(0.0, min(hi, w_hi) - max(lo, w_lo))
-    return total
 
 
 def _sweep(window: tuple[float, float], pair_ivs, stage_ivs) -> list[dict]:
     """Label every instant of one closure window (see module docstring).
 
     ``pair_ivs`` are (lo, hi) pair-compute intervals; ``stage_ivs`` are
-    (lo, hi, stage) serialized-stage intervals on the coordinator.
-    Returns merged same-label segments covering the window exactly.
+    (lo, hi, stage) stage intervals.  Returns merged same-label
+    segments covering the window exactly.
     """
     w_lo, w_hi = window
     bounds = {w_lo, w_hi}
@@ -108,8 +75,8 @@ def _sweep(window: tuple[float, float], pair_ivs, stage_ivs) -> list[dict]:
         if any(p_lo <= mid < p_hi for p_lo, p_hi in pair_ivs):
             label = "pair-compute"
         else:
-            # Innermost serialized stage covering this instant: the one
-            # that started latest (ties broken by earliest end).
+            # Innermost stage covering this instant: the one that
+            # started latest (ties broken by earliest end).
             best = None
             for s_lo, s_hi, stage in stage_ivs:
                 if s_lo <= mid < s_hi:
@@ -134,17 +101,14 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
     if closures:
         windows = sorted(_interval(e) for e in closures)
     else:
-        # Degenerate trace (e.g. a bare worker shipment): analyze its
-        # full extent as one window.
+        # No closure span (a hand-cut trace): analyze its full extent
+        # as one window.
         ivs = [_interval(e) for e in spans]
         windows = [(min(lo for lo, _ in ivs), max(hi for _, hi in ivs))]
-    coord_pids = {e["pid"] for e in closures} or {s["pid"] for s in spans}
 
     pair_ivs = [_interval(e) for e in spans if e["name"] == "pair-compute"]
     stage_ivs = [
-        (*_interval(e), e["name"])
-        for e in spans
-        if e["name"] in SERIAL_STAGES and e["pid"] in coord_pids
+        (*_interval(e), e["name"]) for e in spans if e["name"] in STAGES
     ]
 
     segments: list[dict] = []
@@ -157,26 +121,18 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
         stages[seg["stage"]] = (
             stages.get(seg["stage"], 0.0) + seg["end_s"] - seg["start_s"]
         )
-    covered = stages.get("pair-compute", 0.0)
-    pair_total = sum(_clip(lo, hi, windows) for lo, hi in pair_ivs)
-    serialized = wall - covered
-
-    idle_hist = Histogram("steal_idle_gap_s", LATENCY_BUCKETS_S)
-    for seg in segments:
-        if seg["stage"] == "idle":
-            idle_hist.observe(seg["end_s"] - seg["start_s"])
+    overhead = wall - stages.get("pair-compute", 0.0)
 
     top = sorted(
         segments, key=lambda s: s["end_s"] - s["start_s"], reverse=True
     )[:top_n]
 
-    serial_only = {k: v for k, v in stages.items() if k != "pair-compute"}
-    top_stage = max(serial_only, key=serial_only.get) if serial_only else None
+    outside = {k: v for k, v in stages.items() if k != "pair-compute"}
+    top_stage = max(outside, key=outside.get) if outside else None
 
     report_doc = {
         "schema": BOTTLENECK_SCHEMA,
         "version": BOTTLENECK_VERSION,
-        "mode": "trace",
         "generated_unix": round(time.time(), 3),
         "wall_s": round(wall, 6),
         "windows": len(windows),
@@ -184,12 +140,9 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
         "stage_fractions": {
             k: round(v / wall, 4) for k, v in sorted(stages.items())
         } if wall else {},
-        "serialized_s": round(serialized, 6),
-        "serialized_fraction": round(serialized / wall, 4) if wall else 0.0,
-        "top_serialized_stage": top_stage,
-        "pair_compute_s": round(pair_total, 6),
-        "covered_s": round(covered, 6),
-        "concurrency": round(pair_total / covered, 4) if covered else 0.0,
+        "overhead_s": round(overhead, 6),
+        "overhead_fraction": round(overhead / wall, 4) if wall else 0.0,
+        "top_overhead_stage": top_stage,
         "critical_path": [
             {
                 "stage": s["stage"],
@@ -199,11 +152,6 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
             }
             for s in top
         ],
-        "steal": {
-            "events": _instants(trace, "steal"),
-            "idle_gap_histogram": idle_hist.snapshot(),
-        },
-        "projection": _project(serialized, pair_total),
     }
     if report:
         report_doc["subject"] = report.get("subject")
@@ -211,107 +159,16 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
     return report_doc
 
 
-def _project(serial_s: float, pair_s: float) -> dict:
-    """Amdahl projection: T(N) = S + P/N, speedup vs T(1) = S + P."""
-    t1 = serial_s + pair_s
-    out = {
-        "model": "T(N) = serialized_s + pair_compute_s / N",
-        "t1_s": round(t1, 6),
-    }
-    for n in PROJECTION_WORKERS:
-        tn = serial_s + pair_s / n
-        out[str(n)] = {
-            "t_s": round(tn, 6),
-            "speedup": round(t1 / tn, 4) if tn else 0.0,
-        }
-    return out
-
-
-def analyze_report(report: dict) -> dict:
-    """Degraded bottleneck report from a run-report alone (no trace).
-
-    Busy/idle counters bound what the sweep would measure: the covered
-    time ``C`` satisfies ``C <= min(wall, P)``, so ``wall - P`` is a
-    lower bound on serialized time and the projection (which uses it) an
-    upper bound on achievable speedup.
-    """
-    wall = report.get("timing", {}).get("computation_s")
-    numbers = dict(report.get("gauges", {}))
-    numbers.update(report.get("counters", {}))
-    busy = numbers.get("worker_busy_s")
-    doc = {
-        "schema": BOTTLENECK_SCHEMA,
-        "version": BOTTLENECK_VERSION,
-        "mode": "report-only",
-        "generated_unix": round(time.time(), 3),
-        "wall_s": wall,
-        "subject": report.get("subject"),
-    }
-    if wall is None or not busy:
-        doc["note"] = (
-            "no trace and no worker busy counters; run with --profile"
-            " for a full critical-path report"
-        )
-        return doc
-    covered = min(wall, busy)
-    serial_lb = max(0.0, wall - busy)
-    doc.update({
-        "pair_compute_s": round(busy, 6),
-        "worker_idle_s": numbers.get("worker_idle_s"),
-        "serialized_s_lower_bound": round(serial_lb, 6),
-        "serialized_fraction_lower_bound": round(serial_lb / wall, 4),
-        "concurrency": round(busy / covered, 4) if covered else 0.0,
-        "projection": _project(serial_lb, busy),
-        "note": "counter-derived bounds; serialized time is a lower bound",
-    })
-    return doc
-
-
-def analyze(trace=None, report: dict | None = None, top_n: int = TOP_N_SEGMENTS) -> dict:
-    """Dispatch: full trace analysis when a trace is given, else the
-    counter-derived degraded mode from the run-report."""
-    if trace is not None:
-        return analyze_trace(trace, report, top_n=top_n)
-    if report is not None:
-        return analyze_report(report)
-    raise ValueError("analyze() needs a trace or a run-report")
-
-
 def format_bottleneck(doc: dict) -> str:
     """Human-readable rendering of a bottleneck report."""
-    lines = [f"bottleneck report ({doc.get('mode', 'trace')} mode)"]
-    wall = doc.get("wall_s")
-    if wall is not None:
-        lines.append(f"  wall            {wall:.3f}s")
-    if doc.get("mode") == "report-only":
-        frac = doc.get("serialized_fraction_lower_bound")
-        if frac is not None:
-            lines.append(f"  serialized      >= {frac:.1%} (lower bound)")
-    else:
-        lines.append(
-            f"  serialized      {doc['serialized_fraction']:.1%}"
-            f" ({doc['serialized_s']:.3f}s)"
-        )
-        lines.append(
-            f"  top stage       {doc['top_serialized_stage']}"
-        )
-        lines.append(f"  concurrency     {doc['concurrency']:.2f}x")
-        for stage, secs in doc.get("stages_s", {}).items():
-            frac = doc["stage_fractions"].get(stage, 0.0)
-            lines.append(f"    {stage:<14} {secs:9.3f}s  {frac:6.1%}")
-        steal = doc.get("steal", {})
-        if steal:
-            lines.append(f"  steals          {steal.get('events', 0)}")
-    projection = doc.get("projection")
-    if projection:
-        for n in PROJECTION_WORKERS:
-            entry = projection.get(str(n))
-            if entry:
-                lines.append(
-                    f"  @{n} workers      {entry['t_s']:.3f}s"
-                    f"  ({entry['speedup']:.2f}x)"
-                )
-    note = doc.get("note")
-    if note:
-        lines.append(f"  note: {note}")
+    lines = [
+        "bottleneck report",
+        f"  wall            {doc['wall_s']:.3f}s",
+        f"  outside pairs   {doc['overhead_fraction']:.1%}"
+        f" ({doc['overhead_s']:.3f}s)",
+        f"  top stage       {doc['top_overhead_stage']}",
+    ]
+    for stage, secs in doc["stages_s"].items():
+        frac = doc["stage_fractions"].get(stage, 0.0)
+        lines.append(f"    {stage:<14} {secs:9.3f}s  {frac:6.1%}")
     return "\n".join(lines)

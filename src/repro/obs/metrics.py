@@ -2,16 +2,15 @@
 
 The registry is deliberately small: values live in plain attributes so
 hot paths can cache a metric object once and call ``inc``/``observe``
-without dictionary traffic, everything pickles (histograms cross the
-process boundary inside worker :class:`~repro.engine.stats.EngineStats`
-deltas), and merging is exact -- histograms require identical bucket
-boundaries, so a merged distribution is byte-for-byte the distribution a
-single-process run would have recorded for the same observations.
+without dictionary traffic, and merging (the pipeline's two phases fold
+into one run total) is exact -- histograms require identical bucket
+boundaries, so a merged distribution is byte-for-byte the distribution
+one registry would have recorded for the same observations.
 
 Bucket boundaries are fixed at registration (Prometheus-style): bucket
 ``i`` counts observations ``<= bounds[i]``'s upper edge, with one
 overflow bucket past the last boundary.  Fixed boundaries are what make
-cross-worker merges and cross-run comparisons meaningful.
+cross-phase merges and cross-run comparisons meaningful.
 """
 
 from __future__ import annotations
@@ -222,8 +221,8 @@ class MetricsRegistry:
 
 
 def engine_metrics() -> MetricsRegistry:
-    """The engine's standard histogram set (fixed boundaries, so worker
-    deltas always merge exactly)."""
+    """The engine's standard histogram set (fixed boundaries, so the
+    phases' registries always merge exactly)."""
     registry = MetricsRegistry()
     registry.histogram("solve_latency_s", LATENCY_BUCKETS_S)
     registry.histogram("pair_compute_s", LATENCY_BUCKETS_S)

@@ -3,19 +3,11 @@
 One :class:`ResourceSampler` runs a daemon thread that wakes at a fixed
 cadence (the heartbeat's time scale, default 4 Hz) and records a row of
 gauges: process RSS, cumulative GC pause time, and whatever *providers*
-the engine has bound -- partition-cache occupancy, scheduler
-eligible-count, published shared-memory bytes.  Rows are kept in memory
-(bounded) and exported as a columnar timeseries inside the
-``grapple/run-report`` document (schema version 2, ``telemetry``
-section), so a run's memory/backlog trajectory rides in the same
-artifact as its counters.
-
-Parallel runs sample per process: each forked worker builds its *own*
-sampler (a thread never survives ``fork``; the worker only reads the
-coordinator sampler's interval) and ships drained rows back inside the
-existing :class:`~repro.engine.parallel.WaveResult` tuple protocol;
-the coordinator absorbs them keyed by pid, clock-rebased exactly like
-trace spans.
+the engine has bound -- partition-cache occupancy and the scheduler's
+eligible-pair count.  Rows are kept in memory (bounded) and exported as
+a columnar timeseries inside the ``grapple/run-report`` document (schema
+version 2, ``telemetry`` section), so a run's memory/backlog trajectory
+rides in the same artifact as its counters.
 
 The sampler is strictly opt-in (``--profile``): a run without one holds
 ``None`` and every call site guards on that, so the disabled path costs
@@ -121,16 +113,10 @@ class ResourceSampler:
     def __init__(
         self,
         interval: float = DEFAULT_INTERVAL,
-        role: str = "coordinator",
         max_samples: int = MAX_SAMPLES,
     ):
         self.interval = max(0.01, float(interval))
-        self.role = role
-        self.pid = os.getpid()
-        # Wall-clock anchor, same scheme as TraceRecorder: rows are
-        # perf_counter-relative to perf0; wall0 lets the coordinator
-        # re-base absorbed worker rows onto its own anchor.
-        self.wall0 = time.time()
+        # Rows are perf_counter-relative to perf0, like trace spans.
         self.perf0 = time.perf_counter()
         self.max_samples = max_samples
         self.dropped = 0
@@ -140,8 +126,6 @@ class ResourceSampler:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        # Absorbed worker series, keyed by pid.
-        self._workers: dict[int, dict] = {}
 
     # -- providers -------------------------------------------------------------
 
@@ -207,39 +191,6 @@ class ResourceSampler:
         with self._lock:
             self._rows.append((round(now, 4), row))
 
-    # -- cross-process shipping ------------------------------------------------
-
-    def ship(self) -> dict | None:
-        """Drain rows into a picklable payload for the coordinator."""
-        with self._lock:
-            rows, self._rows = self._rows, []
-        if not rows and not self.gc_watch.pauses:
-            return None
-        return {
-            "pid": self.pid,
-            "wall0": self.wall0,
-            "interval_s": self.interval,
-            "rows": rows,
-            "gc": self.gc_watch.summary(),
-        }
-
-    def absorb(self, shipped: dict | None) -> None:
-        """Fold a worker's shipped rows in, re-basing timestamps."""
-        if not shipped:
-            return
-        entry = self._workers.setdefault(
-            shipped["pid"],
-            {"interval_s": shipped.get("interval_s", self.interval),
-             "rows": [], "gc": {}},
-        )
-        offset = shipped["wall0"] - self.wall0
-        budget = self.max_samples - len(entry["rows"])
-        for t, row in shipped["rows"][:max(0, budget)]:
-            entry["rows"].append((round(t + offset, 4), row))
-        self.dropped += max(0, len(shipped["rows"]) - budget)
-        if shipped.get("gc"):
-            entry["gc"] = shipped["gc"]
-
     # -- export ----------------------------------------------------------------
 
     @staticmethod
@@ -264,21 +215,12 @@ class ResourceSampler:
         """The run-report ``telemetry`` section (JSON-ready)."""
         with self._lock:
             rows = list(self._rows)
-        doc = {
+        return {
             "interval_s": self.interval,
             "samples": len(rows),
             "dropped": self.dropped,
+            # The section keeps the name run-report v2 gave it when a
+            # run could have more than one process.
             "coordinator": self._columnar(rows),
             "gc": self.gc_watch.summary(),
         }
-        if self._workers:
-            doc["workers"] = {
-                str(pid): {
-                    "interval_s": entry["interval_s"],
-                    "samples": len(entry["rows"]),
-                    **self._columnar(entry["rows"]),
-                    **({"gc": entry["gc"]} if entry["gc"] else {}),
-                }
-                for pid, entry in sorted(self._workers.items())
-            }
-        return doc

@@ -24,13 +24,13 @@ REPORT_SCHEMA = "grapple/run-report"
 REPORT_VERSION = 2
 
 #: Span names a full engine trace is expected to draw from (validation
-#: reports which of these a trace actually covers; serial runs have no
-#: ``wave`` spans, split-free runs no ``repartition`` spans).
+#: reports which of these a trace actually covers; split-free runs have
+#: no ``repartition`` spans).
 KNOWN_SPANS = (
-    "closure", "iteration", "wave", "pair-compute",
+    "closure", "iteration", "pair-compute",
     "prefetch", "spill", "repartition", "smt-solve",
     "sa-fold", "sa-dse", "sa-relevance", "sa-compress", "sa-scopes",
-    "checkpoint", "retry", "absorb", "spill-merge",
+    "checkpoint", "retry",
     "incr-diff", "incr-join", "incr-retract",
 )
 
@@ -71,11 +71,6 @@ def build_run_report(
         "histograms": snapshot["histograms"],
         "warnings": len(run.report.warnings),
     }
-    # ``waves`` counts parallel dispatch waves; a serial run has none,
-    # and reporting a hard zero next to a populated ``iterations`` reads
-    # as a stall.  Omit the counter when no wave was ever dispatched.
-    if not report["counters"].get("waves"):
-        report["counters"].pop("waves", None)
     reduction = getattr(run, "reduction", None)
     if reduction is not None:
         report["reduction"] = reduction.as_dict()
@@ -170,28 +165,21 @@ def _validate_telemetry(telemetry) -> list[str]:
         errors.append("telemetry.interval_s is not a number")
     if not isinstance(telemetry.get("samples"), int):
         errors.append("telemetry.samples is not an integer")
-    sections = {"coordinator": telemetry.get("coordinator")}
-    workers = telemetry.get("workers", {})
-    if not isinstance(workers, dict):
-        errors.append("telemetry.workers is not an object")
-        workers = {}
-    for pid, series in workers.items():
-        sections[f"workers.{pid}"] = series
-    for where, series in sections.items():
-        if not isinstance(series, dict):
-            errors.append(f"telemetry.{where} is not an object")
-            continue
-        t_s = series.get("t_s")
-        gauges = series.get("series")
-        if not isinstance(t_s, list) or not isinstance(gauges, dict):
-            errors.append(f"telemetry.{where}: t_s/series missing")
-            continue
-        for name, column in gauges.items():
-            if not isinstance(column, list) or len(column) != len(t_s):
-                errors.append(
-                    f"telemetry.{where}.series.{name}: column does not"
-                    f" align with t_s ({len(t_s)} timestamps)"
-                )
+    series = telemetry.get("coordinator")
+    if not isinstance(series, dict):
+        errors.append("telemetry.coordinator is not an object")
+        return errors
+    t_s = series.get("t_s")
+    gauges = series.get("series")
+    if not isinstance(t_s, list) or not isinstance(gauges, dict):
+        errors.append("telemetry.coordinator: t_s/series missing")
+        return errors
+    for name, column in gauges.items():
+        if not isinstance(column, list) or len(column) != len(t_s):
+            errors.append(
+                f"telemetry.coordinator.series.{name}: column does not"
+                f" align with t_s ({len(t_s)} timestamps)"
+            )
     return errors
 
 
@@ -274,21 +262,12 @@ def trace_coverage(trace) -> dict:
 # -- progress heartbeat --------------------------------------------------------
 
 
-def _format_bytes(count: int) -> str:
-    """Compact byte count for the heartbeat line (``3.2MB``, ``418KB``)."""
-    if count >= 1 << 20:
-        return f"{count / (1 << 20):.1f}MB"
-    if count >= 1 << 10:
-        return f"{count / (1 << 10):.0f}KB"
-    return f"{count}B"
-
-
 class Heartbeat:
     """Periodic one-line progress report on stderr.
 
-    The engine calls :meth:`maybe_beat` once per serial pair / parallel
-    wave; a line is emitted at most every ``interval`` seconds, so the
-    cost is one clock read per call.
+    The engine calls :meth:`maybe_beat` once per processed pair; a line
+    is emitted at most every ``interval`` seconds, so the cost is one
+    clock read per call.
     """
 
     def __init__(self, interval: float, stream=None, clock=time.monotonic):
@@ -313,20 +292,8 @@ class Heartbeat:
             f"[grapple +{now - self._started:6.1f}s] pairs {done} done"
             f" / {eligible} eligible · edges {edges}"
             f" · budget {occupancy:.0%} resident"
-            f" · waves {stats.waves} · solves {stats.constraints_solved}"
+            f" · solves {stats.constraints_solved}"
         )
-        if stats.waves:
-            # Parallel run: append data-plane health (steals, mapped shm
-            # bytes, pool busy fraction) so a long run shows whether the
-            # workers are actually fed.  Serial lines are unchanged.
-            busy = stats.worker_busy_s
-            idle = stats.worker_idle_s
-            line += (
-                f" · stolen {stats.pairs_stolen}"
-                f" · shm {_format_bytes(stats.shm_bytes_mapped)}"
-            )
-            if busy + idle > 0:
-                line += f" · busy {busy / (busy + idle):.0%}"
         print(
             line,
             file=self.stream if self.stream is not None else sys.stderr,

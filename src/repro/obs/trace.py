@@ -1,18 +1,11 @@
 """Span recording in Chrome ``trace_event`` format.
 
 One :class:`TraceRecorder` collects complete ("ph": "X") spans from the
-engine thread, the I/O pipeline's prefetch/spill threads (``list.append``
-is atomic under the GIL, so threads share the recorder directly), and --
-in a parallel run -- from forked workers: each worker records into its
-own process-local recorder, ships the drained spans back inside the
-existing :class:`~repro.engine.parallel.WaveResult` tuple protocol, and
-the coordinator :meth:`absorbs <TraceRecorder.absorb>` them, re-basing
-their timestamps onto its own clock via the wall-clock anchor both
-recorders capture at creation (``time.perf_counter`` spans rebased by the
-``time.time`` delta -- robust even where the monotonic clock's epoch is
-not shared across processes).  Worker spans keep their own pid, so
-``chrome://tracing`` / Perfetto interleave coordinator and worker tracks
-correctly.
+engine thread and the I/O pipeline's prefetch/spill threads
+(``list.append`` is atomic under the GIL, so threads share the recorder
+directly).  A span's ``ts`` is ``time.perf_counter`` relative to the
+recorder's creation (``perf0``); load the exported file in
+``chrome://tracing`` or https://ui.perfetto.dev.
 
 When tracing is disabled the engine holds the :data:`NULL_RECORDER`
 singleton, whose ``enabled`` flag lets every call site skip span
@@ -29,7 +22,7 @@ import time
 from contextlib import contextmanager
 
 #: Spans are dropped (and counted) past this, so a pathological run
-#: cannot swallow the heap; absorbed worker spans obey the same cap.
+#: cannot swallow the heap.
 MAX_EVENTS = 1_000_000
 
 
@@ -66,46 +59,28 @@ class NullRecorder:
     def note_thread(self, name) -> None:
         pass
 
-    def ship(self):
-        return None
-
-    def absorb(self, shipped, role="worker") -> None:
-        pass
-
 
 NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder:
-    """Collects Chrome-trace spans for one run (and absorbed workers)."""
+    """Collects Chrome-trace spans for one run."""
 
     enabled = True
 
-    def __init__(self, role: str = "coordinator", max_events: int = MAX_EVENTS):
+    def __init__(self, max_events: int = MAX_EVENTS):
         self.pid = os.getpid()
-        self.role = role
-        # Clock anchor: perf0 and wall0 are captured back to back; a
-        # span's ``ts`` is perf_counter-relative to perf0, and wall0 is
-        # what lets another recorder re-base our spans onto its anchor.
-        self.wall0 = time.time()
+        # Clock anchor: a span's ``ts`` is perf_counter-relative to perf0.
         self.perf0 = time.perf_counter()
-        self.events: list[dict] = []
+        self.events: list[dict] = [{
+            "ph": "M", "pid": self.pid, "tid": 0, "name": "process_name",
+            "args": {"name": f"repro (pid {self.pid})"},
+        }]
         self.dropped = 0
         self.max_events = max_events
-        self._known_pids: set[int] = set()
         self._known_tids: set[int] = set()
-        self._note_process(self.pid, role)
 
     # -- metadata -------------------------------------------------------------
-
-    def _note_process(self, pid: int, role: str) -> None:
-        if pid in self._known_pids:
-            return
-        self._known_pids.add(pid)
-        self.events.append({
-            "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-            "args": {"name": f"{role} (pid {pid})"},
-        })
 
     def note_thread(self, name: str) -> None:
         """Label the calling thread's track (prefetch/spill threads)."""
@@ -161,43 +136,10 @@ class TraceRecorder:
             event["args"] = args
         self.events.append(event)
 
-    # -- cross-process shipping -----------------------------------------------
-
-    def ship(self) -> dict:
-        """Drain recorded spans into a picklable payload for the
-        coordinator (metadata events stay local; the absorber re-emits
-        its own for our pid)."""
-        events, self.events = self.events, []
-        dropped, self.dropped = self.dropped, 0
-        return {
-            "pid": self.pid,
-            "wall0": self.wall0,
-            "events": [e for e in events if e["ph"] != "M"],
-            "dropped": dropped,
-        }
-
-    def absorb(self, shipped: dict | None, role: str = "worker") -> None:
-        """Fold a shipped payload in, re-basing timestamps onto our clock."""
-        if not shipped:
-            return
-        self._note_process(shipped["pid"], role)
-        offset = (shipped["wall0"] - self.wall0) * 1e6
-        events = self.events
-        for event in shipped["events"]:
-            if len(events) >= self.max_events:
-                self.dropped += 1
-                continue
-            event["ts"] += offset
-            events.append(event)
-        self.dropped += shipped.get("dropped", 0)
-
     # -- inspection / export --------------------------------------------------
 
     def span_names(self) -> set:
         return {e["name"] for e in self.events if e["ph"] == "X"}
-
-    def pids(self) -> set:
-        return {e["pid"] for e in self.events if e["ph"] == "X"}
 
     def chrome_trace(self) -> dict:
         return {

@@ -171,16 +171,28 @@ class ServeEngine:
                 doc = json.load(f)
         except (OSError, ValueError):
             return
+        # Valid JSON of the wrong shape is no state either, decided
+        # before anything is adopted: never a half-loaded engine.
+        if not isinstance(doc, dict):
+            return
         if (doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
                 or doc.get("config") != self.config_digest):
             return  # different analysis config: results are not reusable
-        self.files = {
-            path: FileMeta.from_json(path, meta)
-            for path, meta in doc.get("files", {}).items()
-        }
-        self.strata = dict(doc.get("strata", {}))
-        counters = doc.get("counters", {})
+        files, strata, counters = (
+            doc.get(key, {}) for key in ("files", "strata", "counters")
+        )
+        if not all(isinstance(s, dict) for s in (files, strata, counters)):
+            return
+        try:
+            metas = {
+                path: FileMeta.from_json(path, meta)
+                for path, meta in files.items()
+            }
+        except (KeyError, TypeError):
+            return
+        self.files = metas
+        self.strata = dict(strata)
         self.stats.edits_served = counters.get("edits_served", 0)
         self.stats.edges_rederived = counters.get("edges_rederived", 0)
         self.stats.warnings_retracted = counters.get("warnings_retracted", 0)
@@ -558,8 +570,6 @@ class ServeEngine:
                 "warnings_retracted": retracted,
             },
         }
-        if not fragment["counters"].get("waves"):
-            fragment["counters"].pop("waves", None)
         if runs:
             # Aggregated scope-resolution counters of this edit's
             # stratum runs (same optional section as the batch report).

@@ -641,7 +641,7 @@ def build_multifile_subject(name: str, scale: float = 1.0) -> MultiFileSubject:
 
 
 def pack_accounting(name: str = "gateway", reduce: bool = True,
-                    workers: int = 1, sources=None) -> dict:
+                    sources=None) -> dict:
     """Run the property packs over one subject; exact TP/FP accounting.
 
     The returned document is the CI golden: per-checker TP/FP/missed
@@ -651,16 +651,12 @@ def pack_accounting(name: str = "gateway", reduce: bool = True,
     """
     from repro.analysis.pipeline import Grapple, GrappleOptions
     from repro.checkers.checker import pack_checkers
-    from repro.engine.computation import EngineOptions
     from repro.workloads.bugs import classify_report
 
     subject = build_multifile_subject(name)
-    options = GrappleOptions(
-        reduce=reduce, engine=EngineOptions(workers=workers)
-    )
     run = Grapple(
         sources if sources is not None else subject.sources,
-        [c.fsm for c in pack_checkers()], options
+        [c.fsm for c in pack_checkers()], GrappleOptions(reduce=reduce)
     ).run()
     outcome = classify_report(subject.seeds, run.report)
     checkers = sorted({seed.checker for seed in subject.seeds})
@@ -700,16 +696,13 @@ def _main(argv=None) -> int:
                         help="run the property packs and print the exact"
                         " TP/FP accounting as JSON")
     parser.add_argument("--no-reduce", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="scale > 1 emits round(scale) independent"
                         " module clusters instead of the canonical"
                         " three files (--report always uses scale 1)")
     args = parser.parse_args(argv)
     if args.report:
-        doc = pack_accounting(
-            args.subject, reduce=not args.no_reduce, workers=args.workers
-        )
+        doc = pack_accounting(args.subject, reduce=not args.no_reduce)
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0

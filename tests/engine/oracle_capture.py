@@ -1,4 +1,4 @@
-"""Capture / compare the serial engine's full fixpoint for oracle tests.
+"""Capture / compare the engine's full fixpoint for oracle tests.
 
 The columnar-store refactor must not change the engine's observable
 output: the final edge sets (with witness encodings) of both phases and
@@ -42,8 +42,7 @@ def canonical_run(run) -> dict:
     return {"edges": edges, "warnings": warnings}
 
 
-def run_subject(name: str, scale: float, workers: int = 1,
-                reduce: bool = False, **engine_kwargs):
+def run_subject(name: str, scale: float, reduce: bool = False):
     from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
     from repro.workloads import build_subject
 
@@ -51,13 +50,8 @@ def run_subject(name: str, scale: float, workers: int = 1,
     fsms = [c.fsm for c in default_checkers()]
     # The golden snapshots pin the *engine's* full fixpoint, so the
     # pre-closure reductions stay off unless a test asks for them.
-    # ``engine_kwargs`` forwards extra EngineOptions fields (dispatch
-    # mode, shm/steal/stratum knobs) for the parallel-matrix tests.
     options = GrappleOptions(
-        reduce=reduce,
-        engine=EngineOptions(
-            memory_budget=MEMORY_BUDGET, workers=workers, **engine_kwargs,
-        ),
+        reduce=reduce, engine=EngineOptions(memory_budget=MEMORY_BUDGET)
     )
     return Grapple(source, fsms, options).run()
 

@@ -144,7 +144,7 @@ def test_stats_merge_sums_components():
                     constraint_queries=4)
     b = EngineStats(io_time=0.5, smt_time=1.0, new_edges=2, cache_hits=1,
                     constraint_queries=2)
-    a.merge(b)
+    a.merge_phase(b)
     assert a.io_time == 1.5
     assert a.new_edges == 7
     assert a.cache_hits == 4

@@ -188,6 +188,29 @@ def test_engine_prunes_during_resumed_run(tmp_path):
         assert not (tmp_path / phase / "part_55555.bin").exists()
 
 
+def test_manifest_from_a_build_with_the_worker_pool_still_resumes(tmp_path):
+    """Manifests written before the pool was deleted carry an
+    informational ``steal_frontier`` and stats the engine no longer
+    has; neither is in the config digest, and both are ignored."""
+    first = _run(tmp_path)
+    for phase in ("alias", "dataflow"):
+        path = tmp_path / phase / ckpt.MANIFEST
+        manifest = json.loads(path.read_text())
+        manifest["complete"] = False  # re-enter the closure loop
+        manifest["steal_frontier"] = {"wave": 3, "stolen": 5}
+        manifest["stats"].update(
+            waves=3, pairs_stolen=5, shm_publishes=7, worker_busy_s=1.5,
+            strata=2,
+        )
+        path.write_text(json.dumps(manifest))
+    again = _run(tmp_path, resume=True)
+    assert list(again.report.warnings) == list(first.report.warnings)
+    assert not hasattr(again.stats, "waves")
+    assert "steal_frontier" not in json.loads(
+        (tmp_path / "alias" / ckpt.MANIFEST).read_text()
+    )
+
+
 def test_prune_mid_kill_keeps_latest_resumable_state(tmp_path, monkeypatch):
     """A crash after any prefix of the prune's deletions must leave the
     manifest's state fully resumable."""

@@ -101,19 +101,16 @@ def test_split_at_partitions_sources():
     assert left.columnar_bytes() + right.columnar_bytes() == ROW_BYTES * 11
 
 
-def test_merge_dict_dedups_and_collects():
+def test_merge_dict_dedups():
     table = EncodingTable()
     cols = make({1: {(2, 0): {ENC_A}}}, table)
-    collected = []
     added = cols.merge_dict(
-        {1: {(2, 0): {ENC_A, ENC_B}}, 7: {(8, 1): {ENC_A}}},
-        collect=collected,
+        {1: {(2, 0): {ENC_A, ENC_B}}, 7: {(8, 1): {ENC_A}}}
     )
     assert added == 2
-    # Collected rows are id-encoded (they feed the arrival log).
-    assert sorted(collected) == sorted(
-        [(1, 2, 0, table.intern(ENC_B)), (7, 8, 1, table.intern(ENC_A))]
-    )
+    assert cols.to_dict() == {
+        1: {(2, 0): {ENC_A, ENC_B}}, 7: {(8, 1): {ENC_A}},
+    }
 
 
 def test_encode_parses_back_with_fresh_table():

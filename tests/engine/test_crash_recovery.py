@@ -235,15 +235,13 @@ from repro import Grapple, GrappleOptions, EngineOptions
 from repro.checkers.checker import ALL_CHECKERS, Checker
 from repro.workloads import build_subject
 
-workdir, resume, fault_plan, workers = sys.argv[1:5]
+workdir, resume, fault_plan = sys.argv[1:4]
 subject = build_subject("zookeeper", scale=0.3)
 options = GrappleOptions(
     engine=EngineOptions(
         workdir=workdir,
         resume=resume == "1",
         fault_plan=fault_plan or None,
-        workers=int(workers),
-        parallel_dispatch="fork",
     )
 )
 fsms = [Checker.by_name(n).fsm for n in ALL_CHECKERS]
@@ -254,8 +252,7 @@ print(run.report.summary())
 """
 
 
-def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
-                 workers=4):
+def _subject_run(tmp_path, workdir, *, resume=False, fault_plan=""):
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(sys.path),
@@ -263,29 +260,26 @@ def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
     )
     return subprocess.run(
         [sys.executable, "-c", _SUBJECT_PROG, str(workdir),
-         "1" if resume else "0", fault_plan, str(workers)],
+         "1" if resume else "0", fault_plan],
         env=env, capture_output=True, text=True, timeout=600,
     )
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 4])
-def test_kill9_resume_matches_uninterrupted_run(tmp_path, workers):
-    """SIGKILL a closure (serial, and 4 forked workers) at a seeded
-    checkpoint, resume it -- the arrival log is not persisted, so every
-    eligible pair seeds fully -- and require byte-identical warnings
-    and TP/FP accounting."""
+def test_kill9_resume_matches_uninterrupted_run(tmp_path):
+    """SIGKILL a closure at a seeded checkpoint, resume it -- the
+    arrival log is not persisted, so every eligible pair seeds fully --
+    and require byte-identical warnings and TP/FP accounting."""
     workdir = tmp_path / "wd"
     killed = _subject_run(
-        tmp_path, workdir, fault_plan="kill_run@checkpoint:2",
-        workers=workers,
+        tmp_path, workdir, fault_plan="kill_run@checkpoint:2"
     )
     assert killed.returncode == -9, killed.stderr[-2000:]
     assert json.load(open(workdir / "alias" / "checkpoint.json"))
 
-    resumed = _subject_run(tmp_path, workdir, resume=True, workers=workers)
+    resumed = _subject_run(tmp_path, workdir, resume=True)
     assert resumed.returncode == 0, resumed.stderr[-2000:]
 
-    clean = _subject_run(tmp_path, tmp_path / "wd-clean", workers=workers)
+    clean = _subject_run(tmp_path, tmp_path / "wd-clean")
     assert clean.returncode == 0, clean.stderr[-2000:]
     assert resumed.stdout == clean.stdout

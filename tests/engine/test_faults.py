@@ -8,7 +8,7 @@ from repro import faults as F
 
 def test_parse_plan():
     plan = F.FaultPlan.parse(
-        "short_write@partition-write:2, kill_worker@worker-task:1"
+        "short_write@partition-write:2, kill_run@checkpoint:1"
     )
     assert len(plan.specs) == 2
     assert plan.specs[0].mode == "short_write"
@@ -23,6 +23,8 @@ def test_parse_plan():
     "short_write@partition-write:0",  # nth must be >= 1
     "short_write@partition-write",    # missing nth
     "short_write",                    # missing site
+    "kill_worker@worker-task:1",      # the deleted pool's sites are
+    "shm_unlink@attach:1",            # unknown like any other
 ])
 def test_parse_rejects(text):
     with pytest.raises(F.FaultPlanError):

@@ -1,10 +1,10 @@
 """Tests for the observability layer (repro.obs + its engine hooks).
 
-Covers the satellite guarantees: EngineStats.merge() derived from the
-field list (preprocess_time can no longer be dropped), reentrancy-safe
-timing(), worker trace spans carrying distinct pids under a forked pool,
-metrics that agree with the counters across serial and parallel runs,
-zero entries when disabled, and the run-report/trace schemas.
+Covers the satellite guarantees: reentrancy-safe timing(), an engine
+trace that covers every span kind, metrics that agree with the
+counters, zero entries when disabled, and the run-report/trace schemas.
+(Cross-phase aggregation derived from the field list is pinned in
+``test_stats_merge.py``.)
 """
 
 import io
@@ -27,13 +27,11 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.workloads import build_subject
 
 
-def _run(source, workers=1, dispatch="fork", trace=None, metrics=False,
-         heartbeat=None, budget=4 << 20):
+def _run(source, trace=None, metrics=False, heartbeat=None,
+         budget=4 << 20):
     options = GrappleOptions(
         engine=EngineOptions(
             memory_budget=budget,
-            workers=workers,
-            parallel_dispatch=dispatch,
             trace=trace,
             metrics=metrics,
             heartbeat=heartbeat,
@@ -43,67 +41,18 @@ def _run(source, workers=1, dispatch="fork", trace=None, metrics=False,
     return Grapple(source, fsms, options).run()
 
 
-# -- EngineStats.merge derived from the field list -----------------------------
-
-
-def test_merge_sums_every_worker_counter_including_preprocess_time():
-    total = EngineStats()
-    delta = EngineStats(preprocess_time=0.25, io_time=1.0, pairs_processed=3)
-    total.merge(delta)
-    # The old hand-written merge tuple dropped preprocess_time.
-    assert total.preprocess_time == 0.25
-    assert total.io_time == 1.0
-    assert total.pairs_processed == 3
-
-
-def test_merge_field_classification_is_exhaustive():
-    from dataclasses import fields
-
-    summed = set(EngineStats.summed_fields())
-    coordinator = set(EngineStats.coordinator_fields())
-    other = {
-        f.name
-        for f in fields(EngineStats)
-        if f.name not in summed and f.name not in coordinator
-    }
-    # Every time component the breakdown reports must be summable.
-    assert {"io_time", "encode_time", "smt_time", "compute_time",
-            "preprocess_time"} <= summed
-    # Coordinator-only bookkeeping must never be double-counted.
-    assert {"waves", "pairs_skipped", "iterations", "repartitions",
-            "edges_before", "edges_after", "vertices",
-            "final_partitions", "retries", "pairs_quarantined",
-            "partitions_rebuilt", "partitions_quarantined",
-            "checkpoints_written", "checkpoint_files_pruned",
-            "shm_publishes", "pairs_stolen",
-            "worker_idle_s", "strata",
-            "edits_served", "edges_rederived",
-            "warnings_retracted"} == coordinator
-    # Anything else must be an explicitly non-counter kind, not a
-    # forgotten field.
-    assert other == {"timed_out", "metrics"}
-
-
-def test_merge_leaves_coordinator_fields_and_ors_flags():
-    total = EngineStats(waves=2, pairs_skipped=1, edges_after=100)
-    delta = EngineStats(waves=7, pairs_skipped=9, edges_after=999,
-                        timed_out=True)
-    total.merge(delta)
-    assert total.waves == 2
-    assert total.pairs_skipped == 1
-    assert total.edges_after == 100
-    assert total.timed_out is True
+# -- histogram registries across phases ----------------------------------------
 
 
 def test_merge_folds_metrics_registries():
     a = EngineStats()
     b = EngineStats()
     b.ensure_metrics().observe("solve_latency_s", 0.002)
-    a.merge(b)  # a has no registry: adopts a clone
+    a.merge_phase(b)  # a has no registry: adopts a clone
     assert a.metrics.histograms["solve_latency_s"].count == 1
     c = EngineStats()
     c.ensure_metrics().observe("solve_latency_s", 0.004)
-    a.merge(c)  # both present: exact histogram merge
+    a.merge_phase(c)  # both present: exact histogram merge
     assert a.metrics.histograms["solve_latency_s"].count == 2
     assert b.metrics.histograms["solve_latency_s"].count == 1  # clone, not alias
 
@@ -144,27 +93,9 @@ def test_timing_doubly_nested():
 # -- trace recorder ------------------------------------------------------------
 
 
-def test_trace_absorb_rebases_worker_timestamps():
-    coord = TraceRecorder()
-    worker = TraceRecorder(role="worker")
-    # Fake a worker whose clock anchor is 2 seconds later than the
-    # coordinator's: a span at its local t=0 must land at +2s.
-    worker.wall0 = coord.wall0 + 2.0
-    worker.pid = coord.pid + 1
-    start = worker.begin()
-    worker.end("pair-compute", start)
-    [span] = [e for e in worker.events if e["ph"] == "X"]
-    local_ts = span["ts"]
-    coord.absorb(worker.ship())
-    [absorbed] = [e for e in coord.events if e["ph"] == "X"]
-    assert absorbed["ts"] == pytest.approx(local_ts + 2_000_000, abs=1.0)
-    assert absorbed["pid"] == worker.pid
-    assert worker.events == []  # ship() drains
-
-
 def test_trace_export_formats(tmp_path):
     rec = TraceRecorder()
-    with rec.span("closure", workers=1):
+    with rec.span("closure", partitions=2):
         pass
     chrome = tmp_path / "t.json"
     jsonl = tmp_path / "t.jsonl"
@@ -184,53 +115,37 @@ def test_null_recorder_records_nothing():
     NULL_RECORDER.end("x", NULL_RECORDER.begin())
     NULL_RECORDER.instant("y")
     NULL_RECORDER.note_thread("z")
-    assert NULL_RECORDER.ship() is None
     assert not hasattr(NULL_RECORDER, "events")
 
 
 # -- engine integration --------------------------------------------------------
 
 
-def test_parallel_trace_covers_span_kinds_from_distinct_pids():
+def test_engine_trace_covers_span_kinds():
     source = build_subject("zookeeper", scale=0.4).source
     recorder = TraceRecorder()
-    run = _run(source, workers=4, dispatch="fork", trace=recorder,
-               budget=256 << 10)
+    run = _run(source, trace=recorder, budget=256 << 10)
     names = recorder.span_names()
-    assert {"closure", "iteration", "wave", "pair-compute",
-            "smt-solve"} <= names
+    assert {"closure", "iteration", "pair-compute", "smt-solve"} <= names
     assert {"prefetch", "spill", "repartition"} <= names, (
         "I/O and repartition spans missing -- budget did not stress store"
     )
-    assert len(recorder.pids()) >= 2, (
-        "no spans shipped back from forked worker processes"
-    )
-    # Worker spans really came from workers: pair-compute appears under
-    # a pid other than the coordinator's.
-    pair_pids = {
-        e["pid"] for e in recorder.events
-        if e["ph"] == "X" and e["name"] == "pair-compute"
-    }
-    assert pair_pids - {recorder.pid}
     assert validate_trace(recorder.chrome_trace()) == []
     assert run.report.warnings
 
 
 def test_disabled_observability_adds_nothing():
     source = build_subject("zookeeper", scale=0.3).source
-    run = _run(source, workers=2, dispatch="fork", trace=None, metrics=False)
+    run = _run(source, trace=None, metrics=False)
     assert run.stats.metrics is None
-    # And the engines ran against the shared no-op recorder.
-    assert NULL_RECORDER.ship() is None
 
 
-@pytest.mark.parametrize("workers,dispatch", [(1, "auto"), (4, "fork")])
-def test_metrics_agree_with_counters(workers, dispatch):
+def test_metrics_agree_with_counters():
     source = build_subject("zookeeper", scale=0.4).source
-    run = _run(source, workers=workers, dispatch=dispatch, metrics=True)
+    run = _run(source, metrics=True)
     stats = run.stats
     hists = stats.metrics.histograms
-    # Histogram observation counts must equal the independently merged
+    # Histogram observation counts must equal the independently kept
     # scalar counters -- one observation per solver invocation / pair.
     assert hists["solve_latency_s"].count == stats.constraints_solved
     assert hists["pair_compute_s"].count == stats.pairs_processed
@@ -238,23 +153,6 @@ def test_metrics_agree_with_counters(workers, dispatch):
     assert hists["pair_new_edges"].total == stats.new_edges
     for hist in hists.values():
         assert sum(hist.counts) == hist.count
-
-
-def test_parallel_metrics_totals_match_serial():
-    source = build_subject("zookeeper", scale=0.4).source
-    serial = _run(source, workers=1, metrics=True)
-    parallel = _run(source, workers=4, dispatch="fork", metrics=True)
-    # The fixpoint is deterministic, so the merged edge-yield histogram
-    # total (sum over pairs of new edges) must agree on edges_after.
-    assert serial.stats.edges_after == parallel.stats.edges_after
-    assert (
-        serial.stats.metrics.histograms["pair_new_edges"].total
-        == serial.stats.new_edges
-    )
-    assert (
-        parallel.stats.metrics.histograms["pair_new_edges"].total
-        == parallel.stats.new_edges
-    )
 
 
 # -- histograms ----------------------------------------------------------------
@@ -311,18 +209,12 @@ def test_run_report_schema_roundtrip():
     assert validate_run_report(broken)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_constraints_are_decoded_only_to_be_solved(workers):
+def test_constraints_are_decoded_only_to_be_solved():
     """Feasibility queries are keyed by their encodings' structure; a
     constraint is materialised only for a query that then goes to the
     solver, and the counter reaches the run report."""
     source = build_subject("zookeeper", scale=1.0).source
-    # Inline dispatch: forked workers keep private form memos, so their
-    # totals depend on which process happens to take which pair.
-    options = GrappleOptions(
-        engine=EngineOptions(workers=workers, parallel_dispatch="inline")
-    )
-    run = Grapple(source, [c.fsm for c in default_checkers()], options).run()
+    run = Grapple(source, [c.fsm for c in default_checkers()]).run()
     stats = run.stats
     assert 0 < stats.constraints_decoded <= stats.constraints_solved
     assert stats.constraints_decoded < stats.group_hits
@@ -336,21 +228,6 @@ def test_constraints_are_decoded_only_to_be_solved(workers):
     # Optional, like every counter: older reports lack it and stay valid.
     del report["counters"]["constraints_decoded"]
     assert validate_run_report(report) == []
-
-
-def test_run_report_omits_waves_for_serial_runs():
-    """A serial run dispatches no waves; reporting ``"waves": 0`` next to
-    a populated ``iterations`` reads as a stalled parallel run, so the
-    counter must be absent entirely (regression: serial reports used to
-    emit the hard zero)."""
-    source = build_subject("zookeeper", scale=0.3).source
-    serial = build_run_report(_run(source, workers=1))
-    assert "waves" not in serial["counters"]
-    assert serial["counters"]["iterations"] > 0
-    assert validate_run_report(serial) == []
-    parallel = build_run_report(_run(source, workers=2, dispatch="inline"))
-    assert parallel["counters"]["waves"] > 0
-    assert validate_run_report(parallel) == []
 
 
 def test_trace_coverage_summary():
@@ -380,7 +257,7 @@ def test_heartbeat_is_interval_gated():
     now = [0.0]
     out = io.StringIO()
     hb = Heartbeat(10.0, stream=out, clock=lambda: now[0])
-    stats = EngineStats(pairs_processed=3, waves=2, constraints_solved=9)
+    stats = EngineStats(pairs_processed=3, constraints_solved=9)
     assert hb.maybe_beat(stats, _Store(), _Scheduler()) is False
     now[0] = 10.5
     assert hb.maybe_beat(stats, _Store(), _Scheduler()) is True
@@ -391,41 +268,6 @@ def test_heartbeat_is_interval_gated():
     assert "pairs 3 done / 7 eligible" in line
     assert "edges 42" in line
     assert "budget 50% resident" in line
-
-
-def test_heartbeat_parallel_suffix_reports_data_plane():
-    class _Store:
-        def total_edges(self):
-            return 42
-
-        def cache_occupancy(self):
-            return 0.5
-
-    class _Scheduler:
-        def eligible_count(self):
-            return 7
-
-    def beat(stats):
-        out = io.StringIO()
-        hb = Heartbeat(0.0, stream=out, clock=lambda: 1.0)
-        assert hb.maybe_beat(stats, _Store(), _Scheduler())
-        return out.getvalue()
-
-    serial = beat(EngineStats(pairs_processed=3))
-    assert "stolen" not in serial and "shm" not in serial
-
-    line = beat(EngineStats(
-        pairs_processed=3, waves=2, pairs_stolen=5,
-        shm_bytes_mapped=3 << 20, worker_busy_s=6.0, worker_idle_s=2.0,
-    ))
-    assert "stolen 5" in line
-    assert "shm 3.0MB" in line
-    assert "busy 75%" in line
-
-    # No busy/idle accounting yet: the ratio is omitted, not 0/0.
-    early = beat(EngineStats(pairs_processed=3, waves=1))
-    assert "stolen 0" in early
-    assert "busy" not in early
 
 
 def test_run_report_scopes_section_for_multifile_sources():

@@ -17,7 +17,6 @@ def test_merge_phase_pins_exact_values():
         vertices=40,
         repartitions=1,
         final_partitions=2,
-        waves=5,
         pairs_skipped=7,
         constraints_solved=11,
         timed_out=False,
@@ -32,7 +31,6 @@ def test_merge_phase_pins_exact_values():
         vertices=10,
         repartitions=0,
         final_partitions=3,
-        waves=1,
         pairs_skipped=2,
         constraints_solved=9,
         timed_out=True,
@@ -49,8 +47,7 @@ def test_merge_phase_pins_exact_values():
     assert merged.vertices == 50
     assert merged.repartitions == 1
     assert merged.final_partitions == 5
-    # Coordinator counters the old hand-written merge silently dropped.
-    assert merged.waves == 6
+    # A counter the old hand-written merge silently dropped.
     assert merged.pairs_skipped == 9
     assert merged.constraints_solved == 20
     assert merged.timed_out is True

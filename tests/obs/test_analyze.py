@@ -1,31 +1,24 @@
-"""Golden tests for the critical-path analyzer (repro.obs.analyze).
+"""Golden tests for the per-stage trace analyzer (repro.obs.analyze).
 
 The fixture is a hand-built 10-second closure window whose attribution
 is computable on paper, so every derived quantity -- per-stage seconds,
-serialized fraction, concurrency, the Amdahl projection -- is asserted
+the fraction outside pair visits, the longest segments -- is asserted
 exactly rather than within a tolerance.
 
-Timeline (seconds, coordinator pid 1, workers pid 2/3)::
+Timeline (seconds, one process)::
 
     0    1    2    3    4    5    6    7    8    9    10
     [closure  window                                   ]
-    [pair-compute pid2  ]
-         [pc pid3 ]
-                        [absorb  ] [chkpt]
-                             ^steal instant
-    labels:  pair-compute 0-4, absorb 4-6, checkpoint 6-7, idle 7-10
+    [pair-compute       ]
+         [repart. ]     [chkpt   ] [retry]
+    labels:  pair-compute 0-4, checkpoint 4-6, retry 6-7, idle 7-10
 """
 
 import json
 
 import pytest
 
-from repro.obs.analyze import (
-    analyze,
-    analyze_report,
-    analyze_trace,
-    format_bottleneck,
-)
+from repro.obs.analyze import analyze_trace, format_bottleneck
 
 
 def _span(name, pid, start_s, dur_s, cat="engine", tid=0):
@@ -44,16 +37,11 @@ def _span(name, pid, start_s, dur_s, cat="engine", tid=0):
 def golden_trace() -> dict:
     return {
         "traceEvents": [
-            _span("closure", 1, 0.0, 10.0, cat="phase"),
-            _span("pair-compute", 2, 0.0, 4.0, cat="compute"),
-            _span("pair-compute", 3, 1.0, 2.0, cat="compute"),
-            _span("absorb", 1, 4.0, 2.0, cat="merge"),
-            _span("checkpoint", 1, 6.0, 1.0, cat="store"),
-            {
-                "ph": "i", "name": "steal", "cat": "steal",
-                "pid": 1, "tid": 0, "ts": 5.0 * 1e6, "s": "g",
-                "args": {"pair": "0,1"},
-            },
+            _span("closure", 1, 0.0, 10.0),
+            _span("pair-compute", 1, 0.0, 4.0, cat="pair"),
+            _span("repartition", 1, 1.0, 2.0, cat="store"),
+            _span("checkpoint", 1, 4.0, 2.0, cat="fault"),
+            _span("retry", 1, 6.0, 1.0, cat="fault"),
         ]
     }
 
@@ -65,24 +53,23 @@ def doc():
 
 def test_schema_header(doc):
     assert doc["schema"] == "grapple/bottleneck-report"
-    assert doc["version"] == 1
-    assert doc["mode"] == "trace"
+    assert doc["version"] == 2
     assert doc["windows"] == 1
 
 
 def test_stage_attribution_is_exact(doc):
     assert doc["wall_s"] == 10.0
     assert doc["stages_s"] == {
-        "absorb": 2.0,
-        "checkpoint": 1.0,
+        "checkpoint": 2.0,
         "idle": 3.0,
         "pair-compute": 4.0,
+        "retry": 1.0,
     }
     assert doc["stage_fractions"] == {
-        "absorb": 0.2,
-        "checkpoint": 0.1,
+        "checkpoint": 0.2,
         "idle": 0.3,
         "pair-compute": 0.4,
+        "retry": 0.1,
     }
 
 
@@ -90,30 +77,16 @@ def test_stages_partition_the_wall_exactly(doc):
     assert sum(doc["stages_s"].values()) == doc["wall_s"]
 
 
-def test_serialized_fraction_and_concurrency(doc):
-    # Serialized = everything not covered by a pair-compute span.
-    assert doc["serialized_s"] == 6.0
-    assert doc["serialized_fraction"] == 0.6
-    # 4+2 span-seconds of compute over 4s of covered wall.
-    assert doc["pair_compute_s"] == 6.0
-    assert doc["covered_s"] == 4.0
-    assert doc["concurrency"] == 1.5
-    assert doc["top_serialized_stage"] == "idle"
-
-
-def test_amdahl_projection(doc):
-    projection = doc["projection"]
-    # T(1) = S + P = 6 + 6; T(N) = 6 + 6/N.
-    assert projection["t1_s"] == 12.0
-    assert projection["2"] == {"t_s": 9.0, "speedup": 1.3333}
-    assert projection["4"] == {"t_s": 7.5, "speedup": 1.6}
-    assert projection["8"] == {"t_s": 6.75, "speedup": 1.7778}
+def test_overhead_is_everything_outside_pair_visits(doc):
+    assert doc["overhead_s"] == 6.0
+    assert doc["overhead_fraction"] == 0.6
+    assert doc["top_overhead_stage"] == "idle"
 
 
 def test_critical_path_segments(doc):
     segments = doc["critical_path"]
     assert [s["stage"] for s in segments] == [
-        "pair-compute", "idle", "absorb", "checkpoint",
+        "pair-compute", "idle", "checkpoint", "retry",
     ]
     assert segments[0] == {
         "stage": "pair-compute", "start_s": 0.0, "end_s": 4.0, "dur_s": 4.0,
@@ -121,13 +94,6 @@ def test_critical_path_segments(doc):
     assert segments[1]["dur_s"] == 3.0  # the 7-10s tail gap
     durations = [s["dur_s"] for s in segments]
     assert durations == sorted(durations, reverse=True)
-
-
-def test_steal_events_and_idle_histogram(doc):
-    assert doc["steal"]["events"] == 1
-    hist = doc["steal"]["idle_gap_histogram"]
-    assert hist["count"] == 1  # one merged idle segment (7-10s)
-    assert hist["sum"] == pytest.approx(3.0)
 
 
 def test_top_n_truncates(doc):
@@ -139,34 +105,34 @@ def test_top_n_truncates(doc):
 def test_nested_stage_innermost_wins():
     trace = {
         "traceEvents": [
-            _span("closure", 1, 0.0, 4.0, cat="phase"),
-            _span("absorb", 1, 0.0, 4.0, cat="merge"),
-            _span("spill-merge", 1, 1.0, 2.0, cat="merge"),
+            _span("closure", 1, 0.0, 4.0),
+            _span("checkpoint", 1, 0.0, 4.0, cat="fault"),
+            _span("repartition", 1, 1.0, 2.0, cat="store"),
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["stages_s"] == {"absorb": 2.0, "spill-merge": 2.0}
-    assert doc["serialized_fraction"] == 1.0
+    assert doc["stages_s"] == {"checkpoint": 2.0, "repartition": 2.0}
+    assert doc["overhead_fraction"] == 1.0
 
 
 def test_pair_compute_outranks_stages():
     trace = {
         "traceEvents": [
-            _span("closure", 1, 0.0, 2.0, cat="phase"),
-            _span("absorb", 1, 0.0, 2.0, cat="merge"),
-            _span("pair-compute", 2, 0.5, 1.0, cat="compute"),
+            _span("closure", 1, 0.0, 2.0),
+            _span("repartition", 1, 0.0, 2.0, cat="store"),
+            _span("pair-compute", 1, 0.5, 1.0, cat="pair"),
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["stages_s"] == {"absorb": 1.0, "pair-compute": 1.0}
+    assert doc["stages_s"] == {"pair-compute": 1.0, "repartition": 1.0}
 
 
 def test_multiple_windows_sum():
     trace = {
         "traceEvents": [
-            _span("closure", 1, 0.0, 2.0, cat="phase"),
-            _span("closure", 1, 5.0, 3.0, cat="phase"),
-            _span("pair-compute", 2, 0.0, 2.0, cat="compute"),
+            _span("closure", 1, 0.0, 2.0),
+            _span("closure", 1, 5.0, 3.0),
+            _span("pair-compute", 1, 0.0, 2.0, cat="pair"),
         ]
     }
     doc = analyze_trace(trace)
@@ -180,20 +146,19 @@ def test_pair_compute_clipped_to_windows():
     # for its in-window portion.
     trace = {
         "traceEvents": [
-            _span("closure", 1, 0.0, 2.0, cat="phase"),
-            _span("pair-compute", 2, 1.0, 5.0, cat="compute"),
+            _span("closure", 1, 0.0, 2.0),
+            _span("pair-compute", 1, 1.0, 5.0, cat="pair"),
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["pair_compute_s"] == 1.0
-    assert doc["covered_s"] == 1.0
+    assert doc["stages_s"] == {"idle": 1.0, "pair-compute": 1.0}
 
 
 def test_no_closure_spans_falls_back_to_extent():
     trace = {
         "traceEvents": [
-            _span("pair-compute", 2, 1.0, 2.0, cat="compute"),
-            _span("pair-compute", 2, 4.0, 1.0, cat="compute"),
+            _span("pair-compute", 1, 1.0, 2.0, cat="pair"),
+            _span("pair-compute", 1, 4.0, 1.0, cat="pair"),
         ]
     }
     doc = analyze_trace(trace)
@@ -205,39 +170,6 @@ def test_no_closure_spans_falls_back_to_extent():
 def test_empty_trace_raises():
     with pytest.raises(ValueError, match="no complete"):
         analyze_trace({"traceEvents": []})
-    with pytest.raises(ValueError, match="trace or a run-report"):
-        analyze()
-
-
-def test_report_only_mode_bounds():
-    report = {
-        "schema": "grapple/run-report",
-        "subject": "hadoop",
-        "timing": {"computation_s": 10.0},
-        "counters": {"worker_busy_s": 6.0, "worker_idle_s": 2.0},
-        "gauges": {},
-    }
-    doc = analyze_report(report)
-    assert doc["mode"] == "report-only"
-    assert doc["serialized_s_lower_bound"] == 4.0
-    assert doc["serialized_fraction_lower_bound"] == 0.4
-    assert doc["pair_compute_s"] == 6.0
-    assert doc["projection"]["t1_s"] == 10.0
-    assert "lower bound" in doc["note"]
-
-
-def test_report_only_without_counters_degrades_gracefully():
-    doc = analyze_report({"timing": {"computation_s": 1.0}})
-    assert doc["mode"] == "report-only"
-    assert "projection" not in doc
-    assert "--profile" in doc["note"]
-
-
-def test_analyze_dispatch(doc):
-    via_dispatch = analyze(trace=golden_trace())
-    assert via_dispatch["stages_s"] == doc["stages_s"]
-    report_only = analyze(report={"timing": {"computation_s": 1.0}})
-    assert report_only["mode"] == "report-only"
 
 
 def test_report_context_carried_through():
@@ -252,7 +184,7 @@ def test_report_context_carried_through():
 
 def test_format_bottleneck_renders_and_doc_is_json(doc):
     text = format_bottleneck(doc)
-    assert "serialized      60.0%" in text
+    assert "outside pairs   60.0%" in text
     assert "top stage       idle" in text
-    assert "@8 workers" in text
+    assert "workers" not in text
     json.dumps(doc)  # report must be serialisable as-is

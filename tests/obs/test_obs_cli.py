@@ -42,15 +42,15 @@ def minimal_report(**overrides) -> dict:
 def golden_trace() -> dict:
     return {
         "traceEvents": [
-            {"ph": "X", "name": "closure", "cat": "phase", "pid": 1,
+            {"ph": "X", "name": "closure", "cat": "engine", "pid": 1,
              "tid": 0, "ts": 0.0, "dur": 10e6, "args": {}},
-            {"ph": "X", "name": "pair-compute", "cat": "compute", "pid": 2,
+            {"ph": "X", "name": "pair-compute", "cat": "pair", "pid": 1,
              "tid": 0, "ts": 0.0, "dur": 4e6, "args": {}},
-            {"ph": "X", "name": "pair-compute", "cat": "compute", "pid": 3,
+            {"ph": "X", "name": "repartition", "cat": "store", "pid": 1,
              "tid": 0, "ts": 1e6, "dur": 2e6, "args": {}},
-            {"ph": "X", "name": "absorb", "cat": "merge", "pid": 1,
+            {"ph": "X", "name": "checkpoint", "cat": "fault", "pid": 1,
              "tid": 0, "ts": 4e6, "dur": 2e6, "args": {}},
-            {"ph": "X", "name": "checkpoint", "cat": "store", "pid": 1,
+            {"ph": "X", "name": "retry", "cat": "fault", "pid": 1,
              "tid": 0, "ts": 6e6, "dur": 1e6, "args": {}},
         ]
     }
@@ -127,7 +127,7 @@ def test_validate_both_artifacts_at_once(tmp_path, capsys):
     assert obs_main(["validate", "--trace", trace, "--metrics", report]) == 0
     out = capsys.readouterr().out
     assert "5 spans" in out
-    assert "3 process(es)" in out
+    assert "1 process(es)" in out
 
 
 def test_requires_an_input():
@@ -144,13 +144,13 @@ def test_analyze_golden_trace_cli(tmp_path, capsys):
     out_path = tmp_path / "bottleneck.json"
     assert obs_main(["analyze", "--trace", trace, "-o", str(out_path)]) == 0
     out = capsys.readouterr().out
-    assert "serialized      60.0%" in out
+    assert "outside pairs   60.0%" in out
     assert "top stage       idle" in out
     with open(out_path) as f:
         doc = json.load(f)
     assert doc["schema"] == "grapple/bottleneck-report"
-    assert doc["serialized_fraction"] == 0.6
-    assert doc["projection"]["4"]["speedup"] == 1.6
+    assert doc["overhead_fraction"] == 0.6
+    assert "projection" not in doc
     assert sum(doc["stages_s"].values()) == doc["wall_s"]
 
 
@@ -162,20 +162,17 @@ def test_analyze_validates_before_analyzing(tmp_path, capsys):
 
 
 def test_analyze_rejects_bad_report(tmp_path, capsys):
+    trace = write_json(tmp_path / "trace.json", golden_trace())
     path = write_json(tmp_path / "report.json", minimal_report(version=99))
-    assert obs_main(["analyze", "--metrics", path]) == 1
+    assert obs_main(["analyze", "--trace", trace, "--metrics", path]) == 1
     assert "INVALID" in capsys.readouterr().out
 
 
-def test_analyze_report_only_mode(tmp_path, capsys):
-    report = minimal_report(
-        counters={"worker_busy_s": 0.6, "worker_idle_s": 0.2}
-    )
-    path = write_json(tmp_path / "report.json", report)
-    assert obs_main(["analyze", "--metrics", path]) == 0
-    out = capsys.readouterr().out
-    assert "report-only" in out
-    assert "lower bound" in out
+def test_analyze_requires_a_trace(tmp_path):
+    path = write_json(tmp_path / "report.json", minimal_report())
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["analyze", "--metrics", path])
+    assert exc.value.code == 2
 
 
 def test_analyze_empty_trace_exits_nonzero(tmp_path, capsys):

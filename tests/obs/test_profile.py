@@ -1,15 +1,13 @@
 """Tests for the resource telemetry sampler (repro.obs.profile).
 
 Covers the sampler's thread lifecycle and provider protocol, the
-cross-process ship/absorb rebase, the columnar export shape, and the PR 3
-zero-cost invariant: a run with profiling off starts no sampler thread
-and its run report carries no telemetry key.
+columnar export shape, and the PR 3 zero-cost invariant: a run with
+profiling off starts no sampler thread and its run report carries no
+telemetry key.
 """
 
 import threading
 import time
-
-import pytest
 
 from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
 from repro.obs.profile import GcWatch, ResourceSampler, read_rss_bytes
@@ -79,34 +77,6 @@ def test_late_bound_provider_pads_earlier_rows():
     assert series["late"] == [None, 7]
 
 
-def test_ship_absorb_rebases_worker_rows():
-    coord = ResourceSampler(interval=0.01)
-    worker = ResourceSampler(interval=0.01, role="worker")
-    worker.pid = coord.pid + 1
-    # Worker's clock anchor is 2 seconds later: its local t=0 row must
-    # land at +2s on the coordinator timeline (same scheme as traces).
-    worker.wall0 = coord.wall0 + 2.0
-    worker.perf0 = time.perf_counter()
-    worker.sample_once()
-    shipped = worker.ship()
-    assert shipped is not None and worker.ship() is None  # ship() drains
-    coord.absorb(shipped)
-    doc = coord.timeseries()
-    [entry] = doc["workers"].values()
-    assert entry["samples"] == 1
-    assert entry["t_s"][0] == pytest.approx(2.0, abs=0.1)
-    # A second shipment from the same pid extends the same series.
-    worker.sample_once()
-    coord.absorb(worker.ship())
-    assert list(coord.timeseries()["workers"].values())[0]["samples"] == 2
-
-
-def test_absorb_none_is_harmless():
-    sampler = ResourceSampler(interval=0.01)
-    sampler.absorb(None)
-    assert "workers" not in sampler.timeseries()
-
-
 def test_sample_cap_drops_not_grows():
     sampler = ResourceSampler(interval=0.01, max_samples=2)
     for _ in range(5):
@@ -147,8 +117,7 @@ def test_profiling_off_starts_no_sampler_and_adds_no_report_keys(monkeypatch):
     monkeypatch.setattr(ResourceSampler, "start", forbidden)
     source = build_subject("zookeeper", scale=0.3).source
     options = GrappleOptions(
-        engine=EngineOptions(memory_budget=4 << 20, workers=2,
-                             parallel_dispatch="fork")
+        engine=EngineOptions(memory_budget=4 << 20)
     )
     assert options.engine.sampler is None  # profiling is opt-in
     fsms = [c.fsm for c in default_checkers()]

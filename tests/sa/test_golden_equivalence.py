@@ -1,11 +1,11 @@
 """Reduction safety: reports are identical with and without ``--reduce``.
 
-The acceptance bar for the pre-closure reductions: on the golden workload
-subjects, the canonical warning set (checker, kind, site, state, type,
-function, line) and the TP/FP accounting must be *identical* with
-reduction on and off, serially and under ``--workers 4``.  Witness
-strings are excluded by design -- they are one SMT model of the path
-constraint and the model choice is not stable across encodings.
+The acceptance bar for the pre-closure reductions: on the golden
+workload subjects, the canonical warning set (checker, kind, site,
+state, type, function, line) and the TP/FP accounting must be
+*identical* with reduction on and off.  Witness strings are excluded by
+design -- they are one SMT model of the path constraint and the model
+choice is not stable across encodings.
 """
 
 import pytest
@@ -37,10 +37,9 @@ def accounting(name, scale, run):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,scale", SUBJECTS)
-@pytest.mark.parametrize("workers", [1, 4])
-def test_reduction_preserves_reports(name, scale, workers):
-    off = run_subject(name, scale, workers=workers, reduce=False)
-    on = run_subject(name, scale, workers=workers, reduce=True)
+def test_reduction_preserves_reports(name, scale):
+    off = run_subject(name, scale, reduce=False)
+    on = run_subject(name, scale, reduce=True)
     assert canonical_warnings(on) == canonical_warnings(off)
     assert accounting(name, scale, on) == accounting(name, scale, off)
 
@@ -71,18 +70,15 @@ def test_reduction_counters_exported_in_run_report():
     assert "reduction" not in off.run_report()
 
 
-def _run_gateway(reduce, workers):
+def _run_gateway(reduce):
     from repro.analysis.pipeline import Grapple, GrappleOptions
     from repro.checkers.checker import pack_checkers
-    from repro.engine.computation import EngineOptions
     from repro.workloads.multifile import build_multifile_subject
 
     subject = build_multifile_subject("gateway")
-    options = GrappleOptions(
-        reduce=reduce, engine=EngineOptions(workers=workers)
-    )
     run = Grapple(
-        subject.sources, [c.fsm for c in pack_checkers()], options
+        subject.sources, [c.fsm for c in pack_checkers()],
+        GrappleOptions(reduce=reduce),
     ).run()
     cls = classify_report(subject.seeds, run.report)
     return canonical_warnings(run), (
@@ -94,13 +90,12 @@ def _run_gateway(reduce, workers):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 4])
-def test_reduction_preserves_reports_multifile(workers):
-    """Same bar as the single-file matrix, over the multi-file gateway
+def test_reduction_preserves_reports_multifile():
+    """Same bar as the single-file subjects, over the multi-file gateway
     subject and the property packs: scope resolution + reduction must
     not perturb a single warning or the TP/FP accounting."""
-    off_warnings, off_accounting = _run_gateway(False, workers)
-    on_warnings, on_accounting = _run_gateway(True, workers)
+    off_warnings, off_accounting = _run_gateway(False)
+    on_warnings, on_accounting = _run_gateway(True)
     assert on_warnings == off_warnings
     assert on_accounting == off_accounting
     tp, fp, missed, unexpected = on_accounting

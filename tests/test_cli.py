@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro import EngineOptions
+from repro.cli import build_parser, main
 
 BUGGY = """
 func main(x) {
@@ -80,9 +83,82 @@ def test_check_survives_a_closed_stdout(source_file):
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
-def test_check_unknown_checker_fails(source_file):
-    with pytest.raises(KeyError):
-        main(["check", source_file(CLEAN), "--checkers", "nope"])
+def test_check_unknown_checker_fails(source_file, capsys):
+    assert main(["check", source_file(CLEAN), "--checkers", "nope"]) == 2
+    assert "unknown checker 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--memory-budget", "nan"],
+    ["--memory-budget", "inf"],
+    ["--memory-budget", "0"],
+    ["--memory-budget", "-1"],
+    ["--unroll", "-1"],
+    ["--unroll", "0"],
+    ["--checkers", "io,nosuch"],
+], ids=" ".join)
+def test_check_bad_flag_value_is_a_usage_error_not_a_verdict(
+    source_file, capsys, flags
+):
+    """A crash must not look like a verdict: exit status 1 means
+    "warnings found", so a value the run cannot start with is refused up
+    front with one ``repro: ...`` line and the status ``--resume``
+    without ``--workdir`` already uses.  (A zero or negative budget used
+    to be accepted and never finish: one partition per vertex.)"""
+    assert main(["check", source_file(BUGGY), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("repro: ")
+    assert flags[1].split(",")[-1] in line  # names the offending value
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+ENGINE_OPTION_FIELDS = {
+    "workdir", "memory_budget", "min_partitions", "witness_cap",
+    "cache_capacity", "enable_cache", "max_pairs", "path_sensitive",
+    "constraint_mode", "max_string_bytes", "time_budget", "prefetch",
+    "compress_spills", "trace", "metrics", "heartbeat", "sampler",
+    "resume", "max_retries", "fault_plan", "prefetch_depth",
+}
+
+
+def _parser_flags(command):
+    [subparsers] = build_parser()._subparsers._group_actions
+    return {
+        option
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    } - {"--help"}
+
+
+def _readme_flags(command):
+    """Flags named in the first column of README's ``command`` table."""
+    with open(README) as f:
+        after = f.read().split(f"`{command}` flags:\n\n", 1)[1]
+    rows = after.split("\n\n", 1)[0].splitlines()[2:]  # header + rule
+    return {
+        flag
+        for row in rows
+        for flag in re.findall(r"--[a-z][a-z-]*", row.split(" | ")[0])
+    }
+
+
+def test_knob_census():
+    """Every knob is a deliberate edit in two places: the engine's
+    option set is pinned by name, and a ``check``/``serve`` flag exists
+    if and only if README's table documents it.  (The five worker-pool
+    options and their flags went with the pool; one of them coming back
+    on either side alone fails here.)"""
+    fields = {f.name for f in dataclasses.fields(EngineOptions)}
+    assert fields == ENGINE_OPTION_FIELDS
+    assert len(fields) == 21
+    for command in ("check", "serve"):
+        documented, parsed = _readme_flags(command), _parser_flags(command)
+        assert parsed - documented == set(), f"{command}: undocumented"
+        assert documented - parsed == set(), f"{command}: documented only"
 
 
 def test_subjects_lists_four(capsys):

@@ -197,6 +197,49 @@ def test_config_change_invalidates_persisted_state(tmp_path):
     assert fragment["edit"]["strata_rechecked"] == 2  # full recompute
 
 
+def _set(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _break_first_file(doc):
+    files = dict(doc["files"])
+    files[sorted(files)[0]] = {"digest": "d"}  # FileMeta needs six keys
+    return {**doc, "files": files}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: [],
+    lambda doc: None,
+    lambda doc: 7,
+    _set("files", []),
+    _set("files", {"g0app.mini": None}),
+    _set("strata", 7),
+    _set("counters", "many"),
+    _break_first_file,
+], ids=["list", "null", "number", "files-list", "file-entry-null",
+        "strata-number", "counters-string", "file-entry-short"])
+def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
+    engine = _engine(tmp_path)
+    cold = engine.scan()
+    report = engine.report()
+    state_path = os.path.join(engine.workdir, "serve-state.json")
+    with open(state_path) as f:
+        good = json.load(f)
+    with open(state_path, "w") as f:
+        json.dump(damage(good), f)  # valid JSON, wrong shape
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    assert again.files == {} and again.strata == {}  # nothing half-loaded
+    fragment = again.scan()
+    assert fragment["edit"]["strata_rechecked"] == cold["edit"]["strata_total"]
+    assert sorted(fragment["edit"]["changed"]) == sorted(good["files"])
+    assert again.report()["warnings"] == report["warnings"]
+    assert _accumulated(again) == _accumulated(engine)
+    with open(state_path) as f:
+        rewritten = json.load(f)
+    assert rewritten["files"].keys() == good["files"].keys()
+    assert rewritten["strata"].keys() == good["strata"].keys()
+
+
 def test_parse_error_keeps_serving_and_recovers(tmp_path):
     engine = _engine(tmp_path)
     engine.scan()

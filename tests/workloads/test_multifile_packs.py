@@ -62,13 +62,6 @@ def test_reduce_on_off_identical(reduce_on):
     assert other == baseline
 
 
-@pytest.mark.slow
-def test_worker_matrix_identical():
-    baseline = pack_accounting("gateway")
-    assert pack_accounting("gateway", workers=4) == baseline
-    assert pack_accounting("gateway", reduce=False, workers=4) == baseline
-
-
 def test_file_order_permutation_identical():
     subject = build_multifile_subject("gateway")
     ordered = list(subject.sources.items())
