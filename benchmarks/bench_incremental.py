@@ -1,18 +1,18 @@
-"""Incremental serve daemon: per-edit latency vs. cold-run closure.
+"""Incremental serve daemon: per-edit latency vs. the cold scan.
 
 Runs the serve engine (``repro.serve``, DESIGN.md §16) on a scaled
 ``gateway`` workspace and measures two numbers: the cold scan (first
 observation of the workspace -- every stratum derived from scratch) and
 the per-edit latency (one file changed, one stratum re-derived).  The
 headline is their ratio, ``speedup_cold_vs_edit``: the whole point of
-the incremental closure is that an edit costs one stratum plus fixed
+per-stratum re-checking is that an edit costs one stratum plus fixed
 overhead, not the full workspace, so the ratio must grow with workspace
 size.  The acceptance bar for the daemon is >= 10x on this subject.
 
 The scale is deliberately large (``SCALE`` independent clusters, eight
 files each): at small scales the fixed per-edit overhead (workspace
 poll, state persistence, fragment assembly) dominates and the ratio
-says nothing about the closure.  Each measured edit appends a clean
+says nothing about the strata.  Each measured edit appends a clean
 function to one cluster's service file -- digest changes, one stratum
 re-runs, and the warning fingerprint is unchanged, which the bench
 verifies against a from-scratch run after the edit sequence (the
@@ -133,7 +133,7 @@ def collect() -> dict:
         if entry["warnings"] != reference["warnings"]:
             raise AssertionError(
                 "serve daemon warning count varied across rounds:"
-                " incremental closure is not deterministic"
+                " the daemon is not deterministic"
             )
     for entry in rounds:
         if any(n > 1 for n in entry["strata_rechecked"]):

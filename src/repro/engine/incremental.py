@@ -1,386 +1,62 @@
-"""Weighted-ZSet incremental transitive closure.
+"""The file-dependency relation and its weakly-connected components.
 
-The batch engine recomputes the closure from scratch on every run.  This
-module maintains it *incrementally*: edges are a ZSet (multiset with
-integer weights, +1 insert / -1 retract) and each base-edge delta is
-propagated semi-naively by joining the change against the delayed
-integrals of the existing closure -- the ``join_lifted``-over-delayed-
-integrals shape from leontrolski/stepping (SNIPPETS.md snippet 2),
-iterated to fixpoint on the *change* only.
+``repro serve`` re-checks a workspace one *stratum* at a time: a group
+of files that can influence each other's warnings.  The relation here
+is the plain set of ``(importer, provider)`` file pairs the daemon
+extracts from scope artifacts; a stratum is a weakly-connected
+component of it, recomputed from scratch by union-find whenever it is
+asked for (a workspace is ~10^2 files, so that is microseconds).
 
-The fixpoint equation ``D = distinct(E + D . E)`` is maintained **per
-iteration round**, not as one flat count.  A flat derivation count
-(``paths = E + closure . E``) is not deletion-safe on cyclic graphs:
-pairs on a cycle can support each other circularly, so retracting the
-edge that connected a node to the cycle leaves phantom pairs whose
-counts never reach zero.  Stratifying by round breaks the cycle: level
-``k`` holds the pre-``distinct`` counts of
-
-    P_k = E + D_{k-1} . E        (P_0 = E,  D_k = distinct(P_k))
-
-so every derivation at level ``k`` is supported only by levels below it.
-``D_k`` is monotone in ``k`` and the list of levels ends at the first
-fixpoint ``D_K = D_{K-1}``, which is the transitive closure.  This is
-exactly what stepping's per-iteration ``delay``/``integrate`` nodes
-materialize; we keep those integrals across calls instead of rebuilding
-them, so an edit propagates one small join per level instead of
-re-running the whole iteration.
-
-Per base delta ``dE``, level ``k`` receives
-
-    dP_k = dE + dD_{k-1} . E_new - dD_{k-1} . dE + D_new_{k-1} . dE
-
-(the exact product rule for ``Δ(D . E)`` written over the *current*
-indexes), and emits ``dD_k`` as the pairs whose count crossed the zero
-boundary.  Levels are appended while the frontier still changes
-(diameter growth) and trimmed once trailing levels are equal.
-
-The ``repro serve`` daemon applies this at *stratum* granularity: nodes
-are source files, edges the file-dependency relation extracted from
-scope artifacts, and ``components()``/``reachable()`` answer "which
-strata does this edit touch".  The engine-level closure inside a
-stratum is then re-derived by the ordinary batch kernel, so witness
-selection and site numbering stay byte-identical to a cold run (see
+No transitive closure is maintained: strata need connectivity, not
+reachability, and nothing ever read the reachability pairs.  The one
+closure in this system is the engine's partition-pair fixpoint, which
+each moved stratum re-runs through the ordinary batch pipeline (see
 DESIGN.md section 16).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Hashable, Iterable, List, Set, Tuple
 
 Node = Hashable
 Edge = Tuple[Node, Node]
 
 
-class ZSet:
-    """A multiset with integer weights; zero-weight entries vanish.
-
-    Supports the operations the incremental closure needs: weighted
-    accumulation (``add``), iteration over support, and snapshot
-    arithmetic (``plus``).  Deliberately minimal -- this is the stepping
-    ``ZSet`` shrunk to what the fixpoint loop touches.
-    """
-
-    __slots__ = ("_weights",)
-
-    def __init__(self, items: Iterable[Tuple[Hashable, int]] = ()) -> None:
-        self._weights: Dict[Hashable, int] = {}
-        for item, weight in items:
-            self.add(item, weight)
-
-    def add(self, item: Hashable, weight: int = 1) -> None:
-        if weight == 0:
-            return
-        new = self._weights.get(item, 0) + weight
-        if new == 0:
-            self._weights.pop(item, None)
-        else:
-            self._weights[item] = new
-
-    def weight(self, item: Hashable) -> int:
-        return self._weights.get(item, 0)
-
-    def items(self) -> Iterator[Tuple[Hashable, int]]:
-        return iter(self._weights.items())
-
-    def plus(self, other: "ZSet") -> "ZSet":
-        out = ZSet()
-        out._weights = dict(self._weights)
-        for item, weight in other.items():
-            out.add(item, weight)
-        return out
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __bool__(self) -> bool:
-        return bool(self._weights)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._weights
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._weights)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZSet):
-            return NotImplemented
-        return self._weights == other._weights
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        inner = ", ".join(f"{k!r}: {w:+d}" for k, w in sorted(
-            self._weights.items(), key=repr))
-        return f"ZSet({{{inner}}})"
-
-
-@dataclass
-class ClosureDelta:
-    """What one ``apply`` call changed, for observability."""
-
-    added: list = field(default_factory=list)
-    removed: list = field(default_factory=list)
-    rounds: int = 0
-    joins: int = 0
-
-    @property
-    def edges_rederived(self) -> int:
-        return len(self.added) + len(self.removed)
-
-
-class _Level:
-    """One materialized iteration round: the integral of ``P_k``."""
-
-    __slots__ = ("counts", "support", "pred")
-
-    def __init__(self) -> None:
-        self.counts: Dict[Edge, int] = {}
-        self.support: Set[Edge] = set()
-        # pred[y] = {x : (x, y) in distinct support} -- the join index
-        # for extending paths on the right.
-        self.pred: Dict[Node, Set[Node]] = {}
-
-    def clone(self) -> "_Level":
-        out = _Level()
-        out.counts = dict(self.counts)
-        out.support = set(self.support)
-        out.pred = {key: set(val) for key, val in self.pred.items()}
-        return out
-
-    def integrate(self, d_paths: ZSet) -> ZSet:
-        """Fold a pre-distinct delta in; return the distinct delta
-        (zero-boundary crossings)."""
-        d_distinct = ZSet()
-        for pair, weight in d_paths.items():
-            before = self.counts.get(pair, 0)
-            after = before + weight
-            if after == 0:
-                self.counts.pop(pair, None)
-            else:
-                self.counts[pair] = after
-            if before <= 0 < after:
-                d_distinct.add(pair, 1)
-                self.support.add(pair)
-                self.pred.setdefault(pair[1], set()).add(pair[0])
-            elif after <= 0 < before:
-                d_distinct.add(pair, -1)
-                self.support.discard(pair)
-                bucket = self.pred.get(pair[1])
-                if bucket is not None:
-                    bucket.discard(pair[0])
-                    if not bucket:
-                        del self.pred[pair[1]]
-        return d_distinct
-
-
 class IncrementalClosure:
-    """Transitive closure maintained under weighted edge deltas.
+    """The current dependency edge set, replaced wholesale per edit.
 
-    ``edges`` holds base-edge multiplicities; ``levels`` the per-round
-    integrals; ``closure`` mirrors the last (fixpoint) level as a ZSet.
-    ``apply`` takes a base delta and returns the closure delta.
+    The name is historical (the committed benchmark times ``apply`` and
+    ``components`` under it); what it holds is a set of pairs.
     """
 
     def __init__(self) -> None:
-        self.edges = ZSet()
-        self.closure = ZSet()
-        self._levels: List[_Level] = []
-        # succ/pred indexes over *positive* support only.
-        self._edge_succ: Dict[Node, Set[Node]] = {}
-        self._edge_pred: Dict[Node, Set[Node]] = {}
-        self._closure_succ: Dict[Node, Set[Node]] = {}
-        self._closure_pred: Dict[Node, Set[Node]] = {}
+        self.edges: Set[Edge] = set()
 
-    # -- index upkeep ------------------------------------------------------
-
-    @staticmethod
-    def _index_add(index: Dict[Node, Set[Node]], key: Node, value: Node) -> None:
-        index.setdefault(key, set()).add(value)
-
-    @staticmethod
-    def _index_drop(index: Dict[Node, Set[Node]], key: Node, value: Node) -> None:
-        bucket = index.get(key)
-        if bucket is not None:
-            bucket.discard(value)
-            if not bucket:
-                del index[key]
-
-    # -- the incremental step ---------------------------------------------
-
-    def apply(self, delta: Iterable[Tuple[Edge, int]]) -> ClosureDelta:
-        """Fold a base-edge delta in; return the distinct-closure delta.
-
-        ``delta`` is an iterable of ``((src, dst), weight)`` pairs;
-        weights sum per edge, and retracting below zero multiplicity is
-        the caller's bug (monotonicity of the levels assumes counts stay
-        non-negative).
-        """
-        out = ClosureDelta()
-        d_edges = ZSet(delta)
-        if not d_edges:
-            return out
-
-        # Fold the base delta and refresh the base succ/pred indexes.
-        for (src, dst), weight in d_edges.items():
-            before = self.edges.weight((src, dst))
-            self.edges.add((src, dst), weight)
-            after = self.edges.weight((src, dst))
-            if before <= 0 < after:
-                self._index_add(self._edge_succ, src, dst)
-                self._index_add(self._edge_pred, dst, src)
-            elif after <= 0 < before:
-                self._index_drop(self._edge_succ, src, dst)
-                self._index_drop(self._edge_pred, dst, src)
-
-        if not self._levels:
-            self._levels.append(_Level())
-
-        # Propagate dE through every materialized round: each level's
-        # integral contains E directly, so every level sees dE, and the
-        # distinct deltas chain level to level through the join.
-        d_distinct_prev = ZSet()
-        for k, level in enumerate(self._levels):
-            d_paths = ZSet()
-            for pair, weight in d_edges.items():
-                d_paths.add(pair, weight)
-            if k > 0:
-                prev = self._levels[k - 1]
-                # dP_k = dE + dD . E_new - dD . dE + D_new . dE
-                # (exact product rule for Delta(D_{k-1} . E) over the
-                # *current* indexes: E_old = E_new - dE and
-                # D_new = D_old + dD).
-                for (x, y), weight in d_distinct_prev.items():
-                    for z in self._edge_succ.get(y, ()):
-                        d_paths.add((x, z),
-                                    weight * self.edges.weight((y, z)))
-                        out.joins += 1
-                    for (y2, z), edge_weight in d_edges.items():
-                        if y2 == y:
-                            d_paths.add((x, z), -weight * edge_weight)
-                for (src, dst), weight in d_edges.items():
-                    for x in prev.pred.get(src, ()):
-                        d_paths.add((x, dst), weight)
-                        out.joins += 1
-            d_distinct_prev = level.integrate(d_paths)
-            out.rounds += 1
-
-        # Extend while the frontier still moves at the last level (the
-        # diameter grew).  The next round's integral differs from the
-        # last one's by exactly (D_K - D_{K-1}) . E_new, so clone and
-        # feed it that growth delta; the loop ends with the last two
-        # levels equal -- the materialized fixpoint witness.
-        while True:
-            last = self._levels[-1]
-            prev_support = (
-                self._levels[-2].support if len(self._levels) >= 2 else set()
-            )
-            growth = last.support - prev_support
-            if not growth:
-                break
-            d_ext = ZSet()
-            for (x, y) in growth:
-                for z in self._edge_succ.get(y, ()):
-                    d_ext.add((x, z), self.edges.weight((y, z)))
-                    out.joins += 1
-            new_level = last.clone()
-            new_level.integrate(d_ext)
-            self._levels.append(new_level)
-            out.rounds += 1
-            if new_level.support == last.support:
-                break
-
-        # Trim stale converged rounds (diameter shrank), keeping one
-        # duplicate pair as the fixpoint witness.
-        while (len(self._levels) >= 3
-               and self._levels[-1].support == self._levels[-2].support
-               and self._levels[-2].support == self._levels[-3].support):
-            self._levels.pop()
-
-        # Refresh the closure ZSet + indexes from the fixpoint level.
-        # The delta lists are sorted so callers see a hash-seed-free
-        # deterministic order.
-        final = self._levels[-1].support
-        old = set(self.closure)
-        for pair in sorted(final - old, key=repr):
-            self.closure.add(pair, 1)
-            out.added.append(pair)
-            self._index_add(self._closure_succ, pair[0], pair[1])
-            self._index_add(self._closure_pred, pair[1], pair[0])
-        for pair in sorted(old - final, key=repr):
-            self.closure.add(pair, -1)
-            out.removed.append(pair)
-            self._index_drop(self._closure_succ, pair[0], pair[1])
-            self._index_drop(self._closure_pred, pair[1], pair[0])
-        return out
-
-    # -- queries -----------------------------------------------------------
-
-    def reachable(self, node: Node) -> Set[Node]:
-        """Nodes reachable from ``node`` (excluding itself unless on a
-        cycle through itself)."""
-        return set(self._closure_succ.get(node, ()))
-
-    def reaching(self, node: Node) -> Set[Node]:
-        """Nodes that reach ``node``."""
-        return set(self._closure_pred.get(node, ()))
-
-    def component(self, node: Node) -> Set[Node]:
-        """The weakly-connected component of ``node`` under the base
-        relation's symmetric closure -- the daemon's *stratum*."""
-        seen = {node}
-        frontier = [node]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in self._edge_succ.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-            for prev in self._edge_pred.get(cur, ()):
-                if prev not in seen:
-                    seen.add(prev)
-                    frontier.append(prev)
-        return seen
+    def apply(self, edges: Iterable[Edge]) -> Tuple[int, int]:
+        """Adopt ``edges`` as the relation; return how many edges
+        entered and how many left, ``(added, removed)``."""
+        new = set(edges)
+        added, removed = len(new - self.edges), len(self.edges - new)
+        self.edges = new
+        return added, removed
 
     def components(self, nodes: Iterable[Node]) -> List[Set[Node]]:
-        """Partition ``nodes`` plus every node touched by the base
-        relation into weakly-connected components, deterministically
-        ordered by each component's smallest member repr."""
-        pending = set(nodes)
-        for src, dst in self.edges:
-            pending.add(src)
-            pending.add(dst)
-        out: List[Set[Node]] = []
-        while pending:
-            comp = self.component(next(iter(pending)))
-            pending -= comp
-            out.append(comp)
-        out.sort(key=lambda comp: sorted(map(repr, comp))[0])
-        return out
+        """Partition ``nodes`` plus every endpoint of the relation into
+        weakly-connected components, ordered by smallest member (nodes
+        must be mutually orderable; the daemon's are file paths)."""
+        parent = {node: node for node in nodes}
 
-    def check(self) -> None:
-        """Invariant audit (tests only): every level satisfies
-        ``P_k = E + D_{k-1} . E`` count-exactly, the last level is a
-        fixpoint, and ``closure`` mirrors it."""
-        prev_support: Set[Edge] = set()
-        for k, level in enumerate(self._levels):
-            expect = ZSet(self.edges.items())
-            if k > 0:
-                for (x, y) in self._levels[k - 1].support:
-                    for z in self._edge_succ.get(y, ()):
-                        expect.add((x, z), self.edges.weight((y, z)))
-            got = ZSet((pair, cnt) for pair, cnt in level.counts.items())
-            assert got == expect, f"level {k}: counts != E + D_{k-1}.E"
-            assert level.support == {
-                pair for pair, cnt in level.counts.items() if cnt > 0
-            }, f"level {k}: support out of sync"
-            assert level.support >= prev_support, f"level {k}: not monotone"
-            prev_support = level.support
-        if self._levels:
-            last = self._levels[-1]
-            fix = ZSet(self.edges.items())
-            for (x, y) in last.support:
-                for z in self._edge_succ.get(y, ()):
-                    fix.add((x, z), self.edges.weight((y, z)))
-            assert {p for p, c in fix.items() if c > 0} == last.support, \
-                "last level is not a fixpoint"
-            assert set(self.closure) == last.support, "closure out of sync"
+        def find(node: Node) -> Node:
+            root = parent.setdefault(node, node)
+            while root != parent[root]:
+                root = parent[root]
+            while parent[node] != root:  # compress the walked path
+                parent[node], node = root, parent[node]
+            return root
+
+        for src, dst in self.edges:
+            parent[find(src)] = find(dst)
+        groups: dict = {}
+        for node in parent:
+            groups.setdefault(find(node), set()).add(node)
+        return sorted(groups.values(), key=min)

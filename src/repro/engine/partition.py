@@ -580,9 +580,11 @@ class PartitionStore:
     def iter_all_edges(self):
         """Stream every edge, partition by partition (resident columns
         first-hand, the rest from disk): ``(src, dst, label_id,
-        encoding)``."""
+        encoding)``.  Partitions go in vertex-interval order, not
+        creation order (a split appends its right half last), so the
+        result does not depend on the split history, i.e. the budget."""
         decode = self.table.decode
-        for part in self.partitions:
+        for part in sorted(self.partitions, key=lambda part: part.lo):
             cols = self.load(part)
             for src, dst, label_id, eid in cols.iter_rows():
                 yield src, dst, label_id, decode(eid)

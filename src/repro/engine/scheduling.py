@@ -218,12 +218,6 @@ class PairScheduler:
         versions."""
         self.last_seen = dict(last_seen)
 
-    def forget(self, index: int) -> None:
-        """Drop history for every pair touching ``index`` (used after a
-        split moved edges: those pairs must reprocess from scratch)."""
-        for pair in [p for p in self.last_seen if index in p]:
-            del self.last_seen[pair]
-
     def next_pair(self):
         """The lexicographically smallest eligible pair, or None."""
         self._refresh()

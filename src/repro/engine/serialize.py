@@ -62,7 +62,6 @@ force the affected partition's pairs to recompute.
 
 from __future__ import annotations
 
-import io
 import os
 import zlib
 from array import array
@@ -83,21 +82,8 @@ class CorruptPartition(ValueError):
     """A partition/delta payload is truncated or structurally invalid."""
 
 
-def write_varint(out: io.BytesIO, value: int) -> None:
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
-
-
 def _append_varint(buf: bytearray, value: int) -> None:
-    """``write_varint`` for :class:`bytearray` output (no BytesIO)."""
+    """Append ``value`` as an unsigned LEB128 varint."""
     if value < 0:
         raise ValueError("varints are unsigned")
     while True:
@@ -493,15 +479,3 @@ def _columnar_from_dict_payload(edges: dict) -> ColumnarFile:
     return ColumnarFile(
         encodings=encodings, src=src, dst=dst, label=label, enc=enc
     )
-
-
-def estimate_edge_bytes(encoding: tuple) -> int:
-    """Rough in-memory size of one edge with the given encoding, used for
-    the engine's memory-budget accounting of dict-shaped edge chunks."""
-    size = 48
-    for elem in encoding:
-        if elem[0] == "S":
-            size += 64 + len(elem[1])
-        else:
-            size += 16
-    return size

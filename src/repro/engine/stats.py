@@ -99,9 +99,9 @@ class EngineStats:
     # repartition orphans) garbage-collected after a durable manifest
     # write -- keeps a long-running serve workdir from growing forever.
     checkpoint_files_pruned: int = stat_field()
-    # Incremental serve daemon (repro.serve): edits answered, closure
-    # pairs added/removed by the incremental transitive-closure delta,
-    # and accumulated warnings retracted when their stratum re-derived.
+    # Incremental serve daemon (repro.serve): edits answered, file
+    # dependency edges added plus removed by those edits, and
+    # accumulated warnings retracted when their stratum re-derived.
     edits_served: int = stat_field()
     edges_rederived: int = stat_field()
     warnings_retracted: int = stat_field()

@@ -38,6 +38,25 @@ _TIMING_KEYS = ("preprocess_s", "computation_s", "total_s")
 _BREAKDOWN_KEYS = ("io", "encode", "smt", "compute")
 
 
+def stats_sections(stats) -> dict:
+    """The ``breakdown`` / ``counters`` / ``gauges`` / ``histograms``
+    sections of a run report, from one ``EngineStats``."""
+    snapshot = stats.registry_view().snapshot()
+
+    def rounded(values: dict) -> dict:
+        return {
+            k: round(v, 6) if isinstance(v, float) else v
+            for k, v in values.items()
+        }
+
+    return {
+        "breakdown": {k: round(v, 6) for k, v in stats.breakdown().items()},
+        "counters": rounded(snapshot["counters"]),
+        "gauges": rounded(snapshot["gauges"]),
+        "histograms": snapshot["histograms"],
+    }
+
+
 def build_run_report(
     run, subject: str | None = None, telemetry: dict | None = None
 ) -> dict:
@@ -48,8 +67,6 @@ def build_run_report(
     off means no sampler, no argument, and no ``telemetry`` key -- the
     report is byte-compatible with what version 1 produced.
     """
-    stats = run.stats
-    snapshot = stats.registry_view().snapshot()
     report = {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
@@ -59,16 +76,7 @@ def build_run_report(
             "computation_s": round(run.computation_time, 6),
             "total_s": round(run.total_time, 6),
         },
-        "breakdown": {k: round(v, 6) for k, v in stats.breakdown().items()},
-        "counters": {
-            k: round(v, 6) if isinstance(v, float) else v
-            for k, v in snapshot["counters"].items()
-        },
-        "gauges": {
-            k: round(v, 6) if isinstance(v, float) else v
-            for k, v in snapshot["gauges"].items()
-        },
-        "histograms": snapshot["histograms"],
+        **stats_sections(run.stats),
         "warnings": len(run.report.warnings),
     }
     reduction = getattr(run, "reduction", None)

@@ -14,16 +14,15 @@ The incremental spine has three layers, mirroring the spans it emits:
     digest-keyed :class:`~repro.sa.scopes.ScopeArtifactCache` shared
     with the per-stratum Grapple runs, so an edit re-derives exactly
     one artifact.  File-level dependency edges (imports + same-module
-    chains -- a proven over-approximation of scope-graph connectivity)
-    are re-extracted and diffed against the current base relation as a
-    weighted :class:`~repro.engine.incremental.ZSet` delta.
+    chains -- an over-approximation of scope-graph connectivity) are
+    re-extracted as a plain set of ``(importer, provider)`` pairs.
 
 ``incr-join``
-    The edge delta feeds :class:`~repro.engine.incremental
-    .IncrementalClosure` -- level-stratified semi-naive joins against
-    delayed per-round integrals, insertion *and* retraction safe.  The
-    closure's weakly-connected components are the daemon's **strata**:
-    an edit is confined to the strata of its touched files.
+    :class:`~repro.engine.incremental.IncrementalClosure` adopts the
+    edge set and counts the edges that entered and left.  The
+    relation's weakly-connected components, recomputed from scratch,
+    are the daemon's **strata**: an edit is confined to the strata of
+    its touched files.
 
 ``incr-retract``
     Each stratum is checked by an ordinary (deterministic, serial)
@@ -35,9 +34,10 @@ The incremental spine has three layers, mirroring the spans it emits:
     whose stratum result was superseded are retracted from the
     accumulated state and reported in the fragment.
 
-``edits_served`` / ``edges_rederived`` / ``warnings_retracted`` ride
-the ordinary :class:`~repro.engine.stats.EngineStats` metadata path
-into the fragment's ``counters`` section.  State (file metadata,
+``edits_served`` / ``edges_rederived`` (dependency edges added plus
+removed) / ``warnings_retracted`` ride the ordinary
+:class:`~repro.engine.stats.EngineStats` metadata path into the
+fragment's ``counters`` section.  State (file metadata,
 stratum results, counters) persists in ``workdir/serve-state.json``
 across restarts; the scope-artifact store and per-phase checkpoint
 workdirs live under the same workdir.
@@ -56,10 +56,11 @@ from dataclasses import dataclass
 from repro.analysis.pipeline import Grapple, GrappleOptions
 from repro.engine import serialize
 from repro.engine.computation import EngineOptions
-from repro.engine.incremental import IncrementalClosure, ZSet
+from repro.engine.incremental import IncrementalClosure
 from repro.engine.stats import EngineStats
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
+from repro.obs.report import stats_sections
 from repro.sa.scopes import ScopeArtifactCache, build_artifact, source_digest
 
 STATE_FILE = "serve-state.json"
@@ -128,8 +129,10 @@ class ServeEngine:
         self.closure = IncrementalClosure()
         self.files: dict[str, FileMeta] = {}
         self.texts: dict[str, str] = {}
-        #: stratum digest -> {"files": [...], "warnings": [local dicts]}
+        #: stratum digest -> {"files": [...], "warnings": [local dicts]},
+        #: plus "error" when the stratum failed to link.
         self.strata: dict[str, dict] = {}
+        #: Per-file parse errors; such a file is re-read on every scan.
         self.errors: dict[str, str] = {}
         # The analysis config is fixed for the engine's lifetime; its
         # digest goes into every stratum digest and every state write.
@@ -196,11 +199,9 @@ class ServeEngine:
         self.stats.edits_served = counters.get("edits_served", 0)
         self.stats.edges_rederived = counters.get("edges_rederived", 0)
         self.stats.warnings_retracted = counters.get("warnings_retracted", 0)
-        # Rebuild the closure from the remembered metadata; the next
-        # scan() diffs the real workspace against it.
-        delta = [(edge, 1) for edge, _ in self._desired_edges().items()]
-        if delta:
-            self.closure.apply(delta)
+        # The relation the remembered metadata implies; the next scan()
+        # diffs the real workspace against it.
+        self.closure.apply(self._desired_edges())
 
     # -- workspace observation ---------------------------------------------
 
@@ -247,7 +248,10 @@ class ServeEngine:
         for path in removed:
             del self.files[path]
             self.texts.pop(path, None)
-            self.errors.pop(path, None)
+        # Not only ``removed``: a file that never parsed has no meta.
+        self.errors = {
+            p: e for p, e in self.errors.items() if p in present
+        }
         changed: list[str] = []
         candidates = present if only is None else [
             p for p in present if p in only
@@ -282,7 +286,7 @@ class ServeEngine:
 
     # -- dependency edges and strata ---------------------------------------
 
-    def _desired_edges(self) -> ZSet:
+    def _desired_edges(self) -> set:
         """File-level dependency edges implied by current metadata:
         importer -> provider for every import, plus a chain linking
         files that declare the same module (they share a namespace).
@@ -300,23 +304,7 @@ class ServeEngine:
                 for path in providers.get(module, ()):
                     if path != meta.path:
                         pairs.add((meta.path, path))
-        edges = ZSet()
-        for pair in pairs:
-            edges.add(pair, 1)
-        return edges
-
-    def _edge_delta(self) -> list:
-        desired = self._desired_edges()
-        current = self.closure.edges
-        delta = []
-        for edge, weight in desired.items():
-            diff = weight - current.weight(edge)
-            if diff:
-                delta.append((edge, diff))
-        for edge, weight in current.items():
-            if edge not in desired:
-                delta.append((edge, -weight))
-        return delta
+        return pairs
 
     def _stratum_digest(self, membership: list[str]) -> str:
         payload = [[p, self.files[p].digest] for p in membership]
@@ -361,21 +349,19 @@ class ServeEngine:
         misses_before = self.cache.misses
         changed, removed = self._diff_workspace(only=only)
         rederived = self.cache.misses - misses_before
-        delta = self._edge_delta()
+        desired = self._desired_edges()
         if self.trace is not None:
             self.trace.end("incr-diff", tick, cat="serve",
                            changed=len(changed), removed=len(removed))
-        if not changed and not removed and not delta:
+        if not changed and not removed and desired == self.closure.edges:
             return self._fragment(t0, [], [], [], [], [], None, 0)
 
         tick = self.trace.begin() if self.trace is not None else 0.0
-        closure_delta = self.closure.apply(delta)
+        edges_added, edges_removed = self.closure.apply(desired)
         self.stats.edits_served += 1
-        self.stats.edges_rederived += closure_delta.edges_rederived
+        self.stats.edges_rederived += edges_added + edges_removed
         if self.trace is not None:
-            self.trace.end("incr-join", tick, cat="serve",
-                           rounds=closure_delta.rounds,
-                           joins=closure_delta.joins)
+            self.trace.end("incr-join", tick, cat="serve")
 
         new_strata: dict[str, dict] = {}
         runs = []
@@ -389,14 +375,13 @@ class ServeEngine:
                 except ParseError as exc:
                     # LinkError (duplicate symbols after an edit) and
                     # friends: the stratum contributes no warnings but
-                    # the daemon keeps serving; the fragment says why.
-                    self.errors[membership[0]] = str(exc)
+                    # the daemon keeps serving.  The error lives with
+                    # the entry, so it lasts exactly as long as the
+                    # stratum does (restarts included).
                     entry = {"files": membership, "warnings": [],
                              "error": str(exc)}
                 else:
                     runs.append(run)
-                    for path in membership:
-                        self.errors.pop(path, None)
                     entry = {
                         "files": membership,
                         "warnings": self._localize(run),
@@ -426,7 +411,8 @@ class ServeEngine:
                            retracted=len(retracted))
         self._save_state()
         return self._fragment(
-            t0, runs, changed, removed, added, retracted, closure_delta,
+            t0, runs, changed, removed, added, retracted,
+            {"edges_added": edges_added, "edges_removed": edges_removed},
             rederived,
         )
 
@@ -485,6 +471,16 @@ class ServeEngine:
         out.sort(key=_identity)
         return out
 
+    def _errors(self) -> dict[str, str]:
+        """Every error in force: each failed stratum's link error under
+        its first file, then the per-file parse errors."""
+        errors = {
+            entry["files"][0]: entry["error"]
+            for entry in self.strata.values() if "error" in entry
+        }
+        errors.update(self.errors)
+        return dict(sorted(errors.items()))
+
     def report(self) -> dict:
         """The full accumulated state as one JSON document."""
         return {
@@ -497,7 +493,7 @@ class ServeEngine:
                  "warnings": len(entry["warnings"])}
                 for digest, entry in sorted(self.strata.items())
             ],
-            "errors": dict(sorted(self.errors.items())),
+            "errors": self._errors(),
             "warnings": self.warnings(),
             "counters": {
                 "edits_served": self.stats.edits_served,
@@ -509,7 +505,7 @@ class ServeEngine:
     # -- fragments ---------------------------------------------------------
 
     def _fragment(self, t0, runs, changed, removed, added, retracted,
-                  closure_delta, rederived) -> dict:
+                  dependencies, rederived) -> dict:
         """One per-edit ``grapple/run-report`` (v2) fragment.
 
         The standard sections aggregate the stratum runs this edit
@@ -523,7 +519,6 @@ class ServeEngine:
         merged.edits_served = self.stats.edits_served
         merged.edges_rederived = self.stats.edges_rederived
         merged.warnings_retracted = self.stats.warnings_retracted
-        snapshot = merged.registry_view().snapshot()
         total = time.perf_counter() - t0
         preprocess = sum(r.preprocess_time for r in runs)
         warning_count = sum(
@@ -538,34 +533,18 @@ class ServeEngine:
                 "computation_s": round(max(total - preprocess, 0.0), 6),
                 "total_s": round(total, 6),
             },
-            "breakdown": {
-                k: round(v, 6) for k, v in merged.breakdown().items()
-            },
-            "counters": {
-                k: round(v, 6) if isinstance(v, float) else v
-                for k, v in snapshot["counters"].items()
-            },
-            "gauges": {
-                k: round(v, 6) if isinstance(v, float) else v
-                for k, v in snapshot["gauges"].items()
-            },
-            "histograms": snapshot["histograms"],
+            **stats_sections(merged),
             "warnings": warning_count,
             "subject": f"serve:{self.workspace}",
             "edit": {
                 "seq": self.stats.edits_served,
                 "changed": sorted(changed),
                 "removed": sorted(removed),
-                "errors": dict(sorted(self.errors.items())),
+                "errors": self._errors(),
                 "artifacts_rederived": rederived,
                 "strata_rechecked": len(runs),
                 "strata_total": len(self.strata),
-                "closure": {
-                    "edges_added": len(closure_delta.added),
-                    "edges_removed": len(closure_delta.removed),
-                    "rounds": closure_delta.rounds,
-                    "joins": closure_delta.joins,
-                } if closure_delta is not None else None,
+                "dependencies": dependencies,
                 "warnings_added": added,
                 "warnings_retracted": retracted,
             },

@@ -1,200 +1,161 @@
-"""Incremental ZSet closure vs. a from-scratch oracle.
+"""The file-dependency relation's strata vs. a from-scratch WCC oracle.
 
-The oracle is plain Warshall-style reachability recomputed per step;
-the incremental structure must agree with it after every insert and
-retract, including re-insertions and deltas that mix both signs.
+The oracle is an independent flood fill over the symmetric edge set,
+recomputed per step; ``components`` must agree with it after every
+insert and removal, including cycles, self-loops and re-insertions,
+and ``apply`` must report exactly the set difference.
 """
 
 import random
 
 import pytest
 
-from repro.engine.incremental import ClosureDelta, IncrementalClosure, ZSet
+from repro.engine.incremental import IncrementalClosure
 
 
-def scratch_closure(edges):
-    """Reachability pairs of the positive-weight edge set, from scratch."""
-    succ = {}
+def scratch_components(nodes, edges):
+    """Weakly-connected components by flood fill, ordered by smallest
+    member -- shares no code (or algorithm) with the union-find."""
+    neighbours = {node: set() for node in nodes}
     for src, dst in edges:
-        succ.setdefault(src, set()).add(dst)
-    reach = set()
-    for start in succ:
-        frontier = [start]
-        seen = set()
+        neighbours.setdefault(src, set()).add(dst)
+        neighbours.setdefault(dst, set()).add(src)
+    out, seen = [], set()
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
         while frontier:
-            cur = frontier.pop()
-            for nxt in succ.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach.update((start, node) for node in seen)
-    return reach
+            for nxt in neighbours[frontier.pop()] - comp:
+                comp.add(nxt)
+                frontier.append(nxt)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
-def closure_pairs(inc):
-    return {pair for pair, weight in inc.closure.items() if weight > 0}
-
-
-class TestZSet:
-    def test_zero_weights_vanish(self):
-        z = ZSet()
-        z.add("a", 1)
-        z.add("a", -1)
-        assert "a" not in z
-        assert len(z) == 0
-        assert not z
-
-    def test_accumulates_and_compares(self):
-        z = ZSet([("a", 2), ("b", -1)])
-        z.add("a", 1)
-        assert z.weight("a") == 3
-        assert z.weight("b") == -1
-        assert z.weight("missing") == 0
-        assert z == ZSet([("b", -1), ("a", 3)])
-        assert z != ZSet([("a", 3)])
-
-    def test_plus_is_pure(self):
-        a = ZSet([("x", 1)])
-        b = ZSet([("x", -1), ("y", 2)])
-        summed = a.plus(b)
-        assert "x" not in summed and summed.weight("y") == 2
-        assert a.weight("x") == 1 and b.weight("x") == -1
+def applied(*edges):
+    inc = IncrementalClosure()
+    inc.apply(edges)
+    return inc
 
 
 class TestIncrementalClosure:
     def test_single_chain(self):
         inc = IncrementalClosure()
-        delta = inc.apply([(("a", "b"), 1)])
-        assert delta.added == [("a", "b")]
-        delta = inc.apply([(("b", "c"), 1)])
-        assert set(delta.added) == {("b", "c"), ("a", "c")}
-        assert closure_pairs(inc) == {("a", "b"), ("b", "c"), ("a", "c")}
-        inc.check()
+        assert inc.apply({("a", "b")}) == (1, 0)
+        assert inc.apply({("a", "b"), ("b", "c")}) == (1, 0)
+        assert inc.components([]) == [{"a", "b", "c"}]
 
-    def test_retraction_cancels_derivations(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1), (("b", "c"), 1), (("a", "c"), 1)])
-        # a->c is doubly derived (direct edge + via b): retracting the
-        # direct edge must keep it, retracting b->c must then drop it.
-        delta = inc.apply([(("a", "c"), -1)])
-        assert delta.added == [] and delta.removed == []
-        assert ("a", "c") in closure_pairs(inc)
-        delta = inc.apply([(("b", "c"), -1)])
-        assert set(delta.removed) == {("b", "c"), ("a", "c")}
-        assert closure_pairs(inc) == {("a", "b")}
-        inc.check()
+    def test_retraction_splits_only_when_connectivity_goes(self):
+        inc = applied(("a", "b"), ("b", "c"), ("a", "c"))
+        # a and c are joined twice (directly and via b): dropping the
+        # direct edge keeps the stratum whole, dropping b->c as well
+        # leaves c on its own.
+        assert inc.apply({("a", "b"), ("b", "c")}) == (0, 1)
+        assert inc.components([]) == [{"a", "b", "c"}]
+        assert inc.apply({("a", "b")}) == (0, 1)
+        assert inc.components(["c"]) == [{"a", "b"}, {"c"}]
 
     def test_cycle_insert_and_retract(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1), (("b", "c"), 1)])
-        inc.apply([(("c", "a"), 1)])
-        nodes = {"a", "b", "c"}
-        assert closure_pairs(inc) == {(x, y) for x in nodes for y in nodes}
-        inc.check()
-        inc.apply([(("c", "a"), -1)])
-        assert closure_pairs(inc) == {("a", "b"), ("b", "c"), ("a", "c")}
-        inc.check()
+        chain = {("a", "b"), ("b", "c")}
+        inc = applied(*chain)
+        assert inc.apply(chain | {("c", "a")}) == (1, 0)
+        assert inc.components([]) == [{"a", "b", "c"}]
+        assert inc.apply(chain) == (0, 1)
+        assert inc.components([]) == [{"a", "b", "c"}]
 
     def test_mixed_sign_delta(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1), (("b", "c"), 1)])
-        delta = inc.apply([(("b", "c"), -1), (("b", "d"), 1)])
-        assert closure_pairs(inc) == {("a", "b"), ("b", "d"), ("a", "d")}
-        assert ("a", "c") in {tuple(e) for e in delta.removed}
-        inc.check()
-
-    def test_duplicate_edge_weights(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1)])
-        inc.apply([(("a", "b"), 1)])  # second insert of the same edge
-        delta = inc.apply([(("a", "b"), -1)])
-        assert delta.removed == []  # still one copy left
-        assert closure_pairs(inc) == {("a", "b")}
-        delta = inc.apply([(("a", "b"), -1)])
-        assert delta.removed == [("a", "b")]
-        assert closure_pairs(inc) == set()
-        inc.check()
+        inc = applied(("a", "b"), ("b", "c"))
+        assert inc.apply({("a", "b"), ("b", "d")}) == (1, 1)
+        assert inc.components(["c"]) == [{"a", "b", "d"}, {"c"}]
 
     def test_empty_delta_is_noop(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1)])
-        delta = inc.apply([])
-        assert isinstance(delta, ClosureDelta)
-        assert delta.rounds == 0 and not delta.added and not delta.removed
-
-    def test_reachable_and_reaching(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1), (("b", "c"), 1), (("d", "b"), 1)])
-        assert inc.reachable("a") == {"b", "c"}
-        assert inc.reaching("c") == {"a", "b", "d"}
-        assert inc.reachable("c") == set()
+        inc = applied(("a", "b"))
+        assert inc.apply({("a", "b")}) == (0, 0)
+        assert inc.apply([("a", "b"), ("a", "b")]) == (0, 0)  # a set
+        assert inc.edges == {("a", "b")}
 
     def test_components_are_weakly_connected(self):
-        inc = IncrementalClosure()
-        inc.apply([
-            (("a", "b"), 1), (("c", "b"), 1),   # one component via shared b
-            (("x", "y"), 1),                      # another
-        ])
-        comps = inc.components(["a", "x", "lone"])
-        as_sets = [frozenset(c) for c in comps]
-        assert frozenset({"a", "b", "c"}) in as_sets
-        assert frozenset({"x", "y"}) in as_sets
-        assert frozenset({"lone"}) in as_sets
+        inc = applied(
+            ("a", "b"), ("c", "b"),   # one component via shared b
+            ("x", "y"),               # another
+        )
+        assert inc.components(["a", "x", "lone"]) == [
+            {"a", "b", "c"}, {"lone"}, {"x", "y"},
+        ]
 
     def test_component_merge_and_split(self):
-        inc = IncrementalClosure()
-        inc.apply([(("a", "b"), 1), (("x", "y"), 1)])
-        assert inc.component("a") == {"a", "b"}
-        inc.apply([(("b", "x"), 1)])
-        assert inc.component("a") == {"a", "b", "x", "y"}
-        inc.apply([(("b", "x"), -1)])
-        assert inc.component("a") == {"a", "b"}
-        assert inc.component("y") == {"x", "y"}
+        base = {("a", "b"), ("x", "y")}
+        inc = applied(*base)
+        assert inc.components([]) == [{"a", "b"}, {"x", "y"}]
+        inc.apply(base | {("b", "x")})
+        assert inc.components([]) == [{"a", "b", "x", "y"}]
+        inc.apply(base)
+        assert inc.components([]) == [{"a", "b"}, {"x", "y"}]
+
+    def test_isolated_nodes_and_self_loops_are_singletons(self):
+        inc = applied(("s", "s"))
+        assert inc.components(["q", "p"]) == [{"p"}, {"q"}, {"s"}]
+        assert IncrementalClosure().components([]) == []
+
+    def test_order_is_by_smallest_member_whatever_the_input_order(self):
+        edges = [("m", "z"), ("b", "y"), ("c", "a")]
+        want = [{"a", "c"}, {"b", "y"}, {"k"}, {"m", "z"}]
+        for nodes in (["k", "z", "a"], ["a", "z", "k"]):
+            for order in (edges, edges[::-1]):
+                assert applied(*order).components(nodes) == want
 
 
 @pytest.mark.parametrize("seed", [7, 55, 1009])
 def test_random_edit_sequence_matches_scratch(seed):
-    """N random inserts/retracts; closure always equals the oracle and
-    the per-step delta is exactly the symmetric difference."""
+    """N random inserts/removals (self-loops, cycles and re-insertions
+    included); strata always equal the oracle's and the per-step counts
+    are exactly the set difference."""
     rng = random.Random(seed)
-    nodes = [f"n{i}" for i in range(9)]
+    nodes = [f"n{i:02d}" for i in range(rng.randint(9, 12))]
     inc = IncrementalClosure()
-    live = []  # multiset of present edges, with repetition
-    prev = set()
+    live = set()
     for _ in range(160):
+        prev = set(live)
         if live and rng.random() < 0.45:
-            edge = rng.choice(live)
-            live.remove(edge)
-            delta = inc.apply([(edge, -1)])
+            live.remove(rng.choice(sorted(live)))
         else:
-            edge = (rng.choice(nodes), rng.choice(nodes))
-            live.append(edge)
-            delta = inc.apply([(edge, 1)])
-        want = scratch_closure(set(live))
-        got = closure_pairs(inc)
-        assert got == want
-        assert set(delta.added) == want - prev
-        assert set(delta.removed) == prev - want
-        prev = want
-    inc.check()
+            live.add((rng.choice(nodes), rng.choice(nodes)))
+        assert inc.apply(live) == (len(live - prev), len(prev - live))
+        assert inc.edges == live
+        assert inc.components(nodes) == scratch_components(nodes, live)
 
 
 def test_batch_delta_matches_scratch():
     rng = random.Random(99)
-    nodes = list("abcdefg")
+    nodes = list("abcdefghij")
     inc = IncrementalClosure()
-    live = []
+    live = set()
     for _ in range(40):
-        batch = []
+        prev = set(live)
         for _ in range(rng.randint(1, 5)):
             if live and rng.random() < 0.4:
-                edge = rng.choice(live)
-                live.remove(edge)
-                batch.append((edge, -1))
+                live.remove(rng.choice(sorted(live)))
             else:
-                edge = (rng.choice(nodes), rng.choice(nodes))
-                live.append(edge)
-                batch.append((edge, 1))
-        inc.apply(batch)
-        assert closure_pairs(inc) == scratch_closure(set(live))
-    inc.check()
+                live.add((rng.choice(nodes), rng.choice(nodes)))
+        assert inc.apply(live) == (len(live - prev), len(prev - live))
+        assert inc.components(nodes) == scratch_components(nodes, live)
+
+
+def test_random_graphs_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4)
+    nodes = [f"n{i:02d}" for i in range(12)]
+    for _ in range(60):
+        edges = {
+            (rng.choice(nodes), rng.choice(nodes))
+            for _ in range(rng.randint(0, 14))
+        }
+        graph = nx.DiGraph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        want = sorted(
+            (set(c) for c in nx.weakly_connected_components(graph)), key=min
+        )
+        assert applied(*edges).components(nodes) == want

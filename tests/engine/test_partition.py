@@ -142,6 +142,38 @@ def test_iter_all_edges_streams_everything(store):
     assert seen == {(src, src + 100, 0) for src in range(10)}
 
 
+def test_iter_all_edges_order_ignores_split_history(store):
+    store.initialize(edges_for(range(40)), num_vertices=100, min_partitions=2)
+    first = min(store.partitions, key=lambda p: p.lo)
+    _, _, right, _ = store.split(first, store.load(first))
+    # The right half was created last but sits between the two.
+    assert store.partitions[-1] is right and right.hi < 100
+    assert [src for src, *_ in store.iter_all_edges()] == list(range(40))
+
+
+def test_warning_order_does_not_depend_on_the_budget():
+    """The smallest pair that printed its warnings in another order:
+    gateway scale 1 under a 1.5 KiB budget (32 splits)."""
+    from repro import EngineOptions, Grapple, GrappleOptions
+    from repro.checkers.checker import pack_checkers
+    from repro.workloads.multifile import build_multifile_subject
+
+    sources = build_multifile_subject("gateway", scale=1.0).sources
+    fsms = [c.fsm for c in pack_checkers()]
+
+    def run(budget):
+        options = GrappleOptions(engine=EngineOptions(memory_budget=budget))
+        return Grapple(sources, fsms, options).run()
+
+    roomy, tight = run(64 << 20), run(1536)
+    assert tight.stats.repartitions > roomy.stats.repartitions == 0
+    assert [str(w) for w in tight.report.warnings] == \
+        [str(w) for w in roomy.report.warnings]
+    for phase in ("alias_phase", "dataflow_phase"):
+        assert list(getattr(tight, phase).engine_result.iter_edges()) == \
+            list(getattr(roomy, phase).engine_result.iter_edges())
+
+
 def test_total_edges_counts(store):
     store.initialize(edges_for(range(12)), num_vertices=100, min_partitions=2)
     assert store.total_edges() == 12

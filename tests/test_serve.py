@@ -40,9 +40,9 @@ def _write_workspace(directory, scale=SCALE):
     return subject
 
 
-def _engine(tmp_path, **kw):
+def _engine(tmp_path, scale=SCALE, **kw):
     ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
-    _write_workspace(ws)
+    _write_workspace(ws, scale=scale)
     return ServeEngine(ws, wd, _fsms(), **kw)
 
 
@@ -162,6 +162,138 @@ def test_random_edit_sequence_byte_identical_to_scratch(tmp_path):
     )
 
 
+def _assert_equals_scratch(engine, tmp_path, tag):
+    """Accumulated state == a from-scratch batch run *and* a daemon
+    started cold on the same workspace (strata, digests, errors)."""
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
+    cold = ServeEngine(engine.workspace, str(tmp_path / f"cold-{tag}"), _fsms())
+    cold.scan()
+    got, want = engine.report(), cold.report()
+    del got["counters"], want["counters"]
+    assert got == want
+
+
+def _rewrite(engine, path, old, new):
+    full = os.path.join(engine.workspace, path)
+    text = open(full).read()
+    assert old in text
+    return engine.edit(path, text.replace(old, new, 1))
+
+
+def test_import_edits_merge_cycle_and_split_strata(tmp_path):
+    """Edits that change *imports*: the dependency relation moves, so
+    strata merge and split; every step equals from-scratch."""
+    engine = _engine(tmp_path)
+    cold = engine.scan()
+    assert cold["edit"]["strata_total"] == 2
+    assert cold["edit"]["dependencies"] == {
+        "edges_added": len(engine.closure.edges), "edges_removed": 0,
+    }
+    rederived = engine.stats.edges_rederived
+
+    # g0left imports g1core: the two clusters become one stratum.
+    fragment = _rewrite(engine, "g0left.mini", "module g0left;\n",
+                        "module g0left;\nimport g1core;\n")
+    assert validate_run_report(fragment) == []
+    assert fragment["edit"]["dependencies"] == {
+        "edges_added": 1, "edges_removed": 0,
+    }
+    assert "closure" not in fragment["edit"]
+    assert fragment["edit"]["strata_total"] == 1
+    assert fragment["edit"]["strata_rechecked"] == 1
+    assert ("g0left.mini", "g1core.mini") in engine.closure.edges
+    _assert_equals_scratch(engine, tmp_path, "merged")
+
+    # g1core imports g0left back: a cycle, still one stratum.
+    fragment = _rewrite(engine, "g1core.mini", "module g1core;\n",
+                        "module g1core;\nimport g0left;\n")
+    assert fragment["edit"]["dependencies"] == {
+        "edges_added": 1, "edges_removed": 0,
+    }
+    assert fragment["edit"]["strata_total"] == 1
+    assert fragment["edit"]["strata_rechecked"] == 1
+    _assert_equals_scratch(engine, tmp_path, "cycle")
+
+    # One direction goes: the other edge still holds the stratum.
+    fragment = _rewrite(engine, "g0left.mini", "import g1core;\n", "")
+    assert fragment["edit"]["dependencies"] == {
+        "edges_added": 0, "edges_removed": 1,
+    }
+    assert fragment["edit"]["strata_total"] == 1
+    _assert_equals_scratch(engine, tmp_path, "half")
+
+    # The last cross-cluster import goes: split back into two.
+    fragment = _rewrite(engine, "g1core.mini", "import g0left;\n", "")
+    assert fragment["edit"]["dependencies"] == {
+        "edges_added": 0, "edges_removed": 1,
+    }
+    assert fragment["edit"]["strata_total"] == 2
+    assert fragment["edit"]["strata_rechecked"] == 2
+    _assert_equals_scratch(engine, tmp_path, "split")
+    assert engine.stats.edges_rederived == rederived + 4
+
+    # A no-op poll reports no dependency delta at all.
+    assert engine.scan()["edit"]["dependencies"] is None
+
+
+def test_link_error_outlives_polls_and_restarts(tmp_path):
+    """A stratum that fails to link keeps saying so -- in fragments, in
+    the report and across a restart -- until an edit changes it."""
+    engine = _engine(tmp_path, scale=1.0)
+    engine.scan()
+    clean = engine.report()
+    app = open(os.path.join(engine.workspace, "app.mini")).read()
+    fragment = engine.edit("dup.mini", app)  # redefines app's symbols
+    assert "duplicate symbol" in fragment["edit"]["errors"]["app.mini"]
+    assert fragment["warnings"] == 0
+    errors = fragment["edit"]["errors"]
+    served = engine.stats.edits_served
+
+    for daemon in (engine,
+                   ServeEngine(engine.workspace, engine.workdir, _fsms())):
+        fragment = daemon.scan()
+        assert fragment["edit"]["changed"] == []
+        assert fragment["edit"]["strata_rechecked"] == 0
+        assert fragment["edit"]["errors"] == errors
+        assert fragment["warnings"] == 0
+        assert daemon.stats.edits_served == served
+        assert daemon.report()["errors"] == errors
+
+    fragment = engine.remove("dup.mini")
+    assert fragment["edit"]["errors"] == {}
+    assert engine.report()["errors"] == {}
+    after = engine.report()
+    for doc in (after, clean):
+        del doc["counters"]
+    assert after == clean
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
+
+
+def test_state_file_of_the_previous_build_is_adopted(tmp_path):
+    """``serve-state.json`` as PR 19's build (ZSet closure) wrote it for
+    gateway scale 1: same schema, so nothing is re-checked."""
+    golden = os.path.join(os.path.dirname(__file__), "workloads", "golden",
+                          "serve_state_pr19_gateway1.json")
+    ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
+    _write_workspace(ws, scale=1.0)
+    os.makedirs(wd)
+    with open(golden) as f:
+        state = json.load(f)
+    with open(os.path.join(wd, "serve-state.json"), "w") as f:
+        json.dump(state, f)
+    engine = ServeEngine(ws, wd, _fsms())
+    assert engine.strata == state["strata"]
+    fragment = engine.scan()
+    assert fragment["edit"]["changed"] == []
+    assert fragment["edit"]["strata_rechecked"] == 0
+    assert fragment["warnings"] == 11
+    assert engine.stats.edges_rederived == state["counters"]["edges_rederived"]
+    _, scratch = _scratch_warnings(ws)
+    assert _accumulated(engine) == scratch
+
+
 def test_restart_resumes_without_recompute(tmp_path):
     engine = _engine(tmp_path)
     engine.scan()
@@ -253,6 +385,17 @@ def test_parse_error_keeps_serving_and_recovers(tmp_path):
     fragment = engine.edit("g0svc.mini", original)
     assert fragment["edit"]["errors"] == {}
     assert _accumulated(engine) == good
+
+
+def test_parse_error_of_a_file_that_never_parsed_goes_with_the_file(tmp_path):
+    engine = _engine(tmp_path)
+    engine.scan()
+    fragment = engine.edit("fresh.mini", "func broken( {\n")
+    assert list(fragment["edit"]["errors"]) == ["fresh.mini"]
+    assert "fresh.mini" not in engine.files
+    fragment = engine.remove("fresh.mini")
+    assert fragment["edit"]["errors"] == {}
+    assert engine.report()["errors"] == {}
 
 
 def test_incr_spans_are_recorded(tmp_path):
