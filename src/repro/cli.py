@@ -441,6 +441,11 @@ def cmd_serve(args) -> int:
 
         recorder = TraceRecorder()
     _check_unroll(args.unroll)
+    if not (math.isfinite(args.poll) and args.poll > 0):
+        # 0 would make the listening socket non-blocking.
+        raise UsageError(
+            f"--poll wants a finite cadence > 0 seconds, not {args.poll}"
+        )
     checkers = _named_checkers(args.checkers)
     engine = ServeEngine(
         args.workspace, args.workdir, [c.fsm for c in checkers],

@@ -1,10 +1,11 @@
 """LRU constraint-memoisation cache (paper §4.3, Table 4).
 
 Edges in the same program scope share path constraints, so memoising the
-result of constraint solving -- keyed by the encoded path -- converts most
-feasibility checks into hash-map lookups.  The implementation keeps an
-``OrderedDict`` of encoding keys, moving hits to the back and evicting from
-the front when capacity is exceeded ("least used keys are moved away").
+result of constraint solving -- keyed by the encoded path, which the engine
+hash-conses to an int id -- converts most feasibility checks into hash-map
+lookups.  The implementation keeps an ``OrderedDict``, moving hits to the
+back and evicting from the front when capacity is exceeded ("least used
+keys are moved away").
 """
 
 from __future__ import annotations
@@ -58,33 +59,3 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-
-class FeasibilityMemo:
-    """Verdict memo keyed by hash-consed encoding id.
-
-    Sits in front of the tuple-keyed :class:`LRUCache` and the SMT
-    solver: once an encoding (or sorted id combination) has a verdict,
-    the next query is a single int-keyed dict probe -- no tuple hashing,
-    no LRU reordering.
-
-    The memo is insertion-bounded rather than LRU: verdicts are tiny
-    (int -> bool) and the id space is already bounded by the encoding
-    table, so eviction machinery would cost more than it saves.
-    """
-
-    __slots__ = ("capacity", "_data")
-
-    def __init__(self, capacity: int = 1_000_000):
-        self.capacity = capacity
-        self._data: dict = {}
-
-    def get(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value) -> None:
-        if len(self._data) < self.capacity:
-            self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)

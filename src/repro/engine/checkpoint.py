@@ -186,12 +186,8 @@ def load_manifest(workdir: str) -> dict | None:
     """The manifest in ``workdir``, or None when none (or unreadable --
     an interrupted first checkpoint is indistinguishable from a fresh
     run, and the atomic write makes a *torn* manifest impossible)."""
-    try:
-        with open(manifest_path(workdir), "rb") as f:
-            manifest = json.loads(f.read())
-    except (OSError, ValueError):
-        return None
-    if manifest.get("format") != FORMAT:
+    manifest = serialize.read_json_object(manifest_path(workdir))
+    if manifest is None or manifest.get("format") != FORMAT:
         return None
     return manifest
 

@@ -50,7 +50,7 @@ from repro.cfet.icfet import Icfet
 from repro.engine import checkpoint as ckpt
 from repro.engine import kernel as kernel_mod
 from repro.engine import serialize
-from repro.engine.cache import FeasibilityMemo, LRUCache
+from repro.engine.cache import LRUCache
 from repro.engine.columnar import ROW_BYTES, EncodingTable
 from repro.engine.io_pipeline import PrefetchReader, SpillWriter
 from repro.engine.partition import Partition, PartitionStore
@@ -63,10 +63,18 @@ from repro.graph.model import ProgramGraph
 from repro.smt import Result, Solver
 from repro.smt import expr as E
 
-#: Caps on the per-engine id-keyed memo tables (plain dicts; entries are
-#: a few machine words each, so these allow tens of MB at most).
+#: Caps on the per-engine id-keyed memo tables (entries are a few
+#: machine words each, so these allow tens of MB at most).  The verdict
+#: cache is an LRU; the other two are plain dicts that stop accepting
+#: writes when full.
+VERDICT_CACHE_CAP = 1_000_000
 MERGE_MEMO_CAP = 500_000
-DECODE_CACHE_CAP = 500_000
+FORM_PIECES_CAP = 500_000
+
+#: How many upcoming scheduled pairs the serial loop hands to the
+#: background prefetcher each iteration (deeper lookahead keeps the
+#: reader busy across pairs whose partitions were already resident).
+PREFETCH_DEPTH = 4
 
 
 @dataclass
@@ -79,7 +87,6 @@ class EngineOptions:
     memory_budget: int = 64 * 1024 * 1024
     min_partitions: int = 2
     witness_cap: int = 3  # max distinct encodings kept per (src, dst, label)
-    cache_capacity: int = 200_000
     enable_cache: bool = True
     max_pairs: int | None = None  # safety cap on processed pairs
     # Ablation switch: with path sensitivity off, every composition is
@@ -127,10 +134,6 @@ class EngineOptions:
     resume: bool = False
     max_retries: int = 2
     fault_plan: object = None
-    # How many upcoming scheduled pairs the serial loop hands to the
-    # background prefetcher each iteration (deeper lookahead keeps the
-    # reader busy across pairs whose partitions were already resident).
-    prefetch_depth: int = 4
 
 
 @dataclass
@@ -215,15 +218,15 @@ class GraphEngine:
         if self.options.metrics:
             self.stats.ensure_metrics()
         self._heartbeat = None
-        self.cache = LRUCache(self.options.cache_capacity)
         # All id-keyed memo tables below live and die with the
         # EncodingTable that defines the ids.
         self._enc = EncodingTable()
-        self._decode_cache: dict = {}  # enc id -> constraint expr
+        # The paper's memoisation cache: enc id (or the sorted id tuple
+        # of a multi-encoding query) -> verdict.
+        self.cache = LRUCache(VERDICT_CACHE_CAP)
         self._compose_memo: dict = {}  # (label id, label id) -> label ids
         self._merge_memo: dict = {}  # (enc id, enc id) -> enc id | None
         self._reverse_memo: dict = {}  # enc id -> enc id
-        self._feasible_memo = FeasibilityMemo()
         self._rel_src_memo: dict = {}  # label id -> bool
         self._rel_tgt_memo: dict = {}  # label id -> bool
         self._derived_memo: dict = {}  # label id -> ((label id, rev), ...)
@@ -231,7 +234,7 @@ class GraphEngine:
         # The canonical-form verdict memo and the per-element pieces
         # its structural keys are stitched from.
         self._form_memo: dict = {}  # structural form key -> verdict
-        self._pieces = enc_mod.FormPieces(DECODE_CACHE_CAP)
+        self._pieces = enc_mod.FormPieces(FORM_PIECES_CAP)
         # Semi-naive state: the phase's arrival log (every edge inserted
         # into a loaded partition is recorded there), and the current
         # visit's reverse index (join vertex -> relevant-source in-edges
@@ -516,8 +519,7 @@ class GraphEngine:
                 # simply miss.
                 if store.prefetch is not None:
                     busy = set(pair)
-                    depth = max(1, self.options.prefetch_depth)
-                    for upcoming in scheduler.peek_pairs(depth):
+                    for upcoming in scheduler.peek_pairs(PREFETCH_DEPTH):
                         for index in set(upcoming) - busy:
                             store.prefetch_schedule(store.partitions[index])
                 if trace.enabled:
@@ -897,7 +899,7 @@ class GraphEngine:
                 return
             if len(slot) >= self.options.witness_cap:
                 return
-            if check and not self._feasible_id(eid):
+            if check and not self._feasible_ids((eid,)):
                 stats.infeasible_dropped += 1
                 return
             slot.add(eid)
@@ -907,7 +909,7 @@ class GraphEngine:
                 return
             if cols.witness_count(src, dst, label_id) >= self.options.witness_cap:
                 return
-            if check and not self._feasible_id(eid):
+            if check and not self._feasible_ids((eid,)):
                 stats.infeasible_dropped += 1
                 return
             cols.insert(src, dst, label_id, eid)
@@ -1019,51 +1021,29 @@ class GraphEngine:
 
         Entry point for grammar callbacks (``ComposeContext.feasible``),
         which pass encoding tuples; interning them here keys the verdict
-        memo by hash-consed id.
+        cache by hash-consed id.
         """
         if not self.options.path_sensitive:
             return True
         intern = self._enc.intern
-        if len(encodings) == 1:
-            return self._feasible_id(intern(encodings[0]))
-        ids = tuple(sorted(intern(encoding) for encoding in encodings))
-        stats = self.stats
-        stats.constraint_queries += 1
-        if self.options.enable_cache:
-            cached = self._feasible_memo.get(ids)
-            if cached is not None:
-                stats.cache_hits += 1
-                self.solver.stats.memo_hits += 1
-                return cached
-        return self._feasible_solve(ids, tuple(sorted(encodings)))
+        return self._feasible_ids(
+            tuple(sorted(intern(encoding) for encoding in encodings))
+        )
 
-    def _feasible_id(self, eid: int) -> bool:
-        """Single-encoding feasibility, memoised by hash-consed id."""
+    def _feasible_ids(self, ids: tuple) -> bool:
+        """One feasibility query: the verdict cache (paper §4.3, keyed by
+        hash-consed id), then the canonical-form memo, and only then
+        materialise the constraint and solve it."""
         if not self.options.path_sensitive:
             return True
         stats = self.stats
         stats.constraint_queries += 1
-        if self.options.enable_cache:
-            cached = self._feasible_memo.get(eid)
-            if cached is not None:
-                stats.cache_hits += 1
-                self.solver.stats.memo_hits += 1
-                return cached
-        return self._feasible_solve((eid,), (self._enc.decode(eid),))
-
-    def _feasible_solve(self, ids: tuple, lru_key: tuple) -> bool:
-        """Memo-miss path: consult the LRU (keyed by the sorted encoding
-        tuple), then the canonical-form memo,
-        and only then materialise the constraint and solve it."""
-        stats = self.stats
-        self.solver.stats.memo_misses += 1
-        memo_key = ids[0] if len(ids) == 1 else ids
         enable_cache = self.options.enable_cache
+        key = ids[0] if len(ids) == 1 else ids
         if enable_cache:
-            cached = self.cache.get(lru_key)
+            cached = self.cache.get(key)
             if cached is not None:
                 stats.cache_hits += 1
-                self._feasible_memo.put(memo_key, cached)
                 return cached
         start = time.perf_counter()
         form = result = None
@@ -1077,7 +1057,9 @@ class GraphEngine:
             # common case once the closure warms up.
             stats.group_hits += 1
         else:
-            constraints = self._constraints_for(ids)
+            stats.constraints_decoded += 1
+            with stats.timing("encode_time"):
+                constraints = self._decode_ids(ids)
             gave_up = self.solver.stats.gave_up
             result = self._solve_formula(E.and_(*constraints))
             if form is not None and self.solver.stats.gave_up == gave_up:
@@ -1088,45 +1070,27 @@ class GraphEngine:
                 self._form_memo[form] = result
         stats.feasibility_time += time.perf_counter() - start
         if enable_cache:
-            self.cache.put(lru_key, result)
-            self._feasible_memo.put(memo_key, result)
+            self.cache.put(key, result)
         return result
 
-    def _constraints_for(self, ids: tuple) -> list:
-        """Materialise one query's constraints for the solver (the query
-        missed the form memo, or caching is off)."""
-        stats = self.stats
-        stats.constraints_decoded += 1
-        with stats.timing("encode_time"):
-            return [self._constraint_for(eid) for eid in ids]
-
-    def _constraint_for(self, eid: int):
-        """Decoded constraint of one encoding id, through the decode memo.
-
-        The decode memo is part of the same memoisation story as the
-        solve cache: Table 4's "without caching" runs redo the full
-        lookup + solve on every query.
-        """
-        enable_cache = self.options.enable_cache
-        constraint = self._decode_cache.get(eid) if enable_cache else None
-        if constraint is None:
-            constraint = self._decode(self._enc.decode(eid))
-            if enable_cache and len(self._decode_cache) < DECODE_CACHE_CAP:
-                self._decode_cache[eid] = constraint
-        return constraint
+    def _decode_ids(self, ids: tuple) -> list:
+        """The ids' constraints, materialised (nothing remembers them:
+        a query gets here once per form, or with caching off)."""
+        decode = self._enc.decode
+        return [self._decode(decode(eid)) for eid in ids]
 
     def _form_key(self, ids: tuple) -> tuple:
         """Structural canonical-form key of the ids' conjunction
         (:func:`repro.cfet.encoding.form_key`): equal keys mean
         alpha-equivalent, hence equisatisfiable, conjunctions.  Interval
         encodings are keyed without being decoded; string-mode edges carry
-        their constraint as text, which has to be parsed to be keyed.
-        Keys are not cached per id: every exit of :meth:`_feasible_solve`
-        memoises the verdict by id, so an id is keyed once.
+        their constraint as text, which has to be parsed to be keyed (and
+        is parsed again if the form then goes to the solver).  Keys are
+        not cached per id: the verdict cache remembers the answer.
         """
         if self.options.constraint_mode == "string":
             return enc_mod.constraint_form_key(
-                [self._constraint_for(eid) for eid in ids], self._pieces
+                self._decode_ids(ids), self._pieces
             )
         decode = self._enc.decode
         return enc_mod.form_key(

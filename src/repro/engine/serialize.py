@@ -62,6 +62,7 @@ force the affected partition's pairs to recompute.
 
 from __future__ import annotations
 
+import json
 import os
 import zlib
 from array import array
@@ -157,6 +158,30 @@ def atomic_write_bytes(path: str, data: bytes, replace: bool = True,
         return tmp
     os.replace(tmp, path)
     return tmp
+
+
+def parse_json_object(data) -> dict | None:
+    """A JSON document that comes from outside the program (a state
+    file, a manifest, a cached artifact, a socket line): the parsed
+    *object*, or None for anything else -- malformed or mis-encoded
+    text, a non-object top level, or nesting deep enough to exhaust the
+    parser (``"[" * 200000`` raises RecursionError, not ValueError)."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def read_json_object(path: str) -> dict | None:
+    """:func:`parse_json_object` of the file at ``path``; a file that
+    cannot be read is no document either."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:
+        return None
+    return parse_json_object(data)
 
 
 def encode_frame(payload: bytes) -> bytes:

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.checkers.report import Diagnostic
 from repro.engine.cache import LRUCache
+from repro.engine.serialize import read_json_object
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
@@ -285,10 +286,14 @@ class ScopeArtifactCache:
         if cached is not None:
             self.hits += 1
             return self._copy(cached)
-        try:
-            with open(self._path(digest)) as f:
-                artifact = FileArtifact.from_json(json.load(f))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        doc = read_json_object(self._path(digest))
+        artifact = None
+        if doc is not None:
+            try:
+                artifact = FileArtifact.from_json(doc)
+            except (ValueError, KeyError, TypeError):
+                pass  # another schema or version, or a mis-shaped field
+        if artifact is None:
             self.misses += 1
             return None
         self.hits += 1

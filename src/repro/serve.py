@@ -67,6 +67,10 @@ STATE_FILE = "serve-state.json"
 STATE_SCHEMA = "grapple/serve-state"
 STATE_VERSION = 1
 
+#: How long one socket client may take to deliver its request line or
+#: to read its answer before the (single-threaded) server drops it.
+CLIENT_TIMEOUT_S = 5.0
+
 #: Warning identity under edits: stable against *other* files growing
 #: or shrinking (offsets are file-local; global site ids are not).
 _IDENTITY = ("file", "offset", "checker", "kind", "type_name", "state",
@@ -169,14 +173,10 @@ class ServeEngine:
         serialize.atomic_write_bytes(self._state_path(), data)
 
     def _load_state(self) -> None:
-        try:
-            with open(self._state_path()) as f:
-                doc = json.load(f)
-        except (OSError, ValueError):
-            return
         # Valid JSON of the wrong shape is no state either, decided
         # before anything is adopted: never a half-loaded engine.
-        if not isinstance(doc, dict):
+        doc = serialize.read_json_object(self._state_path())
+        if doc is None:
             return
         if (doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
@@ -591,9 +591,7 @@ class Server:
         self.out.write("\n")
         self.out.flush()
 
-    def _handle(self, request) -> dict:
-        if not isinstance(request, dict):
-            raise ValueError("request must be a JSON object")
+    def _handle(self, request: dict) -> dict:
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "op": "ping"}
@@ -611,21 +609,31 @@ class Server:
         return {"error": f"unknown op {op!r}"}
 
     def _serve_connection(self, conn) -> None:
+        """One request, one answer.  The server is single-threaded, so a
+        client that stalls or hangs up costs itself the connection and
+        nobody else anything: its socket errors stop here."""
         with conn:
-            data = b""
-            while not data.endswith(b"\n"):
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
+            conn.settimeout(CLIENT_TIMEOUT_S)
+            try:
+                data = _recv_line(conn)
+            except OSError:  # timed out or reset mid-request
+                return
             if not data.strip():
                 return
+            response = json.dumps(self._answer(data), sort_keys=True)
             try:
-                request = json.loads(data)
-                response = self._handle(request)
-            except (ValueError, KeyError) as exc:
-                response = {"error": str(exc)}
-            conn.sendall(json.dumps(response, sort_keys=True).encode() + b"\n")
+                conn.sendall(response.encode() + b"\n")
+            except OSError:  # hung up before reading the answer
+                pass
+
+    def _answer(self, data: bytes) -> dict:
+        request = serialize.parse_json_object(data)
+        if request is None:
+            return {"error": "request must be one JSON object"}
+        try:
+            return self._handle(request)
+        except (ValueError, KeyError) as exc:
+            return {"error": str(exc)}
 
     def run(self, max_requests: int | None = None) -> int:
         """Serve until shutdown (or ``max_requests`` connections)."""
@@ -672,15 +680,22 @@ class Server:
         return 0
 
 
+def _recv_line(sock) -> bytes:
+    """Bytes up to and including the first newline-terminated chunk, or
+    whatever arrived before the peer closed."""
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 def request(socket_path: str, payload: dict) -> dict:
     """One client round-trip against a running :class:`Server`."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.connect(socket_path)
         sock.sendall(json.dumps(payload).encode() + b"\n")
-        data = b""
-        while not data.endswith(b"\n"):
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            data += chunk
+        data = _recv_line(sock)
     return json.loads(data)

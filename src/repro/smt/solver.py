@@ -48,11 +48,6 @@ class SolverStats:
     theory_calls: int = 0
     fast_path: int = 0
     gave_up: int = 0
-    # Engine-side feasibility memo (keyed by hash-consed encoding id):
-    # queries answered without touching the tuple-keyed LRU or the solver,
-    # and queries that fell through to them.
-    memo_hits: int = 0
-    memo_misses: int = 0
 
     def merge(self, other: "SolverStats") -> None:
         """Sum every counter field (derived, so new counters can't be
@@ -81,12 +76,13 @@ class Solver:
     def check(self, formula: E.Expr) -> Result:
         """Check one formula; returns :class:`Result`."""
         self.stats.checks += 1
-        result = self._check(formula)
-        if result is Result.SAT:
-            self.stats.sat += 1
-        else:
+        # Out of budget answers SAT: a spurious feasible path, never a
+        # missed one.
+        if self._search(formula, _satisfiable, if_exhausted={}) is None:
             self.stats.unsat += 1
-        return result
+            return Result.UNSAT
+        self.stats.sat += 1
+        return Result.SAT
 
     def is_satisfiable(self, formula: E.Expr) -> bool:
         return self.check(formula) is Result.SAT
@@ -123,110 +119,71 @@ class Solver:
         boolean variables get bools.  Opaque atoms are unconstrained and
         do not appear in the model.
         """
-        if formula is E.FALSE:
-            return None
-        if formula is E.TRUE:
-            return {}
+        return self._search(formula, find_model, if_exhausted=None)
+
+    # -- internals --------------------------------------------------------
+
+    def _search(self, formula: E.Expr, decide, if_exhausted):
+        """The model of the first conjunction of theory literals that
+        implies ``formula`` and is consistent, or None when there is none.
+
+        ``decide`` maps linear atoms to an integer model or None
+        (:func:`find_model`, or :func:`_satisfiable` when only the verdict
+        is wanted).  A conjunction of literals is decided directly; any
+        other formula through the boolean models of its Tseitin encoding,
+        each theory conflict blocking that combination of atom
+        polarities, at most ``MAX_THEORY_ITERATIONS`` times -- after
+        which the answer is ``if_exhausted``.
+        """
         literals = _conjunction_literals(formula)
         if literals is not None:
-            return self._theory_model(literals)
+            self.stats.fast_path += 1
+            return self._theory(literals, decide)
         builder = dpll.CnfBuilder()
-        root = _tseitin(formula, builder)
-        builder.assert_literal(root)
+        builder.assert_literal(_tseitin(formula, builder))
         atom_for_var = {v: a for a, v in builder.atom_vars.items()}
         for _ in range(MAX_THEORY_ITERATIONS):
             bool_model = dpll.solve(builder.clauses, builder.num_vars)
             if bool_model is None:
                 return None
-            literals = [
-                _Literal(atom_for_var[v], bool_model[v]) for v in atom_for_var
-            ]
-            model = self._theory_model(literals)
+            model = self._theory(
+                [_Literal(atom_for_var[v], bool_model[v]) for v in atom_for_var],
+                decide,
+            )
             if model is not None:
                 return model
             builder.add_clause(
                 (-v if bool_model[v] else v) for v in atom_for_var
             )
-        return None
+        self.stats.gave_up += 1
+        return if_exhausted
 
-    def _theory_model(self, literals):
+    def _theory(self, literals: list[_Literal], decide):
         """Model of a conjunction of theory literals, or None."""
-        bool_values: dict = {}
+        self.stats.theory_calls += 1
+        # Boolean variables and opaque comparisons constrain nothing in
+        # the theory: only an atom taken with both polarities is a conflict.
+        polarity: dict = {}
         atoms: list[LinearAtom] = []
-        opaque_polarity: dict = {}
         for lit in literals:
             atom = lit.atom
             if isinstance(atom, LinearAtom):
                 atoms.append(atom if lit.positive else atom.negated())
-            elif atom[0] == "bvar":
-                name = atom[1]
-                if bool_values.setdefault(name, lit.positive) != lit.positive:
-                    return None
-            else:
-                if opaque_polarity.setdefault(atom, lit.positive) != lit.positive:
-                    return None
-        lia_model = find_model(atoms)
-        if lia_model is None:
-            return None
-        model = dict(lia_model)
-        model.update(bool_values)
+            elif polarity.setdefault(atom, lit.positive) != lit.positive:
+                return None
+        model = decide(atoms)
+        if model is not None:
+            model.update(
+                (atom[1], positive)
+                for atom, positive in polarity.items() if atom[0] == "bvar"
+            )
         return model
 
-    # -- internals --------------------------------------------------------
 
-    def _check(self, formula: E.Expr) -> Result:
-        if formula is E.TRUE:
-            return Result.SAT
-        if formula is E.FALSE:
-            return Result.UNSAT
-        literals = _conjunction_literals(formula)
-        if literals is not None:
-            self.stats.fast_path += 1
-            return self._theory_check(literals)
-        return self._dpllt(formula)
-
-    def _theory_check(self, literals: list[_Literal]) -> Result:
-        """Decide a conjunction of theory literals."""
-        self.stats.theory_calls += 1
-        bool_polarity: dict[str, bool] = {}
-        opaque_polarity: dict[E.Expr, bool] = {}
-        atoms: list[LinearAtom] = []
-        for lit in literals:
-            atom = lit.atom
-            if isinstance(atom, LinearAtom):
-                atoms.append(atom if lit.positive else atom.negated())
-            elif atom[0] == "bvar":
-                name = atom[1]
-                if bool_polarity.setdefault(name, lit.positive) != lit.positive:
-                    return Result.UNSAT
-            else:  # opaque comparison: only self-contradiction is detectable
-                if opaque_polarity.setdefault(atom, lit.positive) != lit.positive:
-                    return Result.UNSAT
-        if check_conjunction(atoms):
-            return Result.SAT
-        return Result.UNSAT
-
-    def _dpllt(self, formula: E.Expr) -> Result:
-        builder = dpll.CnfBuilder()
-        root = _tseitin(formula, builder)
-        builder.assert_literal(root)
-        atom_for_var = {v: a for a, v in builder.atom_vars.items()}
-        for _ in range(MAX_THEORY_ITERATIONS):
-            model = dpll.solve(builder.clauses, builder.num_vars)
-            if model is None:
-                return Result.UNSAT
-            literals = [
-                _Literal(atom_for_var[v], model[v])
-                for v in atom_for_var
-            ]
-            if self._theory_check(literals) is Result.SAT:
-                return Result.SAT
-            # Block this combination of atom polarities.
-            builder.add_clause(
-                (-v if model[v] else v) for v in atom_for_var
-            )
-        self.stats.gave_up += 1
-        return Result.SAT  # conservative
+def _satisfiable(atoms: list[LinearAtom]):
+    """:func:`find_model`'s contract without the integer values, for
+    callers that want only the verdict."""
+    return {} if check_conjunction(atoms) else None
 
 
 def _atom_of(expr: E.Expr):

@@ -84,12 +84,15 @@ def test_missing_manifest_is_fresh_run(tmp_path):
 
 
 def test_garbage_manifest_is_fresh_run(tmp_path):
-    _run(tmp_path)
-    for phase in ("alias", "dataflow"):
-        with open(tmp_path / phase / ckpt.MANIFEST, "w") as f:
-            f.write("{not json")
-    run = _run(tmp_path, resume=True)
-    assert run.stats.pairs_processed > 0
+    """Malformed text, nesting that exhausts the parser (RecursionError,
+    not ValueError) and a non-object top level are all "no manifest"."""
+    for garbage in ("{not json", "[" * 200_000, "[]"):
+        _run(tmp_path)
+        for phase in ("alias", "dataflow"):
+            with open(tmp_path / phase / ckpt.MANIFEST, "w") as f:
+                f.write(garbage)
+        run = _run(tmp_path, resume=True)
+        assert run.stats.pairs_processed > 0
 
 
 def test_fresh_run_clears_stale_workdir_state(tmp_path):

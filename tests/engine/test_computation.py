@@ -202,9 +202,9 @@ def test_result_collect_by_label(icfet):
 
 
 def test_prefetch_lookahead_uses_configured_depth(icfet, monkeypatch):
-    """The serial loop asks the scheduler for ``prefetch_depth`` upcoming
-    pairs (not the hardwired 2 it used before the option existed)."""
-    from repro.engine import scheduling
+    """The serial loop asks the scheduler for ``PREFETCH_DEPTH`` upcoming
+    pairs."""
+    from repro.engine import computation, scheduling
 
     seen = []
     original = scheduling.PairScheduler.peek_pairs
@@ -215,7 +215,8 @@ def test_prefetch_lookahead_uses_configured_depth(icfet, monkeypatch):
 
     monkeypatch.setattr(scheduling.PairScheduler, "peek_pairs", recording_peek)
     graph = build_chain(60, icfet)
-    options = EngineOptions(memory_budget=6 << 10, prefetch_depth=7)
+    monkeypatch.setattr(computation, "PREFETCH_DEPTH", 7)
+    options = EngineOptions(memory_budget=6 << 10)
     GraphEngine(icfet, ChainGrammar(), options).run(graph)
     assert seen, "prefetch lookahead never consulted the scheduler"
     assert set(seen) == {7}

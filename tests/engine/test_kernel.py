@@ -2,7 +2,7 @@
 
 What is pinned here is what the one drain must keep doing: insert in a
 fixed order (the witness cap makes it observable), survive partition
-splits, and not depend on the decode memo's capacity.  The independent
+splits, and not depend on its memo tables' capacities.  The independent
 reference is ``test_closure_oracle``'s naive closure; the canonical-form
 key has its own tests in ``tests/cfet``.
 """
@@ -39,9 +39,8 @@ def _observe(engine, result):
     edges = sorted(result.iter_edges())
     counters = {f: getattr(result.stats, f) for f in PARITY_FIELDS}
     memos = {
-        "feasible_memo": len(engine._feasible_memo),
         "form_memo": dict(engine._form_memo),
-        "lru_keys": set(engine.cache._data),
+        "verdicts": dict(engine.cache._data),
         "merge_memo": dict(engine._merge_memo),
     }
     return edges, counters, memos
@@ -49,17 +48,40 @@ def _observe(engine, result):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_full_decode_caches_change_nothing(icfet, seed, monkeypatch):
-    """DECODE_CACHE_CAP bounds the decode memo and the form-key piece
-    table; once full they stop accepting writes, which may cost
-    recomputation but no verdict, counter or memo entry."""
+    """FORM_PIECES_CAP bounds the form-key piece table; once full it
+    stops accepting writes, which may cost recomputation but no verdict,
+    counter or memo entry."""
     base = _observe(*_run_engine(seed, icfet))
     assert base[0], "fuzz graph produced no edges"
-    monkeypatch.setattr(computation_mod, "DECODE_CACHE_CAP", 2)
+    monkeypatch.setattr(computation_mod, "FORM_PIECES_CAP", 2)
     engine, result = _run_engine(seed, icfet)
     assert len(engine._pieces.pieces) == 2
-    assert len(engine._decode_cache) == 2
     assert result.stats.constraints_decoded > 2
     assert _observe(engine, result) == base
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_verdict_cache_costs_rekeying_never_a_verdict(
+    icfet, seed, monkeypatch
+):
+    """With VERDICT_CACHE_CAP at 2 nearly every repeated query misses
+    the verdict cache -- and lands on the form memo: same edges, same
+    solves, same form memo as the uncapped run."""
+    base_engine, base_result = _run_engine(seed, icfet)
+    assert base_engine.cache.evictions == 0
+    monkeypatch.setattr(computation_mod, "VERDICT_CACHE_CAP", 2)
+    engine, result = _run_engine(seed, icfet)
+    assert engine.cache.evictions > 0 and len(engine.cache) == 2
+    assert sorted(result.iter_edges()) == sorted(base_result.iter_edges())
+    assert engine._form_memo == base_engine._form_memo
+    stats, base = result.stats, base_result.stats
+    for name in ("constraint_queries", "constraints_solved",
+                 "constraints_decoded", "feasibility_groups"):
+        assert getattr(stats, name) == getattr(base, name)
+    # What the evicted verdicts would have answered, the form memo did.
+    assert stats.cache_hits <= base.cache_hits
+    assert (stats.cache_hits + stats.group_hits
+            == base.cache_hits + base.group_hits)
 
 
 def test_small_budget_partition_traffic_matches_naive_closure(icfet):

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
+from repro.checkers.checker import pack_checkers
 from repro.engine.stats import EngineStats
 from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, MetricsRegistry
 from repro.obs.report import (
@@ -25,6 +26,7 @@ from repro.obs.report import (
 )
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.workloads import build_subject
+from repro.workloads.multifile import build_multifile_subject
 
 
 def _run(source, trace=None, metrics=False, heartbeat=None,
@@ -209,6 +211,12 @@ def test_run_report_schema_roundtrip():
     assert validate_run_report(broken)
 
 
+def _feasibility_counters(stats):
+    return (stats.constraint_queries, stats.cache_hits, stats.group_hits,
+            stats.feasibility_groups, stats.constraints_decoded,
+            stats.constraints_solved)
+
+
 def test_constraints_are_decoded_only_to_be_solved():
     """Feasibility queries are keyed by their encodings' structure; a
     constraint is materialised only for a query that then goes to the
@@ -218,9 +226,14 @@ def test_constraints_are_decoded_only_to_be_solved():
     stats = run.stats
     assert 0 < stats.constraints_decoded <= stats.constraints_solved
     assert stats.constraints_decoded < stats.group_hits
-    # Captured from the scalar drain (``--kernel off``) of the commit
-    # that still had batched backends beside it.
-    assert (stats.feasibility_groups, stats.group_hits) == (518, 8655)
+    # Captured from the commit that still had a tuple-keyed LRU and a
+    # decode memo between the verdict cache and the solver.
+    assert _feasibility_counters(stats) == (18429, 9256, 8655, 518, 518, 518)
+    gateway = Grapple(
+        build_multifile_subject("gateway", scale=1.0).sources,
+        [c.fsm for c in pack_checkers()],
+    ).run()
+    assert _feasibility_counters(gateway.stats) == (496, 128, 346, 22, 22, 22)
     report = build_run_report(run)
     assert report["counters"]["constraints_decoded"] == (
         stats.constraints_decoded

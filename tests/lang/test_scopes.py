@@ -1,6 +1,7 @@
 """Scope-graph name resolution across files (DESIGN.md §15)."""
 
 import itertools
+import json
 import os
 
 import pytest
@@ -265,6 +266,24 @@ def test_artifact_cache_adopts_existing_directory(tmp_path):
     digest = on_disk[0][: -len(".scope.json")]
     assert warm.get(digest) is not None
     assert warm.hits == 1
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: "[" * 200_000,
+    lambda doc: "[]",
+    lambda doc: json.dumps({**doc, "defs": 5}),
+], ids=["deep-nesting", "not-an-object", "defs-not-a-list"])
+def test_artifact_cache_treats_a_hostile_file_as_a_miss(tmp_path, damage):
+    cache = ScopeArtifactCache(str(tmp_path))
+    sources = {"net.mini": NET}
+    first = load_modules(sources, cache=cache)
+    path = tmp_path / f"{source_digest(NET)}.scope.json"
+    path.write_text(damage(json.loads(path.read_text())))
+    restarted = ScopeArtifactCache(str(tmp_path))
+    again = load_modules(sources, cache=restarted)
+    assert again.resolution.stats.artifact_cache_misses == 1
+    assert again.program == first.program
+    assert restarted.get(source_digest(NET)) is not None  # rewritten
 
 
 def test_artifact_cache_get_returns_private_copy(tmp_path):

@@ -167,3 +167,50 @@ def test_model_satisfies_formula_whenever_sat(phi):
         assert _evaluate(phi, model)
     else:
         assert model is None
+
+
+def _random_formula(rng, depth):
+    """Unit-coefficient atoms under and/or/not: difference constraints
+    have an integer model whenever they have a rational one, so ``check``
+    (integer-tightened) and ``get_model`` must agree exactly."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.2:
+            return BoolVar(rng.choice("pq"))
+        right = IntConst(rng.randint(-6, 6))
+        if rng.random() < 0.5:
+            right = add(IntVar(rng.choice("xyz")), right)
+        return rng.choice([lt, le, eq, ne])(IntVar(rng.choice("xyz")), right)
+    if rng.random() < 0.2:
+        return not_(_random_formula(rng, depth - 1))
+    children = [_random_formula(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+    return rng.choice([and_, or_])(*children)
+
+
+def test_check_and_get_model_agree_on_formulas_with_disjunction(monkeypatch):
+    """``check`` and ``get_model`` share one DPLL(T) enumeration: on
+    seeded random boolean combinations they must give the same verdict,
+    and every model must satisfy its formula.  (The iteration budget is
+    lowered so the seeds that exhaust it cost milliseconds, not seconds.)"""
+    import random
+
+    from repro.smt import Result, solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "MAX_THEORY_ITERATIONS", 32)
+    verdicts = {Result.SAT: 0, Result.UNSAT: 0}
+    gave_up = 0
+    for seed in range(400):
+        phi = _random_formula(random.Random(seed), depth=3)
+        solver = Solver()
+        verdict = solver.check(phi)
+        if solver.stats.gave_up:
+            # Out of iteration budget: conservative SAT, and no model.
+            gave_up += 1
+            assert verdict is Result.SAT, (seed, phi)
+            assert solver.get_model(phi) is None, (seed, phi)
+            continue
+        model = solver.get_model(phi)
+        verdicts[verdict] += 1
+        assert (model is not None) == (verdict is Result.SAT), (seed, phi)
+        if model is not None:
+            assert _evaluate(phi, model), (seed, phi, model)
+    assert min(verdicts.values()) >= 30 and gave_up, (verdicts, gave_up)

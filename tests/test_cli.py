@@ -96,31 +96,43 @@ def test_check_unknown_checker_fails(source_file, capsys):
     ["--unroll", "-1"],
     ["--unroll", "0"],
     ["--checkers", "io,nosuch"],
+    ["serve", "--poll", "0"],
+    ["serve", "--poll", "-1"],
+    ["serve", "--poll", "nan"],
 ], ids=" ".join)
 def test_check_bad_flag_value_is_a_usage_error_not_a_verdict(
-    source_file, capsys, flags
+    source_file, tmp_path, capsys, flags
 ):
     """A crash must not look like a verdict: exit status 1 means
     "warnings found", so a value the run cannot start with is refused up
     front with one ``repro: ...`` line and the status ``--resume``
     without ``--workdir`` already uses.  (A zero or negative budget used
-    to be accepted and never finish: one partition per vertex.)"""
-    assert main(["check", source_file(BUGGY), *flags]) == 2
+    to be accepted and never finish: one partition per vertex; ``serve
+    --poll 0`` made the listening socket non-blocking and crashed after
+    the cold scan.)"""
+    workdir = tmp_path / "wd"
+    if flags[0] == "serve":
+        argv = ["serve", str(tmp_path), "--workdir", str(workdir),
+                "--socket", str(tmp_path / "serve.sock"), *flags[1:]]
+    else:
+        argv = ["check", source_file(BUGGY), *flags]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("repro: ")
-    assert flags[1].split(",")[-1] in line  # names the offending value
+    assert flags[-1].split(",")[-1] in line  # names the offending value
+    assert not workdir.exists()  # refused before any state was made
 
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 ENGINE_OPTION_FIELDS = {
     "workdir", "memory_budget", "min_partitions", "witness_cap",
-    "cache_capacity", "enable_cache", "max_pairs", "path_sensitive",
+    "enable_cache", "max_pairs", "path_sensitive",
     "constraint_mode", "max_string_bytes", "time_budget", "prefetch",
     "compress_spills", "trace", "metrics", "heartbeat", "sampler",
-    "resume", "max_retries", "fault_plan", "prefetch_depth",
+    "resume", "max_retries", "fault_plan",
 }
 
 
@@ -154,7 +166,7 @@ def test_knob_census():
     on either side alone fails here.)"""
     fields = {f.name for f in dataclasses.fields(EngineOptions)}
     assert fields == ENGINE_OPTION_FIELDS
-    assert len(fields) == 21
+    assert len(fields) == 19
     for command in ("check", "serve"):
         documented, parsed = _readme_flags(command), _parser_flags(command)
         assert parsed - documented == set(), f"{command}: undocumented"

@@ -10,6 +10,7 @@ import contextlib
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import time
 
 import pytest
 
+from repro import serve as serve_mod
 from repro.analysis.pipeline import Grapple
 from repro.checkers.checker import pack_checkers
 from repro.obs.report import validate_run_report
@@ -348,8 +350,10 @@ def _break_first_file(doc):
     _set("strata", 7),
     _set("counters", "many"),
     _break_first_file,
+    lambda doc: b"[" * 200_000,  # RecursionError in the parser, not ValueError
 ], ids=["list", "null", "number", "files-list", "file-entry-null",
-        "strata-number", "counters-string", "file-entry-short"])
+        "strata-number", "counters-string", "file-entry-short",
+        "deep-nesting"])
 def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
     engine = _engine(tmp_path)
     cold = engine.scan()
@@ -357,8 +361,11 @@ def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
     state_path = os.path.join(engine.workdir, "serve-state.json")
     with open(state_path) as f:
         good = json.load(f)
-    with open(state_path, "w") as f:
-        json.dump(damage(good), f)  # valid JSON, wrong shape
+    damaged = damage(good)  # valid JSON of the wrong shape, or raw bytes
+    if not isinstance(damaged, bytes):
+        damaged = json.dumps(damaged).encode()
+    with open(state_path, "wb") as f:
+        f.write(damaged)
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert again.files == {} and again.strata == {}  # nothing half-loaded
     fragment = again.scan()
@@ -462,24 +469,65 @@ def _tree(root):
     }
 
 
+def _send(sock_path, data: bytes):
+    """A connected client that has sent ``data`` and nothing else; its
+    own timeout turns a wedged daemon into a failure, not a hang."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10)
+    sock.connect(sock_path)
+    sock.sendall(data)
+    return sock
+
+
+def _ping(sock_path) -> bool:
+    with _send(sock_path, b'{"op": "ping"}\n') as sock:
+        return json.loads(sock.makefile().readline())["ok"]
+
+
 @pytest.mark.parametrize("payload", [
     {"op": "edit", "path": "../escaped.mini", "text": "func f() {\n}\n"},
     {"op": "remove", "path": "../victim.mini"},
     [1],
     {"op": "edit", "path": "g0left.mini", "text": 5},
     {"op": "edit", "path": 7, "text": ""},
+    b"[" * 200_000,
+    b"\xff\xfe{",
 ], ids=["edit-escapes", "remove-escapes", "not-an-object", "text-not-str",
-        "path-not-str"])
+        "path-not-str", "deep-nesting", "not-utf8"])
 def test_hostile_socket_request_is_refused_and_daemon_survives(
     tmp_path, payload
 ):
     engine = _engine(tmp_path)
     (tmp_path / "victim.mini").write_text("func victim() {\n}\n")
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload).encode()
     with _serving(engine, tmp_path) as sock_path:
         before = _tree(tmp_path)
-        assert "error" in request(sock_path, payload)
+        with _send(sock_path, payload + b"\n") as sock:
+            assert "error" in json.loads(sock.makefile().readline())
         assert _tree(tmp_path) == before
-        assert request(sock_path, {"op": "ping"})["ok"] is True
+        assert _ping(sock_path)
+
+
+def test_client_that_hangs_up_before_the_answer_costs_only_itself(tmp_path):
+    """``sendall`` to a closed peer raises BrokenPipeError; that used to
+    leave ``Server.run`` and take the daemon with it."""
+    engine = _engine(tmp_path)
+    with _serving(engine, tmp_path) as sock_path:
+        _send(sock_path, b'{"op": "report"}\n').close()
+        assert _ping(sock_path)
+
+
+def test_stalled_client_is_dropped_and_the_next_one_served(
+    tmp_path, monkeypatch
+):
+    """A request line that never ends used to block ``recv`` forever:
+    no poll, no other client, no shutdown."""
+    monkeypatch.setattr(serve_mod, "CLIENT_TIMEOUT_S", 0.2)
+    engine = _engine(tmp_path)
+    with _serving(engine, tmp_path) as sock_path:
+        with _send(sock_path, b'{"op":'):  # no newline, held open
+            assert _ping(sock_path)
 
 
 def test_cli_serve_once_emits_valid_fragment(tmp_path):
