@@ -43,6 +43,7 @@ def compile_source(
     reduction=None,
     trace=None,
     scope_cache=None,
+    roots=None,
 ) -> CompiledProgram:
     """Parse, lower, and index a subject program.
 
@@ -59,6 +60,9 @@ def compile_source(
     therefore every generated graph edge and path constraint) is built
     from the reduced program.  ``reduction`` collects the counters and
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) the pass spans.
+
+    ``roots`` names the entry points whose clone trees ``forest`` holds
+    (default: every root function).
     """
     start = time.perf_counter()
     resolution = None
@@ -105,7 +109,7 @@ def compile_source(
     callgraph = build_call_graph(program)
     info = infer_object_vars(program)
     forest = enumerate_clones(
-        program, icfet, callgraph,
+        program, icfet, callgraph, roots=roots,
         max_depth=max_clone_depth, max_clones=max_clones,
     )
     loc = sum(1 for line in source_text.splitlines() if line.strip())

@@ -8,7 +8,10 @@ and check them against every applicable FSM (phase 3).
 
 from __future__ import annotations
 
+import json
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.analysis.alias import AliasAnalysis, run_alias_phase
@@ -18,6 +21,13 @@ from repro.checkers.fsm import FSM
 from repro.checkers.report import Report, Warning
 from repro.engine.computation import EngineOptions
 from repro.engine.stats import EngineStats
+from repro.graph.cloning import (
+    CloneForest,
+    enumerate_clones,
+    root_functions,
+    root_keys,
+    tree_order,
+)
 
 
 @dataclass
@@ -35,6 +45,11 @@ class GrappleOptions:
     #: across runs (the serve daemon hands one in so only edited files
     #: re-derive their scope artifacts).
     scope_cache: object = None
+    #: Optional root-result table of an earlier run over an earlier
+    #: version of the sources (``GrappleRun.root_table``): a root whose
+    #: key still holds keeps its warnings and its clone tree is not
+    #: built.  The serve daemon hands in the superseded strata's tables.
+    root_table: dict | None = None
     engine: EngineOptions = field(default_factory=EngineOptions)
 
 
@@ -51,6 +66,14 @@ class GrappleRun:
     total_time: float
     #: Pre-closure reduction counters; None when reduction was off.
     reduction: "ReductionStats | None" = None
+    #: ``{root: [key, [file-relative warning dicts]]}`` for every root
+    #: function, in whole-run order; JSON-ready, and the
+    #: ``GrappleOptions.root_table`` of a later run.  Keys are None
+    #: when this run was handed no table (pass ``{}`` to start one).
+    root_table: dict = field(default_factory=dict)
+    #: The roots whose clone trees this run built and closed (all of
+    #: them unless a ``root_table`` was handed in).
+    rechecked: list = field(default_factory=list)
 
     @property
     def stats(self) -> EngineStats:
@@ -112,12 +135,11 @@ class Grapple:
         compiled = compile_source(
             self.source,
             unroll=options.unroll,
-            max_clone_depth=options.max_clone_depth,
-            max_clones=options.max_clones,
             reduce=options.reduce,
             reduction=reduction,
             trace=trace,
             scope_cache=options.scope_cache,
+            roots=(),  # cloned below, once the keys say which trees to build
         )
         fsms_by_type: dict[str, FSM] = {}
         for fsm in self.fsms:
@@ -143,6 +165,30 @@ class Grapple:
             if trace is not None:
                 trace.end("sa-relevance", tick, cat="sa")
 
+        tick = time.perf_counter()
+        ranges = _SiteRanges(compiled.resolution)
+        roots = root_functions(compiled.program, compiled.callgraph)
+        table = options.root_table
+        # No table (`repro check`): nothing to reuse, so nothing to key.
+        keys = {} if table is None else root_keys(
+            compiled.program, compiled.callgraph, roots, self._config(),
+            compiled.info, relevance, ranges.origin,
+        )
+        reused = {
+            root: table[root] for root, key in keys.items()
+            if root in table and table[root][0] == key
+        }
+        rechecked = [root for root in roots if root not in reused]
+        compiled.forest = enumerate_clones(
+            compiled.program, compiled.icfet, compiled.callgraph,
+            roots=rechecked,
+            max_depth=options.max_clone_depth, max_clones=options.max_clones,
+        )
+        compiled.frontend_time += time.perf_counter() - tick
+        if trace is not None:
+            trace.end("root-trees", tick, cat="graph",
+                      roots=len(roots), rechecked=len(rechecked))
+
         alias_phase = run_alias_phase(
             compiled, tracked_types, options.engine,
             relevance=relevance, rstats=reduction,
@@ -151,7 +197,21 @@ class Grapple:
             compiled, alias_phase, fsms_by_type, options.engine,
             relevance=relevance, rstats=reduction,
         )
-        report = extract_report(dataflow_phase, compiled.icfet)
+        fresh = extract_report(dataflow_phase, compiled.forest, compiled.icfet)
+        # A whole run reports tree by tree (warnings come in vertex
+        # order); a warning two trees share keeps the first one's witness.
+        report = Report()
+        root_table = {}
+        for root in tree_order(roots):
+            entry = reused.get(root)
+            if entry is None:
+                found = fresh[root].warnings if root in fresh else []
+                entry = [keys.get(root), [ranges.localize(w) for w in found]]
+            else:
+                found = [ranges.globalize(doc) for doc in entry[1]]
+            for warning in found:
+                report.add(warning)
+            root_table[root] = entry
         total = time.perf_counter() - start
 
         preprocess = (
@@ -168,22 +228,84 @@ class Grapple:
             computation_time=total - preprocess,
             total_time=total,
             reduction=reduction,
+            root_table=root_table,
+            rechecked=rechecked,
+        )
+
+    def _config(self) -> str:
+        """Everything outside the sources that decides a root's warnings."""
+        options, engine = self.options, self.options.engine
+        return json.dumps([
+            options.unroll, options.max_clone_depth, options.max_clones,
+            options.reduce, engine.witness_cap, engine.path_sensitive,
+            engine.constraint_mode, engine.max_string_bytes,
+            sorted(
+                (fsm.name, sorted(fsm.types), fsm.initial,
+                 sorted(fsm.transitions.items()), sorted(fsm.accepting),
+                 sorted(fsm.error_states))
+                for fsm in self.fsms
+            ),
+        ])
+
+
+class _SiteRanges:
+    """Warning sites between a run's global numbering and file-relative
+    ``(file, offset)`` coordinates, which survive a neighbour file
+    growing (``Resolution.site_ranges``).  A single-source run is one
+    unnamed file starting at site 0."""
+
+    def __init__(self, resolution):
+        if resolution is None:
+            self.ranges = {"": (0, sys.maxsize)}
+            self.file_of = {}
+        else:
+            self.ranges = resolution.site_ranges
+            self.file_of = resolution.file_of
+        self.paths = sorted(self.ranges, key=self.ranges.get)
+        self.bases = [self.ranges[path][0] for path in self.paths]
+
+    def origin(self, symbol: str) -> tuple[str, int]:
+        """The file defining ``symbol`` and that file's first site id."""
+        path = self.file_of.get(symbol, "")
+        return path, self.ranges[path][0]
+
+    def localize(self, warning: Warning) -> dict:
+        path = self.paths[bisect_right(self.bases, warning.site) - 1]
+        return {
+            "file": path, "offset": warning.site - self.ranges[path][0],
+            "checker": warning.checker, "kind": warning.kind,
+            "type_name": warning.type_name, "state": warning.state,
+            "func": warning.func, "line": warning.line,
+            "witness": list(warning.witness),
+        }
+
+    def globalize(self, doc: dict) -> Warning:
+        return Warning(
+            checker=doc["checker"], kind=doc["kind"],
+            site=self.ranges[doc["file"]][0] + doc["offset"],
+            type_name=doc["type_name"], state=doc["state"],
+            func=doc["func"], line=doc["line"],
+            witness=tuple(doc["witness"]),
         )
 
 
 def extract_report(
     dataflow_phase: DataflowAnalysis,
+    forest: CloneForest,
     icfet=None,
     with_witnesses: bool = True,
-) -> Report:
+) -> dict[str, Report]:
     """Phase 3: check each object's reachable states against its FSM.
+
+    One report per root function of ``forest``: a warning belongs to the
+    root in whose clone tree its object was allocated.
 
     When the ICFET is supplied, each warning carries a *witness*: a
     concrete assignment to the program's inputs satisfying the path
     constraint of one witnessing path (decoded from the state edge's
     encoding and solved for a model).
     """
-    report = Report()
+    reports: dict[str, Report] = {}
     objects = dataflow_phase.graph_result.objects
     exits = dataflow_phase.graph_result.exit_vertices
     fsm_by_name = {fsm.name: fsm for fsm, _, _ in objects.values()}
@@ -207,7 +329,8 @@ def extract_report(
         witness = ()
         if with_witnesses and icfet is not None:
             witness = _witness_of(encoding, icfet)
-        report.add(
+        root = forest.clones[tracked.clone_key].root
+        reports.setdefault(root, Report()).add(
             Warning(
                 checker=fsm_name,
                 kind=kind,
@@ -219,7 +342,7 @@ def extract_report(
                 witness=witness,
             )
         )
-    return report
+    return reports
 
 
 def _witness_of(encoding, icfet) -> tuple:

@@ -114,11 +114,18 @@ class LintReport:
 class Report:
     """All warnings from one Grapple run, deduplicated per site/state."""
 
+    #: First-seen order.
     warnings: list[Warning] = field(default_factory=list)
+    _seen: set = field(default_factory=set, init=False, repr=False,
+                       compare=False)
+
+    def __post_init__(self) -> None:
+        self._seen.update(self.warnings)
 
     def add(self, warning: Warning) -> None:
         """Add a warning unless an identical one is already present."""
-        if warning not in self.warnings:
+        if warning not in self._seen:
+            self._seen.add(warning)
             self.warnings.append(warning)
 
     def by_checker(self, checker: str) -> list[Warning]:

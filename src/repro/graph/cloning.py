@@ -11,6 +11,7 @@ treated context-insensitively, exactly as the paper prescribes.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.lang import ast
@@ -28,6 +29,8 @@ class Clone:
 
     ctx: tuple
     func: str
+    #: The root function whose clone tree this instance belongs to.
+    root: str
     # (call record, callee clone key or None when the callee is extern)
     calls: list = field(default_factory=list)
 
@@ -58,14 +61,108 @@ class CloneForest:
 
 
 def root_functions(program: ast.Program, callgraph: CallGraph) -> list[str]:
-    """Entry points: ``main`` plus any function nobody calls."""
+    """Entry points: ``main`` plus any function nobody calls.
+
+    Linking qualifies a module's ``main`` as ``<module>.main``; it is as
+    much an entry point as a bare one, also when it sits on a call cycle.
+    """
     called: set[str] = set()
     for callees in callgraph.edges.values():
         called |= callees
-    roots = [name for name in program.functions if name not in called]
-    if "main" in program.functions and "main" not in roots:
-        roots.append("main")
-    return sorted(roots)
+    return sorted(
+        name for name in program.functions
+        if name not in called or name.rsplit(".", 1)[-1] == "main"
+    )
+
+
+#: Hex digits kept of a root key's sha256.  A key is only ever compared
+#: with the same root's previous key, and the daemon persists one per
+#: root per edit: 128 bits is ample and halves the state they add.
+KEY_HEX = 32
+
+
+def tree_order(roots) -> list[str]:
+    """Roots in the order :func:`enumerate_clones` builds their trees --
+    it pops ``sorted(roots)`` off a stack -- which is the order of their
+    vertex ids and therefore of their warnings in a whole run."""
+    return sorted(roots, reverse=True)
+
+
+def root_keys(
+    program: ast.Program,
+    callgraph: CallGraph,
+    roots: list[str],
+    config: str,
+    info,
+    relevance,
+    origin,
+) -> dict[str, str]:
+    """One reuse key per root clone tree.
+
+    Full cloning makes the program graph a forest: the clones of one
+    root share no vertex with another root's, so a root's warnings are
+    a function of the functions its tree instantiates.  The key is a
+    digest over ``config`` and, for every function reachable from the
+    root in the call graph, everything the graph builders read about it:
+    the linked, transformed, reduced AST (source lines included; site
+    ids relative to the function's file, ``origin(func) -> (path, first
+    site id)``, so a neighbour file growing does not move them) and the
+    function's slices of ``info`` (:class:`~repro.lang.types.ObjectInfo`)
+    and ``relevance`` (:class:`~repro.sa.relevance.RelevanceInfo`, None
+    when reduction is off).  Those two are whole-program fixpoints -- a caller in another tree can
+    change them -- which is why they are in the key rather than assumed.
+    """
+    relevant: dict[str, list] = {}
+    if relevance is not None:
+        for func, var in relevance.relevant_vars:
+            relevant.setdefault(func, []).append(var)
+
+    def digest(func: str) -> bytes:
+        fn = program.functions[func]
+        path, base = origin(func)
+        facts = (
+            path, fn.params, _canonical(fn.body, base),
+            sorted(info.object_vars.get(func, ())),
+            sorted(relevant.get(func, ())),
+            relevance is None or relevance.func_flow_relevant(func),
+        )
+        return hashlib.sha256(repr(facts).encode()).digest()
+
+    digests: dict[str, bytes] = {}
+    keys: dict[str, str] = {}
+    for root in roots:
+        reached = {root}
+        stack = [root]
+        while stack:
+            for callee in callgraph.callees(stack.pop()):
+                if callee not in reached:
+                    reached.add(callee)
+                    stack.append(callee)
+        key = hashlib.sha256(config.encode())
+        for func in sorted(reached):
+            if func not in digests:
+                digests[func] = digest(func)
+            key.update(func.encode() + b"\0" + digests[func])
+        keys[root] = key.hexdigest()[:KEY_HEX]
+    return keys
+
+
+_SITE_FIELDS = ("site", "call_site")
+_LEAF_TYPES = {str, int, bool, type(None)}
+
+
+def _canonical(node, base: int):
+    """An AST subtree as nested lists, site ids rebased to ``base``."""
+    cls = type(node)
+    if cls in _LEAF_TYPES:
+        return node
+    if cls is list or cls is tuple:
+        return [_canonical(item, base) for item in node]
+    return [cls.__name__] + [
+        getattr(node, name) - base if name in _SITE_FIELDS
+        else _canonical(getattr(node, name), base)
+        for name in cls.__slots__  # every AST node is a slotted dataclass
+    ]
 
 
 def enumerate_clones(
@@ -81,10 +178,10 @@ def enumerate_clones(
     if roots is None:
         roots = root_functions(program, callgraph)
 
-    stack: list[tuple[tuple, str]] = [((), name) for name in roots]
+    stack: list[tuple[tuple, str, str]] = [((), name, name) for name in roots]
     forest.roots = [((), name) for name in roots]
     while stack:
-        ctx, func = stack.pop()
+        ctx, func, root = stack.pop()
         key = (ctx, func)
         if key in forest.clones:
             continue
@@ -93,7 +190,7 @@ def enumerate_clones(
                 f"more than {max_clones} clones; the subject program's call"
                 " tree is too deep/wide for the configured bounds"
             )
-        clone = Clone(ctx, func)
+        clone = Clone(ctx, func, root)
         forest.clones[key] = clone
         cfet = icfet.cfets.get(func)
         if cfet is None:
@@ -113,5 +210,5 @@ def enumerate_clones(
                 child_key = (child_ctx, record.callee)
                 clone.calls.append((record, child_key))
                 if child_key not in forest.clones:
-                    stack.append(child_key)
+                    stack.append((*child_key, root))
     return forest

@@ -27,12 +27,16 @@ The incremental spine has three layers, mirroring the spans it emits:
 ``incr-retract``
     Each stratum is checked by an ordinary (deterministic, serial)
     Grapple run, cached by a digest over its membership, content, and
-    analysis config.  Warnings are stored *rebased*: as ``(file,
-    offset)`` against the stratum-local site numbering, so the
-    accumulated state is byte-identical to a from-scratch run over the
-    final sources once global site bases are re-applied.  Warnings
-    whose stratum result was superseded are retracted from the
-    accumulated state and reported in the fragment.
+    analysis config.  Inside a stratum the unit of re-analysis is the
+    *root clone tree*: the run is handed the root-result tables of the
+    strata it supersedes and builds and closes only the trees whose key
+    moved (``Grapple.run``, DESIGN.md §16 "root trees").  Warnings are
+    stored per root and *rebased*: as ``(file, offset)`` against the
+    stratum-local site numbering, so the accumulated state is
+    byte-identical to a from-scratch run over the final sources once
+    global site bases are re-applied.  Warnings whose stratum result
+    was superseded are retracted from the accumulated state and
+    reported in the fragment.
 
 ``edits_served`` / ``edges_rederived`` (dependency edges added plus
 removed) / ``warnings_retracted`` ride the ordinary
@@ -58,6 +62,7 @@ from repro.engine import serialize
 from repro.engine.computation import EngineOptions
 from repro.engine.incremental import IncrementalClosure
 from repro.engine.stats import EngineStats
+from repro.graph.cloning import tree_order
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
 from repro.obs.report import stats_sections
@@ -109,6 +114,28 @@ def _identity(warning: dict) -> tuple:
     return tuple(warning[k] for k in _IDENTITY)
 
 
+def _warnings(entry: dict) -> list[dict]:
+    """A stratum entry's file-relative warnings.  Root tables flatten the
+    way a whole run merges them: tree by tree, a warning several roots
+    report (one allocation site in a shared callee) counted once, with
+    the first tree's witness.  An entry without a table (a failed link,
+    a state file from before root tables) lists them itself."""
+    roots = entry.get("roots")
+    if roots is None:
+        return entry["warnings"]
+    merged: dict = {}
+    for root in tree_order(roots):
+        for warning in roots[root][1]:
+            merged.setdefault(_identity(warning), warning)
+    return list(merged.values())
+
+
+def _count(entry: dict) -> int:
+    """``len(_warnings(entry))`` without flattening anything: a fragment
+    counts every stratum, and only the edited one should cost."""
+    return entry["count"] if "roots" in entry else len(entry["warnings"])
+
+
 class ServeEngine:
     """The daemon's state machine; :class:`Server` wraps it in I/O.
 
@@ -133,8 +160,10 @@ class ServeEngine:
         self.closure = IncrementalClosure()
         self.files: dict[str, FileMeta] = {}
         self.texts: dict[str, str] = {}
-        #: stratum digest -> {"files": [...], "warnings": [local dicts]},
-        #: plus "error" when the stratum failed to link.
+        #: stratum digest -> {"files": [...], "roots": {root: [key,
+        #: [local warning dicts]]}, "count": distinct warnings}; a
+        #: stratum that failed to link has "warnings": [] and "error"
+        #: instead of "roots" and "count".
         self.strata: dict[str, dict] = {}
         #: Per-file parse errors; such a file is re-read on every scan.
         self.errors: dict[str, str] = {}
@@ -312,32 +341,13 @@ class ServeEngine:
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def _run_stratum(self, membership: list[str]):
+    def _run_stratum(self, membership: list[str], root_table: dict):
         sources = {p: self._text(p) for p in membership}
         options = GrappleOptions(
             unroll=self.unroll, reduce=self.reduce, scope_cache=self.cache,
-            engine=EngineOptions(trace=self.trace),
+            root_table=root_table, engine=EngineOptions(trace=self.trace),
         )
         return Grapple(sources, self.fsms, options).run()
-
-    @staticmethod
-    def _localize(run) -> list[dict]:
-        """Stratum warnings rebased to (file, offset) site coordinates."""
-        ranges = run.compiled.resolution.site_ranges
-        out = []
-        for w in run.report.warnings:
-            for path, (base, end) in ranges.items():
-                if base <= w.site < end:
-                    out.append({
-                        "file": path, "offset": w.site - base,
-                        "checker": w.checker, "kind": w.kind,
-                        "type_name": w.type_name, "state": w.state,
-                        "func": w.func, "line": w.line,
-                        "witness": list(w.witness),
-                    })
-                    break
-        out.sort(key=_identity)
-        return out
 
     # -- the edit loop -----------------------------------------------------
 
@@ -363,15 +373,26 @@ class ServeEngine:
         if self.trace is not None:
             self.trace.end("incr-join", tick, cat="serve")
 
+        components = [
+            sorted(component)
+            for component in self.closure.components(self.files)
+        ]
+        digests = [self._stratum_digest(m) for m in components]
+        # What the strata about to be superseded knew, root by root: a
+        # re-check builds only the clone trees whose key has moved.  The
+        # keys cover everything a root's warnings depend on, so it does
+        # not matter which stratum a root was last checked in.
+        known: dict = {}
+        for digest, entry in self.strata.items():
+            if digest not in digests:
+                known.update(entry.get("roots", ()))
         new_strata: dict[str, dict] = {}
         runs = []
-        for component in self.closure.components(self.files):
-            membership = sorted(component)
-            digest = self._stratum_digest(membership)
+        for membership, digest in zip(components, digests):
             entry = self.strata.get(digest)
             if entry is None:
                 try:
-                    run = self._run_stratum(membership)
+                    run = self._run_stratum(membership, known)
                 except ParseError as exc:
                     # LinkError (duplicate symbols after an edit) and
                     # friends: the stratum contributes no warnings but
@@ -382,10 +403,8 @@ class ServeEngine:
                              "error": str(exc)}
                 else:
                     runs.append(run)
-                    entry = {
-                        "files": membership,
-                        "warnings": self._localize(run),
-                    }
+                    entry = {"files": membership, "roots": run.root_table,
+                             "count": len(run.report)}
             new_strata[digest] = entry
 
         tick = self.trace.begin() if self.trace is not None else 0.0
@@ -395,12 +414,12 @@ class ServeEngine:
         before = {
             _identity(w): w
             for digest, entry in self.strata.items()
-            if digest not in new_strata for w in entry["warnings"]
+            if digest not in new_strata for w in _warnings(entry)
         }
         after = {
             _identity(w): w
             for digest, entry in new_strata.items()
-            if digest not in self.strata for w in entry["warnings"]
+            if digest not in self.strata for w in _warnings(entry)
         }
         self.strata = new_strata
         added = [after[k] for k in sorted(after.keys() - before.keys())]
@@ -464,7 +483,7 @@ class ServeEngine:
         bases = self._site_bases()
         out = []
         for entry in self.strata.values():
-            for w in entry["warnings"]:
+            for w in _warnings(entry):
                 doc = dict(w)
                 doc["site"] = bases[w["file"]] + w["offset"]
                 out.append(doc)
@@ -490,7 +509,7 @@ class ServeEngine:
             "files": {p: m.digest for p, m in sorted(self.files.items())},
             "strata": [
                 {"digest": digest, "files": entry["files"],
-                 "warnings": len(entry["warnings"])}
+                 "warnings": _count(entry)}
                 for digest, entry in sorted(self.strata.items())
             ],
             "errors": self._errors(),
@@ -521,9 +540,7 @@ class ServeEngine:
         merged.warnings_retracted = self.stats.warnings_retracted
         total = time.perf_counter() - t0
         preprocess = sum(r.preprocess_time for r in runs)
-        warning_count = sum(
-            len(entry["warnings"]) for entry in self.strata.values()
-        )
+        warning_count = sum(_count(entry) for entry in self.strata.values())
         fragment = {
             "schema": "grapple/run-report",
             "version": 2,
@@ -544,6 +561,12 @@ class ServeEngine:
                 "artifacts_rederived": rederived,
                 "strata_rechecked": len(runs),
                 "strata_total": len(self.strata),
+                # Root clone trees of the re-checked strata / those whose
+                # key had moved, i.e. that were built and closed again.
+                "roots": {
+                    "total": sum(len(r.root_table) for r in runs),
+                    "rechecked": sum(len(r.rechecked) for r in runs),
+                },
                 "dependencies": dependencies,
                 "warnings_added": added,
                 "warnings_retracted": retracted,

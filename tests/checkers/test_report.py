@@ -29,6 +29,34 @@ def test_report_dedupes_identical_warnings():
     assert len(report) == 1
 
 
+def test_report_add_does_not_scan_the_warnings_it_holds():
+    """Dedup is a set probe: adding n distinct warnings compares none of
+    them with each other (the list scan compared n^2 / 2 pairs)."""
+    compared = []
+
+    class Counted(Warning):
+        __slots__ = ()
+        __hash__ = Warning.__hash__
+
+        def __eq__(self, other):
+            compared.append(1)
+            return Warning.__eq__(self, other)
+
+    def counted(site):
+        return Counted(checker="io", kind="at-exit", site=site,
+                       type_name="FileWriter", state="Open", func="main",
+                       line=3)
+
+    report = Report()
+    for site in range(300):
+        report.add(counted(site))
+    assert len(report) == 300 and len(compared) == 0
+    for site in range(300):
+        report.add(counted(site))  # every one already present
+    assert len(report) == 300 and len(compared) <= 300
+    assert [w.site for w in report.warnings] == list(range(300))
+
+
 def test_report_by_checker():
     report = Report()
     report.add(warning(checker="io"))

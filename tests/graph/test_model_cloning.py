@@ -81,6 +81,64 @@ def test_root_functions_are_uncalled_plus_main():
     assert roots == ["main", "standalone"]
 
 
+MAIN_ON_A_CYCLE = """
+func main(x) {
+    var f = new FileWriter();
+    f.write(x);
+    if (x > 3) {
+        helper(x);
+    }
+    return;
+}
+func helper(y) {
+    main(y - 1);
+    return;
+}
+"""
+
+
+def test_a_modules_main_is_a_root_like_a_bare_main():
+    """Linking renames ``main`` to ``<module>.main``; on a call cycle
+    nobody else is a root, and the program went unanalysed."""
+    from repro.analysis.pipeline import Grapple
+    from repro.checkers.checker import default_checkers
+
+    fsms = [c.fsm for c in default_checkers()]
+    single = Grapple(MAIN_ON_A_CYCLE, fsms).run()
+    linked = Grapple({"app.mini": "module app;" + MAIN_ON_A_CYCLE}, fsms).run()
+    assert root_functions(
+        linked.compiled.program, linked.compiled.callgraph
+    ) == ["app.main"]
+    assert [w.describe().replace("app.main", "main")
+            for w in linked.report.warnings] \
+        == [w.describe() for w in single.report.warnings]
+    assert [w.checker for w in single.report.warnings] == ["io"]
+
+
+def test_every_clone_knows_the_root_of_its_tree():
+    compiled = compiled_of(
+        """
+        func leaf() { }
+        func mid() { leaf(); }
+        func main() { mid(); leaf(); }
+        func other() { mid(); }
+        """
+    )
+    forest = compiled.forest
+    assert {c.root for c in forest.clones.values()} == {"main", "other"}
+    for (ctx, func), clone in forest.clones.items():
+        if not ctx:
+            assert clone.root == func
+        for _record, child in clone.calls:
+            assert forest.clones[child].root == clone.root
+    only = enumerate_clones(
+        compiled.program, compiled.icfet, compiled.callgraph, roots=["other"]
+    )
+    assert list(only.clones) == [
+        key for key, clone in forest.clones.items() if clone.root == "other"
+    ]
+
+
 def test_each_call_site_gets_a_clone():
     compiled = compiled_of(
         """

@@ -10,6 +10,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -21,6 +22,8 @@ import pytest
 from repro import serve as serve_mod
 from repro.analysis.pipeline import Grapple
 from repro.checkers.checker import pack_checkers
+from repro.graph.cloning import root_functions
+from repro.lang.parser import parse_module
 from repro.obs.report import validate_run_report
 from repro.serve import Server, ServeEngine, request
 from repro.workloads.bugs import classify_report
@@ -69,6 +72,65 @@ def _accumulated(engine):
     )
 
 
+def _read(engine, path):
+    with open(os.path.join(engine.workspace, path)) as f:
+        return f.read()
+
+
+def _changed_functions(before, after):
+    """Global symbols of the functions of one file whose parsed form --
+    statements, their lines, their file-relative site ids -- differs
+    between two texts of the file (new functions included)."""
+    old = parse_module(before).functions if before is not None else {}
+    new = parse_module(after)
+    prefix = f"{new.module}." if new.module else ""
+    return {
+        prefix + name for name, fn in new.functions.items()
+        if name not in old
+        or repr((fn.params, fn.body))
+        != repr((old[name].params, old[name].body))
+    }
+
+
+def _edit_checked(engine, path, text, also=()):
+    """Apply one edit and hold the daemon to both halves of the
+    contract: its accumulated state is byte-identical (witnesses
+    included) to a from-scratch run over the workspace, and it rebuilt
+    exactly the root clone trees that reach a function the edit changed
+    -- ``also`` names functions of *other* files whose whole-program
+    facts (object variables, relevance) the edit moved."""
+    full = os.path.join(engine.workspace, path)
+    before = _read(engine, path) if os.path.exists(full) else None
+    fragment = engine.edit(path, text)
+    assert validate_run_report(fragment) == []
+    run, _ = _scratch_warnings(engine.workspace)
+    assert sorted(
+        (w["checker"], w["kind"], w["site"], w["type_name"], w["state"],
+         w["func"], w["line"], tuple(w["witness"]))
+        for w in engine.warnings()
+    ) == sorted(
+        (w.checker, w.kind, w.site, w.type_name, w.state, w.func, w.line,
+         w.witness)
+        for w in run.report.warnings
+    )
+    changed = _changed_functions(before, text) | set(also)
+    edges = run.compiled.callgraph.edges
+    reaching = set()
+    for root in root_functions(run.compiled.program, run.compiled.callgraph):
+        seen, stack = {root}, [root]
+        while stack:
+            for callee in edges.get(stack.pop(), ()):
+                if callee not in seen:
+                    seen.add(callee)
+                    stack.append(callee)
+        if seen & changed:
+            reaching.add(root)
+    assert fragment["edit"]["roots"]["rechecked"] == len(reaching), (
+        fragment["edit"]["roots"], sorted(reaching), sorted(changed)
+    )
+    return fragment
+
+
 def test_cold_scan_matches_scratch_and_validates(tmp_path):
     engine = _engine(tmp_path)
     fragment = engine.scan()
@@ -95,6 +157,81 @@ def test_content_edit_rechecks_exactly_one_stratum(tmp_path):
     assert fragment["scopes"]["artifact_cache_misses"] == 0
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
+
+
+def test_pad_edit_rebuilds_one_root_tree_also_after_a_restart(tmp_path):
+    engine = _engine(tmp_path)
+    cold = engine.scan()
+    assert cold["edit"]["roots"] == {"total": 26, "rechecked": 26}
+    pad = "func g0_pad(v) {\n    return v + %d;\n}\n"
+    text = _read(engine, "g0svc.mini")
+    daemon = engine
+    for serial in (1, 2, 3):
+        if serial == 3:  # restart: the tables come back from the state file
+            daemon = ServeEngine(engine.workspace, engine.workdir, _fsms())
+            assert daemon.scan()["edit"]["roots"] == \
+                {"total": 0, "rechecked": 0}
+        fragment = _edit_checked(daemon, "g0svc.mini", text + pad % serial)
+        assert fragment["edit"]["strata_rechecked"] == 1
+        assert fragment["edit"]["roots"] == {"total": 14, "rechecked": 1}
+        assert fragment["edit"]["warnings_added"] == []
+        assert fragment["edit"]["warnings_retracted"] == []
+
+
+def test_warning_two_root_trees_share_is_served_once(tmp_path):
+    """One allocation site in a shared callee, reached from two roots:
+    each root's table entry holds the warning (either tree can be rebuilt
+    alone), the daemon reports it once -- before and after a restart,
+    which reloads the tables through key-sorted JSON."""
+    ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
+    os.makedirs(ws)
+    files = {
+        "core.mini": "module core;\nfunc make(x) {\n"
+                     "    var t = new UserInput();\n    return t;\n}\n",
+        "app.mini": "module app;\nimport core;\n"
+                    "func alpha(a) {\n    var p = core.make(a);\n"
+                    "    p.exec();\n    return;\n}\n"
+                    "func omega(b) {\n    var q = core.make(b);\n"
+                    "    q.exec();\n    return;\n}\n",
+    }
+    for path, text in files.items():
+        with open(os.path.join(ws, path), "w") as f:
+            f.write(text)
+    engine = ServeEngine(ws, wd, _fsms())
+    cold = engine.scan()
+    (entry,) = engine.strata.values()
+    assert [len(ws_) for _key, ws_ in entry["roots"].values()] == [1, 1]
+    assert cold["warnings"] == entry["count"] == len(engine.warnings()) == 1
+    again = ServeEngine(ws, wd, _fsms())
+    assert again.scan()["warnings"] == 1
+    assert again.report()["warnings"] == engine.report()["warnings"]
+    # Rebuilding one of the two trees leaves the warning where it was.
+    fragment = _edit_checked(
+        again, "app.mini", files["app.mini"].replace("make(b)", "make(b + 1)"))
+    assert fragment["edit"]["roots"] == {"total": 2, "rechecked": 1}
+    assert fragment["edit"]["warnings_added"] == []
+    assert fragment["edit"]["warnings_retracted"] == []
+    assert fragment["warnings"] == 1
+
+
+def test_state_file_stays_close_to_its_size_without_root_tables(tmp_path):
+    """Per-root tables replace each stratum's flat warning list: what
+    they add is a key per root and the few warnings two roots share."""
+    engine = _engine(tmp_path, scale=16.0)
+    engine.scan()
+    state_path = os.path.join(engine.workdir, "serve-state.json")
+    with open(state_path) as f:
+        state = json.load(f)
+    flat = dict(state, strata={
+        digest: {"files": entry["files"],
+                 "warnings": serve_mod._warnings(entry)}
+        for digest, entry in state["strata"].items()
+    })
+    assert sum(len(e["warnings"]) for e in flat["strata"].values()) == 176
+    assert all(entry["count"] == len(flat["strata"][digest]["warnings"])
+               for digest, entry in state["strata"].items())
+    assert os.path.getsize(state_path) \
+        <= 1.25 * len(json.dumps(flat, sort_keys=True))
 
 
 def test_edit_retracts_superseded_warnings(tmp_path):
@@ -131,20 +268,31 @@ def test_random_edit_sequence_byte_identical_to_scratch(tmp_path):
     paths = sorted(
         n for n in os.listdir(engine.workspace) if n.endswith(".mini")
     )
-    for step in range(6):
-        victim = rng.choice(paths)
+    for step in range(12):
+        kind = step % 6  # every kind twice, on seeded victims
+        victim = rng.choice(
+            [p for p in paths if "core" in p] if kind == 1 else paths
+        )
         text = open(os.path.join(engine.workspace, victim)).read()
-        kind = rng.randrange(3)
         if kind == 0:  # append a clean function
             text += (f"func pad{step}_x(v) {{\n"
                      f"    return v + {step};\n}}\n")
-        elif kind == 1 and "new UserInput()" in text:  # defuse a taint TP
+        elif kind == 1:  # defuse a taint TP
+            assert "new UserInput()" in text
             text = text.replace("new UserInput()", "new Plain()", 1)
+        elif kind == 2:  # a body statement (no line or site moves)
+            text = re.sub(r"\((\w+)\) \{", r"(\1) { \1.note();", text, 1)
+        elif kind == 3:  # a comment line: every function below moves down
+            head, func, tail = text.rpartition("\nfunc ")
+            text = f"{head}\n// step {step}{func}{tail}"
+        elif kind == 4:  # an earlier allocation: site offsets below shift
+            text = text.replace(
+                ") {", f") {{ var z{step} = new Plain();", 1)
         else:  # whitespace-only churn: digest changes, semantics don't
             text += "\n\n"
-        fragment = engine.edit(victim, text)
-        assert validate_run_report(fragment) == []
-        assert fragment["edit"]["strata_rechecked"] <= 1
+        fragment = _edit_checked(engine, victim, text)
+        assert fragment["edit"]["strata_rechecked"] == 1
+        assert fragment["edit"]["roots"]["total"] >= 13
     run, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
     # TP/FP accounting agrees too: rebuild Warning-like tuples and
@@ -176,11 +324,10 @@ def _assert_equals_scratch(engine, tmp_path, tag):
     assert got == want
 
 
-def _rewrite(engine, path, old, new):
-    full = os.path.join(engine.workspace, path)
-    text = open(full).read()
+def _rewrite(engine, path, old, new, also=()):
+    text = _read(engine, path)
     assert old in text
-    return engine.edit(path, text.replace(old, new, 1))
+    return _edit_checked(engine, path, text.replace(old, new, 1), also)
 
 
 def test_import_edits_merge_cycle_and_split_strata(tmp_path):
@@ -195,8 +342,11 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     rederived = engine.stats.edges_rederived
 
     # g0left imports g1core: the two clusters become one stratum.
+    # normalize_calls numbers its temporaries program-wide, so g1's
+    # `return f(x)` wrappers are renamed now that g0's files precede them.
     fragment = _rewrite(engine, "g0left.mini", "module g0left;\n",
-                        "module g0left;\nimport g1core;\n")
+                        "module g0left;\nimport g1core;\n",
+                        also={"g1left.g1_lwrap", "g1mid0.g1_hop0"})
     assert validate_run_report(fragment) == []
     assert fragment["edit"]["dependencies"] == {
         "edges_added": 1, "edges_removed": 0,
@@ -204,6 +354,9 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     assert "closure" not in fragment["edit"]
     assert fragment["edit"]["strata_total"] == 1
     assert fragment["edit"]["strata_rechecked"] == 1
+    # Both clusters' tables seed the merged stratum: g0_diamond reaches
+    # g0_lwrap (one line lower now); g1's chain and diamond the wrappers.
+    assert fragment["edit"]["roots"] == {"total": 26, "rechecked": 3}
     assert ("g0left.mini", "g1core.mini") in engine.closure.edges
     _assert_equals_scratch(engine, tmp_path, "merged")
 
@@ -215,6 +368,8 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     }
     assert fragment["edit"]["strata_total"] == 1
     assert fragment["edit"]["strata_rechecked"] == 1
+    # Every function of g1core moved down a line: all 13 g1 roots.
+    assert fragment["edit"]["roots"] == {"total": 26, "rechecked": 13}
     _assert_equals_scratch(engine, tmp_path, "cycle")
 
     # One direction goes: the other edge still holds the stratum.
@@ -226,14 +381,52 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     _assert_equals_scratch(engine, tmp_path, "half")
 
     # The last cross-cluster import goes: split back into two.
-    fragment = _rewrite(engine, "g1core.mini", "import g0left;\n", "")
+    fragment = _rewrite(engine, "g1core.mini", "import g0left;\n", "",
+                        also={"g1left.g1_lwrap", "g1mid0.g1_hop0"})
     assert fragment["edit"]["dependencies"] == {
         "edges_added": 0, "edges_removed": 1,
     }
     assert fragment["edit"]["strata_total"] == 2
     assert fragment["edit"]["strata_rechecked"] == 2
+    # Two runs; the g0 half finds all 13 of its roots in the table.
+    assert fragment["edit"]["roots"] == {"total": 26, "rechecked": 13}
     _assert_equals_scratch(engine, tmp_path, "split")
     assert engine.stats.edges_rederived == rederived + 4
+
+    # A new file (last in program order: its temporary renames nobody
+    # else's) whose root calls into the cluster: g0_shared is now
+    # reached from two trees, g0app.g0_diamond and this one.
+    extra = ("module g0zextra;\nimport g0core;\n"
+             "func extra_entry(x) {\n    return g0core.g0_shared(x);\n}\n")
+    fragment = _edit_checked(engine, "g0zextra.mini", extra)
+    assert fragment["edit"]["strata_total"] == 2
+    assert fragment["edit"]["roots"] == {"total": 14, "rechecked": 1}
+    # The shared callee's body: both trees, nothing else.
+    fragment = _rewrite(engine, "g0core.mini", "return v * 2;", "return v * 3;")
+    assert fragment["edit"]["roots"] == {"total": 14, "rechecked": 2}
+    # A caller in a third tree hands g0_shared an object: its parameter
+    # changes classification, so every tree reaching it is rebuilt
+    # though g0core.mini did not change.
+    extra += ("func feeds(x) {\n    var o = new Plain();\n"
+              "    var r = g0core.g0_shared(o);\n    return;\n}\n")
+    fragment = _edit_checked(engine, "g0zextra.mini", extra,
+                             also={"g0core.g0_shared"})
+    assert fragment["edit"]["roots"] == {"total": 15, "rechecked": 3}
+    # ...and then a tracked one: the parameter turns FSM-relevant.
+    extra = extra.replace("new Plain()", "new UserInput()")
+    fragment = _edit_checked(engine, "g0zextra.mini", extra,
+                             also={"g0core.g0_shared"})
+    assert fragment["edit"]["roots"] == {"total": 15, "rechecked": 3}
+    # A new caller turns a root into a callee: one new tree, one fewer
+    # root, and the old root's warnings now come from the new tree.
+    extra = extra.replace("import g0core;\n", "import g0core;\nimport g0app;\n")
+    extra += ("func drives(x) {\n    g0app.gateway0_p6_entry(x);\n"
+              "    return;\n}\n")
+    fragment = _edit_checked(engine, "g0zextra.mini", extra)
+    assert fragment["edit"]["dependencies"] == {
+        "edges_added": 1, "edges_removed": 0,
+    }
+    _assert_equals_scratch(engine, tmp_path, "extra")
 
     # A no-op poll reports no dependency delta at all.
     assert engine.scan()["edit"]["dependencies"] is None
@@ -294,6 +487,15 @@ def test_state_file_of_the_previous_build_is_adopted(tmp_path):
     assert engine.stats.edges_rederived == state["counters"]["edges_rederived"]
     _, scratch = _scratch_warnings(ws)
     assert _accumulated(engine) == scratch
+    # It holds no root tables, so the first edit is a full stratum run;
+    # the second finds the tables that one wrote.
+    pad = "func pad(v) {\n    return v + %d;\n}\n"
+    text = _read(engine, "svc.mini")
+    fragment = engine.edit("svc.mini", text + pad % 1)
+    assert fragment["edit"]["roots"] == {"total": 30, "rechecked": 30}
+    assert "warnings" not in next(iter(engine.strata.values()))
+    fragment = _edit_checked(engine, "svc.mini", text + pad % 2)
+    assert fragment["edit"]["roots"] == {"total": 30, "rechecked": 1}
 
 
 def test_restart_resumes_without_recompute(tmp_path):
