@@ -16,6 +16,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -303,6 +304,11 @@ def cmd_check(args) -> int:
         print(lint_report.summary(), file=sys.stderr)
     from repro.engine.checkpoint import CheckpointMismatch
 
+    # A batch check discards no cyclic garbage (DESIGN §17), so the
+    # cycle collector's ~2 000 passes over a hadoop-sized run free
+    # nothing: run without it and hand the caller's setting back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         run = Grapple(source, [c.fsm for c in checkers], options).run()
     except CheckpointMismatch as exc:
@@ -311,6 +317,11 @@ def cmd_check(args) -> int:
     finally:
         if sampler is not None:
             sampler.stop()
+        # After the sampler's GC watch is gone: the first allocation
+        # with the collector back on pays one pass over the run's
+        # survivors, which is the hand-back's cost, not the run's.
+        if collecting:
+            gc.enable()
     if recorder is not None:
         recorder.export(args.trace)
         print(

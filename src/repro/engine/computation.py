@@ -381,6 +381,10 @@ class GraphEngine:
                 if not resumed_complete:
                     self._serial_loop()
         finally:
+            # The context holds the bound ``self._feasible``: a cycle
+            # through the engine that would keep it and every memo table
+            # alive until a cycle collection (DESIGN §17).
+            self._ctx = None
             if sampler is not None:
                 # Capture the phase's final state, then detach providers
                 # before the store they close over is torn down (the CLI

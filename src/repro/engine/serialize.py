@@ -469,9 +469,10 @@ def parse_columnar(data: bytes) -> ColumnarFile:
         columns.append(col)
         pos += width
     src, dst, label, enc = columns
-    for eid in enc:
-        if not 0 <= eid < n_encodings:
-            raise CorruptPartition(f"encoding id {eid} out of range")
+    if enc:
+        for eid in (min(enc), max(enc)):
+            if not 0 <= eid < n_encodings:
+                raise CorruptPartition(f"encoding id {eid} out of range")
     return ColumnarFile(
         encodings=encodings, src=src, dst=dst, label=label, enc=enc
     )

@@ -65,6 +65,10 @@ class GcWatch:
         self.pauses = 0
         self.pause_s = 0.0
         self.max_pause_s = 0.0
+        # Whether automatic collection was on where the watch was
+        # installed (None until then): zero pauses under ``False`` is a
+        # measurement, not a missing one.
+        self.automatic: bool | None = None
         self._start = None
         self._installed = False
 
@@ -83,6 +87,7 @@ class GcWatch:
         if not self._installed:
             gc.callbacks.append(self._callback)
             self._installed = True
+            self.automatic = gc.isenabled()
 
     def uninstall(self) -> None:
         if self._installed:
@@ -97,6 +102,7 @@ class GcWatch:
             "pauses": self.pauses,
             "pause_s": round(self.pause_s, 6),
             "max_pause_s": round(self.max_pause_s, 6),
+            "automatic": self.automatic,
         }
 
 

@@ -188,6 +188,12 @@ def _validate_telemetry(telemetry) -> list[str]:
                 f"telemetry.coordinator.series.{name}: column does not"
                 f" align with t_s ({len(t_s)} timestamps)"
             )
+    watch = telemetry.get("gc")
+    if isinstance(watch, dict):
+        # Absent in older reports; null when the sampler never started.
+        automatic = watch.get("automatic")
+        if automatic is not None and not isinstance(automatic, bool):
+            errors.append("telemetry.gc.automatic is not a boolean")
     return errors
 
 

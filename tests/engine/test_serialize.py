@@ -111,12 +111,31 @@ def test_columnar_rejects_out_of_range_encoding_id():
 
     import pytest
 
-    data = serialize.encode_columnar(
-        array("q", [1]), array("q", [2]), array("q", [0]),
-        array("q", [7]), [(("I", "f", 0, 1),)],
-    )
-    with pytest.raises(serialize.CorruptPartition):
-        serialize.parse_columnar(data)
+    encodings = [(("I", "f", 0, 1),), (("I", "f", 0, 2),)]
+    rows = 5
+
+    def parse(enc_ids):
+        return serialize.parse_columnar(serialize.encode_columnar(
+            array("q", range(rows)), array("q", range(1, rows + 1)),
+            array("q", [0] * rows), array("q", enc_ids), encodings,
+        ))
+
+    assert list(parse([0, 1, 0, 1, 1]).enc) == [0, 1, 0, 1, 1]
+    # The check is over the whole column: first, middle and last row.
+    for row in (0, rows // 2, rows - 1):
+        for bad in (-1, len(encodings), 7):
+            enc_ids = [0, 1, 0, 1, 1]
+            enc_ids[row] = bad
+            with pytest.raises(
+                serialize.CorruptPartition,
+                match=f"encoding id {bad} out of range",
+            ):
+                parse(enc_ids)
+    # An empty column has no id to be out of range.
+    empty = serialize.parse_columnar(serialize.encode_columnar(
+        array("q"), array("q"), array("q"), array("q"), [],
+    ))
+    assert len(empty.enc) == 0
 
 
 def test_compressed_roundtrip():

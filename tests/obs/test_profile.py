@@ -9,6 +9,8 @@ telemetry key.
 import threading
 import time
 
+import pytest
+
 from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
 from repro.obs.profile import GcWatch, ResourceSampler, read_rss_bytes
 from repro.obs.report import validate_run_report
@@ -103,6 +105,37 @@ def test_gc_watch_counts_pauses():
     before = watch.pauses
     gc.collect()
     assert watch.pauses == before
+
+
+@pytest.mark.parametrize("automatic", [True, False])
+def test_gc_watch_says_whether_collection_was_automatic(
+    automatic, collector_state
+):
+    """Zero pauses with the collector off is a reading, not a gap."""
+    import gc
+
+    watch = GcWatch()
+    assert watch.summary()["automatic"] is None  # never installed
+    (gc.enable if automatic else gc.disable)()
+    watch.install()
+    watch.uninstall()
+    (gc.disable if automatic else gc.enable)()
+    # Sampled at install; the collector's later state does not rewrite it.
+    assert watch.summary()["automatic"] is automatic
+    sampler = ResourceSampler(interval=0.01)
+    sampler.gc_watch = watch
+    sampler.sample_once()
+    report = {"telemetry": sampler.timeseries()}
+    assert report["telemetry"]["gc"]["automatic"] is automatic
+    assert _telemetry_errors(report) == []
+    report["telemetry"]["gc"]["automatic"] = "no"
+    assert _telemetry_errors(report) == [
+        "telemetry.gc.automatic is not a boolean"
+    ]
+
+
+def _telemetry_errors(report):
+    return [e for e in validate_run_report(report) if "telemetry" in e]
 
 
 # -- zero-cost when disabled (the PR 3 invariant) ------------------------------

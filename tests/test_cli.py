@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import gc
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from repro import EngineOptions
+from repro.analysis import pipeline
 from repro.cli import build_parser, main
 
 BUGGY = """
@@ -123,6 +125,66 @@ def test_check_bad_flag_value_is_a_usage_error_not_a_verdict(
     assert line.startswith("repro: ")
     assert flags[-1].split(",")[-1] in line  # names the offending value
     assert not workdir.exists()  # refused before any state was made
+
+
+@pytest.mark.parametrize("caller_collects", [True, False],
+                         ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("path", [
+    "exit-0", "exit-1", "usage-error", "checkpoint-mismatch", "crash",
+])
+def test_check_leaves_the_collector_as_it_found_it(
+    source_file, tmp_path, capsys, monkeypatch, collector_state, path,
+    caller_collects,
+):
+    """``cmd_check`` runs the pipeline with automatic cycle collection
+    off (DESIGN §17); that is its own business on every way out, and it
+    never turns on a collector its caller had turned off."""
+    workdir = str(tmp_path / "wd")
+    if path == "checkpoint-mismatch":
+        assert main(["check", source_file(BUGGY), "--checkers", "io",
+                     "--workdir", workdir]) == 1
+    io = ["--checkers", "io"]
+    text, flags, expected = {
+        "exit-0": (CLEAN, io, 0),
+        "exit-1": (BUGGY, io, 1),
+        "usage-error": (BUGGY, ["--unroll", "0"], 2),
+        "checkpoint-mismatch": (
+            BUGGY, [*io, "--workdir", workdir, "--resume",
+                    "--memory-budget", "1"], 2),
+        "crash": (BUGGY, io, None),
+    }[path]
+    argv = ["check", source_file(text), *flags]
+    if path == "crash":
+        def crash(*_args, **_kwargs):
+            raise RuntimeError("frontend fell over")
+
+        monkeypatch.setattr(pipeline, "compile_source", crash)
+    (gc.enable if caller_collects else gc.disable)()
+    if expected is None:
+        with pytest.raises(RuntimeError, match="fell over"):
+            main(argv)
+    else:
+        assert main(argv) == expected
+    assert gc.isenabled() is caller_collects
+    if path == "checkpoint-mismatch":
+        assert "cannot resume" in capsys.readouterr().err
+
+
+def test_check_runs_the_pipeline_with_the_collector_off(
+    source_file, capsys, monkeypatch, collector_state
+):
+    seen = []
+    compile_source = pipeline.compile_source
+
+    def watching(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return compile_source(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compile_source", watching)
+    gc.enable()
+    assert main(["check", source_file(BUGGY), "--checkers", "io"]) == 1
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
