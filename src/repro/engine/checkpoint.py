@@ -4,10 +4,19 @@ After every processed pair the engine flushes the store and writes a
 small JSON manifest beside the partition files.  The manifest is
 everything the closure needs to restart from that point -- partition
 descriptors and versions, the scheduler's processed-pair frontier, a
-scalar snapshot of :class:`~repro.engine.stats.EngineStats`, and the
-full label table -- it is RNG-free by design: the engine derives
-everything else (encoding ids, caches, join indexes) deterministically
-from the partition files.
+scalar snapshot of :class:`~repro.engine.stats.EngineStats`, the full
+label table, and how many encodings the workdir's encoding log held --
+it is RNG-free by design: the engine derives everything else (caches,
+join indexes) deterministically from the partition files.
+
+Partition files hold encoding *ids*; the table that defines them is the
+append-only ``encodings.bin`` beside them.  Write order is log frame
+(fsynced) -> partition file -> manifest, so a manifest never counts an
+encoding, and a partition file never holds an id, that is not durable.
+``--resume`` replays the log into the fresh table before anything else
+interns (ids are dense and append-only, so they land where the
+interrupted run put them) and refuses a log that is shorter than the
+manifest's count or damaged in the middle.
 
 ``--resume`` re-runs the front end (deterministic), then validates the
 manifest before adopting it:
@@ -37,7 +46,9 @@ from repro.engine.partition import Partition
 
 #: Manifest file name inside the engine's (phase) workdir.
 MANIFEST = "checkpoint.json"
-FORMAT = 1
+#: 2: partition files hold encoding ids (``"encodings"`` counts the log).
+#: A format-1 workdir's files hold tuples; it restarts fresh.
+FORMAT = 2
 
 #: EngineOptions fields that change *what* the closure computes (not how
 #: fast); a resume under a different value of any of these is refused.
@@ -124,6 +135,7 @@ def write_manifest(workdir: str, *, phase: str, options, store,
         "config": config_digest(options),
         "vertices": vertex_digest(graph.vertices),
         "next_file": store._next_file,
+        "encodings": store.encodings_logged,
         "partitions": parts,
         "last_seen": [
             [pair[0], pair[1], seen[0], seen[1]]
@@ -182,14 +194,27 @@ def prune_workdir(workdir: str, manifest: dict) -> int:
     return pruned
 
 
+def read_manifest(workdir: str) -> tuple[dict | None, str]:
+    """``(manifest, "")``, or ``(None, reason)`` when ``workdir`` holds
+    nothing a run can resume from: ``none`` (an interrupted first
+    checkpoint is indistinguishable from a fresh run, and the atomic
+    write makes a *torn* manifest impossible), ``unreadable``, or
+    ``format N != FORMAT`` (another build's workdir is never
+    half-adopted: its partition files are another layout)."""
+    path = manifest_path(workdir)
+    if not os.path.exists(path):
+        return None, "none"
+    manifest = serialize.read_json_object(path)
+    if manifest is None:
+        return None, "unreadable"
+    if manifest.get("format") != FORMAT:
+        return None, f"format {manifest.get('format')} != {FORMAT}"
+    return manifest, ""
+
+
 def load_manifest(workdir: str) -> dict | None:
-    """The manifest in ``workdir``, or None when none (or unreadable --
-    an interrupted first checkpoint is indistinguishable from a fresh
-    run, and the atomic write makes a *torn* manifest impossible)."""
-    manifest = serialize.read_json_object(manifest_path(workdir))
-    if manifest is None or manifest.get("format") != FORMAT:
-        return None
-    return manifest
+    """The usable manifest in ``workdir``, or None."""
+    return read_manifest(workdir)[0]
 
 
 def validate(manifest: dict, options, graph) -> None:
@@ -215,6 +240,22 @@ def validate(manifest: dict, options, graph) -> None:
                 f" ({_untuple(stored)!r} interned as {got_id});"
                 " re-run without --resume"
             )
+
+
+def restore_encodings(manifest: dict, store) -> None:
+    """Rebuild the store's encoding table from the workdir's log; must
+    run before anything interns into it.  The log may be longer than the
+    manifest's count (partition files evicted after the checkpoint
+    reference the tail), never shorter."""
+    corrupt = store.replay_encodings()
+    have, want = len(store.table), manifest["encodings"]
+    if corrupt:
+        problem = f"encoding log has {corrupt} corrupt frame(s)"
+    elif have < want:
+        problem = f"encoding log holds {have} < {want} encodings"
+    else:
+        return
+    raise CheckpointMismatch(f"{problem}; re-run without --resume")
 
 
 def restore_store(manifest: dict, store) -> None:

@@ -11,14 +11,17 @@ analogue:
 * :class:`EncodingTable` hash-conses path encodings (interval-sequence
   tuples) into dense integer ids, so the closure kernel compares and
   hashes machine ints instead of variable-length tuples.  Ids are local
-  to one table: partition and delta files hold the tuples themselves.
+  to one table and reach partition files as they are; a durable workdir
+  carries the table that defines them (its encoding log), and delta
+  frames carry tuples.
 * :class:`EdgeColumns` keeps a partition as four parallel ``array('q')``
   columns -- ``src``/``dst``/``label``/``enc`` -- sorted by source, plus
   a small dict overlay for edges inserted since the last compaction.
   Source runs are found by bisect on the sorted ``src`` column (the
   CSR-style index is implicit in the sort order), membership probes go
   through a lazy per-source cache, and serialisation is a bulk
-  ``tobytes`` of the columns (``serialize.encode_columnar``).
+  ``tobytes`` of the four columns (``serialize.encode_columnar``) and a
+  load adopts them back unchanged.
 
 Byte accounting is columnar: 32 bytes per row (four int64 slots plus
 set/dict overhead amortised) plus the raw text of any string-constraint
@@ -38,12 +41,13 @@ ROW_BYTES = 32
 class EncodingTable:
     """Hash-consing of encoding tuples to dense int ids."""
 
-    __slots__ = ("_ids", "_tuples", "_extras")
+    __slots__ = ("_ids", "_tuples", "_extras", "_extra_total")
 
     def __init__(self) -> None:
         self._ids: dict[tuple, int] = {}
         self._tuples: list[tuple] = []
         self._extras: list[int] = []  # string payload bytes per encoding
+        self._extra_total = 0
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -59,17 +63,22 @@ class EncodingTable:
                 if elem[0] == "S":
                     extra += 64 + len(elem[1])
             self._extras.append(extra)
+            self._extra_total += extra
         return eid
 
     def decode(self, eid: int) -> tuple:
         return self._tuples[eid]
+
+    def since(self, start: int) -> list[tuple]:
+        """The encodings with ids ``start`` and up, in id order."""
+        return self._tuples[start:]
 
     def row_bytes(self, eid: int) -> int:
         return ROW_BYTES + self._extras[eid]
 
     def has_extras(self) -> bool:
         """True when any interned encoding carries string payload bytes."""
-        return any(self._extras)
+        return self._extra_total > 0
 
 
 class EdgeColumns:
@@ -125,22 +134,25 @@ class EdgeColumns:
     def from_file(
         cls, parsed: serialize.ColumnarFile, table: EncodingTable
     ) -> "EdgeColumns":
-        """Adopt a parsed columnar file, remapping its file-local encoding
-        ids into ``table``.  The only per-row work is one C-speed ``map``
-        over the ``enc`` column; the other three columns are adopted
-        as-is (already src-sorted on disk)."""
-        remap = [table.intern(t) for t in parsed.encodings]
+        """Adopt a parsed partition file's four columns as they are
+        (src-sorted on disk; ``enc`` holds ids of ``table``, the table
+        that wrote them or its replay from the encoding log).  An id the
+        table never issued means the file belongs to some other table."""
+        serialize.check_encoding_ids(parsed.enc, len(table))
         cols = cls(table)
         cols.src = parsed.src
         cols.dst = parsed.dst
         cols.label = parsed.label
-        cols.enc = array("q", map(remap.__getitem__, parsed.enc))
-        n = len(cols.src)
-        if table.has_extras():
-            cols._bytes = sum(map(table.row_bytes, cols.enc))
-        else:
-            cols._bytes = ROW_BYTES * n
+        cols.enc = parsed.enc
+        cols._bytes = cols._base_bytes()
         return cols
+
+    def _base_bytes(self) -> int:
+        """Accounted bytes of the base columns' rows."""
+        table = self.table
+        if table.has_extras():
+            return sum(map(table.row_bytes, self.enc))
+        return ROW_BYTES * len(self.enc)
 
     # -- probes and mutation --------------------------------------------------
 
@@ -330,10 +342,7 @@ class EdgeColumns:
         left.dst, right.dst = self.dst[:cut], self.dst[cut:]
         left.label, right.label = self.label[:cut], self.label[cut:]
         left.enc, right.enc = self.enc[:cut], self.enc[cut:]
-        if self.table.has_extras():
-            left._bytes = sum(map(self.table.row_bytes, left.enc))
-        else:
-            left._bytes = ROW_BYTES * len(left.src)
+        left._bytes = left._base_bytes()
         right._bytes = self._bytes - left._bytes
         return left, right
 
@@ -352,19 +361,9 @@ class EdgeColumns:
         return weights
 
     def encode(self) -> bytes:
-        """Compact and serialise to the v2 columnar wire format."""
+        """Compact and serialise to partition-file bytes: the four
+        columns as they are, ``enc`` still ids of ``self.table``."""
         self.compact()
-        decode = self.table.decode
-        local: dict[int, int] = {}
-        encodings: list[tuple] = []
-        enc_local = array("q")
-        for eid in self.enc:
-            lid = local.get(eid)
-            if lid is None:
-                lid = len(encodings)
-                local[eid] = lid
-                encodings.append(decode(eid))
-            enc_local.append(lid)
         return serialize.encode_columnar(
-            self.src, self.dst, self.label, enc_local, encodings
+            self.src, self.dst, self.label, self.enc, len(self.table)
         )

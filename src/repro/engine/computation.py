@@ -32,8 +32,9 @@ round sorts the pending left operands by their join vertex and probes
 the right-hand sorted source runs once per distinct vertex instead of
 once per edge.  Encoding merges, reversals, label compositions, and
 feasibility verdicts are all memoised by id, so the hot path compares
-machine ints where it used to hash variable-length tuples.  Ids never
-reach the disk: partition and delta files hold encoding tuples.
+machine ints where it used to hash variable-length tuples.  Ids reach
+partition files; a durable workdir carries the table that defines them
+(its encoding log); delta frames carry tuples.
 """
 
 from __future__ import annotations
@@ -307,7 +308,16 @@ class GraphEngine:
         self._ckpt_dir = workdir if self.options.workdir is not None else None
         manifest = None
         if self._ckpt_dir is not None and self.options.resume:
-            manifest = ckpt.load_manifest(self._ckpt_dir)
+            manifest, reason = ckpt.read_manifest(self._ckpt_dir)
+            if manifest is None:
+                # Not an error (a kill before the first checkpoint looks
+                # like this), but never silent: the run below starts
+                # over and clears the directory's engine files.
+                print(
+                    f"repro: no usable checkpoint in {self._ckpt_dir}"
+                    f" ({reason}); starting fresh",
+                    file=sys.stderr,
+                )
         prefetch = (
             PrefetchReader(trace=trace) if self.options.prefetch else None
         )
@@ -330,14 +340,15 @@ class GraphEngine:
                 # Refuse a resume that would not continue the original
                 # run, then adopt its partitions, frontier, and stats.
                 ckpt.validate(manifest, self.options, graph)
+                ckpt.restore_encodings(manifest, store)
                 ckpt.restore_store(manifest, store)
                 ckpt.restore_stats(manifest, stats)
                 self._scheduler_seed = ckpt.restored_last_seen(manifest)
             else:
                 if self._ckpt_dir is not None:
                     # Fresh run in a reused directory: stale partition,
-                    # delta, temp, or manifest files from an earlier run
-                    # must not leak into this one.
+                    # delta, encoding-log, temp, or manifest files from
+                    # an earlier run must not leak into this one.
                     for name in os.listdir(workdir):
                         if (
                             name.endswith((".bin", ".tmp"))
@@ -402,6 +413,7 @@ class GraphEngine:
         store.settle()
         stats.edges_after = store.total_edges()
         stats.final_partitions = len(store.partitions)
+        stats.encodings = len(self._enc)
         if not resumed_complete:
             self._write_checkpoint(complete=True)
         result = EngineResult(stats=stats, store=store, graph=graph)

@@ -18,10 +18,14 @@ in-memory size exceeds the budget ("eager repartitioning", §4.3).
 Loaded partitions are :class:`~repro.engine.columnar.EdgeColumns` (sorted
 int64 columns plus an insert overlay, encodings interned in the store's
 shared :class:`~repro.engine.columnar.EncodingTable`); partition files use
-the bulk columnar wire format (``serialize.encode_columnar``), so a load
-is four ``frombytes`` calls plus one pass over the (small) encoding table
-rather than a per-edge varint loop.  The memory budget is accounted in
-columnar bytes (32 per row plus string-payload text).  Delta files remain
+the bulk columnar wire format (``serialize.encode_columnar``): the four
+columns as they are, so an eviction is four ``tobytes`` and a load four
+``frombytes`` plus a checksum -- nothing is decoded or re-interned.  Ids
+reach partition files; the table that defines them is resident for the
+whole phase (and outside the memory budget, which is accounted in
+columnar bytes: 32 per row plus string-payload text), a durable workdir
+carries it as an append-only encoding log (``encodings.bin``), and delta
+frames carry tuples.  Delta files remain
 sequences of CRC-framed v1 payloads -- they hold small chunks arriving
 from spills -- optionally written through a background
 :class:`~repro.engine.io_pipeline.SpillWriter` and zlib-compressed per
@@ -40,7 +44,10 @@ pair touching it seeds fully on its next visit.
 Durability (DESIGN.md §11) is paid where a run can be resumed, i.e. by a
 ``durable`` store (the engine's explicit ``workdir``): partition files
 are replaced atomically (temp + fsync + rename), so a crash leaves the
-previous complete version on disk; delta frames are appended in single
+previous complete version on disk; before a partition file is written,
+the encodings interned since the last write are appended to the
+encoding log as one checksummed frame and fsynced, so a file on disk
+never holds an id the log does not; delta frames are appended in single
 checksummed writes, so a crash leaves at most one truncated trailing
 frame, dropped on read.  A partition's delta file is only removed
 *after* the next durable partition write folds it in
@@ -51,7 +58,8 @@ pair touching it recomputes (the closure is a monotone fixpoint --
 dropped derived edges are re-derived).  A scratch store
 (``durable=False``: a temp directory nothing can point at again, removed
 with the result) keeps temp + rename -- the prefetch thread must never
-read a torn file -- but skips the fsync, and :meth:`PartitionStore.settle`
+read a torn file -- but skips the fsync and the encoding log (its table
+dies with the process that owns the files), and :meth:`PartitionStore.settle`
 compacts its resident columns at the end of a phase instead of writing
 them.
 """
@@ -69,6 +77,10 @@ from repro.engine.columnar import ROW_BYTES, EdgeColumns, EncodingTable
 from repro.engine.stats import EngineStats
 from repro.faults import NULL_PLAN
 from repro.obs.trace import NULL_RECORDER
+
+#: A durable workdir's encoding log: the table its partition files' ids
+#: index, as checksummed frames of tuples in id order.
+ENCODING_LOG = "encodings.bin"
 
 
 @dataclass
@@ -110,6 +122,9 @@ class PartitionStore:
         self.trace = trace if trace is not None else NULL_RECORDER
         self.faults = faults if faults is not None else NULL_PLAN
         self.table = table if table is not None else EncodingTable()
+        # How many of the table's encodings the workdir's log holds
+        # (durable stores only; a scratch store never logs).
+        self.encodings_logged = 0
         # Optional I/O pipeline (engine/io_pipeline.py): a PrefetchReader
         # whose thread parses upcoming partitions, and a SpillWriter that
         # appends delta frames in the background.
@@ -199,8 +214,59 @@ class PartitionStore:
             path, data, replace=replace, durable=self.durable
         )
 
+    def _log_encodings(self) -> None:
+        """Durable store: append the encodings interned since the last
+        append to the workdir's log and fsync it.  Runs before every
+        partition write, so no file on disk ever references an id the
+        log does not hold; most writes find nothing new."""
+        table = self.table
+        if not self.durable or len(table) == self.encodings_logged:
+            return
+        frame = serialize.encode_frame(
+            serialize.encode_encodings(table.since(self.encodings_logged))
+        )
+        # One write call per frame, as for delta frames: a crash leaves
+        # at most a truncated tail, which the resume cuts off.
+        with open(os.path.join(self.workdir, ENCODING_LOG), "ab") as f:
+            f.write(frame)
+            f.flush()
+            os.fsync(f.fileno())
+        self.encodings_logged = len(table)
+
+    def replay_encodings(self) -> int:
+        """Resume: intern the workdir's encoding log into the (still
+        empty) table in order, so every id lands where the interrupted
+        run issued it.  A truncated trailing frame -- a crash mid-append;
+        no partition file references it, the fsync comes first -- is cut
+        off so later appends stay framed.  Returns how many interior
+        frames failed their checksum or would not decode: the ids after
+        such a frame are unknowable, so the caller refuses the resume."""
+        path = os.path.join(self.workdir, ENCODING_LOG)
+        try:
+            with open(path, "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            data = b""
+        payloads, dropped, corrupt = serialize.split_frames(data)
+        intern = self.table.intern
+        for payload in payloads:
+            try:
+                encodings = serialize.decode_encodings(payload)
+            except ValueError:
+                corrupt += 1
+                continue
+            for encoding in encodings:
+                intern(encoding)
+        if dropped and not corrupt:
+            os.truncate(path, sum(
+                serialize.FRAME_HEADER_BYTES + len(p) for p in payloads
+            ))
+        self.encodings_logged = len(self.table)
+        return corrupt
+
     def _save(self, part: Partition, cols: EdgeColumns) -> None:
         with self.stats.timing("io_time"):
+            self._log_encodings()
             data = cols.encode()
             spec = self.faults.fire("partition-write")
             if spec is not None and spec.mode == "short_write":

@@ -1,12 +1,38 @@
 """Binary on-disk formats for edge partitions.
 
 Grapple inlines variable-sized interval sequences directly into per-edge
-storage (paper §4.3) rather than keeping pointer-linked objects; this
-module does the same for the Python engine.  Two formats share the
-``GRPL`` magic and the element wire encoding:
+storage (paper §4.3) rather than keeping pointer-linked objects.  The
+Python engine hash-conses every path encoding into the phase's resident
+:class:`~repro.engine.columnar.EncodingTable`, so what a partition file
+has to carry is the table's *ids*; the tuples themselves are written
+only where no table can supply them.  Three layouts share the ``GRPL``
+magic and the element wire encoding:
 
-**Version 1** (row-oriented, used for small delta chunks and as the
-cross-version compatibility format)::
+**Partition files** (version 3, columnar)::
+
+    MAGIC "GRPL" | version u8 = 3
+    varint n_encodings   length of the table the enc ids index
+    varint n_rows
+    src column:   n_rows * 8 bytes, native-endian int64
+    dst column:   n_rows * 8 bytes
+    label column: n_rows * 8 bytes
+    enc column:   n_rows * 8 bytes (ids of the writing store's table)
+    CRC-32 u32 LE of every byte before it
+
+A load is four ``array('q').frombytes`` calls and one checksum; nothing
+is decoded, remapped or re-interned.  Columns are native-endian:
+partition files never move between machines.  The ids mean something
+only beside the table that issued them: a scratch store's table lives
+as long as its files do, and a durable workdir carries the table in its
+encoding log.
+
+**Encoding log** (``encodings.bin``, durable workdirs only): a sequence
+of checksummed frames (below), each holding the encodings interned since
+the previous frame, in id order::
+
+    string table | varint count | per encoding varint n_elements + elements
+
+**Version 1** (row-oriented, self-describing: delta frames)::
 
     MAGIC "GRPL" | version u8 = 1
     string table: varint count, then per string varint length + utf-8 bytes
@@ -15,25 +41,7 @@ cross-version compatibility format)::
         per target: varint dst, varint label_id, varint n_encodings
             per encoding: varint n_elements, then elements
 
-**Version 2** (columnar, used for partition files)::
-
-    MAGIC "GRPL" | version u8 = 2
-    string table: as version 1
-    encoding table: varint count, then per encoding varint n_elements
-        + elements (hash-consed: each distinct encoding appears once)
-    varint n_rows
-    src column:   n_rows * 8 bytes, native-endian int64
-    dst column:   n_rows * 8 bytes
-    label column: n_rows * 8 bytes
-    enc column:   n_rows * 8 bytes (indices into the encoding table)
-
-The columnar body decodes with four ``array('q').frombytes`` calls plus
-one pass over the (small) encoding table, instead of one Python-level
-varint loop per edge -- that is what moves partition loads off the
-profile.  Columns are native-endian: partition files are per-run scratch
-data, never moved between machines.
-
-Either format may additionally be wrapped in a zlib frame::
+Any payload may additionally be wrapped in a zlib frame::
 
     MAGIC "GRPZ" | zlib-compressed GRPL payload
 
@@ -51,13 +59,14 @@ Durability primitives live here too: :func:`atomic_write_bytes` is the
 write-temp -> fsync -> ``os.replace`` helper every partition/manifest
 write goes through (a crash can only ever leave the previous complete
 version, never a truncated file; a scratch store that nothing can
-resume from asks it to skip the fsync), and delta files are sequences of
-*checksummed* frames (:func:`encode_frame` / :func:`split_frames`): a
-4-byte length, a CRC-32 of the payload, then the payload, appended in a
-single ``write`` call.  A crash mid-append leaves a truncated tail frame
-that the reader detects and drops; a CRC mismatch on an interior frame
-is real corruption and is reported separately so the retry layer can
-force the affected partition's pairs to recompute.
+resume from asks it to skip the fsync), and delta files and the encoding
+log are sequences of *checksummed* frames (:func:`encode_frame` /
+:func:`split_frames`): a 4-byte length, a CRC-32 of the payload, then
+the payload, appended in a single ``write`` call.  A crash mid-append
+leaves a truncated tail frame that the reader detects and drops; a CRC
+mismatch on an interior frame is real corruption and is reported
+separately so the retry layer can force the affected partition's pairs
+to recompute (delta files) or the resume is refused (encoding log).
 """
 
 from __future__ import annotations
@@ -71,7 +80,9 @@ from dataclasses import dataclass
 MAGIC = b"GRPL"
 ZMAGIC = b"GRPZ"
 VERSION = 1
-COLUMNAR_VERSION = 2
+COLUMNAR_VERSION = 3
+#: Partition-file trailer: u32 LE CRC-32 of everything before it.
+TRAILER_BYTES = 4
 
 _TAG_INTERVAL = 0
 _TAG_CALL = 1
@@ -301,6 +312,20 @@ def _read_string_table(data: bytes, pos: int) -> tuple[list[str], int]:
     return strings, pos
 
 
+def _interner(strings: dict[str, int]):
+    """``name -> index`` into ``strings``, growing it (insertion order is
+    index order, which is how :func:`_append_string_table` writes it)."""
+
+    def intern(name: str) -> int:
+        index = strings.get(name)
+        if index is None:
+            index = len(strings)
+            strings[name] = index
+        return index
+
+    return intern
+
+
 def _append_string_table(buf: bytearray, strings: dict[str, int]) -> None:
     _append_varint(buf, len(strings))
     for name in strings:  # insertion order == index order
@@ -315,14 +340,7 @@ def _append_string_table(buf: bytearray, strings: dict[str, int]) -> None:
 def encode_partition(edges: dict) -> bytes:
     """Serialise ``{src: {(dst, label_id): set[encoding]}}`` to v1 bytes."""
     strings: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        index = strings.get(name)
-        if index is None:
-            index = len(strings)
-            strings[name] = index
-        return index
-
+    intern = _interner(strings)
     body = bytearray()
     _append_varint(body, len(edges))
     for src in sorted(edges):
@@ -346,12 +364,10 @@ def encode_partition(edges: dict) -> bytes:
 
 
 def decode_partition(data: bytes) -> dict:
-    """Decode either format back to ``{src: {(dst, label_id): set}}``."""
+    """Decode v1 bytes back to ``{src: {(dst, label_id): set}}``."""
     data = maybe_decompress(data)
     if data[:4] != MAGIC:
         raise CorruptPartition("bad partition file magic")
-    if data[4] == COLUMNAR_VERSION:
-        return parse_columnar(data).to_dict()
     if data[4] != VERSION:
         raise CorruptPartition(f"unsupported partition version {data[4]}")
     pos = 5
@@ -376,132 +392,111 @@ def decode_partition(data: bytes) -> dict:
     return edges
 
 
-# -- version 2: columnar ------------------------------------------------------
+# -- the encoding log ----------------------------------------------------------
 
 
-@dataclass
-class ColumnarFile:
-    """Parsed v2 payload: file-local encodings plus raw edge columns.
-
-    Parsing is pure (no shared interning state), so it is safe to run on
-    the prefetch thread; the consumer maps ``enc`` through its own
-    :class:`~repro.engine.columnar.EncodingTable` when it builds an
-    ``EdgeColumns`` from this.
-    """
-
-    encodings: list  # file-local id -> encoding tuple
-    src: array
-    dst: array
-    label: array
-    enc: array  # file-local encoding ids
-
-    def to_dict(self) -> dict:
-        edges: dict = {}
-        encodings = self.encodings
-        for src, dst, label_id, eid in zip(
-            self.src, self.dst, self.label, self.enc
-        ):
-            edges.setdefault(src, {}).setdefault(
-                (dst, label_id), set()
-            ).add(encodings[eid])
-        return edges
-
-
-def encode_columnar(
-    src: array, dst: array, label: array, enc_local: array,
-    encodings: list,
-) -> bytes:
-    """Serialise sorted edge columns + their encoding table to v2 bytes."""
+def encode_encodings(encodings: list) -> bytes:
+    """One encoding-log frame's payload: ``encodings`` in id order."""
     strings: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        index = strings.get(name)
-        if index is None:
-            index = len(strings)
-            strings[name] = index
-        return index
-
+    intern = _interner(strings)
     body = bytearray()
     _append_varint(body, len(encodings))
     for encoding in encodings:
         _append_encoding(body, encoding, intern)
-    _append_varint(body, len(src))
-    body += src.tobytes()
-    body += dst.tobytes()
-    body += label.tobytes()
-    body += enc_local.tobytes()
-
     out = bytearray()
-    out += MAGIC
-    out.append(COLUMNAR_VERSION)
     _append_string_table(out, strings)
     out += body
     return bytes(out)
 
 
-def parse_columnar(data: bytes) -> ColumnarFile:
-    """Parse either format into a :class:`ColumnarFile` (pure, bulk)."""
-    data = maybe_decompress(data)
-    if data[:4] != MAGIC:
-        raise CorruptPartition("bad partition file magic")
-    if data[4] == VERSION:
-        return _columnar_from_dict_payload(decode_partition(data))
-    if data[4] != COLUMNAR_VERSION:
-        raise CorruptPartition(f"unsupported partition version {data[4]}")
-    pos = 5
-    strings, pos = _read_string_table(data, pos)
-    n_encodings, pos = read_varint(data, pos)
+def decode_encodings(payload: bytes) -> list:
+    """The encoding tuples of one log frame's payload, in id order."""
+    strings, pos = _read_string_table(payload, 0)
+    count, pos = read_varint(payload, pos)
     encodings = []
-    for _ in range(n_encodings):
-        encoding, pos = _read_encoding(data, pos, strings)
+    for _ in range(count):
+        encoding, pos = _read_encoding(payload, pos, strings)
         encodings.append(encoding)
-    n_rows, pos = read_varint(data, pos)
-    width = n_rows * 8
-    if pos + 4 * width > len(data):
-        raise CorruptPartition(
-            f"truncated columns: want {4 * width} bytes at {pos},"
-            f" have {len(data) - pos}"
-        )
-    columns = []
-    for _ in range(4):
-        col = array("q")
-        col.frombytes(data[pos : pos + width])
-        columns.append(col)
-        pos += width
-    src, dst, label, enc = columns
+    return encodings
+
+
+# -- version 3: columnar partition files ----------------------------------------
+
+
+@dataclass
+class ColumnarFile:
+    """Parsed partition file: the four edge columns as written, plus the
+    length of the encoding table the ``enc`` ids were issued by.
+
+    Parsing is pure (no shared interning state), so it is safe to run on
+    the prefetch thread; the consumer checks the ids against its own
+    :class:`~repro.engine.columnar.EncodingTable` when it adopts the
+    columns (``EdgeColumns.from_file``).
+    """
+
+    n_encodings: int
+    src: array
+    dst: array
+    label: array
+    enc: array  # ids of the writing store's encoding table
+
+
+def encode_columnar(
+    src: array, dst: array, label: array, enc: array, n_encodings: int,
+) -> bytes:
+    """Serialise sorted edge columns to partition-file bytes; ``enc``
+    holds ids of a table that is ``n_encodings`` long."""
+    out = bytearray(MAGIC)
+    out.append(COLUMNAR_VERSION)
+    _append_varint(out, n_encodings)
+    _append_varint(out, len(src))
+    out += src.tobytes()
+    out += dst.tobytes()
+    out += label.tobytes()
+    out += enc.tobytes()
+    out += zlib.crc32(out).to_bytes(TRAILER_BYTES, "little")
+    return bytes(out)
+
+
+def check_encoding_ids(enc: array, n_encodings: int) -> None:
+    """Refuse an ``enc`` column holding an id outside a table that is
+    ``n_encodings`` long (two C-speed scans, no per-row loop)."""
     if enc:
         for eid in (min(enc), max(enc)):
             if not 0 <= eid < n_encodings:
                 raise CorruptPartition(f"encoding id {eid} out of range")
-    return ColumnarFile(
-        encodings=encodings, src=src, dst=dst, label=label, enc=enc
-    )
 
 
-def _columnar_from_dict_payload(edges: dict) -> ColumnarFile:
-    """v1 compatibility: flatten a decoded dict into sorted columns."""
-    rows = sorted(
-        (src, dst, label_id, encoding)
-        for src, targets in edges.items()
-        for (dst, label_id), encodings in targets.items()
-        for encoding in encodings
-    )
-    encodings: list = []
-    local: dict = {}
-    src = array("q")
-    dst = array("q")
-    label = array("q")
-    enc = array("q")
-    for s, d, l, encoding in rows:
-        eid = local.get(encoding)
-        if eid is None:
-            eid = len(encodings)
-            local[encoding] = eid
-            encodings.append(encoding)
-        src.append(s)
-        dst.append(d)
-        label.append(l)
-        enc.append(eid)
+def parse_columnar(data: bytes) -> ColumnarFile:
+    """Parse partition-file bytes into a :class:`ColumnarFile` (pure,
+    bulk)."""
+    data = maybe_decompress(data)
+    if data[:4] != MAGIC:
+        raise CorruptPartition("bad partition file magic")
+    version = data[4] if len(data) > 4 else None
+    if version != COLUMNAR_VERSION:
+        raise CorruptPartition(f"unsupported partition version {version}")
+    view = memoryview(data)
+    pos = 5
+    n_encodings, pos = read_varint(data, pos)
+    n_rows, pos = read_varint(data, pos)
+    width = n_rows * 8
+    end = pos + 4 * width
+    if end + TRAILER_BYTES != len(data):
+        raise CorruptPartition(
+            f"partition file is {len(data)} bytes, its header describes"
+            f" {end + TRAILER_BYTES}"
+        )
+    if zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
+        raise CorruptPartition("partition file checksum mismatch")
+    columns = []
+    for _ in range(4):
+        col = array("q")
+        col.frombytes(view[pos : pos + width])
+        columns.append(col)
+        pos += width
+    src, dst, label, enc = columns
+    check_encoding_ids(enc, n_encodings)
     return ColumnarFile(
-        encodings=encodings, src=src, dst=dst, label=label, enc=enc
+        n_encodings=n_encodings, src=src, dst=dst, label=label, enc=enc
     )

@@ -56,6 +56,10 @@ class EngineStats:
     encoding_overflow_dropped: int = stat_field()
     repartitions: int = stat_field()
     final_partitions: int = stat_field(kind="gauge")
+    # Length of the phase's encoding table when it ended: the table is
+    # resident for the whole phase and outside the memory budget's
+    # accounting, so this is the measure of what the budget does not see.
+    encodings: int = stat_field(kind="gauge")
     timed_out: bool = stat_field(False, kind="flag")
     # Pair scheduling: eligible pairs retired without being loaded
     # because the join index proved them inert, and visits seeded from

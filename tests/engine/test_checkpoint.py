@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from repro import EngineOptions, Grapple, GrappleOptions
 from repro.checkers.checker import Checker
 from repro.engine import checkpoint as ckpt
-from repro.engine.computation import GraphEngine
+from repro.engine import serialize
+from repro.engine.partition import ENCODING_LOG
 from repro.workloads import build_subject
 
 CHECKER = "io"
@@ -25,6 +27,35 @@ def _run(workdir, *, resume=False, scale=0.2, **engine_kw):
     )
     fsm = Checker.by_name(CHECKER).fsm
     return Grapple(subject.source, [fsm], options).run()
+
+
+def _reopen(workdir):
+    """Mark both phases' manifests incomplete, so a resume re-enters the
+    closure loop instead of adopting the finished result wholesale."""
+    for phase in ("alias", "dataflow"):
+        path = workdir / phase / ckpt.MANIFEST
+        manifest = json.loads(path.read_text())
+        manifest["complete"] = False
+        path.write_text(json.dumps(manifest))
+
+
+def _logged(phase_dir):
+    """``(encodings, frame end offsets)`` of a phase's encoding log; the
+    log must be whole."""
+    data = (phase_dir / ENCODING_LOG).read_bytes()
+    payloads, dropped, corrupt = serialize.split_frames(data)
+    assert (dropped, corrupt) == (0, 0)
+    encodings, ends, end = [], [], 0
+    for payload in payloads:
+        encodings += serialize.decode_encodings(payload)
+        end += serialize.FRAME_HEADER_BYTES + len(payload)
+        ends.append((len(encodings), end))
+    assert end == len(data)
+    return encodings, ends
+
+
+def _warnings(run):
+    return list(run.report.warnings)
 
 
 def test_run_writes_complete_manifest_per_phase(tmp_path):
@@ -163,6 +194,7 @@ def test_prune_removes_only_unreferenced_engine_files(tmp_path):
     # logs were already gone before the prune).
     assert (referenced & before) <= survivors
     assert ckpt.MANIFEST in survivors
+    assert ENCODING_LOG in survivors  # the ids' table is never garbage
     assert "notes.txt" in survivors
     assert not (set(garbage) & survivors)
     assert run.stats.checkpoint_files_pruned >= 0
@@ -247,3 +279,203 @@ def test_prune_mid_kill_keeps_latest_resumable_state(tmp_path, monkeypatch):
     assert [w for w in resumed.report.warnings] == [
         w for w in first.report.warnings
     ]
+
+
+# -- ids on disk: the encoding log ---------------------------------------------
+
+
+def test_manifest_counts_the_encoding_log(tmp_path):
+    run = _run(tmp_path)
+    for phase, result in (("alias", run.alias_phase),
+                          ("dataflow", run.dataflow_phase)):
+        logged, _ends = _logged(tmp_path / phase)
+        manifest = ckpt.load_manifest(str(tmp_path / phase))
+        table = result.engine_result.store.table
+        assert 0 < manifest["encodings"] == len(logged) <= len(table)
+        assert table.since(0)[: len(logged)] == logged
+        # The table is resident and outside the budget: its length is
+        # reported, and rides in the manifest's stats snapshot.
+        assert manifest["stats"]["encodings"] == len(table)
+        # Every id a partition file holds is in the log.
+        for desc in manifest["partitions"]:
+            parsed = serialize.parse_columnar(
+                (tmp_path / phase / desc["path"]).read_bytes()
+            )
+            assert parsed.n_encodings <= len(logged)
+    assert run.stats.encodings == sum(
+        len(p.engine_result.store.table)
+        for p in (run.alias_phase, run.dataflow_phase)
+    )
+
+
+def test_resume_puts_every_logged_id_where_the_first_run_did(tmp_path):
+    first = _run(tmp_path)
+    before = {p: _logged(tmp_path / p)[0] for p in ("alias", "dataflow")}
+    _reopen(tmp_path)
+    again = _run(tmp_path, resume=True)
+    assert _warnings(again) == _warnings(first)
+    for phase, result in (("alias", again.alias_phase),
+                          ("dataflow", again.dataflow_phase)):
+        table = result.engine_result.store.table
+        logged = before[phase]
+        assert table.since(0)[: len(logged)] == logged
+        # The log only ever grows, and stays whole across the resume.
+        assert _logged(tmp_path / phase)[0][: len(logged)] == logged
+
+
+def test_log_tail_the_manifest_never_counted_is_harmless(tmp_path):
+    """A crash between the log append and the partition write it
+    precedes: the log is longer than any manifest says, the partition's
+    temp is torn.  And a crash *inside* the append: a torn tail frame."""
+    first = _run(tmp_path)
+    _reopen(tmp_path)
+    extra = [(("I", "never_referenced", 0, i),) for i in range(3)]
+    whole = {}
+    for phase in ("alias", "dataflow"):
+        phase_dir = tmp_path / phase
+        manifest = ckpt.load_manifest(str(phase_dir))
+        frame = serialize.encode_frame(serialize.encode_encodings(extra))
+        torn = serialize.encode_frame(serialize.encode_encodings(extra[:1]))
+        with open(phase_dir / ENCODING_LOG, "ab") as f:
+            f.write(frame)
+            whole[phase] = f.tell()
+            f.write(torn[:-3])
+        part = phase_dir / manifest["partitions"][0]["path"]
+        (phase_dir / (part.name + ".tmp")).write_bytes(part.read_bytes()[:40])
+    again = _run(tmp_path, resume=True)
+    assert _warnings(again) == _warnings(first)
+    for phase, result in (("alias", again.alias_phase),
+                          ("dataflow", again.dataflow_phase)):
+        manifest = ckpt.load_manifest(str(tmp_path / phase))
+        logged, ends = _logged(tmp_path / phase)  # whole: the tear was cut
+        assert manifest["encodings"] == len(logged)
+        table = result.engine_result.store.table
+        assert table.since(0)[: len(logged)] == logged
+        assert set(extra) <= set(logged)
+        assert any(end == whole[phase] for _count, end in ends)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped"])
+def test_short_or_damaged_encoding_log_refuses_the_resume(
+        tmp_path, capsys, damage):
+    from repro.cli import main
+
+    source = tmp_path / "subject.mini"
+    source.write_text(build_subject("zookeeper", scale=0.2).source)
+    workdir = tmp_path / "wd"
+    argv = ["check", str(source), "--checkers", CHECKER,
+            "--workdir", str(workdir)]
+    assert main(argv) == 1
+    golden = capsys.readouterr().out
+    log = workdir / "alias" / ENCODING_LOG
+    data = log.read_bytes()
+    _encodings, ends = _logged(workdir / "alias")
+    want = ckpt.load_manifest(str(workdir / "alias"))["encodings"]
+    assert len(ends) > 1
+    if damage == "truncated":
+        # 7 bytes short of the end of the last frame the manifest counts.
+        end = next(end for count, end in ends if count >= want)
+        log.write_bytes(data[: end - 7])
+        problem = rf"encoding log holds \d+ < {want} encodings"
+    else:
+        at = ends[0][1] - 1  # last payload byte of an interior frame
+        log.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :])
+        problem = r"encoding log has 1 corrupt frame\(s\)"
+    assert main(argv + ["--resume"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no verdict
+    assert re.search(
+        rf"repro: cannot resume: {problem}; re-run without --resume", err
+    )
+    # Without --resume the same directory starts over and answers.
+    assert main(argv) == 1
+    assert capsys.readouterr().out == golden
+
+
+def test_fresh_run_removes_a_stale_encoding_log(tmp_path):
+    for phase in ("alias", "dataflow"):
+        (tmp_path / phase).mkdir()
+        stale = serialize.encode_frame(serialize.encode_encodings(
+            [(("I", "stale", 0, 0),)]
+        ))
+        (tmp_path / phase / ENCODING_LOG).write_bytes(stale)
+    _run(tmp_path)
+    for phase in ("alias", "dataflow"):
+        logged, _ends = _logged(tmp_path / phase)
+        assert (("I", "stale", 0, 0),) not in logged
+        assert len(logged) == ckpt.load_manifest(
+            str(tmp_path / phase))["encodings"]
+
+
+def _v2_partition_file():
+    """One row as the previous build wrote it: string table, tuple
+    table, columns, no trailer."""
+    from array import array
+
+    strings = {"f": 0}
+    buf = bytearray(serialize.MAGIC + b"\x02")
+    serialize._append_string_table(buf, strings)
+    serialize._append_varint(buf, 1)
+    serialize._append_encoding(buf, (("I", "f", 0, 1),), strings.__getitem__)
+    serialize._append_varint(buf, 1)
+    buf += array("q", [0]).tobytes() * 4
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("reason", ["none", "unreadable", "format 1 != 2"])
+def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
+    """Never a silent fallback: a --resume that finds nothing to resume
+    from starts fresh, clears the directory's engine files, and says so
+    once per phase."""
+    golden = _warnings(_run(None))
+    if reason != "none":
+        _run(tmp_path)
+        for phase in ("alias", "dataflow"):
+            path = tmp_path / phase / ckpt.MANIFEST
+            if reason == "unreadable":
+                path.write_text("{not json")
+            else:
+                # A workdir of the previous build: format 1, tuple-table
+                # (v2) partition files, no encoding log.
+                manifest = json.loads(path.read_text())
+                manifest["format"] = 1
+                del manifest["encodings"]
+                path.write_text(json.dumps(manifest))
+                (tmp_path / phase / ENCODING_LOG).unlink()
+                for desc in manifest["partitions"]:
+                    (tmp_path / phase / desc["path"]).write_bytes(
+                        _v2_partition_file()
+                    )
+    capsys.readouterr()
+    run = _run(tmp_path, resume=True)
+    err = capsys.readouterr().err
+    for phase in ("alias", "dataflow"):
+        assert (
+            f"repro: no usable checkpoint in {tmp_path / phase}"
+            f" ({reason}); starting fresh\n"
+        ) in err
+    assert err.count("no usable checkpoint") == 2
+    assert _warnings(run) == golden
+    assert run.stats.pairs_processed > 0
+    # What is there now is this build's: the old files were never parsed.
+    for phase in ("alias", "dataflow"):
+        manifest = ckpt.load_manifest(str(tmp_path / phase))
+        assert manifest["format"] == ckpt.FORMAT == 2
+        for desc in manifest["partitions"]:
+            serialize.parse_columnar(
+                (tmp_path / phase / desc["path"]).read_bytes()
+            )
+
+
+def test_a_v2_partition_file_is_refused_not_parsed():
+    with pytest.raises(
+        serialize.CorruptPartition, match="unsupported partition version 2"
+    ):
+        serialize.parse_columnar(_v2_partition_file())
+
+
+def test_usable_checkpoint_resumes_quietly(tmp_path, capsys):
+    _run(tmp_path)
+    capsys.readouterr()
+    _run(tmp_path, resume=True)
+    assert "no usable checkpoint" not in capsys.readouterr().err

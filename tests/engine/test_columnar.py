@@ -1,5 +1,6 @@
 """Unit and property tests for the columnar edge store."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import serialize
@@ -32,6 +33,20 @@ def test_encoding_table_row_bytes_counts_strings():
     stringy = table.intern(ENC_S)
     assert table.row_bytes(plain) == ROW_BYTES
     assert table.row_bytes(stringy) == ROW_BYTES + 64 + 100
+    assert table.has_extras()
+
+
+def test_has_extras_flips_on_the_first_string_element():
+    """A running total kept by ``intern`` (it used to scan the whole
+    table on every disk load and split)."""
+    table = EncodingTable()
+    assert not table.has_extras()
+    for i in range(50):
+        table.intern((("I", "f", 0, i), ("C", i), ("R", i)))
+    assert not table.has_extras()
+    table.intern((("I", "f", 0, 1), ("S", "")))  # 64 bytes of overhead
+    assert table.has_extras()
+    table.intern(ENC_A)
     assert table.has_extras()
 
 
@@ -114,22 +129,46 @@ def test_merge_dict_dedups():
 
 
 def test_encode_parses_back_with_fresh_table():
+    """The file holds ids: a fresh table resolves them once it has
+    interned the same encodings in the same order (what ``--resume``
+    does from the encoding log), and refuses them before that."""
     table = EncodingTable()
     edges = {1: {(2, 0): {ENC_A, ENC_B}}, 3: {(4, 1): {ENC_S}}}
     cols = make(edges, table)
-    parsed = serialize.parse_columnar(cols.encode())
-    rebuilt = EdgeColumns.from_file(parsed, EncodingTable())
+    data = cols.encode()
+    fresh = EncodingTable()
+    with pytest.raises(serialize.CorruptPartition, match="out of range"):
+        EdgeColumns.from_file(serialize.parse_columnar(data), fresh)
+    for encoding in table.since(0):
+        fresh.intern(encoding)
+    rebuilt = EdgeColumns.from_file(serialize.parse_columnar(data), fresh)
     assert rebuilt.to_dict() == edges
 
 
-def test_from_file_remaps_into_shared_table():
-    edges = {1: {(2, 0): {ENC_A}}}
-    data = make(edges).encode()
+def test_from_file_adopts_the_ids_of_the_shared_table():
     shared = EncodingTable()
-    shared.intern(ENC_B)  # occupy id 0 so the file-local id must remap
-    cols = EdgeColumns.from_file(serialize.parse_columnar(data), shared)
+    shared.intern(ENC_B)  # occupy id 0: the row's id is 1, in memory and on disk
+    edges = {1: {(2, 0): {ENC_A}}}
+    before = make(edges, shared)
+    parsed = serialize.parse_columnar(before.encode())
+    assert parsed.n_encodings == len(shared) == 2
+    assert list(parsed.enc) == [1]
+    cols = EdgeColumns.from_file(parsed, shared)
+    assert cols.enc is parsed.enc  # adopted, not remapped
     assert cols.to_dict() == edges
-    assert cols.enc[0] == shared.intern(ENC_A) != 0
+    assert len(shared) == 2  # nothing was re-interned
+
+
+@pytest.mark.parametrize("encodings", [[ENC_A, ENC_B], [ENC_A, ENC_S]])
+def test_from_file_accounts_the_bytes_it_had_before_eviction(encodings):
+    table = EncodingTable()
+    cols = make({i: {(i + 1, 0): set(encodings)} for i in range(6)}, table)
+    cols.insert(2, 9, 1, table.intern(encodings[-1]))
+    want = cols.columnar_bytes()
+    back = EdgeColumns.from_file(serialize.parse_columnar(cols.encode()), table)
+    assert back.columnar_bytes() == want == sum(
+        table.row_bytes(eid) for _s, _d, _l, eid in back.iter_rows()
+    )
 
 
 # -- property-based ---------------------------------------------------------
@@ -185,4 +224,4 @@ def test_columns_equal_dict_semantics(base, extra):
         assert sorted(cols.out_rows(s)) == expected
     # And the whole thing survives compaction + disk.
     parsed = serialize.parse_columnar(cols.encode())
-    assert EdgeColumns.from_file(parsed, EncodingTable()).to_dict() == model
+    assert EdgeColumns.from_file(parsed, table).to_dict() == model

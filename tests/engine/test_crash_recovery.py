@@ -12,7 +12,7 @@ from repro.cfet import encoding as enc
 from repro.cfet.icfet import build_icfet
 from repro.engine import serialize
 from repro.engine.computation import EngineOptions, GraphEngine
-from repro.engine.partition import PartitionStore
+from repro.engine.partition import ENCODING_LOG, PartitionStore
 from repro.grammar.cfg_grammar import Grammar
 from repro.graph.model import ProgramGraph
 from repro.lang.parser import parse_program
@@ -275,10 +275,25 @@ def test_kill9_resume_matches_uninterrupted_run(tmp_path):
         tmp_path, workdir, fault_plan="kill_run@checkpoint:2"
     )
     assert killed.returncode == -9, killed.stderr[-2000:]
-    assert json.load(open(workdir / "alias" / "checkpoint.json"))
+    manifest = json.load(open(workdir / "alias" / "checkpoint.json"))
+    # The partition files hold ids; the killed run's log defines them.
+    log = workdir / "alias" / ENCODING_LOG
+    at_kill = log.read_bytes()
+    payloads, _dropped, corrupt = serialize.split_frames(at_kill)
+    assert not corrupt
+    assert manifest["encodings"] <= sum(
+        len(serialize.decode_encodings(payload)) for payload in payloads
+    )
 
     resumed = _subject_run(tmp_path, workdir, resume=True)
     assert resumed.returncode == 0, resumed.stderr[-2000:]
+    # Killed in the alias phase: that one resumes, the other had not
+    # begun and says so.
+    assert f"checkpoint in {workdir / 'alias'}" not in resumed.stderr
+    assert f"checkpoint in {workdir / 'dataflow'} (none)" in resumed.stderr
+    # Append-only: every id logged before the kill still decodes to the
+    # tuple it did then.
+    assert log.read_bytes().startswith(at_kill)
 
     clean = _subject_run(tmp_path, tmp_path / "wd-clean")
     assert clean.returncode == 0, clean.stderr[-2000:]

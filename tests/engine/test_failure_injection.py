@@ -1,6 +1,7 @@
 """Failure-injection tests: corrupt files, hostile options, tiny budgets."""
 
 import os
+import sys
 
 import pytest
 
@@ -53,6 +54,29 @@ def test_truncated_partition_file_raises(tmp_path):
         f.write(data[: len(data) // 2])
     store._cache.clear()
     with pytest.raises((IndexError, ValueError)):
+        store.load(part)
+
+
+def test_flipped_bit_in_a_column_is_refused_not_adopted(tmp_path):
+    """Magic, version, length and id range all still hold after a bit
+    flips inside the ``dst`` column; without the checksum trailer the
+    load returned a different edge."""
+    store = PartitionStore(str(tmp_path), memory_budget=1 << 20, cache_slots=2)
+    store.initialize(
+        {src: {(src + 1, 0): {(("I", "f", 0, 0),)}} for src in range(4)},
+        num_vertices=8, min_partitions=1,
+    )
+    store.flush()
+    part = store.partitions[0]
+    data = bytearray(open(part.path, "rb").read())
+    width = 8 * part.edge_count
+    dst_column = len(data) - serialize.TRAILER_BYTES - 3 * width
+    assert int.from_bytes(data[dst_column : dst_column + 8], sys.byteorder) == 1
+    data[dst_column] ^= 0x02  # dst 1 -> 3: still a vertex
+    with open(part.path, "wb") as f:
+        f.write(data)
+    store._cache.clear()
+    with pytest.raises(serialize.CorruptPartition, match="checksum"):
         store.load(part)
 
 

@@ -201,6 +201,12 @@ def test_run_report_schema_roundtrip():
     assert report["subject"] == "zookeeper"
     assert report["counters"]["pairs_processed"] == run.stats.pairs_processed
     assert report["gauges"]["edges_after"] == run.stats.edges_after
+    # What the memory budget does not count: the two phases' resident
+    # encoding tables.
+    assert report["gauges"]["encodings"] == sum(
+        len(phase.engine_result.store.table)
+        for phase in (run.alias_phase, run.dataflow_phase)
+    ) > 0
     assert report["histograms"]["solve_latency_s"]["count"] == (
         run.stats.constraints_solved
     )

@@ -97,7 +97,7 @@ def test_flush_persists_dirty_partitions(tmp_path):
     import repro.engine.serialize as ser
 
     with open(part.path, "rb") as f:
-        assert 99 in ser.decode_partition(f.read())
+        assert 99 in ser.parse_columnar(f.read()).src
 
 
 def test_split_balances_edges(tmp_path):

@@ -16,6 +16,7 @@ from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
 from repro.checkers.checker import pack_checkers
 from repro.engine import checkpoint as ckpt
 from repro.engine import serialize
+from repro.engine.partition import ENCODING_LOG
 from repro.serve import ServeEngine
 from repro.workloads import build_subject
 from repro.workloads.multifile import build_multifile_subject
@@ -103,6 +104,12 @@ def test_out_of_budget_scratch_run_writes_without_fsync(
     assert fsyncs == []
     assert all(n.startswith("grapple_") for n in os.listdir(tmpdir_probe))
     assert os.listdir(tmpdir_probe)
+    # Its files hold ids of a table that dies with this process: a
+    # scratch store keeps no encoding log.
+    for scratch in os.listdir(tmpdir_probe):
+        names = os.listdir(tmpdir_probe / scratch)
+        assert any(n.startswith("part_") for n in names)
+        assert ENCODING_LOG not in names
     verdict = _verdict(run)
     assert verdict == _verdict(_run(sources, fsms))
     del run
@@ -128,11 +135,36 @@ def test_explicit_workdir_stays_durable(subject, tmp_path, fsyncs,
     partition_writes = [n for name, n in writes if name.startswith("part_")]
     assert len(partition_writes) == run.stats.partition_writes > 0
     assert set(n for _name, n in writes) == {1}
+    # Beyond one fsync per atomic write: one per encoding-log frame,
+    # i.e. per flush that had interned something new.
+    frames = 0
+    for phase in ("alias", "dataflow"):
+        with open(os.path.join(workdir, phase, ENCODING_LOG), "rb") as f:
+            payloads, dropped, corrupt = serialize.split_frames(f.read())
+        assert payloads and (dropped, corrupt) == (0, 0)
+        frames += len(payloads)
+    assert len(fsyncs) == len(writes) + frames
+    assert frames <= run.stats.partition_writes
     for phase in ("alias", "dataflow"):
         manifest = ckpt.load_manifest(os.path.join(workdir, phase))
         assert manifest["complete"] is True
         for desc in manifest["partitions"]:
             assert os.path.exists(os.path.join(workdir, phase, desc["path"]))
+    assert _verdict(run) == _verdict(_run(sources, fsms))
+
+
+def test_ci_fault_plan_recovers_with_ids_on_disk(tmp_path):
+    """The fault-smoke job's PLAN, at a budget that evicts."""
+    sources, fsms, budget = SUBJECTS["gateway"]()
+    workdir = str(tmp_path / "wd")
+    plan = ("short_write@partition-write:2,torn_rename@partition-write:4,"
+            "bad_frame@delta-append:2")
+    run = _run(sources, fsms, workdir=workdir, memory_budget=budget,
+               fault_plan=plan)
+    # Both write faults fire; whether a second delta frame is ever
+    # appended to a file depends on what the budget evicts.
+    fired = set(os.listdir(os.path.join(workdir, ".faults")))
+    assert {"fault-00.fired", "fault-01.fired"} <= fired
     assert _verdict(run) == _verdict(_run(sources, fsms))
 
 

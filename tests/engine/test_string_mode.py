@@ -94,3 +94,13 @@ def test_string_partitions_roundtrip_through_disk(tmp_path, icfet):
     pairs = {(s, d) for s, d, _l, _e in result.iter_edges()}
     assert (0, 9) in pairs
     assert result.stats.final_partitions > 1
+    # String payload bytes are accounted per row: what an evicted
+    # partition weighs when it comes back is what it weighed going out.
+    store = result.store
+    assert result.stats.partition_writes > 0 and store.table.has_extras()
+    for part in store.partitions:
+        cols = store.load(part)
+        want = cols.columnar_bytes()
+        assert want > 32 * cols.edge_count
+        store._cache.pop(part.index)  # flushed at phase end: not dirty
+        assert store.load(part).columnar_bytes() == want
