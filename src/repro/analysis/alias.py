@@ -60,11 +60,14 @@ def run_alias_phase(
     options: EngineOptions | None = None,
     relevance=None,
     rstats=None,
+    engine_factory=GraphEngine,
 ) -> AliasAnalysis:
     """Build the alias program graph and run the points-to closure.
 
     ``relevance``/``rstats`` (from :mod:`repro.sa`) slice away variables
     that cannot reach a tracked object before any edge is generated.
+    ``engine_factory`` builds the closure engine (a baseline passes its
+    :class:`GraphEngine` subclass).
     """
     if relevance is not None and rstats is not None:
         for func, vars_ in sorted(compiled.info.object_vars.items()):
@@ -84,7 +87,9 @@ def run_alias_phase(
         relevance=relevance,
         rstats=rstats,
     )
-    engine = GraphEngine(compiled.icfet, PointsToGrammar(), options, phase="alias")
+    engine = engine_factory(
+        compiled.icfet, PointsToGrammar(), options, phase="alias"
+    )
     engine_result = engine.run(graph_result.graph)
 
     analysis = AliasAnalysis(graph_result, engine_result)

@@ -25,13 +25,15 @@ def run_dataflow_phase(
     options: EngineOptions | None = None,
     relevance=None,
     rstats=None,
+    engine_factory=GraphEngine,
 ) -> DataflowAnalysis:
     """Propagate FSM states over the dataflow graph, answering alias
     queries from phase 1's in-memory results.
 
     ``relevance``/``rstats`` (from :mod:`repro.sa`) skip clones of
     flow-irrelevant functions and, when reduction is on, compress linear
-    cf chains before the closure runs.
+    cf chains before the closure runs.  ``engine_factory`` builds the
+    closure engine, as in :func:`~repro.analysis.alias.run_alias_phase`.
     """
     graph_result = build_dataflow_graph(
         compiled.icfet,
@@ -53,6 +55,6 @@ def run_dataflow_phase(
         alias_index=alias_phase.flows_to,
         events_meta=graph_result.events_meta,
     )
-    engine = GraphEngine(compiled.icfet, grammar, options, phase="dataflow")
+    engine = engine_factory(compiled.icfet, grammar, options, phase="dataflow")
     engine_result = engine.run(graph_result.graph)
     return DataflowAnalysis(graph_result, engine_result)

@@ -19,7 +19,7 @@ from repro.analysis.dataflow import DataflowAnalysis, run_dataflow_phase
 from repro.analysis.frontend import CompiledProgram, compile_source
 from repro.checkers.fsm import FSM
 from repro.checkers.report import Report, Warning
-from repro.engine.computation import EngineOptions
+from repro.engine.computation import EngineOptions, GraphEngine
 from repro.engine.stats import EngineStats
 from repro.graph.cloning import (
     CloneForest,
@@ -110,7 +110,9 @@ class Grapple:
     ``{path: text}`` (or ``(path, text)`` pairs); multi-file subjects go
     through scope-graph name resolution (:mod:`repro.sa.scopes`) before
     the phases run, and the resolution record rides on
-    ``run.compiled.resolution``.
+    ``run.compiled.resolution``.  ``engine_factory`` builds both phases'
+    closure engines: a :class:`GraphEngine` subclass, or a
+    ``functools.partial`` of one binding its constructor's keywords.
     """
 
     def __init__(
@@ -118,10 +120,12 @@ class Grapple:
         source,
         fsms: list[FSM],
         options: GrappleOptions | None = None,
+        engine_factory=GraphEngine,
     ):
         self.source = source
         self.fsms = list(fsms)
         self.options = options or GrappleOptions()
+        self.engine_factory = engine_factory
 
     def run(self) -> GrappleRun:
         options = self.options
@@ -192,10 +196,12 @@ class Grapple:
         alias_phase = run_alias_phase(
             compiled, tracked_types, options.engine,
             relevance=relevance, rstats=reduction,
+            engine_factory=self.engine_factory,
         )
         dataflow_phase = run_dataflow_phase(
             compiled, alias_phase, fsms_by_type, options.engine,
             relevance=relevance, rstats=reduction,
+            engine_factory=self.engine_factory,
         )
         fresh = extract_report(dataflow_phase, compiled.forest, compiled.icfet)
         # A whole run reports tree by tree (warnings come in vertex
@@ -235,10 +241,15 @@ class Grapple:
     def _config(self) -> str:
         """Everything outside the sources that decides a root's warnings."""
         options, engine = self.options, self.options.engine
+        factory = self.engine_factory
+        # The engine's class attributes, unless a partial binds them.
+        bound = getattr(factory, "keywords", {})
+        cls = getattr(factory, "func", factory)
         return json.dumps([
             options.unroll, options.max_clone_depth, options.max_clones,
             options.reduce, engine.witness_cap, engine.path_sensitive,
-            engine.constraint_mode, engine.max_string_bytes,
+            cls.constraint_mode,
+            bound.get("max_string_bytes", cls.max_string_bytes),
             sorted(
                 (fsm.name, sorted(fsm.types), fsm.initial,
                  sorted(fsm.transitions.items()), sorted(fsm.accepting),

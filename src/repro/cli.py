@@ -92,9 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        " (default 64)")
     check.add_argument("--no-cache", action="store_true",
                        help="disable constraint memoisation")
-    check.add_argument("--compress-spills", action="store_true",
-                       help="zlib-compress spill/delta frames written by the"
-                       " background writer (trades CPU for disk bandwidth)")
     check.add_argument("--no-prefetch", action="store_true",
                        help="disable the background partition prefetcher"
                        " (loads become synchronous reads)")
@@ -235,6 +232,15 @@ def cmd_check(args) -> int:
         raise UsageError(
             f"--memory-budget wants a finite size > 0 MiB, not {budget}"
         )
+    heartbeat = args.heartbeat
+    if heartbeat is not None and not (math.isfinite(heartbeat) and heartbeat > 0):
+        raise UsageError(
+            f"--heartbeat wants a finite interval > 0 seconds, not {heartbeat}"
+        )
+    if args.max_retries < 0:
+        raise UsageError(
+            f"--max-retries wants a count >= 0, not {args.max_retries}"
+        )
     if args.resume and not args.workdir:
         raise UsageError(
             "--resume requires --workdir (a checkpoint can only live in a"
@@ -279,7 +285,6 @@ def cmd_check(args) -> int:
         engine=EngineOptions(
             memory_budget=budget_bytes,
             enable_cache=not args.no_cache,
-            compress_spills=args.compress_spills,
             prefetch=not args.no_prefetch,
             trace=recorder,
             metrics=bool(args.metrics_json),

@@ -42,7 +42,7 @@ import json
 import os
 
 from repro.engine import serialize
-from repro.engine.partition import Partition
+from repro.engine.partition import MIN_PARTITIONS, Partition
 
 #: Manifest file name inside the engine's (phase) workdir.
 MANIFEST = "checkpoint.json"
@@ -52,22 +52,22 @@ FORMAT = 2
 
 #: EngineOptions fields that change *what* the closure computes (not how
 #: fast); a resume under a different value of any of these is refused.
-CONFIG_FIELDS = (
-    "memory_budget",
-    "min_partitions",
-    "witness_cap",
-    "path_sensitive",
-    "constraint_mode",
-    "max_string_bytes",
-)
+CONFIG_FIELDS = ("memory_budget", "witness_cap", "path_sensitive")
 
 
 class CheckpointMismatch(RuntimeError):
     """A manifest does not match the run trying to resume from it."""
 
 
-def config_digest(options) -> str:
-    payload = {name: getattr(options, name) for name in CONFIG_FIELDS}
+def config_digest(engine) -> str:
+    """Digest of what decides ``engine``'s fixpoint.  The payload keeps
+    the keys of three former options (now a constant and two engine
+    class attributes), so an interval run digests as it always has and
+    an older build's workdir still resumes."""
+    payload = {name: getattr(engine.options, name) for name in CONFIG_FIELDS}
+    payload["min_partitions"] = MIN_PARTITIONS
+    payload["constraint_mode"] = engine.constraint_mode
+    payload["max_string_bytes"] = engine.max_string_bytes
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -100,7 +100,7 @@ def manifest_path(workdir: str) -> str:
     return os.path.join(workdir, MANIFEST)
 
 
-def write_manifest(workdir: str, *, phase: str, options, store,
+def write_manifest(workdir: str, *, phase: str, config: str, store,
                    last_seen: dict, stats, graph, complete: bool) -> dict:
     """Atomically write the checkpoint manifest for one engine run."""
     parts = []
@@ -132,7 +132,7 @@ def write_manifest(workdir: str, *, phase: str, options, store,
         "format": FORMAT,
         "phase": phase,
         "complete": bool(complete),
-        "config": config_digest(options),
+        "config": config,
         "vertices": vertex_digest(graph.vertices),
         "next_file": store._next_file,
         "encodings": store.encodings_logged,
@@ -217,9 +217,9 @@ def load_manifest(workdir: str) -> dict | None:
     return read_manifest(workdir)[0]
 
 
-def validate(manifest: dict, options, graph) -> None:
-    """Refuse a resume whose run would not continue the original one."""
-    digest = config_digest(options)
+def validate(manifest: dict, digest: str, graph) -> None:
+    """Refuse a resume whose run would not continue the original one
+    (``digest`` is the resuming engine's :func:`config_digest`)."""
     if manifest["config"] != digest:
         raise CheckpointMismatch(
             "checkpoint was written under different engine options"

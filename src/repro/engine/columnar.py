@@ -25,7 +25,8 @@ analogue:
 
 Byte accounting is columnar: 32 bytes per row (four int64 slots plus
 set/dict overhead amortised) plus the raw text of any string-constraint
-payloads, which dominate row size in ``constraint_mode="string"``.
+payloads, which dominate row size under the Table-5 string baseline
+(``repro.baselines.string_constraints``).
 """
 
 from __future__ import annotations

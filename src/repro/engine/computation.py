@@ -86,29 +86,15 @@ class EngineOptions:
     # to leave memory, written without fsync, removed with the result.
     workdir: str | None = None
     memory_budget: int = 64 * 1024 * 1024
-    min_partitions: int = 2
     witness_cap: int = 3  # max distinct encodings kept per (src, dst, label)
     enable_cache: bool = True
-    max_pairs: int | None = None  # safety cap on processed pairs
     # Ablation switch: with path sensitivity off, every composition is
     # considered feasible (no constraint decoding or solving), matching a
     # purely grammar-guided Graspan-style closure.
     path_sensitive: bool = True
-    # "interval" is Grapple's encoding; "string" is the naive baseline of
-    # Table 5 where each edge carries its whole constraint as a string.
-    constraint_mode: str = "interval"
-    # String-mode edges whose constraint text exceeds this are dropped
-    # (the equivalent of MAX_ELEMENTS for interval encodings).
-    max_string_bytes: int = 1 << 20
-    # Wall-clock budget in seconds; None = unlimited.  The paper's naive
-    # baseline did not terminate in 200 hours on HBase -- the budget lets
-    # the benchmark report "timeout" instead of hanging.
-    time_budget: float | None = None
-    # Background I/O pipeline (engine/io_pipeline.py): prefetch upcoming
-    # partitions on a reader thread, and zlib-compress buffered spill
-    # frames on the writer thread.
+    # Prefetch upcoming partitions on a reader thread
+    # (engine/io_pipeline.py).
     prefetch: bool = True
-    compress_spills: bool = False
     # Observability (repro.obs) -- all three default off and cost nothing
     # when disabled.  ``trace`` is a TraceRecorder; ``metrics`` attaches
     # the standard histogram registry to the stats; ``heartbeat`` prints
@@ -188,7 +174,17 @@ class EngineResult:
 
 
 class GraphEngine:
-    """Runs one analysis (one grammar) over one program graph."""
+    """Runs one analysis (one grammar) over one program graph.
+
+    Edges carry interval-sequence encodings.  The paper's Table-5 string
+    baseline (:class:`repro.baselines.string_constraints.
+    StringConstraintEngine`) is a subclass that overrides the encoding
+    hooks and these two attributes, which the checkpoint config digest
+    and the root-result keys name.
+    """
+
+    constraint_mode = "interval"
+    max_string_bytes = 1 << 20
 
     def __init__(
         self,
@@ -286,10 +282,6 @@ class GraphEngine:
 
     def _run(self, graph: ProgramGraph, workdir: str) -> EngineResult:
         stats = self.stats
-        self._deadline = None
-        if self.options.time_budget is not None:
-            self._deadline = time.perf_counter() + self.options.time_budget
-        self.timed_out = False
         trace = self.trace
         if self.options.heartbeat:
             from repro.obs.report import Heartbeat
@@ -321,14 +313,9 @@ class GraphEngine:
         prefetch = (
             PrefetchReader(trace=trace) if self.options.prefetch else None
         )
-        spill_writer = SpillWriter(
-            compress=self.options.compress_spills, trace=trace,
-            faults=self.faults,
-        )
+        spill_writer = SpillWriter(trace=trace, faults=self.faults)
         with stats.timing("preprocess_time"):
             self._seed_derived(graph)
-            if self.options.constraint_mode == "string":
-                self._stringify_graph(graph)
             store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
                 table=self._enc, prefetch=prefetch,
@@ -339,7 +326,7 @@ class GraphEngine:
             if manifest is not None:
                 # Refuse a resume that would not continue the original
                 # run, then adopt its partitions, frontier, and stats.
-                ckpt.validate(manifest, self.options, graph)
+                ckpt.validate(manifest, ckpt.config_digest(self), graph)
                 ckpt.restore_encodings(manifest, store)
                 ckpt.restore_store(manifest, store)
                 ckpt.restore_stats(manifest, stats)
@@ -360,10 +347,7 @@ class GraphEngine:
                                 pass
                 stats.edges_before = graph.edge_count()
                 stats.vertices = len(graph.vertices)
-                store.initialize(
-                    graph.edges, len(graph.vertices),
-                    self.options.min_partitions,
-                )
+                store.initialize(graph.edges, len(graph.vertices))
         self._graph = graph
         self._store = store
         # Telemetry providers for this phase: the sampler thread (started
@@ -436,7 +420,7 @@ class GraphEngine:
         )
         manifest = ckpt.write_manifest(
             self._ckpt_dir, phase=self.phase or "closure",
-            options=self.options, store=store, last_seen=last_seen,
+            config=ckpt.config_digest(self), store=store, last_seen=last_seen,
             stats=self.stats, graph=self._graph, complete=complete,
         )
         # With the manifest durable, anything it does not reference is
@@ -516,18 +500,6 @@ class GraphEngine:
                     break
                 if self._retire_if_dead(pair):
                     continue
-                if (
-                    self.options.max_pairs is not None
-                    and stats.pairs_processed >= self.options.max_pairs
-                ):
-                    break
-                if (
-                    self._deadline is not None
-                    and time.perf_counter() > self._deadline
-                ):
-                    self.timed_out = True
-                    stats.timed_out = True
-                    break
                 scheduler.pop_pair(pair)
                 # Overlap the next pair's disk reads with this pair's
                 # compute: the lookahead is a prediction (processing this
@@ -967,39 +939,16 @@ class GraphEngine:
                     dirty, frontier, check=False,
                 )
 
-    # -- encoding mode dispatch -----------------------------------------------
-
-    def _stringify_graph(self, graph: ProgramGraph) -> None:
-        """Convert every payload to a string constraint (naive baseline)."""
-        from repro.smt.sexpr import serialize_expr
-
-        for src, targets in graph.edges.items():
-            for key, encodings in targets.items():
-                converted = set()
-                for encoding in encodings:
-                    constraint = enc_mod.decode_constraint(encoding, self.icfet)
-                    converted.add((("S", serialize_expr(constraint)),))
-                targets[key] = converted
+    # -- encoding hooks (overridden by the string baseline) -------------------
 
     def _merge_encodings(self, enc1, enc2):
-        if self.options.constraint_mode != "string":
-            return enc_mod.merge(enc1, enc2, self.icfet)
-        text = f"(and {enc1[0][1]} {enc2[0][1]})"
-        if len(text) > self.options.max_string_bytes:
-            return None
-        return (("S", text),)
+        return enc_mod.merge(enc1, enc2, self.icfet)
 
     def _reverse_encoding(self, encoding):
-        if self.options.constraint_mode != "string":
-            return enc_mod.reverse(encoding)
-        return encoding  # constraints are direction-independent
+        return enc_mod.reverse(encoding)
 
     def _decode(self, encoding):
-        if self.options.constraint_mode != "string":
-            return enc_mod.decode_constraint(encoding, self.icfet)
-        from repro.smt.sexpr import parse_expr
-
-        return parse_expr(encoding[0][1])
+        return enc_mod.decode_constraint(encoding, self.icfet)
 
     def _split_loaded(self, index, loaded, parts, spills, dirty) -> None:
         """Mid-iteration split of a loaded partition that outgrew the
@@ -1099,15 +1048,9 @@ class GraphEngine:
         """Structural canonical-form key of the ids' conjunction
         (:func:`repro.cfet.encoding.form_key`): equal keys mean
         alpha-equivalent, hence equisatisfiable, conjunctions.  Interval
-        encodings are keyed without being decoded; string-mode edges carry
-        their constraint as text, which has to be parsed to be keyed (and
-        is parsed again if the form then goes to the solver).  Keys are
-        not cached per id: the verdict cache remembers the answer.
+        encodings are keyed without being decoded.  Keys are not cached
+        per id: the verdict cache remembers the answer.
         """
-        if self.options.constraint_mode == "string":
-            return enc_mod.constraint_form_key(
-                self._decode_ids(ids), self._pieces
-            )
         decode = self._enc.decode
         return enc_mod.form_key(
             [decode(eid) for eid in ids], self.icfet, self._pieces

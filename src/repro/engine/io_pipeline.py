@@ -13,11 +13,9 @@ prefetch was scheduled bumps the version and turns the prefetch into a
 miss, so stale bytes can never be adopted.
 
 Spill (delta) writes go the other way: :class:`SpillWriter` queues
-payloads and appends them as CRC-framed records from a writer thread,
-optionally zlib-compressing each payload
-(``EngineOptions.compress_spills``).  The store flushes the writer for a
-path before any read of that path, which keeps the read side oblivious
-to the buffering.
+payloads and appends them as CRC-framed records from a writer thread.
+The store flushes the writer for a path before any read of that path,
+which keeps the read side oblivious to the buffering.
 """
 
 from __future__ import annotations
@@ -194,9 +192,9 @@ class PrefetchReader:
 class SpillWriter:
     """Double-buffered append-only writer for partition delta frames.
 
-    Frames are queued by the engine thread and written (optionally
-    zlib-compressed) by a daemon writer thread; :meth:`flush` blocks
-    until every queued frame for a path (or all paths) has hit disk.
+    Frames are queued by the engine thread and written by a daemon
+    writer thread; :meth:`flush` blocks until every queued frame for a
+    path (or all paths) has hit disk.
     Each frame is CRC-framed (``serialize.encode_frame``) and appended
     in a *single* ``write`` call, so a crash mid-append leaves at most
     one truncated trailing frame, which the tolerant reader drops.
@@ -206,9 +204,7 @@ class SpillWriter:
     the run ended before the next flush.
     """
 
-    def __init__(self, compress: bool = False, trace=None,
-                 faults=NULL_PLAN) -> None:
-        self.compress = compress
+    def __init__(self, trace=None, faults=NULL_PLAN) -> None:
         self.trace = trace if trace is not None else NULL_RECORDER
         self.faults = faults
         # Mutated only by the writer thread; fold into EngineStats after
@@ -252,8 +248,6 @@ class SpillWriter:
             path, payload = task
             span_start = trace.begin() if trace.enabled else 0.0
             try:
-                if self.compress:
-                    payload = serialize.compress_payload(payload)
                 frame = serialize.encode_frame(payload)
                 spec = self.faults.fire("delta-append")
                 if spec is not None:

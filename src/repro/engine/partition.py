@@ -25,13 +25,12 @@ reach partition files; the table that defines them is resident for the
 whole phase (and outside the memory budget, which is accounted in
 columnar bytes: 32 per row plus string-payload text), a durable workdir
 carries it as an append-only encoding log (``encodings.bin``), and delta
-frames carry tuples.  Delta files remain
-sequences of CRC-framed v1 payloads -- they hold small chunks arriving
-from spills -- optionally written through a background
-:class:`~repro.engine.io_pipeline.SpillWriter` and zlib-compressed per
-frame.  Spill chunks reach :meth:`PartitionStore.append_delta` encoded
-as ids of the store's table and are decoded to tuples only when bytes
-actually go to a delta file; a resident target takes them as they are.
+frames carry tuples.  Delta files remain sequences of CRC-framed v1
+payloads -- they hold small chunks arriving from spills -- written
+through a background :class:`~repro.engine.io_pipeline.SpillWriter`.
+Spill chunks reach :meth:`PartitionStore.append_delta` encoded as ids of
+the store's table and are decoded to tuples only when bytes actually go
+to a delta file; a resident target takes them as they are.
 
 Every way edges enter or move between partitions outside the engine's
 own insert loop passes through this module, so the store also keeps the
@@ -81,6 +80,9 @@ from repro.obs.trace import NULL_RECORDER
 #: A durable workdir's encoding log: the table its partition files' ids
 #: index, as checksummed frames of tuples in id order.
 ENCODING_LOG = "encodings.bin"
+
+#: Fewest partitions a graph starts in, however small it is.
+MIN_PARTITIONS = 2
 
 
 @dataclass
@@ -154,7 +156,7 @@ class PartitionStore:
     # -- construction --------------------------------------------------------
 
     def initialize(self, edges: dict, num_vertices: int,
-                   min_partitions: int = 2) -> None:
+                   min_partitions: int = MIN_PARTITIONS) -> None:
         """Preprocessing: split the input graph into balanced partitions.
 
         Partition boundaries are chosen so each holds roughly equal edge

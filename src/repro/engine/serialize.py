@@ -41,10 +41,6 @@ the previous frame, in id order::
         per target: varint dst, varint label_id, varint n_encodings
             per encoding: varint n_elements, then elements
 
-Any payload may additionally be wrapped in a zlib frame::
-
-    MAGIC "GRPZ" | zlib-compressed GRPL payload
-
 element wire encoding: tag u8 (0 = interval, 1 = call, 2 = return,
 3 = string), then
     interval: varint func_index, varint start, varint end
@@ -78,7 +74,6 @@ from array import array
 from dataclasses import dataclass
 
 MAGIC = b"GRPL"
-ZMAGIC = b"GRPZ"
 VERSION = 1
 COLUMNAR_VERSION = 3
 #: Partition-file trailer: u32 LE CRC-32 of everything before it.
@@ -123,21 +118,6 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
         raise CorruptPartition(
             f"truncated varint at byte {pos} of {len(data)}"
         ) from None
-
-
-def maybe_decompress(data: bytes) -> bytes:
-    """Unwrap a ``GRPZ`` zlib frame; plain payloads pass through."""
-    if data[:4] == ZMAGIC:
-        try:
-            return zlib.decompress(data[4:])
-        except zlib.error as exc:
-            raise CorruptPartition(f"bad zlib frame: {exc}") from None
-    return data
-
-
-def compress_payload(data: bytes, level: int = 1) -> bytes:
-    """Wrap an encoded partition payload in a ``GRPZ`` zlib frame."""
-    return ZMAGIC + zlib.compress(data, level)
 
 
 # -- durability primitives -----------------------------------------------------
@@ -365,7 +345,6 @@ def encode_partition(edges: dict) -> bytes:
 
 def decode_partition(data: bytes) -> dict:
     """Decode v1 bytes back to ``{src: {(dst, label_id): set}}``."""
-    data = maybe_decompress(data)
     if data[:4] != MAGIC:
         raise CorruptPartition("bad partition file magic")
     if data[4] != VERSION:
@@ -470,7 +449,6 @@ def check_encoding_ids(enc: array, n_encodings: int) -> None:
 def parse_columnar(data: bytes) -> ColumnarFile:
     """Parse partition-file bytes into a :class:`ColumnarFile` (pure,
     bulk)."""
-    data = maybe_decompress(data)
     if data[:4] != MAGIC:
         raise CorruptPartition("bad partition file magic")
     version = data[4] if len(data) > 4 else None

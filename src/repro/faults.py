@@ -28,10 +28,7 @@ Sites and their legal modes:
     ``short_frame``  -- append only a prefix of the frame (a crash
     mid-append; the tolerant reader must drop the tail);
     ``bad_frame``  -- flip payload bytes but keep the stale CRC (the
-    reader must detect the mismatch and salvage around it);
-    ``bad_zlib``  -- replace the payload with an undecodable ``GRPZ``
-    frame and a *valid* CRC (corruption below the checksum: surfaces as
-    :class:`~repro.engine.serialize.CorruptPartition` at decode time).
+    reader must detect the mismatch and salvage around it).
 
 ``checkpoint``  (:meth:`GraphEngine._write_checkpoint`, after the
 manifest is durable)
@@ -56,7 +53,7 @@ from dataclasses import dataclass
 
 SITES = {
     "partition-write": ("short_write", "torn_rename"),
-    "delta-append": ("short_frame", "bad_frame", "bad_zlib"),
+    "delta-append": ("short_frame", "bad_frame"),
     "checkpoint": ("kill_run",),
 }
 
@@ -186,11 +183,6 @@ class FaultPlan:
             at = (zlib.crc32(bytes(payload)) ^ self.seed) % len(payload)
             payload[at] ^= 0xFF
             return frame[:header] + bytes(payload)
-        if spec.mode == "bad_zlib":
-            bad = serialize.ZMAGIC + bytes(
-                (self.seed + i) & 0xFF for i in range(16)
-            )
-            return serialize.encode_frame(bad)
         raise FaultPlanError(f"mode {spec.mode!r} is not a frame mutation")
 
     @staticmethod

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Grapple, default_checkers, io_checker
+from repro import Grapple, GrappleOptions, default_checkers, io_checker
 from repro.analysis.frontend import compile_source
 from repro.baselines import (
     OutOfMemoryError,
@@ -81,9 +81,16 @@ def test_string_baseline_reports_shape_metrics():
 
 
 def test_string_baseline_timeout_flag():
-    from repro import GrappleOptions
-
     result = run_string_based(
         SMALL, [io_checker()], time_budget=0.0
     )
     assert result.timed_out
+
+
+def test_string_baseline_keeps_the_callers_frontend_options():
+    """Only the engine changes: ``reduce=False`` (or any other frontend
+    option) reaches the string run as it reaches Grapple's."""
+    options = GrappleOptions(reduce=False)
+    assert Grapple(SMALL, [io_checker()], options).run().reduction is None
+    result = run_string_based(SMALL, [io_checker()], options)
+    assert result.run.reduction is None

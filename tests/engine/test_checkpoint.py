@@ -1,22 +1,26 @@
 """Tests for checkpoint manifests and --resume (repro.engine.checkpoint)."""
 
+import hashlib
 import json
 import os
 import re
 
 import pytest
 
-from repro import EngineOptions, Grapple, GrappleOptions
+from repro import EngineOptions, Grapple, GrappleOptions, io_checker
+from repro.baselines.string_constraints import StringConstraintEngine
 from repro.checkers.checker import Checker
 from repro.engine import checkpoint as ckpt
 from repro.engine import serialize
+from repro.engine.computation import GraphEngine
 from repro.engine.partition import ENCODING_LOG
 from repro.workloads import build_subject
 
 CHECKER = "io"
 
 
-def _run(workdir, *, resume=False, scale=0.2, **engine_kw):
+def _run(workdir, *, resume=False, scale=0.2, engine_factory=GraphEngine,
+         **engine_kw):
     subject = build_subject("zookeeper", scale=scale)
     options = GrappleOptions(
         engine=EngineOptions(
@@ -26,7 +30,8 @@ def _run(workdir, *, resume=False, scale=0.2, **engine_kw):
         )
     )
     fsm = Checker.by_name(CHECKER).fsm
-    return Grapple(subject.source, [fsm], options).run()
+    return Grapple(subject.source, [fsm], options,
+                   engine_factory=engine_factory).run()
 
 
 def _reopen(workdir):
@@ -94,6 +99,36 @@ def test_resume_refuses_changed_config(tmp_path):
     _run(tmp_path)
     with pytest.raises(ckpt.CheckpointMismatch):
         _run(tmp_path, resume=True, witness_cap=1)
+
+
+def test_interval_config_strings_are_the_previous_builds():
+    """The checkpoint digest and the root-result config keep the keys of
+    the options that became ``MIN_PARTITIONS`` and engine class
+    attributes, so an interval run's workdirs and persisted root tables
+    from before the move are still adopted."""
+    engine = GraphEngine(None, None, EngineOptions())
+    assert ckpt.config_digest(engine) == (
+        "c0847f7ab8fac8912e388534797e21c35ab8bcd75f69236553ead1fcc5b6f2d3"
+    )
+    engine = GraphEngine(None, None, EngineOptions(
+        memory_budget=1 << 20, witness_cap=5, path_sensitive=False,
+    ))
+    assert ckpt.config_digest(engine) == (
+        "0f81821ef935e615fa476ab1fa0479ad0c92a8742dc79cfd455d4520a890160a"
+    )
+    config = Grapple("func main() { }", [io_checker()])._config()
+    assert config.startswith(
+        '[2, 24, 500000, true, 3, true, "interval", 1048576, [["io", '
+    )
+    assert hashlib.sha256(config.encode()).hexdigest() == (
+        "c70743e8a6db99912a6b2a9cd558eac722a92a9e6bac1e8ee89b3e1861d554fc"
+    )
+
+
+def test_interval_resume_refuses_a_string_engine_manifest(tmp_path):
+    _run(tmp_path, scale=0.05, engine_factory=StringConstraintEngine)
+    with pytest.raises(ckpt.CheckpointMismatch):
+        _run(tmp_path, resume=True, scale=0.05)
 
 
 def test_resume_refuses_vertex_digest_mismatch(tmp_path):

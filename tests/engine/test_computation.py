@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.string_constraints import StringConstraintEngine
 from repro.cfet import encoding as enc
 from repro.cfet.icfet import build_icfet
 from repro.engine.computation import EngineOptions, GraphEngine
@@ -55,9 +56,9 @@ def build_chain(n, icfet, encoding=None):
     return graph
 
 
-def run(graph, icfet, grammar=None, **opts):
+def run(graph, icfet, grammar=None, engine_class=GraphEngine, **opts):
     options = EngineOptions(memory_budget=1 << 20, **opts)
-    engine = GraphEngine(icfet, grammar or ChainGrammar(), options)
+    engine = engine_class(icfet, grammar or ChainGrammar(), options)
     return engine, engine.run(graph)
 
 
@@ -154,7 +155,7 @@ def test_cache_enabled_hits(icfet):
 
 def test_small_budget_forces_partitions(icfet):
     graph = build_chain(60, icfet)
-    options = EngineOptions(memory_budget=4096, min_partitions=2)
+    options = EngineOptions(memory_budget=4096)
     engine = GraphEngine(icfet, ChainGrammar(), options)
     result = engine.run(graph)
     assert result.stats.final_partitions > 2
@@ -166,17 +167,20 @@ def test_small_budget_forces_partitions(icfet):
 
 def test_time_budget_marks_timeout(icfet):
     graph = build_chain(40, icfet)
-    options = EngineOptions(memory_budget=4096, time_budget=0.0)
-    engine = GraphEngine(icfet, ChainGrammar(), options)
+    options = EngineOptions(memory_budget=4096)
+    engine = StringConstraintEngine(
+        icfet, ChainGrammar(), options, time_budget=0.0
+    )
     result = engine.run(graph)
     assert result.stats.timed_out
+    assert result.stats.pairs_processed == 0
 
 
 def test_string_mode_closure_matches_interval_mode(icfet):
     graph1 = build_chain(5, icfet)
     _, result1 = run(graph1, icfet)
     graph2 = build_chain(5, icfet)
-    _, result2 = run(graph2, icfet, constraint_mode="string")
+    _, result2 = run(graph2, icfet, engine_class=StringConstraintEngine)
     pairs1 = {(s, d) for s, d, _l, _e in result1.iter_edges()}
     pairs2 = {(s, d) for s, d, _l, _e in result2.iter_edges()}
     assert pairs1 == pairs2
@@ -188,7 +192,7 @@ def test_string_mode_drops_infeasible(icfet):
         graph.vertices.intern(("v", i))
     graph.add_edge(0, 1, ("a",), (enc.interval("main", 0, 2),))
     graph.add_edge(1, 2, ("a",), (enc.interval("main", 0, 1),))
-    _, result = run(graph, icfet, constraint_mode="string")
+    _, result = run(graph, icfet, engine_class=StringConstraintEngine)
     pairs = {(s, d) for s, d, _l, _e in result.iter_edges()}
     assert (0, 2) not in pairs
 

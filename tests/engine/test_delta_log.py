@@ -236,24 +236,3 @@ def test_resume_with_a_cold_log_seeds_fully_and_matches(
     # restart: none can predate it.
     assert resumed.stats.pairs_delta_seeded < resumed.stats.pairs_processed - 6
 
-
-def test_max_pairs_counts_visits_not_retired_pairs(icfet):
-    n, edges = random_edges(3)
-    want = naive_closure(edges, LabelledGrammar(), icfet)
-    got, full = run_engine(n, edges, icfet, memory_budget=2 << 10)
-    assert got == want and full.pairs_skipped > 0
-    # Exactly as many visits as the run needs: retiring inert pairs on
-    # the way must not use any of them up.
-    got, capped = run_engine(
-        n, edges, icfet, memory_budget=2 << 10,
-        max_pairs=full.pairs_processed,
-    )
-    assert got == want
-    assert capped.pairs_processed == full.pairs_processed
-    assert capped.pairs_skipped == full.pairs_skipped
-    # One fewer and the run stops short.
-    _got, short = run_engine(
-        n, edges, icfet, memory_budget=2 << 10,
-        max_pairs=full.pairs_processed - 1,
-    )
-    assert short.pairs_processed == full.pairs_processed - 1

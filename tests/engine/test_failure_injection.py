@@ -124,20 +124,13 @@ def test_engine_workdir_created_if_missing(tmp_path, icfet):
 def test_extreme_small_budget_still_correct(icfet):
     """A budget far below a single partition's floor must not break the
     fixpoint (splits bottom out at single-vertex partitions)."""
-    options = EngineOptions(memory_budget=256, min_partitions=2)
+    options = EngineOptions(memory_budget=256)
     engine = GraphEngine(icfet, ChainGrammar(), options)
     result = engine.run(chain(8))
     pairs = {(s, d) for s, d, _l, _e in result.iter_edges()}
     assert (0, 7) in pairs
     assert len(pairs) == 8 * 7 // 2
     assert result.stats.final_partitions >= 2
-
-
-def test_max_pairs_cap_halts(icfet):
-    options = EngineOptions(memory_budget=1 << 20, max_pairs=1)
-    engine = GraphEngine(icfet, ChainGrammar(), options)
-    result = engine.run(chain(10))
-    assert result.stats.pairs_processed == 1
 
 
 def test_zero_unroll_rejected():

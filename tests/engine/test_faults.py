@@ -83,19 +83,6 @@ def test_mutate_bad_frame_breaks_crc():
     assert payloads == [] and dropped == 0 and corrupt == 1
 
 
-def test_mutate_bad_zlib_frames_valid_crc_bad_payload():
-    """bad_zlib models a damaged *compressed* payload whose frame CRC is
-    still intact: split_frames accepts it, decompression fails."""
-    plan = F.FaultPlan.parse("bad_zlib@delta-append:1")
-    frame = serialize.encode_frame(b"payload")
-    out = plan.mutate_frame(plan.specs[0], frame)
-    payloads, dropped, corrupt = serialize.split_frames(out)
-    assert dropped == 0 and corrupt == 0
-    assert len(payloads) == 1
-    with pytest.raises(Exception):
-        serialize.decode_partition(payloads[0])
-
-
 def test_null_plan_is_inert(tmp_path):
     assert F.NULL_PLAN.fire("partition-write") is None
     F.NULL_PLAN.arm(str(tmp_path))  # no-op, no files

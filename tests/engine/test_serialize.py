@@ -204,20 +204,6 @@ def test_columnar_rejects_out_of_range_encoding_id():
             EdgeColumns.from_file(parsed, table)
 
 
-def test_compressed_roundtrip():
-    edges = {1: {(2, 0): {(("I", "main", 0, 3),)}}}
-    data = serialize.compress_payload(serialize.encode_partition(edges))
-    assert data[:4] == serialize.ZMAGIC
-    assert serialize.decode_partition(data) == edges
-
-
-def test_bad_zlib_frame_raises_corrupt_partition():
-    import pytest
-
-    with pytest.raises(serialize.CorruptPartition):
-        serialize.decode_partition(serialize.ZMAGIC + b"not zlib data")
-
-
 # -- property-based ---------------------------------------------------------
 
 _funcs = st.sampled_from(["alpha", "beta", "gamma"])
@@ -249,7 +235,7 @@ def test_roundtrip_is_identity(edges):
     assert roundtrip(edges) == edges
 
 
-def _columnar_roundtrip(edges, wrap=lambda data: data):
+def _columnar_roundtrip(edges):
     """``edges`` through a partition file and back, over one table:
     the same four columns (the ids as they were), hence the same rows
     and the same accounted bytes."""
@@ -259,7 +245,7 @@ def _columnar_roundtrip(edges, wrap=lambda data: data):
     table.intern((("I", "warm", 0, 0),))  # ids need not start at the file's
     cols = EdgeColumns.from_dict(edges, table)
     size = len(table)
-    parsed = serialize.parse_columnar(wrap(cols.encode()))
+    parsed = serialize.parse_columnar(cols.encode())
     assert parsed.n_encodings == size == len(table)  # nothing re-interned
     assert (parsed.src, parsed.dst, parsed.label, parsed.enc) == (
         cols.src, cols.dst, cols.label, cols.enc
@@ -273,12 +259,6 @@ def _columnar_roundtrip(edges, wrap=lambda data: data):
 @given(_partitions)
 def test_columnar_roundtrip_is_identity(edges):
     _columnar_roundtrip(edges)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_partitions)
-def test_compressed_columnar_roundtrip(edges):
-    _columnar_roundtrip(edges, serialize.compress_payload)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,10 +1,11 @@
-"""Focused tests for the string-constraint engine mode (Table 5 baseline)."""
+"""Focused tests for the string-constraint engine (Table 5 baseline)."""
 
 import pytest
 
+from repro.baselines.string_constraints import StringConstraintEngine
 from repro.cfet import encoding as enc
 from repro.cfet.icfet import build_icfet
-from repro.engine.computation import EngineOptions, GraphEngine
+from repro.engine.computation import EngineOptions
 from repro.grammar.cfg_grammar import Grammar
 from repro.graph.model import ProgramGraph
 from repro.lang.parser import parse_program
@@ -32,10 +33,8 @@ class ChainGrammar(Grammar):
 
 
 def run_string(graph, icfet, **opts):
-    options = EngineOptions(
-        memory_budget=1 << 20, constraint_mode="string", **opts
-    )
-    return GraphEngine(icfet, ChainGrammar(), options).run(graph)
+    options = EngineOptions(memory_budget=1 << 20, **opts)
+    return StringConstraintEngine(icfet, ChainGrammar(), options).run(graph)
 
 
 def test_initial_payloads_stringified(icfet):
@@ -70,10 +69,10 @@ def test_string_cap_drops_oversized(icfet):
         graph.vertices.intern(("v", i))
     for i in range(5):
         graph.add_edge(i, i + 1, ("a",), (enc.interval("main", 0, 2),))
-    options = EngineOptions(
-        memory_budget=1 << 20, constraint_mode="string", max_string_bytes=100
-    )
-    result = GraphEngine(icfet, ChainGrammar(), options).run(graph)
+    options = EngineOptions(memory_budget=1 << 20)
+    result = StringConstraintEngine(
+        icfet, ChainGrammar(), options, max_string_bytes=100
+    ).run(graph)
     assert result.stats.encoding_overflow_dropped > 0
     pairs = {(s, d) for s, d, _l, _e in result.iter_edges()}
     assert (0, 5) not in pairs  # the longest chain exceeded the cap
@@ -88,9 +87,8 @@ def test_string_partitions_roundtrip_through_disk(tmp_path, icfet):
     options = EngineOptions(
         workdir=str(tmp_path),
         memory_budget=4096,  # force several partitions and disk traffic
-        constraint_mode="string",
     )
-    result = GraphEngine(icfet, ChainGrammar(), options).run(graph)
+    result = StringConstraintEngine(icfet, ChainGrammar(), options).run(graph)
     pairs = {(s, d) for s, d, _l, _e in result.iter_edges()}
     assert (0, 9) in pairs
     assert result.stats.final_partitions > 1

@@ -97,6 +97,11 @@ def test_check_unknown_checker_fails(source_file, capsys):
     ["--memory-budget", "-1"],
     ["--unroll", "-1"],
     ["--unroll", "0"],
+    ["--heartbeat", "nan"],
+    ["--heartbeat", "inf"],
+    ["--heartbeat", "0"],
+    ["--heartbeat", "-1"],
+    ["--max-retries", "-1"],
     ["--checkers", "io,nosuch"],
     ["serve", "--poll", "0"],
     ["serve", "--poll", "-1"],
@@ -190,11 +195,9 @@ def test_check_runs_the_pipeline_with_the_collector_off(
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 ENGINE_OPTION_FIELDS = {
-    "workdir", "memory_budget", "min_partitions", "witness_cap",
-    "enable_cache", "max_pairs", "path_sensitive",
-    "constraint_mode", "max_string_bytes", "time_budget", "prefetch",
-    "compress_spills", "trace", "metrics", "heartbeat", "sampler",
-    "resume", "max_retries", "fault_plan",
+    "workdir", "memory_budget", "witness_cap", "enable_cache",
+    "path_sensitive", "prefetch", "trace", "metrics", "heartbeat",
+    "sampler", "resume", "max_retries", "fault_plan",
 }
 
 
@@ -224,11 +227,13 @@ def test_knob_census():
     """Every knob is a deliberate edit in two places: the engine's
     option set is pinned by name, and a ``check``/``serve`` flag exists
     if and only if README's table documents it.  (The five worker-pool
-    options and their flags went with the pool; one of them coming back
-    on either side alone fails here.)"""
+    options and their flags went with the pool, and the string
+    baseline's three options became ``StringConstraintEngine``
+    arguments; one of them coming back on either side alone fails
+    here.)"""
     fields = {f.name for f in dataclasses.fields(EngineOptions)}
     assert fields == ENGINE_OPTION_FIELDS
-    assert len(fields) == 19
+    assert len(fields) == 13
     for command in ("check", "serve"):
         documented, parsed = _readme_flags(command), _parser_flags(command)
         assert parsed - documented == set(), f"{command}: undocumented"
