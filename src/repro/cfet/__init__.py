@@ -17,7 +17,6 @@ from repro.cfet.encoding import (
     interval,
     call_elem,
     return_elem,
-    BREAK,
     merge,
     reverse,
     decode_constraint,
@@ -35,7 +34,6 @@ __all__ = [
     "interval",
     "call_elem",
     "return_elem",
-    "BREAK",
     "merge",
     "reverse",
     "decode_constraint",

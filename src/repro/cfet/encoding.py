@@ -36,7 +36,6 @@ from repro.cfet.icfet import Icfet
 INTERVAL = "I"
 CALL = "C"
 RETURN = "R"
-BREAK = ("B",)  # retained for API compatibility; merge never emits it
 
 # Encodings longer than this are refused (merge returns None and the engine
 # drops the composition).  The paper notes encoding length is bounded by

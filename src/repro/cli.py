@@ -23,6 +23,8 @@ import sys
 
 from repro import EngineOptions, Grapple, GrappleOptions
 from repro.checkers.checker import ALL_CHECKERS, PAPER_CHECKERS, Checker
+from repro.lang.lexer import LexError
+from repro.lang.parser import ParseError  # LinkError is one too
 
 
 class UsageError(Exception):
@@ -36,6 +38,10 @@ def _named_checkers(text: str) -> list[Checker]:
         return [Checker.by_name(name.strip()) for name in text.split(",")]
     except KeyError as exc:  # by_name's message names the checker
         raise UsageError(exc.args[0]) from None
+
+
+def _unparsable(file_args: list[str], exc: Exception) -> UsageError:
+    return UsageError(f"cannot check {', '.join(file_args)}: {exc}")
 
 
 def _check_unroll(unroll: int) -> None:
@@ -209,9 +215,7 @@ def _gather_sources(file_args: list[str]):
         else:
             paths.append(entry)
     if not paths:
-        raise FileNotFoundError(
-            f"no .mini files found in {', '.join(file_args)}"
-        )
+        raise UsageError(f"no .mini files found in {', '.join(file_args)}")
     if len(paths) == 1 and len(file_args) == 1 \
             and not os.path.isdir(file_args[0]):
         with open(paths[0]) as f:
@@ -246,14 +250,24 @@ def cmd_check(args) -> int:
             "--resume requires --workdir (a checkpoint can only live in a"
             " directory that survives the run)"
         )
-    if args.spec:
-        from repro.checkers.spec import load_fsm_specs
+    try:
+        if args.spec:
+            from repro.checkers.spec import SpecError, load_fsm_specs
 
-        fsms = [fsm for path in args.spec for fsm in load_fsm_specs(path)]
-        checkers = [Checker(fsm.name, fsm) for fsm in fsms]
-    else:
-        checkers = _named_checkers(args.checkers)
-    subject_name, source = _gather_sources(args.file)
+            try:
+                fsms = [
+                    fsm for path in args.spec for fsm in load_fsm_specs(path)
+                ]
+            except SpecError as exc:
+                raise UsageError(f"bad --spec: {exc}") from None
+            checkers = [Checker(fsm.name, fsm) for fsm in fsms]
+        else:
+            checkers = _named_checkers(args.checkers)
+        subject_name, source = _gather_sources(args.file)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read {exc.filename}: {exc.strerror}"
+        ) from None
     if args.profile:
         # --profile is the bundle: trace + run report + gauge sampler,
         # with conventional filenames unless the dedicated flags chose.
@@ -300,12 +314,15 @@ def cmd_check(args) -> int:
         from repro.sa.lint import run_lint, run_lint_files
 
         fsms = [c.fsm for c in checkers]
-        if isinstance(source, str):
-            lint_report = run_lint(source, fsms=fsms, unroll=args.unroll)
-        else:
-            lint_report = run_lint_files(
-                source, fsms=fsms, unroll=args.unroll
-            )
+        try:
+            if isinstance(source, str):
+                lint_report = run_lint(source, fsms=fsms, unroll=args.unroll)
+            else:
+                lint_report = run_lint_files(
+                    source, fsms=fsms, unroll=args.unroll
+                )
+        except (LexError, ParseError) as exc:
+            raise _unparsable(args.file, exc) from None
         print(lint_report.summary(), file=sys.stderr)
     from repro.engine.checkpoint import CheckpointMismatch
 
@@ -319,6 +336,8 @@ def cmd_check(args) -> int:
     except CheckpointMismatch as exc:
         print(f"repro: cannot resume: {exc}", file=sys.stderr)
         return 2
+    except (LexError, ParseError) as exc:
+        raise _unparsable(args.file, exc) from None
     finally:
         if sampler is not None:
             sampler.stop()
@@ -434,7 +453,10 @@ def cmd_generate(args) -> int:
         print(_seed_summary(subject.seeds), file=sys.stderr)
         return 0
 
-    subject = build_subject(args.name, scale=args.scale)
+    try:
+        subject = build_subject(args.name, scale=args.scale)
+    except KeyError as exc:  # the message lists the known subjects
+        raise UsageError(exc.args[0]) from None
     if args.output:
         with open(args.output, "w") as f:
             f.write(subject.source)

@@ -9,10 +9,11 @@ label table, and how many encodings the workdir's encoding log held --
 it is RNG-free by design: the engine derives everything else (caches,
 join indexes) deterministically from the partition files.
 
-Partition files hold encoding *ids*; the table that defines them is the
-append-only ``encodings.bin`` beside them.  Write order is log frame
-(fsynced) -> partition file -> manifest, so a manifest never counts an
-encoding, and a partition file never holds an id, that is not durable.
+Partition files and delta frames hold encoding *ids*; the table that
+defines them is the append-only ``encodings.bin`` beside them.  Write
+order is log frame (fsynced) -> partition file or delta frame ->
+manifest, so a manifest never counts an encoding, and no file holds an
+id, that is not durable.
 ``--resume`` replays the log into the fresh table before anything else
 interns (ids are dense and append-only, so they land where the
 interrupted run put them) and refuses a log that is shorter than the
@@ -46,9 +47,10 @@ from repro.engine.partition import MIN_PARTITIONS, Partition
 
 #: Manifest file name inside the engine's (phase) workdir.
 MANIFEST = "checkpoint.json"
-#: 2: partition files hold encoding ids (``"encodings"`` counts the log).
-#: A format-1 workdir's files hold tuples; it restarts fresh.
-FORMAT = 2
+#: 3: partition files *and* delta frames hold encoding ids (``"encodings"``
+#: counts the log).  An older workdir's files hold tuples somewhere (a
+#: format-2 delta file, a format-1 partition file); it restarts fresh.
+FORMAT = 3
 
 #: EngineOptions fields that change *what* the closure computes (not how
 #: fast); a resume under a different value of any of these is refused.

@@ -11,9 +11,9 @@ analogue:
 * :class:`EncodingTable` hash-conses path encodings (interval-sequence
   tuples) into dense integer ids, so the closure kernel compares and
   hashes machine ints instead of variable-length tuples.  Ids are local
-  to one table and reach partition files as they are; a durable workdir
-  carries the table that defines them (its encoding log), and delta
-  frames carry tuples.
+  to one table and reach partition files and delta frames as they are;
+  a durable workdir carries the table that defines them (its encoding
+  log).
 * :class:`EdgeColumns` keeps a partition as four parallel ``array('q')``
   columns -- ``src``/``dst``/``label``/``enc`` -- sorted by source, plus
   a small dict overlay for edges inserted since the last compaction.
@@ -21,7 +21,8 @@ analogue:
   CSR-style index is implicit in the sort order), membership probes go
   through a lazy per-source cache, and serialisation is a bulk
   ``tobytes`` of the four columns (``serialize.encode_columnar``) and a
-  load adopts them back unchanged.
+  load adopts them back unchanged, then folds any delta frames' rows in
+  by id through :meth:`EdgeColumns.insert`.
 
 Byte accounting is columnar: 32 bytes per row (four int64 slots plus
 set/dict overhead amortised) plus the raw text of any string-constraint
@@ -281,18 +282,6 @@ class EdgeColumns:
                 for eid in eids:
                     slot.add(decode(eid))
         return edges
-
-    def merge_dict(self, chunk: dict) -> int:
-        """Union a tuple-keyed dict chunk; returns the number of new rows."""
-        intern = self.table.intern
-        added = 0
-        for s, targets in chunk.items():
-            for (d, l), encodings in targets.items():
-                for encoding in encodings:
-                    eid = intern(encoding)
-                    if self.insert(s, d, l, eid):
-                        added += 1
-        return added
 
     # -- compaction / splitting / serialisation -------------------------------
 

@@ -32,9 +32,9 @@ round sorts the pending left operands by their join vertex and probes
 the right-hand sorted source runs once per distinct vertex instead of
 once per edge.  Encoding merges, reversals, label compositions, and
 feasibility verdicts are all memoised by id, so the hot path compares
-machine ints where it used to hash variable-length tuples.  Ids reach
-partition files; a durable workdir carries the table that defines them
-(its encoding log); delta frames carry tuples.
+machine ints where it used to hash variable-length tuples.  Ids are
+what partition files and delta frames hold; a durable workdir carries
+the table that defines them (its encoding log).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.engine import kernel as kernel_mod
 from repro.engine import serialize
 from repro.engine.cache import LRUCache
 from repro.engine.columnar import ROW_BYTES, EncodingTable
-from repro.engine.io_pipeline import PrefetchReader, SpillWriter
+from repro.engine.io_pipeline import PrefetchReader
 from repro.engine.partition import Partition, PartitionStore
 from repro.engine.scheduling import DeltaLog, PairScheduler
 from repro.engine.stats import EngineStats
@@ -313,13 +313,11 @@ class GraphEngine:
         prefetch = (
             PrefetchReader(trace=trace) if self.options.prefetch else None
         )
-        spill_writer = SpillWriter(trace=trace, faults=self.faults)
         with stats.timing("preprocess_time"):
             self._seed_derived(graph)
             store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
-                table=self._enc, prefetch=prefetch,
-                spill_writer=spill_writer, trace=trace,
+                table=self._enc, prefetch=prefetch, trace=trace,
                 faults=self.faults,
                 durable=self.options.workdir is not None,
             )
@@ -387,12 +385,9 @@ class GraphEngine:
                 sampler.sample_once()
                 sampler.unbind("partition_cache_occupancy")
                 sampler.unbind("eligible_pairs")
-            # Post-run edge iteration must not count prefetch misses or
-            # race the writer thread: tear the pipeline down here.
+            # Post-run edge iteration must not count prefetch misses:
+            # tear the reader down here.
             store.drop_pipeline()
-            spill_writer.close()
-            stats.spill_frames += spill_writer.frames_written
-            stats.spill_bytes += spill_writer.bytes_written
 
         store.settle()
         stats.edges_after = store.total_edges()
@@ -410,8 +405,6 @@ class GraphEngine:
         if self._ckpt_dir is None:
             return
         store = self._store
-        if store.spill_writer is not None:
-            store.spill_writer.flush()
         store.flush()
         trace = self.trace
         tick = trace.begin() if trace.enabled else 0.0
@@ -495,6 +488,8 @@ class GraphEngine:
         self._open_log()
         try:
             while True:
+                if store.lost_frames:
+                    self._repair_lost_frames()
                 pair = scheduler.next_pair()
                 if pair is None:
                     break
@@ -572,6 +567,47 @@ class GraphEngine:
                 "retry", tick, cat="fault",
                 pair=f"{pair[0]},{pair[1]}", attempt=attempt,
             )
+
+    def _repair_lost_frames(self) -> None:
+        """Give back what lost delta frames held (DESIGN.md §11).
+
+        Between pairs, so no visit has partitions loaded.  The load that
+        found the loss already made every pair touching the partition
+        seed fully, which re-derives composed edges.  What it cannot
+        re-derive are reversed derivations (``_derived_ids`` with
+        ``rev``): one is made only when its forward edge is first
+        inserted, and that edge is still present.  So one pass over
+        every partition's rows, in id space, hands each reversed
+        derivation a damaged partition owns to ``append_delta``, which
+        deduplicates (resident) or frames it (on disk) and records the
+        arrivals.  A damaged load during the pass joins the next round.
+        """
+        store = self._store
+        while store.lost_frames:
+            damaged = set(store.lost_frames)
+            store.lost_frames.clear()
+            chunks: dict = {}
+            for part in store.partitions:
+                if part.index in self._quarantined_parts:
+                    continue
+                try:
+                    cols = store.load(part)
+                except serialize.CorruptPartition:
+                    continue  # the pair that loads it next retries it
+                for src, dst, label_id, eid in cols.iter_rows():
+                    for derived_id, rev in self._derived_ids(label_id):
+                        if not rev:
+                            continue
+                        owner = store.partition_of(dst).index
+                        if owner in damaged:
+                            targets = chunks.setdefault(owner, {}).setdefault(
+                                dst, {}
+                            )
+                            targets.setdefault((src, derived_id), set()).add(
+                                self._reverse_id(eid)
+                            )
+            for index in sorted(chunks):
+                store.append_delta(store.partitions[index], chunks[index])
 
     def _quarantine_partition(self, part, exc) -> None:
         if part.index in self._quarantined_parts:

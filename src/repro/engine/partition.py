@@ -21,16 +21,17 @@ shared :class:`~repro.engine.columnar.EncodingTable`); partition files use
 the bulk columnar wire format (``serialize.encode_columnar``): the four
 columns as they are, so an eviction is four ``tobytes`` and a load four
 ``frombytes`` plus a checksum -- nothing is decoded or re-interned.  Ids
-reach partition files; the table that defines them is resident for the
-whole phase (and outside the memory budget, which is accounted in
-columnar bytes: 32 per row plus string-payload text), a durable workdir
-carries it as an append-only encoding log (``encodings.bin``), and delta
-frames carry tuples.  Delta files remain sequences of CRC-framed v1
-payloads -- they hold small chunks arriving from spills -- written
-through a background :class:`~repro.engine.io_pipeline.SpillWriter`.
-Spill chunks reach :meth:`PartitionStore.append_delta` encoded as ids of
-the store's table and are decoded to tuples only when bytes actually go
-to a delta file; a resident target takes them as they are.
+are all the store ever writes; the table that defines them is resident
+for the whole phase (and outside the memory budget, which is accounted
+in columnar bytes: 32 per row plus string-payload text), and a durable
+workdir carries it as an append-only encoding log (``encodings.bin``).
+A delta file is a sequence of CRC-framed payloads in the same columnar
+layout (``serialize.encode_partition``), one per spilled chunk, appended
+by the store's :class:`~repro.engine.io_pipeline.SpillWriter`; a load
+reads a partition file and its delta frames with one function
+(``serialize.read_partition``, also what the prefetch thread runs) and
+folds the frames' rows into the columns by id.  A resident target of
+:meth:`PartitionStore.append_delta` takes the chunk as it is.
 
 Every way edges enter or move between partitions outside the engine's
 own insert loop passes through this module, so the store also keeps the
@@ -43,18 +44,21 @@ pair touching it seeds fully on its next visit.
 Durability (DESIGN.md §11) is paid where a run can be resumed, i.e. by a
 ``durable`` store (the engine's explicit ``workdir``): partition files
 are replaced atomically (temp + fsync + rename), so a crash leaves the
-previous complete version on disk; before a partition file is written,
-the encodings interned since the last write are appended to the
-encoding log as one checksummed frame and fsynced, so a file on disk
-never holds an id the log does not; delta frames are appended in single
-checksummed writes, so a crash leaves at most one truncated trailing
-frame, dropped on read.  A partition's delta file is only removed
-*after* the next durable partition write folds it in
+previous complete version on disk; before a partition file or a delta
+frame is written, the encodings interned since the last write are
+appended to the encoding log as one checksummed frame and fsynced, so
+no file on disk ever holds an id the log does not; delta frames are
+appended in single checksummed writes, so a crash leaves at most one
+truncated trailing frame, dropped on read.  A partition's delta file is
+only removed *after* the next partition write folds it in
 (``Partition.delta_folded``) -- until then the edges it holds remain
-replayable.  Interior delta corruption is salvaged around: the bad
-frames are discarded and the partition's version is bumped, so every
-pair touching it recomputes (the closure is a monotone fixpoint --
-dropped derived edges are re-derived).  A scratch store
+replayable.  A delta file that lost frames (a torn tail, an interior
+CRC mismatch) is salvaged around: the intact frames fold, the file is
+retired by that same next write, an interior loss bumps the partition's
+version so every pair touching it recomputes, and the partition is
+listed in :attr:`PartitionStore.lost_frames` for the engine's repair
+pass -- recomputation re-derives composed edges, but not the reversed
+derivations of forward edges that are still present.  A scratch store
 (``durable=False``: a temp directory nothing can point at again, removed
 with the result) keeps temp + rename -- the prefetch thread must never
 read a torn file -- but skips the fsync and the encoding log (its table
@@ -67,12 +71,13 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import time
 
 from repro.engine import serialize
 from repro.engine.columnar import ROW_BYTES, EdgeColumns, EncodingTable
+from repro.engine.io_pipeline import SpillWriter
 from repro.engine.stats import EngineStats
 from repro.faults import NULL_PLAN
 from repro.obs.trace import NULL_RECORDER
@@ -97,9 +102,9 @@ class Partition:
     edge_count: int = 0
     byte_estimate: int = 0
     version: int = 0  # bumped whenever edges are added
-    # True while the resident cached columns already include the delta
-    # file's frames; the file itself is kept until the next durable
-    # partition write so a crash before then can still replay it.
+    # True while the resident cached columns already include what the
+    # delta file holds; the file itself is kept until the next partition
+    # write so a crash before then can still replay it.
     delta_folded: bool = False
 
     def owns(self, src: int) -> bool:
@@ -112,7 +117,7 @@ class PartitionStore:
     def __init__(self, workdir: str, memory_budget: int,
                  stats: EngineStats | None = None, cache_slots: int = 4,
                  table: EncodingTable | None = None,
-                 prefetch=None, spill_writer=None, trace=None,
+                 prefetch=None, trace=None,
                  faults=None, durable: bool = True):
         self.workdir = workdir
         # False = scratch: nothing can resume from ``workdir``, so
@@ -127,14 +132,18 @@ class PartitionStore:
         # How many of the table's encodings the workdir's log holds
         # (durable stores only; a scratch store never logs).
         self.encodings_logged = 0
-        # Optional I/O pipeline (engine/io_pipeline.py): a PrefetchReader
-        # whose thread parses upcoming partitions, and a SpillWriter that
-        # appends delta frames in the background.
+        # Optional PrefetchReader (engine/io_pipeline.py) whose thread
+        # parses upcoming partitions.
         self.prefetch = prefetch
-        self.spill_writer = spill_writer
+        self.spill_writer = SpillWriter(
+            self.stats, trace=self.trace, faults=self.faults
+        )
         # The closure's arrival log (scheduling.DeltaLog), attached by
         # the engine while a phase runs; None = nobody is listening.
         self.log = None
+        # Indexes of partitions whose delta file lost frames since the
+        # engine last repaired them (GraphEngine._repair_lost_frames).
+        self.lost_frames: set[int] = set()
         self.partitions: list[Partition] = []
         self._next_file = 0
         # Write-back cache of resident partitions: index -> columns.
@@ -219,8 +228,9 @@ class PartitionStore:
     def _log_encodings(self) -> None:
         """Durable store: append the encodings interned since the last
         append to the workdir's log and fsync it.  Runs before every
-        partition write, so no file on disk ever references an id the
-        log does not hold; most writes find nothing new."""
+        partition write and delta append, so no file on disk ever
+        references an id the log does not hold; most writes find
+        nothing new."""
         table = self.table
         if not self.durable or len(table) == self.encodings_logged:
             return
@@ -299,13 +309,13 @@ class PartitionStore:
                 self._cache[part.index] = cols
                 self._dirty.add(part.index)
 
-    def _read_partition(self, part: Partition):
-        """Parse ``part.path``; any unreadable file (truncated, missing,
-        bad magic) surfaces as :class:`CorruptPartition` for the retry
-        layer, which rebuilds from the best surviving copy."""
+    def _read(self, part: Partition):
+        """``serialize.read_partition`` of ``part``; any unreadable
+        partition file (truncated, missing, bad magic) surfaces as
+        :class:`CorruptPartition` for the retry layer, which rebuilds
+        from the best surviving copy."""
         try:
-            with open(part.path, "rb") as f:
-                return serialize.parse_columnar(f.read())
+            return serialize.read_partition(part.path, part.delta_path)
         except serialize.CorruptPartition:
             raise
         except Exception as exc:
@@ -315,24 +325,22 @@ class PartitionStore:
             ) from exc
 
     def load(self, part: Partition) -> EdgeColumns:
-        """Load a partition (cache-aware), folding in pending deltas."""
+        """Load a partition (cache-aware), folding in its delta frames
+        and salvaging around any it lost."""
         cached = self._cache.get(part.index)
         if cached is not None:
             return cached
-        parsed = None
-        deltas = None
-        dropped = 0
+        read = None
         if self.prefetch is not None:
             metrics = self.stats.metrics
             wait_start = time.perf_counter() if metrics is not None else 0.0
             try:
-                got = self.prefetch.take(part.index, part.version)
+                read = self.prefetch.take(part.index, part.version)
             except serialize.CorruptPartition:
-                # Real damage, not a benign race: count it apart from
-                # plain misses and take the synchronous path, which
-                # salvages what it can (or raises for the retry layer).
+                # An unreadable partition file, not a benign race: count
+                # it apart from plain misses and take the synchronous
+                # path, which raises for the retry layer.
                 self.stats.prefetch_corrupt += 1
-                got = None
             except Exception:
                 # Unexpected reader-thread failure: a programming error
                 # that used to degrade into an eternal cache miss.
@@ -344,32 +352,50 @@ class PartitionStore:
                 metrics.observe(
                     "prefetch_wait_s", time.perf_counter() - wait_start
                 )
-            if got is None:
+            if read is None:
                 self.stats.prefetch_misses += 1
             else:
                 self.stats.prefetch_hits += 1
-                parsed, deltas, dropped = got
         with self.stats.timing("io_time"):
-            if parsed is None:
-                parsed = self._read_partition(part)
-                deltas = self._read_delta(part)
-                dropped = 0  # _read_delta counted its own
+            if read is None:
+                read = self._read(part)
+            parsed, deltas, dropped, corrupt = read
             cols = EdgeColumns.from_file(parsed, self.table)
-        if dropped:
-            self.stats.delta_frames_dropped += dropped
         added = 0
-        for chunk in deltas:
-            added += cols.merge_dict(chunk)
+        insert = cols.insert
+        for delta in deltas:
+            try:
+                serialize.check_encoding_ids(delta.enc, len(self.table))
+            except serialize.CorruptPartition:
+                corrupt += 1  # ids this table never issued
+                continue
+            for s, d, l, eid in zip(delta.src, delta.dst, delta.label,
+                                    delta.enc):
+                if insert(s, d, l, eid):
+                    added += 1
         if added:
             part.edge_count += added
             part.byte_estimate = cols.columnar_bytes()
-        if deltas:
-            # The delta file's frames now live in the resident columns;
-            # the file itself stays until the next durable partition
-            # write (_save) makes it redundant.  Marking the entry dirty
-            # guarantees that write happens.
+        if dropped:
+            self.stats.delta_frames_dropped += dropped
+        if corrupt:
+            self.stats.delta_frames_corrupt += corrupt
+            part.version += 1
+            if self.log is not None:
+                # Logged arrivals are gone from the partition: delta
+                # seeds can no longer stand in for its contents.
+                self.log.reset(part.index)
+        if dropped or corrupt:
+            self.lost_frames.add(part.index)
+        # What the delta file holds now lives in the resident columns;
+        # the file stays until the next partition write (_save) makes it
+        # redundant, and marking the entry dirty guarantees that write.
+        # A file that lost frames is retired the same way, so its damage
+        # is salvaged (and counted) once.
+        folded = bool(deltas or dropped or corrupt)
+        if folded:
             part.delta_folded = True
-        self._cache_insert(part.index, cols, dirty=bool(added or deltas))
+        self._cache_insert(part.index, cols, dirty=folded)
         return cols
 
     def save(self, part: Partition, cols: EdgeColumns) -> None:
@@ -413,41 +439,6 @@ class PartitionStore:
         for cols in self._cache.values():
             cols.compact()
 
-    def _read_delta(self, part: Partition) -> list:
-        """Read (without removing) the pending delta file; a list of
-        tuple-shaped edge chunks (possibly empty).
-
-        Truncated trailing frames -- the benign artifact of a crash
-        mid-append -- are dropped and counted.  Interior CRC or decode
-        failures are real corruption: the bad frames are discarded,
-        counted, and the partition's version is bumped so every pair
-        touching it recomputes (the lost derived edges re-derive; the
-        fixpoint is monotone).
-        """
-        if self.spill_writer is not None:
-            self.spill_writer.flush(part.delta_path)
-        if not os.path.exists(part.delta_path):
-            return []
-        with open(part.delta_path, "rb") as f:
-            data = f.read()
-        payloads, dropped, corrupt = serialize.split_frames(data)
-        chunks = []
-        for payload in payloads:
-            try:
-                chunks.append(serialize.decode_partition(payload))
-            except Exception:
-                corrupt += 1
-        if dropped:
-            self.stats.delta_frames_dropped += dropped
-        if corrupt:
-            self.stats.delta_frames_corrupt += corrupt
-            part.version += 1
-            if self.log is not None:
-                # Logged arrivals are gone from the partition: delta
-                # seeds can no longer stand in for its contents.
-                self.log.reset(part.index)
-        return chunks
-
     def rebuild(self, part: Partition) -> bool:
         """Rewrite a corrupt partition file from the best surviving copy.
 
@@ -479,8 +470,8 @@ class PartitionStore:
         have loaded; returns how many arrived.  ``chunk`` is
         ``{src: {(dst, label_id): set}}`` of encoding *ids* (this
         store's table): a resident partition takes them as they are,
-        deduplicating; otherwise they are decoded and appended to its
-        delta file (duplicates fold away on load, so the arrival log
+        deduplicating; otherwise they go to its delta file as one frame
+        (duplicates fold away on load, so the arrival log
         over-approximates -- a duplicate is a harmless seed whose
         compositions dedup away)."""
         if not chunk:
@@ -510,35 +501,21 @@ class PartitionStore:
             part.byte_estimate = cached.columnar_bytes()
             return added
         with self.stats.timing("io_time"):
-            data = serialize.encode_partition(
-                recode_chunk(chunk, self.table.decode)
+            # Log frame before delta frame: the file never holds an id
+            # a resume could not resolve.
+            self._log_encodings()
+            self.spill_writer.append(
+                part.delta_path,
+                serialize.encode_partition(chunk, len(self.table)),
             )
-            if self.spill_writer is not None:
-                self.spill_writer.append(part.delta_path, data)
-            else:
-                frame = serialize.encode_frame(data)
-                spec = self.faults.fire("delta-append")
-                if spec is not None:
-                    frame = self.faults.mutate_frame(spec, frame)
-                # One write call per frame: a crash truncates at most
-                # the trailing frame, which the reader drops.
-                with open(part.delta_path, "ab") as f:
-                    f.write(frame)
         return added
 
     # -- prefetch ---------------------------------------------------------------
 
     def prefetch_schedule(self, part: Partition) -> None:
-        """Hint that ``part`` is likely loaded soon.  Skipped when the
-        partition is already resident or its delta file still has frames
-        queued in the spill writer (the version check would reject the
-        read anyway)."""
+        """Hint that ``part`` is likely loaded soon (skipped when it is
+        already resident)."""
         if self.prefetch is None or part.index in self._cache:
-            return
-        if (
-            self.spill_writer is not None
-            and self.spill_writer.pending(part.delta_path)
-        ):
             return
         self.prefetch.schedule(
             part.index, part.version, part.path, part.delta_path
@@ -677,16 +654,6 @@ def _balanced_boundaries(edges: dict, num_vertices: int, wanted: int):
             produced += 1
     boundaries.append((lo, span))
     return boundaries
-
-
-def recode_chunk(chunk: dict, convert) -> dict:
-    """``{src: {(dst, label_id): set}}`` with every set element mapped
-    through ``convert`` (``table.decode``: ids -> tuples on the way to
-    a delta file)."""
-    return {
-        src: {key: {convert(e) for e in encs} for key, encs in targets.items()}
-        for src, targets in chunk.items()
-    }
 
 
 def _estimate_bytes(edges: dict) -> int:

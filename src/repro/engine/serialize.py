@@ -3,12 +3,12 @@
 Grapple inlines variable-sized interval sequences directly into per-edge
 storage (paper §4.3) rather than keeping pointer-linked objects.  The
 Python engine hash-conses every path encoding into the phase's resident
-:class:`~repro.engine.columnar.EncodingTable`, so what a partition file
-has to carry is the table's *ids*; the tuples themselves are written
-only where no table can supply them.  Three layouts share the ``GRPL``
-magic and the element wire encoding:
+:class:`~repro.engine.columnar.EncodingTable`, so every edge the store
+writes is the table's *ids*; the tuples themselves are written only to
+the encoding log, the one place no table can supply them.  Edge data has
+one layout, shared by partition files and delta frames:
 
-**Partition files** (version 3, columnar)::
+**Partition files and delta-frame payloads** (version 3, columnar)::
 
     MAGIC "GRPL" | version u8 = 3
     varint n_encodings   length of the table the enc ids index
@@ -24,22 +24,16 @@ is decoded, remapped or re-interned.  Columns are native-endian:
 partition files never move between machines.  The ids mean something
 only beside the table that issued them: a scratch store's table lives
 as long as its files do, and a durable workdir carries the table in its
-encoding log.
+encoding log.  A delta frame's payload (:func:`encode_partition`) is the
+same layout over one spilled chunk, so a partition file and its delta
+frames are read by one function, :func:`read_partition`.
 
 **Encoding log** (``encodings.bin``, durable workdirs only): a sequence
 of checksummed frames (below), each holding the encodings interned since
 the previous frame, in id order::
 
-    string table | varint count | per encoding varint n_elements + elements
-
-**Version 1** (row-oriented, self-describing: delta frames)::
-
-    MAGIC "GRPL" | version u8 = 1
     string table: varint count, then per string varint length + utf-8 bytes
-    varint number of source vertices
-    per source: varint src, varint n_targets
-        per target: varint dst, varint label_id, varint n_encodings
-            per encoding: varint n_elements, then elements
+    varint count | per encoding varint n_elements + elements
 
 element wire encoding: tag u8 (0 = interval, 1 = call, 2 = return,
 3 = string), then
@@ -61,8 +55,9 @@ log are sequences of *checksummed* frames (:func:`encode_frame` /
 the payload, appended in a single ``write`` call.  A crash mid-append
 leaves a truncated tail frame that the reader detects and drops; a CRC
 mismatch on an interior frame is real corruption and is reported
-separately so the retry layer can force the affected partition's pairs
-to recompute (delta files) or the resume is refused (encoding log).
+separately: the store salvages around it and the engine repairs what
+the lost frames held (delta files), or the resume is refused (encoding
+log).
 """
 
 from __future__ import annotations
@@ -74,7 +69,6 @@ from array import array
 from dataclasses import dataclass
 
 MAGIC = b"GRPL"
-VERSION = 1
 COLUMNAR_VERSION = 3
 #: Partition-file trailer: u32 LE CRC-32 of everything before it.
 TRAILER_BYTES = 4
@@ -314,63 +308,6 @@ def _append_string_table(buf: bytearray, strings: dict[str, int]) -> None:
         buf += raw
 
 
-# -- version 1: row-oriented dicts --------------------------------------------
-
-
-def encode_partition(edges: dict) -> bytes:
-    """Serialise ``{src: {(dst, label_id): set[encoding]}}`` to v1 bytes."""
-    strings: dict[str, int] = {}
-    intern = _interner(strings)
-    body = bytearray()
-    _append_varint(body, len(edges))
-    for src in sorted(edges):
-        targets = edges[src]
-        _append_varint(body, src)
-        _append_varint(body, len(targets))
-        for (dst, label_id) in sorted(targets):
-            encodings = targets[(dst, label_id)]
-            _append_varint(body, dst)
-            _append_varint(body, label_id)
-            _append_varint(body, len(encodings))
-            for encoding in sorted(encodings):
-                _append_encoding(body, encoding, intern)
-
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    _append_string_table(out, strings)
-    out += body
-    return bytes(out)
-
-
-def decode_partition(data: bytes) -> dict:
-    """Decode v1 bytes back to ``{src: {(dst, label_id): set}}``."""
-    if data[:4] != MAGIC:
-        raise CorruptPartition("bad partition file magic")
-    if data[4] != VERSION:
-        raise CorruptPartition(f"unsupported partition version {data[4]}")
-    pos = 5
-    strings, pos = _read_string_table(data, pos)
-
-    edges: dict = {}
-    n_sources, pos = read_varint(data, pos)
-    for _ in range(n_sources):
-        src, pos = read_varint(data, pos)
-        n_targets, pos = read_varint(data, pos)
-        targets: dict = {}
-        for _ in range(n_targets):
-            dst, pos = read_varint(data, pos)
-            label_id, pos = read_varint(data, pos)
-            n_encodings, pos = read_varint(data, pos)
-            encodings = set()
-            for _ in range(n_encodings):
-                encoding, pos = _read_encoding(data, pos, strings)
-                encodings.add(encoding)
-            targets[(dst, label_id)] = encodings
-        edges[src] = targets
-    return edges
-
-
 # -- the encoding log ----------------------------------------------------------
 
 
@@ -404,8 +341,9 @@ def decode_encodings(payload: bytes) -> list:
 
 @dataclass
 class ColumnarFile:
-    """Parsed partition file: the four edge columns as written, plus the
-    length of the encoding table the ``enc`` ids were issued by.
+    """Parsed partition file or delta frame: the four edge columns as
+    written, plus the length of the encoding table the ``enc`` ids were
+    issued by.
 
     Parsing is pure (no shared interning state), so it is safe to run on
     the prefetch thread; the consumer checks the ids against its own
@@ -478,3 +416,52 @@ def parse_columnar(data: bytes) -> ColumnarFile:
     return ColumnarFile(
         n_encodings=n_encodings, src=src, dst=dst, label=label, enc=enc
     )
+
+
+# -- delta frames: spilled chunks in the same layout --------------------------
+
+
+def encode_partition(chunk: dict, n_encodings: int) -> bytes:
+    """One delta frame's payload: an id chunk ``{src: {(dst, label_id):
+    set[enc_id]}}`` as sorted columns in the partition-file layout;
+    the ids belong to a table that is ``n_encodings`` long."""
+    src, dst, label, enc = (array("q") for _ in range(4))
+    for s in sorted(chunk):
+        targets = chunk[s]
+        for key in sorted(targets):
+            for eid in sorted(targets[key]):
+                src.append(s)
+                dst.append(key[0])
+                label.append(key[1])
+                enc.append(eid)
+    return encode_columnar(src, dst, label, enc, n_encodings)
+
+
+def decode_partition(payload: bytes) -> ColumnarFile:
+    """A delta frame's payload back to its columns."""
+    return parse_columnar(payload)
+
+
+def read_partition(path: str, delta_path: str):
+    """Read a partition file and its delta file (pure: safe on the
+    prefetch thread).  Returns ``(columns, deltas, dropped, corrupt)``:
+    the file's :class:`ColumnarFile`, one per intact delta frame, and
+    the :func:`split_frames` counts, with a frame that passes its CRC
+    but does not parse counted as corrupt.  An unreadable partition file
+    raises (:class:`CorruptPartition`, or ``OSError`` when it cannot be
+    opened); a missing delta file is an empty one."""
+    with open(path, "rb") as f:
+        columns = parse_columnar(f.read())
+    try:
+        with open(delta_path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        return columns, [], 0, 0
+    payloads, dropped, corrupt = split_frames(data)
+    deltas = []
+    for payload in payloads:
+        try:
+            deltas.append(decode_partition(payload))
+        except CorruptPartition:
+            corrupt += 1
+    return columns, deltas, dropped, corrupt

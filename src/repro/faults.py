@@ -24,7 +24,7 @@ Sites and their legal modes:
     ``os.replace`` (a crash between write and rename: the previous
     durable version survives untouched).
 
-``delta-append``  (direct append and :class:`SpillWriter` thread)
+``delta-append``  (:meth:`SpillWriter.append`, the one delta write)
     ``short_frame``  -- append only a prefix of the frame (a crash
     mid-append; the tolerant reader must drop the tail);
     ``bad_frame``  -- flip payload bytes but keep the stale CRC (the
@@ -40,14 +40,15 @@ the engine workdir created with ``O_EXCL`` -- so a resumed run (a fresh
 process whose counters restarted) does not re-trip the faults that
 crashed it.
 The optional ``seed`` feeds the byte-mutation modes so corruption is
-repeatable bit-for-bit.
+repeatable bit-for-bit.  Every site is on the engine's own thread (no
+instrumented write happens anywhere else), so the per-site counters
+need no lock.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -80,7 +81,6 @@ class FaultPlan:
         self._counts: dict[str, int] = {}
         self._latch_dir: str | None = None
         self._fired: set[int] = set()  # in-memory latch when no dir
-        self._lock = threading.Lock()
 
     # -- construction ---------------------------------------------------------
 
@@ -156,9 +156,8 @@ class FaultPlan:
 
     def fire(self, site: str) -> FaultSpec | None:
         """Count one operation at ``site``; the spec to apply, or None."""
-        with self._lock:
-            count = self._counts.get(site, 0) + 1
-            self._counts[site] = count
+        count = self._counts.get(site, 0) + 1
+        self._counts[site] = count
         for k, spec in enumerate(self.specs):
             if spec.site != site or spec.nth != count:
                 continue

@@ -48,12 +48,6 @@ class Counter:
     def snapshot(self):
         return self.value
 
-    def __getstate__(self):
-        return (self.name, self.value)
-
-    def __setstate__(self, state):
-        self.name, self.value = state
-
 
 class Gauge:
     """Point-in-time value; merge is last-set-wins."""
@@ -76,12 +70,6 @@ class Gauge:
 
     def snapshot(self):
         return self.value
-
-    def __getstate__(self):
-        return (self.name, self.value, self.updated)
-
-    def __setstate__(self, state):
-        self.name, self.value, self.updated = state
 
 
 class Histogram:
@@ -139,12 +127,6 @@ class Histogram:
             "sum": self.total,
             "count": self.count,
         }
-
-    def __getstate__(self):
-        return (self.name, self.bounds, self.counts, self.total, self.count)
-
-    def __setstate__(self, state):
-        self.name, self.bounds, self.counts, self.total, self.count = state
 
 
 class MetricsRegistry:

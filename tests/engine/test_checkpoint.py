@@ -457,7 +457,9 @@ def _v2_partition_file():
     return bytes(buf)
 
 
-@pytest.mark.parametrize("reason", ["none", "unreadable", "format 1 != 2"])
+@pytest.mark.parametrize(
+    "reason", ["none", "unreadable", "format 1 != 3", "format 2 != 3"]
+)
 def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     """Never a silent fallback: a --resume that finds nothing to resume
     from starts fresh, clears the directory's engine files, and says so
@@ -469,8 +471,18 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
             path = tmp_path / phase / ckpt.MANIFEST
             if reason == "unreadable":
                 path.write_text("{not json")
+            elif reason == "format 2 != 3":
+                # A workdir of the previous build: format 2, id columns
+                # in partition files but tuple (v1) delta frames.
+                manifest = json.loads(path.read_text())
+                manifest["format"] = 2
+                path.write_text(json.dumps(manifest))
+                for desc in manifest["partitions"]:
+                    (tmp_path / phase / desc["delta_path"]).write_bytes(
+                        serialize.encode_frame(serialize.MAGIC + b"\x01\x00")
+                    )
             else:
-                # A workdir of the previous build: format 1, tuple-table
+                # A workdir of the build before: format 1, tuple-table
                 # (v2) partition files, no encoding log.
                 manifest = json.loads(path.read_text())
                 manifest["format"] = 1
@@ -495,7 +507,7 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     # What is there now is this build's: the old files were never parsed.
     for phase in ("alias", "dataflow"):
         manifest = ckpt.load_manifest(str(tmp_path / phase))
-        assert manifest["format"] == ckpt.FORMAT == 2
+        assert manifest["format"] == ckpt.FORMAT == 3
         for desc in manifest["partitions"]:
             serialize.parse_columnar(
                 (tmp_path / phase / desc["path"]).read_bytes()

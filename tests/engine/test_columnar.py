@@ -116,18 +116,6 @@ def test_split_at_partitions_sources():
     assert left.columnar_bytes() + right.columnar_bytes() == ROW_BYTES * 11
 
 
-def test_merge_dict_dedups():
-    table = EncodingTable()
-    cols = make({1: {(2, 0): {ENC_A}}}, table)
-    added = cols.merge_dict(
-        {1: {(2, 0): {ENC_A, ENC_B}}, 7: {(8, 1): {ENC_A}}}
-    )
-    assert added == 2
-    assert cols.to_dict() == {
-        1: {(2, 0): {ENC_A, ENC_B}}, 7: {(8, 1): {ENC_A}},
-    }
-
-
 def test_encode_parses_back_with_fresh_table():
     """The file holds ids: a fresh table resolves them once it has
     interned the same encodings in the same order (what ``--resume``

@@ -105,8 +105,11 @@ def test_rebuild_fails_with_no_surviving_copy(tmp_path):
 # -- delta-file damage tolerance -----------------------------------------------
 
 
-def _delta_chunk(src, dst):
-    return {src: {(dst, 0): {(("I", "d", 0, 0),)}}}
+def _delta_payload(store, src, dst):
+    """One spilled chunk ``src -> dst`` as the store writes it: ids of
+    its own table in the partition-file layout."""
+    chunk = {src: {(dst, 0): {store.table.intern((("I", "d", 0, 0),))}}}
+    return serialize.encode_partition(chunk, len(store.table))
 
 
 def test_truncated_delta_tail_dropped_on_load(tmp_path):
@@ -115,12 +118,8 @@ def test_truncated_delta_tail_dropped_on_load(tmp_path):
     store = _store(tmp_path)
     store.flush()
     part = store.partitions[0]
-    intact = serialize.encode_frame(
-        serialize.encode_partition(_delta_chunk(0, 3))
-    )
-    torn = serialize.encode_frame(
-        serialize.encode_partition(_delta_chunk(1, 3))
-    )[:-3]
+    intact = serialize.encode_frame(_delta_payload(store, 0, 3))
+    torn = serialize.encode_frame(_delta_payload(store, 1, 3))[:-3]
     with open(part.delta_path, "wb") as f:
         f.write(intact + torn)
     store._cache.clear()
@@ -135,13 +134,9 @@ def test_corrupt_delta_frame_skipped_and_version_bumped(tmp_path):
     store.flush()
     part = store.partitions[0]
     version_before = part.version
-    bad = bytearray(
-        serialize.encode_frame(serialize.encode_partition(_delta_chunk(0, 3)))
-    )
+    bad = bytearray(serialize.encode_frame(_delta_payload(store, 0, 3)))
     bad[-1] ^= 0xFF
-    good = serialize.encode_frame(
-        serialize.encode_partition(_delta_chunk(1, 3))
-    )
+    good = serialize.encode_frame(_delta_payload(store, 1, 3))
     with open(part.delta_path, "wb") as f:
         f.write(bytes(bad) + good)
     store._cache.clear()
@@ -154,20 +149,60 @@ def test_corrupt_delta_frame_skipped_and_version_bumped(tmp_path):
     assert part.version == version_before + 1
 
 
+def test_delta_frame_naming_ids_the_table_never_issued_is_salvaged(tmp_path):
+    """A frame that passes its CRC but holds ids of some other table is
+    damage like a CRC mismatch, not rows to adopt."""
+    store = _store(tmp_path)
+    store.flush()
+    part = store.partitions[0]
+    good = _delta_payload(store, 1, 3)
+    foreign = serialize.encode_partition({0: {(3, 0): {len(store.table)}}},
+                                         len(store.table) + 1)
+    with open(part.delta_path, "wb") as f:
+        f.write(serialize.encode_frame(foreign) + serialize.encode_frame(good))
+    store._cache.clear()
+    rows = {(s, d) for s, d, _l, _e in store.load(part).iter_rows()}
+    assert (1, 3) in rows and (0, 3) not in rows
+    assert store.stats.delta_frames_corrupt == 1
+
+
 def test_delta_file_survives_until_fold_is_durable(tmp_path):
     """The delta file may only disappear after the folded partition was
     atomically rewritten -- never at fold time."""
     store = _store(tmp_path)
     store.flush()
     part = store.partitions[0]
-    data = serialize.encode_partition(_delta_chunk(0, 3))
     with open(part.delta_path, "wb") as f:
-        f.write(serialize.encode_frame(data))
+        f.write(serialize.encode_frame(_delta_payload(store, 0, 3)))
     store._cache.clear()
     store.load(part)  # folds the delta into the cached columns
     assert os.path.exists(part.delta_path)
     store.flush()  # durable rewrite: now (and only now) it may go
     assert not os.path.exists(part.delta_path)
+
+
+def test_salvaged_delta_file_is_retired_by_the_next_write(tmp_path):
+    """A delta file none of whose frames survived used to stay on disk
+    for good: every later load salvaged it again, counting the same
+    damage, bumping the version and resetting the arrival log."""
+    store = _store(tmp_path)
+    store.flush()
+    part = store.partitions[0]
+    bad = bytearray(serialize.encode_frame(_delta_payload(store, 0, 3)))
+    bad[-1] ^= 0xFF
+    with open(part.delta_path, "wb") as f:
+        f.write(bytes(bad))
+    store._cache.clear()
+    store.load(part)
+    assert store.stats.delta_frames_corrupt == 1
+    assert store.lost_frames == {part.index}  # the engine repairs it
+    version = part.version
+    store.flush()
+    assert not os.path.exists(part.delta_path)
+    store._cache.clear()
+    store.load(part)
+    assert store.stats.delta_frames_corrupt == 1
+    assert part.version == version
 
 
 # -- retry / quarantine --------------------------------------------------------
@@ -235,11 +270,12 @@ from repro import Grapple, GrappleOptions, EngineOptions
 from repro.checkers.checker import ALL_CHECKERS, Checker
 from repro.workloads import build_subject
 
-workdir, resume, fault_plan = sys.argv[1:4]
+workdir, resume, fault_plan, budget = sys.argv[1:5]
 subject = build_subject("zookeeper", scale=0.3)
 options = GrappleOptions(
     engine=EngineOptions(
         workdir=workdir,
+        memory_budget=int(float(budget) * (1 << 20)),
         resume=resume == "1",
         fault_plan=fault_plan or None,
     )
@@ -252,7 +288,8 @@ print(run.report.summary())
 """
 
 
-def _subject_run(tmp_path, workdir, *, resume=False, fault_plan=""):
+def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
+                 budget=64):
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(sys.path),
@@ -260,7 +297,7 @@ def _subject_run(tmp_path, workdir, *, resume=False, fault_plan=""):
     )
     return subprocess.run(
         [sys.executable, "-c", _SUBJECT_PROG, str(workdir),
-         "1" if resume else "0", fault_plan],
+         "1" if resume else "0", fault_plan, str(budget)],
         env=env, capture_output=True, text=True, timeout=600,
     )
 
@@ -296,5 +333,46 @@ def test_kill9_resume_matches_uninterrupted_run(tmp_path):
     assert log.read_bytes().startswith(at_kill)
 
     clean = _subject_run(tmp_path, tmp_path / "wd-clean")
+    assert clean.returncode == 0, clean.stderr[-2000:]
+    assert resumed.stdout == clean.stdout
+
+
+@pytest.mark.slow
+def test_kill9_resume_reads_delta_frames_written_before_the_kill(tmp_path):
+    """The same round trip under a budget that spills: the killed
+    checkpoint leaves delta frames on disk, so the resume folds frames
+    the first process wrote.  Every id in them must already be in the
+    encoding log (log frame before delta frame)."""
+    workdir = tmp_path / "wd"
+    # At 0.25 MiB the alias phase's 7th checkpoint finds a non-empty
+    # delta file (zookeeper scale 0.3).
+    killed = _subject_run(
+        tmp_path, workdir, fault_plan="kill_run@checkpoint:7", budget=0.25
+    )
+    assert killed.returncode == -9, killed.stderr[-2000:]
+    alias = workdir / "alias"
+    payloads, _dropped, corrupt = serialize.split_frames(
+        (alias / ENCODING_LOG).read_bytes()
+    )
+    assert not corrupt
+    logged = sum(
+        len(serialize.decode_encodings(payload)) for payload in payloads
+    )
+    frames = 0
+    for desc in json.load(open(alias / "checkpoint.json"))["partitions"]:
+        delta = alias / desc["delta_path"]
+        if not delta.exists():
+            continue
+        deltas, dropped, corrupt = serialize.split_frames(delta.read_bytes())
+        assert (dropped, corrupt) == (0, 0)
+        for payload in deltas:
+            enc = serialize.decode_partition(payload).enc
+            assert enc and max(enc) < logged
+            frames += 1
+    assert frames
+
+    resumed = _subject_run(tmp_path, workdir, resume=True, budget=0.25)
+    assert resumed.returncode == 0, resumed.stderr[-2000:]
+    clean = _subject_run(tmp_path, tmp_path / "wd-clean", budget=0.25)
     assert clean.returncode == 0, clean.stderr[-2000:]
     assert resumed.stdout == clean.stdout

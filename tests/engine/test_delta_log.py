@@ -5,6 +5,8 @@ file salvaged around corrupt frames, a log that outgrew its cap, and a
 falls back to seeding fully and the fixpoint is unchanged.
 """
 
+import os
+
 import pytest
 
 from repro.engine import computation, serialize
@@ -13,7 +15,6 @@ from repro.engine.partition import PartitionStore
 from repro.engine.scheduling import DeltaLog
 
 from .test_closure_oracle import (
-    RB,
     UNCAPPED,
     LabelledGrammar,
     build_graph,
@@ -144,7 +145,7 @@ def test_salvaged_corrupt_delta_frame_resets_the_log(logged_store):
         frame = bytearray(f.read())
     frame[-1] ^= 0xFF  # break the CRC, keep the length
     good = serialize.encode_frame(
-        serialize.encode_partition({2: {(9, 0): {ENC}}})
+        serialize.encode_partition({2: {(9, 0): {eid}}}, len(store.table))
     )
     with open(part.delta_path, "wb") as f:
         f.write(bytes(frame) + good)
@@ -169,7 +170,8 @@ def test_corrupt_delta_frame_mid_run_keeps_every_composed_edge(icfet):
     frame itself held reversed ``rb`` derivations (the only edges the
     serial engine ever writes to a delta file); those are derived when
     their forward edge is first inserted and cannot be composed again,
-    so that one frame's worth stays lost (DESIGN.md §11)."""
+    so the engine's repair pass re-derives them from the forward edges
+    (DESIGN.md §11).  The damaged file is salvaged once, then retired."""
     n, edges = random_edges(0)
     want = naive_closure(edges, LabelledGrammar(), icfet)
     got, stats = run_engine(
@@ -177,8 +179,33 @@ def test_corrupt_delta_frame_mid_run_keeps_every_composed_edge(icfet):
         fault_plan="bad_frame@delta-append:1",
     )
     assert stats.delta_frames_corrupt == 1
-    assert got <= want
-    assert {edge[2] for edge in want - got} <= {RB}
+    assert got == want
+
+
+def test_every_delta_frame_lands_after_the_log_frame_naming_its_ids(
+    icfet, tmp_path, monkeypatch
+):
+    """A durable store logs the encodings a delta frame uses (fsynced)
+    before it appends the frame, as it does for partition files: a kill
+    between the two can never leave a frame a resume cannot resolve."""
+    from repro.engine.io_pipeline import SpillWriter
+    from repro.engine.partition import ENCODING_LOG
+
+    checked = []
+    real = SpillWriter.append
+
+    def append(self, path, payload):
+        log = os.path.join(os.path.dirname(path), ENCODING_LOG)
+        with open(log, "rb") as f:
+            payloads, _dropped, _corrupt = serialize.split_frames(f.read())
+        logged = sum(len(serialize.decode_encodings(p)) for p in payloads)
+        checked.append(max(serialize.decode_partition(payload).enc) < logged)
+        real(self, path, payload)
+
+    monkeypatch.setattr(SpillWriter, "append", append)
+    n, edges = random_edges(0)
+    run_engine(n, edges, icfet, memory_budget=2 << 10, workdir=str(tmp_path))
+    assert checked and all(checked)
 
 
 def test_log_overflow_degrades_to_full_seeds_with_identical_output(

@@ -109,7 +109,7 @@ def test_missing_partition_file_raises(tmp_path):
 
 def test_serializer_rejects_unknown_element():
     with pytest.raises(ValueError):
-        serialize.encode_partition({0: {(1, 0): {(("X", 1),)}}})
+        serialize.encode_encodings([(("X", 1),)])
 
 
 def test_engine_workdir_created_if_missing(tmp_path, icfet):

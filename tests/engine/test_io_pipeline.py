@@ -1,4 +1,4 @@
-"""Tests for the background prefetch reader and spill writer."""
+"""Tests for the background prefetch reader and the spill writer."""
 
 import os
 
@@ -7,9 +7,14 @@ import pytest
 from repro.engine import serialize
 from repro.engine.columnar import EdgeColumns, EncodingTable
 from repro.engine.io_pipeline import PrefetchReader, SpillWriter
+from repro.engine.stats import EngineStats
 
 EDGES = {1: {(2, 0): {(("I", "f", 0, 3),)}}}
-DELTA = {5: {(6, 1): {(("I", "g", 0, 0),)}}}
+DELTA = {5: {(6, 1): {0}}}  # id-encoded, as the store spills it
+
+
+def rows(columns):
+    return list(zip(columns.src, columns.dst, columns.label, columns.enc))
 
 
 @pytest.fixture()
@@ -26,11 +31,11 @@ def test_prefetch_hit(part_file, tmp_path):
         reader.schedule(0, 3, part_file, str(tmp_path / "none.delta"))
         got = reader.take(0, 3)
         assert got is not None
-        parsed, deltas, dropped = got
+        parsed, deltas, dropped, corrupt = got
         assert (list(parsed.src), list(parsed.dst), list(parsed.label),
                 list(parsed.enc), parsed.n_encodings) == ([1], [2], [0], [0], 1)
         assert deltas == []
-        assert dropped == 0
+        assert (dropped, corrupt) == (0, 0)
         # An entry can be claimed only once.
         assert reader.take(0, 3) is None
     finally:
@@ -48,16 +53,36 @@ def test_prefetch_version_mismatch_is_miss(part_file, tmp_path):
 
 def test_prefetch_reads_delta_frames_without_consuming(part_file, tmp_path):
     delta_path = str(tmp_path / "part.delta")
-    payload = serialize.encode_partition(DELTA)
+    payload = serialize.encode_partition(DELTA, 1)
     with open(delta_path, "wb") as f:
         f.write(serialize.encode_frame(payload))
     reader = PrefetchReader()
     try:
         reader.schedule(0, 1, part_file, delta_path)
-        parsed, deltas, dropped = reader.take(0, 1)
-        assert deltas == [DELTA]
-        assert dropped == 0
+        parsed, deltas, dropped, corrupt = reader.take(0, 1)
+        assert [rows(delta) for delta in deltas] == [[(5, 6, 1, 0)]]
+        assert (dropped, corrupt) == (0, 0)
         assert os.path.exists(delta_path)  # consumer owns the file
+    finally:
+        reader.close()
+
+
+def test_prefetch_reports_lost_delta_frames_instead_of_raising(
+        part_file, tmp_path):
+    """Damage in a delta file is the store's to salvage: the read hits
+    and carries the counts; only an unreadable partition file raises."""
+    delta_path = str(tmp_path / "part.delta")
+    good = serialize.encode_frame(serialize.encode_partition(DELTA, 1))
+    bad = bytearray(good)
+    bad[-1] ^= 0xFF
+    with open(delta_path, "wb") as f:
+        f.write(bytes(bad) + good + good[:-3])
+    reader = PrefetchReader()
+    try:
+        reader.schedule(0, 1, part_file, delta_path)
+        _parsed, deltas, dropped, corrupt = reader.take(0, 1)
+        assert [rows(delta) for delta in deltas] == [[(5, 6, 1, 0)]]
+        assert (dropped, corrupt) == (1, 1)
     finally:
         reader.close()
 
@@ -143,9 +168,10 @@ def test_store_counts_prefetch_errors_and_reraises(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flush_each", [False, True])
 def test_spill_writer_roundtrip(tmp_path, flush_each):
     path = str(tmp_path / "spill.delta")
-    writer = SpillWriter()
+    stats = EngineStats()
+    writer = SpillWriter(stats)
     chunks = [
-        serialize.encode_partition({i: {(i + 1, 0): {(("C", i),)}}})
+        serialize.encode_partition({i: {(i + 1, 0): {i, 7}}}, 8)
         for i in range(5)
     ]
     for chunk in chunks:
@@ -157,35 +183,20 @@ def test_spill_writer_roundtrip(tmp_path, flush_each):
         data = f.read()
     payloads, dropped, corrupt = serialize.split_frames(data)
     assert (dropped, corrupt) == (0, 0)
-    decoded = [serialize.decode_partition(p) for p in payloads]
-    assert decoded == [serialize.decode_partition(c) for c in chunks]
+    assert payloads == chunks
+    assert [rows(serialize.decode_partition(p)) for p in payloads] == [
+        [(i, i + 1, 0, i), (i, i + 1, 0, 7)] for i in range(5)
+    ]
     writer.close()
-    assert writer.frames_written == 5
-    assert writer.bytes_written == len(data)
+    assert stats.spill_frames == 5
+    assert stats.spill_bytes == len(data)
 
 
-def test_spill_writer_pending_and_flush_all(tmp_path):
-    writer = SpillWriter()
-    a, b = str(tmp_path / "a.delta"), str(tmp_path / "b.delta")
-    writer.append(a, b"payload-a")
-    writer.append(b, b"payload-b")
-    writer.flush()
-    assert not writer.pending(a)
-    assert not writer.pending(b)
-    writer.close()
-
-
-def test_spill_writer_error_surfaces_at_flush(tmp_path):
-    writer = SpillWriter()
-    bad = str(tmp_path / "no-such-dir" / "x.delta")
-    writer.append(bad, b"payload")
+def test_spill_writer_failed_write_raises_at_append(tmp_path):
+    """No thread, no relay: the caller sees the error and nothing is
+    counted."""
+    stats = EngineStats()
+    writer = SpillWriter(stats)
     with pytest.raises(OSError):
-        writer.flush(bad)
-    writer.close()
-
-
-def test_spill_writer_rejects_append_after_close(tmp_path):
-    writer = SpillWriter()
-    writer.close()
-    with pytest.raises(RuntimeError):
-        writer.append(str(tmp_path / "x.delta"), b"payload")
+        writer.append(str(tmp_path / "no-such-dir" / "x.delta"), b"payload")
+    assert (stats.spill_frames, stats.spill_bytes) == (0, 0)

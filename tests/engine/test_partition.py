@@ -87,7 +87,7 @@ def test_flush_persists_dirty_partitions(tmp_path):
     store.initialize(edges_for(range(4)), num_vertices=100, min_partitions=1)
     part = store.partitions[0]
     cols = store.load(part)
-    cols.merge_dict({99: {(1, 0): {(("I", "h", 0, 0),)}}})
+    cols.insert(99, 1, 0, store.table.intern((("I", "h", 0, 0),)))
     store.save(part, cols)
     store.flush()
     # A brand-new store reading the same file must see the update.

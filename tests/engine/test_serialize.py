@@ -3,10 +3,30 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import serialize
+from repro.engine.columnar import EdgeColumns, EncodingTable
 
 
 def roundtrip(edges):
-    return serialize.decode_partition(serialize.encode_partition(edges))
+    """``edges`` through a delta frame, as the store spills them:
+    interned to ids, written in the partition-file layout, read back
+    and folded over the same table."""
+    table = EncodingTable()
+    chunk = {
+        src: {
+            key: {table.intern(encoding) for encoding in encodings}
+            for key, encodings in targets.items()
+        }
+        for src, targets in edges.items()
+    }
+    payload = serialize.encode_partition(chunk, len(table))
+    return EdgeColumns.from_file(
+        serialize.decode_partition(payload), table
+    ).to_dict()
+
+
+def log_roundtrip(encodings):
+    """The tuple element codec, which only the encoding log still uses."""
+    return serialize.decode_encodings(serialize.encode_encodings(encodings))
 
 
 def test_empty_partition():
@@ -32,22 +52,20 @@ def test_multiple_encodings_per_edge():
 
 
 def test_call_return_elements():
-    edges = {0: {(1, 0): {(("C", 3), ("I", "callee", 0, 4), ("R", 4))}}}
-    assert roundtrip(edges) == edges
+    encodings = [(("C", 3), ("I", "callee", 0, 4), ("R", 4))]
+    assert log_roundtrip(encodings) == encodings
 
 
 def test_string_elements():
-    edges = {0: {(1, 0): {(("S", "(and (true) (var int foo::x))"),)}}}
-    assert roundtrip(edges) == edges
+    encodings = [(("S", "(and (true) (var int foo::x))"),)]
+    assert log_roundtrip(encodings) == encodings
 
 
 def test_shared_function_names_interned_once():
-    edges = {
-        i: {(i + 1, 0): {(("I", "sharedfunc", 0, i),)}} for i in range(50)
-    }
-    data = serialize.encode_partition(edges)
+    encodings = [(("I", "sharedfunc", 0, i),) for i in range(50)]
+    data = serialize.encode_encodings(encodings)
     assert data.count(b"sharedfunc") == 1
-    assert roundtrip(edges) == edges
+    assert log_roundtrip(encodings) == encodings
 
 
 def test_varint_roundtrip_large_values():
@@ -79,17 +97,12 @@ def test_truncated_varint_raises_corrupt_partition():
 def test_truncated_payload_raises_corrupt_partition():
     import pytest
 
-    edges = {1: {(2, 0): {(("I", "main", 0, 3), ("S", "payload")),}}}
-    data = serialize.encode_partition(edges)
-    # Every proper prefix (past the header check) must fail cleanly, never
+    data = serialize.encode_partition({1: {(2, 0): {0, 1}}}, 2)
+    # Every proper prefix of a delta frame's payload fails cleanly, never
     # with a bare IndexError.
-    for cut in range(5, len(data)):
-        try:
-            decoded = serialize.decode_partition(data[:cut])
-        except serialize.CorruptPartition:
-            continue
-        # A prefix that happens to parse must at least be a valid dict.
-        assert isinstance(decoded, dict)
+    for cut in range(len(data)):
+        with pytest.raises(serialize.CorruptPartition):
+            serialize.decode_partition(data[:cut])
 
 
 def test_truncated_columnar_raises_corrupt_partition():
@@ -130,27 +143,21 @@ def test_columnar_checksum_covers_every_byte():
 
 
 def test_other_partition_versions_are_refused():
-    """One layout per codec: a v2 (tuple-table) or v1 partition file is
-    not a partition file any more, and a v3 file is not a delta frame."""
-    from array import array
-
+    """One layout for every edge the store writes: a v1 (tuple delta
+    frame) or v2 (tuple-table partition file) payload is refused by
+    both readers, and a delta frame is a v3 partition file."""
     import pytest
 
-    v1 = serialize.encode_partition({1: {(2, 0): {(("I", "f", 0, 1),)}}})
-    v2 = serialize.MAGIC + b"\x02" + v1[5:]
-    v3 = serialize.encode_columnar(
-        array("q", [1]), array("q", [2]), array("q", [0]), array("q", [0]), 1
-    )
-    for payload, version in ((v1, 1), (v2, 2)):
-        with pytest.raises(
-            serialize.CorruptPartition,
-            match=f"unsupported partition version {version}",
-        ):
-            serialize.parse_columnar(payload)
-    with pytest.raises(
-        serialize.CorruptPartition, match="unsupported partition version 3"
-    ):
-        serialize.decode_partition(v3)
+    v3 = serialize.encode_partition({1: {(2, 0): {0}}}, 1)
+    for version in (1, 2):
+        old = serialize.MAGIC + bytes([version]) + v3[5:]
+        for read in (serialize.parse_columnar, serialize.decode_partition):
+            with pytest.raises(
+                serialize.CorruptPartition,
+                match=f"unsupported partition version {version}",
+            ):
+                read(old)
+    assert serialize.parse_columnar(v3).n_encodings == 1
 
 
 def test_columnar_rejects_out_of_range_encoding_id():

@@ -240,6 +240,53 @@ def test_knob_census():
         assert documented - parsed == set(), f"{command}: documented only"
 
 
+@pytest.mark.parametrize("case", [
+    "empty-directory", "missing-file", "parse-error", "link-error",
+    "lex-error", "missing-spec", "bad-spec", "unknown-subject",
+])
+def test_unreadable_input_is_a_usage_error_not_a_verdict(
+    source_file, tmp_path, capsys, case
+):
+    """Exit 1 always means "warnings found": input the run cannot read,
+    parse or link is one ``repro: ...`` line and status 2, never a
+    traceback."""
+    if case == "empty-directory":
+        (tmp_path / "empty").mkdir()
+        argv = ["check", str(tmp_path / "empty")]
+        names = "no .mini files"
+    elif case == "missing-file":
+        argv = ["check", str(tmp_path / "nosuch.mini")]
+        names = "nosuch.mini"
+    elif case == "parse-error":
+        argv = ["check", source_file("func main( {")]
+        names = "expected"
+    elif case == "link-error":
+        for name in ("a.mini", "b.mini"):
+            (tmp_path / name).write_text("func f() { return; }\n")
+        argv = ["check", str(tmp_path / "a.mini"), str(tmp_path / "b.mini")]
+        names = "duplicate symbol 'f'"
+    elif case == "lex-error":
+        argv = ["check", source_file("func main() { x = @; }")]
+        names = "'@'"
+    elif case == "missing-spec":
+        argv = ["check", source_file(CLEAN), "--spec",
+                str(tmp_path / "nosuch.spec")]
+        names = "nosuch.spec"
+    elif case == "bad-spec":
+        (tmp_path / "bad.spec").write_text("garbage\n")
+        argv = ["check", source_file(CLEAN), "--spec",
+                str(tmp_path / "bad.spec")]
+        names = "bad --spec"
+    else:
+        argv = ["generate", "nosuch"]
+        names = "unknown subject 'nosuch'"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("repro: ") and names in line
+
+
 def test_subjects_lists_four(capsys):
     assert main(["subjects"]) == 0
     out = capsys.readouterr().out
