@@ -67,10 +67,10 @@ class StringConstraintEngine(GraphEngine):
         except _OutOfTime:
             self.stats.timed_out = True
 
-    def _attempt_pair(self, pair) -> None:
+    def _attempt_pair(self, pair) -> bool:
         if self._deadline is not None and time.perf_counter() > self._deadline:
             raise _OutOfTime
-        super()._attempt_pair(pair)
+        return super()._attempt_pair(pair)
 
     def _merge_encodings(self, enc1, enc2):
         text = f"(and {enc1[0][1]} {enc2[0][1]})"

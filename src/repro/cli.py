@@ -236,11 +236,14 @@ def cmd_check(args) -> int:
         raise UsageError(
             f"--memory-budget wants a finite size > 0 MiB, not {budget}"
         )
-    heartbeat = args.heartbeat
-    if heartbeat is not None and not (math.isfinite(heartbeat) and heartbeat > 0):
-        raise UsageError(
-            f"--heartbeat wants a finite interval > 0 seconds, not {heartbeat}"
-        )
+    for flag, interval in (("--heartbeat", args.heartbeat),
+                           ("--sample-interval", args.sample_interval)):
+        if interval is not None and not (
+            math.isfinite(interval) and interval > 0
+        ):
+            raise UsageError(
+                f"{flag} wants a finite interval > 0 seconds, not {interval}"
+            )
     if args.max_retries < 0:
         raise UsageError(
             f"--max-retries wants a count >= 0, not {args.max_retries}"

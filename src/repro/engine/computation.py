@@ -15,13 +15,14 @@ drain).  A visit composes every new edge both as a left operand (the
 frontier drain) and as a right operand (against a per-visit reverse
 index of the in-edges that can join inside the pair), so one visit
 reaches in-pair closure and the pair is marked at its *post*-visit
-versions.  A first visit seeds
-with the joinable edges only; a revisit seeds with just the edges that
-arrived since the pair's last visit, read from the phase's
-:class:`~repro.engine.scheduling.DeltaLog`; a pair no relevant-source
-edge points into is retired without being loaded.  Which compositions
-are retried never changes the fixpoint (the closure is a terminating,
-confluent rewrite), only the work.
+versions.  What a visit seeds with is planned per *cell* -- left
+operands held by one partition, join vertices owned by the other (or
+the same) -- by the phase's :class:`~repro.engine.scheduling.DeltaLog`:
+a cell never closed seeds its joinable edges, a closed one just the
+edges that arrived since, and a pair none of whose cells has work is
+retired without being loaded.  Which compositions are retried never
+changes the fixpoint (the closure is a terminating, confluent rewrite),
+only the work.
 
 The inner loop runs entirely on interned integer ids: partitions are
 :class:`~repro.engine.columnar.EdgeColumns` (sorted ``array('q')``
@@ -436,7 +437,7 @@ class GraphEngine:
         the partitions' present contents."""
         store = self._store
         log = DeltaLog(
-            self._rel_src_id,
+            self._rel_src_id, self._rel_tgt_id,
             cap_rows=max(1, self.options.memory_budget // 2 // ROW_BYTES),
         )
         if self._resume_manifest is not None:
@@ -455,24 +456,33 @@ class GraphEngine:
     def _close_log(self) -> None:
         self._log = self._store.log = None
 
-    def _mark_visited(self, pair) -> None:
+    def _mark_visited(self, pair, closed: bool = True) -> None:
         """A visit reaches in-pair closure, so the pair's own insertions
-        cannot make it eligible again: record its *post*-visit versions
-        and move its cursor past its own edges."""
+        cannot make it eligible again: record its *post*-visit versions.
+        When the visit (or the plan that retired the pair) closed the
+        pair's four cells, move their cursors -- the pair's and both
+        intra cells' -- past its edges; a quarantined or retry-exhausted
+        pair closed nothing, not even its healthy partner's intra cell."""
         scheduler = self._scheduler
         scheduler.mark_processed(pair, scheduler.captured_versions(pair))
-        self._log.advance(pair)
+        if closed:
+            i, j = pair
+            self._log.advance((i, i))
+            if j != i:
+                self._log.advance(pair)
+                self._log.advance((j, j))
 
     def _retire_if_dead(self, pair) -> bool:
-        """Retire a quarantined or provably inert pair without loading
-        it (nothing to join means nothing to find).  True when retired."""
+        """Retire a quarantined pair, or one whose plan proves every
+        cell workless, without loading it.  True when retired."""
         quarantined = self._quarantined_parts
         if quarantined and (pair[0] in quarantined or pair[1] in quarantined):
-            pass  # already warned at the partition level
-        elif self._log.has_join(self._store.partitions, pair):
+            # Already warned at the partition level.
+            self._mark_visited(pair, closed=False)
+            return True
+        if self._log.plan(self._store.partitions, pair):
             return False
-        else:
-            self.stats.pairs_skipped += 1
+        self.stats.pairs_skipped += 1
         self._mark_visited(pair)
         return True
 
@@ -510,10 +520,10 @@ class GraphEngine:
                         "iteration", iteration=stats.pairs_processed + 1,
                         pair=f"{pair[0]},{pair[1]}",
                     ):
-                        self._attempt_pair(pair)
+                        closed = self._attempt_pair(pair)
                 else:
-                    self._attempt_pair(pair)
-                self._mark_visited(pair)
+                    closed = self._attempt_pair(pair)
+                self._mark_visited(pair, closed)
                 stats.pairs_processed += 1
                 stats.iterations = stats.pairs_processed
                 self._write_checkpoint()
@@ -524,24 +534,25 @@ class GraphEngine:
 
     # -- retry / quarantine ------------------------------------------------------
 
-    def _attempt_pair(self, pair) -> None:
+    def _attempt_pair(self, pair) -> bool:
         """Process one pair, retrying across :class:`CorruptPartition`
         (rebuilding damaged partitions from their best surviving copy)
-        and degrading to a per-pair warning when retries run out."""
+        and degrading to a per-pair warning when retries run out.  True
+        when the visit completed."""
         if self._quarantined_parts and (
             pair[0] in self._quarantined_parts
             or pair[1] in self._quarantined_parts
         ):
-            return  # already warned at the partition level
+            return False  # already warned at the partition level
         attempt = 0
         while True:
             try:
                 self._process_pair(*pair)
-                return
+                return True
             except serialize.CorruptPartition as exc:
                 if attempt >= self.options.max_retries:
                     self._quarantine_pair(pair, exc)
-                    return
+                    return False
                 attempt += 1
                 self._recover_pair(pair, exc, attempt)
 
@@ -753,13 +764,17 @@ class GraphEngine:
         new-right compositions a left-only drain would leave to a
         second visit.  One visit therefore reaches in-pair closure.
 
-        "New to the pair" is, on a first visit (or after a split or a
-        salvaged delta file invalidated a partition's arrival log),
-        every joinable edge, seeded as left operands only -- the drain
-        meets every right operand already present; on a revisit, just
-        the edges the log recorded since the last one.  Edges the visit
-        inserts are added to the frontier, the reverse index and the
-        right-operand queue by :meth:`_insert`.
+        What is "new to the pair" is planned per cell ``(p, q)`` -- left
+        operands ``p`` holds, join vertices ``q`` owns -- by
+        :meth:`DeltaLog.plan`, after the loads (folding a damaged delta
+        file resets the log).  A fully seeded cell (never closed, or a
+        split or salvaged delta file invalidated a log since) seeds
+        every joinable left, as left operands only: the drain meets
+        every right operand already present.  A closed cell seeds just
+        the edges the log recorded past its cursor, each left through
+        the drain and each right against the lefts ``p`` holds.  Edges
+        the visit inserts are added to the frontier, the reverse index
+        and the right-operand queue by :meth:`_insert`.
         """
         store = self._store
         parts = {i: store.partitions[i]}
@@ -767,12 +782,13 @@ class GraphEngine:
         if j != i:
             parts[j] = store.partitions[j]
             loaded[j] = store.load(parts[j])
-        # After the loads: folding a damaged delta file resets the log.
-        seeds = self._log.delta((i, j))
+        plan = self._log.plan(store.partitions, (i, j))
+        full = {cell for cell, seed in plan.items() if seed is None}
+        if len(full) < len(plan):
+            self.stats.pairs_delta_seeded += 1
         dirty: set = set()
         spills: dict = {}
         rel_src = self._rel_src_id
-        rel_tgt = self._rel_tgt_id
         rel_memo = self._rel_src_memo
         # The pair's vertex intervals (they only move once inserts begin).
         lo1, hi1, lo2, hi2 = parts[i].lo, parts[i].hi, parts[j].lo, parts[j].hi
@@ -780,46 +796,60 @@ class GraphEngine:
         frontier: list = []
         in_index = self._pair_in_index = {}
         rhs = self._pair_rhs = []
-        for cols in loaded.values():
+        for p, cols in loaded.items():
+            seed1, seed2 = (p, i) in full, (p, j) in full
             for row in cols.iter_rows():
                 dst = row[1]
-                if lo1 <= dst < hi1 or lo2 <= dst < hi2:
-                    rel = rel_memo.get(row[2])
-                    if rel is None:
-                        rel = rel_src(row[2])
-                    if rel:
-                        lefts = in_index.get(dst)
-                        if lefts is None:
-                            lefts = in_index[dst] = []
-                        lefts.append((row[0], row[2], row[3]))
-                        if seeds is None:
-                            frontier.append(row)
-        seeded: set = set()
-        if seeds is not None:
-            self.stats.pairs_delta_seeded += 1
-            seeded = set(seeds)
-            for edge in seeds:
-                dst = edge[1]
-                if rel_src(edge[2]) and (
-                    lo1 <= dst < hi1 or lo2 <= dst < hi2
-                ):
-                    frontier.append(edge)
-                if rel_tgt(edge[2]):
-                    rhs.append(edge)
+                if lo1 <= dst < hi1:
+                    seed = seed1
+                elif lo2 <= dst < hi2:
+                    seed = seed2
+                else:
+                    continue
+                rel = rel_memo.get(row[2])
+                if rel is None:
+                    rel = rel_src(row[2])
+                if rel:
+                    lefts = in_index.get(dst)
+                    if lefts is None:
+                        lefts = in_index[dst] = []
+                    lefts.append((row[0], row[2], row[3]))
+                    if seed:
+                        frontier.append(row)
+        seeded: set = set()  # lefts seeded from a cursor
+        holders: dict = {}  # right seeded from a cursor -> its cells' p
+        for (p, _q), seed in plan.items():
+            if seed is not None:
+                lefts, rights = seed
+                frontier.extend(lefts)
+                seeded.update(lefts)
+                for row in rights:
+                    holders.setdefault(row, []).append(p)
+        seeded_rhs = list(holders.items())
 
-        while frontier or rhs:
+        while frontier or rhs or seeded_rhs:
             if frontier:
                 kernel_mod.drain(self, loaded, parts, spills, dirty, frontier)
             if rhs:
-                src2, dst2, label2_id, enc2 = item = rhs.pop()
-                # Seeded rights were already present when the seeded
-                # lefts drained, so skipping seeded x seeded here loses
-                # nothing; edges inserted by this visit get no such
-                # guarantee (a left may have drained before this right
-                # appeared) and duplicate attempts dedup away on insert.
-                item_seeded = item in seeded
+                # Inserted by this visit: a left may have drained before
+                # it appeared, so it meets every left in the pair
+                # (duplicate attempts dedup away on insert).
+                src2, dst2, label2_id, enc2 = rhs.pop()
                 for src1, label1_id, enc1 in list(in_index.get(src2, ())):
-                    if item_seeded and (src1, src2, label1_id, enc1) in seeded:
+                    self._compose_edges(
+                        src1, src2, label1_id, enc1, dst2, label2_id, enc2,
+                        loaded, parts, spills, dirty, frontier,
+                    )
+            elif seeded_rhs:
+                # Seeded from a cursor: it meets only the lefts of the
+                # cells that seeded it, and no left seeded itself -- that
+                # one met every present right in the drain.
+                (src2, dst2, label2_id, enc2), cells = seeded_rhs.pop()
+                only = parts[cells[0]] if len(cells) < len(parts) else None
+                for src1, label1_id, enc1 in list(in_index.get(src2, ())):
+                    if (src1, src2, label1_id, enc1) in seeded or (
+                        only is not None and not only.owns(src1)
+                    ):
                         continue
                     self._compose_edges(
                         src1, src2, label1_id, enc1, dst2, label2_id, enc2,

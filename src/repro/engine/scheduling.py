@@ -10,10 +10,11 @@ pair -- exactly the pair the old scan would have returned, so the
 processing order (and therefore the output) is unchanged.
 
 :class:`PairScheduler` says *which* pair to visit; :class:`DeltaLog` says
-what a visit has to look at: the edges that arrived in the pair since
-its last visit (or everything, when that cannot be trusted), or nothing
-at all when no edge can join inside the pair.  The engine's loop drives
-one instance of each per closure phase.
+what a visit has to look at, cell by cell: the edges that arrived since
+the cell was last closed (or everything, when that cannot be trusted),
+or nothing at all -- and a pair none of whose cells has anything to look
+at is retired unloaded.  The engine's loop drives one instance of each
+per closure phase.
 """
 
 from __future__ import annotations
@@ -27,34 +28,44 @@ class DeltaLog:
     """Semi-naive bookkeeping for pair revisits (one object per closure
     phase).
 
-    Three things live here, all in memory only (dropped at phase end,
-    never checkpointed -- after ``--resume`` every cursor is gone, so
-    the first visit of each eligible pair seeds fully):
+    A visit of the pair ``(i, j)`` closes its four *cells*: cell
+    ``(p, q)`` holds the compositions whose left operand partition ``p``
+    holds and whose join vertex partition ``q`` owns.  Three things live
+    here, all in memory only (dropped at phase end, never checkpointed
+    -- after ``--resume`` every cursor is gone, so every cell's first
+    plan seeds fully):
 
     * a per-partition **arrival log**: every edge added to the partition
       since the log was last reset, in arrival order, as four parallel
       ``array('q')`` columns ``(src, dst, label_id, enc_id)`` -- ids of
       the store's own encoding table, so nothing is decoded;
-    * per-pair **cursors** ``(epoch_i, len_i, epoch_j, len_j)`` recorded
-      when a visit ends: the next visit's seed is each partition's log
-      past its cursor.  Whoever moves edges other than by appending
-      (a split, a salvaged corrupt delta file) calls :meth:`reset`,
-      which bumps the partition's *epoch*; a cursor from another epoch
-      yields no delta and the pair seeds fully.  A log that outgrows
-      ``cap_rows`` (its partition's own byte cap) resets the same way,
-      so the log never holds more than the partitions it describes;
+    * **cursors** ``(epoch_i, len_i, epoch_j, len_j)`` recorded when a
+      visit ends, one per cell: the cross cells ``(i, j)`` and
+      ``(j, i)`` share the pair's, and an intra cell ``(p, p)`` keeps
+      one under the self-pair key, shared by every pair containing
+      ``p`` -- so a composition inside a partition is not redone on the
+      first visit of each pair that contains it.  Whoever moves edges
+      other than by appending (a split, a salvaged corrupt delta file)
+      calls :meth:`reset`, which bumps the partition's *epoch*; a cursor
+      from another epoch means the cell seeds fully.  A log that
+      outgrows ``cap_rows`` (its partition's own byte cap) resets the
+      same way, so the log never holds more than the partitions it
+      describes;
     * a per-partition **join index**: the destinations of its
-      relevant-source edges.  A pair can only produce edges if some
-      relevant-source edge in one of its partitions points *into* the
-      pair, so a pair whose destination sets both miss both vertex
-      intervals is inert and is retired without being loaded.  The sets
-      over-approximate (entries are only ever added, except on a reset
-      that rebuilds one from the partition's actual columns), which can
-      only keep a pair alive, never retire one wrongly.
+      relevant-source edges.  A cell can only produce edges if some
+      relevant-source edge of ``p`` points into ``q``, and a right
+      operand only matters if such an edge points at its source.  The
+      sets over-approximate (entries are only ever added, except on a
+      reset that rebuilds one from the partition's actual columns),
+      which can only keep a cell alive, never retire one wrongly.
+
+    :meth:`plan` is the one reader of the cursors.
     """
 
-    def __init__(self, relevant_source, cap_rows: int | None = None):
+    def __init__(self, relevant_source, relevant_target,
+                 cap_rows: int | None = None):
         self._relevant = relevant_source  # label id -> bool
+        self._target = relevant_target  # label id -> bool
         self._cap = cap_rows
         self._rows: dict = {}  # index -> (src, dst, label, enc) arrays
         self._epoch: dict = {}
@@ -109,26 +120,63 @@ class DeltaLog:
             return []
         return list(zip(*(col[start:] for col in cols)))
 
-    def delta(self, pair):
-        """Rows that arrived in the pair's partitions since its last
-        visit, or None when it must seed fully (first visit, or an
-        epoch moved)."""
-        cursor = self._cursor.get(pair)
-        if cursor is None:
-            return None
-        out: list = []
-        for slot, index in enumerate(dict.fromkeys(pair)):
-            if cursor[2 * slot] != self._epoch.get(index, 0):
-                return None
-            out.extend(self.rows(index, cursor[2 * slot + 1]))
+    def plan(self, partitions, pair) -> dict:
+        """What a visit of ``pair`` must seed, read from the log alone
+        (nothing needs to be loaded): ``{(p, q): seed}`` for each cell
+        of the pair that has work.
+
+        ``seed`` is None for a *full* seed -- the cell has no cursor, or
+        an epoch moved since it was taken -- and then every left of the
+        cell seeds; such a cell is listed only if ``p``'s join index
+        reaches into ``q``.  Otherwise it is ``(lefts, rights)``, rows
+        past the cell's cursor: ``p``'s that can be a left operand
+        joining in ``q``, and ``q``'s that can be a right operand for a
+        left ``p`` may hold.  An empty plan proves the pair workless.
+        """
+        relevant, target = self._relevant, self._target
+        cells = tuple(dict.fromkeys(pair))
+        out: dict = {}
+        for p in cells:
+            dsts = self._dsts.get(p, ())
+            for q in cells:
+                lo, hi = partitions[q].lo, partitions[q].hi
+                key = pair if p != q else (p, p)
+                left_at = self._since(key, p)
+                right_at = self._since(key, q)
+                if left_at is None or right_at is None:
+                    if self._overlaps(p, lo, hi):
+                        out[(p, q)] = None
+                    continue
+                lefts = [
+                    row for row in self.rows(p, left_at)
+                    if lo <= row[1] < hi and relevant(row[2])
+                ]
+                rights = [
+                    row for row in self.rows(q, right_at)
+                    if row[0] in dsts and target(row[2])
+                ]
+                if lefts or rights:
+                    out[(p, q)] = (lefts, rights)
         return out
 
-    def advance(self, pair) -> None:
-        """The pair was just visited (or retired): move its cursor to the
-        end of both logs."""
-        i, j = pair
+    def _since(self, key, index: int):
+        """Where ``key``'s cursor left ``index``'s log, or None (no
+        cursor, or one from another epoch)."""
+        cursor = self._cursor.get(key)
+        if cursor is None:
+            return None
+        slot = 0 if index == key[0] else 2
+        if cursor[slot] != self._epoch.get(index, 0):
+            return None
+        return cursor[slot + 1]
+
+    def advance(self, key) -> None:
+        """The cells under ``key`` (a pair, or ``(p, p)`` for an intra
+        cell) were just closed: move its cursor to the end of both
+        logs."""
+        i, j = key
         rows, epoch = self._rows, self._epoch
-        self._cursor[pair] = (
+        self._cursor[key] = (
             epoch.get(i, 0), len(rows[i][0]) if i in rows else 0,
             epoch.get(j, 0), len(rows[j][0]) if j in rows else 0,
         )
@@ -140,16 +188,6 @@ class DeltaLog:
             self._sorted[index] = snapshot
         at = bisect_right(snapshot, lo - 1)
         return at < len(snapshot) and snapshot[at] < hi
-
-    def has_join(self, partitions, pair) -> bool:
-        """False when no relevant-source edge of either partition points
-        into the pair -- visiting it cannot produce an edge."""
-        for index in set(pair):
-            for other in set(pair):
-                part = partitions[other]
-                if self._overlaps(index, part.lo, part.hi):
-                    return True
-        return False
 
 
 class PairScheduler:

@@ -62,13 +62,15 @@ class EngineStats:
     encodings: int = stat_field(kind="gauge")
     timed_out: bool = stat_field(False, kind="flag")
     # Pair scheduling: eligible pairs retired without being loaded
-    # because the join index proved them inert, and visits seeded from
-    # the arrival log's delta instead of every joinable edge.
+    # because the arrival log's plan gave none of their cells work (no
+    # join into the cell, or nothing new since it was closed), and
+    # visits in which at least one cell seeded from its cursor instead
+    # of every joinable edge.
     pairs_skipped: int = stat_field()
     pairs_delta_seeded: int = stat_field()
     # I/O pipeline: partition loads served from the background reader's
     # parse vs. loads that fell back to a synchronous read, and delta
-    # frames written through the background spill writer.
+    # frames appended to partitions' delta files.
     prefetch_hits: int = stat_field()
     prefetch_misses: int = stat_field()
     # Prefetched reads that failed on *corrupt* bytes (CorruptPartition),

@@ -12,6 +12,7 @@ validates both artifacts with ``python -m repro.obs validate``.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 
@@ -169,8 +170,12 @@ def _validate_telemetry(telemetry) -> list[str]:
     if not isinstance(telemetry, dict):
         return ["telemetry section is not an object"]
     errors: list[str] = []
-    if not isinstance(telemetry.get("interval_s"), (int, float)):
+    interval = telemetry.get("interval_s")
+    if not isinstance(interval, (int, float)):
         errors.append("telemetry.interval_s is not a number")
+    elif not math.isfinite(interval):
+        # Python's json writes and reads Infinity/NaN; JSON does not.
+        errors.append(f"telemetry.interval_s is not finite ({interval})")
     if not isinstance(telemetry.get("samples"), int):
         errors.append("telemetry.samples is not an integer")
     series = telemetry.get("coordinator")

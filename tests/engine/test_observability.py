@@ -233,13 +233,22 @@ def test_constraints_are_decoded_only_to_be_solved():
     assert 0 < stats.constraints_decoded <= stats.constraints_solved
     assert stats.constraints_decoded < stats.group_hits
     # Captured from the commit that still had a tuple-keyed LRU and a
-    # decode memo between the verdict cache and the solver.
-    assert _feasibility_counters(stats) == (18429, 9256, 8655, 518, 518, 518)
+    # decode memo between the verdict cache and the solver, less the
+    # compositions per-cell cursors stopped retrying.  Every query they
+    # removed was a verdict-cache hit: queries and hits fall by the same
+    # amount, and what was grouped, decoded and solved does not move.
+    retried = 1365
+    assert _feasibility_counters(stats) == (
+        18429 - retried, 9256 - retried, 8655, 518, 518, 518
+    )
     gateway = Grapple(
         build_multifile_subject("gateway", scale=1.0).sources,
         [c.fsm for c in pack_checkers()],
     ).run()
-    assert _feasibility_counters(gateway.stats) == (496, 128, 346, 22, 22, 22)
+    retried = 22
+    assert _feasibility_counters(gateway.stats) == (
+        496 - retried, 128 - retried, 346, 22, 22, 22
+    )
     report = build_run_report(run)
     assert report["counters"]["constraints_decoded"] == (
         stats.constraints_decoded

@@ -121,6 +121,24 @@ def test_validate_rejects_misaligned_telemetry_columns(tmp_path, capsys):
     assert "does not align" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("interval", [float("inf"), float("nan")])
+def test_validate_rejects_a_non_finite_sample_interval(
+    tmp_path, capsys, interval
+):
+    """``json.dump`` writes ``Infinity``/``NaN`` and ``json.load`` reads
+    them back, so the report parsed; no other JSON reader would."""
+    telemetry = {
+        "interval_s": interval,
+        "samples": 1,
+        "coordinator": {"t_s": [0.0], "series": {"rss_bytes": [1]}},
+    }
+    path = write_json(
+        tmp_path / "report.json", minimal_report(telemetry=telemetry)
+    )
+    assert obs_main(["validate", "--metrics", path]) == 1
+    assert "telemetry.interval_s is not finite" in capsys.readouterr().out
+
+
 def test_validate_both_artifacts_at_once(tmp_path, capsys):
     trace = write_json(tmp_path / "trace.json", golden_trace())
     report = write_json(tmp_path / "report.json", minimal_report())

@@ -101,6 +101,10 @@ def test_check_unknown_checker_fails(source_file, capsys):
     ["--heartbeat", "inf"],
     ["--heartbeat", "0"],
     ["--heartbeat", "-1"],
+    ["--sample-interval", "0"],
+    ["--sample-interval", "-1"],
+    ["--profile", "--sample-interval", "nan"],
+    ["--profile", "--sample-interval", "inf"],
     ["--max-retries", "-1"],
     ["--checkers", "io,nosuch"],
     ["serve", "--poll", "0"],
