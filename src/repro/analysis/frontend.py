@@ -85,6 +85,7 @@ def compile_source(
     normalize_calls(program)
     unroll_loops(program, unroll)
     lower_exceptions(program)
+    info = None
     if reduce:
         from repro.sa.constprop import fold_constant_branches
         from repro.sa.liveness import eliminate_dead_stores
@@ -99,15 +100,19 @@ def compile_source(
             tick = trace.begin()
         # Dead-store elimination needs object-variable classification to
         # restrict itself to scalars; the folded program gives the same
-        # (or a smaller) classification than the original.
-        reduction.dead_stores_removed += eliminate_dead_stores(
-            program, infer_object_vars(program)
-        )
+        # (or a smaller) classification than the original.  It is also
+        # the classification of the reduced program: DSE removes only
+        # stores of a pure literal/var/arithmetic value to a variable
+        # that is scalar at the fixpoint, and no inference rule fires on
+        # such a store, so the least fixpoint cannot move.
+        info = infer_object_vars(program)
+        reduction.dead_stores_removed += eliminate_dead_stores(program, info)
         if trace is not None:
             trace.end("sa-dse", tick, cat="sa")
     icfet = build_icfet(program)
     callgraph = build_call_graph(program)
-    info = infer_object_vars(program)
+    if info is None:
+        info = infer_object_vars(program)
     forest = enumerate_clones(
         program, icfet, callgraph, roots=roots,
         max_depth=max_clone_depth, max_clones=max_clones,

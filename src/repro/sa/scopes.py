@@ -60,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -225,6 +226,11 @@ class ScopeArtifactCache:
     oldest-first, so a warm directory obeys the same bound.  ``get``
     returns a private copy -- the loader rewrites ``path`` on cache
     hits, which must not corrupt the cached entry.
+
+    The cache also memoises parses (:meth:`parse`, :meth:`module_name`),
+    in memory only and under the same bound: a file the loader has
+    parsed before, at the same path and site base, is neither tokenised
+    nor parsed again.
     """
 
     def __init__(self, directory: str,
@@ -234,6 +240,10 @@ class ScopeArtifactCache:
         self.misses = 0
         self.evictions = 0
         self._index = LRUCache(capacity)
+        #: (digest, path, site_base) -> pickled ModuleFile.
+        self._parsed = LRUCache(capacity)
+        #: digest -> the module name the file declares.
+        self._modules = LRUCache(capacity)
         self._adopt_existing()
 
     def _adopt_existing(self) -> None:
@@ -309,6 +319,32 @@ class ScopeArtifactCache:
             f.write("\n")
         os.replace(tmp, path)
         self._insert(artifact.digest, self._copy(artifact))
+
+    def module_name(self, digest: str) -> str | None:
+        """The module a file with this content declares, if it was
+        parsed before; None sends the caller to the lexer."""
+        return self._modules.get(digest)
+
+    def parse(self, text: str, path: str, site_base: int, *,
+              digest: str, tokens=None) -> ast.ModuleFile:
+        """``parse_module(text, path, site_base)``, memoised on
+        everything the parser reads.
+
+        The memo holds pickles, not trees: linking and the lowering
+        passes rewrite a parsed file in place, so the entry is taken
+        before anyone sees the tree and every hit unpickles a private
+        copy (about a fifth of a parse; ``copy.deepcopy`` costs more
+        than the parse).  The pickles never leave memory, so nothing
+        unpickled here was written by anyone but this process.
+        """
+        key = (digest, path, site_base)
+        blob = self._parsed.get(key)
+        if blob is not None:
+            return pickle.loads(blob)
+        mf = parse_module(text, path=path, site_base=site_base, tokens=tokens)
+        self._parsed.put(key, pickle.dumps(mf, pickle.HIGHEST_PROTOCOL))
+        self._modules.put(digest, mf.module)
+        return mf
 
 
 # -- scope graph ---------------------------------------------------------------
@@ -697,13 +733,18 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     order -- files are canonicalised by (module, path) before site ids
     are assigned, so the resulting program is byte-identical however
     the files were discovered.  ``cache`` (optional) persists per-file
-    artifacts keyed by content digest.
+    artifacts keyed by content digest and memoises the parses.
     """
     items = _as_items(sources)
     scanned = []
     for path, text in items:
-        tokens = tokenize(text)
-        scanned.append((scan_module_name(tokens), path, text, tokens))
+        digest = source_digest(text)
+        module = cache.module_name(digest) if cache is not None else None
+        tokens = None
+        if module is None:
+            tokens = tokenize(text)
+            module = scan_module_name(tokens)
+        scanned.append((module, path, text, digest, tokens))
     scanned.sort(key=lambda entry: (entry[0], entry[1]))
 
     module_files: list[ast.ModuleFile] = []
@@ -713,12 +754,16 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     cache_hits = 0
     cache_misses = 0
     evictions_before = cache.evictions if cache is not None else 0
-    for module, path, text, tokens in scanned:
-        mf = parse_module(text, path=path, site_base=site_base, tokens=tokens)
+    for module, path, text, digest, tokens in scanned:
+        if cache is not None:
+            mf = cache.parse(text, path, site_base, digest=digest,
+                             tokens=tokens)
+        else:
+            mf = parse_module(text, path=path, site_base=site_base,
+                              tokens=tokens)
         site_ranges[path] = (site_base, mf.next_site)
         site_base = mf.next_site
         module_files.append(mf)
-        digest = source_digest(text)
         artifact = cache.get(digest) if cache is not None else None
         if artifact is not None and artifact.module == mf.module:
             cache_hits += 1

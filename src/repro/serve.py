@@ -42,13 +42,15 @@ The incremental spine has three layers, mirroring the spans it emits:
 removed) / ``warnings_retracted`` ride the ordinary
 :class:`~repro.engine.stats.EngineStats` metadata path into the
 fragment's ``counters`` section.  State (file metadata,
-stratum results, counters) persists in ``workdir/serve-state.json``
-across restarts; the scope-artifact store and per-phase checkpoint
-workdirs live under the same workdir.
+stratum results, counters) persists across restarts as a snapshot,
+``workdir/serve-state.json``, plus ``workdir/serve-state.journal``,
+one JSON line per edit served since; the scope-artifact store lives
+under the same workdir.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -66,9 +68,16 @@ from repro.graph.cloning import tree_order
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
 from repro.obs.report import stats_sections
-from repro.sa.scopes import ScopeArtifactCache, build_artifact, source_digest
+from repro.sa.scopes import (
+    ARTIFACT_CACHE_CAPACITY,
+    ScopeArtifactCache,
+    build_artifact,
+    source_digest,
+)
 
 STATE_FILE = "serve-state.json"
+#: The edits served since the snapshot, one JSON line each.
+JOURNAL_FILE = "serve-state.journal"
 STATE_SCHEMA = "grapple/serve-state"
 STATE_VERSION = 1
 
@@ -136,6 +145,94 @@ def _count(entry: dict) -> int:
     return entry["count"] if "roots" in entry else len(entry["warnings"])
 
 
+@functools.lru_cache(maxsize=ARTIFACT_CACHE_CAPACITY)
+def _members_digest(members: tuple, config: str) -> str:
+    """A stratum's key over its ``(path, content digest)`` pairs and the
+    analysis config.  Memoised: every scan keys every stratum, and only
+    the edited one has a new member digest."""
+    text = json.dumps([*members, ("<config>", config)], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# -- the state file's shape -----------------------------------------------------
+
+_COUNTERS = ("edits_served", "edges_rederived", "warnings_retracted")
+
+#: Field types of a stored warning (``pipeline._SiteRanges.localize``).
+_WARNING_TYPES = {
+    "file": str, "offset": int, "checker": str, "kind": str,
+    "type_name": str, "state": str, "func": str, "line": int,
+}
+
+#: Field types of a stored file entry (``FileMeta.to_json``; ``mtime``
+#: may be either number).
+_META_TYPES = {"digest": str, "module": str, "sites": int, "size": int}
+
+
+def _strings(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+def _warning_ok(doc) -> bool:
+    return (
+        type(doc) is dict
+        and all(type(doc.get(k)) is t for k, t in _WARNING_TYPES.items())
+        and _strings(doc.get("witness"))
+    )
+
+
+def _meta_ok(doc) -> bool:
+    return (
+        type(doc) is dict
+        and all(type(doc.get(k)) is t for k, t in _META_TYPES.items())
+        and type(doc.get("mtime")) in (int, float)
+        and _strings(doc.get("imports"))
+    )
+
+
+def _root_ok(row) -> bool:
+    return (
+        type(row) is list and len(row) == 2
+        and (row[0] is None or type(row[0]) is str)
+        and type(row[1]) is list and all(map(_warning_ok, row[1]))
+    )
+
+
+def _entry_ok(entry) -> bool:
+    if type(entry) is not dict or not _strings(entry.get("files")) \
+            or not entry["files"]:
+        return False
+    if "roots" in entry:
+        return (
+            type(entry["roots"]) is dict
+            and all(map(_root_ok, entry["roots"].values()))
+            and type(entry.get("count")) is int
+        )
+    return (
+        type(entry.get("warnings")) is list
+        and all(map(_warning_ok, entry["warnings"]))
+        and type(entry.get("error", "")) is str
+    )
+
+
+def _well_formed(doc: dict) -> bool:
+    """Every field of a state document has the type the engine reads it
+    as.  One check for both kinds: the snapshot, and a journal line --
+    the same sections holding only what changed, plus the ``removed``
+    paths and the strata digests that ``left``."""
+    files, strata, counters = (
+        doc.get(key, {}) for key in ("files", "strata", "counters")
+    )
+    return (
+        type(files) is dict and all(map(_meta_ok, files.values()))
+        and type(strata) is dict and all(map(_entry_ok, strata.values()))
+        and type(counters) is dict
+        and all(type(counters.get(k, 0)) is int for k in _COUNTERS)
+        and _strings(doc.get("removed", []))
+        and _strings(doc.get("left", []))
+    )
+
+
 class ServeEngine:
     """The daemon's state machine; :class:`Server` wraps it in I/O.
 
@@ -176,6 +273,15 @@ class ServeEngine:
         }
         text = json.dumps(payload, sort_keys=True)
         self.config_digest = hashlib.sha256(text.encode()).hexdigest()
+        # What changed since the last state write, which appends just
+        # that: file entries refreshed or removed; the strata on disk.
+        self._dirty: set[str] = set()
+        self._removed: set[str] = set()
+        self._saved_strata: set[str] = set()
+        #: Journal bytes since the snapshot; None until this engine has
+        #: written a snapshot (the first write after a load compacts).
+        self._journal_size: int | None = None
+        self._snapshot_size = 0
         self._load_state()
 
     # -- persistence -------------------------------------------------------
@@ -183,7 +289,47 @@ class ServeEngine:
     def _state_path(self) -> str:
         return os.path.join(self.workdir, STATE_FILE)
 
+    def _journal_path(self) -> str:
+        return os.path.join(self.workdir, JOURNAL_FILE)
+
+    def _counters(self) -> dict:
+        return {key: getattr(self.stats, key) for key in _COUNTERS}
+
     def _save_state(self) -> None:
+        """Persist what changed since the last write: one journal line
+        -- the file entries refreshed and the paths removed, the strata
+        that entered and the digests that left, the counters -- with one
+        write and one ``fsync``.  The first write of an engine, and one
+        that would grow the journal past the snapshot, compact instead:
+        a new snapshot, then an empty journal."""
+        line = {
+            "files": {
+                p: self.files[p].to_json()
+                for p in sorted(self._dirty) if p in self.files
+            },
+            "removed": sorted(self._removed),
+            "strata": {
+                digest: self.strata[digest]
+                for digest in sorted(self.strata.keys() - self._saved_strata)
+            },
+            "left": sorted(self._saved_strata - self.strata.keys()),
+            "counters": self._counters(),
+        }
+        data = json.dumps(line, sort_keys=True).encode() + b"\n"
+        if (self._journal_size is None
+                or self._journal_size + len(data) > self._snapshot_size):
+            self._write_snapshot()
+        else:
+            with open(self._journal_path(), "ab") as f:
+                f.write(data)
+                f.flush()
+                os.fsync(f.fileno())
+            self._journal_size += len(data)
+        self._dirty.clear()
+        self._removed.clear()
+        self._saved_strata = set(self.strata)
+
+    def _write_snapshot(self) -> None:
         doc = {
             "schema": STATE_SCHEMA,
             "version": STATE_VERSION,
@@ -192,45 +338,70 @@ class ServeEngine:
             "strata": {
                 digest: entry for digest, entry in sorted(self.strata.items())
             },
-            "counters": {
-                "edits_served": self.stats.edits_served,
-                "edges_rederived": self.stats.edges_rederived,
-                "warnings_retracted": self.stats.warnings_retracted,
-            },
+            "counters": self._counters(),
         }
         data = json.dumps(doc, sort_keys=True).encode()
         serialize.atomic_write_bytes(self._state_path(), data)
+        # Emptied only once the snapshot holding its lines is durable: a
+        # crash in between leaves lines that replay refuses.
+        open(self._journal_path(), "wb").close()
+        self._snapshot_size = len(data)
+        self._journal_size = 0
 
     def _load_state(self) -> None:
         # Valid JSON of the wrong shape is no state either, decided
         # before anything is adopted: never a half-loaded engine.
         doc = serialize.read_json_object(self._state_path())
-        if doc is None:
-            return
-        if (doc.get("schema") != STATE_SCHEMA
+        if (doc is None
+                or doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
-                or doc.get("config") != self.config_digest):
-            return  # different analysis config: results are not reusable
-        files, strata, counters = (
-            doc.get(key, {}) for key in ("files", "strata", "counters")
-        )
-        if not all(isinstance(s, dict) for s in (files, strata, counters)):
+                # different analysis config: results are not reusable
+                or doc.get("config") != self.config_digest
+                or not _well_formed(doc)):
+            # A journal continues a snapshot; this engine holds none.
+            try:
+                os.remove(self._journal_path())
+            except OSError:
+                pass
             return
-        try:
-            metas = {
-                path: FileMeta.from_json(path, meta)
-                for path, meta in files.items()
-            }
-        except (KeyError, TypeError):
-            return
-        self.files = metas
-        self.strata = dict(strata)
-        self.stats.edits_served = counters.get("edits_served", 0)
-        self.stats.edges_rederived = counters.get("edges_rederived", 0)
-        self.stats.warnings_retracted = counters.get("warnings_retracted", 0)
+        self._adopt(doc)
+        self._replay_journal()
+        self._saved_strata = set(self.strata)
         # The relation the remembered metadata implies; the next scan()
         # diffs the real workspace against it.
         self.closure.apply(self._desired_edges())
+
+    def _replay_journal(self) -> None:
+        """Adopt the journal's well-formed prefix: complete lines, each
+        the successor of the state so far (``edits_served`` one higher;
+        lines a compaction already folded into the snapshot are not),
+        up to the first that is not."""
+        try:
+            with open(self._journal_path(), "rb") as f:
+                data = f.read()
+        except OSError:
+            return
+        *lines, _torn = data.split(b"\n")
+        for raw in lines:
+            line = serialize.parse_json_object(raw)
+            if (line is None or not _well_formed(line)
+                    or line.get("counters", {}).get("edits_served")
+                    != self.stats.edits_served + 1):
+                break
+            self._adopt(line)
+
+    def _adopt(self, doc: dict) -> None:
+        """Apply a well-formed snapshot or journal line."""
+        for path in doc.get("removed", ()):
+            self.files.pop(path, None)
+        for digest in doc.get("left", ()):
+            self.strata.pop(digest, None)
+        for path, meta in doc.get("files", {}).items():
+            self.files[path] = FileMeta.from_json(path, meta)
+        self.strata.update(doc.get("strata", {}))
+        counters = doc.get("counters", {})
+        for key in _COUNTERS:
+            setattr(self.stats, key, counters.get(key, 0))
 
     # -- workspace observation ---------------------------------------------
 
@@ -277,6 +448,7 @@ class ServeEngine:
         for path in removed:
             del self.files[path]
             self.texts.pop(path, None)
+        self._removed.update(removed)
         # Not only ``removed``: a file that never parsed has no meta.
         self.errors = {
             p: e for p, e in self.errors.items() if p in present
@@ -299,6 +471,7 @@ class ServeEngine:
             if meta is not None and meta.digest == digest \
                     and path not in self.errors:
                 meta.mtime, meta.size = st.st_mtime, st.st_size
+                self._dirty.add(path)
                 continue
             try:
                 new_meta = self._observe(path, text, st.st_mtime, st.st_size)
@@ -309,6 +482,7 @@ class ServeEngine:
                 continue
             self.errors.pop(path, None)
             self.files[path] = new_meta
+            self._dirty.add(path)
             self.texts[path] = text
             changed.append(path)
         return changed, removed
@@ -336,10 +510,8 @@ class ServeEngine:
         return pairs
 
     def _stratum_digest(self, membership: list[str]) -> str:
-        payload = [[p, self.files[p].digest] for p in membership]
-        payload.append(["<config>", self.config_digest])
-        text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
+        members = tuple((p, self.files[p].digest) for p in membership)
+        return _members_digest(members, self.config_digest)
 
     def _run_stratum(self, membership: list[str], root_table: dict):
         sources = {p: self._text(p) for p in membership}
@@ -514,11 +686,7 @@ class ServeEngine:
             ],
             "errors": self._errors(),
             "warnings": self.warnings(),
-            "counters": {
-                "edits_served": self.stats.edits_served,
-                "edges_rederived": self.stats.edges_rederived,
-                "warnings_retracted": self.stats.warnings_retracted,
-            },
+            "counters": self._counters(),
         }
 
     # -- fragments ---------------------------------------------------------

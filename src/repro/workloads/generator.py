@@ -62,13 +62,13 @@ def generate_subject(profile: SubjectProfile) -> GeneratedSubject:
             template = fp_templates[i % len(fp_templates)]
             pieces.append(template(next_name(), rng))
 
-    # Clean padding until the target size is reached.
-    def current_loc() -> int:
-        return sum(_loc(text) for text, _ in pieces)
-
-    while current_loc() < profile.target_loc:
+    # Clean padding until the target size is reached (a running total:
+    # re-counting every piece per padding piece is quadratic).
+    loc = sum(_loc(text) for text, _ in pieces)
+    while loc < profile.target_loc:
         template = rng.choice(P.CLEAN_PATTERNS)
         pieces.append(template(next_name(), rng))
+        loc += _loc(pieces[-1][0])
 
     rng.shuffle(pieces)
 

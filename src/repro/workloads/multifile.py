@@ -483,14 +483,14 @@ def _seeded_pieces(profile: MultiFileProfile, rng: random.Random,
         for i in range(fp_count):
             pieces.append(fp_templates[i % len(fp_templates)](next_name(), rng))
 
-    def current_loc() -> int:
-        return sum(
-            _loc(text) for parts, _ in pieces for text in parts.values()
-        )
+    def piece_loc(parts: dict) -> int:
+        return sum(_loc(text) for text in parts.values())
 
-    while current_loc() < pad_to:
+    loc = sum(piece_loc(parts) for parts, _ in pieces)
+    while loc < pad_to:
         template = rng.choice(CLEAN_PACK_PATTERNS)
         pieces.append(template(next_name(), rng))
+        loc += piece_loc(pieces[-1][0])
 
     rng.shuffle(pieces)
 

@@ -8,7 +8,9 @@ import pytest
 
 from repro.analysis.pipeline import Grapple
 from repro.checkers import socket_checker
-from repro.lang.parser import ParseError, parse_program
+from repro.graph.cloning import _canonical
+from repro.lang.parser import ParseError, parse_module, parse_program
+from repro.sa import scopes
 from repro.sa.scopes import (
     KIND_AMBIGUOUS_IMPORT,
     KIND_UNRESOLVED,
@@ -294,3 +296,44 @@ def test_artifact_cache_get_returns_private_copy(tmp_path):
     first.path = "mutated/by/loader.mini"
     second = cache.get(digest)
     assert second.path == "net.mini"
+
+
+def _shape(mf):
+    """A parsed file as nested lists, site ids included."""
+    return [mf.module, mf.path, mf.next_site, _canonical(mf.imports, 0),
+            {name: _canonical(fn, 0) for name, fn in mf.functions.items()}]
+
+
+def test_parse_memo_hit_is_a_private_copy_of_a_fresh_parse(tmp_path,
+                                                           monkeypatch):
+    cache = ScopeArtifactCache(str(tmp_path))
+    digest = source_digest(NET)
+    first = cache.parse(NET, "net.mini", 7, digest=digest)
+    parses = []
+    monkeypatch.setattr(scopes, "parse_module",
+                        lambda *a, **k: parses.append(a) or parse_module(*a, **k))
+    # Linking rewrites a parsed file in place; the memo must not see it.
+    first.functions["shut"].body.clear()
+    hit = cache.parse(NET, "net.mini", 7, digest=digest)
+    assert parses == []
+    assert _shape(hit) == _shape(parse_module(NET, "net.mini", 7))
+    assert cache.module_name(digest) == "net"
+    # Everything the parser reads is in the key: another base misses.
+    cache.parse(NET, "net.mini", 8, digest=digest)
+    assert len(parses) == 1
+
+
+def test_memoised_loads_link_the_program_a_fresh_load_does(tmp_path,
+                                                          monkeypatch):
+    sources = {"app.mini": APP, "net.mini": NET}
+    fresh = load_modules(sources)
+    cache = ScopeArtifactCache(str(tmp_path), capacity=2)
+    load_modules(sources, cache=cache)
+    lexed = []
+    monkeypatch.setattr(scopes, "tokenize",
+                        lambda text: lexed.append(text) or [])
+    monkeypatch.setattr(scopes, "parse_module", None)  # must not be reached
+    again = load_modules(sources, cache=cache)
+    assert lexed == []
+    assert again.program == fresh.program
+    assert again.resolution.site_ranges == fresh.resolution.site_ranges

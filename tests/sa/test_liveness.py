@@ -1,5 +1,8 @@
 """Liveness analysis and dead-store elimination."""
 
+import pytest
+
+from repro.analysis.frontend import compile_source
 from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.lang.transform import (
@@ -10,6 +13,9 @@ from repro.lang.transform import (
 )
 from repro.lang.types import infer_object_vars
 from repro.sa.liveness import eliminate_dead_stores, is_pure_scalar_expr
+from repro.sa.reduce import ReductionStats
+from repro.workloads.multifile import build_multifile_subject
+from repro.workloads.subjects import SUBJECT_PROFILES, build_subject
 
 
 def compile_core(source: str):
@@ -120,3 +126,33 @@ def test_purity_predicate():
     assert is_pure_scalar_expr(a.value)
     assert not is_pure_scalar_expr(b.value)
     assert not is_pure_scalar_expr(c.value)
+
+
+#: Dead stores beside an object flow: only the scalar ones may go.
+MIXED = """
+func f(x) {
+    var o = new Obj();
+    var p = o;
+    var s = x + 1;
+    var t = s;
+    return x;
+}
+"""
+
+
+@pytest.mark.parametrize("name", [*SUBJECT_PROFILES, "gateway", "mixed"])
+def test_dead_store_elimination_leaves_object_info_unchanged(name):
+    """``compile_source`` infers object variables once, before DSE, and
+    hands that result on: it must be the inference of the reduced
+    program, on every built-in subject and on gateway 16."""
+    if name == "gateway":
+        source = build_multifile_subject(name, scale=16).sources
+    elif name == "mixed":
+        source = MIXED
+    else:
+        source = build_subject(name).source
+    stats = ReductionStats()
+    compiled = compile_source(source, reduce=True, reduction=stats)
+    # gateway has no dead store: there only the builders run in between.
+    assert (stats.dead_stores_removed > 0) is (name != "gateway")
+    assert compiled.info == infer_object_vars(compiled.program)

@@ -21,10 +21,12 @@ import pytest
 
 from repro import serve as serve_mod
 from repro.analysis.pipeline import Grapple
+from repro.lang import parser as parser_mod
 from repro.checkers.checker import pack_checkers
 from repro.graph.cloning import root_functions
 from repro.lang.parser import parse_module
 from repro.obs.report import validate_run_report
+from repro.sa import scopes
 from repro.serve import Server, ServeEngine, request
 from repro.workloads.bugs import classify_report
 from repro.workloads.multifile import build_multifile_subject
@@ -479,6 +481,7 @@ def test_state_file_of_the_previous_build_is_adopted(tmp_path):
     with open(os.path.join(wd, "serve-state.json"), "w") as f:
         json.dump(state, f)
     engine = ServeEngine(ws, wd, _fsms())
+    assert os.listdir(wd) == ["serve-state.json"]  # and no journal
     assert engine.strata == state["strata"]
     fragment = engine.scan()
     assert fragment["edit"]["changed"] == []
@@ -537,10 +540,19 @@ def _set(key, value):
     return lambda doc: {**doc, key: value}
 
 
-def _break_first_file(doc):
+def _break_first_file(doc, **fields):
     files = dict(doc["files"])
-    files[sorted(files)[0]] = {"digest": "d"}  # FileMeta needs six keys
+    first = sorted(files)[0]
+    # FileMeta needs six keys, each of its type.
+    files[first] = {**files[first], **fields} if fields else {"digest": "d"}
     return {**doc, "files": files}
+
+
+def _break_first_stratum(doc, entry=None, **fields):
+    strata = dict(doc["strata"])
+    first = sorted(strata)[0]
+    strata[first] = entry if entry is not None else {**strata[first], **fields}
+    return {**doc, "strata": strata}
 
 
 @pytest.mark.parametrize("damage", [
@@ -553,9 +565,17 @@ def _break_first_file(doc):
     _set("counters", "many"),
     _break_first_file,
     lambda doc: b"[" * 200_000,  # RecursionError in the parser, not ValueError
+    # Right keys and containers, a value of the wrong type: each of these
+    # used to be adopted and raise TypeError on load, edit or report.
+    _set("counters", {"edits_served": "x"}),
+    lambda doc: _break_first_file(doc, sites="7"),
+    lambda doc: _break_first_stratum(doc, entry=[1, 2]),
+    lambda doc: _break_first_stratum(doc, roots="zz"),
+    lambda doc: _break_first_stratum(doc, count="zz"),
 ], ids=["list", "null", "number", "files-list", "file-entry-null",
         "strata-number", "counters-string", "file-entry-short",
-        "deep-nesting"])
+        "deep-nesting", "edits-served-string", "sites-string",
+        "stratum-list", "roots-string", "count-string"])
 def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
     engine = _engine(tmp_path)
     cold = engine.scan()
@@ -570,6 +590,9 @@ def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
         f.write(damaged)
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert again.files == {} and again.strata == {}  # nothing half-loaded
+    # The journal continued that snapshot: it goes with it.
+    assert not os.path.exists(
+        os.path.join(engine.workdir, serve_mod.JOURNAL_FILE))
     fragment = again.scan()
     assert fragment["edit"]["strata_rechecked"] == cold["edit"]["strata_total"]
     assert sorted(fragment["edit"]["changed"]) == sorted(good["files"])
@@ -579,6 +602,200 @@ def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
         rewritten = json.load(f)
     assert rewritten["files"].keys() == good["files"].keys()
     assert rewritten["strata"].keys() == good["strata"].keys()
+
+
+def _lexed_and_parsed(monkeypatch):
+    """Every text tokenised and every path parsed from here on."""
+    lexed, parsed = [], []
+    for module in (serve_mod, scopes, parser_mod):
+        tokenize = module.tokenize
+        monkeypatch.setattr(
+            module, "tokenize",
+            lambda text, _t=tokenize: lexed.append(text) or _t(text))
+    for module in (serve_mod, scopes):
+        parse = module.parse_module
+        monkeypatch.setattr(
+            module, "parse_module",
+            lambda text, path, _p=parse, **kw: parsed.append(path)
+            or _p(text, path, **kw))
+    return lexed, parsed
+
+
+def test_pad_edit_lexes_and_parses_only_the_edited_file(tmp_path, monkeypatch):
+    engine = _engine(tmp_path)
+    engine.scan()
+    lexed, parsed = _lexed_and_parsed(monkeypatch)
+    for path in ("g0svc.mini", "g0app.mini"):  # last and first of a stratum
+        text = _read(engine, path) + "func g0_pad(v) {\n    return v + 7;\n}\n"
+        fragment = engine.edit(path, text)
+        assert fragment["edit"]["strata_rechecked"] == 1
+        assert set(lexed) == {text} and set(parsed) == {path}
+        lexed.clear(), parsed.clear()
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
+
+
+def test_site_adding_edit_reparses_the_files_whose_base_moved(tmp_path,
+                                                             monkeypatch):
+    engine = _engine(tmp_path)
+    engine.scan()
+    (stratum,) = [e["files"] for e in engine.strata.values()
+                  if "g0core.mini" in e["files"]]
+    order = sorted(stratum, key=lambda p: (engine.files[p].module, p))
+    after = order[order.index("g0core.mini") + 1:]
+    assert len(after) == 6
+    lexed, parsed = _lexed_and_parsed(monkeypatch)
+    clean = _read(engine, "g0core.mini")
+    leak = ("func g0_leak(x) {\n    var f = new FileWriter();\n"
+            "    f.write(x);\n    return;\n}\n")
+    leaky = clean.replace("\nfunc ", "\n" + leak + "func ", 1)
+    fragment = engine.edit("g0core.mini", leaky)  # one more site, up front
+    assert fragment["edit"]["errors"] == {}
+    assert sorted(set(parsed)) == ["g0core.mini", *after]
+    assert set(lexed) == {leaky} | {_read(engine, p) for p in after}
+    # Back to the old bases: only the edited file is new to the memo.
+    lexed.clear(), parsed.clear()
+    engine.edit("g0core.mini", clean + "\n")
+    assert set(parsed) == {"g0core.mini"}
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
+
+
+def _state(engine):
+    return engine.files, engine.strata, engine._counters()
+
+
+def _snapshot_of(state):
+    """A deep copy, through JSON as the state file holds it."""
+    files, strata, counters = state
+    return ({p: m.to_json() for p, m in files.items()},
+            json.loads(json.dumps(strata)), dict(counters))
+
+
+def test_reload_from_snapshot_and_journal_equals_the_live_engine(tmp_path):
+    engine = _engine(tmp_path, scale=4.0)
+    engine.scan()
+    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
+    rng = random.Random(11)
+    paths = sorted(engine.files)
+    replayed = 0
+    for step in range(12):
+        victim = rng.choice(paths)
+        text = _read(engine, victim)
+        if step % 3 == 2:  # a new allocation site: bases move
+            text = text.replace(") {", f") {{ var z{step} = new Plain();", 1)
+        else:
+            text += f"func pad{step}_x(v) {{\n    return v + {step};\n}}\n"
+        assert engine.edit(victim, text)["edit"]["strata_rechecked"] == 1
+        replayed += os.path.getsize(journal) > 0
+        again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+        assert _state(again) == _state(engine)
+    assert replayed >= 6  # most reloads replayed at least one line
+    # An engine's first write compacts; the next ones append.
+    engine = again
+    engine.edit(paths[3], _read(engine, paths[3]) + "\n")
+    assert os.path.getsize(journal) == 0
+    # A file touched but not changed: its refreshed entry rides along
+    # with the next edit's line.
+    os.utime(os.path.join(engine.workspace, paths[1]), (1e9, 1e9))
+    assert engine.scan()["edit"]["changed"] == []
+    engine.edit(paths[2], _read(engine, paths[2]) + "\n")
+    assert engine.files[paths[1]].mtime == 1e9
+    size = os.path.getsize(journal)
+    assert size > 0
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    assert _state(again) == _state(engine)
+    # A removal travels through the journal too.
+    engine.remove(paths[0])
+    assert os.path.getsize(journal) > size
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    assert _state(again) == _state(engine)
+    assert again.scan()["edit"]["strata_rechecked"] == 0
+
+
+def _four_strata(tmp_path):
+    """Four independent files: a journal line is a quarter snapshot."""
+    ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
+    os.makedirs(ws)
+    for name in "abcd":
+        with open(os.path.join(ws, f"{name}.mini"), "w") as f:
+            f.write(f"module {name};\nfunc {name}_main(x) {{\n"
+                    "    var t = new UserInput();\n    t.exec();\n"
+                    "    return;\n}\n")
+    engine = ServeEngine(ws, wd, _fsms())
+    engine.scan()
+    return engine
+
+
+def test_torn_journal_line_loads_the_state_before_it(tmp_path):
+    engine = _four_strata(tmp_path)
+    engine.edit("a.mini", _read(engine, "a.mini") + "func pad(v) {\n"
+                "    return v;\n}\n")
+    before = _snapshot_of(_state(engine))
+    engine.edit("b.mini", _read(engine, "b.mini").replace("x)", "y)"))
+    after = _snapshot_of(_state(engine))
+    assert before != after
+    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
+    with open(journal, "rb") as f:
+        data = f.read()
+    *complete, last, tail = data.split(b"\n")
+    assert complete and tail == b""  # two lines: this edit's is the last
+    start = len(data) - len(last) - 1
+    for cut in range(start, len(data) + 1):
+        with open(journal, "wb") as f:
+            f.write(data[:cut])
+        again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+        want = after if cut == len(data) else before
+        assert _snapshot_of(_state(again)) == want, cut
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: {**line, "counters": {**line["counters"], "edits_served": "x"}},
+    lambda line: {**line, "removed": "a.mini"},
+    lambda line: {**line, "strata": {"d": {"files": ["b.mini"], "roots": {},
+                                           "count": "zz"}}},
+    lambda line: {**line, "counters": {**line["counters"], "edits_served": 1}},
+], ids=["counter-string", "removed-string", "count-string", "stale-line"])
+def test_bad_journal_line_ends_the_replay(tmp_path, damage):
+    engine = _four_strata(tmp_path)
+    engine.edit("a.mini", _read(engine, "a.mini") + "\n")
+    before = _snapshot_of(_state(engine))
+    engine.edit("b.mini", _read(engine, "b.mini") + "\n")
+    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
+    with open(journal, "rb") as f:
+        first, last, _ = f.read().split(b"\n")
+    with open(journal, "wb") as f:
+        f.write(first + b"\n" + json.dumps(damage(json.loads(last))).encode()
+                + b"\n")
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    assert _snapshot_of(_state(again)) == before
+    # The next write compacts: a snapshot, and a journal that is empty.
+    fragment = again.scan()
+    assert fragment["edit"]["changed"] == ["b.mini"]
+    assert os.path.getsize(journal) == 0
+    assert _state(ServeEngine(engine.workspace, engine.workdir, _fsms())) \
+        == _state(again)
+
+
+def test_journal_stays_within_the_snapshot_size(tmp_path):
+    engine = _engine(tmp_path, scale=4.0)
+    engine.scan()
+    state = os.path.join(engine.workdir, serve_mod.STATE_FILE)
+    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
+    pad = "func g0_pad(v) {\n    return v + %d;\n}\n"
+    text = _read(engine, "g0svc.mini")
+    compactions = lines = 0
+    for serial in range(60):
+        size = os.path.getsize(journal)
+        engine.edit("g0svc.mini", text + pad % serial)
+        grown = os.path.getsize(journal) - size
+        if grown > 0:
+            lines += 1
+        else:
+            compactions += 1
+            assert os.path.getsize(journal) == 0
+        assert os.path.getsize(journal) <= os.path.getsize(state) + max(grown, 0)
+    assert lines > 2 * compactions > 0
 
 
 def test_parse_error_keeps_serving_and_recovers(tmp_path):
@@ -629,9 +846,12 @@ def _serving(engine, tmp_path):
         thread = threading.Thread(target=server.run, daemon=True)
         thread.start()
         try:
+            # The socket file exists from bind(), before listen(): wait
+            # for an answer, not for the file.
             for _ in range(200):
-                if os.path.exists(sock_path):
-                    break
+                with contextlib.suppress(OSError):
+                    if request(sock_path, {"op": "ping"})["ok"]:
+                        break
                 time.sleep(0.01)
             yield sock_path
         finally:

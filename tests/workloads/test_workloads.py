@@ -1,5 +1,9 @@
 """Unit tests for the synthetic workload generator and classification."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.checkers.report import Report, Warning
@@ -12,6 +16,10 @@ from repro.workloads import (
     generate_subject,
 )
 from repro.workloads.generator import SubjectProfile
+from repro.workloads.multifile import (
+    MULTIFILE_PROFILES,
+    generate_multifile_subject,
+)
 from repro.workloads.patterns import CLEAN_PATTERNS, FP_PATTERNS, TP_PATTERNS
 
 
@@ -166,3 +174,23 @@ def test_classify_counts_each_site_once():
     )
     cls = classify_report(seeds, report)
     assert cls.tp == {"io": 1}
+
+
+@pytest.mark.parametrize("name, scale, digest", [
+    ("hadoop", 4, "cd488593ee62d9633f8dd600ade9feef"),
+    ("gateway", 16, "95ebb032779dcc0a72cc4d498dd3f972"),
+])
+def test_generated_sources_are_pinned(name, scale, digest):
+    """The benchmark's inputs, byte for byte: the padding loop counts
+    lines as it goes, and must stop at exactly the piece it always did."""
+    if name == "hadoop":
+        base = SUBJECT_PROFILES["hadoop"]
+        text = generate_subject(replace(
+            base, seed=0, target_loc=max(200, int(base.target_loc * scale)),
+        )).source
+    else:
+        sources = generate_multifile_subject(
+            replace(MULTIFILE_PROFILES[name], seed=0), scale=scale
+        ).sources
+        text = json.dumps(sources, sort_keys=True)
+    assert hashlib.md5(text.encode()).hexdigest() == digest
