@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -9,13 +10,16 @@ from repro.lang import ast
 from repro.lang.callgraph import CallGraph, build_call_graph
 from repro.lang.parser import parse_program
 from repro.lang.transform import (
+    EscapeSummary,
+    escape_summary,
     lower_exceptions,
+    may_throw_of,
     normalize_calls,
     unroll_loops,
 )
 from repro.lang.types import ObjectInfo, infer_object_vars
-from repro.cfet.icfet import Icfet, build_icfet
-from repro.graph.cloning import CloneForest, enumerate_clones
+from repro.cfet.icfet import BuiltCfet, Icfet, build_icfet
+from repro.graph.cloning import CloneForest, body_digest, enumerate_clones
 
 
 @dataclass
@@ -32,6 +36,38 @@ class CompiledProgram:
     #: Scope-graph resolution record for multi-file subjects
     #: (:class:`repro.sa.scopes.Resolution`); None for single-source runs.
     resolution: object = None
+    #: Functions this compile ran a pass over: all of them, unless a
+    #: scope cache handed compiled ones back (a CFET rebuilt alone counts).
+    recompiled: int = 0
+    #: Function -> :func:`~repro.graph.cloning.body_digest`, when a scope
+    #: cache keeps them (``root_keys`` then hashes no body again).
+    bodies: dict | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledFunction:
+    """One function of a :class:`~repro.sa.scopes.FileFragment`: its
+    compiled form plus every cross-file fact its passes read, which is
+    what decides whether a later compile may use it (DESIGN.md §16).
+    Shared by every compile that does, so never mutated."""
+
+    #: Linked, lowered and -- with reduction -- folded and DSE'd.
+    fn: ast.Function
+    #: Its CFET, which ``build_icfet`` takes back while it fits.
+    built: BuiltCfet
+    #: :func:`~repro.graph.cloning.body_digest` of ``fn`` in its file.
+    body: bytes
+    #: What exception lowering reads of the function itself.
+    escapes: EscapeSummary
+    #: Which of the function and its callees were may-throw when it
+    #: was lowered.
+    throwing: frozenset
+    #: Its ``ObjectInfo.object_vars`` slice, which DSE read; None when
+    #: reduction is off.
+    object_vars: frozenset | None
+    #: Branches folded and dead stores removed in it.
+    folded: int
+    dead: int
 
 
 def compile_source(
@@ -52,7 +88,9 @@ def compile_source(
     mapping ``{path: text}`` / list of ``(path, text)`` pairs, which is
     routed through scope-graph name resolution and linking
     (:mod:`repro.sa.scopes`; ``scope_cache`` optionally persists the
-    per-file artifacts).
+    per-file artifacts and keeps every file's compiled functions, so a
+    later compile runs the passes only over the functions whose inputs
+    moved).
 
     With ``reduce`` on, the :mod:`repro.sa` AST reductions run between
     exception lowering and CFET construction: constant branches are
@@ -66,6 +104,7 @@ def compile_source(
     """
     start = time.perf_counter()
     resolution = None
+    memo = None
     if isinstance(source, str):
         program = parse_program(source)
         source_text = source
@@ -78,14 +117,22 @@ def compile_source(
             trace.end("sa-scopes", tick, cat="sa")
         program = loaded.program
         resolution = loaded.resolution
-        texts = source.values() if isinstance(source, dict) else (
-            text for _, text in source
-        )
-        source_text = "\n".join(texts)
-    normalize_calls(program)
-    unroll_loops(program, unroll)
-    lower_exceptions(program)
+        # Keyed as load_modules keys its files.
+        texts = dict(source) if isinstance(source, dict) else {
+            str(path): text for path, text in source
+        }
+        source_text = "\n".join(texts.values())
+        if scope_cache is not None:
+            memo = _Memo(loaded, texts, (unroll, reduce))
+    # The passes run over the functions no fragment stands in for.
+    work = program if memo is None else memo.misses
+    normalize_calls(work)
+    unroll_loops(work, unroll)
+    may_throw = None if memo is None else memo.may_throw(unroll)
+    lower_exceptions(work, may_throw)
     info = None
+    folded: dict[str, int] = {}
+    dead: dict[str, int] = {}
     if reduce:
         from repro.sa.constprop import fold_constant_branches
         from repro.sa.liveness import eliminate_dead_stores
@@ -94,7 +141,7 @@ def compile_source(
         if reduction is None:
             reduction = ReductionStats()
         tick = trace.begin() if trace is not None else 0.0
-        reduction.branches_folded += fold_constant_branches(program)
+        fold_constant_branches(work, folded)
         if trace is not None:
             trace.end("sa-fold", tick, cat="sa")
             tick = trace.begin()
@@ -106,10 +153,16 @@ def compile_source(
         # that is scalar at the fixpoint, and no inference rule fires on
         # such a store, so the least fixpoint cannot move.
         info = infer_object_vars(program)
-        reduction.dead_stores_removed += eliminate_dead_stores(program, info)
+        if memo is not None:
+            info = memo.settle(info, unroll, may_throw, folded)
+        eliminate_dead_stores(work, info, dead)
         if trace is not None:
             trace.end("sa-dse", tick, cat="sa")
-    icfet = build_icfet(program)
+        for name, done in (memo.reused.items() if memo else ()):
+            folded[name], dead[name] = done.folded, done.dead
+        reduction.branches_folded += sum(folded.values())
+        reduction.dead_stores_removed += sum(dead.values())
+    icfet = build_icfet(program, None if memo is None else memo.cfets())
     callgraph = build_call_graph(program)
     if info is None:
         info = infer_object_vars(program)
@@ -118,13 +171,178 @@ def compile_source(
         max_depth=max_clone_depth, max_clones=max_clones,
     )
     loc = sum(1 for line in source_text.splitlines() if line.strip())
-    return CompiledProgram(
+    compiled = CompiledProgram(
         program=program,
         icfet=icfet,
         callgraph=callgraph,
         info=info,
         forest=forest,
         loc=loc,
-        frontend_time=time.perf_counter() - start,
+        frontend_time=0.0,
         resolution=resolution,
+        recompiled=len(program.functions),
     )
+    if memo is not None:
+        memo.keep(scope_cache, compiled, may_throw, folded, dead)
+    compiled.frontend_time = time.perf_counter() - start
+    return compiled
+
+
+def _throwing(name: str, escapes: EscapeSummary, may_throw: set) -> frozenset:
+    """What lowering reads of ``may_throw`` for one function."""
+    return frozenset(f for f in (name, *escapes.callees) if f in may_throw)
+
+
+class _Memo:
+    """One compile's side of the fragment memo (DESIGN.md §16).
+
+    ``reused`` holds the compiled functions standing in the program,
+    ``misses`` the program of the others, which the passes run over.  A
+    reused function whose cross-file inputs moved goes back to a fresh
+    parse of its file and joins ``misses`` (:meth:`may_throw`,
+    :meth:`settle`); one whose CFET alone moved is rebuilt by
+    ``build_icfet``.  :meth:`keep` hands the result to the cache.
+    """
+
+    def __init__(self, loaded, texts: dict, config: tuple):
+        self.program = loaded.program
+        self.resolution = loaded.resolution
+        self.fragments = loaded.fragments
+        self.texts = texts
+        self.config = config
+        self.reused: dict[str, CompiledFunction] = {}
+        stale = []
+        for fragment in self.fragments.values():
+            if fragment.config == config:
+                self.reused.update(fragment.functions)
+            else:
+                stale.extend(fragment.functions)
+        self.misses = ast.Program({
+            name: fn for name, fn in self.program.functions.items()
+            if name not in self.reused
+        })
+        self.escapes: dict[str, EscapeSummary] = {}
+        self._fresh(stale)
+
+    def _fresh(self, names) -> ast.Program:
+        """These reused functions from a fresh parse of their files,
+        linked, replacing their compiled forms."""
+        from repro.sa.scopes import reload_file
+
+        late = ast.Program()
+        for path in sorted({self.resolution.file_of[n] for n in names}):
+            linked = reload_file(self.texts[path], path, self.resolution)
+            late.functions.update(
+                (name, linked[name]) for name in names if name in linked
+            )
+        for name, fn in late.functions.items():
+            self.reused.pop(name, None)
+            self.program.functions[name] = fn
+            self.misses.functions[name] = fn
+        return late
+
+    def _summarise(self, program: ast.Program) -> None:
+        self.escapes.update(
+            (name, escape_summary(fn))
+            for name, fn in program.functions.items()
+        )
+
+    def may_throw(self, unroll: int) -> set:
+        """The whole program's may-throw set, from the escape summaries
+        of the misses (normalised and unrolled by now) and the ones the
+        reused functions keep; a reused function that would now be
+        lowered differently is recompiled up to the same point."""
+        self._summarise(self.misses)
+        summaries = {n: c.escapes for n, c in self.reused.items()}
+        summaries.update(self.escapes)
+        may_throw = may_throw_of(summaries)
+        late = self._fresh([
+            name for name, compiled in self.reused.items()
+            if _throwing(name, compiled.escapes, may_throw)
+            != compiled.throwing
+        ])
+        normalize_calls(late)
+        unroll_loops(late, unroll)
+        self._summarise(late)
+        return may_throw
+
+    def settle(self, info: ObjectInfo, unroll: int, may_throw: set,
+               folded: dict) -> ObjectInfo:
+        """``info`` inferred over the reused functions' DSE'd bodies and
+        the misses' folded ones is the whole program's once every
+        reused function's slice is the one its DSE ran under: DSE only
+        removes stores no rule fires on while the slice holds.  Until
+        then, recompile those whose slice moved and infer again."""
+        from repro.sa.constprop import fold_constant_branches
+
+        while True:
+            late = self._fresh([
+                name for name, compiled in self.reused.items()
+                if frozenset(info.object_vars.get(name, ()))
+                != compiled.object_vars
+            ])
+            if not late.functions:
+                return info
+            normalize_calls(late)
+            unroll_loops(late, unroll)
+            self._summarise(late)
+            lower_exceptions(late, may_throw)
+            fold_constant_branches(late, folded)
+            info = infer_object_vars(self.program)
+
+    def cfets(self) -> dict[str, BuiltCfet]:
+        return {name: c.built for name, c in self.reused.items()}
+
+    def keep(self, cache, compiled: CompiledProgram, may_throw, folded: dict,
+             dead: dict) -> None:
+        """Hand every file whose compiled functions changed to the cache,
+        and fill in ``compiled.recompiled`` and ``compiled.bodies``."""
+        from repro.sa.scopes import FileFragment, file_bindings, source_digest
+
+        resolution = self.resolution
+        cfets = compiled.icfet.cfets
+        kept = {
+            name: done if cfets[name] is done.built.cfet
+            else dataclasses.replace(
+                done, built=BuiltCfet.of(cfets[name], self.program))
+            for name, done in self.reused.items()
+        }
+        changed = [name for name, done in kept.items()
+                   if done is not self.reused[name]]
+        for name, fn in self.misses.functions.items():
+            path = resolution.file_of[name]
+            kept[name] = CompiledFunction(
+                fn=fn, built=BuiltCfet.of(cfets[name], self.program),
+                body=body_digest(fn, path, resolution.site_ranges[path][0]),
+                escapes=self.escapes[name],
+                throwing=_throwing(name, self.escapes[name], may_throw),
+                object_vars=frozenset(
+                    compiled.info.object_vars.get(name, ())
+                ) if self.config[1] else None,
+                folded=folded.get(name, 0), dead=dead.get(name, 0),
+            )
+            changed.append(name)
+        compiled.recompiled = len(changed)
+        compiled.bodies = {name: done.body for name, done in kept.items()}
+        # The files with a function compiled here, and those no fragment
+        # stood in for at all (one without functions among them).
+        files: dict[str, dict] = {
+            path: {} for path in resolution.site_ranges
+            if path not in self.fragments
+        }
+        files.update((resolution.file_of[name], {}) for name in changed)
+        if not files:
+            return
+        for name in self.program.functions:
+            functions = files.get(resolution.file_of[name])
+            if functions is not None:
+                functions[name] = kept[name]
+        modules = {a.path: a.module for a in resolution.artifacts}
+        bindings = file_bindings(resolution)
+        for path, functions in files.items():
+            base, next_site = resolution.site_ranges[path]
+            cache.keep(
+                source_digest(self.texts[path]), path, base,
+                FileFragment(modules[path], next_site,
+                             bindings.get(path, {}), self.config, functions),
+            )

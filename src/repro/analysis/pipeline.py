@@ -176,7 +176,7 @@ class Grapple:
         # No table (`repro check`): nothing to reuse, so nothing to key.
         keys = {} if table is None else root_keys(
             compiled.program, compiled.callgraph, roots, self._config(),
-            compiled.info, relevance, ranges.origin,
+            compiled.info, relevance, ranges.origin, compiled.bodies,
         )
         reused = {
             root: table[root] for root, key in keys.items()

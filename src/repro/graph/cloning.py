@@ -96,6 +96,7 @@ def root_keys(
     info,
     relevance,
     origin,
+    bodies=None,
 ) -> dict[str, str]:
     """One reuse key per root clone tree.
 
@@ -111,17 +112,21 @@ def root_keys(
     and ``relevance`` (:class:`~repro.sa.relevance.RelevanceInfo`, None
     when reduction is off).  Those two are whole-program fixpoints -- a caller in another tree can
     change them -- which is why they are in the key rather than assumed.
+    ``bodies`` maps functions to their :func:`body_digest` computed
+    earlier (the serve memo keeps them); the others are computed here.
     """
     relevant: dict[str, list] = {}
     if relevance is not None:
         for func, var in relevance.relevant_vars:
             relevant.setdefault(func, []).append(var)
+    bodies = bodies or {}
 
     def digest(func: str) -> bytes:
-        fn = program.functions[func]
-        path, base = origin(func)
+        body = bodies.get(func)
+        if body is None:
+            body = body_digest(program.functions[func], *origin(func))
         facts = (
-            path, fn.params, _canonical(fn.body, base),
+            body,
             sorted(info.object_vars.get(func, ())),
             sorted(relevant.get(func, ())),
             relevance is None or relevance.func_flow_relevant(func),
@@ -145,6 +150,13 @@ def root_keys(
             key.update(func.encode() + b"\0" + digests[func])
         keys[root] = key.hexdigest()[:KEY_HEX]
     return keys
+
+
+def body_digest(fn: ast.Function, path: str, base: int) -> bytes:
+    """The sha256 of what :func:`root_keys` reads of a function alone:
+    its file, parameters and body, site ids rebased to ``base``."""
+    facts = (path, fn.params, _canonical(fn.body, base))
+    return hashlib.sha256(repr(facts).encode()).digest()
 
 
 _SITE_FIELDS = ("site", "call_site")

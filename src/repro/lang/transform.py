@@ -88,8 +88,7 @@ class _Frame:
 
 
 class _Lowerer:
-    def __init__(self, program: ast.Program, may_throw: set[str]):
-        self.program = program
+    def __init__(self, may_throw: set[str]):
         self.may_throw = may_throw
         self.counter = 0
 
@@ -98,6 +97,7 @@ class _Lowerer:
         return f"__{prefix}_{self.counter}"
 
     def lower_function(self, fn: ast.Function) -> None:
+        self.counter = 0  # temporaries are numbered per function
         frame = _Frame(THROWN_FLAG, EXC_REGISTER, is_function=True)
         body, activated = self.lower_body(fn.body, [frame])
         if fn.name in self.may_throw or activated:
@@ -213,57 +213,93 @@ class _Lowerer:
         )
 
 
-def lower_exceptions(program: ast.Program) -> ast.Program:
-    """Remove throw/try/catch from every function (in place)."""
-    may_throw = compute_may_throw(program)
-    lowerer = _Lowerer(program, may_throw)
+def lower_exceptions(program: ast.Program,
+                     may_throw: set[str] | None = None) -> ast.Program:
+    """Remove throw/try/catch from every function (in place).
+
+    ``may_throw`` is :func:`compute_may_throw` of the whole program; pass
+    it when ``program`` holds only some of the program's functions.
+    """
+    if may_throw is None:
+        may_throw = compute_may_throw(program)
+    lowerer = _Lowerer(may_throw)
     for fn in program.functions.values():
         lowerer.lower_function(fn)
     return program
 
 
-def compute_may_throw(program: ast.Program) -> set[str]:
+@dataclass(frozen=True, slots=True)
+class EscapeSummary:
+    """What exception lowering reads about one (normalised) function."""
+
+    #: A ``throw`` outside any ``try``.
+    throws: bool
+    #: Direct callees called outside any ``try``.
+    escaping: frozenset
+    #: Every direct callee: lowering probes each one that may throw.
+    callees: frozenset
+
+
+def escape_summary(fn: ast.Function) -> EscapeSummary:
+    """The function's :class:`EscapeSummary`; it depends on no other
+    function, so :func:`may_throw_of` can combine cached ones."""
+    escaping: set[str] = set()
+    callees: set[str] = set()
+    throws = _scan_escapes(fn.body, 0, escaping, callees)
+    return EscapeSummary(throws, frozenset(escaping), frozenset(callees))
+
+
+def _scan_escapes(body: list, try_depth: int, escaping: set,
+                  callees: set) -> bool:
+    throws = False
+    for stmt in body:
+        if isinstance(stmt, ast.Throw):
+            throws |= try_depth == 0
+        elif isinstance(stmt, ast.TryCatch):
+            throws |= _scan_escapes(stmt.try_body, try_depth + 1, escaping,
+                                    callees)
+            throws |= _scan_escapes(stmt.catch_body, try_depth, escaping,
+                                    callees)
+        elif isinstance(stmt, ast.If):
+            throws |= _scan_escapes(stmt.then_body, try_depth, escaping,
+                                    callees)
+            throws |= _scan_escapes(stmt.else_body, try_depth, escaping,
+                                    callees)
+        elif isinstance(stmt, ast.While):
+            throws |= _scan_escapes(stmt.body, try_depth, escaping, callees)
+        else:
+            call = _direct_call(stmt)
+            if call is not None:
+                callees.add(call.func)
+                if try_depth == 0:
+                    escaping.add(call.func)
+    return throws
+
+
+def may_throw_of(summaries: dict[str, EscapeSummary]) -> set[str]:
     """Functions out of which an exception can escape to the caller.
 
-    Fixpoint: a function may throw if it contains a ``throw`` outside any
-    ``try``, or calls a may-throw function outside any ``try``.
+    Least fixpoint: a function may throw if it contains a ``throw``
+    outside any ``try``, or calls a may-throw function outside any
+    ``try``.
     """
-    may_throw: set[str] = set()
+    may_throw = {name for name, s in summaries.items() if s.throws}
     changed = True
     while changed:
         changed = False
-        for name, fn in program.functions.items():
-            if name in may_throw:
-                continue
-            if _escapes(fn.body, 0, may_throw, program):
+        for name, summary in summaries.items():
+            if name not in may_throw and not summary.escaping.isdisjoint(
+                    may_throw):
                 may_throw.add(name)
                 changed = True
     return may_throw
 
 
-def _escapes(body: list, try_depth: int, may_throw: set[str],
-             program: ast.Program) -> bool:
-    for stmt in body:
-        if isinstance(stmt, ast.Throw) and try_depth == 0:
-            return True
-        if isinstance(stmt, ast.TryCatch):
-            if _escapes(stmt.try_body, try_depth + 1, may_throw, program):
-                return True
-            if _escapes(stmt.catch_body, try_depth, may_throw, program):
-                return True
-        elif isinstance(stmt, ast.If):
-            if _escapes(stmt.then_body, try_depth, may_throw, program):
-                return True
-            if _escapes(stmt.else_body, try_depth, may_throw, program):
-                return True
-        elif isinstance(stmt, ast.While):
-            if _escapes(stmt.body, try_depth, may_throw, program):
-                return True
-        elif try_depth == 0:
-            call = _direct_call(stmt)
-            if call is not None and call.func in may_throw:
-                return True
-    return False
+def compute_may_throw(program: ast.Program) -> set[str]:
+    """:func:`may_throw_of` the program's functions."""
+    return may_throw_of({
+        name: escape_summary(fn) for name, fn in program.functions.items()
+    })
 
 
 # -- call normalisation ------------------------------------------------------
@@ -277,9 +313,10 @@ def normalize_calls(program: ast.Program) -> ast.Program:
     the sole value of an ``Assign`` -- the forms the CFET builder and graph
     generators consume.  ``return f(x)`` becomes ``__t = f(x); return __t``.
     """
-    normalizer = _Normalizer()
     for fn in program.functions.values():
-        fn.body = normalizer.normalize_body(fn.body)
+        # Temporaries are numbered per function: a function's lowered body
+        # depends on nothing outside it.
+        fn.body = _Normalizer().normalize_body(fn.body)
     return program
 
 

@@ -152,15 +152,17 @@ def branch_verdicts(fn: ast.Function) -> dict[int, bool]:
     return verdicts
 
 
-def fold_constant_branches(program: ast.Program) -> int:
+def fold_constant_branches(program: ast.Program,
+                           counts: dict | None = None) -> int:
     """Fold every provably-constant ``if`` in every function.
 
     Re-solves after each rewrite round, because folding one branch can
     make enclosing or subsequent conditions constant.  Returns the number
-    of branches removed.
+    of branches removed; ``counts`` receives it per function.
     """
     total = 0
-    for fn in program.functions.values():
+    for name, fn in program.functions.items():
+        before = total
         while True:
             verdicts = branch_verdicts(fn)
             if not verdicts:
@@ -170,6 +172,8 @@ def fold_constant_branches(program: ast.Program) -> int:
                 break
             fn.body = body
             total += folded
+        if counts is not None:
+            counts[name] = total - before
     return total
 
 

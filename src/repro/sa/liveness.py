@@ -133,14 +133,18 @@ def _dead_stores(fn: ast.Function, scalar_ok) -> list:
     return dead
 
 
-def eliminate_dead_stores(program: ast.Program, info: ObjectInfo) -> int:
-    """Remove dead pure-scalar stores everywhere; returns the count.
+def eliminate_dead_stores(program: ast.Program, info: ObjectInfo,
+                          counts: dict | None = None) -> int:
+    """Remove dead pure-scalar stores everywhere; returns the count, and
+    ``counts`` receives it per function.
 
     Iterates per function until no store is removable, so chains
-    (``a = b; b`` otherwise unread) cascade.
+    (``a = b; b`` otherwise unread) cascade.  A function's result reads
+    nothing of ``info`` but its own ``object_vars`` slice.
     """
     total = 0
     for name, fn in program.functions.items():
+        before = total
         object_vars = info.object_vars.get(name, set())
 
         def scalar_ok(var: str) -> bool:
@@ -153,6 +157,8 @@ def eliminate_dead_stores(program: ast.Program, info: ObjectInfo) -> int:
             dead_ids = {id(stmt) for stmt in dead}
             _filter_body(fn.body, dead_ids)
             total += len(dead)
+        if counts is not None:
+            counts[name] = total - before
     return total
 
 

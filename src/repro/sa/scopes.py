@@ -60,7 +60,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -216,6 +215,26 @@ def build_artifact(mf: ast.ModuleFile, digest: str) -> FileArtifact:
 ARTIFACT_CACHE_CAPACITY = 1024
 
 
+@dataclass(frozen=True)
+class FileFragment:
+    """One file's compiled functions, as :class:`ScopeArtifactCache`
+    keeps them under ``(digest, path, site_base)`` (DESIGN.md §16).
+
+    Live objects shared by every run that reuses them: nothing may
+    mutate a fragment or anything it holds.
+    """
+
+    module: str
+    next_site: int
+    #: Raw callee name -> the symbol this file's calls were linked to.
+    bindings: dict
+    #: ``(unroll, reduce)`` the functions were compiled under.
+    config: tuple
+    #: Global symbol -> :class:`~repro.analysis.frontend.CompiledFunction`,
+    #: in file order.
+    functions: dict
+
+
 class ScopeArtifactCache:
     """Digest-keyed on-disk store of per-file scope artifacts.
 
@@ -227,10 +246,11 @@ class ScopeArtifactCache:
     returns a private copy -- the loader rewrites ``path`` on cache
     hits, which must not corrupt the cached entry.
 
-    The cache also memoises parses (:meth:`parse`, :meth:`module_name`),
-    in memory only and under the same bound: a file the loader has
-    parsed before, at the same path and site base, is neither tokenised
-    nor parsed again.
+    The cache also keeps each file's compiled functions
+    (:class:`FileFragment`, :meth:`fragment`, :meth:`keep`) and the
+    module a content digest declares (:meth:`module_name`), in memory
+    only and under the same bound: a file compiled before, at the same
+    path and site base, is neither tokenised nor parsed again.
     """
 
     def __init__(self, directory: str,
@@ -240,8 +260,8 @@ class ScopeArtifactCache:
         self.misses = 0
         self.evictions = 0
         self._index = LRUCache(capacity)
-        #: (digest, path, site_base) -> pickled ModuleFile.
-        self._parsed = LRUCache(capacity)
+        #: path -> (digest, {site_base: FileFragment}).
+        self._fragments = LRUCache(capacity)
         #: digest -> the module name the file declares.
         self._modules = LRUCache(capacity)
         self._adopt_existing()
@@ -291,7 +311,15 @@ class ScopeArtifactCache:
     def __len__(self) -> int:
         return len(self._index)
 
-    def get(self, digest: str) -> FileArtifact | None:
+    def get(self, digest: str,
+            parsed: ast.ModuleFile | None = None) -> FileArtifact | None:
+        """The artifact of a file with this content, or None (a miss).
+
+        An artifact read from disk is checked before its first use when
+        the caller holds the file's parse: unless it is what
+        :func:`build_artifact` makes of ``parsed``, it is a miss, and
+        the caller's :meth:`put` rewrites it.
+        """
         cached = self._index.get(digest)
         if cached is not None:
             self.hits += 1
@@ -303,6 +331,9 @@ class ScopeArtifactCache:
                 artifact = FileArtifact.from_json(doc)
             except (ValueError, KeyError, TypeError):
                 pass  # another schema or version, or a mis-shaped field
+        if artifact is not None and parsed is not None \
+                and _facts(artifact) != _facts(build_artifact(parsed, digest)):
+            artifact = None  # disagrees with the file it describes
         if artifact is None:
             self.misses += 1
             return None
@@ -322,29 +353,34 @@ class ScopeArtifactCache:
 
     def module_name(self, digest: str) -> str | None:
         """The module a file with this content declares, if it was
-        parsed before; None sends the caller to the lexer."""
+        compiled before; None sends the caller to the lexer."""
         return self._modules.get(digest)
 
-    def parse(self, text: str, path: str, site_base: int, *,
-              digest: str, tokens=None) -> ast.ModuleFile:
-        """``parse_module(text, path, site_base)``, memoised on
-        everything the parser reads.
+    def fragment(self, digest: str, path: str,
+                 site_base: int) -> FileFragment | None:
+        """The file's compiled functions, if this content was compiled
+        at this path and site base -- everything the parser reads."""
+        entry = self._fragments.get(path)
+        if entry is None or entry[0] != digest:
+            return None
+        return entry[1].get(site_base)
 
-        The memo holds pickles, not trees: linking and the lowering
-        passes rewrite a parsed file in place, so the entry is taken
-        before anyone sees the tree and every hit unpickles a private
-        copy (about a fifth of a parse; ``copy.deepcopy`` costs more
-        than the parse).  The pickles never leave memory, so nothing
-        unpickled here was written by anyone but this process.
-        """
-        key = (digest, path, site_base)
-        blob = self._parsed.get(key)
-        if blob is not None:
-            return pickle.loads(blob)
-        mf = parse_module(text, path=path, site_base=site_base, tokens=tokens)
-        self._parsed.put(key, pickle.dumps(mf, pickle.HIGHEST_PROTOCOL))
-        self._modules.put(digest, mf.module)
-        return mf
+    def keep(self, digest: str, path: str, site_base: int,
+             fragment: FileFragment) -> None:
+        """Keep ``fragment`` under its key.  A path keeps the fragments
+        of one content only: compiling a new one drops the old's, whose
+        only use would be an edit that restores it."""
+        entry = self._fragments.get(path)
+        if entry is None or entry[0] != digest:
+            entry = (digest, {})
+            self._fragments.put(path, entry)
+        entry[1][site_base] = fragment
+        self._modules.put(digest, fragment.module)
+
+
+def _facts(artifact: FileArtifact) -> tuple:
+    """An artifact's content; its path follows the file, not the text."""
+    return artifact.module, artifact.defs, artifact.imports, artifact.refs
 
 
 # -- scope graph ---------------------------------------------------------------
@@ -675,37 +711,55 @@ def _rewrite_body(body: list, rewrite) -> None:
             _rewrite_body(stmt.catch_body, rewrite)
 
 
-def link_modules(
-    module_files: list[ast.ModuleFile], resolution: Resolution
-) -> ast.Program:
-    """Fuse resolved files into one :class:`~repro.lang.ast.Program`.
+def link_file(mf: ast.ModuleFile, bindings: dict) -> dict[str, ast.Function]:
+    """Linking, one file at a time: the file's functions under their
+    global symbol ids, each call rewritten to the symbol ``bindings``
+    (raw name -> symbol id) resolves it to.  Rewrites ``mf``'s bodies in
+    place.
 
-    Function names become global symbol ids and every call site is
-    rewritten to its resolved target, so the call graph, relevance
-    slicing, constant propagation and DSE all consume resolved symbol
-    ids -- interprocedural analysis crosses file boundaries for free.
-    Unresolved (extern) callees keep their raw name, preserving the
-    single-file extern-call semantics.
+    The call graph, relevance slicing, constant propagation and DSE
+    therefore consume resolved symbol ids -- interprocedural analysis
+    crosses file boundaries for free.  Unresolved (extern) callees keep
+    their raw name, preserving the single-file extern-call semantics.
     """
-    program = ast.Program()
-    for mf in sorted(module_files, key=lambda m: (m.module, m.path)):
-        bindings = resolution.bindings
 
-        def rewrite(name: str, _path=mf.path) -> str:
-            return bindings.get((_path, name), name)
+    def rewrite(name: str) -> str:
+        return bindings.get(name, name)
 
-        for fname, fn in mf.functions.items():
-            global_name = symbol_id(mf.module, fname)
-            if global_name in program.functions:
-                raise LinkError(
-                    f"duplicate symbol {global_name!r}"
-                    f" (redefined in {mf.path!r})"
-                )
-            _rewrite_body(fn.body, rewrite)
-            program.functions[global_name] = ast.Function(
-                global_name, fn.params, fn.body, line=fn.line
+    out = {}
+    for fname, fn in mf.functions.items():
+        _rewrite_body(fn.body, rewrite)
+        global_name = symbol_id(mf.module, fname)
+        out[global_name] = ast.Function(
+            global_name, fn.params, fn.body, line=fn.line
+        )
+    return out
+
+
+def reload_file(text: str, path: str,
+                resolution: Resolution) -> dict[str, ast.Function]:
+    """One file of a loaded program, parsed afresh at its site base and
+    linked as :func:`load_modules` linked it."""
+    mf = parse_module(text, path=path, site_base=resolution.site_ranges[path][0])
+    return link_file(mf, file_bindings(resolution).get(path, {}))
+
+
+def file_bindings(resolution: Resolution) -> dict[str, dict]:
+    """``Resolution.bindings`` by file: path -> {raw name: symbol id}."""
+    out: dict[str, dict] = {}
+    for (path, name), target in resolution.bindings.items():
+        out.setdefault(path, {})[name] = target
+    return out
+
+
+def _add_functions(program: ast.Program, functions: dict, path: str) -> None:
+    for global_name, fn in functions.items():
+        if global_name in program.functions:
+            raise LinkError(
+                f"duplicate symbol {global_name!r}"
+                f" (redefined in {path!r})"
             )
-    return program
+        program.functions[global_name] = fn
 
 
 # -- the loader ----------------------------------------------------------------
@@ -718,6 +772,9 @@ class LoadedProgram:
     program: ast.Program
     resolution: Resolution
     module_files: list[ast.ModuleFile] = field(default_factory=list)
+    #: path -> the :class:`FileFragment` whose compiled functions stand
+    #: in ``program`` for that file's own (only when loaded with a cache).
+    fragments: dict = field(default_factory=dict)
 
 
 def _as_items(sources) -> list[tuple[str, str]]:
@@ -733,7 +790,10 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     order -- files are canonicalised by (module, path) before site ids
     are assigned, so the resulting program is byte-identical however
     the files were discovered.  ``cache`` (optional) persists per-file
-    artifacts keyed by content digest and memoises the parses.
+    artifacts keyed by content digest and holds compiled files: a file
+    with a :class:`FileFragment` under its key whose bindings still hold
+    is neither parsed nor linked, its compiled functions stand in the
+    program instead, and ``fragments`` lists those files.
     """
     items = _as_items(sources)
     scanned = []
@@ -747,7 +807,8 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
         scanned.append((module, path, text, digest, tokens))
     scanned.sort(key=lambda entry: (entry[0], entry[1]))
 
-    module_files: list[ast.ModuleFile] = []
+    parsed: dict[str, ast.ModuleFile] = {}
+    found: dict[str, FileFragment] = {}
     artifacts: list[FileArtifact] = []
     site_ranges: dict = {}
     site_base = 0
@@ -755,25 +816,33 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     cache_misses = 0
     evictions_before = cache.evictions if cache is not None else 0
     for module, path, text, digest, tokens in scanned:
+        mf = None
+        fragment = None
         if cache is not None:
-            mf = cache.parse(text, path, site_base, digest=digest,
-                             tokens=tokens)
+            fragment = cache.fragment(digest, path, site_base)
+        if fragment is None:
+            mf = parsed[path] = parse_module(
+                text, path=path, site_base=site_base, tokens=tokens
+            )
+            next_site = mf.next_site
         else:
-            mf = parse_module(text, path=path, site_base=site_base,
-                              tokens=tokens)
-        site_ranges[path] = (site_base, mf.next_site)
-        site_base = mf.next_site
-        module_files.append(mf)
-        artifact = cache.get(digest) if cache is not None else None
-        if artifact is not None and artifact.module == mf.module:
+            found[path], next_site = fragment, fragment.next_site
+        site_ranges[path] = (site_base, next_site)
+        artifact = cache.get(digest, mf) if cache is not None else None
+        if artifact is not None and artifact.module == module:
             cache_hits += 1
             artifact.path = path  # digests key content, paths may move
         else:
             if cache is not None:
                 cache_misses += 1
+            if mf is None:
+                mf = parsed[path] = parse_module(
+                    text, path=path, site_base=site_base
+                )
             artifact = build_artifact(mf, digest)
             if cache is not None:
                 cache.put(artifact)
+        site_base = next_site
         artifacts.append(artifact)
 
     resolution = resolve_files(artifacts)
@@ -784,7 +853,27 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
             cache.evictions - evictions_before
         )
     resolution.site_ranges = site_ranges
-    program = link_modules(module_files, resolution)
+    by_file = file_bindings(resolution)
+    program = ast.Program()
+    fragments: dict[str, FileFragment] = {}
+    for _, path, text, _, _ in scanned:
+        bindings = by_file.get(path, {})
+        fragment = found.get(path)
+        if fragment is not None and fragment.bindings == bindings:
+            fragments[path] = fragment
+            functions = {
+                name: compiled.fn
+                for name, compiled in fragment.functions.items()
+            }
+        else:
+            if path not in parsed:  # its calls now link elsewhere
+                parsed[path] = parse_module(
+                    text, path=path, site_base=site_ranges[path][0]
+                )
+            functions = link_file(parsed[path], bindings)
+        _add_functions(program, functions, path)
     return LoadedProgram(
-        program=program, resolution=resolution, module_files=module_files
+        program=program, resolution=resolution,
+        module_files=[parsed[p] for p in site_ranges if p in parsed],
+        fragments=fragments,
     )

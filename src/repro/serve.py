@@ -428,7 +428,7 @@ class ServeEngine:
         tokens = tokenize(text)
         module = scan_module_name(tokens)
         mf = parse_module(text, path=path, tokens=tokens)
-        if self.cache.get(digest) is None:
+        if self.cache.get(digest, mf) is None:
             self.cache.put(build_artifact(mf, digest))
         return FileMeta(
             path=path, digest=digest, module=module,
@@ -734,6 +734,13 @@ class ServeEngine:
                 "roots": {
                     "total": sum(len(r.root_table) for r in runs),
                     "rechecked": sum(len(r.rechecked) for r in runs),
+                },
+                # Their functions / those a pass ran over again: the rest
+                # came compiled out of the scope cache.
+                "functions": {
+                    "total": sum(
+                        len(r.compiled.program.functions) for r in runs),
+                    "recompiled": sum(r.compiled.recompiled for r in runs),
                 },
                 "dependencies": dependencies,
                 "warnings_added": added,

@@ -321,6 +321,26 @@ def test_relevance_bit_changed_only_by_a_caller_in_another_root():
         == {"app.uses_touch", "far.feeds_touch"}
 
 
+def test_a_file_joining_ahead_of_a_wrapper_moves_no_other_key():
+    """Lowering numbers its temporaries (``__t_N``, ``__caught_N`` ...)
+    per function, so a file that sorts ahead of a ``return f(x)``
+    wrapper and a ``try`` -- with temporaries of its own -- renames
+    nothing of theirs and moves no key but its own root's."""
+    wrapped = {**BASE, "app.mini": BASE["app.mini"] + (
+        "func wraps(a) {\n    return lib.pass(a);\n}\n"
+        "func guards(a) {\n    try {\n        lib.touch(a);\n"
+        "    } catch (e) {\n        return;\n    }\n    return;\n}\n"
+    )}
+    ahead = {**wrapped, "aa.mini": (
+        "module aa;\nfunc lead(x) {\n    try {\n        var r = lead2(x);\n"
+        "    } catch (e) {\n        return 0;\n    }\n"
+        "    return lead2(x);\n}\nfunc lead2(y) {\n    return y;\n}\n"
+    )}
+    moved, run = _moved_roots(ahead, before=wrapped)
+    assert moved == {"aa.lead"}
+    assert {"app.wraps", "app.guards"} <= set(run.root_table)
+
+
 def test_new_caller_makes_a_root_a_non_root():
     after = {**BASE, "top.mini": (
         "module top;\nimport far;\nfunc drives(a) {\n    far.solo(a);\n"

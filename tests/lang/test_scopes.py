@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.analysis.frontend import compile_source
 from repro.analysis.pipeline import Grapple
 from repro.checkers import socket_checker
 from repro.graph.cloning import _canonical
@@ -298,42 +299,60 @@ def test_artifact_cache_get_returns_private_copy(tmp_path):
     assert second.path == "net.mini"
 
 
-def _shape(mf):
-    """A parsed file as nested lists, site ids included."""
-    return [mf.module, mf.path, mf.next_site, _canonical(mf.imports, 0),
-            {name: _canonical(fn, 0) for name, fn in mf.functions.items()}]
+def _shape(program):
+    """A program's functions as nested lists, site ids included."""
+    return {name: _canonical(fn, 0) for name, fn in program.functions.items()}
 
 
-def test_parse_memo_hit_is_a_private_copy_of_a_fresh_parse(tmp_path,
-                                                           monkeypatch):
+def test_fragment_is_keyed_on_everything_the_parser_reads(tmp_path):
     cache = ScopeArtifactCache(str(tmp_path))
+    # net.mini sorts after app.mini: its sites start where app's end.
+    compile_source({"app.mini": APP, "net.mini": NET}, scope_cache=cache)
+    base = parse_module(APP, "app.mini").next_site
     digest = source_digest(NET)
-    first = cache.parse(NET, "net.mini", 7, digest=digest)
-    parses = []
-    monkeypatch.setattr(scopes, "parse_module",
-                        lambda *a, **k: parses.append(a) or parse_module(*a, **k))
-    # Linking rewrites a parsed file in place; the memo must not see it.
-    first.functions["shut"].body.clear()
-    hit = cache.parse(NET, "net.mini", 7, digest=digest)
-    assert parses == []
-    assert _shape(hit) == _shape(parse_module(NET, "net.mini", 7))
-    assert cache.module_name(digest) == "net"
-    # Everything the parser reads is in the key: another base misses.
-    cache.parse(NET, "net.mini", 8, digest=digest)
-    assert len(parses) == 1
+    fragment = cache.fragment(digest, "net.mini", base)
+    assert fragment.module == cache.module_name(digest) == "net"
+    assert fragment.next_site == parse_module(NET, "net.mini", base).next_site
+    assert list(fragment.functions) == ["net.open_conn", "net.shut"]
+    assert fragment.bindings == {}
+    assert cache.fragment(digest, "net.mini", base + 1) is None
+    assert cache.fragment(digest, "moved.mini", base) is None
+    assert cache.fragment(source_digest(APP), "app.mini", 0).bindings == {
+        "net.open_conn": "net.open_conn", "shut": "net.shut",
+    }
 
 
 def test_memoised_loads_link_the_program_a_fresh_load_does(tmp_path,
                                                           monkeypatch):
     sources = {"app.mini": APP, "net.mini": NET}
-    fresh = load_modules(sources)
+    fresh = compile_source(sources, reduce=True)
     cache = ScopeArtifactCache(str(tmp_path), capacity=2)
-    load_modules(sources, cache=cache)
+    compile_source(sources, reduce=True, scope_cache=cache)
     lexed = []
     monkeypatch.setattr(scopes, "tokenize",
                         lambda text: lexed.append(text) or [])
     monkeypatch.setattr(scopes, "parse_module", None)  # must not be reached
-    again = load_modules(sources, cache=cache)
+    again = compile_source(sources, reduce=True, scope_cache=cache)
     assert lexed == []
-    assert again.program == fresh.program
+    assert again.recompiled == 0
+    assert _shape(again.program) == _shape(fresh.program)
     assert again.resolution.site_ranges == fresh.resolution.site_ranges
+    assert again.icfet.by_cid.keys() == fresh.icfet.by_cid.keys()
+
+
+def test_artifact_on_disk_that_disagrees_with_its_file_is_rebuilt(tmp_path):
+    """A restarted cache reads artifacts from disk; one that no longer
+    says what the file defines must not decide the resolution."""
+    sources = {"app.mini": APP, "net.mini": NET}
+    load_modules(sources, cache=ScopeArtifactCache(str(tmp_path)))
+    path = tmp_path / f"{source_digest(NET)}.scope.json"
+    doc = json.loads(path.read_text())
+    doc["defs"] = [["elsewhere", 2, 1]]
+    path.write_text(json.dumps(doc))
+    restarted = ScopeArtifactCache(str(tmp_path))
+    again = load_modules(sources, cache=restarted)
+    fresh = load_modules(sources)
+    assert again.resolution.stats.artifact_cache_misses == 1
+    assert again.resolution.file_of == fresh.resolution.file_of
+    assert again.resolution.bindings == fresh.resolution.bindings
+    assert json.loads(path.read_text())["defs"] != doc["defs"]  # rewritten

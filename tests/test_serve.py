@@ -9,6 +9,7 @@ re-derives its own stratum.
 import contextlib
 import json
 import os
+import pickle
 import random
 import re
 import socket
@@ -20,10 +21,10 @@ import time
 import pytest
 
 from repro import serve as serve_mod
-from repro.analysis.pipeline import Grapple
+from repro.analysis.pipeline import Grapple, GrappleOptions
 from repro.lang import parser as parser_mod
 from repro.checkers.checker import pack_checkers
-from repro.graph.cloning import root_functions
+from repro.graph.cloning import _canonical, root_functions
 from repro.lang.parser import parse_module
 from repro.obs.report import validate_run_report
 from repro.sa import scopes
@@ -94,17 +95,66 @@ def _changed_functions(before, after):
     }
 
 
+def _compiled_shape(compiled):
+    """What the analyses read of a compile: every function, the ICFET's
+    ids, records and trees, the object variables and the forest."""
+    icfet = compiled.icfet
+    return (
+        [(name, _canonical(fn, 0))
+         for name, fn in compiled.program.functions.items()],
+        [(cid, r.rid, r.caller, r.callee, r.node_id, r.stmt_index, r.lhs,
+          repr(r.equations), r.result_symbol, r.thrown_symbol)
+         for cid, r in sorted(icfet.by_cid.items())],
+        sorted(icfet.by_rid),
+        {name: [(n.node_id, repr(n.condition), len(n.statements),
+                 repr(n.return_value), repr(n.thrown_value))
+                for n in cfet.nodes.values()]
+         for name, cfet in icfet.cfets.items()},
+        {f: sorted(v) for f, v in compiled.info.object_vars.items()},
+        sorted(compiled.info.returns_object),
+        [(key, clone.root, [(r.cid, child) for r, child in clone.calls])
+         for key, clone in compiled.forest.clones.items()],
+    )
+
+
+def _assert_compiled_as_cold(engine, runs):
+    """Each stratum run, compiled partly from the scope cache's
+    fragments, equals a cold compile of its sources handed the same
+    root table: functions, ICFET, forest, root keys and report."""
+    for membership, table, run in runs:
+        cold = Grapple(
+            {p: _read(engine, p) for p in membership}, engine.fsms,
+            GrappleOptions(unroll=engine.unroll, reduce=engine.reduce,
+                           root_table=table),
+        ).run()
+        assert _compiled_shape(run.compiled) == _compiled_shape(cold.compiled)
+        assert run.root_table == cold.root_table
+        assert run.rechecked == cold.rechecked
+        assert [(w, w.witness) for w in run.report.warnings] \
+            == [(w, w.witness) for w in cold.report.warnings]
+        assert run.reduction == cold.reduction
+
+
 def _edit_checked(engine, path, text, also=()):
     """Apply one edit and hold the daemon to both halves of the
     contract: its accumulated state is byte-identical (witnesses
     included) to a from-scratch run over the workspace, and it rebuilt
     exactly the root clone trees that reach a function the edit changed
     -- ``also`` names functions of *other* files whose whole-program
-    facts (object variables, relevance) the edit moved."""
+    facts (object variables, relevance) the edit moved.  Each stratum
+    it re-ran must also have compiled what a cold compile does."""
     full = os.path.join(engine.workspace, path)
     before = _read(engine, path) if os.path.exists(full) else None
-    fragment = engine.edit(path, text)
+    runs = []
+    run_stratum = engine._run_stratum
+    engine._run_stratum = lambda membership, table: runs.append(
+        (membership, table, run_stratum(membership, table))) or runs[-1][2]
+    try:
+        fragment = engine.edit(path, text)
+    finally:
+        del engine._run_stratum
     assert validate_run_report(fragment) == []
+    _assert_compiled_as_cold(engine, runs)
     run, _ = _scratch_warnings(engine.workspace)
     assert sorted(
         (w["checker"], w["kind"], w["site"], w["type_name"], w["state"],
@@ -343,12 +393,11 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     }
     rederived = engine.stats.edges_rederived
 
-    # g0left imports g1core: the two clusters become one stratum.
-    # normalize_calls numbers its temporaries program-wide, so g1's
-    # `return f(x)` wrappers are renamed now that g0's files precede them.
+    # g0left imports g1core: the two clusters become one stratum.  g1's
+    # `return f(x)` wrappers now follow g0's files, and keep their
+    # temporaries: those are numbered per function.
     fragment = _rewrite(engine, "g0left.mini", "module g0left;\n",
-                        "module g0left;\nimport g1core;\n",
-                        also={"g1left.g1_lwrap", "g1mid0.g1_hop0"})
+                        "module g0left;\nimport g1core;\n")
     assert validate_run_report(fragment) == []
     assert fragment["edit"]["dependencies"] == {
         "edges_added": 1, "edges_removed": 0,
@@ -356,9 +405,9 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     assert "closure" not in fragment["edit"]
     assert fragment["edit"]["strata_total"] == 1
     assert fragment["edit"]["strata_rechecked"] == 1
-    # Both clusters' tables seed the merged stratum: g0_diamond reaches
-    # g0_lwrap (one line lower now); g1's chain and diamond the wrappers.
-    assert fragment["edit"]["roots"] == {"total": 26, "rechecked": 3}
+    # Both clusters' tables seed the merged stratum: only g0_diamond,
+    # which reaches g0_lwrap (one line lower now), is rebuilt.
+    assert fragment["edit"]["roots"] == {"total": 26, "rechecked": 1}
     assert ("g0left.mini", "g1core.mini") in engine.closure.edges
     _assert_equals_scratch(engine, tmp_path, "merged")
 
@@ -383,8 +432,7 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     _assert_equals_scratch(engine, tmp_path, "half")
 
     # The last cross-cluster import goes: split back into two.
-    fragment = _rewrite(engine, "g1core.mini", "import g0left;\n", "",
-                        also={"g1left.g1_lwrap", "g1mid0.g1_hop0"})
+    fragment = _rewrite(engine, "g1core.mini", "import g0left;\n", "")
     assert fragment["edit"]["dependencies"] == {
         "edges_added": 0, "edges_removed": 1,
     }
@@ -395,8 +443,7 @@ def test_import_edits_merge_cycle_and_split_strata(tmp_path):
     _assert_equals_scratch(engine, tmp_path, "split")
     assert engine.stats.edges_rederived == rederived + 4
 
-    # A new file (last in program order: its temporary renames nobody
-    # else's) whose root calls into the cluster: g0_shared is now
+    # A new file whose root calls into the cluster: g0_shared is now
     # reached from two trees, g0app.g0_diamond and this one.
     extra = ("module g0zextra;\nimport g0core;\n"
              "func extra_entry(x) {\n    return g0core.g0_shared(x);\n}\n")
@@ -526,6 +573,107 @@ def test_restart_with_stale_workspace_rechecks_only_dirty(tmp_path):
     assert fragment["edit"]["strata_rechecked"] == 1
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(again) == scratch
+
+
+def test_scope_artifact_that_disagrees_with_its_file_is_rebuilt(tmp_path):
+    """An artifact read back from ``scope-cache/`` is checked against
+    the file before it is used: one whose definitions were changed on
+    disk used to resolve ``b.g`` to a symbol no file defines, and the
+    next cold start died with a ``KeyError`` keying the roots."""
+    ws, wd = tmp_path / "ws", tmp_path / "wd"
+    ws.mkdir()
+    (ws / "a.mini").write_text(
+        "module a;\nimport b;\nfunc main(x) {\n"
+        "    var f = new UserInput();\n    b.g(f);\n    return;\n}\n")
+    b_text = "module b;\nfunc g(w) {\n    w.exec();\n    return;\n}\n"
+    (ws / "b.mini").write_text(b_text)
+    ServeEngine(str(ws), str(wd), _fsms()).scan()
+    artifact = wd / "scope-cache" / f"{scopes.source_digest(b_text)}.scope.json"
+    doc = json.loads(artifact.read_text())
+    doc["defs"] = [["h", 2, 1]]
+    artifact.write_text(json.dumps(doc))
+    (wd / "serve-state.json").unlink()
+    engine = ServeEngine(str(ws), str(wd), _fsms())
+    fragment = engine.scan()
+    assert fragment["edit"]["errors"] == {}
+    assert fragment["edit"]["artifacts_rederived"] == 1
+    assert json.loads(artifact.read_text())["defs"] == [["g", 2, 1]]
+    _, scratch = _scratch_warnings(str(ws))
+    assert _accumulated(engine) == scratch != []
+
+
+def test_edit_recompiles_only_the_functions_of_the_edited_file(tmp_path):
+    """``edit.functions``: the functions of the re-run strata, and those
+    a pass ran over again -- the rest came compiled out of the cache."""
+    engine = _engine(tmp_path)
+    cold = engine.scan()["edit"]["functions"]
+    assert cold["recompiled"] == cold["total"] > 0
+    text = _read(engine, "g0svc.mini")
+    pad = "func g0_pad(v) {\n    return v + %d;\n}\n"
+    own = len(parse_module(text + pad % 1).functions)
+    for serial in (1, 2):
+        functions = _edit_checked(
+            engine, "g0svc.mini", text + pad % serial)["edit"]["functions"]
+        assert functions["recompiled"] == own < functions["total"]
+    assert engine.scan()["edit"]["functions"] == {"total": 0, "recompiled": 0}
+    # A restarted daemon holds no fragment: its first edit compiles the
+    # stratum whole, the next one file again.
+    engine = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    for serial, whole in ((3, True), (4, False)):
+        functions = engine.edit("g0svc.mini", text + pad % serial)[
+            "edit"]["functions"]
+        assert (functions["recompiled"] == functions["total"]) is whole
+        assert functions["recompiled"] >= own
+
+
+def test_fragments_are_never_mutated(tmp_path):
+    """Compiled fragments are live objects every later compile shares:
+    after a whole edit sequence -- pads, new sites, moved lines, import
+    edits that merge and split strata, a callee that starts throwing
+    and one whose parameter turns into an object variable, which send
+    kept functions back to a fresh parse -- each fragment the cache
+    ever held still pickles to the bytes it had when first seen."""
+    engine = _engine(tmp_path)
+    engine.scan()
+    seen = {}
+
+    def snapshot():
+        for _digest, by_base in engine.cache._fragments._data.values():
+            for fragment in by_base.values():
+                seen.setdefault(id(fragment),
+                                (fragment, pickle.dumps(fragment)))
+
+    snapshot()
+    pad = "func pad_{0}(v) {{\n    return v + {0};\n}}\n"
+    for step, (path, old, new) in enumerate([
+        ("g0svc.mini", None, pad),
+        ("g0core.mini", ") {", ") { var z = new Plain();"),
+        ("g0left.mini", "module g0left;\n", "module g0left;\nimport g1core;\n"),
+        ("g1core.mini", "return v * 2;", "return v * 3;"),
+        ("g0core.mini", ") { var z = new Plain();", ") {"),
+        ("g0left.mini", "import g1core;\n", ""),
+        ("g1left.mini", "\nfunc ", "\n// a note\nfunc "),
+        ("g0svc.mini", None, pad),
+        ("g0core.mini", "return v * 2;",
+         "if (v > 100) {\n        var e = new Exc();\n        throw e;\n"
+         "    }\n    return v * 2;"),
+        ("g0zextra.mini", None, "module g0zextra;\nimport g0core;\n"
+         "func feeds(x) {{\n    var o = new Plain();\n"
+         "    var r = g0core.g0_shared(o);\n    return;\n}}\n"),
+    ]):
+        text = _read(engine, path) if os.path.exists(
+            os.path.join(engine.workspace, path)) else ""
+        text = text + new.format(step) if old is None \
+            else text.replace(old, new, 1)
+        fragment = engine.edit(path, text)
+        assert fragment["edit"]["errors"] == {}
+        snapshot()
+    # The last edit also sent g0core.g0_shared, of an unedited file at
+    # an unmoved base, back to a fresh parse.
+    assert fragment["edit"]["functions"]["recompiled"] > 1
+    assert len(seen) > 16
+    for fragment, blob in seen.values():
+        assert pickle.dumps(fragment) == blob
 
 
 def test_config_change_invalidates_persisted_state(tmp_path):
