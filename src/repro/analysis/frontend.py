@@ -87,9 +87,9 @@ def compile_source(
     path: no scope resolution, byte-identical behaviour) or a multi-file
     mapping ``{path: text}`` / list of ``(path, text)`` pairs, which is
     routed through scope-graph name resolution and linking
-    (:mod:`repro.sa.scopes`; ``scope_cache`` optionally persists the
-    per-file artifacts and keeps every file's compiled functions, so a
-    later compile runs the passes only over the functions whose inputs
+    (:mod:`repro.sa.scopes`; ``scope_cache`` optionally keeps, in
+    memory, every file's artifact and compiled functions, so a later
+    compile runs the passes only over the functions whose inputs
     moved).
 
     With ``reduce`` on, the :mod:`repro.sa` AST reductions run between
@@ -342,7 +342,7 @@ class _Memo:
         for path, functions in files.items():
             base, next_site = resolution.site_ranges[path]
             cache.keep(
-                source_digest(self.texts[path]), path, base,
+                path, source_digest(self.texts[path]), base,
                 FileFragment(modules[path], next_site,
                              bindings.get(path, {}), self.config, functions),
             )

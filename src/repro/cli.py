@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("workspace",
                        help="directory of .mini files to watch")
     serve.add_argument("--workdir", required=True,
-                       help="persistent state directory (scope-artifact"
-                       " cache, stratum results, serve-state.json)")
+                       help="persistent state directory (stratum"
+                       " results: serve-state.json and"
+                       " serve-state.journal)")
     serve.add_argument(
         "--checkers",
         default=",".join(PAPER_CHECKERS),
@@ -488,6 +489,12 @@ def cmd_serve(args) -> int:
             f"--poll wants a finite cadence > 0 seconds, not {args.poll}"
         )
     checkers = _named_checkers(args.checkers)
+    # Before the engine touches the workdir: a mistyped workspace would
+    # otherwise read as every known file removed.
+    if not os.path.isdir(args.workspace):
+        raise UsageError(f"workspace {args.workspace!r} is not a directory")
+    if os.path.exists(args.workdir) and not os.path.isdir(args.workdir):
+        raise UsageError(f"--workdir {args.workdir!r} is not a directory")
     engine = ServeEngine(
         args.workspace, args.workdir, [c.fsm for c in checkers],
         unroll=args.unroll, reduce=args.reduce, trace=recorder,

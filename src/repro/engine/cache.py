@@ -36,17 +36,14 @@ class LRUCache:
         self.hits += 1
         return value
 
-    def put(self, key, value):
-        """Insert/refresh an entry.  Returns the evicted ``(key, value)``
-        pair when capacity was exceeded, else None -- callers owning
-        resources behind entries (e.g. on-disk artifacts) use it to
-        release them."""
+    def put(self, key, value) -> None:
+        """Insert/refresh an entry, evicting the least recently used
+        one when capacity is exceeded."""
         self._data[key] = value
         self._data.move_to_end(key)
         if len(self._data) > self.capacity:
             self.evictions += 1
-            return self._data.popitem(last=False)
-        return None
+            self._data.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._data)

@@ -4,9 +4,9 @@ Stack-graph style (van Antwerpen et al., PAPERS.md): each file compiles
 *independently* to a small scope graph whose nodes carry push/pop symbol
 discipline, and cross-file name binding is a path search over the union
 of the per-file graphs plus one program root.  Nothing about a file's
-graph depends on any other file, so the per-file artifact is keyed by a
-content digest and can be cached, shipped, and re-resolved incrementally
--- exactly the shape the planned analysis daemon needs.
+graph depends on any other file, so the analysis daemon keeps each
+file's artifact in memory under its path and content digest and
+re-resolves a program after an edit without re-deriving the others.
 
 Node kinds
 ----------
@@ -58,20 +58,14 @@ byte-identical :class:`~repro.lang.ast.Program`).
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from collections import deque
 from dataclasses import dataclass, field, fields
 
 from repro.checkers.report import Diagnostic
 from repro.engine.cache import LRUCache
-from repro.engine.serialize import read_json_object
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
-
-ARTIFACT_SCHEMA = "grapple/scope-artifact"
-ARTIFACT_VERSION = 1
 
 KIND_UNRESOLVED = "unresolved-name"
 KIND_AMBIGUOUS_IMPORT = "ambiguous-import"
@@ -124,7 +118,8 @@ class RefRecord:
 
 @dataclass
 class FileArtifact:
-    """The serialized per-file resolution artifact (digest-keyed)."""
+    """What resolution reads of one file: its module, definitions,
+    imports and references."""
 
     digest: str
     path: str
@@ -132,33 +127,6 @@ class FileArtifact:
     defs: list[DefRecord] = field(default_factory=list)
     imports: list[ImportRecord] = field(default_factory=list)
     refs: list[RefRecord] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": ARTIFACT_SCHEMA,
-            "version": ARTIFACT_VERSION,
-            "digest": self.digest,
-            "path": self.path,
-            "module": self.module,
-            "defs": [[d.name, d.line, d.params] for d in self.defs],
-            "imports": [[i.module, i.symbol, i.line] for i in self.imports],
-            "refs": [[r.name, r.func, r.line] for r in self.refs],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FileArtifact":
-        if doc.get("schema") != ARTIFACT_SCHEMA:
-            raise ValueError(f"not a scope artifact: {doc.get('schema')!r}")
-        if doc.get("version") != ARTIFACT_VERSION:
-            raise ValueError(f"unsupported artifact version {doc.get('version')!r}")
-        return cls(
-            digest=doc["digest"],
-            path=doc["path"],
-            module=doc["module"],
-            defs=[DefRecord(n, l, p) for n, l, p in doc["defs"]],
-            imports=[ImportRecord(m, s, l) for m, s, l in doc["imports"]],
-            refs=[RefRecord(n, f, l) for n, f, l in doc["refs"]],
-        )
 
 
 def _collect_calls(expr, out: list) -> None:
@@ -209,16 +177,15 @@ def build_artifact(mf: ast.ModuleFile, digest: str) -> FileArtifact:
     )
 
 
-#: Default bound on cached artifacts.  Every edit mints a new digest, so
-#: a long-running daemon would otherwise grow the store without limit;
-#: 1024 entries comfortably covers a large workspace plus edit churn.
+#: Default bound on the files the cache holds.  A path holds one
+#: content at a time; 1024 paths comfortably cover a large workspace.
 ARTIFACT_CACHE_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
 class FileFragment:
     """One file's compiled functions, as :class:`ScopeArtifactCache`
-    keeps them under ``(digest, path, site_base)`` (DESIGN.md §16).
+    keeps them under ``(path, digest, site_base)`` (DESIGN.md §16).
 
     Live objects shared by every run that reuses them: nothing may
     mutate a fragment or anything it holds.
@@ -236,151 +203,67 @@ class FileFragment:
 
 
 class ScopeArtifactCache:
-    """Digest-keyed on-disk store of per-file scope artifacts.
+    """The analysis daemon's per-file memo, in memory, keyed by path.
 
-    Size-bounded: an in-memory :class:`~repro.engine.cache.LRUCache`
-    indexes the store, and evicting an entry unlinks its file, so the
-    directory never holds more than ``capacity`` artifacts.  Artifacts
-    already on disk (a daemon restart) are adopted into the index
-    oldest-first, so a warm directory obeys the same bound.  ``get``
-    returns a private copy -- the loader rewrites ``path`` on cache
-    hits, which must not corrupt the cached entry.
-
-    The cache also keeps each file's compiled functions
-    (:class:`FileFragment`, :meth:`fragment`, :meth:`keep`) and the
-    module a content digest declares (:meth:`module_name`), in memory
-    only and under the same bound: a file compiled before, at the same
-    path and site base, is neither tokenised nor parsed again.
+    A path's entry is the content digest last seen there, that
+    content's :class:`FileArtifact` and its compiled functions
+    (:class:`FileFragment`) by site base.  A new digest at a path
+    replaces the path's entry, and beyond ``capacity`` the least
+    recently used path goes.  A file met again at the same path and
+    content is not re-derived, and at the same site base too it is
+    neither tokenised nor parsed.
     """
 
-    def __init__(self, directory: str,
-                 capacity: int = ARTIFACT_CACHE_CAPACITY):
-        self.directory = directory
+    def __init__(self, capacity: int = ARTIFACT_CACHE_CAPACITY):
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._index = LRUCache(capacity)
-        #: path -> (digest, {site_base: FileFragment}).
-        self._fragments = LRUCache(capacity)
-        #: digest -> the module name the file declares.
-        self._modules = LRUCache(capacity)
-        self._adopt_existing()
+        #: path -> (digest, FileArtifact, {site_base: FileFragment}).
+        self._entries = LRUCache(capacity)
 
-    def _adopt_existing(self) -> None:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        found = []
-        for name in names:
-            if not name.endswith(".scope.json"):
-                continue
-            digest = name[: -len(".scope.json")]
-            try:
-                mtime = os.path.getmtime(os.path.join(self.directory, name))
-            except OSError:
-                continue
-            found.append((mtime, digest))
-        # Oldest first: they evict first when over capacity.  None marks
-        # "on disk, not yet parsed"; the first get() fills it in.
-        for _, digest in sorted(found):
-            self._insert(digest, None)
-
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.directory, f"{digest}.scope.json")
-
-    def _insert(self, digest: str, artifact: FileArtifact | None) -> None:
-        evicted = self._index.put(digest, artifact)
-        if evicted is not None:
-            self.evictions += 1
-            try:
-                os.unlink(self._path(evicted[0]))
-            except OSError:
-                pass
-
-    @staticmethod
-    def _copy(artifact: FileArtifact) -> FileArtifact:
-        # Records are frozen; only ``path`` is ever rewritten, so a
-        # list-sharing shallow copy is enough.
-        return FileArtifact(
-            digest=artifact.digest, path=artifact.path,
-            module=artifact.module, defs=artifact.defs,
-            imports=artifact.imports, refs=artifact.refs,
-        )
+    @property
+    def evictions(self) -> int:
+        return self._entries.evictions
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._entries)
 
-    def get(self, digest: str,
-            parsed: ast.ModuleFile | None = None) -> FileArtifact | None:
-        """The artifact of a file with this content, or None (a miss).
+    def _entry(self, path: str, digest: str) -> tuple | None:
+        entry = self._entries.get(path)
+        return entry if entry is not None and entry[0] == digest else None
 
-        An artifact read from disk is checked before its first use when
-        the caller holds the file's parse: unless it is what
-        :func:`build_artifact` makes of ``parsed``, it is a miss, and
-        the caller's :meth:`put` rewrites it.
-        """
-        cached = self._index.get(digest)
-        if cached is not None:
-            self.hits += 1
-            return self._copy(cached)
-        doc = read_json_object(self._path(digest))
-        artifact = None
-        if doc is not None:
-            try:
-                artifact = FileArtifact.from_json(doc)
-            except (ValueError, KeyError, TypeError):
-                pass  # another schema or version, or a mis-shaped field
-        if artifact is not None and parsed is not None \
-                and _facts(artifact) != _facts(build_artifact(parsed, digest)):
-            artifact = None  # disagrees with the file it describes
-        if artifact is None:
+    def get(self, path: str, digest: str) -> FileArtifact | None:
+        """The artifact of this content at this path, or None (a miss)."""
+        entry = self._entry(path, digest)
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        self._insert(digest, artifact)
-        return self._copy(artifact)
+        return entry[1]
 
     def put(self, artifact: FileArtifact) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = self._path(artifact.digest)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(artifact.to_json(), f, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-        self._insert(artifact.digest, self._copy(artifact))
+        """Make ``artifact`` its path's entry, with no fragment yet."""
+        self._entries.put(artifact.path, (artifact.digest, artifact, {}))
 
-    def module_name(self, digest: str) -> str | None:
-        """The module a file with this content declares, if it was
-        compiled before; None sends the caller to the lexer."""
-        return self._modules.get(digest)
+    def module_name(self, path: str, digest: str) -> str | None:
+        """The module this content at this path declares, if it was
+        seen before; None sends the caller to the lexer."""
+        entry = self._entry(path, digest)
+        return None if entry is None else entry[1].module
 
-    def fragment(self, digest: str, path: str,
+    def fragment(self, path: str, digest: str,
                  site_base: int) -> FileFragment | None:
         """The file's compiled functions, if this content was compiled
         at this path and site base -- everything the parser reads."""
-        entry = self._fragments.get(path)
-        if entry is None or entry[0] != digest:
-            return None
-        return entry[1].get(site_base)
+        entry = self._entry(path, digest)
+        return None if entry is None else entry[2].get(site_base)
 
-    def keep(self, digest: str, path: str, site_base: int,
+    def keep(self, path: str, digest: str, site_base: int,
              fragment: FileFragment) -> None:
-        """Keep ``fragment`` under its key.  A path keeps the fragments
-        of one content only: compiling a new one drops the old's, whose
-        only use would be an edit that restores it."""
-        entry = self._fragments.get(path)
-        if entry is None or entry[0] != digest:
-            entry = (digest, {})
-            self._fragments.put(path, entry)
-        entry[1][site_base] = fragment
-        self._modules.put(digest, fragment.module)
-
-
-def _facts(artifact: FileArtifact) -> tuple:
-    """An artifact's content; its path follows the file, not the text."""
-    return artifact.module, artifact.defs, artifact.imports, artifact.refs
+        """Keep ``fragment`` under its key, beside the artifact of its
+        content; a path whose entry went or moved on keeps nothing."""
+        entry = self._entry(path, digest)
+        if entry is not None:
+            entry[2][site_base] = fragment
 
 
 # -- scope graph ---------------------------------------------------------------
@@ -789,17 +672,18 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     ``sources`` is ``{path: text}`` or ``[(path, text), ...]`` in any
     order -- files are canonicalised by (module, path) before site ids
     are assigned, so the resulting program is byte-identical however
-    the files were discovered.  ``cache`` (optional) persists per-file
-    artifacts keyed by content digest and holds compiled files: a file
-    with a :class:`FileFragment` under its key whose bindings still hold
-    is neither parsed nor linked, its compiled functions stand in the
+    the files were discovered.  ``cache`` (optional) holds per-file
+    artifacts and compiled files: a file whose artifact is cached under
+    its path and content is not re-derived, and one with a
+    :class:`FileFragment` under its key whose bindings still hold is
+    neither parsed nor linked, its compiled functions stand in the
     program instead, and ``fragments`` lists those files.
     """
     items = _as_items(sources)
     scanned = []
     for path, text in items:
         digest = source_digest(text)
-        module = cache.module_name(digest) if cache is not None else None
+        module = cache.module_name(path, digest) if cache is not None else None
         tokens = None
         if module is None:
             tokens = tokenize(text)
@@ -812,46 +696,34 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     artifacts: list[FileArtifact] = []
     site_ranges: dict = {}
     site_base = 0
-    cache_hits = 0
-    cache_misses = 0
-    evictions_before = cache.evictions if cache is not None else 0
-    for module, path, text, digest, tokens in scanned:
-        mf = None
+    if cache is not None:
+        before = cache.hits, cache.misses, cache.evictions
+    for _, path, text, digest, tokens in scanned:
+        artifact = cache.get(path, digest) if cache is not None else None
         fragment = None
-        if cache is not None:
-            fragment = cache.fragment(digest, path, site_base)
+        if artifact is not None:
+            fragment = cache.fragment(path, digest, site_base)
         if fragment is None:
             mf = parsed[path] = parse_module(
                 text, path=path, site_base=site_base, tokens=tokens
             )
             next_site = mf.next_site
+            if artifact is None:
+                artifact = build_artifact(mf, digest)
+                if cache is not None:
+                    cache.put(artifact)
         else:
             found[path], next_site = fragment, fragment.next_site
         site_ranges[path] = (site_base, next_site)
-        artifact = cache.get(digest, mf) if cache is not None else None
-        if artifact is not None and artifact.module == module:
-            cache_hits += 1
-            artifact.path = path  # digests key content, paths may move
-        else:
-            if cache is not None:
-                cache_misses += 1
-            if mf is None:
-                mf = parsed[path] = parse_module(
-                    text, path=path, site_base=site_base
-                )
-            artifact = build_artifact(mf, digest)
-            if cache is not None:
-                cache.put(artifact)
         site_base = next_site
         artifacts.append(artifact)
 
     resolution = resolve_files(artifacts)
-    resolution.stats.artifact_cache_hits = cache_hits
-    resolution.stats.artifact_cache_misses = cache_misses
     if cache is not None:
-        resolution.stats.artifact_cache_evictions = (
-            cache.evictions - evictions_before
-        )
+        stats = resolution.stats
+        stats.artifact_cache_hits = cache.hits - before[0]
+        stats.artifact_cache_misses = cache.misses - before[1]
+        stats.artifact_cache_evictions = cache.evictions - before[2]
     resolution.site_ranges = site_ranges
     by_file = file_bindings(resolution)
     program = ast.Program()

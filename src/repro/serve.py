@@ -11,9 +11,9 @@ The incremental spine has three layers, mirroring the spans it emits:
 ``incr-diff``
     Workspace scan (mtime+size fast path, content digest to confirm).
     Changed files re-parse once; their scope artifacts land in the
-    digest-keyed :class:`~repro.sa.scopes.ScopeArtifactCache` shared
-    with the per-stratum Grapple runs, so an edit re-derives exactly
-    one artifact.  File-level dependency edges (imports + same-module
+    in-memory :class:`~repro.sa.scopes.ScopeArtifactCache` shared with
+    the per-stratum Grapple runs, so an edit re-derives exactly one
+    artifact.  File-level dependency edges (imports + same-module
     chains -- an over-approximation of scope-graph connectivity) are
     re-extracted as a plain set of ``(importer, provider)`` pairs.
 
@@ -44,8 +44,8 @@ removed) / ``warnings_retracted`` ride the ordinary
 fragment's ``counters`` section.  State (file metadata,
 stratum results, counters) persists across restarts as a snapshot,
 ``workdir/serve-state.json``, plus ``workdir/serve-state.journal``,
-one JSON line per edit served since; the scope-artifact store lives
-under the same workdir.
+one JSON line per edit served since.  Nothing else is kept there: the
+scope artifacts and compiled functions live in memory only.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ class ServeEngine:
         self.trace = trace
         self.stats = EngineStats()
         os.makedirs(workdir, exist_ok=True)
-        self.cache = ScopeArtifactCache(os.path.join(workdir, "scope-cache"))
+        self.cache = ScopeArtifactCache()
         self.closure = IncrementalClosure()
         self.files: dict[str, FileMeta] = {}
         self.texts: dict[str, str] = {}
@@ -428,7 +428,7 @@ class ServeEngine:
         tokens = tokenize(text)
         module = scan_module_name(tokens)
         mf = parse_module(text, path=path, tokens=tokens)
-        if self.cache.get(digest, mf) is None:
+        if self.cache.get(path, digest) is None:
             self.cache.put(build_artifact(mf, digest))
         return FileMeta(
             path=path, digest=digest, module=module,

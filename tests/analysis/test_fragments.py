@@ -93,10 +93,10 @@ def _recompiled(before, after):
     }
 
 
-def _flip(tmp_path, after):
+def _flip(after):
     """Compile BASE, then ``after`` through the same cache; check the
     second compile against a cold one and return what it recompiled."""
-    cache = ScopeArtifactCache(str(tmp_path))
+    cache = ScopeArtifactCache()
     before = compile_source(BASE, reduce=True, scope_cache=cache)
     assert before.recompiled == len(before.program.functions)
     again = compile_source(after, reduce=True, scope_cache=cache)
@@ -111,15 +111,15 @@ def _edit(path, old, new):
     return {**BASE, path: BASE[path].replace(old, new, 1)}
 
 
-def test_nothing_moved_nothing_recompiled(tmp_path):
-    moved, _, again = _flip(tmp_path, dict(BASE))
+def test_nothing_moved_nothing_recompiled():
+    moved, _, again = _flip(dict(BASE))
     assert moved == set() and again.recompiled == 0
 
 
-def test_a_callees_may_throw_bit(tmp_path):
+def test_a_callees_may_throw_bit():
     """``lib.g`` starts throwing: its callers lower its calls with an
     exceptional branch, and ``ext.k``, now throwing too, moves ``h``."""
-    moved, _, _ = _flip(tmp_path, _edit(
+    moved, _, _ = _flip(_edit(
         "lib.mini", "var t = x + 1;",
         "var t = x + 1;\n    if (x > 5) {\n        var e = new Exc();\n"
         "        throw e;\n    }",
@@ -127,30 +127,30 @@ def test_a_callees_may_throw_bit(tmp_path):
     assert moved == LIB | {"app.f", "ext.k", "app.h"}
 
 
-def test_a_callees_arity(tmp_path):
+def test_a_callees_arity():
     """The formals a call's parameter-passing equations bind."""
-    moved, _, _ = _flip(tmp_path, _edit(
+    moved, _, _ = _flip(_edit(
         "lib.mini", "func g(x) {\n    var t = x + 1;",
         "func g(x, z) {\n    var t = x + z;",
     ))
     assert moved == LIB | {"app.f", "ext.k"}
 
 
-def test_a_bindings_target(tmp_path):
+def test_a_bindings_target():
     """``ext.k`` goes: app's call to it now links to nothing, and the
     whole file is linked again."""
-    moved, _, _ = _flip(tmp_path, _edit("ext.mini", "func k(v)", "func k2(v)"))
+    moved, _, _ = _flip(_edit("ext.mini", "func k(v)", "func k2(v)"))
     assert moved == {"app.f", "app.quiet", "app.uses", "app.h", "ext.k2"}
 
 
-def test_an_object_vars_slice(tmp_path):
+def test_an_object_vars_slice():
     """A caller in a new file hands ``lib.pass`` an object: its slice
     moves, and through its result so does the caller's in ``app``."""
     after = {**BASE, "zfar.mini": (
         "module zfar;\nimport lib;\nfunc hands(a) {\n"
         "    var o = new Plain();\n    var r = lib.pass(o);\n    return;\n}\n"
     )}
-    moved, before, again = _flip(tmp_path, after)
+    moved, before, again = _flip(after)
     slices = {
         name for name, obj in again.info.object_vars.items()
         if obj != before.info.object_vars.get(name)
@@ -159,19 +159,19 @@ def test_an_object_vars_slice(tmp_path):
     assert moved == slices | {"zfar.hands"}
 
 
-def test_a_site_base(tmp_path):
+def test_a_site_base():
     """An allocation in ``ext`` moves the site base of ``lib`` after it."""
-    moved, _, _ = _flip(tmp_path, _edit(
+    moved, _, _ = _flip(_edit(
         "ext.mini", "var w = lib.g(v);", "var o = new Plain();\n    var w = lib.g(v);",
     ))
     assert moved == {"ext.k"} | LIB
 
 
-def test_a_first_cid(tmp_path):
+def test_a_first_cid():
     """A branch ahead of ``ext.k``'s call doubles its call records, but
     adds no site: ``lib.twice``, the one later function with a call,
     rebuilds its CFET from its kept body."""
-    moved, before, again = _flip(tmp_path, _edit(
+    moved, before, again = _flip(_edit(
         "ext.mini", "var w = lib.g(v);",
         "if (v > 0) {\n        v = 1;\n    }\n    var w = lib.g(v);",
     ))
@@ -180,8 +180,8 @@ def test_a_first_cid(tmp_path):
     assert again.program.functions[twice] is before.program.functions[twice]
 
 
-def test_another_unroll_or_reduce_recompiles_everything(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
+def test_another_unroll_or_reduce_recompiles_everything():
+    cache = ScopeArtifactCache()
     first = compile_source(BASE, reduce=True, scope_cache=cache)
     for unroll, reduce in ((3, True), (2, False)):
         again = compile_source(BASE, unroll=unroll, reduce=reduce,
@@ -230,12 +230,12 @@ def test_may_throw_from_summaries_is_the_whole_program_fixpoint(name):
     assert got == oracle and got
 
 
-def test_fragment_names_the_files_functions_in_file_order(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
+def test_fragment_names_the_files_functions_in_file_order():
+    cache = ScopeArtifactCache()
     compile_source(BASE, reduce=True, scope_cache=cache)
     base = parse_module(BASE["app.mini"], "app.mini").next_site
     base = parse_module(BASE["ext.mini"], "ext.mini", base).next_site
-    fragment = cache.fragment(source_digest(BASE["lib.mini"]), "lib.mini", base)
+    fragment = cache.fragment("lib.mini", source_digest(BASE["lib.mini"]), base)
     assert list(fragment.functions) == ["lib.g", "lib.pass", "lib.twice"]
     assert fragment.config == (2, True)
     assert fragment.functions["lib.twice"].escapes.callees == {"lib.g"}

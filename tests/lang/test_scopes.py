@@ -1,8 +1,6 @@
 """Scope-graph name resolution across files (DESIGN.md §15)."""
 
 import itertools
-import json
-import os
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.sa import scopes
 from repro.sa.scopes import (
     KIND_AMBIGUOUS_IMPORT,
     KIND_UNRESOLVED,
-    FileArtifact,
     LinkError,
     ScopeArtifactCache,
     load_modules,
@@ -205,32 +202,25 @@ def test_qualified_call_requires_the_alias_to_be_imported():
         })
 
 
-def test_artifact_json_round_trip():
-    loaded = load_modules({"net.mini": NET})
-    [artifact] = loaded.resolution.artifacts
-    clone = FileArtifact.from_json(artifact.to_json())
-    assert clone == artifact
-    assert clone.digest == source_digest(NET)
-
-
-def test_artifact_cache_hits_on_second_load(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
+def test_artifact_cache_hits_on_second_load():
+    cache = ScopeArtifactCache()
     sources = {"app.mini": APP, "net.mini": NET}
     first = load_modules(sources, cache=cache)
     assert first.resolution.stats.artifact_cache_hits == 0
     second = load_modules(sources, cache=cache)
     assert second.resolution.stats.artifact_cache_hits == 2
     assert second.program == first.program
-    # A cached artifact follows a renamed path (digest keys content).
+    # Entries are per path: a renamed file is a miss.
     moved = load_modules(
         {"moved/net.mini": NET, "app.mini": APP}, cache=cache
     )
-    assert moved.resolution.stats.artifact_cache_hits == 2
+    assert moved.resolution.stats.artifact_cache_hits == 1
+    assert moved.resolution.stats.artifact_cache_misses == 1
     assert moved.resolution.file_of["net.shut"] == "moved/net.mini"
 
 
-def test_artifact_cache_counts_misses(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
+def test_artifact_cache_counts_misses():
+    cache = ScopeArtifactCache()
     sources = {"app.mini": APP, "net.mini": NET}
     first = load_modules(sources, cache=cache)
     assert first.resolution.stats.artifact_cache_misses == 2
@@ -239,64 +229,24 @@ def test_artifact_cache_counts_misses(tmp_path):
     assert second.resolution.stats.artifact_cache_evictions == 0
 
 
-def test_artifact_cache_lru_eviction_unlinks_files(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path), capacity=2)
+def test_artifact_cache_lru_eviction_unlinks_files():
+    """The cache holds at most ``capacity`` paths, evicting the least
+    recently used; a new content at a held path replaces its entry."""
+    cache = ScopeArtifactCache(capacity=2)
     variants = [f"func f{i}(x) {{ return x; }}\n" for i in range(4)]
-    for text in variants:
-        load_modules({"one.mini": text}, cache=cache)
+    for i, text in enumerate(variants):
+        load_modules({f"f{i}.mini": text}, cache=cache)
     assert cache.evictions == 2
     assert len(cache) == 2
-    on_disk = [n for n in os.listdir(tmp_path) if n.endswith(".scope.json")]
-    assert len(on_disk) == 2
-    # The two most recent digests survive; the oldest two are gone.
-    for text, expected in zip(variants, [False, False, True, True]):
-        present = os.path.exists(
-            os.path.join(tmp_path, f"{source_digest(text)}.scope.json")
-        )
-        assert present is expected
-
-
-def test_artifact_cache_adopts_existing_directory(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
-    load_modules({"app.mini": APP, "net.mini": NET}, cache=cache)
-    # A fresh cache over the same directory (daemon restart) indexes the
-    # files and enforces its own, smaller bound.
-    warm = ScopeArtifactCache(str(tmp_path), capacity=1)
-    assert len(warm) == 1
-    on_disk = [n for n in os.listdir(tmp_path) if n.endswith(".scope.json")]
-    assert len(on_disk) == 1
-    # The surviving entry still hits.
-    digest = on_disk[0][: -len(".scope.json")]
-    assert warm.get(digest) is not None
-    assert warm.hits == 1
-
-
-@pytest.mark.parametrize("damage", [
-    lambda doc: "[" * 200_000,
-    lambda doc: "[]",
-    lambda doc: json.dumps({**doc, "defs": 5}),
-], ids=["deep-nesting", "not-an-object", "defs-not-a-list"])
-def test_artifact_cache_treats_a_hostile_file_as_a_miss(tmp_path, damage):
-    cache = ScopeArtifactCache(str(tmp_path))
-    sources = {"net.mini": NET}
-    first = load_modules(sources, cache=cache)
-    path = tmp_path / f"{source_digest(NET)}.scope.json"
-    path.write_text(damage(json.loads(path.read_text())))
-    restarted = ScopeArtifactCache(str(tmp_path))
-    again = load_modules(sources, cache=restarted)
-    assert again.resolution.stats.artifact_cache_misses == 1
-    assert again.program == first.program
-    assert restarted.get(source_digest(NET)) is not None  # rewritten
-
-
-def test_artifact_cache_get_returns_private_copy(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
-    load_modules({"net.mini": NET}, cache=cache)
-    digest = source_digest(NET)
-    first = cache.get(digest)
-    first.path = "mutated/by/loader.mini"
-    second = cache.get(digest)
-    assert second.path == "net.mini"
+    # The two most recent paths survive; the oldest two are gone.
+    for i, expected in enumerate([False, False, True, True]):
+        held = cache.get(f"f{i}.mini", source_digest(variants[i]))
+        assert (held is not None) is expected
+    edited = load_modules({"f3.mini": variants[0]}, cache=cache)
+    assert edited.resolution.stats.artifact_cache_misses == 1
+    assert cache.evictions == 2
+    assert len(cache) == 2
+    assert cache.get("f3.mini", source_digest(variants[3])) is None
 
 
 def _shape(program):
@@ -304,29 +254,28 @@ def _shape(program):
     return {name: _canonical(fn, 0) for name, fn in program.functions.items()}
 
 
-def test_fragment_is_keyed_on_everything_the_parser_reads(tmp_path):
-    cache = ScopeArtifactCache(str(tmp_path))
+def test_fragment_is_keyed_on_everything_the_parser_reads():
+    cache = ScopeArtifactCache()
     # net.mini sorts after app.mini: its sites start where app's end.
     compile_source({"app.mini": APP, "net.mini": NET}, scope_cache=cache)
     base = parse_module(APP, "app.mini").next_site
     digest = source_digest(NET)
-    fragment = cache.fragment(digest, "net.mini", base)
-    assert fragment.module == cache.module_name(digest) == "net"
+    fragment = cache.fragment("net.mini", digest, base)
+    assert fragment.module == cache.module_name("net.mini", digest) == "net"
     assert fragment.next_site == parse_module(NET, "net.mini", base).next_site
     assert list(fragment.functions) == ["net.open_conn", "net.shut"]
     assert fragment.bindings == {}
-    assert cache.fragment(digest, "net.mini", base + 1) is None
-    assert cache.fragment(digest, "moved.mini", base) is None
-    assert cache.fragment(source_digest(APP), "app.mini", 0).bindings == {
+    assert cache.fragment("net.mini", digest, base + 1) is None
+    assert cache.fragment("moved.mini", digest, base) is None
+    assert cache.fragment("app.mini", source_digest(APP), 0).bindings == {
         "net.open_conn": "net.open_conn", "shut": "net.shut",
     }
 
 
-def test_memoised_loads_link_the_program_a_fresh_load_does(tmp_path,
-                                                          monkeypatch):
+def test_memoised_loads_link_the_program_a_fresh_load_does(monkeypatch):
     sources = {"app.mini": APP, "net.mini": NET}
     fresh = compile_source(sources, reduce=True)
-    cache = ScopeArtifactCache(str(tmp_path), capacity=2)
+    cache = ScopeArtifactCache(capacity=2)
     compile_source(sources, reduce=True, scope_cache=cache)
     lexed = []
     monkeypatch.setattr(scopes, "tokenize",
@@ -338,21 +287,3 @@ def test_memoised_loads_link_the_program_a_fresh_load_does(tmp_path,
     assert _shape(again.program) == _shape(fresh.program)
     assert again.resolution.site_ranges == fresh.resolution.site_ranges
     assert again.icfet.by_cid.keys() == fresh.icfet.by_cid.keys()
-
-
-def test_artifact_on_disk_that_disagrees_with_its_file_is_rebuilt(tmp_path):
-    """A restarted cache reads artifacts from disk; one that no longer
-    says what the file defines must not decide the resolution."""
-    sources = {"app.mini": APP, "net.mini": NET}
-    load_modules(sources, cache=ScopeArtifactCache(str(tmp_path)))
-    path = tmp_path / f"{source_digest(NET)}.scope.json"
-    doc = json.loads(path.read_text())
-    doc["defs"] = [["elsewhere", 2, 1]]
-    path.write_text(json.dumps(doc))
-    restarted = ScopeArtifactCache(str(tmp_path))
-    again = load_modules(sources, cache=restarted)
-    fresh = load_modules(sources)
-    assert again.resolution.stats.artifact_cache_misses == 1
-    assert again.resolution.file_of == fresh.resolution.file_of
-    assert again.resolution.bindings == fresh.resolution.bindings
-    assert json.loads(path.read_text())["defs"] != doc["defs"]  # rewritten

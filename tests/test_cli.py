@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import os
 import re
 import subprocess
@@ -247,6 +248,7 @@ def test_knob_census():
 @pytest.mark.parametrize("case", [
     "empty-directory", "missing-file", "parse-error", "link-error",
     "lex-error", "missing-spec", "bad-spec", "unknown-subject",
+    "serve-missing-workspace", "serve-workdir-is-a-file",
 ])
 def test_unreadable_input_is_a_usage_error_not_a_verdict(
     source_file, tmp_path, capsys, case
@@ -281,6 +283,15 @@ def test_unreadable_input_is_a_usage_error_not_a_verdict(
         argv = ["check", source_file(CLEAN), "--spec",
                 str(tmp_path / "bad.spec")]
         names = "bad --spec"
+    elif case == "serve-missing-workspace":
+        argv = ["serve", str(tmp_path / "nosuch"), "--workdir",
+                str(tmp_path / "wd"), "--once"]
+        names = "nosuch"
+    elif case == "serve-workdir-is-a-file":
+        (tmp_path / "wd").write_text("")
+        argv = ["serve", str(tmp_path), "--workdir", str(tmp_path / "wd"),
+                "--once"]
+        names = "--workdir"
     else:
         argv = ["generate", "nosuch"]
         names = "unknown subject 'nosuch'"
@@ -400,3 +411,22 @@ def test_lint_multifile_directory(multi_file_dir, capsys):
     assert code == 1
     assert "[dead-store]" in captured.err
     assert "app.mini:" in captured.err
+
+
+def test_serve_on_a_missing_workspace_keeps_the_state(tmp_path, capsys):
+    """A mistyped workspace used to read as every known file removed:
+    the run exited 0 having persisted the removals, and the next start
+    on the right path re-checked every stratum."""
+    ws, wd = tmp_path / "ws", tmp_path / "wd"
+    ws.mkdir()
+    (ws / "net.mini").write_text(NET_MINI)
+    (ws / "app.mini").write_text(APP_MINI)
+    assert main(["serve", str(ws), "--workdir", str(wd), "--once"]) == 0
+    state = {name: (wd / name).read_bytes() for name in os.listdir(wd)}
+    typo = str(tmp_path / "wss")
+    assert main(["serve", typo, "--workdir", str(wd), "--once"]) == 2
+    assert {name: (wd / name).read_bytes() for name in os.listdir(wd)} \
+        == state
+    capsys.readouterr()
+    assert main(["serve", str(ws), "--workdir", str(wd), "--once"]) == 0
+    assert json.loads(capsys.readouterr().out)["edit"]["changed"] == []

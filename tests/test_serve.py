@@ -575,31 +575,20 @@ def test_restart_with_stale_workspace_rechecks_only_dirty(tmp_path):
     assert _accumulated(again) == scratch
 
 
-def test_scope_artifact_that_disagrees_with_its_file_is_rebuilt(tmp_path):
-    """An artifact read back from ``scope-cache/`` is checked against
-    the file before it is used: one whose definitions were changed on
-    disk used to resolve ``b.g`` to a symbol no file defines, and the
-    next cold start died with a ``KeyError`` keying the roots."""
-    ws, wd = tmp_path / "ws", tmp_path / "wd"
-    ws.mkdir()
-    (ws / "a.mini").write_text(
-        "module a;\nimport b;\nfunc main(x) {\n"
-        "    var f = new UserInput();\n    b.g(f);\n    return;\n}\n")
-    b_text = "module b;\nfunc g(w) {\n    w.exec();\n    return;\n}\n"
-    (ws / "b.mini").write_text(b_text)
-    ServeEngine(str(ws), str(wd), _fsms()).scan()
-    artifact = wd / "scope-cache" / f"{scopes.source_digest(b_text)}.scope.json"
-    doc = json.loads(artifact.read_text())
-    doc["defs"] = [["h", 2, 1]]
-    artifact.write_text(json.dumps(doc))
-    (wd / "serve-state.json").unlink()
-    engine = ServeEngine(str(ws), str(wd), _fsms())
-    fragment = engine.scan()
-    assert fragment["edit"]["errors"] == {}
-    assert fragment["edit"]["artifacts_rederived"] == 1
-    assert json.loads(artifact.read_text())["defs"] == [["g", 2, 1]]
-    _, scratch = _scratch_warnings(str(ws))
-    assert _accumulated(engine) == scratch != []
+def test_workdir_holds_only_the_snapshot_and_the_journal(tmp_path):
+    """Scope artifacts and compiled functions live in memory: a served
+    session, a restart and an edit after it leave the workdir with the
+    state files and nothing else."""
+    engine = _engine(tmp_path)
+    engine.scan()
+    text = _read(engine, "g0svc.mini")
+    pad = "func g0_pad(v) {\n    return v + %d;\n}\n"
+    engine.edit("g0svc.mini", text + pad % 1)
+    again = ServeEngine(engine.workspace, engine.workdir, _fsms())
+    again.scan()
+    again.edit("g0svc.mini", text + pad % 2)
+    assert sorted(os.listdir(engine.workdir)) == [
+        "serve-state.journal", "serve-state.json"]
 
 
 def test_edit_recompiles_only_the_functions_of_the_edited_file(tmp_path):
@@ -638,7 +627,7 @@ def test_fragments_are_never_mutated(tmp_path):
     seen = {}
 
     def snapshot():
-        for _digest, by_base in engine.cache._fragments._data.values():
+        for _, _, by_base in engine.cache._entries._data.values():
             for fragment in by_base.values():
                 seen.setdefault(id(fragment),
                                 (fragment, pickle.dumps(fragment)))

@@ -132,11 +132,11 @@ def test_scaled_subject_accounting_is_exact():
     assert res.bindings[("g0right.mini", "g0_shared")] == "g0core.g0_shared"
 
 
-def test_artifact_cache_rederives_exactly_one_artifact_per_edit(tmp_path):
+def test_artifact_cache_rederives_exactly_one_artifact_per_edit():
     from repro.sa.scopes import ScopeArtifactCache, load_modules
 
     subject = build_multifile_subject("gateway", scale=3.0)
-    cache = ScopeArtifactCache(str(tmp_path))
+    cache = ScopeArtifactCache()
     cold = load_modules(subject.sources, cache=cache)
     assert cold.resolution.stats.artifact_cache_misses == len(subject.sources)
     sources = dict(subject.sources)
