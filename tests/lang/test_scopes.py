@@ -1,4 +1,4 @@
-"""Scope-graph name resolution across files (DESIGN.md §15)."""
+"""Cross-file name resolution (DESIGN.md §15)."""
 
 import itertools
 
@@ -176,6 +176,79 @@ def test_local_definition_wins_over_imported_symbol():
     }
     res = load_modules(src).resolution
     assert res.bindings[("app.mini", "work")] == "work"
+
+
+def test_import_from_the_second_file_of_a_split_module_resolves():
+    """``import m.g;`` is checked against every file declaring ``m``,
+    as the bare ``g`` it enables is bound: not only the first file."""
+    src = {
+        "a.mini": "module m;\nfunc f(v) { return v; }\n",
+        "b.mini": "module m;\nfunc g(v) { return v; }\n",
+        "c.mini": "import m.g;\nfunc main(x) { var y = g(x); return y; }\n",
+    }
+    res = load_modules(src).resolution
+    assert res.bindings[("c.mini", "g")] == "m.g"
+    assert res.diagnostic_count(KIND_UNRESOLVED) == 0
+
+
+SPLIT_M = {
+    "a.mini": "module m;\nfunc f(v) { return v; }\n",
+    "b.mini": "module m;\nfunc g(v) { return v; }\n",
+}
+M_FG = {"m.mini": "module m;\nfunc f(v) { return v; }\n"
+                  "func g(v) { return v; }\n"}
+
+
+@pytest.mark.parametrize("sources, bindings, diagnostics, counters", [
+    pytest.param(
+        {**SPLIT_M, "c.mini": "import m;\nimport m.g;\nfunc main(x) {"
+         " var a = m.f(x); var b = g(x); var c = m.g(x); return c; }\n"},
+        {("c.mini", "m.f"): "m.f", ("c.mini", "g"): "m.g",
+         ("c.mini", "m.g"): "m.g"},
+        [(KIND_AMBIGUOUS_IMPORT, "m", "b.mini")],
+        (3, 0, 0), id="split-module",
+    ),
+    pytest.param(
+        {"r.mini": "func m(v) { return v; }\n",
+         "a.mini": "module m;\nfunc f(v) { return v; }\n",
+         "c.mini": "module c;\nimport m;\nfunc main(x) {"
+         " var b = m(x); var c = m.f(x); return c; }\n"},
+        {("c.mini", "m.f"): "m.f"},
+        [],
+        (1, 1, 0), id="root-func-is-no-module",
+    ),
+    pytest.param(
+        {"m.mini": "module m;\nimport m.g;\nfunc g(v) { return v; }\n"
+         "func f(x) { var y = g(x); return y; }\n"},
+        {("m.mini", "g"): "m.g"},
+        [(KIND_AMBIGUOUS_IMPORT, "g", "m.mini")],
+        (1, 0, 0), id="self-import",
+    ),
+    pytest.param(
+        {**M_FG, "c.mini": "import m;\nfunc main(x) {"
+         " var b = g(x); var c = m.f(x); return c; }\n"},
+        {("c.mini", "m.f"): "m.f"},
+        [],
+        (1, 1, 0), id="whole-module-import-leaves-bare-extern",
+    ),
+    pytest.param(
+        {**M_FG, "c.mini": "import m.g;\nfunc main(x) {"
+         " var b = g(x); var c = m.f(x); return c; }\n"},
+        {("c.mini", "g"): "m.g", ("c.mini", "m.f"): "m.f"},
+        [],
+        (2, 0, 0), id="symbol-import-qualifies",
+    ),
+])
+def test_lookup_rules(sources, bindings, diagnostics, counters):
+    """What each lookup rule binds, diagnoses and counts as
+    (resolved, extern/unresolved, ambiguous)."""
+    res = load_modules(sources).resolution
+    assert res.bindings == bindings
+    assert [(d.kind, d.subject, d.file) for d in res.diagnostics] \
+        == diagnostics
+    stats = res.stats
+    assert (stats.scope_resolutions, stats.unresolved_refs,
+            stats.ambiguous_refs) == counters
 
 
 def test_duplicate_symbol_across_files_is_a_link_error():
