@@ -5,7 +5,7 @@ Subcommands:
 * ``check FILE... [--checkers io,lock,exception,socket] [--unroll K]``
   -- run finite-state property checkers over one or more mini-language
   source files (or a directory of ``.mini`` files); multiple files are
-  linked through scope-graph name resolution first;
+  linked by cross-file name resolution first;
 * ``subjects`` -- list the built-in synthetic evaluation subjects;
 * ``generate NAME [--scale S] [-o FILE]`` -- emit a synthetic subject's
   source (and its ground-truth seed list to stderr); multi-file
@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="check one or more source files")
     check.add_argument("file", nargs="+",
                        help="mini-language source file(s), or one directory"
-                       " of .mini files; multiple files are linked via"
-                       " scope-graph name resolution")
+                       " of .mini files; multiple files are linked by"
+                       " cross-file name resolution")
     check.add_argument(
         "--checkers",
         default=",".join(PAPER_CHECKERS),
@@ -201,7 +201,7 @@ def _gather_sources(file_args: list[str]):
     One regular file keeps the legacy single-source path (a plain
     string, no scope resolution); a directory expands to its sorted
     ``.mini`` files, and several files load as a ``{path: text}``
-    mapping routed through scope-graph resolution.
+    mapping routed through cross-file name resolution.
     """
     paths: list[str] = []
     for entry in file_args:
@@ -219,13 +219,19 @@ def _gather_sources(file_args: list[str]):
         raise UsageError(f"no .mini files found in {', '.join(file_args)}")
     if len(paths) == 1 and len(file_args) == 1 \
             and not os.path.isdir(file_args[0]):
-        with open(paths[0]) as f:
-            return paths[0], f.read()
-    sources = {}
-    for path in paths:
-        with open(path) as f:
-            sources[path] = f.read()
+        return paths[0], _read_source(paths[0])
+    sources = {path: _read_source(path) for path in paths}
     return ";".join(paths), sources
+
+
+def _read_source(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"cannot read {path}: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def cmd_check(args) -> int:
@@ -438,6 +444,10 @@ def cmd_generate(args) -> int:
         build_multifile_subject,
     )
 
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise UsageError(
+            f"--scale wants a finite factor > 0, not {args.scale}"
+        )
     if args.name in MULTIFILE_PROFILES:
         subject = build_multifile_subject(args.name, scale=args.scale)
         if args.output:

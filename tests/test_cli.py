@@ -111,6 +111,10 @@ def test_check_unknown_checker_fails(source_file, capsys):
     ["serve", "--poll", "0"],
     ["serve", "--poll", "-1"],
     ["serve", "--poll", "nan"],
+    ["generate", "gateway", "--scale", "nan"],
+    ["generate", "gateway", "--scale", "inf"],
+    ["generate", "gateway", "--scale", "0"],
+    ["generate", "hadoop", "--scale", "-2"],
 ], ids=" ".join)
 def test_check_bad_flag_value_is_a_usage_error_not_a_verdict(
     source_file, tmp_path, capsys, flags
@@ -126,6 +130,8 @@ def test_check_bad_flag_value_is_a_usage_error_not_a_verdict(
     if flags[0] == "serve":
         argv = ["serve", str(tmp_path), "--workdir", str(workdir),
                 "--socket", str(tmp_path / "serve.sock"), *flags[1:]]
+    elif flags[0] == "generate":
+        argv = [*flags, "-o", str(workdir)]
     else:
         argv = ["check", source_file(BUGGY), *flags]
     assert main(argv) == 2
@@ -248,7 +254,7 @@ def test_knob_census():
 @pytest.mark.parametrize("case", [
     "empty-directory", "missing-file", "parse-error", "link-error",
     "lex-error", "missing-spec", "bad-spec", "unknown-subject",
-    "serve-missing-workspace", "serve-workdir-is-a-file",
+    "serve-missing-workspace", "serve-workdir-is-a-file", "non-utf8-file",
 ])
 def test_unreadable_input_is_a_usage_error_not_a_verdict(
     source_file, tmp_path, capsys, case
@@ -292,6 +298,12 @@ def test_unreadable_input_is_a_usage_error_not_a_verdict(
         argv = ["serve", str(tmp_path), "--workdir", str(tmp_path / "wd"),
                 "--once"]
         names = "--workdir"
+    elif case == "non-utf8-file":
+        (tmp_path / "ws").mkdir()
+        (tmp_path / "ws" / "ok.mini").write_text(CLEAN)
+        (tmp_path / "ws" / "bin.mini").write_bytes(b"func \xff\xfe() {}\n")
+        argv = ["check", str(tmp_path / "ws")]
+        names = "bin.mini"
     else:
         argv = ["generate", "nosuch"]
         names = "unknown subject 'nosuch'"
