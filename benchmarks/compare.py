@@ -13,7 +13,7 @@ per-kind rules tuned for what each metric means:
   so any drift is a correctness regression, not noise.
 * ``reduction.*`` and ``scopes.*`` counters (branches folded, dead
   stores removed, ``scope_resolutions``, ``unresolved_refs``, ...) gate
-  **exactly** for the same reason: the sa passes and the scope-graph
+  **exactly** for the same reason: the sa passes and the name
   resolver are deterministic functions of the subject.
 * keys ending ``_s`` (seconds) gate **lower-is-better**: a regression is
   ``fresh > base * (1 + threshold)`` AND ``fresh - base > abs-floor``
@@ -64,7 +64,7 @@ def _threshold_for(path: str, default: float, overrides: list) -> float:
 
 def _deterministic_section(path: str) -> bool:
     """Whether a path lives in an exactly-gated deterministic section
-    (sa reduction counters, scope-graph resolution counters)."""
+    (sa reduction counters, name resolution counters)."""
     parts = path.split(".")
     return "reduction" in parts or "scopes" in parts
 

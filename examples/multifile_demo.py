@@ -1,4 +1,4 @@
-"""Multi-file linting demo: scope-graph resolution plus the new rules.
+"""Multi-file linting demo: cross-file name resolution plus the new rules.
 
 ``examples/multifile_demo/`` holds three files -- ``core.mini`` and
 ``util.mini`` declare modules, ``app.mini`` imports both from the root

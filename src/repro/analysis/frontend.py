@@ -86,7 +86,7 @@ def compile_source(
     ``source`` is either a single source string (legacy single-file
     path: no scope resolution, byte-identical behaviour) or a multi-file
     mapping ``{path: text}`` / list of ``(path, text)`` pairs, which is
-    routed through scope-graph name resolution and linking
+    routed through cross-file name resolution and linking
     (:mod:`repro.sa.scopes`; ``scope_cache`` optionally keeps, in
     memory, every file's artifact and compiled functions, so a later
     compile runs the passes only over the functions whose inputs

@@ -108,7 +108,7 @@ class Grapple:
 
     ``source`` is a single source string or a multi-file mapping
     ``{path: text}`` (or ``(path, text)`` pairs); multi-file subjects go
-    through scope-graph name resolution (:mod:`repro.sa.scopes`) before
+    through cross-file name resolution (:mod:`repro.sa.scopes`) before
     the phases run, and the resolution record rides on
     ``run.compiled.resolution``.  ``engine_factory`` builds both phases'
     closure engines: a :class:`GraphEngine` subclass, or a

@@ -11,7 +11,7 @@ classic distributed-system stall, cf. the paper's ZooKeeper deadlock
 study).  ``wait`` while *not* holding is fine.
 
 The discipline is interprocedural by nature: acquire in one module's
-guard helper, blocking call in another -- the scope-graph resolved call
+guard helper, blocking call in another -- the cross-file resolved call
 paths are what make the pairing checkable across files.
 """
 

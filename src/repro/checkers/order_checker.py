@@ -13,7 +13,7 @@ Two FSMs over typestate-style API protocols:
 
 Both protocols are classic cross-file bugs: construction happens in a
 factory module, initialisation in a setup helper, and use at a distant
-call site, so checking them exercises the scope-graph resolved
+call site, so checking them exercises the cross-file resolved
 interprocedural paths.
 """
 

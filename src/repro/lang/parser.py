@@ -26,7 +26,7 @@ Qualified names: ``alias.sym(...)`` where ``alias`` names an imported
 module parses as a *qualified call* ``Call("alias.sym", ...)`` -- in
 both statement and expression position -- instead of an FSM event or a
 field load.  The disambiguation is purely syntactic (the alias set of
-the file's ``import`` headers); actual name binding is the scope-graph
+the file's ``import`` headers); actual name binding is the name
 resolver's job (:mod:`repro.sa.scopes`).  Files without a ``module``
 header live in the root namespace with unqualified symbols, which keeps
 single-file programs byte-identical under resolution.

@@ -19,7 +19,7 @@ import time
 REPORT_SCHEMA = "grapple/run-report"
 #: Version 2 added the optional ``telemetry`` section (the resource
 #: sampler's gauge timeseries, ``repro.obs.profile``) and later the
-#: optional ``scopes`` section (scope-graph resolution counters for
+#: optional ``scopes`` section (name resolution counters for
 #: multi-file subjects, ``repro.sa.scopes``); version-1 readers that
 #: ignore unknown sections still parse a v2 document.
 REPORT_VERSION = 2

@@ -26,7 +26,7 @@ Diagnostic kinds, all deterministic and ordered
   that can reach function exit without any tracked FSM event, without
   being returned, stored, passed on, or copied (forward may-analysis,
   join = union);
-* ``unresolved-name`` / ``ambiguous-import`` -- scope-graph resolution
+* ``unresolved-name`` / ``ambiguous-import`` -- name resolution
   findings, produced by :mod:`repro.sa.scopes` and merged in by the
   multi-file entry point :func:`run_lint_files`.
 

@@ -14,7 +14,7 @@ across three files:
   that import both modules and drive the object to the sink / exit.
 
 A warning's allocation function is therefore always a *qualified* core
-symbol (``core.<pattern>_make``), which only exists if scope-graph
+symbol (``core.<pattern>_make``), which only exists if name
 resolution (:mod:`repro.sa.scopes`) linked the qualified calls
 correctly -- the TP/FP accounting doubles as an end-to-end resolution
 oracle.  FP patterns route the object through an extern function (no
