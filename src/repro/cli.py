@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                        " (default 64)")
     check.add_argument("--no-cache", action="store_true",
                        help="disable constraint memoisation")
-    check.add_argument("--no-prefetch", action="store_true",
-                       help="disable the background partition prefetcher"
-                       " (loads become synchronous reads)")
     check.add_argument("--stats", action="store_true",
                        help="print engine statistics")
     check.add_argument("--trace", metavar="FILE", default=None,
@@ -160,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of .mini files to watch")
     serve.add_argument("--workdir", required=True,
                        help="persistent state directory (stratum"
-                       " results: serve-state.json and"
-                       " serve-state.journal)")
+                       " results: serve-state.jsonl, the whole state"
+                       " then one line per edit)")
     serve.add_argument(
         "--checkers",
         default=",".join(PAPER_CHECKERS),
@@ -224,6 +221,15 @@ def _gather_sources(file_args: list[str]):
     return ";".join(paths), sources
 
 
+def _make_workdir(path: str) -> None:
+    """Create ``--workdir`` before any analysis: a file in its way would
+    otherwise fail the run only at its first write."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--workdir {path!r}: {exc.strerror}") from None
+
+
 def _read_source(path: str) -> str:
     try:
         with open(path) as f:
@@ -278,6 +284,8 @@ def cmd_check(args) -> int:
         raise UsageError(
             f"cannot read {exc.filename}: {exc.strerror}"
         ) from None
+    if args.workdir:
+        _make_workdir(args.workdir)
     if args.profile:
         # --profile is the bundle: trace + run report + gauge sampler,
         # with conventional filenames unless the dedicated flags chose.
@@ -309,7 +317,6 @@ def cmd_check(args) -> int:
         engine=EngineOptions(
             memory_budget=budget_bytes,
             enable_cache=not args.no_cache,
-            prefetch=not args.no_prefetch,
             trace=recorder,
             metrics=bool(args.metrics_json),
             heartbeat=args.heartbeat,
@@ -503,13 +510,12 @@ def cmd_serve(args) -> int:
     # otherwise read as every known file removed.
     if not os.path.isdir(args.workspace):
         raise UsageError(f"workspace {args.workspace!r} is not a directory")
-    if os.path.exists(args.workdir) and not os.path.isdir(args.workdir):
-        raise UsageError(f"--workdir {args.workdir!r} is not a directory")
-    engine = ServeEngine(
-        args.workspace, args.workdir, [c.fsm for c in checkers],
-        unroll=args.unroll, reduce=args.reduce, trace=recorder,
-    )
+    _make_workdir(args.workdir)
     try:
+        engine = ServeEngine(
+            args.workspace, args.workdir, [c.fsm for c in checkers],
+            unroll=args.unroll, reduce=args.reduce, trace=recorder,
+        )
         if args.once:
             fragment = engine.scan()
             doc = engine.report() if args.report else fragment
@@ -520,6 +526,13 @@ def cmd_serve(args) -> int:
         return server.run()
     except KeyboardInterrupt:
         return 0
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        # The daemon's own files -- its state, its socket -- failed it
+        # (a workspace file it cannot read or write is an edit's error).
+        path = exc.filename2 or exc.filename or args.workdir
+        raise UsageError(f"cannot use {path}: {exc.strerror}") from None
     finally:
         if recorder is not None:
             recorder.export(args.trace)

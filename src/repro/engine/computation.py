@@ -93,9 +93,6 @@ class EngineOptions:
     # considered feasible (no constraint decoding or solving), matching a
     # purely grammar-guided Graspan-style closure.
     path_sensitive: bool = True
-    # Prefetch upcoming partitions on a reader thread
-    # (engine/io_pipeline.py).
-    prefetch: bool = True
     # Observability (repro.obs) -- all three default off and cost nothing
     # when disabled.  ``trace`` is a TraceRecorder; ``metrics`` attaches
     # the standard histogram registry to the stats; ``heartbeat`` prints
@@ -311,9 +308,7 @@ class GraphEngine:
                     f" ({reason}); starting fresh",
                     file=sys.stderr,
                 )
-        prefetch = (
-            PrefetchReader(trace=trace) if self.options.prefetch else None
-        )
+        prefetch = PrefetchReader(trace=trace)
         with stats.timing("preprocess_time"):
             self._seed_derived(graph)
             store = PartitionStore(
@@ -510,11 +505,10 @@ class GraphEngine:
                 # compute: the lookahead is a prediction (processing this
                 # pair may change eligibility), so stale prefetches
                 # simply miss.
-                if store.prefetch is not None:
-                    busy = set(pair)
-                    for upcoming in scheduler.peek_pairs(PREFETCH_DEPTH):
-                        for index in set(upcoming) - busy:
-                            store.prefetch_schedule(store.partitions[index])
+                busy = set(pair)
+                for upcoming in scheduler.peek_pairs(PREFETCH_DEPTH):
+                    for index in set(upcoming) - busy:
+                        store.prefetch_schedule(store.partitions[index])
                 if trace.enabled:
                     with trace.span(
                         "iteration", iteration=stats.pairs_processed + 1,

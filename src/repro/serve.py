@@ -41,10 +41,10 @@ The incremental spine has three layers, mirroring the spans it emits:
 ``edits_served`` / ``edges_rederived`` (dependency edges added plus
 removed) / ``warnings_retracted`` ride the ordinary
 :class:`~repro.engine.stats.EngineStats` metadata path into the
-fragment's ``counters`` section.  State (file metadata,
-stratum results, counters) persists across restarts as a snapshot,
-``workdir/serve-state.json``, plus ``workdir/serve-state.journal``,
-one JSON line per edit served since.  Nothing else is kept there: the
+fragment's ``counters`` section.  State (file metadata, stratum
+results, counters) persists across restarts in one append-only file,
+``workdir/serve-state.jsonl``: line 1 is the whole state, and each
+later line one served edit's delta.  Nothing else is kept there: the
 scope artifacts and compiled functions live in memory only.
 """
 
@@ -76,11 +76,10 @@ from repro.sa.scopes import (
     source_digest,
 )
 
-STATE_FILE = "serve-state.json"
-#: The edits served since the snapshot, one JSON line each.
-JOURNAL_FILE = "serve-state.journal"
+#: Line 1 the whole state, then one JSON line per edit served since.
+STATE_FILE = "serve-state.jsonl"
 STATE_SCHEMA = "grapple/serve-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 #: How long one socket client may take to deliver its request line or
 #: to read its answer before the (single-threaded) server drops it.
@@ -125,25 +124,16 @@ def _identity(warning: dict) -> tuple:
 
 
 def _warnings(entry: dict) -> list[dict]:
-    """A stratum entry's file-relative warnings.  Root tables flatten the
-    way a whole run merges them: tree by tree, a warning several roots
-    report (one allocation site in a shared callee) counted once, with
-    the first tree's witness.  An entry without a table (a failed link,
-    a state file from before root tables) lists them itself."""
-    roots = entry.get("roots")
-    if roots is None:
-        return entry["warnings"]
+    """A stratum entry's file-relative warnings, its root tables
+    flattened the way a whole run merges them: tree by tree, a warning
+    several roots report (one allocation site in a shared callee)
+    counted once, with the first tree's witness."""
+    roots = entry["roots"]
     merged: dict = {}
     for root in tree_order(roots):
         for warning in roots[root][1]:
             merged.setdefault(_identity(warning), warning)
     return list(merged.values())
-
-
-def _count(entry: dict) -> int:
-    """``len(_warnings(entry))`` without flattening anything: a fragment
-    counts every stratum, and only the edited one should cost."""
-    return entry["count"] if "roots" in entry else len(entry["warnings"])
 
 
 @functools.lru_cache(maxsize=ARTIFACT_CACHE_CAPACITY)
@@ -200,27 +190,21 @@ def _root_ok(row) -> bool:
 
 
 def _entry_ok(entry) -> bool:
-    if type(entry) is not dict or not _strings(entry.get("files")) \
-            or not entry["files"]:
-        return False
-    if "roots" in entry:
-        return (
-            type(entry["roots"]) is dict
-            and all(map(_root_ok, entry["roots"].values()))
-            and type(entry.get("count")) is int
-        )
     return (
-        type(entry.get("warnings")) is list
-        and all(map(_warning_ok, entry["warnings"]))
+        type(entry) is dict
+        and _strings(entry.get("files")) and len(entry["files"]) > 0
+        and type(entry.get("roots")) is dict
+        and all(map(_root_ok, entry["roots"].values()))
+        and type(entry.get("count")) is int
         and type(entry.get("error", "")) is str
     )
 
 
 def _well_formed(doc: dict) -> bool:
-    """Every field of a state document has the type the engine reads it
-    as.  One check for both kinds: the snapshot, and a journal line --
-    the same sections holding only what changed, plus the ``removed``
-    paths and the strata digests that ``left``."""
+    """Every field of a state line has the type the engine reads it as.
+    One check for both kinds: line 1, and an edit line -- the same
+    sections holding only what changed, plus the ``removed`` paths and
+    the strata digests that ``left``."""
     files, strata, counters = (
         doc.get(key, {}) for key in ("files", "strata", "counters")
     )
@@ -254,14 +238,15 @@ class ServeEngine:
         self.trace = trace
         self.stats = EngineStats()
         os.makedirs(workdir, exist_ok=True)
+        self.state_path = os.path.join(workdir, STATE_FILE)
         self.cache = ScopeArtifactCache()
         self.closure = IncrementalClosure()
         self.files: dict[str, FileMeta] = {}
         self.texts: dict[str, str] = {}
         #: stratum digest -> {"files": [...], "roots": {root: [key,
         #: [local warning dicts]]}, "count": distinct warnings}; a
-        #: stratum that failed to link has "warnings": [] and "error"
-        #: instead of "roots" and "count".
+        #: stratum that failed to link has empty "roots", "count" 0 and
+        #: its "error".
         self.strata: dict[str, dict] = {}
         #: Per-file parse errors; such a file is re-read on every scan.
         self.errors: dict[str, str] = {}
@@ -279,30 +264,24 @@ class ServeEngine:
         self._dirty: set[str] = set()
         self._removed: set[str] = set()
         self._saved_strata: set[str] = set()
-        #: Journal bytes since the snapshot; None until this engine has
-        #: written a snapshot (the first write after a load compacts).
-        self._journal_size: int | None = None
-        self._snapshot_size = 0
+        #: Bytes the edit lines may still grow before they outgrow line
+        #: 1; None until this engine has written line 1 (the first write
+        #: after a load compacts).
+        self._room: int | None = None
         self._load_state()
 
     # -- persistence -------------------------------------------------------
-
-    def _state_path(self) -> str:
-        return os.path.join(self.workdir, STATE_FILE)
-
-    def _journal_path(self) -> str:
-        return os.path.join(self.workdir, JOURNAL_FILE)
 
     def _counters(self) -> dict:
         return {key: getattr(self.stats, key) for key in _COUNTERS}
 
     def _save_state(self) -> None:
-        """Persist what changed since the last write: one journal line
-        -- the file entries refreshed and the paths removed, the strata
-        that entered and the digests that left, the counters -- with one
-        write and one ``fsync``.  The first write of an engine, and one
-        that would grow the journal past the snapshot, compact instead:
-        a new snapshot, then an empty journal."""
+        """Persist what changed since the last write: one edit line --
+        the file entries refreshed and the paths removed, the strata
+        that entered and the digests that left, the counters -- appended
+        with one write and one ``fsync``.  The first write of an engine,
+        and one that would grow the edit lines past line 1, compact
+        instead: the whole state as a one-line file, one atomic rename."""
         line = {
             "files": {
                 p: self.files[p].to_json()
@@ -317,82 +296,60 @@ class ServeEngine:
             "counters": self._counters(),
         }
         data = json.dumps(line, sort_keys=True).encode() + b"\n"
-        if (self._journal_size is None
-                or self._journal_size + len(data) > self._snapshot_size):
-            self._write_snapshot()
+        if self._room is None or len(data) > self._room:
+            head = {
+                "schema": STATE_SCHEMA, "version": STATE_VERSION,
+                "config": self.config_digest,
+                "files": {p: m.to_json() for p, m in self.files.items()},
+                "strata": self.strata, "counters": self._counters(),
+            }
+            data = json.dumps(head, sort_keys=True).encode() + b"\n"
+            serialize.atomic_write_bytes(self.state_path, data)
+            self._room = len(data)
         else:
-            with open(self._journal_path(), "ab") as f:
+            with open(self.state_path, "ab") as f:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
-            self._journal_size += len(data)
+            self._room -= len(data)
         self._dirty.clear()
         self._removed.clear()
         self._saved_strata = set(self.strata)
 
-    def _write_snapshot(self) -> None:
-        doc = {
-            "schema": STATE_SCHEMA,
-            "version": STATE_VERSION,
-            "config": self.config_digest,
-            "files": {p: m.to_json() for p, m in sorted(self.files.items())},
-            "strata": {
-                digest: entry for digest, entry in sorted(self.strata.items())
-            },
-            "counters": self._counters(),
-        }
-        data = json.dumps(doc, sort_keys=True).encode()
-        serialize.atomic_write_bytes(self._state_path(), data)
-        # Emptied only once the snapshot holding its lines is durable: a
-        # crash in between leaves lines that replay refuses.
-        open(self._journal_path(), "wb").close()
-        self._snapshot_size = len(data)
-        self._journal_size = 0
-
     def _load_state(self) -> None:
-        # Valid JSON of the wrong shape is no state either, decided
-        # before anything is adopted: never a half-loaded engine.
-        doc = serialize.read_json_object(self._state_path())
+        """Adopt line 1, then the complete edit lines after it, each the
+        successor of the state so far (``edits_served`` one higher), up
+        to the first that is not.  A line 1 that is not this config's
+        state, or whose fields do not all have their types, is no state:
+        decided before anything is adopted, never a half-loaded engine."""
+        try:
+            with open(self.state_path, "rb") as f:
+                *lines, _torn = f.read().split(b"\n")
+        except OSError:
+            return
+        doc = serialize.parse_json_object(lines[0]) if lines else None
         if (doc is None
                 or doc.get("schema") != STATE_SCHEMA
                 or doc.get("version") != STATE_VERSION
                 # different analysis config: results are not reusable
                 or doc.get("config") != self.config_digest
                 or not _well_formed(doc)):
-            # A journal continues a snapshot; this engine holds none.
-            try:
-                os.remove(self._journal_path())
-            except OSError:
-                pass
             return
         self._adopt(doc)
-        self._replay_journal()
-        self._saved_strata = set(self.strata)
-        # The relation the remembered metadata implies; the next scan()
-        # diffs the real workspace against it.
-        self.closure.apply(self._desired_edges())
-
-    def _replay_journal(self) -> None:
-        """Adopt the journal's well-formed prefix: complete lines, each
-        the successor of the state so far (``edits_served`` one higher;
-        lines a compaction already folded into the snapshot are not),
-        up to the first that is not."""
-        try:
-            with open(self._journal_path(), "rb") as f:
-                data = f.read()
-        except OSError:
-            return
-        *lines, _torn = data.split(b"\n")
-        for raw in lines:
+        for raw in lines[1:]:
             line = serialize.parse_json_object(raw)
             if (line is None or not _well_formed(line)
                     or line.get("counters", {}).get("edits_served")
                     != self.stats.edits_served + 1):
                 break
             self._adopt(line)
+        self._saved_strata = set(self.strata)
+        # The relation the remembered metadata implies; the next scan()
+        # diffs the real workspace against it.
+        self.closure.apply(self._desired_edges())
 
     def _adopt(self, doc: dict) -> None:
-        """Apply a well-formed snapshot or journal line."""
+        """Apply a well-formed state line."""
         for path in doc.get("removed", ()):
             self.files.pop(path, None)
         for digest in doc.get("left", ()):
@@ -566,11 +523,11 @@ class ServeEngine:
         known: dict = {}
         for digest, entry in self.strata.items():
             if digest not in digests:
-                known.update(entry.get("roots", ()))
+                known.update(entry["roots"])
         # A failed stratum is tried again when a file of it changed
         # without changing its digest: it came back from an error, e.g.
         # a text that could not be read after a restart.  It re-enters
-        # as new, so the warning diff and the journal both see it.
+        # as new, so the warning diff and the state file both see it.
         retry = set(changed)
         for membership, digest in zip(components, digests):
             if ("error" in self.strata.get(digest, ())
@@ -590,7 +547,7 @@ class ServeEngine:
                     # the daemon keeps serving.  The error lives with
                     # the entry, so it lasts exactly as long as the
                     # stratum does (restarts included).
-                    entry = {"files": membership, "warnings": [],
+                    entry = {"files": membership, "roots": {}, "count": 0,
                              "error": str(exc)}
                 else:
                     runs.append(run)
@@ -656,10 +613,8 @@ class ServeEngine:
         return self.scan(only={path})
 
     def remove(self, path: str) -> dict:
-        try:
+        with contextlib.suppress(OSError):
             os.remove(self._workspace_path(path))
-        except OSError:
-            pass
         return self.scan(only=set())
 
     # -- accumulated state -------------------------------------------------
@@ -707,7 +662,7 @@ class ServeEngine:
             "files": {p: m.digest for p, m in sorted(self.files.items())},
             "strata": [
                 {"digest": digest, "files": entry["files"],
-                 "warnings": _count(entry)}
+                 "warnings": entry["count"]}
                 for digest, entry in sorted(self.strata.items())
             ],
             "errors": self._errors(),
@@ -734,7 +689,7 @@ class ServeEngine:
         merged.warnings_retracted = self.stats.warnings_retracted
         total = time.perf_counter() - t0
         preprocess = sum(r.preprocess_time for r in runs)
-        warning_count = sum(_count(entry) for entry in self.strata.values())
+        warning_count = sum(entry["count"] for entry in self.strata.values())
         fragment = {
             "schema": "grapple/run-report",
             "version": 2,
@@ -872,11 +827,13 @@ class Server:
                     self._emit(fragment)
             return 0
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
-        except OSError:
-            pass
-        sock.bind(self.socket_path)
+        try:
+            sock.bind(self.socket_path)
+        except OSError as exc:  # which names no path
+            sock.close()
+            raise OSError(exc.errno, exc.strerror, self.socket_path) from None
         sock.listen(8)
         sock.settimeout(self.poll)
         self._sock = sock
@@ -897,10 +854,8 @@ class Server:
                     break
         finally:
             sock.close()
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(self.socket_path)
-            except OSError:
-                pass
         return 0
 
 

@@ -207,7 +207,7 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 ENGINE_OPTION_FIELDS = {
     "workdir", "memory_budget", "witness_cap", "enable_cache",
-    "path_sensitive", "prefetch", "trace", "metrics", "heartbeat",
+    "path_sensitive", "trace", "metrics", "heartbeat",
     "sampler", "resume", "max_retries", "fault_plan",
 }
 
@@ -244,7 +244,7 @@ def test_knob_census():
     here.)"""
     fields = {f.name for f in dataclasses.fields(EngineOptions)}
     assert fields == ENGINE_OPTION_FIELDS
-    assert len(fields) == 13
+    assert len(fields) == 12
     for command in ("check", "serve"):
         documented, parsed = _readme_flags(command), _parser_flags(command)
         assert parsed - documented == set(), f"{command}: undocumented"
@@ -255,6 +255,7 @@ def test_knob_census():
     "empty-directory", "missing-file", "parse-error", "link-error",
     "lex-error", "missing-spec", "bad-spec", "unknown-subject",
     "serve-missing-workspace", "serve-workdir-is-a-file", "non-utf8-file",
+    "check-workdir-is-a-file",
 ])
 def test_unreadable_input_is_a_usage_error_not_a_verdict(
     source_file, tmp_path, capsys, case
@@ -297,6 +298,13 @@ def test_unreadable_input_is_a_usage_error_not_a_verdict(
         (tmp_path / "wd").write_text("")
         argv = ["serve", str(tmp_path), "--workdir", str(tmp_path / "wd"),
                 "--once"]
+        names = "--workdir"
+    elif case == "check-workdir-is-a-file":
+        # Refused up front: it used to fail only after the whole frontend
+        # had run, with a NotADirectoryError traceback.
+        (tmp_path / "wd").write_text("")
+        argv = ["check", source_file(BUGGY), "--workdir",
+                str(tmp_path / "wd")]
         names = "--workdir"
     elif case == "non-utf8-file":
         (tmp_path / "ws").mkdir()
@@ -423,6 +431,28 @@ def test_lint_multifile_directory(multi_file_dir, capsys):
     assert code == 1
     assert "[dead-store]" in captured.err
     assert "app.mini:" in captured.err
+
+
+@pytest.mark.parametrize("case", ["state-file-is-a-directory",
+                                  "unbindable-socket"])
+def test_serve_io_error_is_a_usage_error_not_a_traceback(tmp_path, capsys,
+                                                         case):
+    """The daemon's own files failing it -- its state file, its socket --
+    is one ``repro:`` line naming the path, and status 2."""
+    ws, wd = tmp_path / "ws", tmp_path / "wd"
+    ws.mkdir()
+    (ws / "net.mini").write_text(NET_MINI)
+    argv = ["serve", str(ws), "--workdir", str(wd)]
+    if case == "state-file-is-a-directory":
+        (wd / "serve-state.jsonl").mkdir(parents=True)
+        argv.append("--once")
+        names = "serve-state.jsonl: Is a directory"
+    else:
+        argv += ["--socket", str(tmp_path / "nosuch" / "s.sock")]
+        names = "s.sock: No such file or directory"
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro: ") and names in line
 
 
 def test_serve_on_a_missing_workspace_keeps_the_state(tmp_path, capsys):

@@ -271,9 +271,8 @@ def test_state_file_stays_close_to_its_size_without_root_tables(tmp_path):
     they add is a key per root and the few warnings two roots share."""
     engine = _engine(tmp_path, scale=16.0)
     engine.scan()
-    state_path = os.path.join(engine.workdir, "serve-state.json")
-    with open(state_path) as f:
-        state = json.load(f)
+    (line,) = _state_lines(engine)
+    state = json.loads(line)
     flat = dict(state, strata={
         digest: {"files": entry["files"],
                  "warnings": serve_mod._warnings(entry)}
@@ -282,8 +281,7 @@ def test_state_file_stays_close_to_its_size_without_root_tables(tmp_path):
     assert sum(len(e["warnings"]) for e in flat["strata"].values()) == 176
     assert all(entry["count"] == len(flat["strata"][digest]["warnings"])
                for digest, entry in state["strata"].items())
-    assert os.path.getsize(state_path) \
-        <= 1.25 * len(json.dumps(flat, sort_keys=True))
+    assert len(line) <= 1.25 * len(json.dumps(flat, sort_keys=True))
 
 
 def test_edit_retracts_superseded_warnings(tmp_path):
@@ -515,39 +513,6 @@ def test_link_error_outlives_polls_and_restarts(tmp_path):
     assert _accumulated(engine) == scratch
 
 
-def test_state_file_of_the_previous_build_is_adopted(tmp_path):
-    """``serve-state.json`` as PR 19's build (ZSet closure) wrote it for
-    gateway scale 1: same schema, so nothing is re-checked."""
-    golden = os.path.join(os.path.dirname(__file__), "workloads", "golden",
-                          "serve_state_pr19_gateway1.json")
-    ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
-    _write_workspace(ws, scale=1.0)
-    os.makedirs(wd)
-    with open(golden) as f:
-        state = json.load(f)
-    with open(os.path.join(wd, "serve-state.json"), "w") as f:
-        json.dump(state, f)
-    engine = ServeEngine(ws, wd, _fsms())
-    assert os.listdir(wd) == ["serve-state.json"]  # and no journal
-    assert engine.strata == state["strata"]
-    fragment = engine.scan()
-    assert fragment["edit"]["changed"] == []
-    assert fragment["edit"]["strata_rechecked"] == 0
-    assert fragment["warnings"] == 11
-    assert engine.stats.edges_rederived == state["counters"]["edges_rederived"]
-    _, scratch = _scratch_warnings(ws)
-    assert _accumulated(engine) == scratch
-    # It holds no root tables, so the first edit is a full stratum run;
-    # the second finds the tables that one wrote.
-    pad = "func pad(v) {\n    return v + %d;\n}\n"
-    text = _read(engine, "svc.mini")
-    fragment = engine.edit("svc.mini", text + pad % 1)
-    assert fragment["edit"]["roots"] == {"total": 30, "rechecked": 30}
-    assert "warnings" not in next(iter(engine.strata.values()))
-    fragment = _edit_checked(engine, "svc.mini", text + pad % 2)
-    assert fragment["edit"]["roots"] == {"total": 30, "rechecked": 1}
-
-
 def test_restart_resumes_without_recompute(tmp_path):
     engine = _engine(tmp_path)
     engine.scan()
@@ -577,8 +542,9 @@ def test_restart_with_stale_workspace_rechecks_only_dirty(tmp_path):
 
 def test_workdir_holds_only_the_snapshot_and_the_journal(tmp_path):
     """Scope artifacts and compiled functions live in memory: a served
-    session, a restart and an edit after it leave the workdir with the
-    state files and nothing else."""
+    session, a restart and an edit after it leave the workdir with one
+    file, whose line 1 is the snapshot and whose edit lines the
+    journal."""
     engine = _engine(tmp_path)
     engine.scan()
     text = _read(engine, "g0svc.mini")
@@ -587,8 +553,7 @@ def test_workdir_holds_only_the_snapshot_and_the_journal(tmp_path):
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     again.scan()
     again.edit("g0svc.mini", text + pad % 2)
-    assert sorted(os.listdir(engine.workdir)) == [
-        "serve-state.journal", "serve-state.json"]
+    assert os.listdir(engine.workdir) == ["serve-state.jsonl"]
 
 
 def test_edit_recompiles_only_the_functions_of_the_edited_file(tmp_path):
@@ -701,7 +666,7 @@ def _break_first_stratum(doc, entry=None, **fields):
     _set("strata", 7),
     _set("counters", "many"),
     _break_first_file,
-    lambda doc: b"[" * 200_000,  # RecursionError in the parser, not ValueError
+    lambda doc: b"[" * 200_000 + b"\n",  # RecursionError, not ValueError
     # Right keys and containers, a value of the wrong type: each of these
     # used to be adopted and raise TypeError on load, edit or report.
     _set("counters", {"edits_served": "x"}),
@@ -709,36 +674,41 @@ def _break_first_stratum(doc, entry=None, **fields):
     lambda doc: _break_first_stratum(doc, entry=[1, 2]),
     lambda doc: _break_first_stratum(doc, roots="zz"),
     lambda doc: _break_first_stratum(doc, count="zz"),
+    # The whole state, but not a complete line: nothing follows it.
+    lambda doc: json.dumps(doc).encode(),
 ], ids=["list", "null", "number", "files-list", "file-entry-null",
         "strata-number", "counters-string", "file-entry-short",
         "deep-nesting", "edits-served-string", "sites-string",
-        "stratum-list", "roots-string", "count-string"])
+        "stratum-list", "roots-string", "count-string", "no-newline"])
 def test_wrong_shaped_state_file_is_an_absent_one(tmp_path, damage):
+    """A line 1 the engine cannot use loads nothing -- not the edit lines
+    after it either, which continue that snapshot -- and the next write
+    compacts the file to one line of the live state."""
     engine = _engine(tmp_path)
     cold = engine.scan()
+    engine.edit("g0svc.mini", _read(engine, "g0svc.mini") + "\n")
     report = engine.report()
-    state_path = os.path.join(engine.workdir, "serve-state.json")
-    with open(state_path) as f:
-        good = json.load(f)
+    head, *journal = _state_lines(engine)
+    assert journal  # the edit appended its line
+    good = json.loads(head)
     damaged = damage(good)  # valid JSON of the wrong shape, or raw bytes
     if not isinstance(damaged, bytes):
-        damaged = json.dumps(damaged).encode()
-    with open(state_path, "wb") as f:
-        f.write(damaged)
+        damaged = json.dumps(damaged).encode() + b"\n"
+    with open(os.path.join(engine.workdir, serve_mod.STATE_FILE), "wb") as f:
+        f.write(damaged + b"".join(journal) if damaged.endswith(b"\n")
+                else damaged)
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert again.files == {} and again.strata == {}  # nothing half-loaded
-    # The journal continued that snapshot: it goes with it.
-    assert not os.path.exists(
-        os.path.join(engine.workdir, serve_mod.JOURNAL_FILE))
+    assert again.stats.edits_served == 0
     fragment = again.scan()
     assert fragment["edit"]["strata_rechecked"] == cold["edit"]["strata_total"]
     assert sorted(fragment["edit"]["changed"]) == sorted(good["files"])
     assert again.report()["warnings"] == report["warnings"]
     assert _accumulated(again) == _accumulated(engine)
-    with open(state_path) as f:
-        rewritten = json.load(f)
-    assert rewritten["files"].keys() == good["files"].keys()
-    assert rewritten["strata"].keys() == good["strata"].keys()
+    (line,) = _state_lines(again)
+    rewritten = json.loads(line)
+    assert rewritten["files"].keys() == engine.files.keys()
+    assert rewritten["strata"].keys() == engine.strata.keys()
 
 
 def _lexed_and_parsed(monkeypatch):
@@ -809,10 +779,20 @@ def _snapshot_of(state):
             json.loads(json.dumps(strata)), dict(counters))
 
 
+def _state_lines(engine):
+    """The state file's lines: line 1, the snapshot, then the journal,
+    one line per edit served since."""
+    with open(os.path.join(engine.workdir, serve_mod.STATE_FILE), "rb") as f:
+        return f.read().splitlines(keepends=True)
+
+
+def _journal_bytes(engine):
+    return sum(map(len, _state_lines(engine)[1:]))
+
+
 def test_reload_from_snapshot_and_journal_equals_the_live_engine(tmp_path):
     engine = _engine(tmp_path, scale=4.0)
     engine.scan()
-    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
     rng = random.Random(11)
     paths = sorted(engine.files)
     replayed = 0
@@ -824,27 +804,27 @@ def test_reload_from_snapshot_and_journal_equals_the_live_engine(tmp_path):
         else:
             text += f"func pad{step}_x(v) {{\n    return v + {step};\n}}\n"
         assert engine.edit(victim, text)["edit"]["strata_rechecked"] == 1
-        replayed += os.path.getsize(journal) > 0
+        replayed += _journal_bytes(engine) > 0
         again = ServeEngine(engine.workspace, engine.workdir, _fsms())
         assert _state(again) == _state(engine)
     assert replayed >= 6  # most reloads replayed at least one line
     # An engine's first write compacts; the next ones append.
     engine = again
     engine.edit(paths[3], _read(engine, paths[3]) + "\n")
-    assert os.path.getsize(journal) == 0
+    assert len(_state_lines(engine)) == 1
     # A file touched but not changed: its refreshed entry rides along
     # with the next edit's line.
     os.utime(os.path.join(engine.workspace, paths[1]), (1e9, 1e9))
     assert engine.scan()["edit"]["changed"] == []
     engine.edit(paths[2], _read(engine, paths[2]) + "\n")
     assert engine.files[paths[1]].mtime == 1e9
-    size = os.path.getsize(journal)
+    size = _journal_bytes(engine)
     assert size > 0
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert _state(again) == _state(engine)
     # A removal travels through the journal too.
     engine.remove(paths[0])
-    assert os.path.getsize(journal) > size
+    assert _journal_bytes(engine) > size
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert _state(again) == _state(engine)
     assert again.scan()["edit"]["strata_rechecked"] == 0
@@ -872,14 +852,15 @@ def test_torn_journal_line_loads_the_state_before_it(tmp_path):
     engine.edit("b.mini", _read(engine, "b.mini").replace("x)", "y)"))
     after = _snapshot_of(_state(engine))
     assert before != after
-    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
-    with open(journal, "rb") as f:
+    state_path = os.path.join(engine.workdir, serve_mod.STATE_FILE)
+    with open(state_path, "rb") as f:
         data = f.read()
     *complete, last, tail = data.split(b"\n")
-    assert complete and tail == b""  # two lines: this edit's is the last
+    # The snapshot and two journal lines: this edit's is the last.
+    assert len(complete) == 2 and tail == b""
     start = len(data) - len(last) - 1
     for cut in range(start, len(data) + 1):
-        with open(journal, "wb") as f:
+        with open(state_path, "wb") as f:
             f.write(data[:cut])
         again = ServeEngine(engine.workspace, engine.workdir, _fsms())
         want = after if cut == len(data) else before
@@ -898,18 +879,16 @@ def test_bad_journal_line_ends_the_replay(tmp_path, damage):
     engine.edit("a.mini", _read(engine, "a.mini") + "\n")
     before = _snapshot_of(_state(engine))
     engine.edit("b.mini", _read(engine, "b.mini") + "\n")
-    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
-    with open(journal, "rb") as f:
-        first, last, _ = f.read().split(b"\n")
-    with open(journal, "wb") as f:
-        f.write(first + b"\n" + json.dumps(damage(json.loads(last))).encode()
-                + b"\n")
+    head, first, last = _state_lines(engine)
+    with open(os.path.join(engine.workdir, serve_mod.STATE_FILE), "wb") as f:
+        f.write(head + first
+                + json.dumps(damage(json.loads(last))).encode() + b"\n")
     again = ServeEngine(engine.workspace, engine.workdir, _fsms())
     assert _snapshot_of(_state(again)) == before
-    # The next write compacts: a snapshot, and a journal that is empty.
+    # The next write compacts: the file is one line again.
     fragment = again.scan()
     assert fragment["edit"]["changed"] == ["b.mini"]
-    assert os.path.getsize(journal) == 0
+    assert len(_state_lines(again)) == 1
     assert _state(ServeEngine(engine.workspace, engine.workdir, _fsms())) \
         == _state(again)
 
@@ -917,21 +896,20 @@ def test_bad_journal_line_ends_the_replay(tmp_path, damage):
 def test_journal_stays_within_the_snapshot_size(tmp_path):
     engine = _engine(tmp_path, scale=4.0)
     engine.scan()
-    state = os.path.join(engine.workdir, serve_mod.STATE_FILE)
-    journal = os.path.join(engine.workdir, serve_mod.JOURNAL_FILE)
     pad = "func g0_pad(v) {\n    return v + %d;\n}\n"
     text = _read(engine, "g0svc.mini")
     compactions = lines = 0
     for serial in range(60):
-        size = os.path.getsize(journal)
+        size = _journal_bytes(engine)
         engine.edit("g0svc.mini", text + pad % serial)
-        grown = os.path.getsize(journal) - size
+        head, *journal = _state_lines(engine)
+        grown = _journal_bytes(engine) - size
         if grown > 0:
             lines += 1
         else:
             compactions += 1
-            assert os.path.getsize(journal) == 0
-        assert os.path.getsize(journal) <= os.path.getsize(state) + max(grown, 0)
+            assert journal == []
+        assert _journal_bytes(engine) <= len(head) + max(grown, 0)
     assert lines > 2 * compactions > 0
 
 
@@ -1012,7 +990,7 @@ def test_file_turned_non_utf8_keeps_its_last_good_analysis(tmp_path):
     scratch = _scratch_warnings(again.workspace)[1]
     assert _accumulated(again) == scratch
     # The recovered stratum entered the state: its warnings are this
-    # edit's delta, and the journal carries it past another restart.
+    # edit's delta, and the state file carries it past another restart.
     (members,) = [entry["files"] for entry in again.strata.values()
                   if "g0svc.mini" in entry["files"]]
     recovered = sorted(serve_mod._identity(w) for w in again.warnings()
@@ -1191,7 +1169,7 @@ def test_cli_serve_once_emits_valid_fragment(tmp_path):
     fragment = json.loads(proc.stdout)
     assert validate_run_report(fragment) == []
     assert fragment["warnings"] > 0
-    # Second --once run resumes from serve-state.json: no recompute.
+    # Second --once run resumes from serve-state.jsonl: no recompute.
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", ws, "--workdir", wd,
          "--checkers", "taint,order,iterator,lockdep", "--once",
