@@ -82,7 +82,7 @@ class GrappleRun:
         Cross-phase aggregation is :meth:`EngineStats.merge_phase`,
         derived entirely from field metadata: counters and gauges sum
         (both operands are final per-phase results), flags OR,
-        registries merge.
+        histograms merge by name.
         """
         merged = EngineStats()
         merged.merge_phase(self.alias_phase.engine_result.stats)
@@ -98,9 +98,28 @@ class GrappleRun:
         (``repro.obs.profile``); when given it rides in the report's
         optional ``telemetry`` section (schema version 2).
         """
-        from repro.obs.report import build_run_report
+        from repro.obs.report import run_report
 
-        return build_run_report(self, subject=subject, telemetry=telemetry)
+        resolution = self.compiled.resolution
+        return run_report(
+            self.stats,
+            {
+                "preprocess_s": self.preprocess_time,
+                "computation_s": self.computation_time,
+                "total_s": self.total_time,
+            },
+            len(self.report.warnings),
+            reduction=(
+                self.reduction.as_dict() if self.reduction is not None
+                else None
+            ),
+            scopes=(
+                resolution.stats.as_dict() if resolution is not None
+                else None
+            ),
+            subject=subject,
+            telemetry=telemetry,
+        )
 
 
 class Grapple:

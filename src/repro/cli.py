@@ -193,12 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gather_sources(file_args: list[str]):
-    """Resolve the ``check`` positionals to a source payload.
+    """Resolve the ``check`` positionals to ``(subject name, sources)``.
 
-    One regular file keeps the legacy single-source path (a plain
-    string, no scope resolution); a directory expands to its sorted
-    ``.mini`` files, and several files load as a ``{path: text}``
-    mapping routed through cross-file name resolution.
+    Every positional becomes part of one ``{path: text}`` mapping routed
+    through cross-file name resolution: a directory expands to its
+    sorted ``.mini`` files, a file stands for itself -- one file, too,
+    so a lone file that declares ``module m;`` checks exactly as it
+    does inside its directory.
     """
     paths: list[str] = []
     for entry in file_args:
@@ -214,9 +215,6 @@ def _gather_sources(file_args: list[str]):
             paths.append(entry)
     if not paths:
         raise UsageError(f"no .mini files found in {', '.join(file_args)}")
-    if len(paths) == 1 and len(file_args) == 1 \
-            and not os.path.isdir(file_args[0]):
-        return paths[0], _read_source(paths[0])
     sources = {path: _read_source(path) for path in paths}
     return ";".join(paths), sources
 
@@ -328,16 +326,12 @@ def cmd_check(args) -> int:
         ),
     )
     if args.lint:
-        from repro.sa.lint import run_lint, run_lint_files
+        from repro.sa.lint import run_lint_files
 
-        fsms = [c.fsm for c in checkers]
         try:
-            if isinstance(source, str):
-                lint_report = run_lint(source, fsms=fsms, unroll=args.unroll)
-            else:
-                lint_report = run_lint_files(
-                    source, fsms=fsms, unroll=args.unroll
-                )
+            lint_report = run_lint_files(
+                source, fsms=[c.fsm for c in checkers], unroll=args.unroll
+            )
         except (LexError, ParseError) as exc:
             raise _unparsable(args.file, exc) from None
         print(lint_report.summary(), file=sys.stderr)
@@ -369,53 +363,65 @@ def cmd_check(args) -> int:
             f"trace: {len(recorder.events)} events -> {args.trace}",
             file=sys.stderr,
         )
-    if args.metrics_json:
-        import json
-
+    if args.metrics_json or args.stats:
         report = run.run_report(
             subject=subject_name,
             telemetry=sampler.timeseries() if sampler is not None else None,
         )
+    if args.metrics_json:
+        import json
+
         with open(args.metrics_json, "w") as f:
             json.dump(report, f, indent=2)
             f.write("\n")
         print(f"run report -> {args.metrics_json}", file=sys.stderr)
     print(run.report.summary())
     if args.stats:
-        stats = run.stats
         print()
-        print(f"vertices            : {stats.vertices}")
-        print(f"edges before/after  : {stats.edges_before} / {stats.edges_after}")
-        print(f"partitions          : {stats.final_partitions}")
-        print(f"pairs processed/skipped : {stats.pairs_processed}"
-              f" / {stats.pairs_skipped}"
-              f" ({stats.pairs_delta_seeded} delta-seeded)")
-        print(f"compositions tried  : {stats.compositions_tried}")
-        print(f"constraints solved  : {stats.constraints_solved}")
-        print(f"constraints decoded/solved : {stats.constraints_decoded}"
-              f" / {stats.constraints_solved}")
-        print(f"cache hit rate      : {stats.cache_hit_rate:.0%}")
-        print(f"prefetch hit rate   : {stats.prefetch_hit_rate:.0%}"
-              f" ({stats.prefetch_hits}/"
-              f"{stats.prefetch_hits + stats.prefetch_misses} loads)")
-        print(f"spill frames        : {stats.spill_frames}"
-              f" ({stats.spill_bytes} bytes)")
-        print(f"partition files written : {stats.partition_writes}"
-              f" ({stats.partition_bytes_written} bytes)")
-        print(f"join batches/probes : {stats.join_batches}"
-              f" / {stats.join_probes}")
-        print(f"feasibility groups  : {stats.feasibility_groups}"
-              f" ({stats.group_hits} group hits)")
-        if run.reduction is not None:
-            print(f"reduction           : {run.reduction.summary()}")
-        if run.compiled.resolution is not None:
-            scopes = run.compiled.resolution.stats
-            print(f"scope resolution    : {scopes.scope_resolutions}"
-                  f" resolved across {scopes.files} files"
-                  f" ({scopes.unresolved_refs} extern/unresolved,"
-                  f" {scopes.ambiguous_refs} ambiguous)")
-        print(f"total time          : {run.total_time:.2f}s")
+        print(_stats_text(report))
     return 1 if run.report.warnings else 0
+
+
+def _stats_text(report: dict) -> str:
+    """``check --stats``: a text view of the run report."""
+    from repro.sa.reduce import ReductionStats
+
+    c, g = report["counters"], report["gauges"]
+    lines = [
+        f"vertices            : {g['vertices']}",
+        f"edges before/after  : {g['edges_before']} / {g['edges_after']}",
+        f"partitions          : {g['final_partitions']}",
+        f"pairs processed/skipped : {c['pairs_processed']}"
+        f" / {c['pairs_skipped']} ({c['pairs_delta_seeded']} delta-seeded)",
+        f"compositions tried  : {c['compositions_tried']}",
+        f"constraints solved  : {c['constraints_solved']}",
+        f"constraints decoded/solved : {c['constraints_decoded']}"
+        f" / {c['constraints_solved']}",
+        f"cache hit rate      : {g['cache_hit_rate']:.0%}",
+        f"prefetch hit rate   : {g['prefetch_hit_rate']:.0%}"
+        f" ({c['prefetch_hits']}/"
+        f"{c['prefetch_hits'] + c['prefetch_misses']} loads)",
+        f"spill frames        : {c['spill_frames']}"
+        f" ({c['spill_bytes']} bytes)",
+        f"partition files written : {c['partition_writes']}"
+        f" ({c['partition_bytes_written']} bytes)",
+        f"join batches/probes : {c['join_batches']} / {c['join_probes']}",
+        f"feasibility groups  : {c['feasibility_groups']}"
+        f" ({c['group_hits']} group hits)",
+    ]
+    if "reduction" in report:
+        summary = ReductionStats(**report["reduction"]).summary()
+        lines.append(f"reduction           : {summary}")
+    if "scopes" in report:
+        scopes = report["scopes"]
+        lines.append(
+            f"scope resolution    : {scopes['scope_resolutions']}"
+            f" resolved across {scopes['files']} files"
+            f" ({scopes['unresolved_refs']} extern/unresolved,"
+            f" {scopes['ambiguous_refs']} ambiguous)"
+        )
+    lines.append(f"total time          : {report['timing']['total_s']:.2f}s")
+    return "\n".join(lines)
 
 
 def cmd_subjects(_args) -> int:

@@ -95,7 +95,7 @@ class EngineOptions:
     path_sensitive: bool = True
     # Observability (repro.obs) -- all three default off and cost nothing
     # when disabled.  ``trace`` is a TraceRecorder; ``metrics`` attaches
-    # the standard histogram registry to the stats; ``heartbeat`` prints
+    # the standard histograms to the stats; ``heartbeat`` prints
     # a progress line on stderr every N seconds.
     trace: object = None
     metrics: bool = False
@@ -742,8 +742,8 @@ class GraphEngine:
                 pair=f"{i},{j}", new_edges=yielded,
             )
         if metrics is not None:
-            metrics.observe("pair_compute_s", elapsed)
-            metrics.observe("pair_new_edges", yielded)
+            metrics["pair_compute_s"].observe(elapsed)
+            metrics["pair_new_edges"].observe(yielded)
 
     def _pair_body(self, i: int, j: int) -> None:
         """Semi-naive visit of one partition pair.
@@ -1134,7 +1134,7 @@ class GraphEngine:
                 if trace.enabled:
                     trace.end("smt-solve", solve_start, cat="smt", sat=result)
                 if metrics is not None:
-                    metrics.observe(
-                        "solve_latency_s", time.perf_counter() - solve_start
+                    metrics["solve_latency_s"].observe(
+                        time.perf_counter() - solve_start
                     )
         return result

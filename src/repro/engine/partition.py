@@ -349,8 +349,8 @@ class PartitionStore:
                 self.stats.prefetch_errors += 1
                 raise
             if metrics is not None:
-                metrics.observe(
-                    "prefetch_wait_s", time.perf_counter() - wait_start
+                metrics["prefetch_wait_s"].observe(
+                    time.perf_counter() - wait_start
                 )
             if read is None:
                 self.stats.prefetch_misses += 1

@@ -6,12 +6,12 @@ computation -- summed across all processing threads.  :class:`EngineStats`
 collects exactly those, plus the counters behind Tables 3-5.
 
 Every field carries a ``kind`` describing how it aggregates across the
-pipeline's phases (:meth:`EngineStats.merge_phase`) and how it is
-exported: ``counter`` (sums), ``gauge`` (point-in-time within a phase),
-``flag`` (ORs), or ``registry`` (a nested
-:class:`~repro.obs.metrics.MetricsRegistry` of histograms).  The
-aggregation is derived from this metadata rather than a hand-written
-field list, so a newly added counter aggregates correctly by default (a
+pipeline's phases (:meth:`EngineStats.merge_phase`) and which run-report
+section it lands in (:func:`repro.obs.report.run_report`): ``counter``
+(sums), ``gauge`` (point-in-time within a phase), ``flag`` (ORs; a 0/1
+gauge), or ``histograms`` (a ``{name: Histogram}`` dict, merged by
+name).  Both follow this metadata rather than a hand-written field
+list, so a newly added counter aggregates correctly by default (a
 hand-maintained tuple once silently dropped ``preprocess_time``).
 """
 
@@ -119,10 +119,10 @@ class EngineStats:
     # solved, and queries answered by an already-solved form.
     feasibility_groups: int = stat_field()
     group_hits: int = stat_field()
-    # Optional histogram registry (solve latency, per-pair compute time and
-    # edge yield, prefetch waits).  None unless metrics collection is on --
+    # Optional ``{name: Histogram}`` (solve latency, per-pair compute
+    # time and edge yield, prefetch waits); None unless metrics are on --
     # hot paths guard on ``is not None`` so a disabled run pays nothing.
-    metrics: object = stat_field(None, kind="registry")
+    metrics: object = stat_field(None, kind="histograms")
 
     def __post_init__(self) -> None:
         # Self-time stack for reentrant timing(); not a dataclass field so
@@ -156,38 +156,12 @@ class EngineStats:
     # -- metrics ---------------------------------------------------------------
 
     def ensure_metrics(self):
-        """Attach (and return) the engine's standard histogram registry."""
+        """Attach (and return) the engine's standard histograms."""
         if self.metrics is None:
             from repro.obs.metrics import engine_metrics
 
             self.metrics = engine_metrics()
         return self.metrics
-
-    def registry_view(self):
-        """The full stats as a :class:`~repro.obs.metrics.MetricsRegistry`.
-
-        Scalar fields become counters/gauges by their declared kind,
-        derived rates are exported as gauges, and any attached histogram
-        registry is folded in.  This is the export surface for
-        ``--metrics-json`` and the benchmark reports.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        for f in fields(self):
-            kind = f.metadata["kind"]
-            value = getattr(self, f.name)
-            if kind == "counter":
-                registry.counter(f.name).inc(value)
-            elif kind == "gauge":
-                registry.gauge(f.name).set(value)
-            elif kind == "flag":
-                registry.gauge(f.name).set(int(value))
-        registry.gauge("cache_hit_rate").set(self.cache_hit_rate)
-        registry.gauge("prefetch_hit_rate").set(self.prefetch_hit_rate)
-        if self.metrics is not None:
-            registry.merge(self.metrics)
-        return registry
 
     # -- derived quantities ----------------------------------------------------
 
@@ -229,8 +203,8 @@ class EngineStats:
 
         Both sides are final per-phase results, so every numeric field
         aggregates: counters sum, gauges sum (a whole-run edge/vertex
-        total is the sum of per-phase totals), flags OR, registries
-        merge.  Derived from field metadata -- a newly added field
+        total is the sum of per-phase totals), flags OR, histograms
+        merge by name.  Derived from field metadata -- a newly added field
         aggregates correctly without touching any hand-written list.
         """
         for f in fields(self):
@@ -243,12 +217,10 @@ class EngineStats:
                 setattr(
                     self, f.name, getattr(self, f.name) or getattr(other, f.name)
                 )
-            elif kind == "registry":
+            elif kind == "histograms":
                 theirs = getattr(other, f.name)
                 if theirs is None:
                     continue
-                mine = getattr(self, f.name)
-                if mine is None:
-                    setattr(self, f.name, theirs.clone())
-                else:
-                    mine.merge(theirs)
+                mine = self.ensure_metrics()
+                for name, hist in theirs.items():
+                    mine[name].merge(hist)

@@ -6,16 +6,17 @@ Three layers, all zero-cost when disabled:
   format (plus a compact JSONL fallback).  The engine and the I/O
   pipeline threads all record into one :class:`TraceRecorder`; load the
   exported file in ``chrome://tracing`` or https://ui.perfetto.dev.
-* :mod:`repro.obs.metrics` -- counters, gauges, and fixed-bucket
-  histograms in a :class:`MetricsRegistry`.
-  :class:`~repro.engine.stats.EngineStats` exposes its whole field list
-  as a registry view, and the engine records latency/size histograms
-  (constraint-solve latency, per-pair edge counts, prefetch waits) into
-  a registry carried on the stats object.
-* :mod:`repro.obs.report` -- the ``grapple/run-report`` JSON schema
-  (``repro check --metrics-json``), validators for report and trace
-  files (``python -m repro.obs validate``), and the stderr progress
-  :class:`Heartbeat`.
+* :mod:`repro.obs.metrics` -- fixed-bucket histograms.  The engine
+  records latency/size distributions (constraint-solve latency,
+  per-pair compute time and edge counts, prefetch waits) into a
+  ``{name: Histogram}`` dict carried on the stats object.
+* :mod:`repro.obs.report` -- the ``grapple/run-report`` JSON schema and
+  its one builder, :func:`run_report`, which sections every
+  :class:`~repro.engine.stats.EngineStats` field by its ``kind``
+  metadata; ``repro check --metrics-json``, ``check --stats`` (a text
+  view of the report) and every ``repro serve`` edit fragment come
+  from it.  Also validators for report and trace files (``python -m
+  repro.obs validate``) and the stderr progress :class:`Heartbeat`.
 
 Two analysis layers sit on top (PR 8):
 
@@ -30,16 +31,10 @@ Two analysis layers sit on top (PR 8):
 
 from repro.obs.analyze import analyze_trace, format_bottleneck
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    engine_metrics,
-)
+from repro.obs.metrics import Histogram, engine_metrics
 from repro.obs.report import (
     Heartbeat,
-    build_run_report,
+    run_report,
     validate_run_report,
     validate_trace,
 )
@@ -50,13 +45,10 @@ __all__ = [
     "analyze_trace",
     "format_bottleneck",
     "ResourceSampler",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "engine_metrics",
     "Heartbeat",
-    "build_run_report",
+    "run_report",
     "validate_run_report",
     "validate_trace",
     "NULL_RECORDER",

@@ -34,6 +34,8 @@ def _load_checked(path: str):
         return _load(path), None
     except json.JSONDecodeError as exc:
         return None, f"not valid JSON (truncated?): {exc}"
+    except UnicodeDecodeError as exc:
+        return None, f"not UTF-8 text: {exc.reason} at byte {exc.start}"
     except OSError as exc:
         return None, str(exc)
 

@@ -1,13 +1,14 @@
-"""The ``grapple/run-report`` schema, validators, and progress heartbeat.
+"""The ``grapple/run-report`` schema, its builder, validators, and the
+progress heartbeat.
 
-A run report is the machine-readable counterpart of ``--stats``: one JSON
-object holding the wall-clock timing split, the paper's Figure-9
+A run report holds the wall-clock timing split, the paper's Figure-9
 component breakdown, every :class:`~repro.engine.stats.EngineStats`
-field (exported through the stats' metrics-registry view, so new
-counters appear automatically), and the engine's fixed-bucket histograms
-when metrics collection was on.  ``repro check --metrics-json FILE``
-writes one; the benchmark harness embeds one per measured run; CI
-validates both artifacts with ``python -m repro.obs validate``.
+field (sectioned by its ``kind`` metadata, so new counters appear
+automatically), and the engine's histograms when metrics collection was
+on.  :func:`run_report` builds every one: ``repro check --metrics-json``
+and the benchmark harness (via ``GrappleRun.run_report``), each
+``repro serve`` edit fragment, and ``check --stats``, which prints a
+text view of it.  CI validates them with ``python -m repro.obs validate``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from dataclasses import fields
 
 REPORT_SCHEMA = "grapple/run-report"
 #: Version 2 added the optional ``telemetry`` section (the resource
@@ -39,58 +41,56 @@ _TIMING_KEYS = ("preprocess_s", "computation_s", "total_s")
 _BREAKDOWN_KEYS = ("io", "encode", "smt", "compute")
 
 
-def stats_sections(stats) -> dict:
-    """The ``breakdown`` / ``counters`` / ``gauges`` / ``histograms``
-    sections of a run report, from one ``EngineStats``."""
-    snapshot = stats.registry_view().snapshot()
+def run_report(stats, timing: dict, warnings: int, **sections) -> dict:
+    """The ``grapple/run-report`` document for one ``EngineStats``.
 
-    def rounded(values: dict) -> dict:
-        return {
-            k: round(v, 6) if isinstance(v, float) else v
-            for k, v in values.items()
-        }
-
-    return {
-        "breakdown": {k: round(v, 6) for k, v in stats.breakdown().items()},
-        "counters": rounded(snapshot["counters"]),
-        "gauges": rounded(snapshot["gauges"]),
-        "histograms": snapshot["histograms"],
-    }
-
-
-def build_run_report(
-    run, subject: str | None = None, telemetry: dict | None = None
-) -> dict:
-    """Structured report for one :class:`~repro.analysis.pipeline.GrappleRun`.
-
-    ``telemetry`` is the sampler's :meth:`timeseries
-    <repro.obs.profile.ResourceSampler.timeseries>` document; profiling
-    off means no sampler, no argument, and no ``telemetry`` key -- the
-    report is byte-compatible with what version 1 produced.
+    ``timing`` holds ``preprocess_s``/``computation_s``/``total_s``;
+    ``sections`` are the optional top-level sections (``reduction``,
+    ``scopes``, ``subject``, ``telemetry``, serve's ``edit``), appended
+    in the order given and dropped when None.  Counters and gauges come
+    straight from the stats fields' ``kind`` metadata (flags as 0/1
+    gauges, plus the two derived hit rates), sorted by name, floats
+    rounded to 6 places.
     """
+    counters: dict = {}
+    gauges: dict = {
+        "cache_hit_rate": stats.cache_hit_rate,
+        "prefetch_hit_rate": stats.prefetch_hit_rate,
+    }
+    for f in fields(stats):
+        kind = f.metadata["kind"]
+        value = getattr(stats, f.name)
+        if kind == "counter":
+            counters[f.name] = value
+        elif kind == "gauge":
+            gauges[f.name] = value
+        elif kind == "flag":
+            gauges[f.name] = int(value)
     report = {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
         "generated_unix": round(time.time(), 3),
-        "timing": {
-            "preprocess_s": round(run.preprocess_time, 6),
-            "computation_s": round(run.computation_time, 6),
-            "total_s": round(run.total_time, 6),
+        "timing": {key: round(value, 6) for key, value in timing.items()},
+        "breakdown": {k: round(v, 6) for k, v in stats.breakdown().items()},
+        "counters": _rounded(counters),
+        "gauges": _rounded(gauges),
+        "histograms": {
+            name: hist.snapshot()
+            for name, hist in sorted((stats.metrics or {}).items())
         },
-        **stats_sections(run.stats),
-        "warnings": len(run.report.warnings),
+        "warnings": warnings,
     }
-    reduction = getattr(run, "reduction", None)
-    if reduction is not None:
-        report["reduction"] = reduction.as_dict()
-    resolution = getattr(getattr(run, "compiled", None), "resolution", None)
-    if resolution is not None:
-        report["scopes"] = resolution.stats.as_dict()
-    if subject is not None:
-        report["subject"] = subject
-    if telemetry is not None:
-        report["telemetry"] = telemetry
+    report.update(
+        (key, value) for key, value in sections.items() if value is not None
+    )
     return report
+
+
+def _rounded(values: dict) -> dict:
+    return {
+        k: round(v, 6) if isinstance(v, float) else v
+        for k, v in sorted(values.items())
+    }
 
 
 # -- validation ----------------------------------------------------------------
@@ -202,6 +202,14 @@ def _validate_telemetry(telemetry) -> list[str]:
     return errors
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_histogram(name: str, hist) -> list[str]:
     errors: list[str] = []
     if not isinstance(hist, dict):
@@ -210,6 +218,10 @@ def _validate_histogram(name: str, hist) -> list[str]:
     counts = hist.get("counts")
     if not isinstance(buckets, list) or not isinstance(counts, list):
         return [f"histograms.{name}: buckets/counts missing"]
+    if not all(_is_number(b) for b in buckets):
+        return [f"histograms.{name}: buckets are not all numbers"]
+    if not all(_is_int(c) for c in counts):
+        return [f"histograms.{name}: counts are not all integers"]
     if list(buckets) != sorted(buckets):
         errors.append(f"histograms.{name}: buckets are not sorted")
     if len(counts) != len(buckets) + 1:
@@ -217,14 +229,14 @@ def _validate_histogram(name: str, hist) -> list[str]:
             f"histograms.{name}: {len(counts)} counts for"
             f" {len(buckets)} buckets (want buckets + 1)"
         )
-    if not isinstance(hist.get("count"), int):
+    if not _is_int(hist.get("count")):
         errors.append(f"histograms.{name}: count is not an integer")
     elif sum(counts) != hist["count"]:
         errors.append(
             f"histograms.{name}: bucket counts sum to {sum(counts)},"
             f" count says {hist['count']}"
         )
-    if not isinstance(hist.get("sum"), (int, float)):
+    if not _is_number(hist.get("sum")):
         errors.append(f"histograms.{name}: sum is not a number")
     return errors
 
@@ -251,6 +263,14 @@ def validate_trace(trace) -> list[str]:
         for key in ("ph", "name", "pid", "tid"):
             if key not in event:
                 errors.append(f"event {at} ({event.get('name')!r}): no {key!r}")
+        if "name" in event and not isinstance(event["name"], str):
+            errors.append(f"event {at}: name {event['name']!r} is not a string")
+        for key in ("pid", "tid"):
+            if key in event and not _is_int(event[key]):
+                errors.append(
+                    f"event {at} ({event.get('name')!r}):"
+                    f" {key!r} is not an integer"
+                )
         if event.get("ph") == "X":
             for key in ("ts", "dur"):
                 if not isinstance(event.get(key), (int, float)):

@@ -68,7 +68,7 @@ from repro.engine.stats import EngineStats
 from repro.graph.cloning import tree_order
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
-from repro.obs.report import stats_sections
+from repro.obs.report import run_report
 from repro.sa.scopes import (
     ARTIFACT_CACHE_CAPACITY,
     ScopeArtifactCache,
@@ -677,32 +677,32 @@ class ServeEngine:
         """One per-edit ``grapple/run-report`` (v2) fragment.
 
         The standard sections aggregate the stratum runs this edit
-        triggered; the extra ``edit`` section carries the delta.  The
-        document passes ``repro.obs.report.validate_run_report``
-        (unknown sections are ignored by v1/v2 readers).
+        triggered, plus their summed ``scopes`` counters; the extra
+        ``edit`` section carries the delta.  The document passes
+        ``repro.obs.report.validate_run_report`` (unknown sections are
+        ignored by v1/v2 readers).
         """
         merged = EngineStats()
+        scopes: dict[str, int] = {}
         for run in runs:
             merged.merge_phase(run.stats)
+            for key, value in run.compiled.resolution.stats.as_dict().items():
+                scopes[key] = scopes.get(key, 0) + value
         merged.edits_served = self.stats.edits_served
         merged.edges_rederived = self.stats.edges_rederived
         merged.warnings_retracted = self.stats.warnings_retracted
         total = time.perf_counter() - t0
         preprocess = sum(r.preprocess_time for r in runs)
-        warning_count = sum(entry["count"] for entry in self.strata.values())
-        fragment = {
-            "schema": "grapple/run-report",
-            "version": 2,
-            "generated_unix": round(time.time(), 3),
-            "timing": {
-                "preprocess_s": round(preprocess, 6),
-                "computation_s": round(max(total - preprocess, 0.0), 6),
-                "total_s": round(total, 6),
+        return run_report(
+            merged,
+            {
+                "preprocess_s": preprocess,
+                "computation_s": max(total - preprocess, 0.0),
+                "total_s": total,
             },
-            **stats_sections(merged),
-            "warnings": warning_count,
-            "subject": f"serve:{self.workspace}",
-            "edit": {
+            sum(entry["count"] for entry in self.strata.values()),
+            subject=f"serve:{self.workspace}",
+            edit={
                 "seq": self.stats.edits_served,
                 "changed": sorted(changed),
                 "removed": sorted(removed),
@@ -727,17 +727,8 @@ class ServeEngine:
                 "warnings_added": added,
                 "warnings_retracted": retracted,
             },
-        }
-        if runs:
-            # Aggregated scope-resolution counters of this edit's
-            # stratum runs (same optional section as the batch report).
-            scopes: dict[str, int] = {}
-            for run in runs:
-                for key, value in \
-                        run.compiled.resolution.stats.as_dict().items():
-                    scopes[key] = scopes.get(key, 0) + value
-            fragment["scopes"] = scopes
-        return fragment
+            scopes=scopes or None,
+        )
 
 
 class Server:

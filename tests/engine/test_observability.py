@@ -16,10 +16,9 @@ import pytest
 from repro import EngineOptions, Grapple, GrappleOptions, default_checkers
 from repro.checkers.checker import pack_checkers
 from repro.engine.stats import EngineStats
-from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.report import (
     Heartbeat,
-    build_run_report,
     trace_coverage,
     validate_run_report,
     validate_trace,
@@ -43,20 +42,20 @@ def _run(source, trace=None, metrics=False, heartbeat=None,
     return Grapple(source, fsms, options).run()
 
 
-# -- histogram registries across phases ----------------------------------------
+# -- histograms across phases -------------------------------------------------
 
 
 def test_merge_folds_metrics_registries():
     a = EngineStats()
     b = EngineStats()
-    b.ensure_metrics().observe("solve_latency_s", 0.002)
-    a.merge_phase(b)  # a has no registry: adopts a clone
-    assert a.metrics.histograms["solve_latency_s"].count == 1
+    b.ensure_metrics()["solve_latency_s"].observe(0.002)
+    a.merge_phase(b)  # a has no histograms: starts its own
+    assert a.metrics["solve_latency_s"].count == 1
     c = EngineStats()
-    c.ensure_metrics().observe("solve_latency_s", 0.004)
+    c.ensure_metrics()["solve_latency_s"].observe(0.004)
     a.merge_phase(c)  # both present: exact histogram merge
-    assert a.metrics.histograms["solve_latency_s"].count == 2
-    assert b.metrics.histograms["solve_latency_s"].count == 1  # clone, not alias
+    assert a.metrics["solve_latency_s"].count == 2
+    assert b.metrics["solve_latency_s"].count == 1  # clone, not alias
 
 
 # -- reentrant timing ----------------------------------------------------------
@@ -146,7 +145,7 @@ def test_metrics_agree_with_counters():
     source = build_subject("zookeeper", scale=0.4).source
     run = _run(source, metrics=True)
     stats = run.stats
-    hists = stats.metrics.histograms
+    hists = stats.metrics
     # Histogram observation counts must equal the independently kept
     # scalar counters -- one observation per solver invocation / pair.
     assert hists["solve_latency_s"].count == stats.constraints_solved
@@ -175,28 +174,13 @@ def test_histogram_bucketing_and_merge():
         h.merge(mismatched)
 
 
-def test_registry_merge_and_snapshot():
-    a = MetricsRegistry()
-    a.counter("edges").inc(3)
-    a.histogram("lat", LATENCY_BUCKETS_S).observe(0.002)
-    b = MetricsRegistry()
-    b.counter("edges").inc(4)
-    b.gauge("budget").set(0.5)
-    b.histogram("lat", LATENCY_BUCKETS_S).observe(0.2)
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap["counters"]["edges"] == 7
-    assert snap["gauges"]["budget"] == 0.5
-    assert snap["histograms"]["lat"]["count"] == 2
-
-
 # -- run report & heartbeat ----------------------------------------------------
 
 
 def test_run_report_schema_roundtrip():
     source = build_subject("zookeeper", scale=0.3).source
     run = _run(source, metrics=True)
-    report = build_run_report(run, subject="zookeeper")
+    report = run.run_report(subject="zookeeper")
     assert validate_run_report(report) == []
     assert report["subject"] == "zookeeper"
     assert report["counters"]["pairs_processed"] == run.stats.pairs_processed
@@ -249,7 +233,7 @@ def test_constraints_are_decoded_only_to_be_solved():
     assert _feasibility_counters(gateway.stats) == (
         496 - retried, 128 - retried, 346, 22, 22, 22
     )
-    report = build_run_report(run)
+    report = run.run_report()
     assert report["counters"]["constraints_decoded"] == (
         stats.constraints_decoded
     )
@@ -319,15 +303,15 @@ def test_run_report_scopes_section_for_multifile_sources():
         """,
     }
     run = _run(sources, metrics=True)
-    report = build_run_report(run, subject="multifile")
+    report = run.run_report(subject="multifile")
     assert validate_run_report(report) == []
     scopes = report["scopes"]
     assert scopes["files"] == 2
     assert scopes["scope_resolutions"] == 1
     assert scopes["unresolved_refs"] == 0
     # Single-file string sources never grew a scopes section.
-    single = build_run_report(
-        _run(sources["net.mini"].replace("module net;", ""), metrics=True)
-    )
+    single = _run(
+        sources["net.mini"].replace("module net;", ""), metrics=True
+    ).run_report()
     assert "scopes" not in single
     assert validate_run_report(single) == []

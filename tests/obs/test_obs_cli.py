@@ -148,6 +148,60 @@ def test_validate_both_artifacts_at_once(tmp_path, capsys):
     assert "1 process(es)" in out
 
 
+def _histogram(**overrides) -> dict:
+    hist = {"buckets": [0.1, 1.0], "counts": [1, 0, 0], "sum": 0.05,
+            "count": 1}
+    hist.update(overrides)
+    return {"lat": hist}
+
+
+def _span(**overrides) -> dict:
+    event = dict(golden_trace()["traceEvents"][0])
+    event.update(overrides)
+    return {"traceEvents": [event]}
+
+
+@pytest.mark.parametrize("flag, doc, finding", [
+    ("--metrics", minimal_report(histograms=_histogram(buckets=[0.1, "x"])),
+     "buckets are not all numbers"),
+    ("--metrics", minimal_report(histograms=_histogram(buckets=[True, 1.0])),
+     "buckets are not all numbers"),
+    ("--metrics", minimal_report(histograms=_histogram(counts=[1, "0", 0])),
+     "counts are not all integers"),
+    ("--trace", _span(name=["closure"]), "is not a string"),
+    ("--trace", _span(pid={"a": 1}), "'pid' is not an integer"),
+    ("--trace", _span(tid="main"), "'tid' is not an integer"),
+], ids=["bucket-str", "bucket-bool", "count-str", "name-list", "pid-object",
+        "tid-str"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_malformed_artifact_is_invalid_not_a_traceback(
+    tmp_path, capsys, command, flag, doc, finding
+):
+    if command == "analyze" and flag == "--metrics":
+        args = ["--trace", write_json(tmp_path / "t.json", golden_trace())]
+    else:
+        args = []
+    path = write_json(tmp_path / "doc.json", doc)
+    assert obs_main([command, *args, flag, path]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}: INVALID" in out
+    assert finding in out
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--metrics"), ("validate", "--trace"), ("analyze", "--trace"),
+])
+def test_non_utf8_file_is_invalid_not_a_traceback(
+    tmp_path, capsys, command, flag
+):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"schema": "\xff\xfe"}')
+    assert obs_main([command, flag, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}: INVALID" in out
+    assert "not UTF-8" in out
+
+
 def test_requires_an_input():
     with pytest.raises(SystemExit) as exc:
         obs_main(["validate"])

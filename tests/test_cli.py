@@ -386,6 +386,67 @@ def test_check_multiple_files_with_stats(multi_file_dir, capsys):
     assert "2 files" in out
 
 
+def test_check_one_moduled_file_as_its_directory(tmp_path, capsys):
+    """A lone file that declares ``module net;`` checks exactly as the
+    directory holding it does."""
+    (tmp_path / "net.mini").write_text(NET_MINI)
+    assert main(["check", str(tmp_path), "--checkers", "socket"]) == 1
+    as_directory = capsys.readouterr().out
+    assert "warning(s)" in as_directory
+    code = main(["check", str(tmp_path / "net.mini"), "--checkers", "socket"])
+    assert code == 1
+    assert capsys.readouterr().out == as_directory
+
+
+def test_stats_text_is_a_view_of_the_run_report(tmp_path, capsys):
+    """Every number ``--stats`` prints is the same run's report value."""
+    demo = os.path.join(os.path.dirname(__file__), "..", "examples",
+                        "multifile_demo")
+    report_path = tmp_path / "report.json"
+    main(["check", demo, "--checkers", "taint,order,iterator,lockdep",
+          "--stats", "--metrics-json", str(report_path)])
+    text = capsys.readouterr().out.split("\n\n")[-1]
+    report = json.loads(report_path.read_text())
+    c, g = report["counters"], report["gauges"]
+    rates = {"cache hit rate": g["cache_hit_rate"],
+             "prefetch hit rate": g["prefetch_hit_rate"]}
+    expected = {
+        "vertices": [g["vertices"]],
+        "edges before/after": [g["edges_before"], g["edges_after"]],
+        "partitions": [g["final_partitions"]],
+        "pairs processed/skipped": [
+            c["pairs_processed"], c["pairs_skipped"], c["pairs_delta_seeded"]],
+        "compositions tried": [c["compositions_tried"]],
+        "constraints solved": [c["constraints_solved"]],
+        "constraints decoded/solved": [
+            c["constraints_decoded"], c["constraints_solved"]],
+        "cache hit rate": [],
+        "prefetch hit rate": [
+            c["prefetch_hits"], c["prefetch_hits"] + c["prefetch_misses"]],
+        "spill frames": [c["spill_frames"], c["spill_bytes"]],
+        "partition files written": [
+            c["partition_writes"], c["partition_bytes_written"]],
+        "join batches/probes": [c["join_batches"], c["join_probes"]],
+        "feasibility groups": [c["feasibility_groups"], c["group_hits"]],
+        "reduction": list(report["reduction"].values()),
+        "scope resolution": [report["scopes"][k] for k in (
+            "scope_resolutions", "files", "unresolved_refs", "ambiguous_refs")],
+    }
+    seen = []
+    for line in text.strip().splitlines():
+        label, _, value = (part.strip() for part in line.partition(":"))
+        seen.append(label)
+        if label == "total time":
+            assert value == f"{report['timing']['total_s']:.2f}s"
+            continue
+        numbers = [int(n) for n in re.findall(r"\d+", value)]
+        if label in rates:
+            assert abs(numbers.pop(0) - 100 * rates[label]) <= 0.5, line
+        assert numbers == expected[label], line
+    assert seen == [*expected, "total time"]
+    assert report["scopes"]["files"] == 3 and report["reduction"]
+
+
 def test_check_pack_checkers_opt_in(multi_file_dir, capsys):
     code = main([
         "check", str(multi_file_dir),
