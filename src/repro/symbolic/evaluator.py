@@ -85,11 +85,10 @@ class SymbolicEnv:
             operand = self.eval(expr.operand)
             if operand is None:
                 return None
-            if expr.op == "-":
-                return E.neg(operand)
-            if expr.op == "!":
-                return E.not_(operand)
-            raise ValueError(f"unknown unary operator {expr.op!r}")
+            op = {"-": E.neg, "!": E.not_}.get(expr.op)
+            if op is None:
+                raise ValueError(f"unknown unary operator {expr.op!r}")
+            return _apply(op, operand)
         if isinstance(expr, ast.Binary):
             return self._eval_binary(expr)
         raise ValueError(f"cannot evaluate {expr!r}")
@@ -115,15 +114,22 @@ class SymbolicEnv:
         op = ops.get(expr.op)
         if op is None:
             raise ValueError(f"unknown binary operator {expr.op!r}")
-        return op(left, right)
+        return _apply(op, left, right)
 
     def eval_condition(self, expr, opaque_hint: str) -> E.Expr:
         """Symbolic branch condition; unevaluable conditions (e.g. null
         comparisons over objects) become deterministic opaque booleans."""
-        try:
-            value = self.eval(expr)
-        except TypeError:
-            value = None
+        value = self.eval(expr)
         if value is None or value.sort != "bool":
             return E.BoolVar(symbol_name(self.func, f"opaque_{opaque_hint}"))
         return value
+
+
+def _apply(op, *operands) -> E.Expr | None:
+    """``op`` over the operands, or None when they are ill-sorted (an
+    int parameter used as a boolean, say): as unevaluable as an object
+    operand."""
+    try:
+        return op(*operands)
+    except TypeError:
+        return None

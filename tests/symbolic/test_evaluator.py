@@ -116,3 +116,24 @@ def test_bool_condition_passes_through():
     env = env_of("x")
     cond = env.eval_condition(ast.Binary(">", ast.VarRef("x"), ast.IntLit(0)), "h")
     assert cond == E.gt(E.IntVar("fn::x"), E.IntConst(0))
+
+
+def test_int_operand_used_as_boolean_is_unevaluable():
+    """``!p``, ``p && n > 0`` and ``p == true`` over an int parameter are
+    ill-sorted: no value, like an object operand, instead of a
+    ``TypeError`` out of an assignment."""
+    env = env_of("p", "n")
+    p = ast.VarRef("p")
+    positive = ast.Binary(">", ast.VarRef("n"), ast.IntLit(0))
+    for expr in (
+        ast.Unary("!", p),
+        ast.Binary("&&", p, positive),
+        ast.Binary("||", positive, p),
+        ast.Binary("==", p, ast.BoolLit(True)),
+        ast.Binary("+", positive, ast.IntLit(1)),
+    ):
+        env.execute(ast.Assign("q", expr))
+        assert env.values["q"] is None, expr
+        assert env.eval_condition(ast.VarRef("q"), "h") == E.BoolVar(
+            "fn::opaque_h"
+        )

@@ -55,6 +55,19 @@ def test_check_clean_exit_zero(source_file, capsys):
     assert "0 warning(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("guard", ["var q = !p;", "var q = p && n > 0;"])
+def test_check_int_parameter_used_as_boolean(source_file, capsys, guard):
+    """An ill-sorted boolean over an int parameter is an opaque branch,
+    not a traceback that exits 1 like a verdict."""
+    text = ("func main(p, n) { var w = new FileWriter(); %s "
+            "if (q) { w.close(); } return; }" % guard)
+    code = main(["check", source_file(text), "--checkers", "io"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "1 warning(s)" in captured.out.splitlines()
+    assert "Traceback" not in captured.err
+
+
 def test_check_stats_flag(source_file, capsys):
     main(["check", source_file(CLEAN), "--checkers", "io", "--stats"])
     out = capsys.readouterr().out
