@@ -15,6 +15,9 @@ The builder performs symbolic execution over the core (lowered) AST: loop-
 free, exception-free bodies where the only control flow is ``if``/``else``
 and ``return``.  Statements after an ``if`` join are duplicated into both
 subtrees, which is exactly the path-explicit representation the CFET wants.
+A condition that evaluates to an ``and``/``or`` branches once per operand,
+in short-circuit order (:func:`_split`), so every node condition is a
+literal and every path constraint a conjunction of literals.
 """
 
 from __future__ import annotations
@@ -169,18 +172,34 @@ class _CfetBuilder:
         self.occurrence = 0
 
     def build(self) -> Cfet:
-        env = SymbolicEnv(self.fn.name, self.fn.params)
-        self._walk(0, list(self.fn.body), env)
+        # Depth first, true child first: that order numbers call records
+        # and input symbols.  A pending child continues with a statement
+        # list, or with a (condition, on_true, on_false, env) branch.
+        pending = [(0, list(self.fn.body),
+                    SymbolicEnv(self.fn.name, self.fn.params))]
+        while pending:
+            node_id, todo, env = pending.pop()
+            node = self._node(node_id)
+            if isinstance(todo, list):
+                todo = self._walk(node, todo, env.copy())
+            if todo is not None:
+                node.condition, on_true, on_false, env = _split(*todo)
+                pending.append((2 * node_id + 1, on_false, env))
+                pending.append((2 * node_id + 2, on_true, env))
         return self.cfet
 
-    def _walk(self, node_id: int, stmts: list, env: SymbolicEnv) -> None:
+    def _node(self, node_id: int) -> CfetNode:
         if len(self.cfet.nodes) >= self.MAX_NODES:
             raise OverflowError(
                 f"CFET for {self.fn.name!r} exceeds {self.MAX_NODES} nodes;"
                 " reduce branching or the unroll factor"
             )
-        node = CfetNode(node_id)
-        self.cfet.nodes[node_id] = node
+        node = self.cfet.nodes[node_id] = CfetNode(node_id)
+        return node
+
+    def _walk(self, node: CfetNode, stmts: list, env: SymbolicEnv):
+        """Run ``stmts`` into ``node``; the branch it ends at, or None
+        at a leaf."""
         for idx, stmt in enumerate(stmts):
             if isinstance(stmt, ast.Return):
                 if stmt.value is not None:
@@ -188,17 +207,15 @@ class _CfetBuilder:
                     if isinstance(stmt.value, ast.VarRef):
                         node.return_var = stmt.value.name
                 node.thrown_value = env.values.get(THROWN_FLAG)
-                return  # leaf
+                return None
             if isinstance(stmt, ast.If):
-                hint = f"{node_id}_{idx}"
-                node.condition = env.eval_condition(stmt.cond, hint)
+                cond = env.eval_condition(stmt.cond, f"{node.node_id}_{idx}")
                 rest = stmts[idx + 1 :]
-                self._walk(2 * node_id + 2, stmt.then_body + rest, env.copy())
-                self._walk(2 * node_id + 1, stmt.else_body + rest, env.copy())
-                return
+                return cond, stmt.then_body + rest, stmt.else_body + rest, env
             self._execute(node, stmt, env)
         # Fell off the end: implicit return, leaf node.
         node.thrown_value = env.values.get(THROWN_FLAG)
+        return None
 
     def _execute(self, node: CfetNode, stmt, env: SymbolicEnv) -> None:
         call = _call_of(stmt)
@@ -267,6 +284,26 @@ class _CfetBuilder:
             equations=tuple(equations),
             result_symbol=result_symbol,
         )
+
+
+def _split(cond: E.Expr, on_true, on_false, env: SymbolicEnv):
+    """The first literal of a branch on ``cond`` and its continuations.
+
+    An ``and``/``or`` branches on its first operand; the short-circuit
+    side continues to a fresh node that branches on the rest, and a
+    ``not`` over one swaps the continuations.  So every node condition is
+    a literal and every path constraint a conjunction of literals."""
+    while True:
+        if cond.kind == E.NOT and cond.args[0].kind in (E.AND, E.OR):
+            cond, on_true, on_false = cond.args[0], on_false, on_true
+        elif cond.kind == E.AND:
+            rest = (E.and_(*cond.args[1:]), on_true, on_false, env)
+            cond, on_true = cond.args[0], rest
+        elif cond.kind == E.OR:
+            rest = (E.or_(*cond.args[1:]), on_true, on_false, env)
+            cond, on_false = cond.args[0], rest
+        else:
+            return cond, on_true, on_false, env
 
 
 def _call_of(stmt) -> ast.Call | None:

@@ -1085,12 +1085,8 @@ class GraphEngine:
             stats.constraints_decoded += 1
             with stats.timing("encode_time"):
                 constraints = self._decode_ids(ids)
-            gave_up = self.solver.stats.gave_up
             result = self._solve_formula(E.and_(*constraints))
-            if form is not None and self.solver.stats.gave_up == gave_up:
-                # A gave-up verdict is a conservative SAT, not a theorem
-                # about the form; memoising it could flip an
-                # alpha-equivalent query's answer.
+            if form is not None:
                 stats.feasibility_groups += 1
                 self._form_memo[form] = result
         stats.feasibility_time += time.perf_counter() - start

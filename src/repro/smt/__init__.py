@@ -1,15 +1,15 @@
 """Self-contained SMT solver used as a substitute for Z3.
 
-The path constraints produced by Grapple's analyses are boolean combinations
-of linear integer arithmetic atoms (branch conditions) and equalities
-(parameter passing).  This package provides:
+The path constraints produced by Grapple's analyses are conjunctions of
+literals: linear integer comparisons and boolean variables (branch
+conditions) and equalities (parameter passing).  This package provides:
 
 * :mod:`repro.smt.expr` -- an immutable expression algebra,
 * :mod:`repro.smt.linear` -- normalisation of arithmetic atoms,
 * :mod:`repro.smt.fourier_motzkin` -- a conjunction-level LIA decision
   procedure (equality substitution + Fourier-Motzkin elimination),
-* :mod:`repro.smt.dpll` -- a CNF SAT solver,
-* :mod:`repro.smt.solver` -- the lazy DPLL(T) facade.
+* :mod:`repro.smt.sexpr` -- the constraints' text form,
+* :mod:`repro.smt.solver` -- the solver over conjunctions of literals.
 """
 
 from repro.smt.expr import (

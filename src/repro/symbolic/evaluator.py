@@ -117,8 +117,9 @@ class SymbolicEnv:
         return _apply(op, left, right)
 
     def eval_condition(self, expr, opaque_hint: str) -> E.Expr:
-        """Symbolic branch condition; unevaluable conditions (e.g. null
-        comparisons over objects) become deterministic opaque booleans."""
+        """Symbolic branch condition; unevaluable conditions (a null
+        comparison over objects, an int used as a boolean) become
+        deterministic opaque booleans."""
         value = self.eval(expr)
         if value is None or value.sort != "bool":
             return E.BoolVar(symbol_name(self.func, f"opaque_{opaque_hint}"))

@@ -204,3 +204,42 @@ def test_max_nodes_guard():
     source = f"func main() {{ {branches} }}"
     with pytest.raises(OverflowError):
         cfet_of(source)
+
+
+_A = E.gt(E.IntVar("main::a"), E.IntConst(0))
+_B = E.gt(E.IntVar("main::b"), E.IntConst(0))
+_C = E.gt(E.IntVar("main::c"), E.IntConst(0))
+
+
+@pytest.mark.parametrize("guard,then_paths,else_paths", [
+    ("if (a > 0 && b > 0)", [{_A, _B}], [{E.not_(_A)}, {_A, E.not_(_B)}]),
+    ("if (a > 0 || b > 0)", [{_A}, {E.not_(_A), _B}],
+     [{E.not_(_A), E.not_(_B)}]),
+    ("if (!(a > 0 && b > 0))", [{E.not_(_A)}, {_A, E.not_(_B)}],
+     [{_A, _B}]),
+    ("var t = a > 0 || b > 0; if (t)", [{_A}, {E.not_(_A), _B}],
+     [{E.not_(_A), E.not_(_B)}]),
+    ("if (a > 0 && !(b > 0 || c > 0))", [{_A, E.not_(_B), E.not_(_C)}],
+     [{E.not_(_A)}, {_A, _B}, {_A, E.not_(_B), _C}]),
+])
+def test_compound_condition_branches_once_per_operand(
+        guard, then_paths, else_paths):
+    """Short-circuit order: every node condition is a literal, and the
+    leaves' path constraints are the conjunctions of the operands
+    taken."""
+    cfet = cfet_of(
+        f"func main(a, b, c) {{ {guard} {{ x.m(); }} else {{ x.n(); }} }}"
+    )
+    for node in cfet.nodes.values():
+        cond = node.condition
+        if cond is not None and cond.kind == E.NOT:
+            cond = cond.args[0]
+        assert cond is None or cond.kind not in (E.AND, E.OR), node
+    paths = {"m": set(), "n": set()}
+    for leaf in cfet.leaves:
+        constraint = cfet.path_constraint(0, leaf.node_id)
+        literals = constraint.args if constraint.kind == E.AND else (constraint,)
+        paths[leaf.statements[-1].method].add(frozenset(literals))
+    assert len(cfet.leaves) == len(then_paths) + len(else_paths)
+    assert paths["m"] == set(map(frozenset, then_paths))
+    assert paths["n"] == set(map(frozenset, else_paths))

@@ -83,12 +83,12 @@ def test_merge_chained_intervals_equals_decode_conjunction(icfet, data):
     )
     merged_constraint = enc.decode_constraint(merged, icfet)
     solver = Solver()
-    # Equivalence: (conj XOR merged) must be UNSAT.
-    differs = E.or_(
-        E.and_(conj, E.not_(merged_constraint)),
-        E.and_(merged_constraint, E.not_(conj)),
-    )
-    assert solver.check(differs) is Result.UNSAT
+    # Equivalence of two conjunctions: each implies every literal of the
+    # other, i.e. ``other and not literal`` is UNSAT both ways.
+    for side, other in ((conj, merged_constraint), (merged_constraint, conj)):
+        for literal in side.args if side.kind == E.AND else (side,):
+            negated = E.and_(other, E.not_(literal))
+            assert solver.check(negated) is Result.UNSAT, (literal, other)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
-"""Integration and property tests for the DPLL(T) solver facade."""
+"""Integration and property tests for the solver over conjunctions."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import (
@@ -75,31 +76,19 @@ def test_feasible_path_from_paper_fig3():
     assert sat(phi)
 
 
-def test_disjunction_needs_dpllt():
-    # (x < 0 or x > 10) and 0 <= x <= 10 is UNSAT.
-    phi = and_(
-        or_(lt(X, IntConst(0)), gt(X, IntConst(10))),
-        ge(X, IntConst(0)),
-        le(X, IntConst(10)),
-    )
-    assert not sat(phi)
-
-
-def test_disjunction_sat_branch():
-    phi = and_(
-        or_(lt(X, IntConst(0)), gt(X, IntConst(10))),
-        ge(X, IntConst(5)),
-    )
-    assert sat(phi)
-
-
-def test_mixed_bool_and_theory():
-    phi = and_(
-        or_(not_(B), gt(X, IntConst(0))),
-        B,
-        le(X, IntConst(0)),
-    )
-    assert not sat(phi)
+def test_only_conjunctions_of_literals_are_decided():
+    # Path constraints are conjunctions of literals; a disjunction, or a
+    # negated conjunction, is a caller's bug, not a formula to enumerate.
+    disjunction = or_(lt(X, IntConst(0)), gt(X, IntConst(10)))
+    for formula in (
+        disjunction,
+        and_(disjunction, ge(X, IntConst(0))),
+        not_(and_(B, gt(X, IntConst(0)))),
+    ):
+        with pytest.raises(ValueError, match="not a conjunction of literals"):
+            Solver().check(formula)
+        with pytest.raises(ValueError):
+            Solver().get_model(formula)
 
 
 def test_nonlinear_treated_conservatively():
