@@ -37,7 +37,6 @@ class SolverStats:
     checks: int = 0
     sat: int = 0
     unsat: int = 0
-    theory_calls: int = 0
 
 
 @dataclass
@@ -62,9 +61,6 @@ class Solver:
             return Result.UNSAT
         self.stats.sat += 1
         return Result.SAT
-
-    def is_satisfiable(self, formula: E.Expr) -> bool:
-        return self.check(formula) is Result.SAT
 
     def check_conjunction(self, formulas: list[E.Expr]) -> Result:
         """Check the conjunction of several formulas."""
@@ -95,7 +91,6 @@ class Solver:
         they are inconsistent.  ``decide`` maps linear atoms to an integer
         model or None (:func:`find_model`, or :func:`_satisfiable` when
         only the verdict is wanted)."""
-        self.stats.theory_calls += 1
         # Boolean variables and opaque comparisons constrain nothing in
         # the theory: only an atom taken with both polarities is a conflict.
         polarity: dict = {}
