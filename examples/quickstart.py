@@ -9,7 +9,7 @@ analysis reports exactly the leak -- and nothing for the infeasible path.
 Run:  python examples/quickstart.py
 """
 
-from repro import Grapple, io_checker
+from repro import Checker, Grapple
 
 FIG3B = """
 func main(arg0) {
@@ -34,7 +34,7 @@ func main(arg0) {
 
 
 def main() -> None:
-    run = Grapple(FIG3B, [io_checker()]).run()
+    run = Grapple(FIG3B, [Checker.by_name("io").fsm]).run()
 
     print("== Figure 3b: FileWriter property check ==")
     print(run.report.summary())

@@ -9,7 +9,7 @@ exception path, while the corrected version is clean.
 Run:  python examples/zookeeper_socket_leak.py
 """
 
-from repro import Grapple, socket_checker
+from repro import Checker, Grapple
 
 # reconfigure(): the old channel's close() can be skipped by an exception
 # thrown from the statements between the new bind and oldSS.close().
@@ -81,7 +81,7 @@ func main(addr) {
 
 
 def check(label: str, source: str) -> int:
-    run = Grapple(source, [socket_checker()]).run()
+    run = Grapple(source, [Checker.by_name("socket").fsm]).run()
     print(f"-- {label}: {len(run.report)} warning(s)")
     for warning in run.report.warnings:
         print(f"   {warning.describe()}")

@@ -6,9 +6,9 @@ properties over large codebases.  See README.md and DESIGN.md.
 
 Quickstart::
 
-    from repro import Grapple, io_checker
+    from repro import Checker, Grapple
 
-    report = Grapple(source_code, [io_checker()]).run().report
+    report = Grapple(source_code, [Checker.by_name("io").fsm]).run().report
     print(report.summary())
 """
 
@@ -18,11 +18,7 @@ from repro.checkers import (
     Report,
     Warning,
     default_checkers,
-    exception_checker,
-    io_checker,
-    lock_checker,
     run_checker,
-    socket_checker,
 )
 from repro.checkers.fsm import FSM, make_fsm
 from repro.engine.computation import EngineOptions
@@ -41,8 +37,4 @@ __all__ = [
     "Warning",
     "default_checkers",
     "run_checker",
-    "io_checker",
-    "lock_checker",
-    "exception_checker",
-    "socket_checker",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.analysis.alias import AliasAnalysis, run_alias_phase
 from repro.analysis.dataflow import DataflowAnalysis, run_dataflow_phase
 from repro.analysis.frontend import CompiledProgram, compile_source
-from repro.checkers.fsm import FSM
+from repro.checkers.fsm import FSM, fsms_by_type
 from repro.checkers.report import Report, Warning
 from repro.engine.computation import EngineOptions, GraphEngine
 from repro.engine.stats import EngineStats
@@ -143,6 +143,7 @@ class Grapple:
     ):
         self.source = source
         self.fsms = list(fsms)
+        self.fsms_by_type = fsms_by_type(self.fsms)  # FsmError on a clash
         self.options = options or GrappleOptions()
         self.engine_factory = engine_factory
 
@@ -164,11 +165,7 @@ class Grapple:
             scope_cache=options.scope_cache,
             roots=(),  # cloned below, once the keys say which trees to build
         )
-        fsms_by_type: dict[str, FSM] = {}
-        for fsm in self.fsms:
-            for type_name in fsm.types:
-                fsms_by_type[type_name] = fsm
-        tracked_types = set(fsms_by_type)
+        tracked_types = set(self.fsms_by_type)
 
         relevance = None
         if options.reduce:
@@ -218,7 +215,7 @@ class Grapple:
             engine_factory=self.engine_factory,
         )
         dataflow_phase = run_dataflow_phase(
-            compiled, alias_phase, fsms_by_type, options.engine,
+            compiled, alias_phase, self.fsms_by_type, options.engine,
             relevance=relevance, rstats=reduction,
             engine_factory=self.engine_factory,
         )

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.frontend import CompiledProgram
 from repro.cfet import encoding as enc_mod
+from repro.checkers.fsm import fsms_by_type
 from repro.grammar.cfg_grammar import ComposeContext
 from repro.grammar.pointsto import PointsToGrammar
 from repro.graph.alias_graph import build_alias_graph
@@ -198,9 +199,9 @@ def run_traditional_check(
 
     start = time.perf_counter()
     stats = TraditionalStats()
-    fsms_by_type = {t: fsm for fsm in fsms for t in fsm.types}
+    by_type = fsms_by_type(fsms)
     stats, graph_result, adjacency = _alias_closure(
-        compiled, set(fsms_by_type), memory_budget, start, stats
+        compiled, set(by_type), memory_budget, start, stats
     )
 
     tracked_vertices = {t.vertex for t in graph_result.tracked}
@@ -212,7 +213,7 @@ def run_traditional_check(
             if label == FLOWS_TO:
                 flows_to.setdefault((src, dst), []).extend(constraints)
 
-    df = build_dataflow_graph(compiled.icfet, graph_result, fsms_by_type)
+    df = build_dataflow_graph(compiled.icfet, graph_result, by_type)
     solver = Solver()
     expr_sizes: dict[int, int] = {}
 

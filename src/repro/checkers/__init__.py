@@ -1,16 +1,14 @@
-"""FSM specifications, the paper's four finite-state property checkers
-(§5), and the interprocedural property packs (taint, API ordering, lock
-discipline) added with cross-file scope resolution."""
+"""FSM specifications and the built-in property checkers.
+
+Every built-in FSM -- the paper's four checkers (§5) and the
+interprocedural property packs (taint, API ordering, lock discipline)
+added with cross-file scope resolution -- is a block of ``builtin.fsm``,
+parsed by :func:`repro.checkers.spec.parse_fsm_specs`, the parser
+``repro check --spec`` uses.  Look one up with ``Checker.by_name(name).fsm``.
+"""
 
 from repro.checkers.fsm import FSM, FsmError
 from repro.checkers.report import Diagnostic, LintReport, Warning, Report
-from repro.checkers.io_checker import io_checker
-from repro.checkers.lock_checker import lock_checker
-from repro.checkers.exception_checker import exception_checker
-from repro.checkers.socket_checker import socket_checker
-from repro.checkers.taint_checker import taint_checker
-from repro.checkers.order_checker import iterator_checker, order_checker
-from repro.checkers.lockdep_checker import lockdep_checker
 from repro.checkers.checker import (
     Checker,
     default_checkers,
@@ -29,12 +27,4 @@ __all__ = [
     "default_checkers",
     "pack_checkers",
     "run_checker",
-    "io_checker",
-    "lock_checker",
-    "exception_checker",
-    "socket_checker",
-    "taint_checker",
-    "order_checker",
-    "iterator_checker",
-    "lockdep_checker",
 ]

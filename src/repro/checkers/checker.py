@@ -1,32 +1,29 @@
-"""Convenience layer: named checkers and a one-call entry point."""
+"""The built-in checkers and a one-call entry point.
+
+Every built-in FSM is a block of ``builtin.fsm``, read by the same
+parser as ``repro check --spec`` (:mod:`repro.checkers.spec`), so the
+built-ins get its duplicate-transition and undeclared-state checks too.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
-from repro.checkers.exception_checker import exception_checker
 from repro.checkers.fsm import FSM
-from repro.checkers.io_checker import io_checker
-from repro.checkers.lock_checker import lock_checker
-from repro.checkers.lockdep_checker import lockdep_checker
-from repro.checkers.order_checker import iterator_checker, order_checker
 from repro.checkers.report import Report
-from repro.checkers.socket_checker import socket_checker
-from repro.checkers.taint_checker import taint_checker
+from repro.checkers.spec import parse_fsm_specs
 
-#: Every registered checker.  The first four are the paper's originals
-#: and remain the default set (:func:`default_checkers`); the rest are
-#: the interprocedural property packs (taint, API ordering, lock
-#: discipline) that ship with cross-file scope resolution.
-ALL_CHECKERS = {
-    "io": io_checker,
-    "lock": lock_checker,
-    "exception": exception_checker,
-    "socket": socket_checker,
-    "taint": taint_checker,
-    "order": order_checker,
-    "iterator": iterator_checker,
-    "lockdep": lockdep_checker,
+#: Every built-in FSM by name, in ``builtin.fsm`` order, parsed once per
+#: process at import.  The first four are the paper's originals and
+#: remain the default set (:func:`default_checkers`); the rest are the
+#: interprocedural property packs (taint, API ordering, lock discipline)
+#: that ship with cross-file scope resolution.
+ALL_CHECKERS: dict[str, FSM] = {
+    fsm.name: fsm
+    for fsm in parse_fsm_specs(
+        resources.files(__package__).joinpath("builtin.fsm").read_text()
+    )
 }
 
 #: The paper's original four checker names (the default set).
@@ -46,12 +43,11 @@ class Checker:
     def by_name(cls, name: str) -> "Checker":
         """Look up one of the built-in checkers by its short name."""
         try:
-            factory = ALL_CHECKERS[name]
+            return cls(name, ALL_CHECKERS[name])
         except KeyError:
             raise KeyError(
                 f"unknown checker {name!r}; available: {sorted(ALL_CHECKERS)}"
             ) from None
-        return cls(name, factory())
 
 
 def default_checkers() -> list[Checker]:

@@ -97,3 +97,25 @@ def make_fsm(
         accepting=frozenset(accepting),
         error_states=frozenset(error_states),
     )
+
+
+def fsms_by_type(fsms) -> dict[str, FSM]:
+    """Map each tracked type to the one FSM that claims it.
+
+    A run checks each object against one FSM and keys its states and
+    reports by FSM name, so two unequal FSMs may share neither a name
+    nor a type: either would silently drop one of them.  Repeating an
+    equal FSM is harmless."""
+    by_name: dict[str, FSM] = {}
+    by_type: dict[str, FSM] = {}
+    for fsm in fsms:
+        if by_name.setdefault(fsm.name, fsm) != fsm:
+            raise FsmError(f"two different fsms are named {fsm.name!r}")
+        for type_name in fsm.types:
+            other = by_type.setdefault(type_name, fsm)
+            if other != fsm:
+                raise FsmError(
+                    f"type {type_name!r} is claimed by both fsm"
+                    f" {other.name!r} and fsm {fsm.name!r}"
+                )
+    return by_type

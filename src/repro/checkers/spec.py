@@ -17,7 +17,9 @@ specified without writing Python::
     Closed -close->  Closed
 
 Blank lines and ``#`` comments are ignored.  A file may contain several
-``fsm`` blocks.
+``fsm`` blocks.  The built-in checkers are such a file, ``builtin.fsm``
+(read by :mod:`repro.checkers.checker`), so every FSM a run checks goes
+through :func:`parse_fsm_specs`.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import sys
 
 from repro import EngineOptions, Grapple, GrappleOptions
 from repro.checkers.checker import ALL_CHECKERS, PAPER_CHECKERS, Checker
+from repro.checkers.fsm import FsmError, fsms_by_type
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError  # LinkError is one too
 
@@ -63,19 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mini-language source file(s), or one directory"
                        " of .mini files; multiple files are linked by"
                        " cross-file name resolution")
-    check.add_argument(
+    fsm_source = check.add_mutually_exclusive_group()
+    fsm_source.add_argument(
         "--checkers",
         default=",".join(PAPER_CHECKERS),
         help="comma-separated checker names (default: the paper's four,"
         f" {','.join(PAPER_CHECKERS)}; also available:"
         f" {','.join(n for n in ALL_CHECKERS if n not in PAPER_CHECKERS)})",
     )
-    check.add_argument(
+    fsm_source.add_argument(
         "--spec",
         action="append",
         default=[],
         help="FSM specification file (repeatable); used *instead of* the"
-        " built-in checkers when given",
+        " built-in checkers, so it excludes --checkers",
     )
     check.add_argument("--unroll", type=int, default=2,
                        help="loop unroll bound (default 2)")
@@ -272,7 +274,8 @@ def cmd_check(args) -> int:
                 fsms = [
                     fsm for path in args.spec for fsm in load_fsm_specs(path)
                 ]
-            except SpecError as exc:
+                fsms_by_type(fsms)  # Grapple's check, before any output
+            except (SpecError, FsmError) as exc:
                 raise UsageError(f"bad --spec: {exc}") from None
             checkers = [Checker(fsm.name, fsm) for fsm in fsms]
         else:

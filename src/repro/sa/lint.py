@@ -36,10 +36,9 @@ fast, flow-sensitive-but-path-insensitive first line of feedback.
 
 from __future__ import annotations
 
+from repro.checkers.checker import ALL_CHECKERS
 from repro.checkers.fsm import FSM
-from repro.checkers.lockdep_checker import lockdep_checker
 from repro.checkers.report import Diagnostic, LintReport
-from repro.checkers.taint_checker import taint_checker
 from repro.lang import ast
 from repro.lang.cfg import build_cfg
 from repro.lang.parser import parse_program
@@ -129,8 +128,8 @@ def _lint_core(core: ast.Program, fsms, report: LintReport,
         tracked_types |= set(fsm.types)
         tracked_events |= fsm.events()
 
-    taint_fsm = taint_checker()
-    lockdep_fsm = lockdep_checker()
+    taint_fsm = ALL_CHECKERS["taint"]
+    lockdep_fsm = ALL_CHECKERS["lockdep"]
     info = infer_object_vars(core)
     for name, fn in core.functions.items():
         file = (file_of or {}).get(name, "")

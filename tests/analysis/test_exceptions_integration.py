@@ -1,10 +1,13 @@
 """End-to-end tests for nested/interacting exception scenarios."""
 
-from repro import Grapple, exception_checker, io_checker
+from repro import Checker, Grapple
+
+EXCEPTION = Checker.by_name("exception").fsm
+IO = Checker.by_name("io").fsm
 
 
 def run(source, checkers=None):
-    return Grapple(source, checkers or [exception_checker()]).run()
+    return Grapple(source, checkers or [EXCEPTION]).run()
 
 
 def test_nested_try_inner_catches():
@@ -147,7 +150,7 @@ def test_exception_interleaves_with_io_leak():
         }
     }
     """
-    run_result = run(source, [exception_checker(), io_checker()])
+    run_result = run(source, [EXCEPTION, IO])
     by_checker = {w.checker for w in run_result.report.warnings}
     assert by_checker == {"io"}  # leak reported, exception is handled
     io_warnings = run_result.report.by_checker("io")
@@ -171,7 +174,7 @@ def test_no_exception_path_closes_normally():
         f.close();
     }
     """
-    run_result = run(source, [exception_checker(), io_checker()])
+    run_result = run(source, [EXCEPTION, IO])
     assert len(run_result.report) == 0
 
 

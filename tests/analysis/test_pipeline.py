@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro import (
-    Grapple,
-    GrappleOptions,
-    exception_checker,
-    io_checker,
-    lock_checker,
-    run_checker,
-    socket_checker,
-)
+from repro import Checker, Grapple, run_checker
+
+IO = Checker.by_name("io").fsm
+LOCK = Checker.by_name("lock").fsm
+EXCEPTION = Checker.by_name("exception").fsm
+SOCKET = Checker.by_name("socket").fsm
 
 # Figure 3b: the FileWriter can reach exit still Open when x >= 0, y <= 0.
 FIG3B = """
@@ -40,7 +37,7 @@ def run(source, checkers):
 
 
 def test_fig3b_reports_leak_on_path2_only():
-    result = run(FIG3B, [io_checker()])
+    result = run(FIG3B, [IO])
     warnings = result.report.by_checker("io")
     # One warning: the at-exit leak on the second path.  Crucially NOT an
     # error-transition warning from the infeasible third path.
@@ -51,7 +48,7 @@ def test_fig3b_reports_leak_on_path2_only():
 
 
 def test_fig3b_no_error_transition_from_infeasible_path():
-    result = run(FIG3B, [io_checker()])
+    result = run(FIG3B, [IO])
     assert all(
         w.kind != "error-transition" for w in result.report.by_checker("io")
     )
@@ -65,7 +62,7 @@ def test_clean_program_reports_nothing():
         f.close();
     }
     """
-    assert len(run(source, [io_checker()]).report) == 0
+    assert len(run(source, [IO]).report) == 0
 
 
 def test_write_after_close_is_error_transition():
@@ -76,7 +73,7 @@ def test_write_after_close_is_error_transition():
         f.write(1);
     }
     """
-    warnings = run(source, [io_checker()]).report.by_checker("io")
+    warnings = run(source, [IO]).report.by_checker("io")
     assert any(w.kind == "error-transition" for w in warnings)
 
 
@@ -89,7 +86,7 @@ def test_leak_through_alias_is_closed():
         g.close();
     }
     """
-    assert len(run(source, [io_checker()]).report) == 0
+    assert len(run(source, [IO]).report) == 0
 
 
 def test_leak_via_heap_store_load():
@@ -103,7 +100,7 @@ def test_leak_via_heap_store_load():
         g.close();
     }
     """
-    assert len(run(source, [io_checker()]).report) == 0
+    assert len(run(source, [IO]).report) == 0
 
 
 def test_interprocedural_close():
@@ -117,7 +114,7 @@ def test_interprocedural_close():
         shutdown(f);
     }
     """
-    assert len(run(source, [io_checker()]).report) == 0
+    assert len(run(source, [IO]).report) == 0
 
 
 def test_interprocedural_leak_detected():
@@ -130,7 +127,7 @@ def test_interprocedural_leak_detected():
         use(f);
     }
     """
-    warnings = run(source, [io_checker()]).report.by_checker("io")
+    warnings = run(source, [IO]).report.by_checker("io")
     assert len(warnings) == 1
     assert warnings[0].kind == "at-exit"
 
@@ -149,7 +146,7 @@ def test_path_sensitive_branch_correlation():
         }
     }
     """
-    assert len(run(source, [io_checker()]).report) == 0
+    assert len(run(source, [IO]).report) == 0
 
 
 def test_path_sensitive_conflicting_branches_error_pruned():
@@ -166,7 +163,7 @@ def test_path_sensitive_conflicting_branches_error_pruned():
         f.close();
     }
     """
-    warnings = run(source, [io_checker()]).report.by_checker("io")
+    warnings = run(source, [IO]).report.by_checker("io")
     assert all(w.kind != "error-transition" for w in warnings)
 
 
@@ -178,7 +175,7 @@ def test_lock_misorder_detected():
         l.lock();
     }
     """
-    warnings = run(source, [lock_checker()]).report.by_checker("lock")
+    warnings = run(source, [LOCK]).report.by_checker("lock")
     assert any(w.kind == "error-transition" for w in warnings)
 
 
@@ -190,7 +187,7 @@ def test_lock_balanced_ok():
         l.unlock();
     }
     """
-    assert len(run(source, [lock_checker()]).report) == 0
+    assert len(run(source, [LOCK]).report) == 0
 
 
 def test_lock_held_at_exit():
@@ -200,7 +197,7 @@ def test_lock_held_at_exit():
         l.lock();
     }
     """
-    warnings = run(source, [lock_checker()]).report.by_checker("lock")
+    warnings = run(source, [LOCK]).report.by_checker("lock")
     assert any(w.kind == "at-exit" and w.state == "Locked" for w in warnings)
 
 
@@ -211,7 +208,7 @@ def test_unhandled_exception_detected():
         throw e;
     }
     """
-    warnings = run(source, [exception_checker()]).report
+    warnings = run(source, [EXCEPTION]).report
     assert any(w.state == "Thrown" and w.kind == "at-exit" for w in warnings.warnings)
 
 
@@ -225,7 +222,7 @@ def test_caught_exception_ok():
         }
     }
     """
-    assert len(run(source, [exception_checker()]).report) == 0
+    assert len(run(source, [EXCEPTION]).report) == 0
 
 
 def test_exception_escaping_callee_caught_in_caller():
@@ -241,7 +238,7 @@ def test_exception_escaping_callee_caught_in_caller():
         }
     }
     """
-    assert len(run(source, [exception_checker()]).report) == 0
+    assert len(run(source, [EXCEPTION]).report) == 0
 
 
 def test_exception_escaping_to_exit_detected():
@@ -254,7 +251,7 @@ def test_exception_escaping_to_exit_detected():
         risky();
     }
     """
-    warnings = run(source, [exception_checker()]).report
+    warnings = run(source, [EXCEPTION]).report
     assert any(w.state == "Thrown" for w in warnings.warnings)
 
 
@@ -266,7 +263,7 @@ def test_socket_leak_detected():
         s.configureBlocking(0);
     }
     """
-    warnings = run(source, [socket_checker()]).report.by_checker("socket")
+    warnings = run(source, [SOCKET]).report.by_checker("socket")
     assert any(w.kind == "at-exit" and w.state == "Bound" for w in warnings)
 
 
@@ -278,7 +275,7 @@ def test_socket_closed_ok():
         s.close();
     }
     """
-    assert len(run(source, [socket_checker()]).report) == 0
+    assert len(run(source, [SOCKET]).report) == 0
 
 
 def test_run_checker_facade_all_four():
@@ -302,13 +299,13 @@ def test_multiple_checkers_one_run():
         var s = new Socket();
     }
     """
-    report = run_checker(source, [io_checker(), socket_checker()])
+    report = run_checker(source, [IO, SOCKET])
     checkers = {w.checker for w in report.warnings}
     assert checkers == {"io", "socket"}
 
 
 def test_stats_populated():
-    result = run(FIG3B, [io_checker()])
+    result = run(FIG3B, [IO])
     stats = result.stats
     assert stats.edges_before > 0
     assert stats.edges_after >= stats.edges_before

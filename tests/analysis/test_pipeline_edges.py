@@ -1,11 +1,11 @@
 """Pipeline edge cases: entry-point discovery, empty programs, scoping."""
 
-from repro import Grapple, GrappleOptions, EngineOptions, io_checker
+from repro import Checker, Grapple, GrappleOptions, EngineOptions
 
 
 def run(source, **opts):
     options = GrappleOptions(**opts) if opts else None
-    return Grapple(source, [io_checker()], options).run()
+    return Grapple(source, [Checker.by_name("io").fsm], options).run()
 
 
 def test_program_without_main_uses_uncalled_roots():

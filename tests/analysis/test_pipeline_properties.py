@@ -9,7 +9,7 @@ code never changes the verdict).
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Grapple, io_checker
+from repro import Checker, Grapple
 from repro.lang.parser import parse_program
 
 
@@ -67,7 +67,7 @@ def programs(draw):
 @given(programs())
 def test_pipeline_never_crashes_and_verdict_matches(case):
     source, expect_leak = case
-    run = Grapple(source, [io_checker()]).run()
+    run = Grapple(source, [Checker.by_name("io").fsm]).run()
     leaks_reported = any(w.kind == "at-exit" for w in run.report.warnings)
     assert leaks_reported == expect_leak, source
 
@@ -77,7 +77,7 @@ def test_pipeline_never_crashes_and_verdict_matches(case):
 def test_warnings_reference_real_sites(case):
     source, _ = case
     program = parse_program(source)
-    run = Grapple(source, [io_checker()]).run()
+    run = Grapple(source, [Checker.by_name("io").fsm]).run()
     max_site = max(
         (s.value.site for s in program.entry.body
          if hasattr(s, "value") and hasattr(s.value, "site")),
@@ -93,12 +93,12 @@ def test_warnings_reference_real_sites(case):
 @given(programs(), st.integers(0, 3))
 def test_dead_code_does_not_change_verdict(case, extra):
     source, _ = case
-    run1 = Grapple(source, [io_checker()]).run()
+    run1 = Grapple(source, [Checker.by_name("io").fsm]).run()
     # Append an uncalled function: verdict on main must be unchanged.
     dead = "\n".join(
         f"func dead{i}(v) {{ var d = v + {i}; return d; }}"
         for i in range(extra)
     )
-    run2 = Grapple(source + "\n" + dead, [io_checker()]).run()
+    run2 = Grapple(source + "\n" + dead, [Checker.by_name("io").fsm]).run()
     key = lambda r: {(w.checker, w.func, w.kind, w.state) for w in r.warnings}
     assert key(run1.report) == key(run2.report)

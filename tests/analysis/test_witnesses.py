@@ -1,10 +1,10 @@
 """Tests for witness extraction on warnings."""
 
-from repro import Grapple, io_checker, lock_checker
+from repro import Checker, Grapple
 
 
 def run(source, checkers=None):
-    return Grapple(source, checkers or [io_checker()]).run()
+    return Grapple(source, checkers or [Checker.by_name("io").fsm]).run()
 
 
 def test_leak_witness_satisfies_branch_condition():
@@ -75,7 +75,7 @@ def test_witness_mentions_only_program_symbols():
         return;
     }
     """
-    report = run(source, [lock_checker()]).report
+    report = run(source, [Checker.by_name("lock").fsm]).report
     assert report.warnings
     for warning in report.warnings:
         for entry in warning.witness:

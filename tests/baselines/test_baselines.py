@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Grapple, GrappleOptions, default_checkers, io_checker
+from repro import Checker, Grapple, GrappleOptions, default_checkers
 from repro.analysis.frontend import compile_source
 from repro.baselines import (
     OutOfMemoryError,
@@ -10,6 +10,8 @@ from repro.baselines import (
     run_traditional_alias,
     run_traditional_check,
 )
+
+IO = Checker.by_name("io").fsm
 
 SMALL = """
 func main(x) {
@@ -45,7 +47,7 @@ def test_traditional_alias_ooms_with_tiny_budget():
 
 def test_traditional_check_completes_on_tiny_program():
     compiled = compile_source(SMALL)
-    stats = run_traditional_check(compiled, [io_checker()],
+    stats = run_traditional_check(compiled, [IO],
                                   memory_budget=64 << 20)
     assert stats.completed
     assert stats.facts > 0
@@ -63,8 +65,8 @@ def test_traditional_check_ooms_on_realistic_subject():
 
 
 def test_string_baseline_same_report_as_grapple():
-    report_interval = Grapple(SMALL, [io_checker()]).run().report
-    result = run_string_based(SMALL, [io_checker()])
+    report_interval = Grapple(SMALL, [IO]).run().report
+    result = run_string_based(SMALL, [IO])
     assert not result.timed_out
     report_string = result.run.report
     assert {(w.checker, w.func, w.kind) for w in report_interval.warnings} == {
@@ -73,7 +75,7 @@ def test_string_baseline_same_report_as_grapple():
 
 
 def test_string_baseline_reports_shape_metrics():
-    result = run_string_based(SMALL, [io_checker()])
+    result = run_string_based(SMALL, [IO])
     assert result.partitions >= 1
     assert result.iterations >= 1
     assert result.constraints_solved > 0
@@ -82,7 +84,7 @@ def test_string_baseline_reports_shape_metrics():
 
 def test_string_baseline_timeout_flag():
     result = run_string_based(
-        SMALL, [io_checker()], time_budget=0.0
+        SMALL, [IO], time_budget=0.0
     )
     assert result.timed_out
 
@@ -91,6 +93,6 @@ def test_string_baseline_keeps_the_callers_frontend_options():
     """Only the engine changes: ``reduce=False`` (or any other frontend
     option) reaches the string run as it reaches Grapple's."""
     options = GrappleOptions(reduce=False)
-    assert Grapple(SMALL, [io_checker()], options).run().reduction is None
-    result = run_string_based(SMALL, [io_checker()], options)
+    assert Grapple(SMALL, [IO], options).run().reduction is None
+    result = run_string_based(SMALL, [IO], options)
     assert result.run.reduction is None

@@ -3,18 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checkers import (
-    exception_checker,
-    io_checker,
-    lock_checker,
-    socket_checker,
-)
 from repro.checkers.checker import ALL_CHECKERS, Checker, default_checkers
 from repro.checkers.fsm import FsmError, make_fsm
 
 
 def test_io_fsm_mirrors_figure_3a():
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     assert fsm.initial == "Open"
     assert fsm.run(["write", "write", "close"]) == "Closed"
     assert fsm.run(["close", "write"]) == "Error"
@@ -23,12 +17,12 @@ def test_io_fsm_mirrors_figure_3a():
 
 
 def test_io_double_close_harmless():
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     assert fsm.run(["close", "close"]) == "Closed"
 
 
 def test_lock_fsm():
-    fsm = lock_checker()
+    fsm = Checker.by_name("lock").fsm
     assert fsm.run(["lock", "unlock"]) == "Unlocked"
     assert fsm.run(["unlock"]) == "Error"
     assert fsm.run(["lock", "lock"]) == "Error"
@@ -36,7 +30,7 @@ def test_lock_fsm():
 
 
 def test_exception_fsm():
-    fsm = exception_checker()
+    fsm = Checker.by_name("exception").fsm
     assert fsm.run(["throw"]) == "Thrown"
     assert fsm.run(["throw", "catch"]) == "Handled"
     assert fsm.run(["throw", "catch", "throw"]) == "Thrown"
@@ -45,7 +39,7 @@ def test_exception_fsm():
 
 
 def test_socket_fsm_mirrors_figure_2():
-    fsm = socket_checker()
+    fsm = Checker.by_name("socket").fsm
     assert fsm.run(["bind", "configureBlocking", "accept"]) == "Bound"
     assert fsm.run(["bind", "close"]) == "Closed"
     assert fsm.run(["close", "accept"]) == "Error"
@@ -53,20 +47,19 @@ def test_socket_fsm_mirrors_figure_2():
 
 
 def test_unknown_events_ignored():
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     assert fsm.run(["toString", "hashCode"]) == "Open"
 
 
 def test_error_states_not_at_exit_violations():
     """Error states are reported as error transitions, not leaks."""
-    for factory in ALL_CHECKERS.values():
-        fsm = factory()
+    for fsm in ALL_CHECKERS.values():
         for state in fsm.error_states:
             assert not fsm.violates_at_exit(state)
 
 
 def test_events_and_states_enumerations():
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     assert "close" in fsm.events()
     assert {"Open", "Closed", "Error"} <= fsm.states()
 
@@ -111,7 +104,7 @@ _event_lists = st.lists(
 @given(_event_lists)
 def test_io_error_is_sticky_absorbing(events):
     """Once in Error, no event sequence leaves it."""
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     state = fsm.run(events)
     if state == "Error":
         assert fsm.run(events + ["close", "write"]) == "Error"
@@ -120,7 +113,7 @@ def test_io_error_is_sticky_absorbing(events):
 @settings(max_examples=60, deadline=None)
 @given(_event_lists)
 def test_io_run_equals_fold_of_steps(events):
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     state = fsm.initial
     for event in events:
         state = fsm.step(state, event)
@@ -130,5 +123,5 @@ def test_io_run_equals_fold_of_steps(events):
 @settings(max_examples=60, deadline=None)
 @given(_event_lists)
 def test_io_state_always_known(events):
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     assert fsm.run(events) in fsm.states()

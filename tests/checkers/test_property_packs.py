@@ -1,13 +1,8 @@
 """Unit tests for the property-pack FSMs (taint, ordering, lockdep)."""
 
-from repro.checkers import (
-    iterator_checker,
-    lockdep_checker,
-    order_checker,
-    taint_checker,
-)
 from repro.checkers.checker import (
     ALL_CHECKERS,
+    Checker,
     PACK_CHECKERS,
     PAPER_CHECKERS,
     default_checkers,
@@ -16,7 +11,7 @@ from repro.checkers.checker import (
 
 
 def test_taint_fsm_sink_while_tainted_is_the_error():
-    fsm = taint_checker()
+    fsm = Checker.by_name("taint").fsm
     assert fsm.initial == "Tainted"
     assert fsm.run(["exec"]) == "Error"
     assert fsm.run(["sanitize", "exec"]) == "Clean"
@@ -29,7 +24,7 @@ def test_taint_fsm_sink_while_tainted_is_the_error():
 
 
 def test_order_fsm_init_before_use_and_double_dispose():
-    fsm = order_checker()
+    fsm = Checker.by_name("order").fsm
     assert fsm.run(["init", "use", "dispose"]) == "Disposed"
     assert fsm.run(["use"]) == "Error"
     assert fsm.run(["init", "init"]) == "Error"
@@ -42,7 +37,7 @@ def test_order_fsm_init_before_use_and_double_dispose():
 
 
 def test_iterator_fsm_invalidation():
-    fsm = iterator_checker()
+    fsm = Checker.by_name("iterator").fsm
     assert fsm.run(["next", "next"]) == "Valid"
     assert fsm.run(["invalidate", "next"]) == "Error"
     assert fsm.run(["invalidate", "refresh", "next"]) == "Valid"
@@ -50,7 +45,7 @@ def test_iterator_fsm_invalidation():
 
 
 def test_lockdep_fsm_discipline():
-    fsm = lockdep_checker()
+    fsm = Checker.by_name("lockdep").fsm
     assert fsm.run(["acquire", "release"]) == "Released"
     assert fsm.run(["acquire", "acquire"]) == "DoubleAcquire"
     assert fsm.run(["release"]) == "ReleaseUnheld"

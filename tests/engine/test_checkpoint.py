@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro import EngineOptions, Grapple, GrappleOptions, io_checker
+from repro import Checker, EngineOptions, Grapple, GrappleOptions
 from repro.baselines.string_constraints import StringConstraintEngine
 from repro.checkers.checker import Checker
 from repro.engine import checkpoint as ckpt
@@ -116,7 +116,7 @@ def test_interval_config_strings_are_the_previous_builds():
     assert ckpt.config_digest(engine) == (
         "0f81821ef935e615fa476ab1fa0479ad0c92a8742dc79cfd455d4520a890160a"
     )
-    config = Grapple("func main() { }", [io_checker()])._config()
+    config = Grapple("func main() { }", [Checker.by_name("io").fsm])._config()
     assert config.startswith(
         '[2, 24, 500000, true, 3, true, "interval", 1048576, [["io", '
     )

@@ -2,7 +2,7 @@
 
 from dataclasses import fields
 
-from repro import Grapple, GrappleOptions, io_checker
+from repro import Checker, Grapple, GrappleOptions
 from repro.engine.stats import EngineStats
 
 
@@ -82,7 +82,8 @@ def test_run_stats_equals_phase_sums():
         return x;
     }
     """
-    run = Grapple(source, [io_checker()], GrappleOptions(reduce=False)).run()
+    io = Checker.by_name("io").fsm
+    run = Grapple(source, [io], GrappleOptions(reduce=False)).run()
     merged = run.stats
     p1 = run.alias_phase.engine_result.stats
     p2 = run.dataflow_phase.engine_result.stats

@@ -1,6 +1,6 @@
 """Unit tests for the points-to and dataflow grammars."""
 
-from repro.checkers.io_checker import io_checker
+from repro.checkers import Checker
 from repro.grammar.cfg_grammar import ComposeContext
 from repro.grammar.dataflow import CF, DataflowGrammar, state_label
 from repro.grammar.pointsto import (
@@ -84,7 +84,7 @@ def test_relevance_filters():
 
 
 def make_dataflow_grammar(feasible=True, alias_present=True):
-    fsm = io_checker()
+    fsm = Checker.by_name("io").fsm
     objects = {10: (fsm, 100, None)}
     alias_index = {(100, 200): ((("I", "f", 0, 0),),)} if alias_present else {}
     events_meta = {(1, 2): ((0, 200, "close"),)}

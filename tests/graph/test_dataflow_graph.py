@@ -1,14 +1,15 @@
 """Unit tests for the dataflow program-graph generator."""
 
 from repro.analysis.frontend import compile_source
-from repro.checkers.io_checker import io_checker
+from repro.checkers import Checker
 from repro.graph.alias_graph import build_alias_graph
 from repro.graph.dataflow_graph import build_dataflow_graph
 
 
 def dataflow_of(source):
     compiled = compile_source(source)
-    fsms = {t: io_checker() for t in io_checker().types}
+    io = Checker.by_name("io").fsm
+    fsms = {t: io for t in io.types}
     alias = build_alias_graph(
         compiled.program,
         compiled.icfet,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.frontend import compile_source
 from repro.analysis.pipeline import Grapple
-from repro.checkers import socket_checker
+from repro.checkers import Checker
 from repro.graph.cloning import _canonical
 from repro.lang.parser import ParseError, parse_module, parse_program
 from repro.sa import scopes
@@ -94,7 +94,7 @@ def test_cross_module_bindings_and_linked_names():
 
 def test_cross_file_checking_finds_the_leaked_socket_only():
     run = Grapple(
-        {"app.mini": APP, "net.mini": NET}, [socket_checker()]
+        {"app.mini": APP, "net.mini": NET}, [Checker.by_name("socket").fsm]
     ).run()
     warnings = run.report.warnings
     # Two sockets are opened in net.open_conn; only the one never handed
