@@ -6,6 +6,7 @@ share -- but identical analysis results.
 """
 
 from benchmarks.helpers import emit, format_duration, grapple_run
+from repro.obs.report import breakdown
 
 SUBJECT = "zookeeper"
 BUDGETS = (2 << 20, 16 << 20, 64 << 20)
@@ -34,7 +35,8 @@ def test_ablation_memory_budget(benchmark, capsys):
         }
         lines.append(
             f"{budget >> 20:>8}MB{stats.final_partitions:>13}"
-            f"{stats.pairs_processed:>9}{stats.breakdown()['io']:>11.1%}"
+            f"{stats.pairs_processed:>9}"
+            f"{breakdown(run.closure_spans)['io']:>11.1%}"
             f"{format_duration(run.total_time):>10}{len(run.report):>10}"
         )
     lines.append(

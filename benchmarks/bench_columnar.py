@@ -52,6 +52,7 @@ def _measure_in_this_process(scale: float, budget_mb: float) -> dict:
         GrappleOptions,
         default_checkers,
     )
+    from repro.obs.report import breakdown
     from repro.workloads import build_subject
 
     source = build_subject(SUBJECT, scale=scale).source
@@ -67,7 +68,9 @@ def _measure_in_this_process(scale: float, budget_mb: float) -> dict:
         "pairs_processed": stats.pairs_processed,
         "edges_after": stats.edges_after,
         "warnings": len(run.report.warnings),
-        "breakdown": {k: round(v, 4) for k, v in stats.breakdown().items()},
+        "breakdown": {
+            k: round(v, 4) for k, v in breakdown(run.closure_spans).items()
+        },
         "fingerprint": sorted(
             (w.checker, w.kind, w.site, w.state) for w in run.report.warnings
         ),

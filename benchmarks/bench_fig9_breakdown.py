@@ -1,13 +1,15 @@
 """Figure 9: performance breakdown.
 
-Per subject, the share of total analysis time spent on I/O, constraint
-encoding/decoding (lookup), SMT solving, and in-memory edge computation.
+Per subject, the share of the closures' time spent on I/O, constraint
+encoding/decoding (lookup), SMT solving, and in-memory edge computation
+(the closure windows' span self times, ``repro.obs.report.breakdown``).
 Paper shapes: SMT solving plus edge computation dominate everywhere; I/O
 is a few percent; one subject (Hadoop) is computation-dominated while the
 others are solver-dominated.
 """
 
 from benchmarks.helpers import SUBJECT_NAMES, emit, grapple_run
+from repro.obs.report import breakdown
 
 
 def _ascii_bar(fraction: float, width: int = 32) -> str:
@@ -26,7 +28,7 @@ def test_fig9_breakdown(benchmark, capsys):
     breakdowns = {}
     for name in SUBJECT_NAMES:
         _subj, run = runs[name]
-        b = run.stats.breakdown()
+        b = breakdown(run.closure_spans)
         breakdowns[name] = b
         lines.append(
             f"{name:<11}{b['io']:>6.1%}{b['encode']:>8.1%}"

@@ -8,6 +8,7 @@ from repro.analysis.frontend import CompiledProgram
 from repro.engine.computation import EngineOptions, EngineResult, GraphEngine
 from repro.grammar.pointsto import ALIAS, FLOWS_TO, PointsToGrammar
 from repro.graph.alias_graph import AliasGraphResult, build_alias_graph
+from repro.obs.trace import TraceRecorder
 
 
 @dataclass
@@ -69,24 +70,26 @@ def run_alias_phase(
     ``engine_factory`` builds the closure engine (a baseline passes its
     :class:`GraphEngine` subclass).
     """
-    if relevance is not None and rstats is not None:
-        for func, vars_ in sorted(compiled.info.object_vars.items()):
-            sliced = sum(
-                1 for v in vars_ if not relevance.var_relevant(func, v)
-            )
-            rstats.alias_vars_sliced += sliced
-            if sliced and func not in relevance.alias_relevant_funcs:
-                rstats.functions_sliced += 1
-    graph_result = build_alias_graph(
-        compiled.program,
-        compiled.icfet,
-        compiled.callgraph,
-        compiled.info,
-        compiled.forest,
-        tracked_types,
-        relevance=relevance,
-        rstats=rstats,
-    )
+    trace = getattr(options, "trace", None) or TraceRecorder(chrome=False)
+    with trace.span("alias-graph", cat="graph"):
+        if relevance is not None and rstats is not None:
+            for func, vars_ in sorted(compiled.info.object_vars.items()):
+                sliced = sum(
+                    1 for v in vars_ if not relevance.var_relevant(func, v)
+                )
+                rstats.alias_vars_sliced += sliced
+                if sliced and func not in relevance.alias_relevant_funcs:
+                    rstats.functions_sliced += 1
+        graph_result = build_alias_graph(
+            compiled.program,
+            compiled.icfet,
+            compiled.callgraph,
+            compiled.info,
+            compiled.forest,
+            tracked_types,
+            relevance=relevance,
+            rstats=rstats,
+        )
     engine = engine_factory(
         compiled.icfet, PointsToGrammar(), options, phase="alias"
     )
@@ -94,10 +97,13 @@ def run_alias_phase(
 
     analysis = AliasAnalysis(graph_result, engine_result)
     tracked_vertices = {t.vertex for t in graph_result.tracked}
-    for src, dst, label, encoding in engine_result.iter_edges():
-        if label == FLOWS_TO and src in tracked_vertices:
-            key = (src, dst)
-            analysis.flows_to[key] = analysis.flows_to.get(key, ()) + (encoding,)
-        elif label == ALIAS:
-            analysis.alias_pair_count += 1
+    with trace.span("alias-index", cat="graph"):
+        for src, dst, label, encoding in engine_result.iter_edges():
+            if label == FLOWS_TO and src in tracked_vertices:
+                key = (src, dst)
+                analysis.flows_to[key] = (
+                    analysis.flows_to.get(key, ()) + (encoding,)
+                )
+            elif label == ALIAS:
+                analysis.alias_pair_count += 1
     return analysis

@@ -10,6 +10,7 @@ from repro.checkers.fsm import FSM
 from repro.engine.computation import EngineOptions, EngineResult, GraphEngine
 from repro.grammar.dataflow import DataflowGrammar
 from repro.graph.dataflow_graph import DataflowGraphResult, build_dataflow_graph
+from repro.obs.trace import TraceRecorder
 
 
 @dataclass
@@ -35,21 +36,20 @@ def run_dataflow_phase(
     cf chains before the closure runs.  ``engine_factory`` builds the
     closure engine, as in :func:`~repro.analysis.alias.run_alias_phase`.
     """
-    graph_result = build_dataflow_graph(
-        compiled.icfet,
-        alias_phase.graph_result,
-        fsms_by_type,
-        relevance=relevance,
-        rstats=rstats,
-    )
+    trace = getattr(options, "trace", None) or TraceRecorder(chrome=False)
+    with trace.span("dataflow-graph", cat="graph"):
+        graph_result = build_dataflow_graph(
+            compiled.icfet,
+            alias_phase.graph_result,
+            fsms_by_type,
+            relevance=relevance,
+            rstats=rstats,
+        )
     if rstats is not None:
         from repro.sa.reduce import compress_cf_chains
 
-        trace = options.trace if options is not None else None
-        tick = trace.begin() if trace is not None else 0.0
-        compress_cf_chains(graph_result, compiled.icfet, rstats)
-        if trace is not None:
-            trace.end("sa-compress", tick, cat="sa")
+        with trace.span("sa-compress", cat="sa"):
+            compress_cf_chains(graph_result, compiled.icfet, rstats)
     grammar = DataflowGrammar(
         objects=graph_result.objects,
         alias_index=alias_phase.flows_to,

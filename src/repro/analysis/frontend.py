@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 
 from repro.lang import ast
@@ -20,6 +19,7 @@ from repro.lang.transform import (
 from repro.lang.types import ObjectInfo, infer_object_vars
 from repro.cfet.icfet import BuiltCfet, Icfet, build_icfet
 from repro.graph.cloning import CloneForest, body_digest, enumerate_clones
+from repro.obs.trace import TraceRecorder
 
 
 @dataclass
@@ -32,7 +32,6 @@ class CompiledProgram:
     info: ObjectInfo
     forest: CloneForest
     loc: int
-    frontend_time: float
     #: Scope-graph resolution record for multi-file subjects
     #: (:class:`repro.sa.scopes.Resolution`); None for single-source runs.
     resolution: object = None
@@ -97,39 +96,40 @@ def compile_source(
     folded away and dead pure-scalar stores removed, so the CFET (and
     therefore every generated graph edge and path constraint) is built
     from the reduced program.  ``reduction`` collects the counters and
-    ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) the pass spans.
+    ``trace`` (the run's :class:`repro.obs.trace.TraceRecorder`) a span
+    per pass.
 
     ``roots`` names the entry points whose clone trees ``forest`` holds
     (default: every root function).
     """
-    start = time.perf_counter()
+    trace = trace or TraceRecorder(chrome=False)
     resolution = None
     memo = None
     if isinstance(source, str):
-        program = parse_program(source)
-        source_text = source
+        with trace.span("parse", cat="lang"):
+            program = parse_program(source)
+            loc = _loc(source)
     else:
         from repro.sa.scopes import load_modules
 
-        tick = trace.begin() if trace is not None else 0.0
-        loaded = load_modules(source, cache=scope_cache)
-        if trace is not None:
-            trace.end("sa-scopes", tick, cat="sa")
+        with trace.span("sa-scopes", cat="sa"):
+            loaded = load_modules(source, cache=scope_cache, trace=trace)
+            # Keyed as load_modules keys its files.
+            texts = dict(source) if isinstance(source, dict) else {
+                str(path): text for path, text in source
+            }
+            loc = sum(_loc(text) for text in texts.values())
         program = loaded.program
         resolution = loaded.resolution
-        # Keyed as load_modules keys its files.
-        texts = dict(source) if isinstance(source, dict) else {
-            str(path): text for path, text in source
-        }
-        source_text = "\n".join(texts.values())
         if scope_cache is not None:
             memo = _Memo(loaded, texts, (unroll, reduce))
     # The passes run over the functions no fragment stands in for.
     work = program if memo is None else memo.misses
-    normalize_calls(work)
-    unroll_loops(work, unroll)
-    may_throw = None if memo is None else memo.may_throw(unroll)
-    lower_exceptions(work, may_throw)
+    with trace.span("transforms", cat="lang"):
+        normalize_calls(work)
+        unroll_loops(work, unroll)
+        may_throw = None if memo is None else memo.may_throw(unroll)
+        lower_exceptions(work, may_throw)
     info = None
     folded: dict[str, int] = {}
     dead: dict[str, int] = {}
@@ -140,11 +140,8 @@ def compile_source(
 
         if reduction is None:
             reduction = ReductionStats()
-        tick = trace.begin() if trace is not None else 0.0
-        fold_constant_branches(work, folded)
-        if trace is not None:
-            trace.end("sa-fold", tick, cat="sa")
-            tick = trace.begin()
+        with trace.span("sa-fold", cat="sa"):
+            fold_constant_branches(work, folded)
         # Dead-store elimination needs object-variable classification to
         # restrict itself to scalars; the folded program gives the same
         # (or a smaller) classification than the original.  It is also
@@ -152,25 +149,28 @@ def compile_source(
         # stores of a pure literal/var/arithmetic value to a variable
         # that is scalar at the fixpoint, and no inference rule fires on
         # such a store, so the least fixpoint cannot move.
-        info = infer_object_vars(program)
-        if memo is not None:
-            info = memo.settle(info, unroll, may_throw, folded)
-        eliminate_dead_stores(work, info, dead)
-        if trace is not None:
-            trace.end("sa-dse", tick, cat="sa")
+        with trace.span("types", cat="lang"):
+            info = infer_object_vars(program)
+            if memo is not None:
+                info = memo.settle(info, unroll, may_throw, folded)
+        with trace.span("sa-dse", cat="sa"):
+            eliminate_dead_stores(work, info, dead)
         for name, done in (memo.reused.items() if memo else ()):
             folded[name], dead[name] = done.folded, done.dead
         reduction.branches_folded += sum(folded.values())
         reduction.dead_stores_removed += sum(dead.values())
-    icfet = build_icfet(program, None if memo is None else memo.cfets())
-    callgraph = build_call_graph(program)
+    with trace.span("icfet", cat="cfet"):
+        icfet = build_icfet(program, None if memo is None else memo.cfets())
+    with trace.span("callgraph", cat="lang"):
+        callgraph = build_call_graph(program)
     if info is None:
-        info = infer_object_vars(program)
-    forest = enumerate_clones(
-        program, icfet, callgraph, roots=roots,
-        max_depth=max_clone_depth, max_clones=max_clones,
-    )
-    loc = sum(1 for line in source_text.splitlines() if line.strip())
+        with trace.span("types", cat="lang"):
+            info = infer_object_vars(program)
+    with trace.span("cloning", cat="graph"):
+        forest = enumerate_clones(
+            program, icfet, callgraph, roots=roots,
+            max_depth=max_clone_depth, max_clones=max_clones,
+        )
     compiled = CompiledProgram(
         program=program,
         icfet=icfet,
@@ -178,14 +178,18 @@ def compile_source(
         info=info,
         forest=forest,
         loc=loc,
-        frontend_time=0.0,
         resolution=resolution,
         recompiled=len(program.functions),
     )
     if memo is not None:
-        memo.keep(scope_cache, compiled, may_throw, folded, dead)
-    compiled.frontend_time = time.perf_counter() - start
+        with trace.span("fragments", cat="sa"):
+            memo.keep(scope_cache, compiled, may_throw, folded, dead)
     return compiled
+
+
+def _loc(text: str) -> int:
+    """Non-blank lines."""
+    return sum(1 for line in text.splitlines() if line.strip())
 
 
 def _throwing(name: str, escapes: EscapeSummary, may_throw: set) -> frozenset:

@@ -8,9 +8,9 @@ and check them against every applicable FSM (phase 3).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -28,6 +28,9 @@ from repro.graph.cloning import (
     root_keys,
     tree_order,
 )
+from repro.obs.trace import TraceRecorder, merge_spans
+from repro.sa.reduce import ReductionStats
+from repro.sa.relevance import compute_relevance
 
 
 @dataclass
@@ -61,9 +64,11 @@ class GrappleRun:
     alias_phase: AliasAnalysis
     dataflow_phase: DataflowAnalysis
     report: Report
-    preprocess_time: float
-    computation_time: float
-    total_time: float
+    #: ``{span name: (self_s, incl_s, calls)}`` of every span this run
+    #: ended on its thread: the ``run`` span and all within it.
+    spans: dict = field(default_factory=dict)
+    #: The run's histograms (``repro.obs.metrics``): what it observed.
+    histograms: dict = field(default_factory=dict)
     #: Pre-closure reduction counters; None when reduction was off.
     reduction: "ReductionStats | None" = None
     #: ``{root: [key, [file-relative warning dicts]]}`` for every root
@@ -77,17 +82,37 @@ class GrappleRun:
 
     @property
     def stats(self) -> EngineStats:
-        """Merged engine stats across both phases (Fig. 9 components).
+        """Merged engine stats across both phases.
 
         Cross-phase aggregation is :meth:`EngineStats.merge_phase`,
         derived entirely from field metadata: counters and gauges sum
-        (both operands are final per-phase results), flags OR,
-        histograms merge by name.
+        (both operands are final per-phase results), flags OR.
         """
         merged = EngineStats()
         merged.merge_phase(self.alias_phase.engine_result.stats)
         merged.merge_phase(self.dataflow_phase.engine_result.stats)
         return merged
+
+    @property
+    def closure_spans(self) -> dict:
+        """Both phases' closure windows, summed (Fig. 9 reads these)."""
+        return merge_spans(
+            phase.engine_result.closure_spans
+            for phase in (self.alias_phase, self.dataflow_phase)
+        )
+
+    @property
+    def total_time(self) -> float:
+        return self.spans["run"][1]
+
+    @property
+    def computation_time(self) -> float:
+        """The closures' wall (the paper's Table 3 CT)."""
+        return self.closure_spans.get("closure", (0.0, 0.0, 0))[1]
+
+    @property
+    def preprocess_time(self) -> float:
+        return self.total_time - self.computation_time
 
     def run_report(
         self, subject: str | None = None, telemetry: dict | None = None
@@ -103,12 +128,10 @@ class GrappleRun:
         resolution = self.compiled.resolution
         return run_report(
             self.stats,
-            {
-                "preprocess_s": self.preprocess_time,
-                "computation_s": self.computation_time,
-                "total_s": self.total_time,
-            },
             len(self.report.warnings),
+            spans=self.spans,
+            closure=self.closure_spans,
+            histograms=self.histograms,
             reduction=(
                 self.reduction.as_dict() if self.reduction is not None
                 else None
@@ -148,14 +171,20 @@ class Grapple:
         self.engine_factory = engine_factory
 
     def run(self) -> GrappleRun:
-        options = self.options
-        start = time.perf_counter()
-        reduction = None
-        trace = options.engine.trace
-        if options.reduce:
-            from repro.sa.reduce import ReductionStats
+        """One run, timed by the spans of one recorder: the engine
+        options' ``trace``, or one made here that keeps no events."""
+        trace = self.options.engine.trace or TraceRecorder(chrome=False)
+        window = trace.window()
+        with trace.span("run", cat="pipeline"):
+            run = self._run(trace)
+        run.spans = window.spans()
+        run.histograms = window.histograms()
+        return run
 
-            reduction = ReductionStats()
+    def _run(self, trace) -> GrappleRun:
+        options = self.options
+        engine_options = dataclasses.replace(options.engine, trace=trace)
+        reduction = ReductionStats() if options.reduce else None
         compiled = compile_source(
             self.source,
             unroll=options.unroll,
@@ -169,86 +198,78 @@ class Grapple:
 
         relevance = None
         if options.reduce:
-            from repro.sa.relevance import compute_relevance
+            with trace.span("sa-relevance", cat="sa"):
+                tracked_events: set[str] = set()
+                for fsm in self.fsms:
+                    tracked_events |= fsm.events()
+                relevance = compute_relevance(
+                    compiled.program,
+                    compiled.callgraph,
+                    compiled.info,
+                    tracked_types,
+                    tracked_events,
+                )
 
-            tracked_events: set[str] = set()
-            for fsm in self.fsms:
-                tracked_events |= fsm.events()
-            tick = trace.begin() if trace is not None else 0.0
-            relevance = compute_relevance(
-                compiled.program,
-                compiled.callgraph,
-                compiled.info,
-                tracked_types,
-                tracked_events,
+        with trace.span("root-trees", cat="graph") as span:
+            ranges = _SiteRanges(compiled.resolution)
+            roots = root_functions(compiled.program, compiled.callgraph)
+            table = options.root_table
+            # No table (`repro check`): nothing to reuse, so nothing to key.
+            keys = {} if table is None else root_keys(
+                compiled.program, compiled.callgraph, roots, self._config(),
+                compiled.info, relevance, ranges.origin, compiled.bodies,
             )
-            if trace is not None:
-                trace.end("sa-relevance", tick, cat="sa")
+            reused = {
+                root: table[root] for root, key in keys.items()
+                if root in table and table[root][0] == key
+            }
+            rechecked = [root for root in roots if root not in reused]
+            with trace.span("cloning", cat="graph"):
+                compiled.forest = enumerate_clones(
+                    compiled.program, compiled.icfet, compiled.callgraph,
+                    roots=rechecked,
+                    max_depth=options.max_clone_depth,
+                    max_clones=options.max_clones,
+                )
+            span.args.update(roots=len(roots), rechecked=len(rechecked))
 
-        tick = time.perf_counter()
-        ranges = _SiteRanges(compiled.resolution)
-        roots = root_functions(compiled.program, compiled.callgraph)
-        table = options.root_table
-        # No table (`repro check`): nothing to reuse, so nothing to key.
-        keys = {} if table is None else root_keys(
-            compiled.program, compiled.callgraph, roots, self._config(),
-            compiled.info, relevance, ranges.origin, compiled.bodies,
-        )
-        reused = {
-            root: table[root] for root, key in keys.items()
-            if root in table and table[root][0] == key
-        }
-        rechecked = [root for root in roots if root not in reused]
-        compiled.forest = enumerate_clones(
-            compiled.program, compiled.icfet, compiled.callgraph,
-            roots=rechecked,
-            max_depth=options.max_clone_depth, max_clones=options.max_clones,
-        )
-        compiled.frontend_time += time.perf_counter() - tick
-        if trace is not None:
-            trace.end("root-trees", tick, cat="graph",
-                      roots=len(roots), rechecked=len(rechecked))
-
-        alias_phase = run_alias_phase(
-            compiled, tracked_types, options.engine,
-            relevance=relevance, rstats=reduction,
-            engine_factory=self.engine_factory,
-        )
-        dataflow_phase = run_dataflow_phase(
-            compiled, alias_phase, self.fsms_by_type, options.engine,
-            relevance=relevance, rstats=reduction,
-            engine_factory=self.engine_factory,
-        )
-        fresh = extract_report(dataflow_phase, compiled.forest, compiled.icfet)
-        # A whole run reports tree by tree (warnings come in vertex
-        # order); a warning two trees share keeps the first one's witness.
-        report = Report()
-        root_table = {}
-        for root in tree_order(roots):
-            entry = reused.get(root)
-            if entry is None:
-                found = fresh[root].warnings if root in fresh else []
-                entry = [keys.get(root), [ranges.localize(w) for w in found]]
-            else:
-                found = [ranges.globalize(doc) for doc in entry[1]]
-            for warning in found:
-                report.add(warning)
-            root_table[root] = entry
-        total = time.perf_counter() - start
-
-        preprocess = (
-            compiled.frontend_time
-            + alias_phase.engine_result.stats.preprocess_time
-            + dataflow_phase.engine_result.stats.preprocess_time
-        )
+        # A phase span's self time is its engine's set-up and teardown.
+        with trace.span("alias-phase", cat="pipeline"):
+            alias_phase = run_alias_phase(
+                compiled, tracked_types, engine_options,
+                relevance=relevance, rstats=reduction,
+                engine_factory=self.engine_factory,
+            )
+        with trace.span("dataflow-phase", cat="pipeline"):
+            dataflow_phase = run_dataflow_phase(
+                compiled, alias_phase, self.fsms_by_type, engine_options,
+                relevance=relevance, rstats=reduction,
+                engine_factory=self.engine_factory,
+            )
+        with trace.span("extract-report", cat="checkers"):
+            fresh = extract_report(
+                dataflow_phase, compiled.forest, compiled.icfet
+            )
+            # A whole run reports tree by tree (warnings come in vertex
+            # order); a warning two trees share keeps the first one's
+            # witness.
+            report = Report()
+            root_table = {}
+            for root in tree_order(roots):
+                entry = reused.get(root)
+                if entry is None:
+                    found = fresh[root].warnings if root in fresh else []
+                    entry = [keys.get(root), [ranges.localize(w) for w in found]]
+                else:
+                    found = [ranges.globalize(doc) for doc in entry[1]]
+                for warning in found:
+                    report.add(warning)
+                root_table[root] = entry
         return GrappleRun(
             compiled=compiled,
             alias_phase=alias_phase,
             dataflow_phase=dataflow_phase,
             report=report,
-            preprocess_time=preprocess,
-            computation_time=total - preprocess,
-            total_time=total,
             reduction=reduction,
             root_table=root_table,
             rechecked=rechecked,

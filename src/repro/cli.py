@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                        " a .jsonl suffix selects the compact JSONL form)")
     check.add_argument("--metrics-json", metavar="FILE", default=None,
                        help="write the grapple/run-report JSON (counters,"
-                       " gauges, latency/size histograms, time breakdown)")
+                       " gauges, per-span times, latency/size histograms,"
+                       " time breakdown)")
     check.add_argument("--heartbeat", type=float, metavar="SECONDS",
                        default=None,
                        help="print a progress line to stderr every N"
@@ -294,11 +295,10 @@ def cmd_check(args) -> int:
             args.trace = "trace.json"
         if not args.metrics_json:
             args.metrics_json = "run-report.json"
-    recorder = None
-    if args.trace:
-        from repro.obs.trace import TraceRecorder
+    from repro.obs.trace import TraceRecorder
 
-        recorder = TraceRecorder()
+    # The run's one timer; it keeps Chrome events only under --trace.
+    recorder = TraceRecorder(chrome=bool(args.trace))
     sampler = None
     if args.profile:
         from repro.obs.profile import ResourceSampler
@@ -319,7 +319,6 @@ def cmd_check(args) -> int:
             memory_budget=budget_bytes,
             enable_cache=not args.no_cache,
             trace=recorder,
-            metrics=bool(args.metrics_json),
             heartbeat=args.heartbeat,
             sampler=sampler,
             workdir=args.workdir,
@@ -360,7 +359,7 @@ def cmd_check(args) -> int:
         # survivors, which is the hand-back's cost, not the run's.
         if collecting:
             gc.enable()
-    if recorder is not None:
+    if args.trace:
         recorder.export(args.trace)
         print(
             f"trace: {len(recorder.events)} events -> {args.trace}",
@@ -423,7 +422,21 @@ def _stats_text(report: dict) -> str:
             f" ({scopes['unresolved_refs']} extern/unresolved,"
             f" {scopes['ambiguous_refs']} ambiguous)"
         )
-    lines.append(f"total time          : {report['timing']['total_s']:.2f}s")
+    timing, breakdown = report["timing"], report["breakdown"]
+    slowest = sorted(
+        report["spans"].items(), key=lambda item: -item[1]["self_s"]
+    )[:5]
+    lines += [
+        f"preprocess/closure  : {timing['preprocess_s']:.2f}s"
+        f" / {timing['computation_s']:.2f}s",
+        "closure breakdown   : " + " · ".join(
+            f"{key} {share:.0%}" for key, share in breakdown.items()
+        ),
+        "slowest spans (self): " + " · ".join(
+            f"{name} {row['self_s']:.2f}s" for name, row in slowest
+        ),
+        f"total time          : {timing['total_s']:.2f}s",
+    ]
     return "\n".join(lines)
 
 
@@ -501,13 +514,10 @@ def cmd_serve(args) -> int:
     """``repro serve``: the incremental analysis daemon."""
     import json
 
+    from repro.obs.trace import TraceRecorder
     from repro.serve import Server, ServeEngine
 
-    recorder = None
-    if args.trace:
-        from repro.obs.trace import TraceRecorder
-
-        recorder = TraceRecorder()
+    recorder = TraceRecorder(chrome=bool(args.trace))
     _check_unroll(args.unroll)
     if not (math.isfinite(args.poll) and args.poll > 0):
         # 0 would make the listening socket non-blocking.
@@ -543,7 +553,7 @@ def cmd_serve(args) -> int:
         path = exc.filename2 or exc.filename or args.workdir
         raise UsageError(f"cannot use {path}: {exc.strerror}") from None
     finally:
-        if recorder is not None:
+        if args.trace:
             recorder.export(args.trace)
 
 

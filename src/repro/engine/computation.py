@@ -44,7 +44,6 @@ import os
 import shutil
 import sys
 import tempfile
-import time
 from dataclasses import dataclass, field
 
 from repro.cfet import encoding as enc_mod
@@ -59,7 +58,7 @@ from repro.engine.partition import Partition, PartitionStore
 from repro.engine.scheduling import DeltaLog, PairScheduler
 from repro.engine.stats import EngineStats
 from repro.faults import resolve_plan
-from repro.obs.trace import NULL_RECORDER
+from repro.obs.trace import TraceRecorder
 from repro.grammar.cfg_grammar import ComposeContext, Grammar
 from repro.graph.model import ProgramGraph
 from repro.smt import Result, Solver
@@ -93,12 +92,11 @@ class EngineOptions:
     # considered feasible (no constraint decoding or solving), matching a
     # purely grammar-guided Graspan-style closure.
     path_sensitive: bool = True
-    # Observability (repro.obs) -- all three default off and cost nothing
-    # when disabled.  ``trace`` is a TraceRecorder; ``metrics`` attaches
-    # the standard histograms to the stats; ``heartbeat`` prints
-    # a progress line on stderr every N seconds.
+    # Observability (repro.obs).  ``trace`` is the run's TraceRecorder,
+    # the one timer every span of the run records into (None: the
+    # engine makes one that keeps span times and no Chrome events);
+    # ``heartbeat`` prints a progress line on stderr every N seconds.
     trace: object = None
-    metrics: bool = False
     heartbeat: float | None = None
     # Resource telemetry (repro.obs.profile): a ResourceSampler whose
     # background thread records gauge timeseries (RSS, cache occupancy,
@@ -130,6 +128,9 @@ class EngineResult:
     stats: EngineStats
     store: PartitionStore
     graph: ProgramGraph  # provides the vertex/label tables and meta
+    #: ``{span name: (self_s, incl_s, calls)}`` of the closure window:
+    #: the ``closure`` span and everything that ran inside it.
+    closure_spans: dict = field(default_factory=dict)
     _finalizer: object = None
 
     def own_workdir(self, workdir: str) -> None:
@@ -206,12 +207,7 @@ class GraphEngine:
         self.faults = resolve_plan(self.options.fault_plan)
         self.options.fault_plan = self.faults
         self.stats = EngineStats()
-        self.trace = (
-            self.options.trace if self.options.trace is not None
-            else NULL_RECORDER
-        )
-        if self.options.metrics:
-            self.stats.ensure_metrics()
+        self.trace = self.options.trace or TraceRecorder(chrome=False)
         self._heartbeat = None
         # All id-keyed memo tables below live and die with the
         # EncodingTable that defines the ids.
@@ -309,7 +305,7 @@ class GraphEngine:
                     file=sys.stderr,
                 )
         prefetch = PrefetchReader(trace=trace)
-        with stats.timing("preprocess_time"):
+        with trace.span("engine-init", phase=self.phase):
             self._seed_derived(graph)
             store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
@@ -364,6 +360,7 @@ class GraphEngine:
         )
 
         resumed_complete = manifest is not None and manifest["complete"]
+        window = trace.window()
         try:
             with trace.span("closure", partitions=len(store.partitions)):
                 # A complete manifest says this phase already finished.
@@ -384,15 +381,18 @@ class GraphEngine:
             # Post-run edge iteration must not count prefetch misses:
             # tear the reader down here.
             store.drop_pipeline()
+        closure_spans = window.spans()
 
-        store.settle()
-        stats.edges_after = store.total_edges()
-        stats.final_partitions = len(store.partitions)
-        stats.encodings = len(self._enc)
-        if not resumed_complete:
-            self._write_checkpoint(complete=True)
-        result = EngineResult(stats=stats, store=store, graph=graph)
-        return result
+        with trace.span("engine-settle", phase=self.phase):
+            store.settle()
+            stats.edges_after = store.total_edges()
+            stats.final_partitions = len(store.partitions)
+            stats.encodings = len(self._enc)
+            if not resumed_complete:
+                self._write_checkpoint(complete=True)
+        return EngineResult(
+            stats=stats, store=store, graph=graph, closure_spans=closure_spans
+        )
 
     def _write_checkpoint(self, complete: bool = False) -> None:
         """Flush the store and write the resume manifest (no-op when
@@ -401,25 +401,25 @@ class GraphEngine:
         if self._ckpt_dir is None:
             return
         store = self._store
-        store.flush()
-        trace = self.trace
-        tick = trace.begin() if trace.enabled else 0.0
-        last_seen = (
-            self._scheduler.last_seen if self._scheduler is not None else {}
-        )
-        manifest = ckpt.write_manifest(
-            self._ckpt_dir, phase=self.phase or "closure",
-            config=ckpt.config_digest(self), store=store, last_seen=last_seen,
-            stats=self.stats, graph=self._graph, complete=complete,
-        )
-        # With the manifest durable, anything it does not reference is
-        # superseded garbage (folded delta logs, torn-write temps); a
-        # long-running workdir would otherwise grow monotonically.
-        self.stats.checkpoint_files_pruned += ckpt.prune_workdir(
-            self._ckpt_dir, manifest
-        )
-        if tick:
-            trace.end("checkpoint", tick, cat="fault", complete=complete)
+        with self.trace.span("checkpoint", cat="fault", complete=complete):
+            store.flush()
+            last_seen = (
+                self._scheduler.last_seen if self._scheduler is not None
+                else {}
+            )
+            manifest = ckpt.write_manifest(
+                self._ckpt_dir, phase=self.phase or "closure",
+                config=ckpt.config_digest(self), store=store,
+                last_seen=last_seen, stats=self.stats, graph=self._graph,
+                complete=complete,
+            )
+            # With the manifest durable, anything it does not reference
+            # is superseded garbage (folded delta logs, torn-write
+            # temps); a long-running workdir would otherwise grow
+            # monotonically.
+            self.stats.checkpoint_files_pruned += ckpt.prune_workdir(
+                self._ckpt_dir, manifest
+            )
         self.stats.checkpoints_written += 1
         spec = self.faults.fire("checkpoint")
         if spec is not None and spec.mode == "kill_run":
@@ -509,18 +509,15 @@ class GraphEngine:
                 for upcoming in scheduler.peek_pairs(PREFETCH_DEPTH):
                     for index in set(upcoming) - busy:
                         store.prefetch_schedule(store.partitions[index])
-                if trace.enabled:
-                    with trace.span(
-                        "iteration", iteration=stats.pairs_processed + 1,
-                        pair=f"{pair[0]},{pair[1]}",
-                    ):
-                        closed = self._attempt_pair(pair)
-                else:
+                with trace.span(
+                    "iteration", iteration=stats.pairs_processed + 1,
+                    pair=f"{pair[0]},{pair[1]}",
+                ):
                     closed = self._attempt_pair(pair)
-                self._mark_visited(pair, closed)
-                stats.pairs_processed += 1
-                stats.iterations = stats.pairs_processed
-                self._write_checkpoint()
+                    self._mark_visited(pair, closed)
+                    stats.pairs_processed += 1
+                    stats.iterations = stats.pairs_processed
+                    self._write_checkpoint()
                 if heartbeat is not None:
                     heartbeat.maybe_beat(stats, store, scheduler)
         finally:
@@ -554,24 +551,21 @@ class GraphEngine:
         """Before a retry: probe the pair's partitions and rewrite any
         whose file is unreadable from the resident cached copy or the
         torn rename's temp file (:meth:`PartitionStore.rebuild`)."""
-        stats = self.stats
         store = self._store
-        stats.retries += 1
-        tick = self.trace.begin() if self.trace.enabled else 0.0
-        for index in set(pair):
-            part = store.partitions[index]
-            if store.prefetch is not None:
-                store.prefetch.invalidate(index)
-            try:
-                store.load(part)
-            except serialize.CorruptPartition:
-                if not store.rebuild(part):
-                    self._quarantine_partition(part, exc)
-        if tick:
-            self.trace.end(
-                "retry", tick, cat="fault",
-                pair=f"{pair[0]},{pair[1]}", attempt=attempt,
-            )
+        self.stats.retries += 1
+        with self.trace.span(
+            "retry", cat="fault", pair=f"{pair[0]},{pair[1]}",
+            attempt=attempt,
+        ):
+            for index in set(pair):
+                part = store.partitions[index]
+                if store.prefetch is not None:
+                    store.prefetch.invalidate(index)
+                try:
+                    store.load(part)
+                except serialize.CorruptPartition:
+                    if not store.rebuild(part):
+                        self._quarantine_partition(part, exc)
 
     def _repair_lost_frames(self) -> None:
         """Give back what lost delta frames held (DESIGN.md §11).
@@ -695,7 +689,7 @@ class GraphEngine:
         if key in memo:
             return memo[key]
         table = self._enc
-        with self.stats.timing("encode_time"):
+        with self.trace.span("enc-merge", cat="encode"):
             merged = self._merge_encodings(table.decode(e1), table.decode(e2))
         result = None if merged is None else table.intern(merged)
         if len(memo) < MERGE_MEMO_CAP:
@@ -706,7 +700,7 @@ class GraphEngine:
         memo = self._reverse_memo
         result = memo.get(eid)
         if result is None:
-            with self.stats.timing("encode_time"):
+            with self.trace.span("enc-reverse", cat="encode"):
                 reversed_enc = self._reverse_encoding(self._enc.decode(eid))
             result = memo[eid] = self._enc.intern(reversed_enc)
         return result
@@ -714,36 +708,14 @@ class GraphEngine:
     # -- pair processing ---------------------------------------------------------
 
     def _process_pair(self, i: int, j: int) -> None:
-        """Run one pair's drain, attributing its self-time to compute.
-
-        The reentrant ``timing`` span means the I/O, encoding, and SMT
-        time accrued *inside* the body lands in its own components and is
-        subtracted from ``compute_time`` automatically -- this replaced a
-        hand-maintained "already accounted" delta.  With observability on,
-        the wrapper also emits a ``pair-compute`` trace span and feeds the
-        pair latency / edge-yield histograms.
-        """
+        """Run one pair's drain in a ``pair-compute`` span, which feeds
+        the pair latency and edge-yield histograms; the loads, encoding
+        and solving inside it are spans of their own."""
         stats = self.stats
-        trace = self.trace
-        metrics = stats.metrics
-        if not trace.enabled and metrics is None:
-            with stats.timing("compute_time"):
-                self._pair_body(i, j)
-            return
         edges_before = stats.new_edges
-        start = time.perf_counter()
-        with stats.timing("compute_time"):
+        with self.trace.span("pair-compute", cat="pair", pair=f"{i},{j}") as span:
             self._pair_body(i, j)
-        elapsed = time.perf_counter() - start
-        yielded = stats.new_edges - edges_before
-        if trace.enabled:
-            trace.end(
-                "pair-compute", start, cat="pair",
-                pair=f"{i},{j}", new_edges=yielded,
-            )
-        if metrics is not None:
-            metrics["pair_compute_s"].observe(elapsed)
-            metrics["pair_new_edges"].observe(yielded)
+            span.args["new_edges"] = stats.new_edges - edges_before
 
     def _pair_body(self, i: int, j: int) -> None:
         """Semi-naive visit of one partition pair.
@@ -1070,10 +1042,9 @@ class GraphEngine:
             if cached is not None:
                 stats.cache_hits += 1
                 return cached
-        start = time.perf_counter()
         form = result = None
         if enable_cache:
-            with stats.timing("encode_time"):
+            with self.trace.span("form-key", cat="encode"):
                 form = self._form_key(ids)
             result = self._form_memo.get(form)
         if result is not None:
@@ -1083,13 +1054,12 @@ class GraphEngine:
             stats.group_hits += 1
         else:
             stats.constraints_decoded += 1
-            with stats.timing("encode_time"):
+            with self.trace.span("decode", cat="encode"):
                 constraints = self._decode_ids(ids)
             result = self._solve_formula(E.and_(*constraints))
             if form is not None:
                 stats.feasibility_groups += 1
                 self._form_memo[form] = result
-        stats.feasibility_time += time.perf_counter() - start
         if enable_cache:
             self.cache.put(key, result)
         return result
@@ -1113,24 +1083,11 @@ class GraphEngine:
         )
 
     def _solve_formula(self, formula) -> bool:
-        """One instrumented solver call (smt timing, trace span, latency
-        histogram)."""
-        stats = self.stats
-        trace = self.trace
-        metrics = stats.metrics
-        with stats.timing("smt_time"):
-            stats.constraints_solved += 1
-            solve_start = (
-                time.perf_counter()
-                if (trace.enabled or metrics is not None)
-                else 0.0
+        """One solver call, in an ``smt-solve`` span (which feeds the
+        solve-latency histogram)."""
+        self.stats.constraints_solved += 1
+        with self.trace.span("smt-solve", cat="smt") as span:
+            result = span.args["sat"] = (
+                self.solver.check(formula) is Result.SAT
             )
-            result = self.solver.check(formula) is Result.SAT
-            if solve_start:
-                if trace.enabled:
-                    trace.end("smt-solve", solve_start, cat="smt", sat=result)
-                if metrics is not None:
-                    metrics["solve_latency_s"].observe(
-                        time.perf_counter() - solve_start
-                    )
         return result

@@ -28,14 +28,14 @@ import threading
 
 from repro.engine import serialize
 from repro.faults import NULL_PLAN
-from repro.obs.trace import NULL_RECORDER
+from repro.obs.trace import TraceRecorder
 
 
 class PrefetchReader:
     """Reads and parses upcoming partitions on a background thread."""
 
     def __init__(self, trace=None) -> None:
-        self.trace = trace if trace is not None else NULL_RECORDER
+        self.trace = trace or TraceRecorder(chrome=False)
         self._tasks: queue.Queue = queue.Queue()
         self._results: dict[int, dict] = {}
         self._lock = threading.Lock()
@@ -86,11 +86,15 @@ class PrefetchReader:
             if task is None:
                 return
             index, version, path, delta_path, entry = task
-            span_start = trace.begin() if trace.enabled else 0.0
             try:
-                # The delta file is read, not consumed: the consumer
-                # owns its lifecycle and applies the frame counts.
-                entry["read"] = serialize.read_partition(path, delta_path)
+                with trace.span(
+                    "prefetch", cat="io", partition=index, version=version,
+                    hit=False,
+                ) as span:
+                    # The delta file is read, not consumed: the consumer
+                    # owns its lifecycle and applies the frame counts.
+                    entry["read"] = serialize.read_partition(path, delta_path)
+                    span.args["hit"] = True
             except serialize.CorruptPartition as exc:
                 # An unreadable partition file is NOT a benign miss:
                 # record the error so take() can distinguish "re-read
@@ -112,12 +116,6 @@ class PrefetchReader:
                 self.errors += 1
             finally:
                 entry["ready"].set()
-                if span_start:
-                    trace.end(
-                        "prefetch", span_start, cat="io",
-                        partition=index, version=version,
-                        hit=entry["read"] is not None,
-                    )
 
     # -- consumer side --------------------------------------------------------
 
@@ -174,23 +172,21 @@ class SpillWriter:
 
     def __init__(self, stats, trace=None, faults=NULL_PLAN) -> None:
         self.stats = stats
-        self.trace = trace if trace is not None else NULL_RECORDER
+        self.trace = trace or TraceRecorder(chrome=False)
         self.faults = faults
 
     def append(self, path: str, payload: bytes) -> None:
         """Frame ``payload`` and append it to ``path``."""
-        trace = self.trace
-        span_start = trace.begin() if trace.enabled else 0.0
-        frame = serialize.encode_frame(payload)
-        spec = self.faults.fire("delta-append")
-        if spec is not None:
-            frame = self.faults.mutate_frame(spec, frame)
-        with open(path, "ab") as f:
-            f.write(frame)
+        with self.trace.span("spill", cat="io") as span:
+            frame = serialize.encode_frame(payload)
+            spec = self.faults.fire("delta-append")
+            if spec is not None:
+                frame = self.faults.mutate_frame(spec, frame)
+            with open(path, "ab") as f:
+                f.write(frame)
+            span.args["bytes"] = len(frame)
         self.stats.spill_frames += 1
         self.stats.spill_bytes += len(frame)
-        if span_start:
-            trace.end("spill", span_start, cat="io", bytes=len(frame))
 
     # Nothing is buffered, so there is nothing to flush or close.  Kept
     # only because the committed benchmarks/harness wraps both names

@@ -73,14 +73,12 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import time
-
 from repro.engine import serialize
 from repro.engine.columnar import ROW_BYTES, EdgeColumns, EncodingTable
 from repro.engine.io_pipeline import SpillWriter
 from repro.engine.stats import EngineStats
 from repro.faults import NULL_PLAN
-from repro.obs.trace import NULL_RECORDER
+from repro.obs.trace import TraceRecorder
 
 #: A durable workdir's encoding log: the table its partition files' ids
 #: index, as checksummed frames of tuples in id order.
@@ -126,7 +124,7 @@ class PartitionStore:
         self.durable = durable
         self.memory_budget = memory_budget
         self.stats = stats or EngineStats()
-        self.trace = trace if trace is not None else NULL_RECORDER
+        self.trace = trace or TraceRecorder(chrome=False)
         self.faults = faults if faults is not None else NULL_PLAN
         self.table = table if table is not None else EncodingTable()
         # How many of the table's encodings the workdir's log holds
@@ -277,7 +275,7 @@ class PartitionStore:
         return corrupt
 
     def _save(self, part: Partition, cols: EdgeColumns) -> None:
-        with self.stats.timing("io_time"):
+        with self.trace.span("partition-save", cat="io"):
             self._log_encodings()
             data = cols.encode()
             spec = self.faults.fire("partition-write")
@@ -332,10 +330,9 @@ class PartitionStore:
             return cached
         read = None
         if self.prefetch is not None:
-            metrics = self.stats.metrics
-            wait_start = time.perf_counter() if metrics is not None else 0.0
             try:
-                read = self.prefetch.take(part.index, part.version)
+                with self.trace.span("prefetch-wait", cat="io"):
+                    read = self.prefetch.take(part.index, part.version)
             except serialize.CorruptPartition:
                 # An unreadable partition file, not a benign race: count
                 # it apart from plain misses and take the synchronous
@@ -348,15 +345,11 @@ class PartitionStore:
                 # propagate -- the retry layer decides survival.
                 self.stats.prefetch_errors += 1
                 raise
-            if metrics is not None:
-                metrics["prefetch_wait_s"].observe(
-                    time.perf_counter() - wait_start
-                )
             if read is None:
                 self.stats.prefetch_misses += 1
             else:
                 self.stats.prefetch_hits += 1
-        with self.stats.timing("io_time"):
+        with self.trace.span("partition-load", cat="io"):
             if read is None:
                 read = self._read(part)
             parsed, deltas, dropped, corrupt = read
@@ -500,7 +493,7 @@ class PartitionStore:
             self._dirty.add(index)
             part.byte_estimate = cached.columnar_bytes()
             return added
-        with self.stats.timing("io_time"):
+        with self.trace.span("delta-append", cat="io"):
             # Log frame before delta frame: the file never holds an id
             # a resume could not resolve.
             self._log_encodings()
@@ -558,15 +551,11 @@ class PartitionStore:
         Returns ``(left_part, left_cols, right_part, right_cols)``; the
         original descriptor is reused for the left half.
         """
-        trace = self.trace
-        if not trace.enabled:
-            return self._split(part, cols)
-        start = trace.begin()
-        result = self._split(part, cols)
-        trace.end(
-            "repartition", start, cat="store",
-            partition=part.index, split=result[2] is not None,
-        )
+        with self.trace.span(
+            "repartition", cat="store", partition=part.index
+        ) as span:
+            result = self._split(part, cols)
+            span.args["split"] = result[2] is not None
         return result
 
     def _split(self, part: Partition, cols: EdgeColumns) -> tuple:

@@ -1,24 +1,21 @@
-"""Performance accounting for the engine.
+"""Counters and gauges of one engine run.
 
-The paper's Figure 9 breaks an execution into four components -- I/O,
-constraint encoding/decoding (lookup), SMT solving, and in-memory edge-pair
-computation -- summed across all processing threads.  :class:`EngineStats`
-collects exactly those, plus the counters behind Tables 3-5.
+:class:`EngineStats` holds the counters behind Tables 3-5.  Time is not
+kept here: every timed region is a span on the run's
+:class:`~repro.obs.trace.TraceRecorder`, and the paper's Figure-9
+breakdown (I/O, encoding, SMT, computation) is read from the closure
+windows of its span table (:func:`repro.obs.report.run_report`).
 
 Every field carries a ``kind`` describing how it aggregates across the
 pipeline's phases (:meth:`EngineStats.merge_phase`) and which run-report
-section it lands in (:func:`repro.obs.report.run_report`): ``counter``
-(sums), ``gauge`` (point-in-time within a phase), ``flag`` (ORs; a 0/1
-gauge), or ``histograms`` (a ``{name: Histogram}`` dict, merged by
-name).  Both follow this metadata rather than a hand-written field
-list, so a newly added counter aggregates correctly by default (a
-hand-maintained tuple once silently dropped ``preprocess_time``).
+section it lands in: ``counter`` (sums), ``gauge`` (point-in-time within
+a phase) or ``flag`` (ORs; a 0/1 gauge).  Both follow this metadata
+rather than a hand-written field list, so a newly added counter
+aggregates correctly by default.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 
@@ -29,16 +26,6 @@ def stat_field(default=0, kind: str = "counter"):
 
 @dataclass
 class EngineStats:
-    io_time: float = stat_field(0.0)
-    encode_time: float = stat_field(0.0)
-    smt_time: float = stat_field(0.0)
-    compute_time: float = stat_field(0.0)
-    preprocess_time: float = stat_field(0.0)
-    # Total time inside feasibility queries (decode + solve); this is the
-    # quantity Table 4 compares with and without memoisation.  It overlaps
-    # encode_time/smt_time and is excluded from the Figure 9 breakdown.
-    feasibility_time: float = stat_field(0.0)
-
     iterations: int = stat_field()
     pairs_processed: int = stat_field()
     edges_before: int = stat_field(kind="gauge")
@@ -119,49 +106,6 @@ class EngineStats:
     # solved, and queries answered by an already-solved form.
     feasibility_groups: int = stat_field()
     group_hits: int = stat_field()
-    # Optional ``{name: Histogram}`` (solve latency, per-pair compute
-    # time and edge yield, prefetch waits); None unless metrics are on --
-    # hot paths guard on ``is not None`` so a disabled run pays nothing.
-    metrics: object = stat_field(None, kind="histograms")
-
-    def __post_init__(self) -> None:
-        # Self-time stack for reentrant timing(); not a dataclass field so
-        # keyword construction and equality keep their historical shape.
-        self._tstack: list[float] = []
-
-    # -- timing ----------------------------------------------------------------
-
-    @contextmanager
-    def timing(self, component: str):
-        """Attribute the block's *self-time* to ``component``.
-
-        Reentrancy-safe: a nested timing() span's elapsed time is
-        subtracted from the enclosing component, so e.g. encode_time
-        accrued inside a compute_time block is not double-counted.
-        """
-        stack = self._tstack
-        stack.append(0.0)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            child = stack.pop()
-            setattr(
-                self, component, getattr(self, component) + elapsed - child
-            )
-            if stack:
-                stack[-1] += elapsed
-
-    # -- metrics ---------------------------------------------------------------
-
-    def ensure_metrics(self):
-        """Attach (and return) the engine's standard histograms."""
-        if self.metrics is None:
-            from repro.obs.metrics import engine_metrics
-
-            self.metrics = engine_metrics()
-        return self.metrics
 
     # -- derived quantities ----------------------------------------------------
 
@@ -178,34 +122,16 @@ class EngineStats:
             return 0.0
         return self.prefetch_hits / total
 
-    @property
-    def total_time(self) -> float:
-        return (
-            self.io_time + self.encode_time + self.smt_time + self.compute_time
-        )
-
-    def breakdown(self) -> dict[str, float]:
-        """Fractions of total time per component (Figure 9's series)."""
-        total = self.total_time
-        if total == 0:
-            return {"io": 0.0, "encode": 0.0, "smt": 0.0, "compute": 0.0}
-        return {
-            "io": self.io_time / total,
-            "encode": self.encode_time / total,
-            "smt": self.smt_time / total,
-            "compute": self.compute_time / total,
-        }
-
     # -- aggregation -----------------------------------------------------------
 
     def merge_phase(self, other: "EngineStats") -> None:
         """Fold a *completed phase's* stats into a cross-phase total.
 
-        Both sides are final per-phase results, so every numeric field
+        Both sides are final per-phase results, so every field
         aggregates: counters sum, gauges sum (a whole-run edge/vertex
-        total is the sum of per-phase totals), flags OR, histograms
-        merge by name.  Derived from field metadata -- a newly added field
-        aggregates correctly without touching any hand-written list.
+        total is the sum of per-phase totals), flags OR.  Derived from
+        field metadata -- a newly added field aggregates correctly
+        without touching any hand-written list.
         """
         for f in fields(self):
             kind = f.metadata["kind"]
@@ -217,10 +143,3 @@ class EngineStats:
                 setattr(
                     self, f.name, getattr(self, f.name) or getattr(other, f.name)
                 )
-            elif kind == "histograms":
-                theirs = getattr(other, f.name)
-                if theirs is None:
-                    continue
-                mine = self.ensure_metrics()
-                for name, hist in theirs.items():
-                    mine[name].merge(hist)

@@ -3,8 +3,9 @@
 ``validate`` checks a Chrome trace (``--trace``) and/or a run report
 (``--metrics``) against the schemas in :mod:`repro.obs.report`; CI runs
 this over the files produced by the bench smoke job.  ``analyze`` runs
-the per-stage analyzer (:mod:`repro.obs.analyze`) over a trace (plus,
-optionally, its run report) and emits the bottleneck report --
+the per-stage analyzer (:mod:`repro.obs.analyze`: span self times over
+the closure windows) over a trace (plus, optionally, its run report)
+and emits the bottleneck report --
 human-readable to stdout, machine-readable JSON with ``--output``.
 Exits 1 when any file fails validation or cannot be parsed.
 """
@@ -102,7 +103,7 @@ def _cmd_analyze(args) -> int:
                 print(f"  - {error}")
             return 1
     try:
-        doc = analyze_trace(trace, report, top_n=args.top)
+        doc = analyze_trace(trace, report)
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 1
@@ -135,10 +136,6 @@ def main(argv=None) -> int:
     ana.add_argument(
         "-o", "--output", metavar="FILE",
         help="also write the bottleneck report as JSON",
-    )
-    ana.add_argument(
-        "--top", type=int, default=10, metavar="N",
-        help="longest segments to keep (default 10)",
     )
     args = parser.parse_args(argv)
 

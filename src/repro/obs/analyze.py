@@ -1,24 +1,18 @@
 """Per-stage attribution of an engine trace: where did the wall go?
 
-The Figure-9 component breakdown says how much time went to I/O,
-encoding, SMT and compute; it does not say how much of the closure's
-wall was spent *outside* pair visits (checkpoint flushes, retries,
-scheduling glue).  This module answers that from the Chrome trace the
-engine already records.
+The same arithmetic as the run's span table (:mod:`repro.obs.trace`),
+done over an exported Chrome trace: within each ``closure`` window (the
+engine emits one per phase), every span on the closure's thread that
+starts inside the window is a stage, and its *self* time -- its
+duration minus the spans directly inside it, innermost wins -- is what
+the stage is charged.  The closure's own self time is the glue between
+spans (pair scheduling, arrival-log bookkeeping, prefetch hints, the
+heartbeat).  Spans nest, so the stages sum to the windows' wall
+exactly; a span hanging past its parent is clipped to it.
 
-The attribution model is a sweep over each ``closure`` window (the
-engine emits one per phase).  Every instant inside a window gets exactly
-one label, by precedence:
-
-1. covered by a ``pair-compute`` span --> ``pair-compute``;
-2. else covered by a stage span (``checkpoint``, ``repartition``,
-   ``retry`` -- innermost wins when they nest) --> that stage;
-3. else --> ``idle``: no span running (pair scheduling, arrival-log
-   bookkeeping, prefetch hints, the heartbeat).
-
-Labels partition the window, so per-stage attributions sum *exactly* to
-the wall by construction.  Merged same-label runs, sorted by duration,
-are the segments worth staring at.
+The time *outside pair visits* is the wall less the ``pair-compute``
+spans; the stage with the most self time there is the top overhead
+stage.
 """
 
 from __future__ import annotations
@@ -26,17 +20,13 @@ from __future__ import annotations
 import time
 
 BOTTLENECK_SCHEMA = "grapple/bottleneck-report"
-#: Version 2 dropped what only a worker pool could make non-trivial (the
-#: serialized fraction, concurrency, steal gaps, the Amdahl projection
-#: and the report-only mode); ``overhead_*`` is the time outside pair
-#: visits.
-BOTTLENECK_VERSION = 2
+#: Version 3 charges each stage its spans' self time (the run report's
+#: ``spans`` arithmetic); the closure's own self time replaced the
+#: ``idle`` label, and the merged-segment ``critical_path`` is gone.
+BOTTLENECK_VERSION = 3
 
-#: Engine span names attributed when no pair visit is running.
-STAGES = ("checkpoint", "repartition", "retry")
-
-#: Longest segments kept in the report.
-TOP_N_SEGMENTS = 10
+#: A pair visit; time outside these spans is overhead.
+PAIR = "pair-compute"
 
 
 def _spans(trace) -> list[dict]:
@@ -49,85 +39,55 @@ def _interval(event: dict) -> tuple[float, float]:
     return start, start + event.get("dur", 0) / 1e6
 
 
-def _sweep(window: tuple[float, float], pair_ivs, stage_ivs) -> list[dict]:
-    """Label every instant of one closure window (see module docstring).
+def _window(closure: dict, spans: list[dict], stages: dict,
+            outside: dict) -> None:
+    """Add one closure window's self times to ``stages``, and those of
+    spans outside any pair visit to ``outside``."""
+    lo, hi = _interval(closure)
+    track = (closure["pid"], closure["tid"])
+    # Parents first: earlier start, then the longer span, then the
+    # closure itself.
+    items = sorted(
+        (_interval(e) + (e is not closure, e["name"]) for e in spans
+         if (e["pid"], e["tid"]) == track and lo <= e["ts"] / 1e6 < hi),
+        key=lambda item: (item[0], -item[1], item[2]),
+    )
+    stack: list = []  # [start, end, name, child seconds, in a pair visit]
 
-    ``pair_ivs`` are (lo, hi) pair-compute intervals; ``stage_ivs`` are
-    (lo, hi, stage) stage intervals.  Returns merged same-label
-    segments covering the window exactly.
-    """
-    w_lo, w_hi = window
-    bounds = {w_lo, w_hi}
-    for lo, hi in pair_ivs:
-        if hi > w_lo and lo < w_hi:
-            bounds.add(max(lo, w_lo))
-            bounds.add(min(hi, w_hi))
-    for lo, hi, _stage in stage_ivs:
-        if hi > w_lo and lo < w_hi:
-            bounds.add(max(lo, w_lo))
-            bounds.add(min(hi, w_hi))
-    cuts = sorted(bounds)
-    segments: list[dict] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi <= lo:
-            continue
-        mid = (lo + hi) / 2
-        if any(p_lo <= mid < p_hi for p_lo, p_hi in pair_ivs):
-            label = "pair-compute"
-        else:
-            # Innermost stage covering this instant: the one that
-            # started latest (ties broken by earliest end).
-            best = None
-            for s_lo, s_hi, stage in stage_ivs:
-                if s_lo <= mid < s_hi:
-                    key = (s_lo, -s_hi)
-                    if best is None or key > best[0]:
-                        best = (key, stage)
-            label = best[1] if best else "idle"
-        if segments and segments[-1]["stage"] == label:
-            segments[-1]["end_s"] = hi
-        else:
-            segments.append({"stage": label, "start_s": lo, "end_s": hi})
-    return segments
+    def close() -> None:
+        start, end, name, child, in_pair = stack.pop()
+        self_s = end - start - child
+        stages[name] = stages.get(name, 0.0) + self_s
+        if not in_pair:
+            outside[name] = outside.get(name, 0.0) + self_s
+
+    for start, end, _, name in items:
+        while stack and stack[-1][1] <= start:
+            close()
+        end = min(end, stack[-1][1] if stack else hi)
+        if stack:
+            stack[-1][3] += end - start
+        in_pair = name == PAIR or bool(stack and stack[-1][4])
+        stack.append([start, end, name, 0.0, in_pair])
+    while stack:
+        close()
 
 
-def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS) -> dict:
+def analyze_trace(trace, report: dict | None = None) -> dict:
     """Bottleneck report from a Chrome trace (plus optional run-report)."""
     spans = _spans(trace)
     if not spans:
         raise ValueError("trace contains no complete ('ph': 'X') spans")
-
     closures = [e for e in spans if e["name"] == "closure"]
-    if closures:
-        windows = sorted(_interval(e) for e in closures)
-    else:
-        # No closure span (a hand-cut trace): analyze its full extent
-        # as one window.
-        ivs = [_interval(e) for e in spans]
-        windows = [(min(lo for lo, _ in ivs), max(hi for _, hi in ivs))]
+    if not closures:
+        raise ValueError("trace contains no 'closure' span")
 
-    pair_ivs = [_interval(e) for e in spans if e["name"] == "pair-compute"]
-    stage_ivs = [
-        (*_interval(e), e["name"]) for e in spans if e["name"] in STAGES
-    ]
-
-    segments: list[dict] = []
-    for window in windows:
-        segments.extend(_sweep(window, pair_ivs, stage_ivs))
-
-    wall = sum(hi - lo for lo, hi in windows)
     stages: dict[str, float] = {}
-    for seg in segments:
-        stages[seg["stage"]] = (
-            stages.get(seg["stage"], 0.0) + seg["end_s"] - seg["start_s"]
-        )
-    overhead = wall - stages.get("pair-compute", 0.0)
-
-    top = sorted(
-        segments, key=lambda s: s["end_s"] - s["start_s"], reverse=True
-    )[:top_n]
-
-    outside = {k: v for k, v in stages.items() if k != "pair-compute"}
+    outside: dict[str, float] = {}
+    for closure in closures:
+        _window(closure, spans, stages, outside)
+    wall = sum(hi - lo for lo, hi in map(_interval, closures))
+    overhead = sum(outside.values())
     top_stage = max(outside, key=outside.get) if outside else None
 
     report_doc = {
@@ -135,7 +95,7 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
         "version": BOTTLENECK_VERSION,
         "generated_unix": round(time.time(), 3),
         "wall_s": round(wall, 6),
-        "windows": len(windows),
+        "windows": len(closures),
         "stages_s": {k: round(v, 6) for k, v in sorted(stages.items())},
         "stage_fractions": {
             k: round(v / wall, 4) for k, v in sorted(stages.items())
@@ -143,15 +103,6 @@ def analyze_trace(trace, report: dict | None = None, top_n: int = TOP_N_SEGMENTS
         "overhead_s": round(overhead, 6),
         "overhead_fraction": round(overhead / wall, 4) if wall else 0.0,
         "top_overhead_stage": top_stage,
-        "critical_path": [
-            {
-                "stage": s["stage"],
-                "start_s": round(s["start_s"], 6),
-                "end_s": round(s["end_s"], 6),
-                "dur_s": round(s["end_s"] - s["start_s"], 6),
-            }
-            for s in top
-        ],
     }
     if report:
         report_doc["subject"] = report.get("subject")

@@ -1,12 +1,12 @@
 """Fixed-bucket histograms: the engine's latency and size distributions.
 
-The engine keeps its histograms in a plain ``{name: Histogram}`` dict
-(:func:`engine_metrics`) on :attr:`EngineStats.metrics
-<repro.engine.stats.EngineStats.metrics>`; hot paths call
-``metrics[name].observe(v)``.  Merging (the pipeline's two phases fold
-into one run total) is exact: histograms require identical bucket
-boundaries, so a merged distribution is byte-for-byte the distribution
-one histogram would have recorded for the same observations.
+The run's :class:`~repro.obs.trace.TraceRecorder` keeps them in a plain
+``{name: Histogram}`` dict (:func:`engine_metrics`), fed at the end of
+the spans :data:`~repro.obs.trace.OBSERVED` names; a run reads what
+they gained during it (:meth:`Histogram.since`).  Merging is exact:
+histograms require identical bucket boundaries, so a merged
+distribution is byte-for-byte the distribution one histogram would
+have recorded for the same observations.
 
 Bucket boundaries are fixed at construction (Prometheus-style): bucket
 ``i`` counts observations ``<= bounds[i]``'s upper edge, with one
@@ -61,6 +61,19 @@ class Histogram:
             counts[i] += c
         self.total += other.total
         self.count += other.count
+
+    def mark(self) -> tuple:
+        """What :meth:`since` subtracts: the observations so far."""
+        return self.counts[:], self.total, self.count
+
+    def since(self, mark: tuple) -> "Histogram":
+        """A histogram of the observations made after ``mark``."""
+        counts, total, count = mark
+        later = Histogram(self.name, self.bounds)
+        later.counts = [a - b for a, b in zip(self.counts, counts)]
+        later.total = self.total - total
+        later.count = self.count - count
+        return later
 
     def snapshot(self) -> dict:
         return {

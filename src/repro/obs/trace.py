@@ -1,16 +1,19 @@
-"""Span recording in Chrome ``trace_event`` format.
+"""The run's one timer: named spans, their self times, and -- when a
+trace was asked for -- Chrome ``trace_event`` spans.
 
-One :class:`TraceRecorder` collects complete ("ph": "X") spans from the
-engine thread and the I/O pipeline's prefetch/spill threads
-(``list.append`` is atomic under the GIL, so threads share the recorder
-directly).  A span's ``ts`` is ``time.perf_counter`` relative to the
-recorder's creation (``perf0``); load the exported file in
-``chrome://tracing`` or https://ui.perfetto.dev.
+Every timed region of a run is ``with trace.span(name): ...`` on the
+run's one :class:`TraceRecorder`.  A span's end always adds its
+inclusive seconds, its *self* seconds (inclusive minus the spans that
+ran directly inside it on the same thread) and one call to its name's
+row in its thread's table, and feeds the histograms :data:`OBSERVED`
+names for it.  Only a recorder made with ``chrome=True`` (the default)
+also appends a complete (``"ph": "X"``) event, ``ts`` relative to the
+recorder's ``perf0``, for ``chrome://tracing`` or https://ui.perfetto.dev.
 
-When tracing is disabled the engine holds the :data:`NULL_RECORDER`
-singleton, whose ``enabled`` flag lets every call site skip span
-bookkeeping entirely -- a disabled run records nothing and pays only a
-predicate check on the coarse-grained paths that bother to guard.
+A :class:`Window` reads what one thread's table and the histograms
+gained since it opened: a run's ``spans`` section, the closure windows
+the Figure-9 breakdown reads and a serve edit's fragment are windows on
+the same table.
 """
 
 from __future__ import annotations
@@ -19,127 +22,175 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 
-#: Spans are dropped (and counted) past this, so a pathological run
+from repro.obs.metrics import engine_metrics
+
+#: Events are dropped (and counted) past this, so a pathological run
 #: cannot swallow the heap.
 MAX_EVENTS = 1_000_000
 
+#: Span name -> the histograms its end observes, each with the span
+#: argument it observes (None: the span's seconds).
+OBSERVED = {
+    "smt-solve": (("solve_latency_s", None),),
+    "pair-compute": (("pair_compute_s", None), ("pair_new_edges", "new_edges")),
+    "prefetch-wait": (("prefetch_wait_s", None),),
+}
 
-class _NullSpan:
-    __slots__ = ()
+_perf = time.perf_counter
+_EMPTY = (0.0, 0.0, 0)  # a span table row before the name's first call
 
-    def __enter__(self):
+
+class _Thread:
+    """One thread's open span and its ``{name: (self_s, incl_s, calls)}``."""
+
+    __slots__ = ("tid", "top", "table")
+
+    def __init__(self):
+        self.tid = threading.get_native_id()
+        self.top = None
+        self.table: dict[str, tuple] = {}
+
+
+class Span:
+    """One timed region (a context manager); ``args`` may still be set
+    inside it and land in its Chrome event and histograms."""
+
+    __slots__ = ("_rec", "name", "cat", "args", "_thread", "_parent",
+                 "_start", "_child")
+
+    def __init__(self, rec: "TraceRecorder", name: str, cat: str, args: dict):
+        self._rec = rec
+        self.name = name
+        self.cat = cat
+        self.args = args
+
+    def __enter__(self) -> "Span":
+        thread = self._thread = self._rec._current()
+        self._parent = thread.top
+        thread.top = self
+        self._child = 0.0
+        self._start = _perf()
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = _perf()
+        elapsed = end - self._start
+        thread = self._thread
+        parent = thread.top = self._parent
+        if parent is not None:
+            parent._child += elapsed
+        table = thread.table
+        self_s, incl_s, calls = table.get(self.name, _EMPTY)
+        table[self.name] = (
+            self_s + elapsed - self._child, incl_s + elapsed, calls + 1
+        )
+        rec = self._rec
+        observed = OBSERVED.get(self.name)
+        if observed is not None and exc_type is None:
+            for hist, arg in observed:
+                rec.histograms[hist].observe(
+                    elapsed if arg is None else self.args[arg]
+                )
+        if rec.chrome:
+            rec._emit(self, thread.tid, end)
         return False
 
 
-_NULL_SPAN = _NullSpan()
+class Window:
+    """What the calling thread's span table and the recorder's
+    histograms gained since :meth:`TraceRecorder.window`."""
+
+    def __init__(self, rec: "TraceRecorder"):
+        self._rec = rec
+        self._thread = rec._current()
+        self._rows = dict(self._thread.table)
+        self._hists = {n: h.mark() for n, h in rec.histograms.items()}
+
+    def spans(self) -> dict[str, tuple]:
+        """``{name: (self_s, incl_s, calls)}`` of the spans that ended
+        on this thread since the window opened."""
+        out = {}
+        for name, (self_s, incl_s, calls) in self._thread.table.items():
+            before = self._rows.get(name, _EMPTY)
+            if calls > before[2]:
+                out[name] = (self_s - before[0], incl_s - before[1],
+                             calls - before[2])
+        return out
+
+    def histograms(self) -> dict:
+        return {
+            name: hist.since(self._hists[name])
+            for name, hist in self._rec.histograms.items()
+        }
 
 
-class NullRecorder:
-    """No-op stand-in; ``enabled`` is False so call sites can skip work."""
-
-    enabled = False
-
-    def span(self, name, cat="engine", **args):
-        return _NULL_SPAN
-
-    def begin(self) -> float:
-        return 0.0
-
-    def end(self, name, start, cat="engine", **args) -> None:
-        pass
-
-    def instant(self, name, cat="engine", **args) -> None:
-        pass
-
-    def note_thread(self, name) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
+def merge_spans(tables) -> dict[str, tuple]:
+    """Sum ``{name: (self_s, incl_s, calls)}`` tables row by row."""
+    out: dict[str, tuple] = {}
+    for table in tables:
+        for name, row in table.items():
+            have = out.get(name, _EMPTY)
+            out[name] = tuple(a + b for a, b in zip(have, row))
+    return out
 
 
 class TraceRecorder:
-    """Collects Chrome-trace spans for one run."""
+    """The span table, histograms and (optionally) Chrome events of one
+    run.  Threads share it: each keeps its own span stack and table, and
+    ``list.append`` of an event is atomic under the GIL."""
 
-    enabled = True
-
-    def __init__(self, max_events: int = MAX_EVENTS):
+    def __init__(self, chrome: bool = True):
         self.pid = os.getpid()
-        # Clock anchor: a span's ``ts`` is perf_counter-relative to perf0.
-        self.perf0 = time.perf_counter()
+        # Clock anchor: an event's ``ts`` is perf_counter-relative to perf0.
+        self.perf0 = _perf()
+        self.chrome = chrome
         self.events: list[dict] = [{
             "ph": "M", "pid": self.pid, "tid": 0, "name": "process_name",
             "args": {"name": f"repro (pid {self.pid})"},
-        }]
+        }] if chrome else []
         self.dropped = 0
-        self.max_events = max_events
-        self._known_tids: set[int] = set()
+        self.histograms = engine_metrics()
+        self._local = threading.local()
 
-    # -- metadata -------------------------------------------------------------
-
-    def note_thread(self, name: str) -> None:
-        """Label the calling thread's track (prefetch/spill threads)."""
-        tid = threading.get_native_id()
-        if tid in self._known_tids:
-            return
-        self._known_tids.add(tid)
-        self.events.append({
-            "ph": "M", "pid": self.pid, "tid": tid, "name": "thread_name",
-            "args": {"name": name},
-        })
+    def _current(self) -> _Thread:
+        try:
+            return self._local.thread
+        except AttributeError:
+            thread = self._local.thread = _Thread()
+            return thread
 
     # -- recording ------------------------------------------------------------
 
-    def begin(self) -> float:
-        """Start timestamp for a :meth:`end`-terminated span."""
-        return time.perf_counter()
+    def span(self, name: str, cat: str = "engine", **args) -> Span:
+        return Span(self, name, cat, args)
 
-    def end(self, name: str, start: float, cat: str = "engine", **args) -> None:
-        """Record a complete span begun at ``start`` (from :meth:`begin`)."""
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        now = time.perf_counter()
-        event = {
-            "ph": "X", "name": name, "cat": cat,
-            "pid": self.pid, "tid": threading.get_native_id(),
-            "ts": (start - self.perf0) * 1e6,
-            "dur": (now - start) * 1e6,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
+    def window(self) -> Window:
+        return Window(self)
 
-    @contextmanager
-    def span(self, name: str, cat: str = "engine", **args):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.end(name, start, cat, **args)
+    def note_thread(self, name: str) -> None:
+        """Label the calling thread's track (the prefetch reader)."""
+        if self.chrome:
+            self.events.append({
+                "ph": "M", "pid": self.pid, "tid": threading.get_native_id(),
+                "name": "thread_name", "args": {"name": name},
+            })
 
-    def instant(self, name: str, cat: str = "engine", **args) -> None:
-        if len(self.events) >= self.max_events:
+    def _emit(self, span: Span, tid: int, end: float) -> None:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped += 1
             return
         event = {
-            "ph": "i", "s": "t", "name": name, "cat": cat,
-            "pid": self.pid, "tid": threading.get_native_id(),
-            "ts": (time.perf_counter() - self.perf0) * 1e6,
+            "ph": "X", "name": span.name, "cat": span.cat,
+            "pid": self.pid, "tid": tid,
+            "ts": (span._start - self.perf0) * 1e6,
+            "dur": (end - span._start) * 1e6,
         }
-        if args:
-            event["args"] = args
+        if span.args:
+            event["args"] = span.args
         self.events.append(event)
 
-    # -- inspection / export --------------------------------------------------
-
-    def span_names(self) -> set:
-        return {e["name"] for e in self.events if e["ph"] == "X"}
+    # -- export ---------------------------------------------------------------
 
     def chrome_trace(self) -> dict:
         return {
@@ -161,6 +212,8 @@ class TraceRecorder:
                     f.write(json.dumps(event, separators=(",", ":")))
                     f.write("\n")
             return
+        # dumps(), not dump(): dump streams through the pure-Python
+        # encoder, ~10x slower on 10^4-10^5 events.
         with open(path, "w") as f:
-            json.dump(self.chrome_trace(), f)
+            f.write(json.dumps(self.chrome_trace()))
             f.write("\n")

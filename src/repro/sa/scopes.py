@@ -48,6 +48,7 @@ from repro.engine.cache import LRUCache
 from repro.lang import ast
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
+from repro.obs.trace import TraceRecorder
 
 KIND_UNRESOLVED = "unresolved-name"
 KIND_AMBIGUOUS_IMPORT = "ambiguous-import"
@@ -534,7 +535,8 @@ def _as_items(sources) -> list[tuple[str, str]]:
     return [(str(path), text) for path, text in sources]
 
 
-def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProgram:
+def load_modules(sources, cache: ScopeArtifactCache | None = None,
+                 trace=None) -> LoadedProgram:
     """Parse, resolve and link a multi-file program.
 
     ``sources`` is ``{path: text}`` or ``[(path, text), ...]`` in any
@@ -545,8 +547,10 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
     its path and content is not re-derived, and one with a
     :class:`FileFragment` under its key whose bindings still hold is
     neither parsed nor linked, its compiled functions stand in the
-    program instead, and ``fragments`` lists those files.
+    program instead, and ``fragments`` lists those files.  Lexing and
+    parsing are ``parse`` spans on ``trace``, the run's recorder.
     """
+    trace = trace or TraceRecorder(chrome=False)
     items = _as_items(sources)
     scanned = []
     for path, text in items:
@@ -554,8 +558,9 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
         module = cache.module_name(path, digest) if cache is not None else None
         tokens = None
         if module is None:
-            tokens = tokenize(text)
-            module = scan_module_name(tokens)
+            with trace.span("parse", cat="lang"):
+                tokens = tokenize(text)
+                module = scan_module_name(tokens)
         scanned.append((module, path, text, digest, tokens))
     scanned.sort(key=lambda entry: (entry[0], entry[1]))
 
@@ -572,9 +577,10 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
         if artifact is not None:
             fragment = cache.fragment(path, digest, site_base)
         if fragment is None:
-            mf = parsed[path] = parse_module(
-                text, path=path, site_base=site_base, tokens=tokens
-            )
+            with trace.span("parse", cat="lang"):
+                mf = parsed[path] = parse_module(
+                    text, path=path, site_base=site_base, tokens=tokens
+                )
             next_site = mf.next_site
             if artifact is None:
                 artifact = build_artifact(mf, digest)
@@ -607,9 +613,10 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None) -> LoadedProg
             }
         else:
             if path not in parsed:  # its calls now link elsewhere
-                parsed[path] = parse_module(
-                    text, path=path, site_base=site_ranges[path][0]
-                )
+                with trace.span("parse", cat="lang"):
+                    parsed[path] = parse_module(
+                        text, path=path, site_base=site_ranges[path][0]
+                    )
             functions = link_file(parsed[path], bindings)
         _add_functions(program, functions, path)
     return LoadedProgram(

@@ -69,6 +69,7 @@ from repro.graph.cloning import tree_order
 from repro.lang.lexer import tokenize
 from repro.lang.parser import ParseError, parse_module, scan_module_name
 from repro.obs.report import run_report
+from repro.obs.trace import TraceRecorder, merge_spans
 from repro.sa.scopes import (
     ARTIFACT_CACHE_CAPACITY,
     ScopeArtifactCache,
@@ -235,7 +236,9 @@ class ServeEngine:
         self.fsms = list(fsms)
         self.unroll = unroll
         self.reduce = reduce
-        self.trace = trace
+        #: The one recorder every scan's spans go to (a fragment reads
+        #: its own scan's window of it).
+        self.trace = trace or TraceRecorder(chrome=False)
         self.stats = EngineStats()
         os.makedirs(workdir, exist_ok=True)
         self.state_path = os.path.join(workdir, STATE_FILE)
@@ -491,25 +494,28 @@ class ServeEngine:
 
     def scan(self, only=None) -> dict:
         """Observe the workspace once; re-derive what changed; return
-        the edit's ``grapple/run-report`` fragment."""
-        t0 = time.perf_counter()
-        tick = self.trace.begin() if self.trace is not None else 0.0
-        misses_before = self.cache.misses
-        changed, removed = self._diff_workspace(only=only)
-        rederived = self.cache.misses - misses_before
-        desired = self._desired_edges()
-        if self.trace is not None:
-            self.trace.end("incr-diff", tick, cat="serve",
-                           changed=len(changed), removed=len(removed))
-        if not changed and not removed and desired == self.closure.edges:
-            return self._fragment(t0, [], [], [], [], [], None, 0)
+        the edit's ``grapple/run-report`` fragment, timed by this scan's
+        spans alone."""
+        window = self.trace.window()
+        with self.trace.span("serve-scan", cat="serve"):
+            delta = self._scan(only)
+        return self._fragment(window, *delta)
 
-        tick = self.trace.begin() if self.trace is not None else 0.0
-        edges_added, edges_removed = self.closure.apply(desired)
-        self.stats.edits_served += 1
-        self.stats.edges_rederived += edges_added + edges_removed
-        if self.trace is not None:
-            self.trace.end("incr-join", tick, cat="serve")
+    def _scan(self, only) -> tuple:
+        trace = self.trace
+        with trace.span("incr-diff", cat="serve") as span:
+            misses_before = self.cache.misses
+            changed, removed = self._diff_workspace(only=only)
+            rederived = self.cache.misses - misses_before
+            desired = self._desired_edges()
+            span.args.update(changed=len(changed), removed=len(removed))
+        if not changed and not removed and desired == self.closure.edges:
+            return [], [], [], [], [], None, 0
+
+        with trace.span("incr-join", cat="serve"):
+            edges_added, edges_removed = self.closure.apply(desired)
+            self.stats.edits_served += 1
+            self.stats.edges_rederived += edges_added + edges_removed
 
         components = [
             sorted(component)
@@ -555,30 +561,31 @@ class ServeEngine:
                              "count": len(run.report)}
             new_strata[digest] = entry
 
-        tick = self.trace.begin() if self.trace is not None else 0.0
-        # Strata partition the files, so a stratum whose digest survived
-        # contributes the same warnings to both sides of the diff: only
-        # the strata that left or entered need keying.
-        before = {
-            _identity(w): w
-            for digest, entry in self.strata.items()
-            if digest not in new_strata for w in _warnings(entry)
-        }
-        after = {
-            _identity(w): w
-            for digest, entry in new_strata.items()
-            if digest not in self.strata for w in _warnings(entry)
-        }
-        self.strata = new_strata
-        added = [after[k] for k in sorted(after.keys() - before.keys())]
-        retracted = [before[k] for k in sorted(before.keys() - after.keys())]
-        self.stats.warnings_retracted += len(retracted)
-        if self.trace is not None:
-            self.trace.end("incr-retract", tick, cat="serve",
-                           retracted=len(retracted))
-        self._save_state()
-        return self._fragment(
-            t0, runs, changed, removed, added, retracted,
+        with trace.span("incr-retract", cat="serve") as span:
+            # Strata partition the files, so a stratum whose digest
+            # survived contributes the same warnings to both sides of the
+            # diff: only the strata that left or entered need keying.
+            before = {
+                _identity(w): w
+                for digest, entry in self.strata.items()
+                if digest not in new_strata for w in _warnings(entry)
+            }
+            after = {
+                _identity(w): w
+                for digest, entry in new_strata.items()
+                if digest not in self.strata for w in _warnings(entry)
+            }
+            self.strata = new_strata
+            added = [after[k] for k in sorted(after.keys() - before.keys())]
+            retracted = [
+                before[k] for k in sorted(before.keys() - after.keys())
+            ]
+            self.stats.warnings_retracted += len(retracted)
+            span.args["retracted"] = len(retracted)
+        with trace.span("state-write", cat="serve"):
+            self._save_state()
+        return (
+            runs, changed, removed, added, retracted,
             {"edges_added": edges_added, "edges_removed": edges_removed},
             rederived,
         )
@@ -672,13 +679,14 @@ class ServeEngine:
 
     # -- fragments ---------------------------------------------------------
 
-    def _fragment(self, t0, runs, changed, removed, added, retracted,
+    def _fragment(self, window, runs, changed, removed, added, retracted,
                   dependencies, rederived) -> dict:
         """One per-edit ``grapple/run-report`` (v2) fragment.
 
         The standard sections aggregate the stratum runs this edit
-        triggered, plus their summed ``scopes`` counters; the extra
-        ``edit`` section carries the delta.  The document passes
+        triggered, plus their summed ``scopes`` counters; its spans and
+        histograms are the scan's ``window``; the extra ``edit`` section
+        carries the delta.  The document passes
         ``repro.obs.report.validate_run_report`` (unknown sections are
         ignored by v1/v2 readers).
         """
@@ -691,16 +699,12 @@ class ServeEngine:
         merged.edits_served = self.stats.edits_served
         merged.edges_rederived = self.stats.edges_rederived
         merged.warnings_retracted = self.stats.warnings_retracted
-        total = time.perf_counter() - t0
-        preprocess = sum(r.preprocess_time for r in runs)
         return run_report(
             merged,
-            {
-                "preprocess_s": preprocess,
-                "computation_s": max(total - preprocess, 0.0),
-                "total_s": total,
-            },
             sum(entry["count"] for entry in self.strata.values()),
+            spans=window.spans(),
+            closure=merge_spans(run.closure_spans for run in runs),
+            histograms=window.histograms(),
             subject=f"serve:{self.workspace}",
             edit={
                 "seq": self.stats.edits_served,

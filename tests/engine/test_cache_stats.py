@@ -1,9 +1,12 @@
-"""Unit tests for the LRU cache and engine statistics."""
+"""Unit tests for the LRU cache, engine statistics and the span table
+they are timed by."""
 
 import pytest
 
 from repro.engine.cache import LRUCache
 from repro.engine.stats import EngineStats
+from repro.obs.report import breakdown
+from repro.obs.trace import TraceRecorder
 
 
 def test_cache_basic_get_put():
@@ -96,24 +99,29 @@ def test_engine_counts_feasibility_memo_hits():
 
 
 def test_stats_timing_accumulates():
-    stats = EngineStats()
-    with stats.timing("io_time"):
-        pass
-    with stats.timing("io_time"):
-        pass
-    assert stats.io_time >= 0
+    """A span name's row accumulates over its calls."""
+    rec = TraceRecorder(chrome=False)
+    window = rec.window()
+    for _ in range(2):
+        with rec.span("partition-load"):
+            pass
+    self_s, incl_s, calls = window.spans()["partition-load"]
+    assert calls == 2 and 0 <= self_s == incl_s
 
 
 def test_stats_breakdown_sums_to_one():
-    stats = EngineStats(io_time=1.0, encode_time=2.0, smt_time=3.0,
-                        compute_time=4.0)
-    breakdown = stats.breakdown()
-    assert abs(sum(breakdown.values()) - 1.0) < 1e-9
-    assert breakdown["compute"] == 0.4
+    """The Fig. 9 breakdown splits the closure windows by span name."""
+    shares = breakdown({
+        "closure": (2.0, 10.0, 1), "pair-compute": (2.0, 8.0, 1),
+        "partition-load": (1.0, 1.0, 3), "form-key": (2.0, 2.0, 9),
+        "smt-solve": (3.0, 3.0, 4),
+    })
+    assert abs(sum(shares.values()) - 1.0) < 1e-9
+    assert shares == {"io": 0.1, "encode": 0.2, "smt": 0.3, "compute": 0.4}
 
 
 def test_stats_breakdown_empty_is_zero():
-    assert sum(EngineStats().breakdown().values()) == 0.0
+    assert sum(breakdown({}).values()) == 0.0
 
 
 def test_stats_cache_hit_rate():
@@ -123,12 +131,9 @@ def test_stats_cache_hit_rate():
 
 
 def test_stats_merge_sums_components():
-    a = EngineStats(io_time=1.0, smt_time=2.0, new_edges=5, cache_hits=3,
-                    constraint_queries=4)
-    b = EngineStats(io_time=0.5, smt_time=1.0, new_edges=2, cache_hits=1,
-                    constraint_queries=2)
+    a = EngineStats(new_edges=5, cache_hits=3, constraint_queries=4)
+    b = EngineStats(new_edges=2, cache_hits=1, constraint_queries=2)
     a.merge_phase(b)
-    assert a.io_time == 1.5
     assert a.new_edges == 7
     assert a.cache_hits == 4
     assert a.constraint_queries == 6

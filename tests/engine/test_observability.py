@@ -1,14 +1,18 @@
 """Tests for the observability layer (repro.obs + its engine hooks).
 
-Covers the satellite guarantees: reentrancy-safe timing(), an engine
-trace that covers every span kind, metrics that agree with the
-counters, zero entries when disabled, and the run-report/trace schemas.
+Covers the satellite guarantees: spans that keep self time, a traced
+run whose spans cover every name the benchmark harness reads, an
+untraced run that fills the same span table without events, histograms
+that agree with the counters, and the run-report/trace schemas.
 (Cross-phase aggregation derived from the field list is pinned in
 ``test_stats_merge.py``.)
 """
 
+import importlib.util
 import io
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -18,77 +22,101 @@ from repro.checkers.checker import pack_checkers
 from repro.engine.stats import EngineStats
 from repro.obs.metrics import Histogram
 from repro.obs.report import (
+    KNOWN_SPANS,
     Heartbeat,
     trace_coverage,
     validate_run_report,
     validate_trace,
 )
-from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.obs.trace import TraceRecorder
+from repro.serve import ServeEngine
 from repro.workloads import build_subject
 from repro.workloads.multifile import build_multifile_subject
 
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+_spec = importlib.util.spec_from_file_location(
+    "harness_layers", os.path.join(ROOT, "benchmarks", "harness", "layers.py")
+)
+harness_layers = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = harness_layers  # its dataclasses look it up
+_spec.loader.exec_module(harness_layers)
 
-def _run(source, trace=None, metrics=False, heartbeat=None,
-         budget=4 << 20):
+
+def _run(source, trace=None, heartbeat=None, budget=4 << 20):
     options = GrappleOptions(
         engine=EngineOptions(
             memory_budget=budget,
             trace=trace,
-            metrics=metrics,
             heartbeat=heartbeat,
-        )
+        ),
     )
     fsms = [c.fsm for c in default_checkers()]
     return Grapple(source, fsms, options).run()
 
 
-# -- histograms across phases -------------------------------------------------
+def _events(recorder) -> list:
+    return [e for e in recorder.events if e["ph"] == "X"]
+
+
+# -- histograms across windows ------------------------------------------------
 
 
 def test_merge_folds_metrics_registries():
-    a = EngineStats()
-    b = EngineStats()
-    b.ensure_metrics()["solve_latency_s"].observe(0.002)
-    a.merge_phase(b)  # a has no histograms: starts its own
-    assert a.metrics["solve_latency_s"].count == 1
-    c = EngineStats()
-    c.ensure_metrics()["solve_latency_s"].observe(0.004)
-    a.merge_phase(c)  # both present: exact histogram merge
-    assert a.metrics["solve_latency_s"].count == 2
-    assert b.metrics["solve_latency_s"].count == 1  # clone, not alias
+    """A window reads what the histograms gained since it opened, as
+    copies; copies of two windows merge exactly."""
+    rec = TraceRecorder(chrome=False)
+    with rec.span("smt-solve"):
+        pass
+    window = rec.window()
+    with rec.span("smt-solve"):
+        pass
+    first = window.histograms()["solve_latency_s"]
+    assert first.count == 1  # the span before the window is not in it
+    window = rec.window()
+    with rec.span("smt-solve"):
+        pass
+    second = window.histograms()["solve_latency_s"]
+    first.merge(second)
+    assert first.count == 2
+    assert second.count == 1  # copy, not alias
+    assert rec.histograms["solve_latency_s"].count == 3
 
 
-# -- reentrant timing ----------------------------------------------------------
+# -- self time -----------------------------------------------------------------
 
 
 def test_timing_nested_spans_attribute_self_time_only():
-    stats = EngineStats()
-    with stats.timing("compute_time"):
+    rec = TraceRecorder(chrome=False)
+    window = rec.window()
+    with rec.span("outer"):
         time.sleep(0.02)
-        with stats.timing("io_time"):
+        with rec.span("load"):
             time.sleep(0.03)
-        with stats.timing("smt_time"):
+        with rec.span("solve"):
             time.sleep(0.01)
-    # Inner elapsed must not double-count into the outer component.
-    assert stats.io_time >= 0.03
-    assert stats.smt_time >= 0.01
-    assert stats.compute_time >= 0.015
-    assert stats.compute_time < 0.035, (
-        "nested spans leaked into the enclosing component"
-    )
-    total = stats.compute_time + stats.io_time + stats.smt_time
+    spans = window.spans()
+    compute, io_, smt = (spans[name][0] for name in ("outer", "load", "solve"))
+    # Inner elapsed must not double-count into the outer span.
+    assert io_ >= 0.03
+    assert smt >= 0.01
+    assert compute >= 0.015
+    assert compute < 0.035, "nested spans leaked into the enclosing span"
+    assert spans["outer"][1] >= 0.06  # inclusive keeps them
+    total = compute + io_ + smt
     assert 0.055 <= total < 0.09
 
 
 def test_timing_doubly_nested():
-    stats = EngineStats()
-    with stats.timing("compute_time"):
-        with stats.timing("io_time"):
-            with stats.timing("encode_time"):
+    rec = TraceRecorder(chrome=False)
+    window = rec.window()
+    with rec.span("outer"):
+        with rec.span("load"):
+            with rec.span("inner"):
                 time.sleep(0.02)
-    assert stats.encode_time >= 0.02
-    assert stats.io_time < 0.01
-    assert stats.compute_time < 0.01
+    spans = window.spans()
+    assert spans["inner"][0] >= 0.02
+    assert spans["load"][0] < 0.01
+    assert spans["outer"][0] < 0.01
 
 
 # -- trace recorder ------------------------------------------------------------
@@ -110,42 +138,94 @@ def test_trace_export_formats(tmp_path):
 
 
 def test_null_recorder_records_nothing():
-    assert NULL_RECORDER.enabled is False
-    with NULL_RECORDER.span("anything"):
+    """Without ``chrome`` a recorder keeps the span table, no events."""
+    rec = TraceRecorder(chrome=False)
+    window = rec.window()
+    with rec.span("anything"):
         pass
-    NULL_RECORDER.end("x", NULL_RECORDER.begin())
-    NULL_RECORDER.instant("y")
-    NULL_RECORDER.note_thread("z")
-    assert not hasattr(NULL_RECORDER, "events")
+    rec.note_thread("z")
+    assert rec.events == []
+    assert window.spans()["anything"][2] == 1
+    assert rec.chrome_trace()["otherData"]["dropped_events"] == 0
 
 
 # -- engine integration --------------------------------------------------------
 
 
-def test_engine_trace_covers_span_kinds():
+def test_engine_trace_covers_span_kinds(tmp_path):
+    """Every program span the benchmark harness reads
+    (``benchmarks/harness/layers.py::PROGRAM_SPANS``) is emitted: by a
+    check under a budget that makes the store split, prefetch and spill,
+    and by a served edit."""
     source = build_subject("zookeeper", scale=0.4).source
     recorder = TraceRecorder()
     run = _run(source, trace=recorder, budget=256 << 10)
-    names = recorder.span_names()
-    assert {"closure", "iteration", "pair-compute", "smt-solve"} <= names
-    assert {"prefetch", "spill", "repartition"} <= names, (
-        "I/O and repartition spans missing -- budget did not stress store"
-    )
+    names = {e["name"] for e in _events(recorder)}
     assert validate_trace(recorder.chrome_trace()) == []
     assert run.report.warnings
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    for path, text in build_multifile_subject("gateway", scale=1).sources.items():
+        (ws / path).write_text(text)
+    served = TraceRecorder()
+    engine = ServeEngine(str(ws), str(tmp_path / "wd"),
+                         [c.fsm for c in pack_checkers()], trace=served)
+    engine.scan()
+    path = next(p for p in os.listdir(ws) if p.endswith(".mini"))
+    engine.edit(path, (ws / path).read_text() + "\nfunc pad() { return; }\n")
+    names |= {e["name"] for e in _events(served)}
+    expected = set(harness_layers.PROGRAM_SPANS)
+    assert expected <= names, sorted(expected - names)
+    assert names <= set(KNOWN_SPANS), sorted(names - set(KNOWN_SPANS))
 
 
 def test_disabled_observability_adds_nothing():
+    """A run handed no recorder times itself all the same: it fills the
+    span table a traced run fills, and records no Chrome events."""
     source = build_subject("zookeeper", scale=0.3).source
-    run = _run(source, trace=None, metrics=False)
-    assert run.stats.metrics is None
+    traced = TraceRecorder()
+    names = set(_run(source, trace=traced).spans)
+    assert names == {e["name"] for e in _events(traced)}
+    untraced = TraceRecorder(chrome=False)
+    run = _run(source, trace=untraced)
+    assert set(run.spans) == names
+    assert untraced.events == []
+    assert set(_run(source).spans) == names  # the run makes its own
+
+
+def test_run_time_splits_at_the_closures():
+    """``computation_s`` is the closure spans (Table 3's CT) and
+    ``preprocess_s`` the rest of ``total_s``; no reduction pass runs
+    inside a closure, and the span table sums to the total."""
+    source = build_subject("zookeeper", scale=0.3).source
+    run = _run(source)
+    timing = run.run_report()["timing"]
+    assert timing["preprocess_s"] + timing["computation_s"] == pytest.approx(
+        timing["total_s"], abs=2e-6
+    )
+    assert timing["computation_s"] == pytest.approx(
+        run.closure_spans["closure"][1], abs=1e-6
+    )
+    assert not [name for name in run.closure_spans if name.startswith("sa-")]
+    assert sum(row[0] for row in run.spans.values()) == pytest.approx(
+        run.total_time
+    )
+
+
+def test_type_inference_is_not_timed_as_dse():
+    recorder = TraceRecorder()
+    _run(build_subject("zookeeper", scale=0.3).source, trace=recorder)
+    spans = {e["name"]: e for e in _events(recorder)
+             if e["name"] in ("types", "sa-dse")}
+    types, dse = spans["types"], spans["sa-dse"]
+    assert types["ts"] + types["dur"] <= dse["ts"]  # one after the other
 
 
 def test_metrics_agree_with_counters():
     source = build_subject("zookeeper", scale=0.4).source
-    run = _run(source, metrics=True)
+    run = _run(source)
     stats = run.stats
-    hists = stats.metrics
+    hists = run.histograms
     # Histogram observation counts must equal the independently kept
     # scalar counters -- one observation per solver invocation / pair.
     assert hists["solve_latency_s"].count == stats.constraints_solved
@@ -179,7 +259,7 @@ def test_histogram_bucketing_and_merge():
 
 def test_run_report_schema_roundtrip():
     source = build_subject("zookeeper", scale=0.3).source
-    run = _run(source, metrics=True)
+    run = _run(source)
     report = run.run_report(subject="zookeeper")
     assert validate_run_report(report) == []
     assert report["subject"] == "zookeeper"
@@ -198,6 +278,13 @@ def test_run_report_schema_roundtrip():
     assert validate_run_report(json.loads(json.dumps(report))) == []
     broken = json.loads(json.dumps(report))
     broken["histograms"]["solve_latency_s"]["counts"].append(1)
+    assert validate_run_report(broken)
+    spans = report["spans"]
+    assert sum(row["self_s"] for row in spans.values()) == pytest.approx(
+        report["timing"]["total_s"], abs=1e-4
+    )
+    broken = json.loads(json.dumps(report))
+    broken["spans"]["run"]["calls"] = "1"
     assert validate_run_report(broken)
 
 
@@ -302,7 +389,7 @@ def test_run_report_scopes_section_for_multifile_sources():
         }
         """,
     }
-    run = _run(sources, metrics=True)
+    run = _run(sources)
     report = run.run_report(subject="multifile")
     assert validate_run_report(report) == []
     scopes = report["scopes"]
@@ -311,7 +398,7 @@ def test_run_report_scopes_section_for_multifile_sources():
     assert scopes["unresolved_refs"] == 0
     # Single-file string sources never grew a scopes section.
     single = _run(
-        sources["net.mini"].replace("module net;", ""), metrics=True
+        sources["net.mini"].replace("module net;", "")
     ).run_report()
     assert "scopes" not in single
     assert validate_run_report(single) == []

@@ -8,8 +8,6 @@ from repro.engine.stats import EngineStats
 
 def test_merge_phase_pins_exact_values():
     a = EngineStats(
-        io_time=1.0,
-        smt_time=0.5,
         iterations=3,
         pairs_processed=10,
         edges_before=100,
@@ -22,8 +20,6 @@ def test_merge_phase_pins_exact_values():
         timed_out=False,
     )
     b = EngineStats(
-        io_time=0.25,
-        smt_time=0.75,
         iterations=2,
         pairs_processed=4,
         edges_before=30,
@@ -38,8 +34,6 @@ def test_merge_phase_pins_exact_values():
     merged = EngineStats()
     merged.merge_phase(a)
     merged.merge_phase(b)
-    assert merged.io_time == 1.25
-    assert merged.smt_time == 1.25
     assert merged.iterations == 5
     assert merged.pairs_processed == 14
     assert merged.edges_before == 130

@@ -1,9 +1,9 @@
 """Golden tests for the per-stage trace analyzer (repro.obs.analyze).
 
 The fixture is a hand-built 10-second closure window whose attribution
-is computable on paper, so every derived quantity -- per-stage seconds,
-the fraction outside pair visits, the longest segments -- is asserted
-exactly rather than within a tolerance.
+is computable on paper, so every derived quantity -- per-stage self
+seconds, the fraction outside pair visits -- is asserted exactly rather
+than within a tolerance.
 
 Timeline (seconds, one process)::
 
@@ -11,7 +11,8 @@ Timeline (seconds, one process)::
     [closure  window                                   ]
     [pair-compute       ]
          [repart. ]     [chkpt   ] [retry]
-    labels:  pair-compute 0-4, checkpoint 4-6, retry 6-7, idle 7-10
+    self:  pair-compute 2, repartition 2, checkpoint 2, retry 1,
+           closure 3 (the time under no other span)
 """
 
 import json
@@ -53,7 +54,7 @@ def doc():
 
 def test_schema_header(doc):
     assert doc["schema"] == "grapple/bottleneck-report"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["windows"] == 1
 
 
@@ -61,14 +62,16 @@ def test_stage_attribution_is_exact(doc):
     assert doc["wall_s"] == 10.0
     assert doc["stages_s"] == {
         "checkpoint": 2.0,
-        "idle": 3.0,
-        "pair-compute": 4.0,
+        "closure": 3.0,
+        "pair-compute": 2.0,
+        "repartition": 2.0,
         "retry": 1.0,
     }
     assert doc["stage_fractions"] == {
         "checkpoint": 0.2,
-        "idle": 0.3,
-        "pair-compute": 0.4,
+        "closure": 0.3,
+        "pair-compute": 0.2,
+        "repartition": 0.2,
         "retry": 0.1,
     }
 
@@ -80,26 +83,8 @@ def test_stages_partition_the_wall_exactly(doc):
 def test_overhead_is_everything_outside_pair_visits(doc):
     assert doc["overhead_s"] == 6.0
     assert doc["overhead_fraction"] == 0.6
-    assert doc["top_overhead_stage"] == "idle"
-
-
-def test_critical_path_segments(doc):
-    segments = doc["critical_path"]
-    assert [s["stage"] for s in segments] == [
-        "pair-compute", "idle", "checkpoint", "retry",
-    ]
-    assert segments[0] == {
-        "stage": "pair-compute", "start_s": 0.0, "end_s": 4.0, "dur_s": 4.0,
-    }
-    assert segments[1]["dur_s"] == 3.0  # the 7-10s tail gap
-    durations = [s["dur_s"] for s in segments]
-    assert durations == sorted(durations, reverse=True)
-
-
-def test_top_n_truncates(doc):
-    short = analyze_trace(golden_trace(), top_n=2)
-    assert len(short["critical_path"]) == 2
-    assert short["critical_path"] == doc["critical_path"][:2]
+    # The repartition ran inside the pair visit: not overhead.
+    assert doc["top_overhead_stage"] == "closure"
 
 
 def test_nested_stage_innermost_wins():
@@ -111,11 +96,14 @@ def test_nested_stage_innermost_wins():
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["stages_s"] == {"checkpoint": 2.0, "repartition": 2.0}
+    assert doc["stages_s"] == {
+        "checkpoint": 2.0, "closure": 0.0, "repartition": 2.0,
+    }
     assert doc["overhead_fraction"] == 1.0
 
 
 def test_pair_compute_outranks_stages():
+    """Innermost wins: a pair visit inside a stage is its own stage."""
     trace = {
         "traceEvents": [
             _span("closure", 1, 0.0, 2.0),
@@ -124,7 +112,10 @@ def test_pair_compute_outranks_stages():
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["stages_s"] == {"pair-compute": 1.0, "repartition": 1.0}
+    assert doc["stages_s"] == {
+        "closure": 0.0, "pair-compute": 1.0, "repartition": 1.0,
+    }
+    assert doc["overhead_s"] == 1.0
 
 
 def test_multiple_windows_sum():
@@ -138,7 +129,7 @@ def test_multiple_windows_sum():
     doc = analyze_trace(trace)
     assert doc["windows"] == 2
     assert doc["wall_s"] == 5.0  # gaps between windows are not wall
-    assert doc["stages_s"] == {"idle": 3.0, "pair-compute": 2.0}
+    assert doc["stages_s"] == {"closure": 3.0, "pair-compute": 2.0}
 
 
 def test_pair_compute_clipped_to_windows():
@@ -151,20 +142,27 @@ def test_pair_compute_clipped_to_windows():
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["stages_s"] == {"idle": 1.0, "pair-compute": 1.0}
+    assert doc["stages_s"] == {"closure": 1.0, "pair-compute": 1.0}
 
 
-def test_no_closure_spans_falls_back_to_extent():
+def test_other_threads_are_not_stages():
+    """The prefetch reader's spans overlap the closure on another
+    thread; the closure's wall is the engine thread's."""
     trace = {
         "traceEvents": [
-            _span("pair-compute", 1, 1.0, 2.0, cat="pair"),
-            _span("pair-compute", 1, 4.0, 1.0, cat="pair"),
+            _span("closure", 1, 0.0, 2.0),
+            _span("pair-compute", 1, 0.0, 1.0, cat="pair"),
+            _span("prefetch", 1, 0.5, 1.0, cat="io", tid=7),
         ]
     }
     doc = analyze_trace(trace)
-    assert doc["wall_s"] == 4.0  # extent 1..5
-    assert doc["stages_s"]["pair-compute"] == 3.0
-    assert doc["stages_s"]["idle"] == 1.0
+    assert doc["stages_s"] == {"closure": 1.0, "pair-compute": 1.0}
+
+
+def test_no_closure_span_raises():
+    trace = {"traceEvents": [_span("pair-compute", 1, 1.0, 2.0, cat="pair")]}
+    with pytest.raises(ValueError, match="no 'closure' span"):
+        analyze_trace(trace)
 
 
 def test_empty_trace_raises():
@@ -185,6 +183,6 @@ def test_report_context_carried_through():
 def test_format_bottleneck_renders_and_doc_is_json(doc):
     text = format_bottleneck(doc)
     assert "outside pairs   60.0%" in text
-    assert "top stage       idle" in text
+    assert "top stage       closure" in text
     assert "workers" not in text
     json.dumps(doc)  # report must be serialisable as-is

@@ -217,7 +217,7 @@ def test_analyze_golden_trace_cli(tmp_path, capsys):
     assert obs_main(["analyze", "--trace", trace, "-o", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "outside pairs   60.0%" in out
-    assert "top stage       idle" in out
+    assert "top stage       closure" in out
     with open(out_path) as f:
         doc = json.load(f)
     assert doc["schema"] == "grapple/bottleneck-report"

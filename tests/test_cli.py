@@ -220,7 +220,7 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 ENGINE_OPTION_FIELDS = {
     "workdir", "memory_budget", "witness_cap", "enable_cache",
-    "path_sensitive", "trace", "metrics", "heartbeat",
+    "path_sensitive", "trace", "heartbeat",
     "sampler", "resume", "max_retries", "fault_plan",
 }
 
@@ -254,10 +254,11 @@ def test_knob_census():
     options and their flags went with the pool, and the string
     baseline's three options became ``StringConstraintEngine``
     arguments; one of them coming back on either side alone fails
-    here.)"""
+    here.  ``metrics`` went when histograms became always-on span
+    observations.)"""
     fields = {f.name for f in dataclasses.fields(EngineOptions)}
     assert fields == ENGINE_OPTION_FIELDS
-    assert len(fields) == 12
+    assert len(fields) == 11
     for command in ("check", "serve"):
         documented, parsed = _readme_flags(command), _parser_flags(command)
         assert parsed - documented == set(), f"{command}: undocumented"
@@ -445,18 +446,29 @@ def test_stats_text_is_a_view_of_the_run_report(tmp_path, capsys):
         "scope resolution": [report["scopes"][k] for k in (
             "scope_resolutions", "files", "unresolved_refs", "ambiguous_refs")],
     }
+    timing, breakdown = report["timing"], report["breakdown"]
+    slowest = sorted(report["spans"].items(), key=lambda kv: -kv[1]["self_s"])
+    timed = {
+        "preprocess/closure": f"{timing['preprocess_s']:.2f}s"
+                              f" / {timing['computation_s']:.2f}s",
+        "closure breakdown": " · ".join(
+            f"{key} {share:.0%}" for key, share in breakdown.items()),
+        "slowest spans (self)": " · ".join(
+            f"{name} {row['self_s']:.2f}s" for name, row in slowest[:5]),
+        "total time": f"{timing['total_s']:.2f}s",
+    }
     seen = []
     for line in text.strip().splitlines():
         label, _, value = (part.strip() for part in line.partition(":"))
         seen.append(label)
-        if label == "total time":
-            assert value == f"{report['timing']['total_s']:.2f}s"
+        if label in timed:
+            assert value == timed[label], line
             continue
         numbers = [int(n) for n in re.findall(r"\d+", value)]
         if label in rates:
             assert abs(numbers.pop(0) - 100 * rates[label]) <= 0.5, line
         assert numbers == expected[label], line
-    assert seen == [*expected, "total time"]
+    assert seen == [*expected, *timed]
     assert report["scopes"]["files"] == 3 and report["reduction"]
 
 

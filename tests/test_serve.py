@@ -1010,9 +1010,16 @@ def test_incr_spans_are_recorded(tmp_path):
     engine = _engine(tmp_path, trace=recorder)
     engine.scan()
     path = os.path.join(engine.workspace, "g1svc.mini")
-    engine.edit("g1svc.mini", open(path).read() + "\n")
+    fragment = engine.edit("g1svc.mini", open(path).read() + "\n")
     names = {e["name"] for e in recorder.events if e.get("ph") == "X"}
     assert {"incr-diff", "incr-join", "incr-retract"} <= names
+    # The recorder saw both scans; the fragment reports its own.
+    assert fragment["spans"]["serve-scan"]["calls"] == 1
+    assert fragment["spans"]["incr-diff"]["calls"] == 1
+    timing = fragment["timing"]
+    assert timing["preprocess_s"] + timing["computation_s"] == pytest.approx(
+        timing["total_s"], abs=2e-6
+    )
 
 
 @contextlib.contextmanager
