@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.frontend import CompiledProgram
 from repro.engine.computation import EngineOptions, EngineResult, GraphEngine
-from repro.grammar.pointsto import ALIAS, FLOWS_TO, PointsToGrammar
+from repro.grammar.pointsto import FLOWS_TO, PointsToGrammar
 from repro.graph.alias_graph import AliasGraphResult, build_alias_graph
 from repro.obs.trace import TraceRecorder
 
@@ -19,7 +19,6 @@ class AliasAnalysis:
     engine_result: EngineResult
     # (object vertex, variable vertex) -> tuple of witness path encodings
     flows_to: dict = field(default_factory=dict)
-    alias_pair_count: int = 0
 
     def flows_to_encodings(self, obj_vertex: int, var_vertex: int):
         return self.flows_to.get((obj_vertex, var_vertex), ())
@@ -47,12 +46,6 @@ class AliasAnalysis:
             if src_key[0] == "obj":
                 out.add((src_key[1], dst_key[1]))
         return out
-
-    def iter_alias_pairs(self):
-        """Stream the computed alias pairs as resolved vertex keys."""
-        vertices = self.graph_result.graph.vertices
-        for src, dst, _enc in self.engine_result.edges_with_label(ALIAS):
-            yield vertices.lookup(src), vertices.lookup(dst)
 
 
 def run_alias_phase(
@@ -104,6 +97,4 @@ def run_alias_phase(
                 analysis.flows_to[key] = (
                     analysis.flows_to.get(key, ()) + (encoding,)
                 )
-            elif label == ALIAS:
-                analysis.alias_pair_count += 1
     return analysis

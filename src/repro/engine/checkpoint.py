@@ -50,7 +50,11 @@ MANIFEST = "checkpoint.json"
 #: 3: partition files *and* delta frames hold encoding ids (``"encodings"``
 #: counts the log).  An older workdir's files hold tuples somewhere (a
 #: format-2 delta file, a format-1 partition file); it restarts fresh.
-FORMAT = 3
+#: 4: the points-to grammar derives ``storeBar``/``fs``/``fsBar`` instead
+#: of ``flowsToBar``/``alias``; a format-3 alias phase holds no
+#: ``storeBar`` edge (those are derived only from the input graph), so
+#: resuming it would lose heap flows.
+FORMAT = 4
 
 #: EngineOptions fields that change *what* the closure computes (not how
 #: fast); a resume under a different value of any of these is refused.

@@ -734,7 +734,7 @@ class GraphEngine:
         operands ``p`` holds, join vertices ``q`` owns -- by
         :meth:`DeltaLog.plan`, after the loads (folding a damaged delta
         file resets the log).  A fully seeded cell (never closed, or a
-        split or salvaged delta file invalidated a log since) seeds
+        salvaged delta file or an outgrown log reset a log since) seeds
         every joinable left, as left operands only: the drain meets
         every right operand already present.  A closed cell seeds just
         the edges the log recorded past its cursor, each left through
@@ -986,10 +986,11 @@ class GraphEngine:
         """Mid-iteration split of a loaded partition that outgrew the
         budget: the left half stays loaded, the right half goes to disk
         (a new partition: its pairs are all unvisited, and the store
-        resets both halves' arrival logs, so every pair touching either
-        seeds fully).  Reverse-index entries and queued right operands
-        that now point outside the pair stay behind -- composing them
-        still derives valid edges, which spill."""
+        carries each cell's cursor from before this visit to both
+        halves, so they seed what arrived since).  Reverse-index
+        entries and queued right operands that now point outside the
+        pair stay behind -- composing them still derives valid edges,
+        which spill."""
         # Pending spills may be routed by stale boundaries; flush first.
         self._flush_spills(spills)
         spills.clear()

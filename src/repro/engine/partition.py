@@ -37,9 +37,10 @@ Every way edges enter or move between partitions outside the engine's
 own insert loop passes through this module, so the store also keeps the
 closure's :class:`~repro.engine.scheduling.DeltaLog` (``store.log``,
 attached by the engine for the duration of a phase) truthful: appended
-edges are recorded as arrivals; a split, or a delta file
-salvaged around corrupt frames, resets the partition's log so every
-pair touching it seeds fully on its next visit.
+edges are recorded as arrivals; a split hands each half its share of
+the partition's log and cursors; a delta file salvaged around corrupt
+frames resets the partition's log so every pair touching it seeds
+fully on its next visit.
 
 Durability (DESIGN.md §11) is paid where a run can be resumed, i.e. by a
 ``durable`` store (the engine's explicit ``workdir``): partition files
@@ -593,9 +594,8 @@ class PartitionStore:
         self.save(new_part, right_cols)
         self.stats.repartitions += 1
         if self.log is not None:
-            # Edges changed owner: neither half's log describes it now.
-            self.log.reset(part.index, left_cols)
-            self.log.reset(new_part.index, right_cols)
+            self.log.split(part.index, new_part.index, mid, left_cols,
+                           right_cols)
         return part, left_cols, new_part, right_cols
 
     def total_edges(self) -> int:

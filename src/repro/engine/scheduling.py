@@ -44,13 +44,14 @@ class DeltaLog:
       ``(j, i)`` share the pair's, and an intra cell ``(p, p)`` keeps
       one under the self-pair key, shared by every pair containing
       ``p`` -- so a composition inside a partition is not redone on the
-      first visit of each pair that contains it.  Whoever moves edges
-      other than by appending (a split, a salvaged corrupt delta file)
-      calls :meth:`reset`, which bumps the partition's *epoch*; a cursor
-      from another epoch means the cell seeds fully.  A log that
-      outgrows ``cap_rows`` (its partition's own byte cap) resets the
-      same way, so the log never holds more than the partitions it
-      describes;
+      first visit of each pair that contains it.  A split calls
+      :meth:`split`, which hands each half its share of the log and of
+      every cursor, so a cell closed before the split stays closed.
+      Whoever loses edges (a salvaged corrupt delta file) calls
+      :meth:`reset`, which bumps the partition's *epoch*; a cursor from
+      another epoch means the cell seeds fully.  A log that outgrows
+      ``cap_rows`` (its partition's own byte cap) resets the same way,
+      so the log never holds more than the partitions it describes;
     * a per-partition **join index**: the destinations of its
       relevant-source edges.  A cell can only produce edges if some
       relevant-source edge of ``p`` points into ``q``, and a right
@@ -101,17 +102,75 @@ class DeltaLog:
 
     def reset(self, index: int, cols=None) -> None:
         """Forget ``index``'s log and invalidate every cursor into it;
-        with ``cols`` (the partition's new contents after a split) also
-        rebuild its destination set."""
+        with ``cols`` (the partition's actual contents) also rebuild its
+        destination set."""
         self._epoch[index] = self._epoch.get(index, 0) + 1
         self._rows.pop(index, None)
         if cols is not None:
-            relevant = self._relevant
-            self._dsts[index] = {
-                dst for _src, dst, label_id, _eid in cols.iter_rows()
-                if relevant(label_id)
-            }
-            self._sorted[index] = None
+            self._rebuild_targets(index, cols)
+
+    def split(self, index: int, new_index: int, mid: int, left_cols,
+              right_cols) -> None:
+        """Partition ``index`` kept the sources below ``mid`` and handed
+        the rest to the new partition ``new_index``.
+
+        Its log splits by source, in arrival order, and every cursor
+        into it is carried to both halves: a position maps to the number
+        of the half's rows logged before it.  The carried cursors go to
+        every cell either half inherits -- ``index``'s own, the new
+        intra cell, the ``(index, new_index)`` cross cells (halves of
+        the old intra cell) and each ``(other, new_index)`` pair (half
+        of ``(other, index)``) -- so a cell closed before the split is
+        still closed after it.  A cursor from another epoch carries
+        nothing: the cells it would have reached seed fully.  Both
+        destination sets are rebuilt from the halves' columns."""
+        cols = self._rows.pop(index, None)
+        left_at = array("q", [0])  # log position -> left rows before it
+        if cols is not None:
+            halves = tuple(
+                tuple(array("q") for _ in range(4)) for _ in range(2)
+            )
+            left = halves[0][0]
+            for row in zip(*cols):
+                for col, value in zip(halves[row[0] >= mid], row):
+                    col.append(value)
+                left_at.append(len(left))
+            self._rows[index], self._rows[new_index] = halves
+        epoch = self._epoch.get(index, 0)
+        new_epoch = self._epoch.get(new_index, 0)
+        cursors = self._cursor
+        for key, cursor in list(cursors.items()):
+            if index not in key:
+                continue
+            slot = 0 if key[0] == index else 2
+            if cursor[slot] != epoch:
+                continue
+            at = cursor[slot + 1]
+            lpos, rpos = left_at[at], at - left_at[at]
+            if key == (index, index):
+                cursors[key] = (epoch, lpos, epoch, lpos)
+                cursors[(new_index, new_index)] = (
+                    new_epoch, rpos, new_epoch, rpos,
+                )
+                cursors[(index, new_index)] = (epoch, lpos, new_epoch, rpos)
+                continue
+            if slot == 0:
+                cursors[key] = (epoch, lpos) + cursor[2:]
+                other, theirs = key[1], cursor[2:]
+            else:
+                cursors[key] = cursor[:2] + (epoch, lpos)
+                other, theirs = key[0], cursor[:2]
+            cursors[(other, new_index)] = theirs + (new_epoch, rpos)
+        self._rebuild_targets(index, left_cols)
+        self._rebuild_targets(new_index, right_cols)
+
+    def _rebuild_targets(self, index: int, cols) -> None:
+        relevant = self._relevant
+        self._dsts[index] = {
+            dst for _src, dst, label_id, _eid in cols.iter_rows()
+            if relevant(label_id)
+        }
+        self._sorted[index] = None
 
     def rows(self, index: int, start: int = 0) -> list:
         """``(src, dst, label_id, enc_id)`` rows logged from ``start``."""

@@ -28,9 +28,6 @@ class ComposeContext:
 class Grammar:
     """Base grammar: table-driven binary rules plus derivation hooks."""
 
-    #: labels the analysis reports as results (e.g. ``("alias",)``)
-    output_labels: frozenset = frozenset()
-
     def derived(self, label: tuple) -> Iterable[tuple[tuple, bool]]:
         """Labels derived from a newly inserted edge.
 

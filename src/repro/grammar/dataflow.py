@@ -42,10 +42,6 @@ class DataflowGrammar(Grammar):
             fsm.name: fsm.events() for fsm, _, _ in objects.values()
         }
 
-    @property
-    def output_labels(self):  # all state labels are outputs
-        return frozenset()
-
     def compose(self, edge1, edge2, ctx: ComposeContext):
         label1, label2 = edge1[2], edge2[2]
         if label1[0] != "st" or label2 != CF:

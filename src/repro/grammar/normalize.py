@@ -79,14 +79,9 @@ class _CompiledGrammar(Grammar):
     unary: dict = field(default_factory=dict)  # base -> [lhs]
     binary: dict = field(default_factory=dict)  # (b1, b2) -> [(lhs, mode)]
     reversals: dict = field(default_factory=dict)  # base -> [target]
-    outputs: frozenset = frozenset()
     sources: frozenset = frozenset()
     targets: frozenset = frozenset()
     table_driven = True
-
-    @property
-    def output_labels(self):
-        return self.outputs
 
     def derived(self, label: tuple):
         base = (label[0],)
@@ -126,7 +121,6 @@ def _instantiate(symbol: tuple, source: tuple) -> tuple:
 def compile_grammar(
     productions: list[Production],
     reversals: list[Reversal] = (),
-    outputs=(),
 ) -> _CompiledGrammar:
     """Binarise the productions and build an executable grammar.
 
@@ -175,7 +169,6 @@ def compile_grammar(
             reversal.target
         )
 
-    grammar.outputs = frozenset(tuple(o) for o in outputs)
     # Make sources/targets frozensets for cheap membership tests.
     grammar.sources = frozenset(grammar.sources)
     grammar.targets = frozenset(grammar.targets)
@@ -183,14 +176,19 @@ def compile_grammar(
 
 
 def points_to_productions() -> tuple[list[Production], list[Reversal]]:
-    """The Sridharan-Bodik grammar (Figure 4b) in declarative form."""
+    """The Sridharan-Bodik grammar (Figure 4b) in declarative form, with
+    ``alias`` closed for every variable as the figure writes it.
+
+    :class:`repro.grammar.pointsto.PointsToGrammar` brackets the same
+    language differently (no ``alias`` edge at all); this text is its
+    independent oracle on the ``flowsTo``, ``sa`` and ``heap`` facts.
+    """
     productions = [
         Production(("flowsTo",), [("new",)]),
         Production(("flowsTo",), [("flowsTo",), ("assign",)]),
-        Production(
-            ("flowsTo",),
-            [("flowsTo",), ("store", FIELD), ("alias",), ("load", FIELD)],
-        ),
+        Production(("flowsTo",), [("flowsTo",), ("heap",)]),
+        Production(("heap",), [("sa", FIELD), ("load", FIELD)]),
+        Production(("sa", FIELD), [("store", FIELD), ("alias",)]),
         Production(("alias",), [("flowsToBar",), ("flowsTo",)]),
     ]
     reversals = [Reversal(("flowsTo",), ("flowsToBar",))]
@@ -198,8 +196,5 @@ def points_to_productions() -> tuple[list[Production], list[Reversal]]:
 
 
 def compiled_points_to() -> _CompiledGrammar:
-    """A compiled equivalent of :class:`repro.grammar.pointsto.PointsToGrammar`."""
-    productions, reversals = points_to_productions()
-    return compile_grammar(
-        productions, reversals, outputs=[("flowsTo",), ("alias",)]
-    )
+    """Figure 4b compiled from :func:`points_to_productions`."""
+    return compile_grammar(*points_to_productions())

@@ -16,8 +16,9 @@ Vertex key shapes (tuples, first element is the kind):
 * ``("exit", func)`` -- the synthetic program-exit vertex.
 
 Label shapes: ``("new",)``, ``("assign",)``, ``("store", f)``,
-``("load", f)``, ``("flowsTo",)``, ``("flowsToBar",)``, ``("alias",)``,
-``("sa", f)``, ``("heap",)``, ``("cf",)``, ``("st", state)``.
+``("load", f)``, ``("flowsTo",)``, ``("storeBar", f)``, ``("fs", f)``,
+``("fsBar", f)``, ``("sa", f)``, ``("heap",)``, ``("cf",)``,
+``("st", fsm, state)``.
 """
 
 from __future__ import annotations

@@ -396,7 +396,9 @@ def test_short_or_damaged_encoding_log_refuses_the_resume(
     from repro.cli import main
 
     source = tmp_path / "subject.mini"
-    source.write_text(build_subject("zookeeper", scale=0.2).source)
+    # Scale 1: the alias phase interns encodings after its first
+    # partition write, so its log has an interior frame to damage.
+    source.write_text(build_subject("zookeeper", scale=1.0).source)
     workdir = tmp_path / "wd"
     argv = ["check", str(source), "--checkers", CHECKER,
             "--workdir", str(workdir)]
@@ -458,7 +460,8 @@ def _v2_partition_file():
 
 
 @pytest.mark.parametrize(
-    "reason", ["none", "unreadable", "format 1 != 3", "format 2 != 3"]
+    "reason",
+    ["none", "unreadable", "format 1 != 4", "format 2 != 4", "format 3 != 4"],
 )
 def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     """Never a silent fallback: a --resume that finds nothing to resume
@@ -471,8 +474,15 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
             path = tmp_path / phase / ckpt.MANIFEST
             if reason == "unreadable":
                 path.write_text("{not json")
-            elif reason == "format 2 != 3":
-                # A workdir of the previous build: format 2, id columns
+            elif reason == "format 3 != 4":
+                # A workdir of the previous build: the same files, but
+                # its alias phase closed the old grammar (flowsToBar and
+                # alias rows, no storeBar row to compose with).
+                manifest = json.loads(path.read_text())
+                manifest["format"] = 3
+                path.write_text(json.dumps(manifest))
+            elif reason == "format 2 != 4":
+                # A workdir of the build before: format 2, id columns
                 # in partition files but tuple (v1) delta frames.
                 manifest = json.loads(path.read_text())
                 manifest["format"] = 2
@@ -482,8 +492,8 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
                         serialize.encode_frame(serialize.MAGIC + b"\x01\x00")
                     )
             else:
-                # A workdir of the build before: format 1, tuple-table
-                # (v2) partition files, no encoding log.
+                # An older workdir still: format 1, tuple-table (v2)
+                # partition files, no encoding log.
                 manifest = json.loads(path.read_text())
                 manifest["format"] = 1
                 del manifest["encodings"]
@@ -507,7 +517,7 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     # What is there now is this build's: the old files were never parsed.
     for phase in ("alias", "dataflow"):
         manifest = ckpt.load_manifest(str(tmp_path / phase))
-        assert manifest["format"] == ckpt.FORMAT == 3
+        assert manifest["format"] == ckpt.FORMAT == 4
         for desc in manifest["partitions"]:
             serialize.parse_columnar(
                 (tmp_path / phase / desc["path"]).read_bytes()

@@ -270,8 +270,8 @@ from repro import Grapple, GrappleOptions, EngineOptions
 from repro.checkers.checker import ALL_CHECKERS, Checker
 from repro.workloads import build_subject
 
-workdir, resume, fault_plan, budget = sys.argv[1:5]
-subject = build_subject("zookeeper", scale=0.3)
+workdir, resume, fault_plan, budget, name, scale = sys.argv[1:7]
+subject = build_subject(name, scale=float(scale))
 options = GrappleOptions(
     engine=EngineOptions(
         workdir=workdir,
@@ -289,7 +289,7 @@ print(run.report.summary())
 
 
 def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
-                 budget=64):
+                 budget=64, subject=("zookeeper", 0.3)):
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(sys.path),
@@ -297,7 +297,8 @@ def _subject_run(tmp_path, workdir, *, resume=False, fault_plan="",
     )
     return subprocess.run(
         [sys.executable, "-c", _SUBJECT_PROG, str(workdir),
-         "1" if resume else "0", fault_plan, str(budget)],
+         "1" if resume else "0", fault_plan, str(budget), subject[0],
+         str(subject[1])],
         env=env, capture_output=True, text=True, timeout=600,
     )
 
@@ -344,10 +345,13 @@ def test_kill9_resume_reads_delta_frames_written_before_the_kill(tmp_path):
     the first process wrote.  Every id in them must already be in the
     encoding log (log frame before delta frame)."""
     workdir = tmp_path / "wd"
-    # At 0.25 MiB the alias phase's 7th checkpoint finds a non-empty
-    # delta file (zookeeper scale 0.3).
+    # Only a reversed fs edge lands in an unloaded partition, so the
+    # subject must store into fields: at 16 KiB the alias phase's 7th
+    # checkpoint finds a non-empty delta file (hadoop scale 0.5).
+    budget, subject = 16 / 1024, ("hadoop", 0.5)
     killed = _subject_run(
-        tmp_path, workdir, fault_plan="kill_run@checkpoint:7", budget=0.25
+        tmp_path, workdir, fault_plan="kill_run@checkpoint:7", budget=budget,
+        subject=subject,
     )
     assert killed.returncode == -9, killed.stderr[-2000:]
     alias = workdir / "alias"
@@ -371,8 +375,12 @@ def test_kill9_resume_reads_delta_frames_written_before_the_kill(tmp_path):
             frames += 1
     assert frames
 
-    resumed = _subject_run(tmp_path, workdir, resume=True, budget=0.25)
+    resumed = _subject_run(
+        tmp_path, workdir, resume=True, budget=budget, subject=subject
+    )
     assert resumed.returncode == 0, resumed.stderr[-2000:]
-    clean = _subject_run(tmp_path, tmp_path / "wd-clean", budget=0.25)
+    clean = _subject_run(
+        tmp_path, tmp_path / "wd-clean", budget=budget, subject=subject
+    )
     assert clean.returncode == 0, clean.stderr[-2000:]
     assert resumed.stdout == clean.stdout

@@ -153,29 +153,65 @@ def logged_store(tmp_path):
 
 
 def test_split_resets_both_halves_and_rebuilds_their_join_sets(logged_store):
+    """A split hands each half its rows of the log (by source, in
+    order) and carries the closed intra cell's cursor to every cell of
+    either half, so only what arrived after that cursor seeds.  The
+    join sets are rebuilt from each half's actual columns, as a reset
+    rebuilds one."""
     store, log = logged_store, logged_store.log
     part = store.partitions[0]
     log.advance((0, 0))
     eid = store.table.intern(ENC)
-    store.append_delta(part, {3: {(12, 0): {eid}}})
+    store.append_delta(part, {3: {(12, 0): {eid}}, 6: {(13, 0): {eid}}})
     assert log.plan(store.partitions, (0, 0)) == {
-        (0, 0): ([(3, 12, 0, eid)], []),
+        (0, 0): ([(3, 12, 0, eid), (6, 13, 0, eid)], []),
     }
 
     left, _lc, right, _rc = store.split(part, store.load(part))
     assert right is not None
-    # Old cursors, new epochs: every cell of either half seeds fully.
-    assert log.plan(store.partitions, (0, 0)) == {(0, 0): None}
-    plan = log.plan(store.partitions, (0, right.index))
-    assert plan and all(seed is None for seed in plan.values())
-    assert log.rows(0) == [] and log.rows(right.index) == []
-    # The destination sets describe each half's actual columns: the
-    # edge 3 -> 12 stayed left (sources < 4 or so), so only the left
-    # half points at vertices >= 12.
-    assert left.owns(3)
-    probe = [type(left)(0, 12, 16, "", "")]
-    assert log.plan(probe, (0, 0)) == {(0, 0): None}
-    assert not log._overlaps(right.index, 12, 16)
+    new = right.index
+    assert (left.lo, left.hi, right.lo, right.hi) == (0, 4, 4, 16)
+    assert log.rows(0) == [(3, 12, 0, eid)]
+    assert log.rows(new) == [(6, 13, 0, eid)]
+    # Carried cursors: the chain 0 -> 1 -> ... -> 8 closed before the
+    # split is not composed again in any cell.  3 -> 12 is a right for
+    # 2 -> 3 (left half) and a left joining in the new half; 6 -> 13
+    # is both inside the new half.
+    assert log.plan(store.partitions, (0, 0)) == {
+        (0, 0): ([], [(3, 12, 0, eid)]),
+    }
+    assert log.plan(store.partitions, (0, new)) == {
+        (0, 0): ([], [(3, 12, 0, eid)]),
+        (0, new): ([(3, 12, 0, eid)], []),
+        (new, new): ([(6, 13, 0, eid)], [(6, 13, 0, eid)]),
+    }
+    # The destination sets describe each half's actual columns.
+    assert log._dsts == {0: {1, 2, 3, 4, 12}, new: {5, 6, 7, 8, 13}}
+    # A reset still invalidates every cursor into a half.
+    log.reset(new, store.load(right))
+    plan = log.plan(store.partitions, (0, new))
+    assert plan[(0, new)] is None and plan[(new, new)] is None
+
+
+def test_split_between_visits_leaves_a_closed_cell_closed(icfet, monkeypatch):
+    """Splits that happen only between visits (the eager mid-visit split
+    disabled): carrying the cursors reaches the same edges as resetting
+    both halves, with fewer compositions -- the cells the split
+    partition had closed are not seeded fully again."""
+    n, edges = random_edges(1)
+    want = naive_closure(edges, LabelledGrammar(), icfet)
+    monkeypatch.setattr(GraphEngine, "_split_loaded", lambda self, *a: None)
+    carried, carried_stats = run_engine(n, edges, icfet, memory_budget=2 << 10)
+
+    def reset_both(self, index, new_index, mid, left_cols, right_cols):
+        self.reset(index, left_cols)
+        self.reset(new_index, right_cols)
+
+    monkeypatch.setattr(DeltaLog, "split", reset_both)
+    reset, reset_stats = run_engine(n, edges, icfet, memory_budget=2 << 10)
+    assert carried == reset == want
+    assert carried_stats.repartitions == reset_stats.repartitions > 0
+    assert carried_stats.compositions_tried < reset_stats.compositions_tried
 
 
 def test_salvaged_corrupt_delta_frame_resets_the_log(logged_store):

@@ -26,12 +26,12 @@ SUBJECTS = {
     "zookeeper": lambda: (
         build_subject("zookeeper", scale=0.3).source,
         [c.fsm for c in default_checkers()],
-        512 << 10,
+        256 << 10,
     ),
     "gateway": lambda: (
         build_multifile_subject("gateway", scale=1.0).sources,
         [c.fsm for c in pack_checkers()],
-        8 << 10,
+        2 << 10,
     ),
 }
 

@@ -4,14 +4,15 @@ from repro.checkers import Checker
 from repro.grammar.cfg_grammar import ComposeContext
 from repro.grammar.dataflow import CF, DataflowGrammar, state_label
 from repro.grammar.pointsto import (
-    ALIAS,
     ASSIGN,
     FLOWS_TO,
-    FLOWS_TO_BAR,
     HEAP,
     NEW,
     PointsToGrammar,
+    fs_bar_label,
+    fs_label,
     sa_label,
+    store_bar_label,
 )
 
 CTX = ComposeContext(feasible=lambda encs: True, vertex=lambda v: ("v", v))
@@ -30,8 +31,17 @@ def test_new_derives_flows_to():
 
 
 def test_flows_to_derives_reversed_bar():
+    """The reversed edges come from the stores (``storeBar``) and from
+    what reaches a store base (``fsBar``); ``flowsTo`` itself derives
+    nothing, so no ``flowsToBar`` edge exists."""
     grammar = PointsToGrammar()
-    assert (FLOWS_TO_BAR, True) in list(grammar.derived(FLOWS_TO))
+    assert list(grammar.derived(FLOWS_TO)) == []
+    assert list(grammar.derived(("store", "f"))) == [
+        (store_bar_label("f"), True)
+    ]
+    assert list(grammar.derived(fs_label("f"))) == [(fs_bar_label("f"), True)]
+    assert list(grammar.derived(store_bar_label("f"))) == []
+    assert list(grammar.derived(fs_bar_label("f"))) == []
 
 
 def test_flows_to_assign_composes():
@@ -41,15 +51,24 @@ def test_flows_to_assign_composes():
 
 
 def test_bar_then_flows_to_gives_alias():
+    """``fsBar[f] flowsTo`` is Fig. 4b's ``store[f] flowsToBar flowsTo``,
+    i.e. ``store[f] alias``: the ``sa[f]`` nonterminal."""
     grammar = PointsToGrammar()
-    out = grammar.compose(edge(0, 1, FLOWS_TO_BAR), edge(1, 2, FLOWS_TO), CTX)
-    assert tuple(out) == (ALIAS,)
+    out = grammar.compose(edge(0, 1, fs_bar_label("f")), edge(1, 2, FLOWS_TO), CTX)
+    assert tuple(out) == (sa_label("f"),)
+    # No other bar edge composes with flowsTo.
+    for left in (store_bar_label("f"), ("store", "f"), fs_label("f")):
+        assert tuple(grammar.compose(edge(0, 1, left), edge(1, 2, FLOWS_TO), CTX)) == ()
 
 
 def test_store_alias_load_field_matching():
+    """An object reaching the base of ``x.f = y`` gives ``fs[f]`` (the
+    field rides along), and ``sa[f] load[f]`` gives ``heap``."""
     grammar = PointsToGrammar()
-    sa = grammar.compose(edge(0, 1, ("store", "f")), edge(1, 2, ALIAS), CTX)
-    assert tuple(sa) == (sa_label("f"),)
+    fs = grammar.compose(
+        edge(0, 1, FLOWS_TO), edge(1, 2, store_bar_label("f")), CTX
+    )
+    assert tuple(fs) == (fs_label("f"),)
     heap = grammar.compose(edge(0, 2, sa_label("f")), edge(2, 3, ("load", "f")), CTX)
     assert tuple(heap) == (HEAP,)
 
@@ -75,9 +94,13 @@ def test_irrelevant_pairs_rejected():
 def test_relevance_filters():
     grammar = PointsToGrammar()
     assert grammar.relevant_source(FLOWS_TO)
+    assert grammar.relevant_source(fs_bar_label("f"))
     assert not grammar.relevant_source(ASSIGN)
+    assert not grammar.relevant_source(("store", "f"))
     assert grammar.relevant_target(ASSIGN)
+    assert grammar.relevant_target(store_bar_label("f"))
     assert not grammar.relevant_target(NEW)
+    assert not grammar.relevant_target(fs_bar_label("f"))
 
 
 # -- dataflow grammar -----------------------------------------------------------
