@@ -16,6 +16,13 @@ from repro.lang.transform import (
     normalize_calls,
     unroll_loops,
 )
+from repro.lang.summary import (
+    FunctionSummary,
+    TypeFacts,
+    summarize,
+    type_facts,
+    type_facts_of,
+)
 from repro.lang.types import ObjectInfo, infer_object_vars
 from repro.cfet.icfet import BuiltCfet, Icfet, build_icfet
 from repro.graph.cloning import CloneForest, body_digest, enumerate_clones
@@ -41,6 +48,11 @@ class CompiledProgram:
     #: Function -> :func:`~repro.graph.cloning.body_digest`, when a scope
     #: cache keeps them (``root_keys`` then hashes no body again).
     bodies: dict | None = None
+    #: Function -> :class:`~repro.lang.summary.FunctionSummary`, in
+    #: program order: what the whole-program passes read of it.
+    #: ``Grapple.run`` empties it once they have, unless a scope cache
+    #: keeps the summaries anyway.
+    summaries: dict = dataclasses.field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +76,9 @@ class CompiledFunction:
     #: Its ``ObjectInfo.object_vars`` slice, which DSE read; None when
     #: reduction is off.
     object_vars: frozenset | None
+    #: What the whole-program passes read of it, so they never walk its
+    #: body again.
+    summary: FunctionSummary
     #: Branches folded and dead stores removed in it.
     folded: int
     dead: int
@@ -125,12 +140,18 @@ def compile_source(
             memo = _Memo(loaded, texts, (unroll, reduce))
     # The passes run over the functions no fragment stands in for.
     work = program if memo is None else memo.misses
+    # The compiled functions standing in for the rest (the memo moves a
+    # function from here to ``work`` when an input it read has moved).
+    reused = {} if memo is None else memo.reused
     with trace.span("transforms", cat="lang"):
         normalize_calls(work)
         unroll_loops(work, unroll)
         may_throw = None if memo is None else memo.may_throw(unroll)
         lower_exceptions(work, may_throw)
     info = None
+    # The type facts of the functions in ``work``: of the body type
+    # inference reads, so with reduction of the folded one, before DSE.
+    types: dict[str, TypeFacts] = {}
     folded: dict[str, int] = {}
     dead: dict[str, int] = {}
     if reduce:
@@ -150,22 +171,36 @@ def compile_source(
         # that is scalar at the fixpoint, and no inference rule fires on
         # such a store, so the least fixpoint cannot move.
         with trace.span("types", cat="lang"):
-            info = infer_object_vars(program)
+            types.update(
+                (name, type_facts(fn)) for name, fn in work.functions.items()
+            )
+            info = infer_object_vars({
+                name: reused[name].summary.types if name in reused
+                else types[name]
+                for name in program.functions
+            })
             if memo is not None:
-                info = memo.settle(info, unroll, may_throw, folded)
+                memo.settle(info, unroll, may_throw, folded, types)
         with trace.span("sa-dse", cat="sa"):
             eliminate_dead_stores(work, info, dead)
-        for name, done in (memo.reused.items() if memo else ()):
+        for name, done in reused.items():
             folded[name], dead[name] = done.folded, done.dead
         reduction.branches_folded += sum(folded.values())
         reduction.dead_stores_removed += sum(dead.values())
     with trace.span("icfet", cat="cfet"):
         icfet = build_icfet(program, None if memo is None else memo.cfets())
+    # The summaries of the final bodies: what relevance, the call graph
+    # and -- without reduction -- type inference read.
     with trace.span("callgraph", cat="lang"):
-        callgraph = build_call_graph(program)
+        summaries = {
+            name: reused[name].summary if name in reused
+            else summarize(fn, types.get(name))
+            for name, fn in program.functions.items()
+        }
+        callgraph = build_call_graph(summaries)
     if info is None:
         with trace.span("types", cat="lang"):
-            info = infer_object_vars(program)
+            info = infer_object_vars(type_facts_of(summaries))
     with trace.span("cloning", cat="graph"):
         forest = enumerate_clones(
             program, icfet, callgraph, roots=roots,
@@ -180,6 +215,7 @@ def compile_source(
         loc=loc,
         resolution=resolution,
         recompiled=len(program.functions),
+        summaries=summaries,
     )
     if memo is not None:
         with trace.span("fragments", cat="sa"):
@@ -271,28 +307,30 @@ class _Memo:
         return may_throw
 
     def settle(self, info: ObjectInfo, unroll: int, may_throw: set,
-               folded: dict) -> ObjectInfo:
-        """``info`` inferred over the reused functions' DSE'd bodies and
-        the misses' folded ones is the whole program's once every
-        reused function's slice is the one its DSE ran under: DSE only
-        removes stores no rule fires on while the slice holds.  Until
-        then, recompile those whose slice moved and infer again."""
+               folded: dict, types: dict) -> None:
+        """``info`` is the cold compile's: it was inferred over every
+        function's type facts, and a reused function's come from the
+        folded body its compile read, which the fresh one would fold to
+        again.  DSE, though, ran over a reused function under the slice
+        of its own compile, so one whose slice moved is recompiled up to
+        the same point (its facts included)."""
         from repro.sa.constprop import fold_constant_branches
 
-        while True:
-            late = self._fresh([
-                name for name, compiled in self.reused.items()
-                if frozenset(info.object_vars.get(name, ()))
-                != compiled.object_vars
-            ])
-            if not late.functions:
-                return info
-            normalize_calls(late)
-            unroll_loops(late, unroll)
-            self._summarise(late)
-            lower_exceptions(late, may_throw)
-            fold_constant_branches(late, folded)
-            info = infer_object_vars(self.program)
+        late = self._fresh([
+            name for name, compiled in self.reused.items()
+            if frozenset(info.object_vars.get(name, ()))
+            != compiled.object_vars
+        ])
+        if not late.functions:
+            return
+        normalize_calls(late)
+        unroll_loops(late, unroll)
+        self._summarise(late)
+        lower_exceptions(late, may_throw)
+        fold_constant_branches(late, folded)
+        types.update(
+            (name, type_facts(fn)) for name, fn in late.functions.items()
+        )
 
     def cfets(self) -> dict[str, BuiltCfet]:
         return {name: c.built for name, c in self.reused.items()}
@@ -323,6 +361,7 @@ class _Memo:
                 object_vars=frozenset(
                     compiled.info.object_vars.get(name, ())
                 ) if self.config[1] else None,
+                summary=compiled.summaries[name],
                 folded=folded.get(name, 0), dead=dead.get(name, 0),
             )
             changed.append(name)

@@ -30,7 +30,7 @@ from repro.graph.cloning import (
 )
 from repro.obs.trace import TraceRecorder, merge_spans
 from repro.sa.reduce import ReductionStats
-from repro.sa.relevance import compute_relevance
+from repro.sa.relevance import RelevanceInfo, compute_relevance
 
 
 @dataclass
@@ -71,6 +71,9 @@ class GrappleRun:
     histograms: dict = field(default_factory=dict)
     #: Pre-closure reduction counters; None when reduction was off.
     reduction: "ReductionStats | None" = None
+    #: The relevance slice the graph builders read; None when reduction
+    #: was off.
+    relevance: "RelevanceInfo | None" = None
     #: ``{root: [key, [file-relative warning dicts]]}`` for every root
     #: function, in whole-run order; JSON-ready, and the
     #: ``GrappleOptions.root_table`` of a later run.  Keys are None
@@ -203,21 +206,27 @@ class Grapple:
                 for fsm in self.fsms:
                     tracked_events |= fsm.events()
                 relevance = compute_relevance(
-                    compiled.program,
+                    compiled.summaries,
                     compiled.callgraph,
                     compiled.info,
                     tracked_types,
                     tracked_events,
                 )
+        if options.scope_cache is None:
+            # Relevance was the summaries' last reader, and no cache
+            # keeps them: the closures run without them.
+            compiled.summaries = {}
 
         with trace.span("root-trees", cat="graph") as span:
             ranges = _SiteRanges(compiled.resolution)
             roots = root_functions(compiled.program, compiled.callgraph)
             table = options.root_table
             # No table (`repro check`): nothing to reuse, so nothing to key.
+            cache = options.scope_cache
             keys = {} if table is None else root_keys(
                 compiled.program, compiled.callgraph, roots, self._config(),
                 compiled.info, relevance, ranges.origin, compiled.bodies,
+                None if cache is None else cache.fact_digests,
             )
             reused = {
                 root: table[root] for root, key in keys.items()
@@ -271,6 +280,7 @@ class Grapple:
             dataflow_phase=dataflow_phase,
             report=report,
             reduction=reduction,
+            relevance=relevance,
             root_table=root_table,
             rechecked=rechecked,
         )
@@ -282,18 +292,18 @@ class Grapple:
         # The engine's class attributes, unless a partial binds them.
         bound = getattr(factory, "keywords", {})
         cls = getattr(factory, "func", factory)
-        return json.dumps([
+        head = json.dumps([
             options.unroll, options.max_clone_depth, options.max_clones,
             options.reduce, engine.witness_cap, engine.path_sensitive,
             cls.constraint_mode,
             bound.get("max_string_bytes", cls.max_string_bytes),
-            sorted(
-                (fsm.name, sorted(fsm.types), fsm.initial,
-                 sorted(fsm.transitions.items()), sorted(fsm.accepting),
-                 sorted(fsm.error_states))
-                for fsm in self.fsms
-            ),
         ])
+        # The specs sorted, as JSON: they sort by name, which differs
+        # between unequal FSMs (``fsms_by_type``).
+        specs = ", ".join(
+            fsm.spec_json for fsm in sorted(self.fsms, key=lambda f: f.name)
+        )
+        return f"{head[:-1]}, [{specs}]]"
 
 
 class _SiteRanges:

@@ -30,6 +30,14 @@ from repro.smt import expr as E
 from repro.symbolic.evaluator import SymbolicEnv, symbol_name
 
 
+class TooBranchyError(OverflowError):
+    """A function whose CFET would pass ``_CfetBuilder.MAX_NODES``: the
+    statements after each join are copied into both subtrees, so its
+    size is exponential in its sequential branches.  The function is
+    refused, not analysed; ``repro check`` reports it and exits 2, and
+    ``repro serve`` keeps it as its stratum's error."""
+
+
 def parent_id(node_id: int) -> int:
     """Parent of a CFET node (root is 0; false child 2n+1, true 2n+2)."""
     if node_id <= 0:
@@ -190,9 +198,10 @@ class _CfetBuilder:
 
     def _node(self, node_id: int) -> CfetNode:
         if len(self.cfet.nodes) >= self.MAX_NODES:
-            raise OverflowError(
-                f"CFET for {self.fn.name!r} exceeds {self.MAX_NODES} nodes;"
-                " reduce branching or the unroll factor"
+            raise TooBranchyError(
+                f"function {self.fn.name} is too branchy (its CFET passes"
+                f" {self.MAX_NODES} nodes; reduce its branching or the"
+                " unroll factor)"
             )
         node = self.cfet.nodes[node_id] = CfetNode(node_id)
         return node

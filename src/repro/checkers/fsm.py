@@ -17,7 +17,9 @@ property does not care about).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class FsmError(ValueError):
@@ -56,6 +58,16 @@ class FSM:
     def events(self) -> frozenset[str]:
         """Every event that can change some state."""
         return frozenset(event for (_state, event) in self.transitions)
+
+    @cached_property
+    def spec_json(self) -> str:
+        """The whole specification as JSON, every set sorted.  Kept:
+        every run's analysis config embeds it (``Grapple._config``)."""
+        return json.dumps([
+            self.name, sorted(self.types), self.initial,
+            sorted(self.transitions.items()), sorted(self.accepting),
+            sorted(self.error_states),
+        ])
 
     def step(self, state: str, event: str) -> str:
         """Transition on one event; unknown events are ignored."""

@@ -24,8 +24,8 @@ import sys
 from repro import EngineOptions, Grapple, GrappleOptions
 from repro.checkers.checker import ALL_CHECKERS, PAPER_CHECKERS, Checker
 from repro.checkers.fsm import FsmError, fsms_by_type
-from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError  # LinkError is one too
+from repro.cfet.cfet import TooBranchyError
+from repro.lang.parser import ParseError  # LexError and LinkError are too
 
 
 class UsageError(Exception):
@@ -334,7 +334,7 @@ def cmd_check(args) -> int:
             lint_report = run_lint_files(
                 source, fsms=[c.fsm for c in checkers], unroll=args.unroll
             )
-        except (LexError, ParseError) as exc:
+        except ParseError as exc:
             raise _unparsable(args.file, exc) from None
         print(lint_report.summary(), file=sys.stderr)
     from repro.engine.checkpoint import CheckpointMismatch
@@ -349,8 +349,10 @@ def cmd_check(args) -> int:
     except CheckpointMismatch as exc:
         print(f"repro: cannot resume: {exc}", file=sys.stderr)
         return 2
-    except (LexError, ParseError) as exc:
+    except ParseError as exc:
         raise _unparsable(args.file, exc) from None
+    except TooBranchyError as exc:
+        raise UsageError(str(exc)) from None
     finally:
         if sampler is not None:
             sampler.stop()

@@ -97,6 +97,7 @@ def root_keys(
     relevance,
     origin,
     bodies=None,
+    memo=None,
 ) -> dict[str, str]:
     """One reuse key per root clone tree.
 
@@ -114,6 +115,10 @@ def root_keys(
     change them -- which is why they are in the key rather than assumed.
     ``bodies`` maps functions to their :func:`body_digest` computed
     earlier (the serve memo keeps them); the others are computed here.
+    ``memo`` (an :class:`~repro.engine.cache.LRUCache` the serve daemon
+    keeps) maps a function to the facts and digest it had last time:
+    while its body digest and both slices are the same, the digest is
+    reused rather than hashed again.
     """
     relevant: dict[str, list] = {}
     if relevance is not None:
@@ -131,7 +136,13 @@ def root_keys(
             sorted(relevant.get(func, ())),
             relevance is None or relevance.func_flow_relevant(func),
         )
-        return hashlib.sha256(repr(facts).encode()).digest()
+        known = None if memo is None else memo.get(func)
+        if known is not None and known[0] == facts:
+            return known[1]
+        value = hashlib.sha256(repr(facts).encode()).digest()
+        if memo is not None:
+            memo.put(func, (facts, value))
+        return value
 
     digests: dict[str, bytes] = {}
     keys: dict[str, str] = {}

@@ -7,6 +7,7 @@ them context-insensitively.  This module computes that structure.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.lang import ast
@@ -56,14 +57,14 @@ def _calls_in(expr):
         yield from _calls_in(expr.operand)
 
 
-def build_call_graph(program: ast.Program) -> CallGraph:
-    """Build the call graph; unknown callees are ignored (extern calls)."""
-    edges: dict[str, set[str]] = {}
-    for name, fn in program.functions.items():
-        targets = edges.setdefault(name, set())
-        for call in call_sites(fn):
-            if call.func in program.functions:
-                targets.add(call.func)
+def build_call_graph(summaries: Mapping) -> CallGraph:
+    """Build the call graph from per-function summaries (program order;
+    :class:`~repro.lang.summary.FunctionSummary`); unknown callees are
+    ignored (extern calls)."""
+    edges = {
+        name: {callee for callee in summary.callees if callee in summaries}
+        for name, summary in summaries.items()
+    }
     order = list(_sccs_callees_first(edges))
     scc_of = {func: scc for scc in order for func in scc}
     return CallGraph(edges=edges, scc_of=scc_of, scc_order=order)

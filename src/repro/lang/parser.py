@@ -35,11 +35,7 @@ single-file programs byte-identical under resolution.
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.lang.lexer import Token, tokenize
-
-
-class ParseError(Exception):
-    """Raised on a syntax error; carries the offending line."""
+from repro.lang.lexer import ParseError, Token, tokenize
 
 
 class _Parser:

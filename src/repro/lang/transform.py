@@ -19,7 +19,6 @@ Run order: parse, then :func:`unroll_loops`, then :func:`lower_exceptions`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.lang import ast
@@ -68,11 +67,36 @@ def _unroll_body(body: list, k: int) -> list:
 def _unroll_while(loop: ast.While, k: int) -> ast.If:
     body = _unroll_body(loop.body, k)
     unrolled: list = []
-    for _ in range(k):
-        iteration = copy.deepcopy(body)
-        unrolled = [ast.If(copy.deepcopy(loop.cond), iteration + unrolled, [],
-                           line=loop.line)]
+    for i in range(k):
+        iteration, cond = (body, loop.cond) if i == 0 else (
+            _clone_body(body), _shallow(loop.cond))
+        unrolled = [ast.If(cond, iteration + unrolled, [], line=loop.line)]
     return unrolled[0]
+
+
+def _clone_body(body: list) -> list:
+    """A copy of ``body`` whose statements and ``if`` conditions are new
+    objects -- constant folding, lint and DSE key them by identity --
+    sharing every other (frozen) expression."""
+    out = []
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            stmt = ast.If(_shallow(stmt.cond), _clone_body(stmt.then_body),
+                          _clone_body(stmt.else_body), line=stmt.line)
+        elif isinstance(stmt, ast.TryCatch):
+            stmt = ast.TryCatch(_clone_body(stmt.try_body), stmt.catch_var,
+                                _clone_body(stmt.catch_body), line=stmt.line)
+        else:
+            stmt = _shallow(stmt)
+        out.append(stmt)
+    return out
+
+
+def _shallow(node):
+    """A new AST node with ``node``'s fields (every node is a slotted
+    dataclass whose slots are its fields, in order)."""
+    cls = type(node)
+    return cls(*[getattr(node, name) for name in cls.__slots__])
 
 
 # -- exception lowering -----------------------------------------------------

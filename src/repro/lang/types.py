@@ -4,15 +4,16 @@ The alias graph only needs vertices for *object* (reference-typed)
 variables; integer/boolean variables live in path constraints instead.
 This pass computes, per function, the set of object variables, the set of
 object-returning functions, and the allocation type observable for each
-allocation site.  It is a flow-insensitive fixpoint over the whole program.
+allocation site.  It is a flow-insensitive fixpoint over the whole program,
+solved over per-function summaries (:mod:`repro.lang.summary`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.lang import ast
-from repro.lang.transform import EXC_REGISTER
+from repro.lang.summary import OBJECT, TypeFacts
 
 
 @dataclass
@@ -28,88 +29,65 @@ class ObjectInfo:
         return var in self.object_vars.get(func, set())
 
 
-def infer_object_vars(program: ast.Program) -> ObjectInfo:
-    """Fixpoint inference of which variables hold references."""
+def infer_object_vars(facts: Mapping[str, TypeFacts]) -> ObjectInfo:
+    """The least fixpoint of which variables hold references, solved
+    over per-function :class:`~repro.lang.summary.TypeFacts` (one per
+    function, in program order).
+
+    Every rule is monotone, so the fixpoint is reachability: a variable
+    ``(func, var)`` or a function's return value (``func``) holds a
+    reference when a seed reaches it along the links the facts imply --
+    copies, results and returned values one way, parameter passing both
+    ways.
+    """
     info = ObjectInfo()
-    for name in program.functions:
-        info.object_vars[name] = set()
+    object_vars, returns = info.object_vars, info.returns_object
+    links: dict = {}
+    stack: list = []
 
-    changed = True
-    while changed:
-        changed = False
-        for name, fn in program.functions.items():
-            obj = info.object_vars[name]
-            before = len(obj), len(info.returns_object)
-            for stmt in ast.walk_statements(fn.body):
-                _mark_statement(stmt, name, fn, program, info)
-            if (len(obj), len(info.returns_object)) != before:
-                changed = True
+    def link(a, b) -> None:
+        links.setdefault(a, []).append(b)
+
+    for name, own in facts.items():
+        object_vars[name] = set()
+        stack.extend((name, var) for var in own.seeds)
+        if own.returns_object:
+            stack.append(name)
+        for target, source in own.copies:
+            link((name, source), (name, target))
+        for target, callee in own.results:
+            link(callee, (name, target))
+        for var in own.return_vars:
+            link((name, var), name)
+        for callee in own.return_calls:
+            link(callee, name)
+        for callee, args in own.calls:
+            other = facts.get(callee)
+            if other is None:
+                continue
+            for formal, actual in zip(other.params, args):
+                if actual is OBJECT:
+                    stack.append((callee, formal))
+                elif actual is not None:
+                    link((name, actual), (callee, formal))
+                    link((callee, formal), (name, actual))
+        for site, type_name, callee, position in own.sites:
+            if callee is None or (
+                callee in facts and position < len(facts[callee].params)
+            ):
+                info.site_types[site] = type_name
+
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            if node in returns:
+                continue
+            returns.add(node)
+        else:
+            func, var = node
+            held = object_vars[func]
+            if var in held:
+                continue
+            held.add(var)
+        stack.extend(links.get(node, ()))
     return info
-
-
-def _mark_statement(stmt, func: str, fn: ast.Function,
-                    program: ast.Program, info: ObjectInfo) -> None:
-    obj = info.object_vars[func]
-    if isinstance(stmt, ast.Assign):
-        value = stmt.value
-        if isinstance(value, ast.New):
-            obj.add(stmt.target)
-            info.site_types[value.site] = value.type_name
-        elif isinstance(value, (ast.NullLit, ast.FieldLoad)):
-            obj.add(stmt.target)
-        elif isinstance(value, ast.VarRef) and value.name in obj:
-            obj.add(stmt.target)
-        elif isinstance(value, ast.Call):
-            if value.func in info.returns_object:
-                obj.add(stmt.target)
-            _mark_call(value, func, program, info)
-    elif isinstance(stmt, ast.FieldStore):
-        obj.add(stmt.base)
-        obj.add(stmt.value)
-    elif isinstance(stmt, ast.Event):
-        obj.add(stmt.base)
-    elif isinstance(stmt, ast.ExcLink):
-        obj.add(stmt.target)
-    elif isinstance(stmt, ast.ExprStmt):
-        _mark_call(stmt.call, func, program, info)
-    elif isinstance(stmt, ast.Return):
-        value = stmt.value
-        if isinstance(value, (ast.New, ast.NullLit, ast.FieldLoad)):
-            info.returns_object.add(func)
-            if isinstance(value, ast.New):
-                info.site_types[value.site] = value.type_name
-        elif isinstance(value, ast.VarRef) and value.name in obj:
-            info.returns_object.add(func)
-        elif isinstance(value, ast.Call) and value.func in info.returns_object:
-            info.returns_object.add(func)
-    # Every function's exception register is an object variable.
-    if EXC_REGISTER in _assigned_names(stmt):
-        obj.add(EXC_REGISTER)
-
-
-def _assigned_names(stmt) -> tuple:
-    if isinstance(stmt, ast.Assign):
-        return (stmt.target,)
-    if isinstance(stmt, ast.ExcLink):
-        return (stmt.target,)
-    return ()
-
-
-def _mark_call(call: ast.Call, caller: str, program: ast.Program,
-               info: ObjectInfo) -> None:
-    """Propagate object-ness through parameter passing (both directions)."""
-    callee = program.functions.get(call.func)
-    if callee is None:
-        return
-    caller_obj = info.object_vars[caller]
-    callee_obj = info.object_vars[call.func]
-    for formal, actual in zip(callee.params, call.args):
-        if isinstance(actual, ast.VarRef):
-            if actual.name in caller_obj:
-                callee_obj.add(formal)
-            elif formal in callee_obj:
-                caller_obj.add(actual.name)
-        elif isinstance(actual, (ast.New, ast.NullLit)):
-            callee_obj.add(formal)
-            if isinstance(actual, ast.New):
-                info.site_types[actual.site] = actual.type_name

@@ -47,6 +47,7 @@ from repro.lang.transform import (
     normalize_calls,
     unroll_loops,
 )
+from repro.lang.summary import type_facts
 from repro.lang.types import infer_object_vars
 from repro.sa.constprop import branch_verdicts
 from repro.sa.framework import DataflowProblem, solve
@@ -130,7 +131,9 @@ def _lint_core(core: ast.Program, fsms, report: LintReport,
 
     taint_fsm = ALL_CHECKERS["taint"]
     lockdep_fsm = ALL_CHECKERS["lockdep"]
-    info = infer_object_vars(core)
+    info = infer_object_vars({
+        name: type_facts(fn) for name, fn in core.functions.items()
+    })
     for name, fn in core.functions.items():
         file = (file_of or {}).get(name, "")
         _lint_constant_branches(name, fn, report, file=file)

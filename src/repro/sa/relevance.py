@@ -43,11 +43,10 @@ allocations by construction, so no state change and no seed is lost.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.lang import ast
 from repro.lang.callgraph import CallGraph
-from repro.lang.transform import EXC_REGISTER
 from repro.lang.types import ObjectInfo
 
 
@@ -70,124 +69,92 @@ class RelevanceInfo:
 
 
 def compute_relevance(
-    program: ast.Program,
+    summaries: Mapping,
     callgraph: CallGraph,
     info: ObjectInfo,
     tracked_types: set[str],
     tracked_events: set[str],
 ) -> RelevanceInfo:
-    """Backward slice from tracked types/events to relevant names."""
+    """Backward slice from tracked types/events to relevant names, solved
+    over per-function summaries (:class:`~repro.lang.summary.FunctionSummary`,
+    program order).  A summary records every allocation, so which types
+    are tracked is decided here and a summary serves any checker set."""
     adjacency: dict = {}
-    seeds: set = set()
+    seeds: list = []
 
     def link(a, b) -> None:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
 
-    return_vars: dict[str, set[str]] = {}
-    for name, fn in program.functions.items():
-        returns = return_vars.setdefault(name, set())
-        for stmt in ast.walk_statements(fn.body):
-            if isinstance(stmt, ast.Return) and isinstance(
-                stmt.value, ast.VarRef
-            ):
-                returns.add(stmt.value.name)
-
-    def link_call(func: str, call: ast.Call, lhs: str | None) -> None:
-        callee = program.functions.get(call.func)
-        if callee is None:
-            return
-        for formal, actual in zip(callee.params, call.args):
-            if isinstance(actual, ast.VarRef):
-                link(("v", func, actual.name), ("v", call.func, formal))
-        if lhs is not None:
-            for ret in return_vars.get(call.func, ()):
-                link(("v", func, lhs), ("v", call.func, ret))
-
-    for name, fn in program.functions.items():
-        for stmt in ast.walk_statements(fn.body):
-            if isinstance(stmt, ast.Assign):
-                value = stmt.value
-                if isinstance(value, ast.New):
-                    if value.type_name in tracked_types:
-                        seeds.add(("v", name, stmt.target))
-                elif isinstance(value, ast.VarRef):
-                    link(("v", name, stmt.target), ("v", name, value.name))
-                elif isinstance(value, ast.FieldLoad):
-                    link(("v", name, stmt.target), ("fld", value.fieldname))
-                    link(("v", name, value.base), ("fld", value.fieldname))
-                elif isinstance(value, ast.Call):
-                    link_call(name, value, stmt.target)
-            elif isinstance(stmt, ast.FieldStore):
-                link(("v", name, stmt.value), ("fld", stmt.fieldname))
-                link(("v", name, stmt.base), ("fld", stmt.fieldname))
-            elif isinstance(stmt, ast.ExcLink):
-                link(("v", name, stmt.target), ("v", stmt.callee, EXC_REGISTER))
-            elif isinstance(stmt, ast.ExprStmt):
-                link_call(name, stmt.call, None)
+    for summary in summaries.values():
+        facts = summary.relevance
+        for a, b in facts.links:
+            link(a, b)
+        for callee, args, lhs in facts.calls:
+            other = summaries.get(callee)
+            if other is None:
+                continue
+            for formal, actual in zip(other.relevance.formals, args):
+                if actual is not None:
+                    link(actual, formal)
+            if lhs is not None:
+                for ret in other.relevance.returns:
+                    link(lhs, ret)
+        seeds.extend(
+            node for type_name, node in facts.allocs
+            if type_name in tracked_types
+        )
 
     # Flood from the tracked allocation targets.
     reached: set = set()
-    stack = [node for node in seeds]
+    stack = seeds
     while stack:
         node = stack.pop()
-        if node in reached:
-            continue
-        reached.add(node)
-        stack.extend(adjacency.get(node, ()))
+        if node not in reached:
+            reached.add(node)
+            stack.extend(adjacency.get(node, ()))
 
     out = RelevanceInfo()
     for node in reached:
-        if node[0] == "v":
-            out.relevant_vars.add((node[1], node[2]))
+        if type(node) is tuple:
+            out.relevant_vars.add(node)
         else:
-            out.relevant_fields.add(node[1])
+            out.relevant_fields.add(node)
     for func, vars_ in info.object_vars.items():
         if any((func, v) in out.relevant_vars for v in vars_):
             out.alias_relevant_funcs.add(func)
 
     out.flow_relevant_funcs = _flow_relevant(
-        program, callgraph, tracked_types, tracked_events, out
+        summaries, callgraph, tracked_types, tracked_events, reached
     )
     return out
 
 
 def _flow_relevant(
-    program: ast.Program,
+    summaries: Mapping,
     callgraph: CallGraph,
     tracked_types: set[str],
     tracked_events: set[str],
-    rel: RelevanceInfo,
+    reached: set,
 ) -> set[str]:
-    """Functions whose subtree can allocate or step a tracked object."""
-    local: set[str] = set()
-    for name, fn in program.functions.items():
-        for stmt in ast.walk_statements(fn.body):
-            if (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.New)
-                and stmt.value.type_name in tracked_types
-            ):
-                local.add(name)
-                break
-            if (
-                isinstance(stmt, ast.Event)
-                and stmt.method in tracked_events
-                and rel.var_relevant(name, stmt.base)
-            ):
-                local.add(name)
-                break
-
-    # Propagate relevance from callees to callers to fixpoint (reverse
-    # call-graph reachability; handles recursion/SCCs by iteration).
-    relevant = set(local)
-    changed = True
-    while changed:
-        changed = False
-        for caller, callees in callgraph.edges.items():
-            if caller in relevant:
-                continue
-            if any(callee in relevant for callee in callees):
-                relevant.add(caller)
-                changed = True
+    """Functions whose subtree can allocate or step a tracked object:
+    those that do so themselves, and their callers, transitively."""
+    callers: dict[str, list[str]] = {}
+    for caller, callees in callgraph.edges.items():
+        for callee in callees:
+            callers.setdefault(callee, []).append(caller)
+    stack = [
+        name for name, summary in summaries.items()
+        if any(t in tracked_types for t, _ in summary.relevance.allocs)
+        or any(
+            method in tracked_events and base in reached
+            for method, base in summary.relevance.events
+        )
+    ]
+    relevant: set[str] = set()
+    while stack:
+        func = stack.pop()
+        if func not in relevant:
+            relevant.add(func)
+            stack.extend(callers.get(func, ()))
     return relevant

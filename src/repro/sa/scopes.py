@@ -158,6 +158,9 @@ def build_artifact(mf: ast.ModuleFile, digest: str) -> FileArtifact:
 #: content at a time; 1024 paths comfortably cover a large workspace.
 ARTIFACT_CACHE_CAPACITY = 1024
 
+#: Functions per file the fact-digest memo makes room for.
+FUNCTIONS_PER_FILE = 16
+
 
 @dataclass(frozen=True)
 class FileFragment:
@@ -179,6 +182,18 @@ class FileFragment:
     functions: dict
 
 
+@dataclass(slots=True)
+class _Entry:
+    """One path's content in :class:`ScopeArtifactCache`."""
+
+    digest: str
+    artifact: FileArtifact
+    #: site_base -> FileFragment.
+    fragments: dict
+    #: The content parsed at site base 0, until a load takes it.
+    parsed: ast.ModuleFile | None
+
+
 class ScopeArtifactCache:
     """The analysis daemon's per-file memo, in memory, keyed by path.
 
@@ -188,14 +203,20 @@ class ScopeArtifactCache:
     replaces the path's entry, and beyond ``capacity`` the least
     recently used path goes.  A file met again at the same path and
     content is not re-derived, and at the same site base too it is
-    neither tokenised nor parsed.
+    neither tokenised nor parsed.  The parse an entry was derived from
+    waits in it for the first load, which rebases it instead of parsing
+    the file again.
     """
 
     def __init__(self, capacity: int = ARTIFACT_CACHE_CAPACITY):
         self.hits = 0
         self.misses = 0
-        #: path -> (digest, FileArtifact, {site_base: FileFragment}).
+        #: path -> _Entry.
         self._entries = LRUCache(capacity)
+        #: Function -> the facts and digest of its last root key
+        #: (:func:`~repro.graph.cloning.root_keys`); a file holds a few
+        #: functions, so this bound is a multiple of ``capacity``.
+        self.fact_digests = LRUCache(capacity * FUNCTIONS_PER_FILE)
 
     @property
     def evictions(self) -> int:
@@ -204,9 +225,9 @@ class ScopeArtifactCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _entry(self, path: str, digest: str) -> tuple | None:
+    def _entry(self, path: str, digest: str) -> _Entry | None:
         entry = self._entries.get(path)
-        return entry if entry is not None and entry[0] == digest else None
+        return entry if entry is not None and entry.digest == digest else None
 
     def get(self, path: str, digest: str) -> FileArtifact | None:
         """The artifact of this content at this path, or None (a miss)."""
@@ -215,24 +236,36 @@ class ScopeArtifactCache:
             self.misses += 1
             return None
         self.hits += 1
-        return entry[1]
+        return entry.artifact
 
-    def put(self, artifact: FileArtifact) -> None:
-        """Make ``artifact`` its path's entry, with no fragment yet."""
-        self._entries.put(artifact.path, (artifact.digest, artifact, {}))
+    def put(self, artifact: FileArtifact,
+            parsed: ast.ModuleFile | None = None) -> None:
+        """Make ``artifact`` its path's entry, with no fragment yet;
+        ``parsed`` is the content parsed at site base 0, if at hand."""
+        self._entries.put(
+            artifact.path, _Entry(artifact.digest, artifact, {}, parsed)
+        )
+
+    def take_parse(self, path: str, digest: str) -> ast.ModuleFile | None:
+        """The entry's site-base-0 parse, which the caller now owns."""
+        entry = self._entry(path, digest)
+        if entry is None:
+            return None
+        parsed, entry.parsed = entry.parsed, None
+        return parsed
 
     def module_name(self, path: str, digest: str) -> str | None:
         """The module this content at this path declares, if it was
         seen before; None sends the caller to the lexer."""
         entry = self._entry(path, digest)
-        return None if entry is None else entry[1].module
+        return None if entry is None else entry.artifact.module
 
     def fragment(self, path: str, digest: str,
                  site_base: int) -> FileFragment | None:
         """The file's compiled functions, if this content was compiled
         at this path and site base -- everything the parser reads."""
         entry = self._entry(path, digest)
-        return None if entry is None else entry[2].get(site_base)
+        return None if entry is None else entry.fragments.get(site_base)
 
     def keep(self, path: str, digest: str, site_base: int,
              fragment: FileFragment) -> None:
@@ -240,7 +273,7 @@ class ScopeArtifactCache:
         content; a path whose entry went or moved on keeps nothing."""
         entry = self._entry(path, digest)
         if entry is not None:
-            entry[2][site_base] = fragment
+            entry.fragments[site_base] = fragment
 
 
 # -- resolution ----------------------------------------------------------------
@@ -426,48 +459,56 @@ class LinkError(ParseError):
     """Raised when multi-file linking cannot produce a single program."""
 
 
-def _rewrite_expr(expr, rewrite):
+def _rewrite_expr(expr, rewrite, shift):
     if isinstance(expr, ast.Call):
-        args = tuple(_rewrite_expr(a, rewrite) for a in expr.args)
-        return ast.Call(rewrite(expr.func), args, expr.site)
+        args = tuple(_rewrite_expr(a, rewrite, shift) for a in expr.args)
+        return ast.Call(rewrite(expr.func), args, expr.site + shift)
     if isinstance(expr, ast.Binary):
         return ast.Binary(
-            expr.op, _rewrite_expr(expr.left, rewrite),
-            _rewrite_expr(expr.right, rewrite),
+            expr.op, _rewrite_expr(expr.left, rewrite, shift),
+            _rewrite_expr(expr.right, rewrite, shift),
         )
     if isinstance(expr, ast.Unary):
-        return ast.Unary(expr.op, _rewrite_expr(expr.operand, rewrite))
+        return ast.Unary(expr.op, _rewrite_expr(expr.operand, rewrite, shift))
+    if shift and isinstance(expr, ast.New):
+        return ast.New(expr.type_name, expr.site + shift)
+    if shift and isinstance(expr, ast.Input):
+        return ast.Input(expr.site + shift)
     return expr
 
 
-def _rewrite_body(body: list, rewrite) -> None:
+def _rewrite_body(body: list, rewrite, shift: int) -> None:
     for stmt in body:
         if isinstance(stmt, ast.Assign):
-            stmt.value = _rewrite_expr(stmt.value, rewrite)
+            stmt.value = _rewrite_expr(stmt.value, rewrite, shift)
         elif isinstance(stmt, ast.ExprStmt):
-            stmt.call = _rewrite_expr(stmt.call, rewrite)
+            stmt.call = _rewrite_expr(stmt.call, rewrite, shift)
         elif isinstance(stmt, ast.Event):
-            stmt.args = tuple(_rewrite_expr(a, rewrite) for a in stmt.args)
+            stmt.args = tuple(
+                _rewrite_expr(a, rewrite, shift) for a in stmt.args
+            )
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                stmt.value = _rewrite_expr(stmt.value, rewrite)
+                stmt.value = _rewrite_expr(stmt.value, rewrite, shift)
         elif isinstance(stmt, ast.If):
-            stmt.cond = _rewrite_expr(stmt.cond, rewrite)
-            _rewrite_body(stmt.then_body, rewrite)
-            _rewrite_body(stmt.else_body, rewrite)
+            stmt.cond = _rewrite_expr(stmt.cond, rewrite, shift)
+            _rewrite_body(stmt.then_body, rewrite, shift)
+            _rewrite_body(stmt.else_body, rewrite, shift)
         elif isinstance(stmt, ast.While):
-            stmt.cond = _rewrite_expr(stmt.cond, rewrite)
-            _rewrite_body(stmt.body, rewrite)
+            stmt.cond = _rewrite_expr(stmt.cond, rewrite, shift)
+            _rewrite_body(stmt.body, rewrite, shift)
         elif isinstance(stmt, ast.TryCatch):
-            _rewrite_body(stmt.try_body, rewrite)
-            _rewrite_body(stmt.catch_body, rewrite)
+            _rewrite_body(stmt.try_body, rewrite, shift)
+            _rewrite_body(stmt.catch_body, rewrite, shift)
 
 
-def link_file(mf: ast.ModuleFile, bindings: dict) -> dict[str, ast.Function]:
+def link_file(mf: ast.ModuleFile, bindings: dict,
+              shift: int = 0) -> dict[str, ast.Function]:
     """Linking, one file at a time: the file's functions under their
     global symbol ids, each call rewritten to the symbol ``bindings``
-    (raw name -> symbol id) resolves it to.  Rewrites ``mf``'s bodies in
-    place.
+    (raw name -> symbol id) resolves it to, and every site id moved up
+    by ``shift`` (a file parsed at another base).  Rewrites ``mf``'s
+    bodies in place.
 
     The call graph, relevance slicing, constant propagation and DSE
     therefore consume resolved symbol ids -- interprocedural analysis
@@ -479,8 +520,9 @@ def link_file(mf: ast.ModuleFile, bindings: dict) -> dict[str, ast.Function]:
         return bindings.get(name, name)
 
     out = {}
+    mf.next_site += shift
     for fname, fn in mf.functions.items():
-        _rewrite_body(fn.body, rewrite)
+        _rewrite_body(fn.body, rewrite, shift)
         global_name = symbol_id(mf.module, fname)
         out[global_name] = ast.Function(
             global_name, fn.params, fn.body, line=fn.line
@@ -547,7 +589,9 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None,
     its path and content is not re-derived, and one with a
     :class:`FileFragment` under its key whose bindings still hold is
     neither parsed nor linked, its compiled functions stand in the
-    program instead, and ``fragments`` lists those files.  Lexing and
+    program instead, and ``fragments`` lists those files.  A file the
+    cache holds a site-base-0 parse of (the serve daemon's scan made
+    it) is not parsed again: linking rebases that parse.  Lexing and
     parsing are ``parse`` spans on ``trace``, the run's recorder.
     """
     trace = trace or TraceRecorder(chrome=False)
@@ -565,6 +609,21 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None,
     scanned.sort(key=lambda entry: (entry[0], entry[1]))
 
     parsed: dict[str, ast.ModuleFile] = {}
+    #: path -> how far its parse's site ids lie below its base.
+    shifts: dict[str, int] = {}
+
+    def parse(path: str, text: str, digest: str, base: int, tokens=None):
+        """The file parsed at ``base``, or the cache's parse at base 0,
+        which linking then rebases."""
+        mf = cache.take_parse(path, digest) if cache is not None else None
+        shifts[path] = 0 if mf is None else base
+        if mf is None:
+            with trace.span("parse", cat="lang"):
+                mf = parse_module(text, path=path, site_base=base,
+                                  tokens=tokens)
+        parsed[path] = mf
+        return mf
+
     found: dict[str, FileFragment] = {}
     artifacts: list[FileArtifact] = []
     site_ranges: dict = {}
@@ -577,11 +636,8 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None,
         if artifact is not None:
             fragment = cache.fragment(path, digest, site_base)
         if fragment is None:
-            with trace.span("parse", cat="lang"):
-                mf = parsed[path] = parse_module(
-                    text, path=path, site_base=site_base, tokens=tokens
-                )
-            next_site = mf.next_site
+            mf = parse(path, text, digest, site_base, tokens)
+            next_site = mf.next_site + shifts[path]
             if artifact is None:
                 artifact = build_artifact(mf, digest)
                 if cache is not None:
@@ -602,7 +658,7 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None,
     by_file = file_bindings(resolution)
     program = ast.Program()
     fragments: dict[str, FileFragment] = {}
-    for _, path, text, _, _ in scanned:
+    for _, path, text, digest, _ in scanned:
         bindings = by_file.get(path, {})
         fragment = found.get(path)
         if fragment is not None and fragment.bindings == bindings:
@@ -613,11 +669,8 @@ def load_modules(sources, cache: ScopeArtifactCache | None = None,
             }
         else:
             if path not in parsed:  # its calls now link elsewhere
-                with trace.span("parse", cat="lang"):
-                    parsed[path] = parse_module(
-                        text, path=path, site_base=site_ranges[path][0]
-                    )
-            functions = link_file(parsed[path], bindings)
+                parse(path, text, digest, site_ranges[path][0])
+            functions = link_file(parsed[path], bindings, shifts[path])
         _add_functions(program, functions, path)
     return LoadedProgram(
         program=program, resolution=resolution,

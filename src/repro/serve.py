@@ -61,6 +61,7 @@ import time
 from dataclasses import dataclass
 
 from repro.analysis.pipeline import Grapple, GrappleOptions
+from repro.cfet.cfet import TooBranchyError
 from repro.engine import serialize
 from repro.engine.computation import EngineOptions
 from repro.engine.incremental import IncrementalClosure
@@ -253,6 +254,11 @@ class ServeEngine:
         self.strata: dict[str, dict] = {}
         #: Per-file parse errors; such a file is re-read on every scan.
         self.errors: dict[str, str] = {}
+        #: The dependency edges and strata the files' modules and imports
+        #: imply, until one of those moves or a file comes or goes (None:
+        #: derive them again).
+        self._edges: set | None = None
+        self._strata: list | None = None
         # The analysis config is fixed for the engine's lifetime; its
         # digest goes into every stratum digest and every state write.
         payload = {
@@ -353,6 +359,7 @@ class ServeEngine:
 
     def _adopt(self, doc: dict) -> None:
         """Apply a well-formed state line."""
+        self._edges = self._strata = None
         for path in doc.get("removed", ()):
             self.files.pop(path, None)
         for digest in doc.get("left", ()):
@@ -393,13 +400,15 @@ class ServeEngine:
 
     def _observe(self, path: str, text: str, mtime: float,
                  size: int) -> FileMeta:
-        """Parse one changed file and refresh its cached artifact."""
+        """Parse one changed file and refresh its cached artifact.  The
+        parse, at site base 0, waits in the cache for the stratum run,
+        which rebases it rather than parse the file again."""
         digest = source_digest(text)
         tokens = tokenize(text)
         module = scan_module_name(tokens)
         mf = parse_module(text, path=path, tokens=tokens)
         if self.cache.get(path, digest) is None:
-            self.cache.put(build_artifact(mf, digest))
+            self.cache.put(build_artifact(mf, digest), parsed=mf)
         return FileMeta(
             path=path, digest=digest, module=module,
             imports=tuple(i.module for i in mf.imports),
@@ -414,7 +423,10 @@ class ServeEngine:
         sees the full listing.
         """
         present = self._workspace_files()
-        removed = [p for p in self.files if p not in present]
+        listed = set(present)
+        removed = [p for p in self.files if p not in listed]
+        if removed:
+            self._edges = self._strata = None
         for path in removed:
             del self.files[path]
             self.texts.pop(path, None)
@@ -450,6 +462,9 @@ class ServeEngine:
                 self.errors[path] = str(exc)
                 continue
             self.errors.pop(path, None)
+            if meta is None or (meta.module, meta.imports) \
+                    != (new_meta.module, new_meta.imports):
+                self._edges = self._strata = None
             self.files[path] = new_meta
             self._dirty.add(path)
             self.texts[path] = text
@@ -464,6 +479,8 @@ class ServeEngine:
         files that declare the same module (they share a namespace).
         This over-approximates cross-file name binding, so distinct
         strata can never influence each other's warnings."""
+        if self._edges is not None:
+            return self._edges
         providers: dict[str, list[str]] = {}
         for meta in self.files.values():
             providers.setdefault(meta.module, []).append(meta.path)
@@ -476,6 +493,7 @@ class ServeEngine:
                 for path in providers.get(module, ()):
                     if path != meta.path:
                         pairs.add((meta.path, path))
+        self._edges = pairs
         return pairs
 
     def _stratum_digest(self, membership: list[str]) -> str:
@@ -517,10 +535,12 @@ class ServeEngine:
             self.stats.edits_served += 1
             self.stats.edges_rederived += edges_added + edges_removed
 
-        components = [
-            sorted(component)
-            for component in self.closure.components(self.files)
-        ]
+        if self._strata is None or edges_added or edges_removed:
+            self._strata = [
+                sorted(component)
+                for component in self.closure.components(self.files)
+            ]
+        components = self._strata
         digests = [self._stratum_digest(m) for m in components]
         # What the strata about to be superseded knew, root by root: a
         # re-check builds only the clone trees whose key has moved.  The
@@ -547,12 +567,13 @@ class ServeEngine:
             if entry is None:
                 try:
                     run = self._run_stratum(membership, known)
-                except ParseError as exc:
-                    # LinkError (duplicate symbols after an edit) and
-                    # friends: the stratum contributes no warnings but
-                    # the daemon keeps serving.  The error lives with
-                    # the entry, so it lasts exactly as long as the
-                    # stratum does (restarts included).
+                except (ParseError, TooBranchyError) as exc:
+                    # LinkError (duplicate symbols after an edit), a
+                    # function too branchy to build a CFET for: the
+                    # stratum contributes no warnings but the daemon
+                    # keeps serving.  The error lives with the entry, so
+                    # it lasts exactly as long as the stratum does
+                    # (restarts included).
                     entry = {"files": membership, "roots": {}, "count": 0,
                              "error": str(exc)}
                 else:

@@ -123,6 +123,7 @@ def test_compiled_points_to_matches_handwritten_closure():
     }
     """
     from repro.lang.callgraph import build_call_graph
+    from repro.lang.summary import summarize_program, type_facts_of
     from repro.lang.types import infer_object_vars
     from repro.graph.cloning import enumerate_clones
     from repro.graph.alias_graph import build_alias_graph
@@ -133,8 +134,9 @@ def test_compiled_points_to_matches_handwritten_closure():
         unroll_loops(program)
         lower_exceptions(program)
         icfet = build_icfet(program)
-        callgraph = build_call_graph(program)
-        info = infer_object_vars(program)
+        summaries = summarize_program(program)
+        callgraph = build_call_graph(summaries)
+        info = infer_object_vars(type_facts_of(summaries))
         forest = enumerate_clones(program, icfet, callgraph)
         result = build_alias_graph(program, icfet, callgraph, info, forest)
         engine = GraphEngine(

@@ -6,6 +6,7 @@ from repro.lang import ast
 from repro.lang.callgraph import build_call_graph, call_sites
 from repro.lang.cfg import build_cfg
 from repro.lang.parser import parse_program
+from repro.lang.summary import summarize_program, type_facts_of
 from repro.lang.transform import lower_exceptions, normalize_calls, unroll_loops
 from repro.lang.types import infer_object_vars
 
@@ -81,7 +82,7 @@ def test_call_graph_edges():
         func main() { a(); }
         """
     )
-    cg = build_call_graph(program)
+    cg = build_call_graph(summarize_program(program))
     assert cg.callees("main") == {"a"}
     assert cg.callees("a") == {"b"}
 
@@ -94,7 +95,7 @@ def test_call_graph_bottom_up_order():
         func main() { mid(); }
         """
     )
-    cg = build_call_graph(program)
+    cg = build_call_graph(summarize_program(program))
     order = cg.bottom_up_functions()
     assert order.index("leaf") < order.index("mid") < order.index("main")
 
@@ -107,7 +108,7 @@ def test_call_graph_scc_recursion_collapsed():
         func main() { even(4); }
         """
     )
-    cg = build_call_graph(program)
+    cg = build_call_graph(summarize_program(program))
     assert cg.scc_of["even"] == cg.scc_of["odd"]
     assert cg.is_recursive_edge("even", "odd")
     assert not cg.is_recursive_edge("main", "even")
@@ -115,18 +116,22 @@ def test_call_graph_scc_recursion_collapsed():
 
 def test_call_graph_ignores_extern_calls():
     program = core("func main() { println(1); }")
-    cg = build_call_graph(program)
+    cg = build_call_graph(summarize_program(program))
     assert cg.callees("main") == set()
 
 
 # -- object-var inference -----------------------------------------------------------
 
 
+def _objects(program):
+    return infer_object_vars(type_facts_of(summarize_program(program)))
+
+
 def test_object_vars_from_new_and_copy():
     program = core(
         "func main() { var a = new File(); var b = a; var n = 3; }"
     )
-    info = infer_object_vars(program)
+    info = _objects(program)
     assert info.is_object_var("main", "a")
     assert info.is_object_var("main", "b")
     assert not info.is_object_var("main", "n")
@@ -134,7 +139,7 @@ def test_object_vars_from_new_and_copy():
 
 def test_object_vars_through_fields():
     program = core("func main() { box.item = a; var c = box.item; }")
-    info = infer_object_vars(program)
+    info = _objects(program)
     for name in ("box", "a", "c"):
         assert info.is_object_var("main", name)
 
@@ -146,7 +151,7 @@ def test_object_vars_through_params():
         func main() { var a = new File(); use(a); }
         """
     )
-    info = infer_object_vars(program)
+    info = _objects(program)
     assert info.is_object_var("use", "f")
     assert info.is_object_var("main", "a")
 
@@ -158,21 +163,48 @@ def test_object_vars_through_returns():
         func main() { var g = make(); }
         """
     )
-    info = infer_object_vars(program)
+    info = _objects(program)
     assert "make" in info.returns_object
     assert info.is_object_var("main", "g")
 
 
 def test_site_types_recorded():
     program = core("func main() { var a = new Socket(); }")
-    info = infer_object_vars(program)
+    info = _objects(program)
     assert "Socket" in info.site_types.values()
 
 
 def test_event_base_is_object():
     program = core("func main() { conn.open(); }")
-    info = infer_object_vars(program)
+    info = _objects(program)
     assert info.is_object_var("main", "conn")
+
+
+def test_object_var_reaches_a_callee_defined_before_its_caller():
+    """The fixpoint is the least one whatever the definition order: the
+    caller's argument becomes an object after the call, and only the
+    callee, defined first, copies the formal on (a round-based solver
+    that stopped once no caller grew missed ``q``)."""
+    program = core(
+        """
+        func g(p) { var q = p; return; }
+        func main() { g(a); a = new File(); }
+        """
+    )
+    info = _objects(program)
+    assert info.object_vars["g"] == {"p", "q"}
+    assert info.is_object_var("main", "a")
+
+
+def test_site_type_of_an_argument_needs_the_callee_formal():
+    # Surface form: normalisation would hoist the allocations.
+    program = parse_program(
+        """
+        func one(p) { return; }
+        func main() { one(new File(), new Socket()); ext(new Lock()); }
+        """
+    )
+    assert sorted(_objects(program).site_types.values()) == ["File"]
 
 
 def _random_program(seed: int, n: int = 40):
@@ -196,7 +228,7 @@ def test_call_graph_sccs_match_networkx():
     nx = pytest.importorskip("networkx")
     for seed in range(20):
         program = _random_program(seed)
-        cg = build_call_graph(program)
+        cg = build_call_graph(summarize_program(program))
         graph = nx.DiGraph()
         graph.add_nodes_from(program.functions)
         for caller, callees in cg.edges.items():
@@ -209,7 +241,7 @@ def test_call_graph_sccs_match_networkx():
         for caller, callees in cg.edges.items():
             for callee in callees:
                 assert position[cg.scc_of[callee]] <= position[cg.scc_of[caller]]
-        again = build_call_graph(_random_program(seed))
+        again = build_call_graph(summarize_program(_random_program(seed)))
         assert again.scc_order == cg.scc_order
         assert again.bottom_up_functions() == cg.bottom_up_functions()
 
@@ -220,6 +252,6 @@ def test_call_graph_survives_call_chains_deeper_than_the_stack():
     depth = sys.getrecursionlimit() + 200
     lines = [f"func f{i}() {{ f{i + 1}(); }}" for i in range(depth)]
     lines.append(f"func f{depth}() {{ }}")
-    cg = build_call_graph(core("\n".join(lines)))
+    cg = build_call_graph(summarize_program(core("\n".join(lines))))
     order = cg.bottom_up_functions()
     assert order[0] == f"f{depth}" and order[-1] == "f0"

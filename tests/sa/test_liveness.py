@@ -11,6 +11,7 @@ from repro.lang.transform import (
     normalize_calls,
     unroll_loops,
 )
+from repro.lang.summary import summarize_program, type_facts_of
 from repro.lang.types import infer_object_vars
 from repro.sa.liveness import eliminate_dead_stores, is_pure_scalar_expr
 from repro.sa.reduce import ReductionStats
@@ -26,6 +27,10 @@ def compile_core(source: str):
     return program
 
 
+def objects_of(program):
+    return infer_object_vars(type_facts_of(summarize_program(program)))
+
+
 def assigns_of(program, func: str) -> list[str]:
     return [
         stmt.target
@@ -38,7 +43,7 @@ def test_removes_unread_scalar_store():
     program = compile_core(
         "func f(x) { var unused = x + 1; var r = x; return r; }"
     )
-    removed = eliminate_dead_stores(program, infer_object_vars(program))
+    removed = eliminate_dead_stores(program, objects_of(program))
     assert removed == 1
     assert "unused" not in assigns_of(program, "f")
     assert "r" in assigns_of(program, "f")
@@ -48,7 +53,7 @@ def test_cascading_chain_removed():
     program = compile_core(
         "func f(x) { var a = x; var b = a + 1; var c = b + 1; return x; }"
     )
-    removed = eliminate_dead_stores(program, infer_object_vars(program))
+    removed = eliminate_dead_stores(program, objects_of(program))
     # c is dead, then b, then a -- the fixpoint loop catches the chain.
     assert removed == 3
     assert assigns_of(program, "f") == []
@@ -58,7 +63,7 @@ def test_keeps_stores_feeding_branches_and_returns():
     program = compile_core(
         "func f(x) { var a = x + 1; if (a > 0) { return a; } return 0; }"
     )
-    assert eliminate_dead_stores(program, infer_object_vars(program)) == 0
+    assert eliminate_dead_stores(program, objects_of(program)) == 0
     assert "a" in assigns_of(program, "f")
 
 
@@ -73,7 +78,7 @@ def test_keeps_object_allocations_and_input():
         }
         """
     )
-    removed = eliminate_dead_stores(program, infer_object_vars(program))
+    removed = eliminate_dead_stores(program, objects_of(program))
     assert removed == 1
     names = assigns_of(program, "f")
     # The allocation feeds the alias graph and input() feeds occurrence
@@ -88,7 +93,7 @@ def test_keeps_call_results():
         func f(x) { var r = g(x); return x; }
         """
     )
-    assert eliminate_dead_stores(program, infer_object_vars(program)) == 0
+    assert eliminate_dead_stores(program, objects_of(program)) == 0
     assert "r" in assigns_of(program, "f")
 
 
@@ -106,7 +111,7 @@ def test_thrown_flag_pinned_live():
         }
         """
     )
-    eliminate_dead_stores(program, infer_object_vars(program))
+    eliminate_dead_stores(program, objects_of(program))
     # Exception lowering's `__thrown = ...` stores must all survive: the
     # CFET builder reads the flag off every leaf environment.
     thrown_stores = [
@@ -155,4 +160,4 @@ def test_dead_store_elimination_leaves_object_info_unchanged(name):
     compiled = compile_source(source, reduce=True, reduction=stats)
     # gateway has no dead store: there only the builders run in between.
     assert (stats.dead_stores_removed > 0) is (name != "gateway")
-    assert compiled.info == infer_object_vars(compiled.program)
+    assert compiled.info == objects_of(compiled.program)

@@ -7,6 +7,7 @@ from repro.lang.transform import (
     normalize_calls,
     unroll_loops,
 )
+from repro.lang.summary import summarize_program, type_facts_of
 from repro.lang.types import infer_object_vars
 from repro.sa.relevance import compute_relevance
 
@@ -19,9 +20,10 @@ def relevance_of(source: str):
     normalize_calls(program)
     unroll_loops(program, 1)
     lower_exceptions(program)
-    callgraph = build_call_graph(program)
-    info = infer_object_vars(program)
-    return compute_relevance(program, callgraph, info, TRACKED, EVENTS)
+    summaries = summarize_program(program)
+    callgraph = build_call_graph(summaries)
+    info = infer_object_vars(type_facts_of(summaries))
+    return compute_relevance(summaries, callgraph, info, TRACKED, EVENTS)
 
 
 def test_direct_allocation_and_copies_relevant():

@@ -68,6 +68,26 @@ def test_check_int_parameter_used_as_boolean(source_file, capsys, guard):
     assert "Traceback" not in captured.err
 
 
+def test_check_too_branchy_function_is_a_usage_error(
+    source_file, capsys, monkeypatch
+):
+    """A function whose CFET outgrows its bound is named on one line
+    with status 2 -- exit 1 would claim warnings were found."""
+    from repro.cfet.cfet import _CfetBuilder
+
+    monkeypatch.setattr(_CfetBuilder, "MAX_NODES", 1 << 8)
+    ifs = "".join(f"if (a > {i}) {{ c = c + 1; }}\n" for i in range(16))
+    text = ("func main(a) {\nvar w = new FileWriter();\nvar c = 0;\n"
+            f"{ifs}if (c > 100) {{ w.close(); }}\nreturn;\n}}\n")
+    assert main(["check", source_file(text), "--checkers", "io"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "repro: function main is too branchy (its CFET passes 256 nodes;"
+        " reduce its branching or the unroll factor)"
+    ]
+
+
 def test_check_stats_flag(source_file, capsys):
     main(["check", source_file(CLEAN), "--checkers", "io", "--stats"])
     out = capsys.readouterr().out

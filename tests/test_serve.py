@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro import serve as serve_mod
+from repro.analysis.frontend import compile_source
 from repro.analysis.pipeline import Grapple, GrappleOptions
 from repro.lang import parser as parser_mod
 from repro.checkers.checker import pack_checkers
@@ -120,7 +121,8 @@ def _compiled_shape(compiled):
 def _assert_compiled_as_cold(engine, runs):
     """Each stratum run, compiled partly from the scope cache's
     fragments, equals a cold compile of its sources handed the same
-    root table: functions, ICFET, forest, root keys and report."""
+    root table: functions, ICFET, forest, the summaries and what the
+    whole-program passes stitched from them, root keys and report."""
     for membership, table, run in runs:
         cold = Grapple(
             {p: _read(engine, p) for p in membership}, engine.fsms,
@@ -128,6 +130,21 @@ def _assert_compiled_as_cold(engine, runs):
                            root_table=table),
         ).run()
         assert _compiled_shape(run.compiled) == _compiled_shape(cold.compiled)
+        # A batch run drops its summaries after relevance: read a cold
+        # compile's off the frontend itself.
+        summaries = compile_source(
+            {p: _read(engine, p) for p in membership},
+            unroll=engine.unroll, reduce=engine.reduce,
+        ).summaries
+        assert run.compiled.summaries == summaries
+        assert list(run.compiled.summaries) == list(summaries)
+        assert run.compiled.info == cold.compiled.info
+        assert run.relevance == cold.relevance
+        for graph in (run.compiled.callgraph, cold.compiled.callgraph):
+            assert list(graph.edges) == list(run.compiled.program.functions)
+        assert run.compiled.callgraph == cold.compiled.callgraph
+        assert {root: entry[0] for root, entry in run.root_table.items()} \
+            == {root: entry[0] for root, entry in cold.root_table.items()}
         assert run.root_table == cold.root_table
         assert run.rechecked == cold.rechecked
         assert [(w, w.witness) for w in run.report.warnings] \
@@ -362,6 +379,35 @@ def test_random_edit_sequence_byte_identical_to_scratch(tmp_path):
     )
 
 
+def test_pad_and_toggle_edits_stitch_what_a_cold_compile_infers(tmp_path):
+    """Seeded pads (a clean function appended) and toggles (a leaking
+    one appended, later taken out: new sites, so the files after it in
+    its stratum move base): after each edit the stratum's ObjectInfo,
+    relevance, call graph and root keys, solved over kept and fresh
+    summaries, equal a cold compile's (``_assert_compiled_as_cold``)."""
+    engine = _engine(tmp_path)
+    engine.scan()
+    rng = random.Random(11)
+    texts = {path: _read(engine, path) for path in sorted(engine.files)}
+    pad = "func pad(v) {{\n    return v + {0};\n}}\n"
+    leak = ("func leak(x) {\n    var f = new FileWriter();\n"
+            "    f.write(x);\n    return;\n}\n")
+    pads, leaking = {}, set()
+    for step in range(12):
+        path = rng.choice(sorted(texts))
+        if step % 3 == 2:
+            leaking ^= {path}
+        else:
+            pads[path] = step
+        text = texts[path] + (leak if path in leaking else "") + (
+            pad.format(pads[path]) if path in pads else "")
+        fragment = _edit_checked(engine, path, text)
+        assert fragment["edit"]["errors"] == {}
+    assert leaking  # a toggle left a leak in: its warning is served
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
+
+
 def _assert_equals_scratch(engine, tmp_path, tag):
     """Accumulated state == a from-scratch batch run *and* a daemon
     started cold on the same workspace (strata, digests, errors)."""
@@ -592,8 +638,8 @@ def test_fragments_are_never_mutated(tmp_path):
     seen = {}
 
     def snapshot():
-        for _, _, by_base in engine.cache._entries._data.values():
-            for fragment in by_base.values():
+        for entry in engine.cache._entries._data.values():
+            for fragment in entry.fragments.values():
                 seen.setdefault(id(fragment),
                                 (fragment, pickle.dumps(fragment)))
 
@@ -736,7 +782,8 @@ def test_pad_edit_lexes_and_parses_only_the_edited_file(tmp_path, monkeypatch):
         text = _read(engine, path) + "func g0_pad(v) {\n    return v + 7;\n}\n"
         fragment = engine.edit(path, text)
         assert fragment["edit"]["strata_rechecked"] == 1
-        assert set(lexed) == {text} and set(parsed) == {path}
+        # Once: the stratum run rebases the scan's parse.
+        assert lexed == [text] and parsed == [path]
         lexed.clear(), parsed.clear()
     _, scratch = _scratch_warnings(engine.workspace)
     assert _accumulated(engine) == scratch
@@ -937,6 +984,82 @@ def test_parse_error_of_a_file_that_never_parsed_goes_with_the_file(tmp_path):
     fragment = engine.remove("fresh.mini")
     assert fragment["edit"]["errors"] == {}
     assert engine.report()["errors"] == {}
+
+
+def test_stray_character_is_a_parse_error_of_its_file(tmp_path):
+    """A character the lexer does not know is a syntax error like any
+    other: the edit answers with it, the file keeps its last good
+    analysis, and the next good edit clears it."""
+    engine = _engine(tmp_path)
+    engine.scan()
+    good = _accumulated(engine)
+    original = _read(engine, "g0svc.mini")
+    fragment = engine.edit(
+        "g0svc.mini", original + "func stray() {\n    var x = 1 @ 2;\n}\n")
+    assert "'@'" in fragment["edit"]["errors"]["g0svc.mini"]
+    assert fragment["edit"]["strata_rechecked"] == 0
+    assert _accumulated(engine) == good
+    fragment = engine.edit("g0svc.mini", original + "\n")
+    assert fragment["edit"]["errors"] == {}
+    assert _accumulated(engine) == good
+
+
+def test_serve_once_on_a_workspace_with_a_stray_character(tmp_path, capsys):
+    """The edit is on disk before it is analysed, so a restarted daemon
+    meets it in its cold scan: that must answer too, not die."""
+    from repro.cli import main
+
+    ws, wd = str(tmp_path / "ws"), str(tmp_path / "wd")
+    _write_workspace(ws, scale=1.0)
+    with open(os.path.join(ws, "app.mini"), "a") as f:
+        f.write("func stray() {\n    var x = 1 @ 2;\n}\n")
+    assert main(["serve", ws, "--workdir", wd, "--checkers",
+                 "taint,order,iterator,lockdep", "--once"]) == 0
+    fragment = json.loads(capsys.readouterr().out)
+    assert list(fragment["edit"]["errors"]) == ["app.mini"]
+    assert "'@'" in fragment["edit"]["errors"]["app.mini"]
+
+
+def _branchy(count):
+    """A function with ``count`` sequential ifs: its CFET doubles with
+    each (ROADMAP item 11)."""
+    ifs = "".join(
+        f"    if (a > {i}) {{\n        c = c + 1;\n    }}\n"
+        for i in range(count)
+    )
+    return (f"func branchy(a) {{\n    var w = new FileWriter();\n"
+            f"    var c = 0;\n{ifs}    if (c > 100) {{\n"
+            f"        w.close();\n    }}\n    return;\n}}\n")
+
+
+def test_too_branchy_function_is_its_strata_error(tmp_path, monkeypatch):
+    """A CFET that outgrows its bound fails the stratum the way a link
+    error does: the answer names the function, the rest of the
+    workspace keeps its warnings, the socket keeps answering, and an
+    edit that removes the function clears the error."""
+    from repro.cfet.cfet import _CfetBuilder
+
+    monkeypatch.setattr(_CfetBuilder, "MAX_NODES", 1 << 8)
+    engine = _engine(tmp_path)
+    before = engine.scan()["warnings"]
+    original = _read(engine, "g0svc.mini")
+    (stratum,) = [e["files"] for e in engine.strata.values()
+                  if "g0svc.mini" in e["files"]]
+    with _serving(engine, tmp_path) as sock_path:
+        fragment = request(sock_path, {
+            "op": "edit", "path": "g0svc.mini",
+            "text": original + _branchy(16)})
+        error = fragment["edit"]["errors"][stratum[0]]
+        assert error.startswith("function g0svc.branchy is too branchy (")
+        assert "256 nodes" in error
+        assert 0 < fragment["warnings"] < before
+        assert request(sock_path, {"op": "ping"})["ok"] is True
+        fragment = request(sock_path, {
+            "op": "edit", "path": "g0svc.mini", "text": original})
+        assert fragment["edit"]["errors"] == {}
+        assert request(sock_path, {"op": "shutdown"})["ok"] is True
+    _, scratch = _scratch_warnings(engine.workspace)
+    assert _accumulated(engine) == scratch
 
 
 def _unreadable(workspace, name, kind):
