@@ -43,6 +43,7 @@ def grapple_run(
     path_sensitive: bool = True,
     memory_budget: int = MEMORY_BUDGET,
     tag: str = "",
+    reduce: bool = True,
 ):
     """One full Grapple execution (all four checkers) on one subject.
 
@@ -53,6 +54,7 @@ def grapple_run(
     subj = subject(name)
     options = GrappleOptions(
         unroll=unroll,
+        reduce=reduce,
         engine=EngineOptions(
             memory_budget=memory_budget,
             enable_cache=enable_cache,

@@ -20,9 +20,6 @@ class AliasAnalysis:
     # (object vertex, variable vertex) -> tuple of witness path encodings
     flows_to: dict = field(default_factory=dict)
 
-    def flows_to_encodings(self, obj_vertex: int, var_vertex: int):
-        return self.flows_to.get((obj_vertex, var_vertex), ())
-
     def points_to(self, func: str, var: str, ctx: tuple | None = None):
         """Allocation sites the variable may reference.
 

@@ -27,21 +27,9 @@ class Icfet:
         """The CFET of one function."""
         return self.cfets[func]
 
-    def record_of_call(self, cid: int) -> CallRecord:
-        """The call record owning call-edge id ``cid``."""
-        return self.by_cid[cid]
-
-    def record_of_return(self, rid: int) -> CallRecord:
-        """The call record owning return-edge id ``rid``."""
-        return self.by_rid[rid]
-
     def total_nodes(self) -> int:
         """CFET nodes across all functions (index-size metric)."""
         return sum(len(c.nodes) for c in self.cfets.values())
-
-    def memory_estimate(self) -> int:
-        """Rough in-memory footprint in bytes (for Table 3-style stats)."""
-        return self.total_nodes() * 96 + len(self.by_cid) * 160
 
 
 def formals_of(program: ast.Program, name: str) -> tuple[str, ...]:

@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                        " warning (default 2)")
     check.add_argument("--fault-plan", metavar="SPEC", default=None,
                        help="deterministic fault injection for testing, e.g."
-                       " 'short_write@partition-write:2,bad_frame@"
-                       "delta-append:3' (see repro.faults)")
+                       " 'short_write@partition-write:2,kill_run@"
+                       "checkpoint:3' (see repro.faults)")
 
     sub.add_parser("subjects", help="list built-in synthetic subjects")
 
@@ -402,11 +402,7 @@ def _stats_text(report: dict) -> str:
         f"constraints decoded/solved : {c['constraints_decoded']}"
         f" / {c['constraints_solved']}",
         f"cache hit rate      : {g['cache_hit_rate']:.0%}",
-        f"prefetch hit rate   : {g['prefetch_hit_rate']:.0%}"
-        f" ({c['prefetch_hits']}/"
-        f"{c['prefetch_hits'] + c['prefetch_misses']} loads)",
-        f"spill frames        : {c['spill_frames']}"
-        f" ({c['spill_bytes']} bytes)",
+        f"pending rows        : {c['pending_rows']}",
         f"partition files written : {c['partition_writes']}"
         f" ({c['partition_bytes_written']} bytes)",
         f"join batches/probes : {c['join_batches']} / {c['join_probes']}",

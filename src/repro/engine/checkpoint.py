@@ -9,11 +9,10 @@ label table, and how many encodings the workdir's encoding log held --
 it is RNG-free by design: the engine derives everything else (caches,
 join indexes) deterministically from the partition files.
 
-Partition files and delta frames hold encoding *ids*; the table that
-defines them is the append-only ``encodings.bin`` beside them.  Write
-order is log frame (fsynced) -> partition file or delta frame ->
-manifest, so a manifest never counts an encoding, and no file holds an
-id, that is not durable.
+Partition files hold encoding *ids*; the table that defines them is the
+append-only ``encodings.bin`` beside them.  Write order is log frame
+(fsynced) -> partition file -> manifest, so a manifest never counts an
+encoding, and no file holds an id, that is not durable.
 ``--resume`` replays the log into the fresh table before anything else
 interns (ids are dense and append-only, so they land where the
 interrupted run put them) and refuses a log that is shorter than the
@@ -29,11 +28,13 @@ manifest before adopting it:
   land where the original run put it (edge rows reference label ids);
 * a sampled **vertex digest** must match (vertex ids are positional).
 
-Partition descriptors record each delta file's size at checkpoint time.
-Frames appended after the manifest was written (but before the crash)
-would otherwise be invisible to the restored scheduler frontier, so a
-size mismatch bumps the partition's version -- every pair touching it
-becomes eligible again and the extra edges are folded and reprocessed.
+The flush before a manifest folds every partition's pending rows into
+its file (``PartitionStore.flush``), so the files a manifest names hold
+every edge it counts, and until the next manifest nothing rewrites them
+(``PartitionStore.committed``: a partition written in between gets a
+fresh file).  Edges derived after it -- pending or written -- are
+re-derived by the resume, which restarts from the manifest's frontier
+and versions against exactly the checkpoint's files.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ MANIFEST = "checkpoint.json"
 #: of ``flowsToBar``/``alias``; a format-3 alias phase holds no
 #: ``storeBar`` edge (those are derived only from the input graph), so
 #: resuming it would lose heap flows.
-FORMAT = 4
+#: 5: a partition is one file; descriptors no longer name a delta file.
+FORMAT = 5
 
 #: EngineOptions fields that change *what* the closure computes (not how
 #: fast); a resume under a different value of any of these is refused.
@@ -111,21 +113,14 @@ def write_manifest(workdir: str, *, phase: str, config: str, store,
     """Atomically write the checkpoint manifest for one engine run."""
     parts = []
     for part in store.partitions:
-        delta_size = None
-        try:
-            delta_size = os.path.getsize(part.delta_path)
-        except OSError:
-            pass
         parts.append({
             "index": part.index,
             "lo": part.lo,
             "hi": part.hi,
             "path": os.path.basename(part.path),
-            "delta_path": os.path.basename(part.delta_path),
             "edge_count": part.edge_count,
             "byte_estimate": part.byte_estimate,
             "version": part.version,
-            "delta_size": delta_size,
         })
     scalars = {}
     for name, value in stats.__dict__.items():
@@ -158,21 +153,18 @@ def write_manifest(workdir: str, *, phase: str, config: str, store,
 
 def _prunable(name: str) -> bool:
     """Whether a workdir entry is engine-owned garbage when unreferenced:
-    partition/delta files (with atomic-write temps) and manifest temps.
+    partition files (with atomic-write temps) and manifest temps.
     Anything else in the directory is not ours to delete."""
     base = name[:-4] if name.endswith(".tmp") else name
     if base == MANIFEST:
         return name != MANIFEST  # only the temp, never the manifest
-    return (
-        (base.startswith("part_") or base.startswith("delta_"))
-        and base.endswith(".bin")
-    )
+    return base.startswith("part_") and base.endswith(".bin")
 
 
 def prune_workdir(workdir: str, manifest: dict) -> int:
-    """Delete superseded partition/delta files the manifest no longer
-    references (folded delta logs, torn-write temps, files orphaned by
-    repartitioning).  Returns the number of files removed.
+    """Delete superseded partition files the manifest no longer
+    references (torn-write temps, files orphaned by repartitioning).
+    Returns the number of files removed.
 
     Crash-safe by construction: only files *outside* the manifest's
     reference set are candidates, and the manifest itself is never
@@ -183,7 +175,6 @@ def prune_workdir(workdir: str, manifest: dict) -> int:
     referenced = {MANIFEST}
     for desc in manifest.get("partitions", ()):
         referenced.add(desc["path"])
-        referenced.add(desc["delta_path"])
     try:
         names = os.listdir(workdir)
     except OSError:
@@ -265,12 +256,7 @@ def restore_encodings(manifest: dict, store) -> None:
 
 
 def restore_store(manifest: dict, store) -> None:
-    """Adopt the manifest's partition layout into a fresh store.
-
-    A partition whose delta file's current size differs from the
-    checkpointed size gained (or lost) frames the manifest never saw:
-    its version is bumped so the scheduler reprocesses its pairs.
-    """
+    """Adopt the manifest's partition layout into a fresh store."""
     store.partitions = []
     for desc in manifest["partitions"]:
         part = Partition(
@@ -278,20 +264,13 @@ def restore_store(manifest: dict, store) -> None:
             lo=desc["lo"],
             hi=desc["hi"],
             path=os.path.join(store.workdir, desc["path"]),
-            delta_path=os.path.join(store.workdir, desc["delta_path"]),
             edge_count=desc["edge_count"],
             byte_estimate=desc["byte_estimate"],
             version=desc["version"],
         )
-        delta_size = None
-        try:
-            delta_size = os.path.getsize(part.delta_path)
-        except OSError:
-            pass
-        if delta_size != desc["delta_size"]:
-            part.version += 1
         store.partitions.append(part)
     store.partitions.sort(key=lambda p: p.index)
+    store.committed = {part.path for part in store.partitions}
     store._next_file = manifest["next_file"]
     store._bounds_stale = True
 

@@ -11,9 +11,8 @@ analogue:
 * :class:`EncodingTable` hash-conses path encodings (interval-sequence
   tuples) into dense integer ids, so the closure kernel compares and
   hashes machine ints instead of variable-length tuples.  Ids are local
-  to one table and reach partition files and delta frames as they are;
-  a durable workdir carries the table that defines them (its encoding
-  log).
+  to one table and reach partition files as they are; a durable
+  workdir carries the table that defines them (its encoding log).
 * :class:`EdgeColumns` keeps a partition as four parallel ``array('q')``
   columns -- ``src``/``dst``/``label``/``enc`` -- sorted by source, plus
   a small dict overlay for edges inserted since the last compaction.
@@ -21,8 +20,8 @@ analogue:
   CSR-style index is implicit in the sort order), membership probes go
   through a lazy per-source cache, and serialisation is a bulk
   ``tobytes`` of the four columns (``serialize.encode_columnar``) and a
-  load adopts them back unchanged, then folds any delta frames' rows in
-  by id through :meth:`EdgeColumns.insert`.
+  load adopts them back unchanged, then folds the partition's pending
+  rows in by id through :meth:`EdgeColumns.insert`.
 
 Byte accounting is columnar: 32 bytes per row (four int64 slots plus
 set/dict overhead amortised) plus the raw text of any string-constraint

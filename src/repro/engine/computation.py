@@ -4,11 +4,12 @@ The engine repeatedly loads a pair of partitions, joins consecutive edges
 ``x -> y`` and ``y -> z`` whose labels compose under the grammar, merges
 their interval-sequence path encodings, checks the merged constraint's
 satisfiability (through the memoisation caches), and inserts the
-transitive edge.  New edges owned by unloaded partitions are spilled to
-delta files; oversized partitions are split eagerly.  A pair becomes
-eligible again whenever either partition gained edges since its last
-visit, and the computation stops when no pair is eligible -- the
-fixpoint "no new edges can be found".
+transitive edge.  New edges owned by unloaded partitions wait in memory
+as those partitions' pending rows until their next load; oversized
+partitions are split eagerly.  A pair becomes eligible again whenever
+either partition gained edges since its last visit, and the computation
+stops when no pair is eligible -- the fixpoint "no new edges can be
+found".
 
 Visits are *semi-naive* (:meth:`GraphEngine._pair_body`, the one pair
 drain).  A visit composes every new edge both as a left operand (the
@@ -34,8 +35,8 @@ the right-hand sorted source runs once per distinct vertex instead of
 once per edge.  Encoding merges, reversals, label compositions, and
 feasibility verdicts are all memoised by id, so the hot path compares
 machine ints where it used to hash variable-length tuples.  Ids are
-what partition files and delta frames hold; a durable workdir carries
-the table that defines them (its encoding log).
+what partition files hold; a durable workdir carries the table that
+defines them (its encoding log).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.engine import kernel as kernel_mod
 from repro.engine import serialize
 from repro.engine.cache import LRUCache
 from repro.engine.columnar import ROW_BYTES, EncodingTable
-from repro.engine.io_pipeline import PrefetchReader
 from repro.engine.partition import Partition, PartitionStore
 from repro.engine.scheduling import DeltaLog, PairScheduler
 from repro.engine.stats import EngineStats
@@ -71,11 +71,6 @@ from repro.smt import expr as E
 VERDICT_CACHE_CAP = 1_000_000
 MERGE_MEMO_CAP = 500_000
 FORM_PIECES_CAP = 500_000
-
-#: How many upcoming scheduled pairs the serial loop hands to the
-#: background prefetcher each iteration (deeper lookahead keeps the
-#: reader busy across pairs whose partitions were already resident).
-PREFETCH_DEPTH = 4
 
 
 @dataclass
@@ -304,12 +299,11 @@ class GraphEngine:
                     f" ({reason}); starting fresh",
                     file=sys.stderr,
                 )
-        prefetch = PrefetchReader(trace=trace)
         with trace.span("engine-init", phase=self.phase):
             self._seed_derived(graph)
             store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
-                table=self._enc, prefetch=prefetch, trace=trace,
+                table=self._enc, trace=trace,
                 faults=self.faults,
                 durable=self.options.workdir is not None,
             )
@@ -324,8 +318,9 @@ class GraphEngine:
             else:
                 if self._ckpt_dir is not None:
                     # Fresh run in a reused directory: stale partition,
-                    # delta, encoding-log, temp, or manifest files from
-                    # an earlier run must not leak into this one.
+                    # encoding-log, temp, or manifest files (and an older
+                    # build's delta files) from an earlier run must not
+                    # leak into this one.
                     for name in os.listdir(workdir):
                         if (
                             name.endswith((".bin", ".tmp"))
@@ -378,9 +373,6 @@ class GraphEngine:
                 sampler.sample_once()
                 sampler.unbind("partition_cache_occupancy")
                 sampler.unbind("eligible_pairs")
-            # Post-run edge iteration must not count prefetch misses:
-            # tear the reader down here.
-            store.drop_pipeline()
         closure_spans = window.spans()
 
         with trace.span("engine-settle", phase=self.phase):
@@ -413,9 +405,10 @@ class GraphEngine:
                 last_seen=last_seen, stats=self.stats, graph=self._graph,
                 complete=complete,
             )
+            store.committed = {part.path for part in store.partitions}
             # With the manifest durable, anything it does not reference
-            # is superseded garbage (folded delta logs, torn-write
-            # temps); a long-running workdir would otherwise grow
+            # is superseded garbage (torn-write temps, repartition
+            # orphans); a long-running workdir would otherwise grow
             # monotonically.
             self.stats.checkpoint_files_pruned += ckpt.prune_workdir(
                 self._ckpt_dir, manifest
@@ -493,22 +486,11 @@ class GraphEngine:
         self._open_log()
         try:
             while True:
-                if store.lost_frames:
-                    self._repair_lost_frames()
                 pair = scheduler.next_pair()
                 if pair is None:
                     break
                 if self._retire_if_dead(pair):
                     continue
-                scheduler.pop_pair(pair)
-                # Overlap the next pair's disk reads with this pair's
-                # compute: the lookahead is a prediction (processing this
-                # pair may change eligibility), so stale prefetches
-                # simply miss.
-                busy = set(pair)
-                for upcoming in scheduler.peek_pairs(PREFETCH_DEPTH):
-                    for index in set(upcoming) - busy:
-                        store.prefetch_schedule(store.partitions[index])
                 with trace.span(
                     "iteration", iteration=stats.pairs_processed + 1,
                     pair=f"{pair[0]},{pair[1]}",
@@ -559,54 +541,11 @@ class GraphEngine:
         ):
             for index in set(pair):
                 part = store.partitions[index]
-                if store.prefetch is not None:
-                    store.prefetch.invalidate(index)
                 try:
                     store.load(part)
                 except serialize.CorruptPartition:
                     if not store.rebuild(part):
                         self._quarantine_partition(part, exc)
-
-    def _repair_lost_frames(self) -> None:
-        """Give back what lost delta frames held (DESIGN.md §11).
-
-        Between pairs, so no visit has partitions loaded.  The load that
-        found the loss already made every pair touching the partition
-        seed fully, which re-derives composed edges.  What it cannot
-        re-derive are reversed derivations (``_derived_ids`` with
-        ``rev``): one is made only when its forward edge is first
-        inserted, and that edge is still present.  So one pass over
-        every partition's rows, in id space, hands each reversed
-        derivation a damaged partition owns to ``append_delta``, which
-        deduplicates (resident) or frames it (on disk) and records the
-        arrivals.  A damaged load during the pass joins the next round.
-        """
-        store = self._store
-        while store.lost_frames:
-            damaged = set(store.lost_frames)
-            store.lost_frames.clear()
-            chunks: dict = {}
-            for part in store.partitions:
-                if part.index in self._quarantined_parts:
-                    continue
-                try:
-                    cols = store.load(part)
-                except serialize.CorruptPartition:
-                    continue  # the pair that loads it next retries it
-                for src, dst, label_id, eid in cols.iter_rows():
-                    for derived_id, rev in self._derived_ids(label_id):
-                        if not rev:
-                            continue
-                        owner = store.partition_of(dst).index
-                        if owner in damaged:
-                            targets = chunks.setdefault(owner, {}).setdefault(
-                                dst, {}
-                            )
-                            targets.setdefault((src, derived_id), set()).add(
-                                self._reverse_id(eid)
-                            )
-            for index in sorted(chunks):
-                store.append_delta(store.partitions[index], chunks[index])
 
     def _quarantine_partition(self, part, exc) -> None:
         if part.index in self._quarantined_parts:
@@ -732,13 +671,12 @@ class GraphEngine:
 
         What is "new to the pair" is planned per cell ``(p, q)`` -- left
         operands ``p`` holds, join vertices ``q`` owns -- by
-        :meth:`DeltaLog.plan`, after the loads (folding a damaged delta
-        file resets the log).  A fully seeded cell (never closed, or a
-        salvaged delta file or an outgrown log reset a log since) seeds
-        every joinable left, as left operands only: the drain meets
-        every right operand already present.  A closed cell seeds just
-        the edges the log recorded past its cursor, each left through
-        the drain and each right against the lefts ``p`` holds.  Edges
+        :meth:`DeltaLog.plan`.  A fully seeded cell (never closed, or an
+        outgrown log was reset since) seeds every joinable left, as left
+        operands only: the drain meets every right operand already
+        present.  A closed cell seeds just the edges the log recorded
+        past its cursor, each left through the drain and each right
+        against the lefts ``p`` holds.  Edges
         the visit inserts are added to the frontier, the reverse index
         and the right-operand queue by :meth:`_insert`.
         """
@@ -753,7 +691,7 @@ class GraphEngine:
         if len(full) < len(plan):
             self.stats.pairs_delta_seeded += 1
         dirty: set = set()
-        spills: dict = {}
+        outbound: dict = {}
         rel_src = self._rel_src_id
         rel_memo = self._rel_src_memo
         # The pair's vertex intervals (they only move once inserts begin).
@@ -795,7 +733,9 @@ class GraphEngine:
 
         while frontier or rhs or seeded_rhs:
             if frontier:
-                kernel_mod.drain(self, loaded, parts, spills, dirty, frontier)
+                kernel_mod.drain(
+                    self, loaded, parts, outbound, dirty, frontier
+                )
             if rhs:
                 # Inserted by this visit: a left may have drained before
                 # it appeared, so it meets every left in the pair
@@ -804,7 +744,7 @@ class GraphEngine:
                 for src1, label1_id, enc1 in list(in_index.get(src2, ())):
                     self._compose_edges(
                         src1, src2, label1_id, enc1, dst2, label2_id, enc2,
-                        loaded, parts, spills, dirty, frontier,
+                        loaded, parts, outbound, dirty, frontier,
                     )
             elif seeded_rhs:
                 # Seeded from a cursor: it meets only the lefts of the
@@ -819,10 +759,10 @@ class GraphEngine:
                         continue
                     self._compose_edges(
                         src1, src2, label1_id, enc1, dst2, label2_id, enc2,
-                        loaded, parts, spills, dirty, frontier,
+                        loaded, parts, outbound, dirty, frontier,
                     )
 
-        self._flush_spills(spills)
+        self._flush_outbound(outbound)
         self._finalize_pair(loaded, parts, dirty)
 
     def _finalize_pair(self, loaded, parts, dirty) -> None:
@@ -843,7 +783,7 @@ class GraphEngine:
 
     def _compose_edges(
         self, src, dst, label1_id, enc1, dst2, label2_id, enc2,
-        loaded, parts, spills, dirty, frontier,
+        loaded, parts, outbound, dirty, frontier,
     ) -> None:
         stats = self.stats
         stats.compositions_tried += 1
@@ -858,8 +798,8 @@ class GraphEngine:
             return
         for new_label_id in new_label_ids:
             self._insert(
-                src, dst2, new_label_id, merged, loaded, parts, spills, dirty,
-                frontier, check=True,
+                src, dst2, new_label_id, merged, loaded, parts, outbound,
+                dirty, frontier, check=True,
             )
 
     def _compose_labels(
@@ -896,11 +836,12 @@ class GraphEngine:
         )
 
     def _insert(
-        self, src, dst, label_id, eid, loaded, parts, spills, dirty,
+        self, src, dst, label_id, eid, loaded, parts, outbound, dirty,
         frontier, check: bool,
     ) -> None:
         stats = self.stats
-        # Find where the edge lives: a loaded partition or a spill buffer.
+        # Find where the edge lives: a loaded partition or the outbound
+        # buffer of an unloaded one.
         cols = None
         owner_index = None
         for index, part in parts.items():
@@ -911,7 +852,7 @@ class GraphEngine:
         if cols is None:
             target = self._store.partition_of(src)
             slot = (
-                spills.setdefault(target.index, {})
+                outbound.setdefault(target.index, {})
                 .setdefault(src, {})
                 .setdefault((dst, label_id), set())
             )
@@ -957,17 +898,17 @@ class GraphEngine:
             # partition's edge data exceeds the threshold, not at the end
             # of the iteration.
             if self._store.needs_split(owner):
-                self._split_loaded(owner_index, loaded, parts, spills, dirty)
+                self._split_loaded(owner_index, loaded, parts, outbound, dirty)
         # Derived edges (e.g. flowsToBar from flowsTo).
         for derived_label_id, rev in self._derived_ids(label_id):
             if rev:
                 self._insert(
                     dst, src, derived_label_id, self._reverse_id(eid),
-                    loaded, parts, spills, dirty, frontier, check=False,
+                    loaded, parts, outbound, dirty, frontier, check=False,
                 )
             else:
                 self._insert(
-                    src, dst, derived_label_id, eid, loaded, parts, spills,
+                    src, dst, derived_label_id, eid, loaded, parts, outbound,
                     dirty, frontier, check=False,
                 )
 
@@ -982,7 +923,7 @@ class GraphEngine:
     def _decode(self, encoding):
         return enc_mod.decode_constraint(encoding, self.icfet)
 
-    def _split_loaded(self, index, loaded, parts, spills, dirty) -> None:
+    def _split_loaded(self, index, loaded, parts, outbound, dirty) -> None:
         """Mid-iteration split of a loaded partition that outgrew the
         budget: the left half stays loaded, the right half goes to disk
         (a new partition: its pairs are all unvisited, and the store
@@ -990,10 +931,11 @@ class GraphEngine:
         halves, so they seed what arrived since).  Reverse-index
         entries and queued right operands that now point outside the
         pair stay behind -- composing them still derives valid edges,
-        which spill."""
-        # Pending spills may be routed by stale boundaries; flush first.
-        self._flush_spills(spills)
-        spills.clear()
+        which go out through the outbound buffer."""
+        # Buffered edges were routed by the old boundaries; hand them over
+        # first.
+        self._flush_outbound(outbound)
+        outbound.clear()
         part, cols = parts[index], loaded[index]
         left, left_cols, right, _right_cols = self._store.split(part, cols)
         if right is None:
@@ -1002,14 +944,14 @@ class GraphEngine:
         loaded[index] = left_cols
         dirty.discard(index)  # split() persisted the left half already
 
-    def _flush_spills(self, spills) -> None:
+    def _flush_outbound(self, outbound) -> None:
         """Hand the edges buffered for unloaded partitions to the store,
         still id-encoded.  Buffers are keyed by owner at buffering time
         and never outlive a boundary change: the only split that can
         happen while they hold edges (:meth:`_split_loaded`) flushes
         them first."""
         store = self._store
-        for index, chunk in spills.items():
+        for index, chunk in outbound.items():
             store.append_delta(store.partitions[index], chunk)
 
     # -- constraint feasibility --------------------------------------------------

@@ -23,7 +23,7 @@ def _join_vertex(edge) -> int:
 # A module of its own rather than a GraphEngine method only because the
 # committed benchmarks/harness attributes ``engine.kernel.time_s`` by
 # wrapping ``repro.engine.kernel.drain``.
-def drain(engine, loaded, parts, spills, dirty, frontier) -> None:
+def drain(engine, loaded, parts, outbound, dirty, frontier) -> None:
     """Merge-join drain of one pair's pending left operands.
 
     Each round takes the whole frontier, sorts it by join vertex (the
@@ -60,6 +60,6 @@ def drain(engine, loaded, parts, spills, dirty, frontier) -> None:
                     for dst2, label2_id, enc2 in rows:
                         compose(
                             src, dst, label1_id, enc1, dst2, label2_id,
-                            enc2, loaded, parts, spills, dirty, frontier,
+                            enc2, loaded, parts, outbound, dirty, frontier,
                         )
             at = end

@@ -11,9 +11,8 @@ is produced by an eviction or by a checkpoint flush -- never by
 construction.  A closure whose partitions all stay resident therefore
 writes nothing (and a scratch store does not even create its
 directory).  The computation loads at most two partitions at a time (its
-pair), buffers new edges destined for non-resident partitions in
-per-partition delta files, and splits any partition whose estimated
-in-memory size exceeds the budget ("eager repartitioning", §4.3).
+pair) and splits any partition whose estimated in-memory size exceeds
+the budget ("eager repartitioning", §4.3).
 
 Loaded partitions are :class:`~repro.engine.columnar.EdgeColumns` (sorted
 int64 columns plus an insert overlay, encodings interned in the store's
@@ -25,47 +24,43 @@ are all the store ever writes; the table that defines them is resident
 for the whole phase (and outside the memory budget, which is accounted
 in columnar bytes: 32 per row plus string-payload text), and a durable
 workdir carries it as an append-only encoding log (``encodings.bin``).
-A delta file is a sequence of CRC-framed payloads in the same columnar
-layout (``serialize.encode_partition``), one per spilled chunk, appended
-by the store's :class:`~repro.engine.io_pipeline.SpillWriter`; a load
-reads a partition file and its delta frames with one function
-(``serialize.read_partition``, also what the prefetch thread runs) and
-folds the frames' rows into the columns by id.  A resident target of
-:meth:`PartitionStore.append_delta` takes the chunk as it is.
+Loads are synchronous, on the engine's thread.
+
+Edges that arrive for a partition outside the cache
+(:meth:`PartitionStore.append_delta`) wait in memory as that partition's
+*pending rows*, charged to its ``byte_estimate``.  The next
+:meth:`~PartitionStore.load` folds them into the columns it reads, in
+arrival order; a resident target takes them as they are.  Pending rows
+are never written on their own: a durable checkpoint (:meth:`flush`), or
+a pending list past its partition's share of the budget, loads the
+partition, folds them in and writes the partition file.  So a partition
+is always one file, and the on-disk formats are partition files, the
+encoding log and the checkpoint manifest.
 
 Every way edges enter or move between partitions outside the engine's
 own insert loop passes through this module, so the store also keeps the
 closure's :class:`~repro.engine.scheduling.DeltaLog` (``store.log``,
 attached by the engine for the duration of a phase) truthful: appended
-edges are recorded as arrivals; a split hands each half its share of
-the partition's log and cursors; a delta file salvaged around corrupt
-frames resets the partition's log so every pair touching it seeds
-fully on its next visit.
+edges are recorded as arrivals, and a split hands each half its share of
+the partition's log and cursors.
 
 Durability (DESIGN.md §11) is paid where a run can be resumed, i.e. by a
 ``durable`` store (the engine's explicit ``workdir``): partition files
 are replaced atomically (temp + fsync + rename), so a crash leaves the
-previous complete version on disk; before a partition file or a delta
-frame is written, the encodings interned since the last write are
-appended to the encoding log as one checksummed frame and fsynced, so
-no file on disk ever holds an id the log does not; delta frames are
-appended in single checksummed writes, so a crash leaves at most one
-truncated trailing frame, dropped on read.  A partition's delta file is
-only removed *after* the next partition write folds it in
-(``Partition.delta_folded``) -- until then the edges it holds remain
-replayable.  A delta file that lost frames (a torn tail, an interior
-CRC mismatch) is salvaged around: the intact frames fold, the file is
-retired by that same next write, an interior loss bumps the partition's
-version so every pair touching it recomputes, and the partition is
-listed in :attr:`PartitionStore.lost_frames` for the engine's repair
-pass -- recomputation re-derives composed edges, but not the reversed
-derivations of forward edges that are still present.  A scratch store
-(``durable=False``: a temp directory nothing can point at again, removed
-with the result) keeps temp + rename -- the prefetch thread must never
-read a torn file -- but skips the fsync and the encoding log (its table
-dies with the process that owns the files), and :meth:`PartitionStore.settle`
-compacts its resident columns at the end of a phase instead of writing
-them.
+previous complete version on disk, and before a partition file is
+written the encodings interned since the last write are appended to the
+encoding log as one checksummed frame and fsynced, so no file on disk
+ever holds an id the log does not.  A checkpoint flush leaves no pending
+row outside the files its manifest names, and those files keep the
+checkpoint's state until the next manifest: a partition written in
+between goes to a fresh file (:attr:`PartitionStore.committed`).  Rows
+that arrive after a checkpoint are re-derived by a resume, which
+restarts from the manifest's frontier.  A
+scratch store (``durable=False``: a temp directory nothing can point at
+again, removed with the result) keeps temp + rename but skips the fsync
+and the encoding log (its table dies with the process that owns the
+files), and :meth:`PartitionStore.settle` compacts its resident columns
+at the end of a phase instead of writing them.
 """
 
 from __future__ import annotations
@@ -76,7 +71,6 @@ from dataclasses import dataclass
 
 from repro.engine import serialize
 from repro.engine.columnar import ROW_BYTES, EdgeColumns, EncodingTable
-from repro.engine.io_pipeline import SpillWriter
 from repro.engine.stats import EngineStats
 from repro.faults import NULL_PLAN
 from repro.obs.trace import TraceRecorder
@@ -97,14 +91,9 @@ class Partition:
     lo: int
     hi: int  # half-open: owns src ids in [lo, hi)
     path: str
-    delta_path: str
     edge_count: int = 0
-    byte_estimate: int = 0
+    byte_estimate: int = 0  # includes the partition's pending rows
     version: int = 0  # bumped whenever edges are added
-    # True while the resident cached columns already include what the
-    # delta file holds; the file itself is kept until the next partition
-    # write so a crash before then can still replay it.
-    delta_folded: bool = False
 
     def owns(self, src: int) -> bool:
         return self.lo <= src < self.hi
@@ -115,8 +104,7 @@ class PartitionStore:
 
     def __init__(self, workdir: str, memory_budget: int,
                  stats: EngineStats | None = None, cache_slots: int = 4,
-                 table: EncodingTable | None = None,
-                 prefetch=None, trace=None,
+                 table: EncodingTable | None = None, trace=None,
                  faults=None, durable: bool = True):
         self.workdir = workdir
         # False = scratch: nothing can resume from ``workdir``, so
@@ -131,18 +119,20 @@ class PartitionStore:
         # How many of the table's encodings the workdir's log holds
         # (durable stores only; a scratch store never logs).
         self.encodings_logged = 0
-        # Optional PrefetchReader (engine/io_pipeline.py) whose thread
-        # parses upcoming partitions.
-        self.prefetch = prefetch
-        self.spill_writer = SpillWriter(
-            self.stats, trace=self.trace, faults=self.faults
-        )
         # The closure's arrival log (scheduling.DeltaLog), attached by
         # the engine while a phase runs; None = nobody is listening.
         self.log = None
-        # Indexes of partitions whose delta file lost frames since the
-        # engine last repaired them (GraphEngine._repair_lost_frames).
-        self.lost_frames: set[int] = set()
+        # Rows that arrived for partitions outside the cache, in arrival
+        # order (index -> [(src, dst, label_id, enc_id)]), and their
+        # bytes; the next load of the partition folds them in.
+        self._pending: dict[int, list] = {}
+        self._pending_bytes: dict[int, int] = {}
+        # Durable store: the partition files the last checkpoint manifest
+        # names (set by the engine when it writes one).  They keep the
+        # checkpoint's state until the next manifest: a partition written
+        # in between goes to a fresh file, and the prune after that
+        # manifest removes the old one.
+        self.committed: set[str] = set()
         self.partitions: list[Partition] = []
         self._next_file = 0
         # Write-back cache of resident partitions: index -> columns.
@@ -187,8 +177,7 @@ class PartitionStore:
             index=len(self.partitions),
             lo=lo,
             hi=hi,
-            path=self._fresh_path("part"),
-            delta_path=self._fresh_path("delta"),
+            path=self._fresh_path(),
         )
         cols = EdgeColumns.from_dict(chunk, self.table)
         part.edge_count = cols.edge_count
@@ -204,8 +193,8 @@ class PartitionStore:
             self._save(part, cols)
         return part
 
-    def _fresh_path(self, prefix: str) -> str:
-        path = os.path.join(self.workdir, f"{prefix}_{self._next_file:05d}.bin")
+    def _fresh_path(self) -> str:
+        path = os.path.join(self.workdir, f"part_{self._next_file:05d}.bin")
         self._next_file += 1
         return path
 
@@ -227,17 +216,16 @@ class PartitionStore:
     def _log_encodings(self) -> None:
         """Durable store: append the encodings interned since the last
         append to the workdir's log and fsync it.  Runs before every
-        partition write and delta append, so no file on disk ever
-        references an id the log does not hold; most writes find
-        nothing new."""
+        partition write, so no file on disk ever references an id the
+        log does not hold; most writes find nothing new."""
         table = self.table
         if not self.durable or len(table) == self.encodings_logged:
             return
         frame = serialize.encode_frame(
             serialize.encode_encodings(table.since(self.encodings_logged))
         )
-        # One write call per frame, as for delta frames: a crash leaves
-        # at most a truncated tail, which the resume cuts off.
+        # One write call per frame: a crash leaves at most a truncated
+        # tail, which the resume cuts off.
         with open(os.path.join(self.workdir, ENCODING_LOG), "ab") as f:
             f.write(frame)
             f.flush()
@@ -277,6 +265,8 @@ class PartitionStore:
 
     def _save(self, part: Partition, cols: EdgeColumns) -> None:
         with self.trace.span("partition-save", cat="io"):
+            if part.path in self.committed:
+                part.path = self._fresh_path()
             self._log_encodings()
             data = cols.encode()
             spec = self.faults.fire("partition-write")
@@ -292,14 +282,6 @@ class PartitionStore:
                 self._write_file(part.path, data, replace=False)
             else:
                 self._write_file(part.path, data)
-                if part.delta_folded:
-                    # The columns just written include every delta frame;
-                    # only now is the replay log safe to discard.
-                    part.delta_folded = False
-                    try:
-                        os.remove(part.delta_path)
-                    except FileNotFoundError:
-                        pass
             if spec is not None:
                 # The injected crash left disk stale or corrupt; keep
                 # the newest columns resident and dirty so a later flush
@@ -308,13 +290,15 @@ class PartitionStore:
                 self._cache[part.index] = cols
                 self._dirty.add(part.index)
 
-    def _read(self, part: Partition):
-        """``serialize.read_partition`` of ``part``; any unreadable
-        partition file (truncated, missing, bad magic) surfaces as
+    def _read(self, part: Partition) -> EdgeColumns:
+        """``part``'s file as columns; any unreadable partition file
+        (truncated, missing, bad magic, foreign ids) surfaces as
         :class:`CorruptPartition` for the retry layer, which rebuilds
         from the best surviving copy."""
         try:
-            return serialize.read_partition(part.path, part.delta_path)
+            with open(part.path, "rb") as f:
+                parsed = serialize.parse_columnar(f.read())
+            return EdgeColumns.from_file(parsed, self.table)
         except serialize.CorruptPartition:
             raise
         except Exception as exc:
@@ -323,72 +307,30 @@ class PartitionStore:
                 f" {os.path.basename(part.path)}: {exc}"
             ) from exc
 
+    def _fold(self, part: Partition) -> tuple[EdgeColumns, bool]:
+        """Read ``part`` and fold its pending rows in, in arrival order;
+        also whether there were any.  The rows stay pending if the read
+        raises."""
+        with self.trace.span("partition-load", cat="io"):
+            cols = self._read(part)
+        rows = self._pending.pop(part.index, ())
+        if rows:
+            del self._pending_bytes[part.index]
+            insert = cols.insert
+            for row in rows:
+                insert(*row)
+            part.edge_count = cols.edge_count
+            part.byte_estimate = cols.columnar_bytes()
+        return cols, bool(rows)
+
     def load(self, part: Partition) -> EdgeColumns:
-        """Load a partition (cache-aware), folding in its delta frames
-        and salvaging around any it lost."""
+        """Load a partition (cache-aware), folding in its pending rows."""
         cached = self._cache.get(part.index)
         if cached is not None:
             return cached
-        read = None
-        if self.prefetch is not None:
-            try:
-                with self.trace.span("prefetch-wait", cat="io"):
-                    read = self.prefetch.take(part.index, part.version)
-            except serialize.CorruptPartition:
-                # An unreadable partition file, not a benign race: count
-                # it apart from plain misses and take the synchronous
-                # path, which raises for the retry layer.
-                self.stats.prefetch_corrupt += 1
-            except Exception:
-                # Unexpected reader-thread failure: a programming error
-                # that used to degrade into an eternal cache miss.
-                # Count it so it shows in the run report, then let it
-                # propagate -- the retry layer decides survival.
-                self.stats.prefetch_errors += 1
-                raise
-            if read is None:
-                self.stats.prefetch_misses += 1
-            else:
-                self.stats.prefetch_hits += 1
-        with self.trace.span("partition-load", cat="io"):
-            if read is None:
-                read = self._read(part)
-            parsed, deltas, dropped, corrupt = read
-            cols = EdgeColumns.from_file(parsed, self.table)
-        added = 0
-        insert = cols.insert
-        for delta in deltas:
-            try:
-                serialize.check_encoding_ids(delta.enc, len(self.table))
-            except serialize.CorruptPartition:
-                corrupt += 1  # ids this table never issued
-                continue
-            for s, d, l, eid in zip(delta.src, delta.dst, delta.label,
-                                    delta.enc):
-                if insert(s, d, l, eid):
-                    added += 1
-        if added:
-            part.edge_count += added
-            part.byte_estimate = cols.columnar_bytes()
-        if dropped:
-            self.stats.delta_frames_dropped += dropped
-        if corrupt:
-            self.stats.delta_frames_corrupt += corrupt
-            part.version += 1
-            if self.log is not None:
-                # Logged arrivals are gone from the partition: delta
-                # seeds can no longer stand in for its contents.
-                self.log.reset(part.index)
-        if dropped or corrupt:
-            self.lost_frames.add(part.index)
-        # What the delta file holds now lives in the resident columns;
-        # the file stays until the next partition write (_save) makes it
-        # redundant, and marking the entry dirty guarantees that write.
-        # A file that lost frames is retired the same way, so its damage
-        # is salvaged (and counted) once.
-        folded = bool(deltas or dropped or corrupt)
-        if folded:
-            part.delta_folded = True
+        cols, folded = self._fold(part)
+        # Folded rows live only in the resident columns now: dirty, so
+        # an eviction or checkpoint writes them.
         self._cache_insert(part.index, cols, dirty=folded)
         return cols
 
@@ -415,7 +357,12 @@ class PartitionStore:
             self._save(self.partitions[index], cols)
 
     def flush(self) -> None:
-        """Write every dirty cached partition back to disk."""
+        """Write every partition whose newest edges are only in memory:
+        each with pending rows (folded in, outside the cache) and every
+        dirty cached one.  Afterwards the files hold every edge."""
+        for index in list(self._pending):
+            part = self.partitions[index]
+            self._save(part, self._fold(part)[0])
         for index in list(self._dirty):
             self._dirty.discard(index)
             self._save(self.partitions[index], self._cache[index])
@@ -438,9 +385,9 @@ class PartitionStore:
 
         Preference order: the resident cached columns (always current),
         else a complete ``.tmp`` left behind by a torn rename (the
-        newest durable bytes; pending delta frames replay on the next
-        load because the interrupted save never removed them).  Returns
-        False when neither exists -- the caller quarantines.
+        newest durable bytes; pending rows stay pending and fold on the
+        next load).  Returns False when neither exists -- the caller
+        quarantines.
         """
         cached = self._cache.get(part.index)
         if cached is not None:
@@ -460,29 +407,29 @@ class PartitionStore:
         return True
 
     def append_delta(self, part: Partition, chunk: dict) -> int:
-        """Add spilled edges to a partition the computation does not
-        have loaded; returns how many arrived.  ``chunk`` is
-        ``{src: {(dst, label_id): set}}`` of encoding *ids* (this
-        store's table): a resident partition takes them as they are,
-        deduplicating; otherwise they go to its delta file as one frame
-        (duplicates fold away on load, so the arrival log
-        over-approximates -- a duplicate is a harmless seed whose
-        compositions dedup away)."""
+        """Add edges to a partition the computation does not have
+        loaded; returns how many arrived.  ``chunk`` is ``{src: {(dst,
+        label_id): set}}`` of encoding *ids* (this store's table): a
+        resident partition takes them as they are, deduplicating;
+        otherwise they join its pending rows (duplicates fold away on
+        load, so the arrival log over-approximates -- a duplicate is a
+        harmless seed whose compositions dedup away).  A pending list
+        past its share of the budget -- what its partition may hold
+        before it splits -- is folded into the partition file at once."""
         if not chunk:
             return 0
         log = self.log
         index = part.index
         cached = self._cache.get(index)
-        row_bytes = self.table.row_bytes
+        rows = []  # arrivals for a partition outside the cache
         added = 0
         for src, targets in chunk.items():
             for (dst, label_id), eids in targets.items():
                 for eid in eids:
-                    if cached is not None:
-                        if not cached.insert(src, dst, label_id, eid):
-                            continue
-                    else:
-                        part.byte_estimate += row_bytes(eid)
+                    if cached is None:
+                        rows.append((src, dst, label_id, eid))
+                    elif not cached.insert(src, dst, label_id, eid):
+                        continue
                     added += 1
                     if log is not None:
                         log.record(index, src, dst, label_id, eid)
@@ -494,33 +441,22 @@ class PartitionStore:
             self._dirty.add(index)
             part.byte_estimate = cached.columnar_bytes()
             return added
-        with self.trace.span("delta-append", cat="io"):
-            # Log frame before delta frame: the file never holds an id
-            # a resume could not resolve.
-            self._log_encodings()
-            self.spill_writer.append(
-                part.delta_path,
-                serialize.encode_partition(chunk, len(self.table)),
-            )
+        row_bytes = self.table.row_bytes
+        grown = sum(row_bytes(row[3]) for row in rows)
+        part.byte_estimate += grown
+        self.stats.pending_rows += added
+        self._pending.setdefault(index, []).extend(rows)
+        waiting = self._pending_bytes[index] = (
+            self._pending_bytes.get(index, 0) + grown
+        )
+        if waiting > self.memory_budget // 2:
+            self._save(part, self._fold(part)[0])
         return added
 
-    # -- prefetch ---------------------------------------------------------------
-
-    def prefetch_schedule(self, part: Partition) -> None:
-        """Hint that ``part`` is likely loaded soon (skipped when it is
-        already resident)."""
-        if self.prefetch is None or part.index in self._cache:
-            return
-        self.prefetch.schedule(
-            part.index, part.version, part.path, part.delta_path
-        )
-
-    def drop_pipeline(self) -> None:
-        """Detach the prefetch reader (the computation is done; result
-        iteration must not count misses)."""
-        if self.prefetch is not None:
-            self.prefetch.close()
-            self.prefetch = None
+    # Kept only because the committed benchmarks/harness wraps it
+    # (``layers.py::WRAPS``); nothing calls it.  Drop it with that entry.
+    def prefetch_schedule(self, *args) -> None:
+        pass
 
     # -- lookup / repartitioning ----------------------------------------------
 
@@ -582,8 +518,7 @@ class PartitionStore:
             index=len(self.partitions),
             lo=mid,
             hi=part.hi,
-            path=self._fresh_path("part"),
-            delta_path=self._fresh_path("delta"),
+            path=self._fresh_path(),
         )
         part.hi = mid
         part.version += 1

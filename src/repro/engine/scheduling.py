@@ -47,11 +47,10 @@ class DeltaLog:
       first visit of each pair that contains it.  A split calls
       :meth:`split`, which hands each half its share of the log and of
       every cursor, so a cell closed before the split stays closed.
-      Whoever loses edges (a salvaged corrupt delta file) calls
-      :meth:`reset`, which bumps the partition's *epoch*; a cursor from
-      another epoch means the cell seeds fully.  A log that outgrows
-      ``cap_rows`` (its partition's own byte cap) resets the same way,
-      so the log never holds more than the partitions it describes;
+      :meth:`reset` forgets a partition's log and bumps its *epoch*; a
+      cursor from another epoch means the cell seeds fully.  A log that
+      outgrows ``cap_rows`` (its partition's own byte cap) resets, so
+      the log never holds more than the partitions it describes;
     * a per-partition **join index**: the destinations of its
       relevant-source edges.  A cell can only produce edges if some
       relevant-source edge of ``p`` points into ``q``, and a right
@@ -332,24 +331,3 @@ class PairScheduler:
         heartbeat interval)."""
         self._refresh()
         return sum(1 for pair in self._in_heap if self._eligible(pair))
-
-    def peek_pairs(self, count: int = 1) -> list:
-        """The next up-to-``count`` eligible pairs in serial order,
-        without popping anything -- the I/O pipeline uses this lookahead
-        to prefetch the partitions the engine is about to load.  The
-        result is a prediction: processing the current pair can change
-        eligibility, in which case the prefetch simply goes stale."""
-        self._refresh()
-        out: list = []
-        for pair in heapq.nsmallest(len(self._heap), self._heap):
-            if self._eligible(pair):
-                out.append(pair)
-                if len(out) >= count:
-                    break
-        return out
-
-    def pop_pair(self, pair) -> None:
-        """Remove ``pair`` from the queue (it is about to be processed)."""
-        if self._heap and self._heap[0] == pair:
-            heapq.heappop(self._heap)
-            self._in_heap.discard(pair)

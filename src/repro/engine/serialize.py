@@ -6,9 +6,9 @@ Python engine hash-conses every path encoding into the phase's resident
 :class:`~repro.engine.columnar.EncodingTable`, so every edge the store
 writes is the table's *ids*; the tuples themselves are written only to
 the encoding log, the one place no table can supply them.  Edge data has
-one layout, shared by partition files and delta frames:
+one layout, the partition file's:
 
-**Partition files and delta-frame payloads** (version 3, columnar)::
+**Partition files** (version 3, columnar)::
 
     MAGIC "GRPL" | version u8 = 3
     varint n_encodings   length of the table the enc ids index
@@ -24,9 +24,7 @@ is decoded, remapped or re-interned.  Columns are native-endian:
 partition files never move between machines.  The ids mean something
 only beside the table that issued them: a scratch store's table lives
 as long as its files do, and a durable workdir carries the table in its
-encoding log.  A delta frame's payload (:func:`encode_partition`) is the
-same layout over one spilled chunk, so a partition file and its delta
-frames are read by one function, :func:`read_partition`.
+encoding log.
 
 **Encoding log** (``encodings.bin``, durable workdirs only): a sequence
 of checksummed frames (below), each holding the encodings interned since
@@ -49,15 +47,13 @@ Durability primitives live here too: :func:`atomic_write_bytes` is the
 write-temp -> fsync -> ``os.replace`` helper every partition/manifest
 write goes through (a crash can only ever leave the previous complete
 version, never a truncated file; a scratch store that nothing can
-resume from asks it to skip the fsync), and delta files and the encoding
-log are sequences of *checksummed* frames (:func:`encode_frame` /
+resume from asks it to skip the fsync), and the encoding log is a
+sequence of *checksummed* frames (:func:`encode_frame` /
 :func:`split_frames`): a 4-byte length, a CRC-32 of the payload, then
 the payload, appended in a single ``write`` call.  A crash mid-append
 leaves a truncated tail frame that the reader detects and drops; a CRC
-mismatch on an interior frame is real corruption and is reported
-separately: the store salvages around it and the engine repairs what
-the lost frames held (delta files), or the resume is refused (encoding
-log).
+mismatch on an interior frame is real corruption, reported separately,
+and the resume is refused.
 """
 
 from __future__ import annotations
@@ -80,7 +76,8 @@ _TAG_STRING = 3  # string-constraint baseline payloads (Table 5)
 
 
 class CorruptPartition(ValueError):
-    """A partition/delta payload is truncated or structurally invalid."""
+    """A partition file or log payload is truncated or structurally
+    invalid."""
 
 
 def _append_varint(buf: bytearray, value: int) -> None:
@@ -116,7 +113,7 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 # -- durability primitives -----------------------------------------------------
 
-#: Delta frame header: u32 LE payload length + u32 LE CRC-32 of payload.
+#: Log frame header: u32 LE payload length + u32 LE CRC-32 of payload.
 FRAME_HEADER_BYTES = 8
 
 
@@ -170,7 +167,7 @@ def read_json_object(path: str) -> dict | None:
 
 
 def encode_frame(payload: bytes) -> bytes:
-    """One checksummed delta frame: length, CRC-32, payload."""
+    """One checksummed log frame: length, CRC-32, payload."""
     return (
         len(payload).to_bytes(4, "little")
         + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
@@ -179,14 +176,14 @@ def encode_frame(payload: bytes) -> bytes:
 
 
 def split_frames(data: bytes) -> tuple[list[bytes], int, int]:
-    """Parse a delta file's frames: ``(payloads, dropped, corrupt)``.
+    """Parse a log's frames: ``(payloads, dropped, corrupt)``.
 
     ``dropped`` counts truncated *trailing* frames (header or payload cut
     short -- the benign artifact of a crash mid-append; everything after
     the cut is unreadable and discarded).  ``corrupt`` counts interior
     frames whose CRC does not match their payload (real corruption: the
     frame is skipped but parsing continues at the next boundary, and the
-    caller must treat the file's partition as needing recomputation).
+    caller must not trust what follows it).
     """
     payloads: list[bytes] = []
     dropped = 0
@@ -341,14 +338,12 @@ def decode_encodings(payload: bytes) -> list:
 
 @dataclass
 class ColumnarFile:
-    """Parsed partition file or delta frame: the four edge columns as
-    written, plus the length of the encoding table the ``enc`` ids were
-    issued by.
+    """Parsed partition file: the four edge columns as written, plus
+    the length of the encoding table the ``enc`` ids were issued by.
 
-    Parsing is pure (no shared interning state), so it is safe to run on
-    the prefetch thread; the consumer checks the ids against its own
-    :class:`~repro.engine.columnar.EncodingTable` when it adopts the
-    columns (``EdgeColumns.from_file``).
+    Parsing is pure (no shared interning state); the consumer checks the
+    ids against its own :class:`~repro.engine.columnar.EncodingTable`
+    when it adopts the columns (``EdgeColumns.from_file``).
     """
 
     n_encodings: int
@@ -418,50 +413,11 @@ def parse_columnar(data: bytes) -> ColumnarFile:
     )
 
 
-# -- delta frames: spilled chunks in the same layout --------------------------
+# Kept only because the committed benchmarks/harness wraps both names
+# (``layers.py::WRAPS``); nothing calls them.  Drop them with those entries.
+def encode_partition(*args) -> None:
+    pass
 
 
-def encode_partition(chunk: dict, n_encodings: int) -> bytes:
-    """One delta frame's payload: an id chunk ``{src: {(dst, label_id):
-    set[enc_id]}}`` as sorted columns in the partition-file layout;
-    the ids belong to a table that is ``n_encodings`` long."""
-    src, dst, label, enc = (array("q") for _ in range(4))
-    for s in sorted(chunk):
-        targets = chunk[s]
-        for key in sorted(targets):
-            for eid in sorted(targets[key]):
-                src.append(s)
-                dst.append(key[0])
-                label.append(key[1])
-                enc.append(eid)
-    return encode_columnar(src, dst, label, enc, n_encodings)
-
-
-def decode_partition(payload: bytes) -> ColumnarFile:
-    """A delta frame's payload back to its columns."""
-    return parse_columnar(payload)
-
-
-def read_partition(path: str, delta_path: str):
-    """Read a partition file and its delta file (pure: safe on the
-    prefetch thread).  Returns ``(columns, deltas, dropped, corrupt)``:
-    the file's :class:`ColumnarFile`, one per intact delta frame, and
-    the :func:`split_frames` counts, with a frame that passes its CRC
-    but does not parse counted as corrupt.  An unreadable partition file
-    raises (:class:`CorruptPartition`, or ``OSError`` when it cannot be
-    opened); a missing delta file is an empty one."""
-    with open(path, "rb") as f:
-        columns = parse_columnar(f.read())
-    try:
-        with open(delta_path, "rb") as f:
-            data = f.read()
-    except FileNotFoundError:
-        return columns, [], 0, 0
-    payloads, dropped, corrupt = split_frames(data)
-    deltas = []
-    for payload in payloads:
-        try:
-            deltas.append(decode_partition(payload))
-        except CorruptPartition:
-            corrupt += 1
-    return columns, deltas, dropped, corrupt
+def decode_partition(*args) -> None:
+    pass

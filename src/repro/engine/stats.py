@@ -55,42 +55,24 @@ class EngineStats:
     # of every joinable edge.
     pairs_skipped: int = stat_field()
     pairs_delta_seeded: int = stat_field()
-    # I/O pipeline: partition loads served from the background reader's
-    # parse vs. loads that fell back to a synchronous read, and delta
-    # frames appended to partitions' delta files.
-    prefetch_hits: int = stat_field()
-    prefetch_misses: int = stat_field()
-    # Prefetched reads that failed on *corrupt* bytes (CorruptPartition),
-    # counted separately from benign misses (version races, cold starts)
-    # so real damage is visible and reaches the retry layer.
-    prefetch_corrupt: int = stat_field()
-    # Prefetched reads that failed on an *unexpected* exception -- a
-    # programming error, not an I/O race or corruption.  The error is
-    # re-raised on the engine thread after counting; a nonzero value in
-    # a completed run means the failure was survived by retry.
-    prefetch_errors: int = stat_field()
-    spill_frames: int = stat_field()
-    spill_bytes: int = stat_field()
+    # Edges that arrived for a partition outside the store's cache and
+    # waited in memory as its pending rows until a load folded them in.
+    pending_rows: int = stat_field()
     # Partition files written (evictions, checkpoint flushes, rebuilds)
     # and their bytes.  Both 0 means the closure never left memory.
     partition_writes: int = stat_field()
     partition_bytes_written: int = stat_field()
-    # Fault tolerance: truncated trailing delta frames dropped on read
-    # (benign crash artifacts), interior delta frames discarded on CRC or
-    # decode failure (real corruption; the partition's pairs recompute),
-    # pair retries, pairs degraded to a warning after retry exhaustion,
-    # partitions rebuilt from their resident cached copy, and checkpoint
-    # manifests written.
-    delta_frames_dropped: int = stat_field()
-    delta_frames_corrupt: int = stat_field()
+    # Fault tolerance: pair retries, pairs degraded to a warning after
+    # retry exhaustion, partitions rebuilt from their resident cached
+    # copy, and checkpoint manifests written.
     retries: int = stat_field()
     pairs_quarantined: int = stat_field()
     partitions_rebuilt: int = stat_field()
     partitions_quarantined: int = stat_field()
     checkpoints_written: int = stat_field()
-    # Superseded workdir files (folded delta logs, torn-write temps,
-    # repartition orphans) garbage-collected after a durable manifest
-    # write -- keeps a long-running serve workdir from growing forever.
+    # Superseded workdir files (torn-write temps, repartition orphans)
+    # garbage-collected after a durable manifest write -- keeps a
+    # long-running serve workdir from growing forever.
     checkpoint_files_pruned: int = stat_field()
     # Incremental serve daemon (repro.serve): edits answered, file
     # dependency edges added plus removed by those edits, and
@@ -114,13 +96,6 @@ class EngineStats:
         if self.constraint_queries == 0:
             return 0.0
         return self.cache_hits / self.constraint_queries
-
-    @property
-    def prefetch_hit_rate(self) -> float:
-        total = self.prefetch_hits + self.prefetch_misses
-        if total == 0:
-            return 0.0
-        return self.prefetch_hits / total
 
     # -- aggregation -----------------------------------------------------------
 

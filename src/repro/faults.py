@@ -1,10 +1,9 @@
 """Deterministic fault injection for the disk engine.
 
-Grapple's durability claims (atomic partition writes, crash-tolerant
-delta frames, pair retry, checkpoint/resume) are only worth anything
-if they are exercised; this module injects the failures those mechanisms
-exist to survive, at *deterministic* points, so every recovery path has
-a repeatable test.
+Grapple's durability claims (atomic partition writes, pair retry,
+checkpoint/resume) are only worth anything if they are exercised; this
+module injects the failures those mechanisms exist to survive, at
+*deterministic* points, so every recovery path has a repeatable test.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries, each
 naming an injection *site* (a well-known string the engine passes to
@@ -12,23 +11,17 @@ naming an injection *site* (a well-known string the engine passes to
 break), and *nth* (fire on the nth operation at that site).  Specs parse
 from a compact string so they can ride the CLI::
 
-    --fault-plan "short_write@partition-write:2,bad_frame@delta-append:1"
+    --fault-plan "short_write@partition-write:2,kill_run@checkpoint:5"
 
 Sites and their legal modes:
 
 ``partition-write``  (:meth:`PartitionStore._save`)
     ``short_write``  -- write a truncated prefix of the payload directly
     to the destination path, bypassing the temp-file/rename protocol
-    (the pre-atomic torn write this PR eliminates);
+    (the torn write the atomic protocol exists to prevent);
     ``torn_rename``  -- write and fsync the temp file but skip the
     ``os.replace`` (a crash between write and rename: the previous
     durable version survives untouched).
-
-``delta-append``  (:meth:`SpillWriter.append`, the one delta write)
-    ``short_frame``  -- append only a prefix of the frame (a crash
-    mid-append; the tolerant reader must drop the tail);
-    ``bad_frame``  -- flip payload bytes but keep the stale CRC (the
-    reader must detect the mismatch and salvage around it).
 
 ``checkpoint``  (:meth:`GraphEngine._write_checkpoint`, after the
 manifest is durable)
@@ -38,23 +31,18 @@ manifest is durable)
 Every spec fires **at most once per run**, enforced by a latch file in
 the engine workdir created with ``O_EXCL`` -- so a resumed run (a fresh
 process whose counters restarted) does not re-trip the faults that
-crashed it.
-The optional ``seed`` feeds the byte-mutation modes so corruption is
-repeatable bit-for-bit.  Every site is on the engine's own thread (no
-instrumented write happens anywhere else), so the per-site counters
-need no lock.
+crashed it.  Every site is on the engine's own thread (no instrumented
+write happens anywhere else), so the per-site counters need no lock.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import zlib
 from dataclasses import dataclass
 
 SITES = {
     "partition-write": ("short_write", "torn_rename"),
-    "delta-append": ("short_frame", "bad_frame"),
     "checkpoint": ("kill_run",),
 }
 
@@ -75,9 +63,8 @@ class FaultPlanError(ValueError):
 class FaultPlan:
     """Deterministic, once-per-run fault injectors for the engine."""
 
-    def __init__(self, specs: list[FaultSpec], seed: int = 0):
+    def __init__(self, specs: list[FaultSpec]):
         self.specs = list(specs)
-        self.seed = seed
         self._counts: dict[str, int] = {}
         self._latch_dir: str | None = None
         self._fired: set[int] = set()  # in-memory latch when no dir
@@ -85,7 +72,7 @@ class FaultPlan:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text: str) -> "FaultPlan":
         """Parse ``"mode@site:nth,..."`` into a plan."""
         specs = []
         for item in text.split(","):
@@ -113,7 +100,7 @@ class FaultPlan:
             if spec.nth < 1:
                 raise FaultPlanError(f"nth must be >= 1 in {item!r}")
             specs.append(spec)
-        return cls(specs, seed=seed)
+        return cls(specs)
 
     def arm(self, latch_dir: str, reset: bool = False) -> None:
         """Bind the once-per-run latches to ``latch_dir``.
@@ -166,23 +153,6 @@ class FaultPlan:
         return None
 
     # -- mode implementations --------------------------------------------------
-
-    def mutate_frame(self, spec: FaultSpec, frame: bytes) -> bytes:
-        """Apply a ``delta-append`` mode to an encoded frame's bytes."""
-        from repro.engine import serialize
-
-        header = serialize.FRAME_HEADER_BYTES
-        payload = bytearray(frame[header:])
-        if spec.mode == "short_frame":
-            keep = header + max(0, len(payload) // 2)
-            return frame[:keep]
-        if spec.mode == "bad_frame":
-            if not payload:
-                return frame[: header - 1]
-            at = (zlib.crc32(bytes(payload)) ^ self.seed) % len(payload)
-            payload[at] ^= 0xFF
-            return frame[:header] + bytes(payload)
-        raise FaultPlanError(f"mode {spec.mode!r} is not a frame mutation")
 
     @staticmethod
     def kill_self() -> None:

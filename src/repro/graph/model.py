@@ -136,7 +136,3 @@ class ProgramGraph:
             for (dst, label_id), encodings in targets.items():
                 for enc in encodings:
                     yield src, dst, label_id, enc
-
-    def out_edges(self, src: int):
-        """``{(dst, label_id): set[encoding]}`` for one source vertex."""
-        return self.edges.get(src, {})

@@ -11,7 +11,7 @@ One timer, always on:
   https://ui.perfetto.dev.
 * :mod:`repro.obs.metrics` -- the fixed-bucket histograms those spans
   feed: constraint-solve latency, per-pair compute time and edge
-  counts, prefetch waits.
+  counts.
 * :mod:`repro.obs.report` -- the ``grapple/run-report`` JSON schema and
   its one builder, :func:`run_report`: the timing split, the Figure-9
   breakdown and the ``spans`` section read the span table, and the

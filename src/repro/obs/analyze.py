@@ -6,9 +6,9 @@ engine emits one per phase), every span on the closure's thread that
 starts inside the window is a stage, and its *self* time -- its
 duration minus the spans directly inside it, innermost wins -- is what
 the stage is charged.  The closure's own self time is the glue between
-spans (pair scheduling, arrival-log bookkeeping, prefetch hints, the
-heartbeat).  Spans nest, so the stages sum to the windows' wall
-exactly; a span hanging past its parent is clipped to it.
+spans (pair scheduling, arrival-log bookkeeping, the heartbeat).  Spans
+nest, so the stages sum to the windows' wall exactly; a span hanging
+past its parent is clipped to it.
 
 The time *outside pair visits* is the wall less the ``pair-compute``
 spans; the stage with the most self time there is the top overhead

@@ -92,7 +92,6 @@ def engine_metrics() -> dict[str, Histogram]:
         for name, bounds in (
             ("solve_latency_s", LATENCY_BUCKETS_S),
             ("pair_compute_s", LATENCY_BUCKETS_S),
-            ("prefetch_wait_s", LATENCY_BUCKETS_S),
             ("pair_new_edges", SIZE_BUCKETS),
         )
     }

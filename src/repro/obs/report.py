@@ -31,8 +31,7 @@ REPORT_VERSION = 2
 #: Figure-9 component -> the spans charged to it when they run inside
 #: a ``closure`` span (a closure-window span not listed is computation).
 COMPONENTS = {
-    "io": ("partition-load", "partition-save", "delta-append", "spill",
-           "prefetch-wait", "checkpoint", "retry"),
+    "io": ("partition-load", "partition-save", "checkpoint", "retry"),
     "encode": ("enc-merge", "enc-reverse", "form-key", "decode"),
     "smt": ("smt-solve",),
     "compute": ("closure", "iteration", "pair-compute", "repartition"),
@@ -40,15 +39,14 @@ COMPONENTS = {
 
 #: The spans outside the closure windows: a run and its frontend, the
 #: phases around their closures, the checker and a serve scan (all
-#: preprocessing), and the prefetch reader's, which runs on its own
-#: thread and so counts in neither.
+#: preprocessing).
 PREPROCESSING = (
     "run", "parse", "sa-scopes", "transforms", "sa-fold", "types",
     "sa-dse", "icfet", "callgraph", "cloning", "fragments",
     "sa-relevance", "root-trees", "alias-phase", "dataflow-phase",
     "alias-graph", "dataflow-graph", "sa-compress", "engine-init",
-    "engine-settle", "alias-index", "extract-report", "prefetch",
-    "serve-scan", "incr-diff", "incr-join", "incr-retract", "state-write",
+    "engine-settle", "alias-index", "extract-report", "serve-scan",
+    "incr-diff", "incr-join", "incr-retract", "state-write",
 )
 
 #: Span name -> its Figure-9 component inside a closure.
@@ -86,14 +84,11 @@ def run_report(stats, warnings: int, *, spans: dict, closure: dict,
     ``scopes``, ``subject``, ``telemetry``, serve's ``edit``), appended
     in the order given and dropped when None.  Counters and gauges come
     straight from the stats fields' ``kind`` metadata (flags as 0/1
-    gauges, plus the two derived hit rates), sorted by name, floats
+    gauges, plus the derived cache hit rate), sorted by name, floats
     rounded to 6 places.
     """
     counters: dict = {}
-    gauges: dict = {
-        "cache_hit_rate": stats.cache_hit_rate,
-        "prefetch_hit_rate": stats.prefetch_hit_rate,
-    }
+    gauges: dict = {"cache_hit_rate": stats.cache_hit_rate}
     for f in fields(stats):
         kind = f.metadata["kind"]
         value = getattr(stats, f.name)

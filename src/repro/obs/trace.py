@@ -34,7 +34,6 @@ MAX_EVENTS = 1_000_000
 OBSERVED = {
     "smt-solve": (("solve_latency_s", None),),
     "pair-compute": (("pair_compute_s", None), ("pair_new_edges", "new_edges")),
-    "prefetch-wait": (("prefetch_wait_s", None),),
 }
 
 _perf = time.perf_counter
@@ -167,14 +166,6 @@ class TraceRecorder:
 
     def window(self) -> Window:
         return Window(self)
-
-    def note_thread(self, name: str) -> None:
-        """Label the calling thread's track (the prefetch reader)."""
-        if self.chrome:
-            self.events.append({
-                "ph": "M", "pid": self.pid, "tid": threading.get_native_id(),
-                "name": "thread_name", "args": {"name": name},
-            })
 
     def _emit(self, span: Span, tid: int, end: float) -> None:
         if len(self.events) >= MAX_EVENTS:

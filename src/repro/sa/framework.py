@@ -72,12 +72,6 @@ class DataflowSolution:
     block_out: dict = field(default_factory=dict)
     iterations: int = 0
 
-    def value_in(self, block_id: int):
-        return self.block_in.get(block_id, UNREACHED)
-
-    def value_out(self, block_id: int):
-        return self.block_out.get(block_id, UNREACHED)
-
 
 def predecessors(cfg: ControlFlowGraph) -> dict[int, list[int]]:
     """Predecessor lists (sorted, deduplicated) for every block."""

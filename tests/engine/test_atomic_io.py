@@ -1,13 +1,11 @@
-"""Tests for the durability primitives: atomic writes, CRC-framed delta
-records, and the spill writer's close()."""
+"""Tests for the durability primitives: atomic writes and the CRC-framed
+records of the encoding log."""
 
 import os
 
 import pytest
 
 from repro.engine import serialize
-from repro.engine.io_pipeline import SpillWriter
-from repro.engine.stats import EngineStats
 
 
 # -- atomic_write_bytes --------------------------------------------------------
@@ -85,24 +83,3 @@ def test_header_only_tail_is_dropped():
 
 def test_empty_input_is_clean():
     assert serialize.split_frames(b"") == ([], 0, 0)
-
-
-# -- SpillWriter close() -------------------------------------------------------
-
-
-def test_spill_writer_close_flushes_buffered_frames(tmp_path):
-    path = str(tmp_path / "tail.delta")
-    writer = SpillWriter(EngineStats())
-    writer.append(path, b"buffered-at-exit")
-    writer.close()  # no explicit flush before close
-    with open(path, "rb") as f:
-        payloads, dropped, corrupt = serialize.split_frames(f.read())
-    assert payloads == [b"buffered-at-exit"]
-    assert (dropped, corrupt) == (0, 0)
-
-
-def test_spill_writer_close_idempotent(tmp_path):
-    writer = SpillWriter(EngineStats())
-    writer.append(str(tmp_path / "a.delta"), b"x")
-    writer.close()
-    writer.close()

@@ -163,30 +163,12 @@ def test_garbage_manifest_is_fresh_run(tmp_path):
 
 def test_fresh_run_clears_stale_workdir_state(tmp_path):
     """Re-running *without* --resume in a reused workdir must not fold
-    a previous run's partition or delta files into the new run."""
+    a previous run's partition files into the new run."""
     first = _run(tmp_path)
     again = _run(tmp_path)  # resume=False: start over in the same dir
     assert [w for w in again.report.warnings] == [
         w for w in first.report.warnings
     ]
-
-
-def test_delta_size_mismatch_bumps_version(tmp_path):
-    _run(tmp_path)
-    phase_dir = str(tmp_path / "dataflow")
-    manifest = ckpt.load_manifest(phase_dir)
-    desc = manifest["partitions"][0]
-    # Simulate frames appended after the manifest was written.
-    with open(os.path.join(phase_dir, desc["delta_path"]), "ab") as f:
-        f.write(b"\x01")
-
-    class StoreStub:
-        workdir = phase_dir
-        partitions = []
-
-    store = StoreStub()
-    ckpt.restore_store(manifest, store)
-    assert store.partitions[0].version == desc["version"] + 1
 
 
 def test_label_table_roundtrips_tuples(tmp_path):
@@ -213,10 +195,9 @@ def test_prune_removes_only_unreferenced_engine_files(tmp_path):
     phase_dir = tmp_path / "dataflow"
     manifest = ckpt.load_manifest(str(phase_dir))
     referenced = {d["path"] for d in manifest["partitions"]}
-    referenced |= {d["delta_path"] for d in manifest["partitions"]}
-    # Strew superseded garbage: orphaned partition/delta files, atomic
-    # temps, a manifest temp, and one foreign file prune must not touch.
-    garbage = ["part_99990.bin", "delta_99991.bin", "part_99990.bin.tmp",
+    # Strew superseded garbage: orphaned partition files, atomic temps,
+    # a manifest temp, and one foreign file prune must not touch.
+    garbage = ["part_99990.bin", "part_99991.bin", "part_99990.bin.tmp",
                ckpt.MANIFEST + ".tmp"]
     for name in garbage:
         (phase_dir / name).write_bytes(b"stale")
@@ -225,9 +206,8 @@ def test_prune_removes_only_unreferenced_engine_files(tmp_path):
     pruned = ckpt.prune_workdir(str(phase_dir), manifest)
     assert pruned == len(garbage)
     survivors = set(os.listdir(phase_dir))
-    # Every referenced file that existed is untouched (folded delta
-    # logs were already gone before the prune).
-    assert (referenced & before) <= survivors
+    # Every referenced file is untouched.
+    assert referenced <= before and referenced <= survivors
     assert ckpt.MANIFEST in survivors
     assert ENCODING_LOG in survivors  # the ids' table is never garbage
     assert "notes.txt" in survivors
@@ -287,8 +267,8 @@ def test_prune_mid_kill_keeps_latest_resumable_state(tmp_path, monkeypatch):
     first = _run(tmp_path)
     phase_dir = tmp_path / "dataflow"
     manifest = ckpt.load_manifest(str(phase_dir))
-    for name in ("part_99990.bin", "delta_99991.bin", "part_99992.bin",
-                 "delta_99993.bin"):
+    for name in ("part_99990.bin", "part_99991.bin", "part_99992.bin",
+                 "part_99993.bin"):
         (phase_dir / name).write_bytes(b"stale")
 
     real_remove = os.remove
@@ -461,7 +441,8 @@ def _v2_partition_file():
 
 @pytest.mark.parametrize(
     "reason",
-    ["none", "unreadable", "format 1 != 4", "format 2 != 4", "format 3 != 4"],
+    ["none", "unreadable", "format 1 != 5", "format 2 != 5", "format 3 != 5",
+     "format 4 != 5"],
 )
 def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     """Never a silent fallback: a --resume that finds nothing to resume
@@ -474,23 +455,36 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
             path = tmp_path / phase / ckpt.MANIFEST
             if reason == "unreadable":
                 path.write_text("{not json")
-            elif reason == "format 3 != 4":
-                # A workdir of the previous build: the same files, but
+            elif reason == "format 4 != 5":
+                # A workdir of the previous build: each partition also
+                # named a delta file, which this build never reads.
+                manifest = json.loads(path.read_text())
+                manifest["format"] = 4
+                for k, desc in enumerate(manifest["partitions"]):
+                    desc["delta_path"] = f"delta_{k:05d}.bin"
+                    desc["delta_size"] = 12
+                    (tmp_path / phase / desc["delta_path"]).write_bytes(
+                        serialize.encode_frame(b"stale")
+                    )
+                path.write_text(json.dumps(manifest))
+            elif reason == "format 3 != 5":
+                # An older build's workdir: the same files, but
                 # its alias phase closed the old grammar (flowsToBar and
                 # alias rows, no storeBar row to compose with).
                 manifest = json.loads(path.read_text())
                 manifest["format"] = 3
                 path.write_text(json.dumps(manifest))
-            elif reason == "format 2 != 4":
-                # A workdir of the build before: format 2, id columns
-                # in partition files but tuple (v1) delta frames.
+            elif reason == "format 2 != 5":
+                # An older build's workdir: format 2, id columns in
+                # partition files but tuple (v1) delta frames.
                 manifest = json.loads(path.read_text())
                 manifest["format"] = 2
-                path.write_text(json.dumps(manifest))
-                for desc in manifest["partitions"]:
+                for k, desc in enumerate(manifest["partitions"]):
+                    desc["delta_path"] = f"delta_{k:05d}.bin"
                     (tmp_path / phase / desc["delta_path"]).write_bytes(
                         serialize.encode_frame(serialize.MAGIC + b"\x01\x00")
                     )
+                path.write_text(json.dumps(manifest))
             else:
                 # An older workdir still: format 1, tuple-table (v2)
                 # partition files, no encoding log.
@@ -517,7 +511,12 @@ def test_resume_without_a_usable_checkpoint_says_so(tmp_path, capsys, reason):
     # What is there now is this build's: the old files were never parsed.
     for phase in ("alias", "dataflow"):
         manifest = ckpt.load_manifest(str(tmp_path / phase))
-        assert manifest["format"] == ckpt.FORMAT == 4
+        assert manifest["format"] == ckpt.FORMAT == 5
+        # A fresh start clears every engine file, an older layout's too.
+        assert not any(
+            name.startswith("delta_")
+            for name in os.listdir(tmp_path / phase)
+        )
         for desc in manifest["partitions"]:
             serialize.parse_columnar(
                 (tmp_path / phase / desc["path"]).read_bytes()

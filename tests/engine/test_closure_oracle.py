@@ -33,7 +33,8 @@ UNCAPPED = 1 << 30
 class LabelledGrammar(Grammar):
     """``a . a -> a`` and ``a . b -> b``; every ``b`` edge also derives a
     reversed ``rb`` edge (owned by the *destination's* partition, so it
-    usually spills).  Only ``a`` can be a left operand."""
+    often lands in one the visit has not loaded).  Only ``a`` can be a
+    left operand."""
 
     table_driven = True
 
@@ -185,9 +186,6 @@ def test_any_eligible_pair_order_reaches_the_same_edges(
             self._refresh()
             eligible = sorted(p for p in self._in_heap if self._eligible(p))
             return rng.choice(eligible) if eligible else None
-
-        def pop_pair(self, pair):
-            pass  # stays queued; the visit's mark makes it ineligible
 
     monkeypatch.setattr(computation, "PairScheduler", ShuffledScheduler)
     got, stats = run_engine(n, edges, icfet, memory_budget=2 << 10)

@@ -26,13 +26,17 @@ func main(x) {
 """
 
 
-@pytest.fixture()
-def icfet():
+def sample_icfet():
     program = parse_program(SOURCE)
     normalize_calls(program)
     unroll_loops(program)
     lower_exceptions(program)
     return build_icfet(program)
+
+
+@pytest.fixture()
+def icfet():
+    return sample_icfet()
 
 
 class ChainGrammar(Grammar):
@@ -203,24 +207,3 @@ def test_result_collect_by_label(icfet):
     collected = result.collect_by_label(lambda label: label == ("a",))
     assert all(key[2] == ("a",) for key in collected)
     assert len(collected) == 3
-
-
-def test_prefetch_lookahead_uses_configured_depth(icfet, monkeypatch):
-    """The serial loop asks the scheduler for ``PREFETCH_DEPTH`` upcoming
-    pairs."""
-    from repro.engine import computation, scheduling
-
-    seen = []
-    original = scheduling.PairScheduler.peek_pairs
-
-    def recording_peek(self, count=1):
-        seen.append(count)
-        return original(self, count)
-
-    monkeypatch.setattr(scheduling.PairScheduler, "peek_pairs", recording_peek)
-    graph = build_chain(60, icfet)
-    monkeypatch.setattr(computation, "PREFETCH_DEPTH", 7)
-    options = EngineOptions(memory_budget=6 << 10)
-    GraphEngine(icfet, ChainGrammar(), options).run(graph)
-    assert seen, "prefetch lookahead never consulted the scheduler"
-    assert set(seen) == {7}

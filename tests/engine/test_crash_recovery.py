@@ -1,5 +1,6 @@
-"""Crash-recovery tests: partition rebuilds, delta-tail tolerance, retry
-exhaustion, seeded fault plans, and the kill -9 / --resume round trip."""
+"""Crash-recovery tests: partition rebuilds, pending rows and the
+checkpoint that writes them, retry exhaustion, seeded fault plans, and
+the kill -9 / --resume round trip."""
 
 import json
 import os
@@ -10,13 +11,24 @@ import pytest
 
 from repro.cfet import encoding as enc
 from repro.cfet.icfet import build_icfet
+from repro.engine import checkpoint as ckpt
 from repro.engine import serialize
+from repro.engine.columnar import ROW_BYTES, EdgeColumns
 from repro.engine.computation import EngineOptions, GraphEngine
 from repro.engine.partition import ENCODING_LOG, PartitionStore
 from repro.grammar.cfg_grammar import Grammar
 from repro.graph.model import ProgramGraph
 from repro.lang.parser import parse_program
 from repro.lang.transform import lower_exceptions, normalize_calls, unroll_loops
+
+from .test_closure_oracle import (
+    UNCAPPED,
+    LabelledGrammar,
+    build_graph,
+    naive_closure,
+    random_edges,
+)
+from .test_computation import sample_icfet
 
 
 @pytest.fixture()
@@ -102,107 +114,161 @@ def test_rebuild_fails_with_no_surviving_copy(tmp_path):
     assert store.stats.partitions_rebuilt == 0
 
 
-# -- delta-file damage tolerance -----------------------------------------------
+# -- pending rows --------------------------------------------------------------
 
 
-def _delta_payload(store, src, dst):
-    """One spilled chunk ``src -> dst`` as the store writes it: ids of
-    its own table in the partition-file layout."""
-    chunk = {src: {(dst, 0): {store.table.intern((("I", "d", 0, 0),))}}}
-    return serialize.encode_partition(chunk, len(store.table))
-
-
-def test_truncated_delta_tail_dropped_on_load(tmp_path):
-    """A crash mid-append leaves a short trailing frame; the intact
-    frames before it must still fold, and the run must not abort."""
+def test_an_arrival_for_an_unloaded_partition_folds_once_in_arrival_order(
+    tmp_path, monkeypatch
+):
+    """Edges for a partition outside the cache wait in memory -- nothing
+    is written for them -- and the next load inserts each exactly once,
+    in the order they arrived; a later load finds nothing left."""
     store = _store(tmp_path)
-    store.flush()
     part = store.partitions[0]
-    intact = serialize.encode_frame(_delta_payload(store, 0, 3))
-    torn = serialize.encode_frame(_delta_payload(store, 1, 3))[:-3]
-    with open(part.delta_path, "wb") as f:
-        f.write(intact + torn)
-    store._cache.clear()
+    store._cache.clear()  # on disk only
+    writes, files = store.stats.partition_writes, sorted(os.listdir(tmp_path))
+    eid = store.table.intern((("I", "d", 0, 0),))
+    arrivals = [
+        {1: {(3, 0): {eid}}, 0: {(3, 0): {eid}}},
+        {0: {(1, 0): {0}}, 3: {(2, 1): {eid}}},  # (0, 1, 0, 0) is on disk
+    ]
+    assert [store.append_delta(part, chunk) for chunk in arrivals] == [2, 2]
+    assert store.stats.pending_rows == 4
+    assert store.stats.partition_writes == writes
+    assert sorted(os.listdir(tmp_path)) == files
+
+    inserted = []
+    real_insert = EdgeColumns.insert
+
+    def insert(self, s, d, l, e):
+        inserted.append(((s, d, l, e), real_insert(self, s, d, l, e)))
+        return inserted[-1][1]
+
+    monkeypatch.setattr(EdgeColumns, "insert", insert)
     cols = store.load(part)
-    assert (0, 3) in {(s, d) for s, d, _l, _e in cols.iter_rows()}
-    assert store.stats.delta_frames_dropped == 1
-    assert store.stats.delta_frames_corrupt == 0
-
-
-def test_corrupt_delta_frame_skipped_and_version_bumped(tmp_path):
-    store = _store(tmp_path)
+    assert inserted == [
+        ((1, 3, 0, eid), True), ((0, 3, 0, eid), True),
+        ((0, 1, 0, 0), False), ((3, 2, 1, eid), True),
+    ]
+    assert part.edge_count == cols.edge_count == 5
+    del inserted[:]
+    store.load(part)  # resident
     store.flush()
-    part = store.partitions[0]
-    version_before = part.version
-    bad = bytearray(serialize.encode_frame(_delta_payload(store, 0, 3)))
-    bad[-1] ^= 0xFF
-    good = serialize.encode_frame(_delta_payload(store, 1, 3))
-    with open(part.delta_path, "wb") as f:
-        f.write(bytes(bad) + good)
     store._cache.clear()
-    cols = store.load(part)
-    rows = {(s, d) for s, d, _l, _e in cols.iter_rows()}
-    assert (1, 3) in rows  # the good frame survived the bad one
-    assert store.stats.delta_frames_corrupt == 1
-    # The lost edges must be re-derived: the version bump makes every
-    # pair touching this partition eligible again.
-    assert part.version == version_before + 1
+    reread = {row for row in store.load(part).iter_rows()}
+    assert inserted == []
+    assert {(1, 3, 0, eid), (0, 3, 0, eid), (3, 2, 1, eid)} <= reread
 
 
-def test_delta_frame_naming_ids_the_table_never_issued_is_salvaged(tmp_path):
-    """A frame that passes its CRC but holds ids of some other table is
-    damage like a CRC mismatch, not rows to adopt."""
-    store = _store(tmp_path)
+def test_a_pending_list_past_its_share_of_the_budget_is_written(tmp_path):
+    """Pending rows may not outgrow what their partition may hold: past
+    half the budget they are folded into the partition file at once,
+    still outside the cache."""
+    store = PartitionStore(str(tmp_path), memory_budget=4 * ROW_BYTES,
+                           cache_slots=2)
+    store.initialize({0: {(1, 0): {(("I", "f", 0, 0),)}}}, num_vertices=4,
+                     min_partitions=1)
     store.flush()
-    part = store.partitions[0]
-    good = _delta_payload(store, 1, 3)
-    foreign = serialize.encode_partition({0: {(3, 0): {len(store.table)}}},
-                                         len(store.table) + 1)
-    with open(part.delta_path, "wb") as f:
-        f.write(serialize.encode_frame(foreign) + serialize.encode_frame(good))
     store._cache.clear()
+    part, writes = store.partitions[0], store.stats.partition_writes
+    eid = store.table.intern((("I", "d", 0, 0),))
+    store.append_delta(part, {0: {(2, 0): {eid}}, 1: {(2, 0): {eid}}})
+    assert store.stats.partition_writes == writes  # at the share: waits
+    store.append_delta(part, {2: {(3, 0): {eid}}})
+    assert store.stats.partition_writes == writes + 1
+    assert not store._pending and part.index not in store._cache
     rows = {(s, d) for s, d, _l, _e in store.load(part).iter_rows()}
-    assert (1, 3) in rows and (0, 3) not in rows
-    assert store.stats.delta_frames_corrupt == 1
+    assert rows == {(0, 1), (0, 2), (1, 2), (2, 3)}
 
 
-def test_delta_file_survives_until_fold_is_durable(tmp_path):
-    """The delta file may only disappear after the folded partition was
-    atomically rewritten -- never at fold time."""
-    store = _store(tmp_path)
-    store.flush()
-    part = store.partitions[0]
-    with open(part.delta_path, "wb") as f:
-        f.write(serialize.encode_frame(_delta_payload(store, 0, 3)))
-    store._cache.clear()
-    store.load(part)  # folds the delta into the cached columns
-    assert os.path.exists(part.delta_path)
-    store.flush()  # durable rewrite: now (and only now) it may go
-    assert not os.path.exists(part.delta_path)
+def _manifest_rows(phase_dir):
+    """Every row of the partition files a phase's manifest names."""
+    manifest = ckpt.load_manifest(str(phase_dir))
+    rows = set()
+    for desc in manifest["partitions"]:
+        parsed = serialize.parse_columnar(
+            (phase_dir / desc["path"]).read_bytes()
+        )
+        rows.update(zip(parsed.src, parsed.dst, parsed.label, parsed.enc))
+    return rows
 
 
-def test_salvaged_delta_file_is_retired_by_the_next_write(tmp_path):
-    """A delta file none of whose frames survived used to stay on disk
-    for good: every later load salvaged it again, counting the same
-    damage, bumping the version and resetting the arrival log."""
-    store = _store(tmp_path)
-    store.flush()
-    part = store.partitions[0]
-    bad = bytearray(serialize.encode_frame(_delta_payload(store, 0, 3)))
-    bad[-1] ^= 0xFF
-    with open(part.delta_path, "wb") as f:
-        f.write(bytes(bad))
-    store._cache.clear()
-    store.load(part)
-    assert store.stats.delta_frames_corrupt == 1
-    assert store.lost_frames == {part.index}  # the engine repairs it
-    version = part.version
-    store.flush()
-    assert not os.path.exists(part.delta_path)
-    store._cache.clear()
-    store.load(part)
-    assert store.stats.delta_frames_corrupt == 1
-    assert part.version == version
+def test_a_durable_checkpoint_leaves_no_pending_row_outside_its_files(
+    tmp_path, monkeypatch
+):
+    """After every checkpoint of a durable run, every row that ever
+    waited in memory is in a file the manifest names, and none waits
+    any more."""
+    pending = []
+    real_append = PartitionStore.append_delta
+
+    def append_delta(self, part, chunk):
+        if part.index not in self._cache:
+            pending.extend(
+                (src, dst, label_id, eid)
+                for src, targets in chunk.items()
+                for (dst, label_id), eids in targets.items()
+                for eid in eids
+            )
+        return real_append(self, part, chunk)
+
+    folded = []
+    real_checkpoint = GraphEngine._write_checkpoint
+
+    def checkpoint(self, complete=False):
+        waiting = bool(self._store._pending)
+        real_checkpoint(self, complete)
+        assert not self._store._pending
+        assert set(pending) <= _manifest_rows(tmp_path)
+        folded.append(waiting)
+
+    monkeypatch.setattr(PartitionStore, "append_delta", append_delta)
+    monkeypatch.setattr(GraphEngine, "_write_checkpoint", checkpoint)
+    options = EngineOptions(workdir=str(tmp_path), memory_budget=1 << 10,
+                            witness_cap=UNCAPPED)
+    engine = GraphEngine(sample_icfet(), LabelledGrammar(), options)
+    engine.run(build_graph(*random_edges(1, n=24)))
+    assert any(folded), "no checkpoint found pending rows to fold"
+
+
+@pytest.mark.parametrize("owner, name, nth, seed", [
+    (PartitionStore, "_evict", 3, 6),
+    (GraphEngine, "_flush_outbound", 7, 7),
+])
+def test_a_crash_between_checkpoints_resumes_to_the_same_edges(
+    tmp_path, monkeypatch, owner, name, nth, seed
+):
+    """Die in the middle of a pair -- after an eviction rewrote a
+    partition, or after arrivals joined pending rows -- and resume: the
+    files the last manifest names still hold the checkpoint's state, so
+    the resume reaches the uninterrupted closure."""
+    n, edges = random_edges(seed, n=30)
+    want = naive_closure(edges, LabelledGrammar(), sample_icfet())
+
+    class Crash(Exception):
+        pass
+
+    real, calls = getattr(owner, name), []
+
+    def dying(self, *args):
+        out = real(self, *args)
+        calls.append(1)
+        if len(calls) == nth:
+            raise Crash
+        return out
+
+    def engine(**opts):
+        options = EngineOptions(workdir=str(tmp_path), memory_budget=2 << 10,
+                                witness_cap=UNCAPPED, **opts)
+        return GraphEngine(sample_icfet(), LabelledGrammar(), options)
+
+    monkeypatch.setattr(owner, name, dying)
+    with pytest.raises(Crash):
+        engine().run(build_graph(n, edges))
+    monkeypatch.setattr(owner, name, real)
+    assert ckpt.load_manifest(str(tmp_path))["complete"] is False
+    resumed = engine(resume=True).run(build_graph(n, edges))
+    assert set(resumed.iter_edges()) == want
 
 
 # -- retry / quarantine --------------------------------------------------------
@@ -225,8 +291,6 @@ def test_retry_exhaustion_quarantines_pair(tmp_path, icfet, capsys):
         os.remove(part.path + ".tmp")
     except FileNotFoundError:
         pass
-    if store.prefetch is not None:
-        store.prefetch.invalidate(part.index)
 
     pair = (part.index, part.index)
     engine._attempt_pair(pair)
@@ -254,8 +318,7 @@ def test_seeded_fault_plan_self_heals(tmp_path, icfet):
     options = EngineOptions(
         workdir=str(tmp_path), memory_budget=1 << 20,
         fault_plan="short_write@partition-write:2,"
-                   "torn_rename@partition-write:3,"
-                   "bad_frame@delta-append:1",
+                   "torn_rename@partition-write:3",
     )
     faulted = GraphEngine(icfet, ChainGrammar(), options).run(chain(16))
     got = {(s, d) for s, d, _l, _e in faulted.iter_edges()}
@@ -338,49 +401,72 @@ def test_kill9_resume_matches_uninterrupted_run(tmp_path):
     assert resumed.stdout == clean.stdout
 
 
-@pytest.mark.slow
-def test_kill9_resume_reads_delta_frames_written_before_the_kill(tmp_path):
-    """The same round trip under a budget that spills: the killed
-    checkpoint leaves delta frames on disk, so the resume folds frames
-    the first process wrote.  Every id in them must already be in the
-    encoding log (log frame before delta frame)."""
-    workdir = tmp_path / "wd"
-    # Only a reversed fs edge lands in an unloaded partition, so the
-    # subject must store into fields: at 16 KiB the alias phase's 7th
-    # checkpoint finds a non-empty delta file (hadoop scale 0.5).
-    budget, subject = 16 / 1024, ("hadoop", 0.5)
-    killed = _subject_run(
-        tmp_path, workdir, fault_plan="kill_run@checkpoint:7", budget=budget,
-        subject=subject,
+_ORACLE_PROG = """\
+import sys
+from repro.engine.computation import EngineOptions, GraphEngine
+from tests.engine.test_closure_oracle import (
+    UNCAPPED, LabelledGrammar, build_graph, random_edges,
+)
+from tests.engine.test_computation import sample_icfet
+
+workdir, resume, fault_plan = sys.argv[1:4]
+real = GraphEngine._write_checkpoint
+
+
+def announced(self, complete=False):
+    # How many partitions hold pending rows this checkpoint must fold.
+    print("checkpoint", len(self._store._pending), file=sys.stderr,
+          flush=True)
+    real(self, complete)
+
+
+GraphEngine._write_checkpoint = announced
+options = EngineOptions(
+    workdir=workdir, memory_budget=1 << 10, witness_cap=UNCAPPED,
+    resume=resume == "1", fault_plan=fault_plan or None,
+)
+engine = GraphEngine(sample_icfet(), LabelledGrammar(), options)
+graph = build_graph(*random_edges(1, n=24))
+for edge in sorted(engine.run(graph).iter_edges()):
+    print(edge)
+"""
+
+
+def _oracle_run(workdir, *, resume=False, fault_plan=""):
+    """A closure-oracle random graph under a 1 KiB budget, in a process
+    of its own: ``(run, pending partitions per checkpoint)``."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(sys.path),
+        PYTHONHASHSEED="0",
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _ORACLE_PROG, str(workdir),
+         "1" if resume else "0", fault_plan],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    pending = [
+        int(line.split()[1]) for line in run.stderr.splitlines()
+        if line.startswith("checkpoint ")
+    ]
+    return run, pending
+
+
+def test_kill9_resume_after_a_checkpoint_that_folded_pending_rows(tmp_path):
+    """SIGKILL right after a checkpoint whose flush folded pending rows
+    into partition files: those rows are in the files the manifest
+    names, nothing else holds them, and the resume lands on the
+    uninterrupted run's edges."""
+    clean, pending = _oracle_run(tmp_path / "wd-clean")
+    assert clean.returncode == 0, clean.stderr[-2000:]
+    # The last checkpoint that folds pending rows: the most work to lose.
+    nth = max(k for k, count in enumerate(pending, 1) if count)
+    killed, at_kill = _oracle_run(
+        tmp_path / "wd", fault_plan=f"kill_run@checkpoint:{nth}"
     )
     assert killed.returncode == -9, killed.stderr[-2000:]
-    alias = workdir / "alias"
-    payloads, _dropped, corrupt = serialize.split_frames(
-        (alias / ENCODING_LOG).read_bytes()
-    )
-    assert not corrupt
-    logged = sum(
-        len(serialize.decode_encodings(payload)) for payload in payloads
-    )
-    frames = 0
-    for desc in json.load(open(alias / "checkpoint.json"))["partitions"]:
-        delta = alias / desc["delta_path"]
-        if not delta.exists():
-            continue
-        deltas, dropped, corrupt = serialize.split_frames(delta.read_bytes())
-        assert (dropped, corrupt) == (0, 0)
-        for payload in deltas:
-            enc = serialize.decode_partition(payload).enc
-            assert enc and max(enc) < logged
-            frames += 1
-    assert frames
-
-    resumed = _subject_run(
-        tmp_path, workdir, resume=True, budget=budget, subject=subject
-    )
+    assert len(at_kill) == nth and at_kill[-1] > 0
+    assert ckpt.load_manifest(str(tmp_path / "wd"))["complete"] is False
+    resumed, _ = _oracle_run(tmp_path / "wd", resume=True)
     assert resumed.returncode == 0, resumed.stderr[-2000:]
-    clean = _subject_run(
-        tmp_path, tmp_path / "wd-clean", budget=budget, subject=subject
-    )
-    assert clean.returncode == 0, clean.stderr[-2000:]
     assert resumed.stdout == clean.stdout

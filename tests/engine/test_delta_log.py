@@ -1,13 +1,10 @@
 """The closure's semi-naive bookkeeping (``scheduling.DeltaLog``): one
 cursor per cell, the plan that retires a workless pair unloaded, and
-the edge cases where a delta seed must *not* be trusted: a split, a
-delta file salvaged around corrupt frames, a log that outgrew its cap,
-a ``--resume`` (the log is never persisted) and a pair given up after
-a failed load.  In every one the engine falls back to seeding fully and
-the fixpoint is unchanged.
+the edge cases where a delta seed must *not* be trusted: a split, a log
+that outgrew its cap, a ``--resume`` (the log is never persisted) and a
+pair given up after a failed load.  In every one the engine falls back
+to seeding fully and the fixpoint is unchanged.
 """
-
-import os
 
 import pytest
 
@@ -214,81 +211,7 @@ def test_split_between_visits_leaves_a_closed_cell_closed(icfet, monkeypatch):
     assert carried_stats.compositions_tried < reset_stats.compositions_tried
 
 
-def test_salvaged_corrupt_delta_frame_resets_the_log(logged_store):
-    store, log = logged_store, logged_store.log
-    part = store.partitions[0]
-    store.flush()
-    log.advance((0, 0))
-    eid = store.table.intern(ENC)
-    store._cache.clear()  # not resident: the chunk goes to the delta file
-    assert store.append_delta(part, {0: {(9, 0): {eid}}, 1: {(9, 0): {eid}}}) == 2
-    lefts, _rights = log.plan(store.partitions, (0, 0))[(0, 0)]
-    assert len(lefts) == 2
-    with open(part.delta_path, "rb") as f:
-        frame = bytearray(f.read())
-    frame[-1] ^= 0xFF  # break the CRC, keep the length
-    good = serialize.encode_frame(
-        serialize.encode_partition({2: {(9, 0): {eid}}}, len(store.table))
-    )
-    with open(part.delta_path, "wb") as f:
-        f.write(bytes(frame) + good)
-
-    version = part.version
-    cols = store.load(part)
-    assert store.stats.delta_frames_corrupt == 1
-    assert part.version == version + 1
-    assert (2, 9, 0, eid) in set(cols.iter_rows())
-    assert (0, 9, 0, eid) not in set(cols.iter_rows())  # lost with the frame
-    # The logged arrivals no longer describe the partition: full seed.
-    assert log.plan(store.partitions, (0, 0)) == {(0, 0): None}
-
-
 # -- the engine falls back to full seeds ---------------------------------------
-
-
-def test_corrupt_delta_frame_mid_run_keeps_every_composed_edge(icfet):
-    """``bad_frame@delta-append`` on a real run: the frame's edges are
-    gone, the partition's epoch moves, and every pair touching it seeds
-    fully -- so nothing *composable* is missing from the fixpoint.  The
-    frame itself held reversed ``rb`` derivations (the only edges the
-    serial engine ever writes to a delta file); those are derived when
-    their forward edge is first inserted and cannot be composed again,
-    so the engine's repair pass re-derives them from the forward edges
-    (DESIGN.md §11).  The damaged file is salvaged once, then retired."""
-    n, edges = random_edges(0)
-    want = naive_closure(edges, LabelledGrammar(), icfet)
-    got, stats = run_engine(
-        n, edges, icfet, memory_budget=2 << 10,
-        fault_plan="bad_frame@delta-append:1",
-    )
-    assert stats.delta_frames_corrupt == 1
-    assert got == want
-
-
-def test_every_delta_frame_lands_after_the_log_frame_naming_its_ids(
-    icfet, tmp_path, monkeypatch
-):
-    """A durable store logs the encodings a delta frame uses (fsynced)
-    before it appends the frame, as it does for partition files: a kill
-    between the two can never leave a frame a resume cannot resolve."""
-    from repro.engine.io_pipeline import SpillWriter
-    from repro.engine.partition import ENCODING_LOG
-
-    checked = []
-    real = SpillWriter.append
-
-    def append(self, path, payload):
-        log = os.path.join(os.path.dirname(path), ENCODING_LOG)
-        with open(log, "rb") as f:
-            payloads, _dropped, _corrupt = serialize.split_frames(f.read())
-        logged = sum(len(serialize.decode_encodings(p)) for p in payloads)
-        checked.append(max(serialize.decode_partition(payload).enc) < logged)
-        real(self, path, payload)
-
-    monkeypatch.setattr(SpillWriter, "append", append)
-    n, edges = random_edges(0)
-    run_engine(n, edges, icfet, memory_budget=2 << 10, workdir=str(tmp_path))
-    assert checked and all(checked)
 
 
 def test_log_overflow_degrades_to_full_seeds_with_identical_output(

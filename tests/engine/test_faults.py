@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import serialize
 from repro import faults as F
 
 
@@ -24,7 +23,8 @@ def test_parse_plan():
     "short_write@partition-write",    # missing nth
     "short_write",                    # missing site
     "kill_worker@worker-task:1",      # the deleted pool's sites are
-    "shm_unlink@attach:1",            # unknown like any other
+    "shm_unlink@attach:1",            # unknown like any other, and so
+    "bad_frame@delta-append:1",       # are the deleted delta files'
 ])
 def test_parse_rejects(text):
     with pytest.raises(F.FaultPlanError):
@@ -32,13 +32,13 @@ def test_parse_rejects(text):
 
 
 def test_fire_latches_once(tmp_path):
-    plan = F.FaultPlan.parse("bad_frame@delta-append:2")
+    plan = F.FaultPlan.parse("torn_rename@partition-write:2")
     plan.arm(str(tmp_path))
-    assert plan.fire("delta-append") is None        # 1st append: before nth
-    spec = plan.fire("delta-append")                # 2nd: fires
-    assert spec is not None and spec.mode == "bad_frame"
-    assert plan.fire("delta-append") is None        # latched: never again
-    assert plan.fire("partition-write") is None     # other sites untouched
+    assert plan.fire("partition-write") is None     # 1st write: before nth
+    spec = plan.fire("partition-write")             # 2nd: fires
+    assert spec is not None and spec.mode == "torn_rename"
+    assert plan.fire("partition-write") is None     # latched: never again
+    assert plan.fire("checkpoint") is None          # other sites untouched
 
 
 def test_latch_survives_rearm_without_reset(tmp_path):
@@ -63,24 +63,6 @@ def test_unarmed_plan_uses_in_memory_latch():
     plan = F.FaultPlan.parse("short_write@partition-write:1")
     assert plan.fire("partition-write") is not None
     assert plan.fire("partition-write") is None
-
-
-def test_mutate_short_frame_truncates():
-    plan = F.FaultPlan.parse("short_frame@delta-append:1")
-    frame = serialize.encode_frame(b"payload-bytes-here")
-    out = plan.mutate_frame(plan.specs[0], frame)
-    assert len(out) < len(frame)
-    payloads, dropped, corrupt = serialize.split_frames(out)
-    assert payloads == [] and dropped == 1 and corrupt == 0
-
-
-def test_mutate_bad_frame_breaks_crc():
-    plan = F.FaultPlan.parse("bad_frame@delta-append:1")
-    frame = serialize.encode_frame(b"payload-bytes-here")
-    out = plan.mutate_frame(plan.specs[0], frame)
-    assert len(out) == len(frame)
-    payloads, dropped, corrupt = serialize.split_frames(out)
-    assert payloads == [] and dropped == 0 and corrupt == 1
 
 
 def test_null_plan_is_inert(tmp_path):

@@ -17,8 +17,7 @@ from repro.graph.model import ProgramGraph
 from .test_closure_oracle import build_graph, naive_closure, random_edges
 from .test_computation import ChainGrammar, build_chain, icfet  # noqa: F401
 
-#: Deterministic counters a run is compared by (timing fields excluded;
-#: prefetch hits depend on I/O timing).
+#: Deterministic counters a run is compared by (timing fields excluded).
 PARITY_FIELDS = (
     "new_edges", "edges_after", "compositions_tried", "constraint_queries",
     "cache_hits", "constraints_solved", "infeasible_dropped",

@@ -1,27 +1,36 @@
 """Unit and property tests for the binary partition format."""
 
+import tempfile
+
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import serialize
 from repro.engine.columnar import EdgeColumns, EncodingTable
+from repro.engine.partition import PartitionStore
 
 
 def roundtrip(edges):
-    """``edges`` through a delta frame, as the store spills them:
-    interned to ids, written in the partition-file layout, read back
-    and folded over the same table."""
-    table = EncodingTable()
-    chunk = {
-        src: {
-            key: {table.intern(encoding) for encoding in encodings}
-            for key, encodings in targets.items()
-        }
-        for src, targets in edges.items()
-    }
-    payload = serialize.encode_partition(chunk, len(table))
-    return EdgeColumns.from_file(
-        serialize.decode_partition(payload), table
-    ).to_dict()
+    """``edges`` as the store takes arrivals for a partition on disk:
+    interned to ids, held as pending rows, folded in by a load, written
+    to the partition file and read back over the same table."""
+    with tempfile.TemporaryDirectory() as workdir:
+        store = PartitionStore(workdir, memory_budget=1 << 20, durable=False)
+        store.initialize({}, num_vertices=256, min_partitions=1)
+        part = store.partitions[0]
+        store.flush()
+        store._cache.clear()
+        intern = store.table.intern
+        store.append_delta(part, {
+            src: {
+                key: {intern(encoding) for encoding in encodings}
+                for key, encodings in targets.items()
+            }
+            for src, targets in edges.items()
+        })
+        store.load(part)
+        store.flush()
+        store._cache.clear()
+        return store.load(part).to_dict()
 
 
 def log_roundtrip(encodings):
@@ -81,7 +90,7 @@ def test_bad_magic_rejected():
     import pytest
 
     with pytest.raises(ValueError):
-        serialize.decode_partition(b"XXXX\x01")
+        serialize.parse_columnar(b"XXXX\x03")
 
 
 def test_truncated_varint_raises_corrupt_partition():
@@ -97,12 +106,14 @@ def test_truncated_varint_raises_corrupt_partition():
 def test_truncated_payload_raises_corrupt_partition():
     import pytest
 
-    data = serialize.encode_partition({1: {(2, 0): {0, 1}}}, 2)
-    # Every proper prefix of a delta frame's payload fails cleanly, never
-    # with a bare IndexError.
+    data = EdgeColumns.from_dict(
+        {1: {(2, 0): {(("I", "f", 0, 1),), (("C", 3),)}}}, EncodingTable()
+    ).encode()
+    # Every proper prefix of a partition file fails cleanly, never with a
+    # bare IndexError.
     for cut in range(len(data)):
         with pytest.raises(serialize.CorruptPartition):
-            serialize.decode_partition(data[:cut])
+            serialize.parse_columnar(data[:cut])
 
 
 def test_truncated_columnar_raises_corrupt_partition():
@@ -144,19 +155,19 @@ def test_columnar_checksum_covers_every_byte():
 
 def test_other_partition_versions_are_refused():
     """One layout for every edge the store writes: a v1 (tuple delta
-    frame) or v2 (tuple-table partition file) payload is refused by
-    both readers, and a delta frame is a v3 partition file."""
+    frame) or v2 (tuple-table partition file) payload is refused."""
     import pytest
 
-    v3 = serialize.encode_partition({1: {(2, 0): {0}}}, 1)
+    v3 = EdgeColumns.from_dict(
+        {1: {(2, 0): {(("I", "f", 0, 1),)}}}, EncodingTable()
+    ).encode()
     for version in (1, 2):
         old = serialize.MAGIC + bytes([version]) + v3[5:]
-        for read in (serialize.parse_columnar, serialize.decode_partition):
-            with pytest.raises(
-                serialize.CorruptPartition,
-                match=f"unsupported partition version {version}",
-            ):
-                read(old)
+        with pytest.raises(
+            serialize.CorruptPartition,
+            match=f"unsupported partition version {version}",
+        ):
+            serialize.parse_columnar(old)
     assert serialize.parse_columnar(v3).n_encodings == 1
 
 

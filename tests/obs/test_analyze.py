@@ -146,13 +146,13 @@ def test_pair_compute_clipped_to_windows():
 
 
 def test_other_threads_are_not_stages():
-    """The prefetch reader's spans overlap the closure on another
-    thread; the closure's wall is the engine thread's."""
+    """Spans another thread records while the closure runs are not
+    stages; the closure's wall is the engine thread's."""
     trace = {
         "traceEvents": [
             _span("closure", 1, 0.0, 2.0),
             _span("pair-compute", 1, 0.0, 1.0, cat="pair"),
-            _span("prefetch", 1, 0.5, 1.0, cat="io", tid=7),
+            _span("partition-load", 1, 0.5, 1.0, cat="io", tid=7),
         ]
     }
     doc = analyze_trace(trace)

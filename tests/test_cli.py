@@ -442,8 +442,7 @@ def test_stats_text_is_a_view_of_the_run_report(tmp_path, capsys):
     text = capsys.readouterr().out.split("\n\n")[-1]
     report = json.loads(report_path.read_text())
     c, g = report["counters"], report["gauges"]
-    rates = {"cache hit rate": g["cache_hit_rate"],
-             "prefetch hit rate": g["prefetch_hit_rate"]}
+    rates = {"cache hit rate": g["cache_hit_rate"]}
     expected = {
         "vertices": [g["vertices"]],
         "edges before/after": [g["edges_before"], g["edges_after"]],
@@ -455,9 +454,7 @@ def test_stats_text_is_a_view_of_the_run_report(tmp_path, capsys):
         "constraints decoded/solved": [
             c["constraints_decoded"], c["constraints_solved"]],
         "cache hit rate": [],
-        "prefetch hit rate": [
-            c["prefetch_hits"], c["prefetch_hits"] + c["prefetch_misses"]],
-        "spill frames": [c["spill_frames"], c["spill_bytes"]],
+        "pending rows": [c["pending_rows"]],
         "partition files written": [
             c["partition_writes"], c["partition_bytes_written"]],
         "join batches/probes": [c["join_batches"], c["join_probes"]],
