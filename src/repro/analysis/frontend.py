@@ -31,12 +31,20 @@ from repro.obs.trace import TraceRecorder
 
 @dataclass
 class CompiledProgram:
-    """Everything the analyses need about one subject program."""
+    """Everything the analyses need about one subject program.
 
-    program: ast.Program
+    ``Grapple.run`` without a scope cache (a batch ``repro check``) lets
+    what the closures do not read go as soon as its last reader is
+    done: ``summaries`` after relevance, and ``program``, ``info`` and
+    ``callgraph`` (None from then on) after the alias graph.  The ICFET
+    and the forest stay: the dataflow phase and the report read them.
+    A run handed a scope cache keeps everything.
+    """
+
+    program: ast.Program | None
     icfet: Icfet
-    callgraph: CallGraph
-    info: ObjectInfo
+    callgraph: CallGraph | None
+    info: ObjectInfo | None
     forest: CloneForest
     loc: int
     #: Scope-graph resolution record for multi-file subjects

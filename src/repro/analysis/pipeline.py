@@ -249,6 +249,12 @@ class Grapple:
                 relevance=relevance, rstats=reduction,
                 engine_factory=self.engine_factory,
             )
+        if options.scope_cache is None:
+            # The alias graph was the frontend's last reader: the
+            # dataflow phase and the report need only the ICFET and the
+            # forest, so a batch run lets the AST, the object facts and
+            # the call graph go before the second closure.
+            compiled.program = compiled.info = compiled.callgraph = None
         with trace.span("dataflow-phase", cat="pipeline"):
             dataflow_phase = run_dataflow_phase(
                 compiled, alias_phase, self.fsms_by_type, engine_options,

@@ -434,6 +434,7 @@ def _stats_text(report: dict) -> str:
             f"{name} {row['self_s']:.2f}s" for name, row in slowest
         ),
         f"total time          : {timing['total_s']:.2f}s",
+        f"peak rss            : {g['peak_rss_mb']:.1f} MiB",
     ]
     return "\n".join(lines)
 

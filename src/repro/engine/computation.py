@@ -118,11 +118,13 @@ class EngineOptions:
 class EngineResult:
     """Outcome of one engine run.  Edges stream out of the run's
     partition store on demand: resident partitions as they are, the
-    rest loaded from the workdir one at a time."""
+    rest loaded from the workdir one at a time.  The store holds every
+    edge, input ones included: ``graph`` gave its edge map up to it and
+    keeps only the vertex and label tables and the meta."""
 
     stats: EngineStats
     store: PartitionStore
-    graph: ProgramGraph  # provides the vertex/label tables and meta
+    graph: ProgramGraph  # its vertex/label tables and meta; no edges
     #: ``{span name: (self_s, incl_s, calls)}`` of the closure window:
     #: the ``closure`` span and everything that ran inside it.
     closure_spans: dict = field(default_factory=dict)
@@ -299,6 +301,7 @@ class GraphEngine:
                     f" ({reason}); starting fresh",
                     file=sys.stderr,
                 )
+        self._graph = graph
         with trace.span("engine-init", phase=self.phase):
             self._seed_derived(graph)
             store = PartitionStore(
@@ -332,8 +335,15 @@ class GraphEngine:
                                 pass
                 stats.edges_before = graph.edge_count()
                 stats.vertices = len(graph.vertices)
-                store.initialize(graph.edges, len(graph.vertices))
-        self._graph = graph
+                # The store takes the edge map; the join index is noted
+                # from each source's targets as they move.
+                self._log = self._new_log()
+                store.initialize(graph.edges, len(graph.vertices),
+                                 note_target=self._log.note_target)
+            # From here on the store holds every input edge (a resume's
+            # files hold them and what was derived from them): the graph
+            # keeps only its vertex and label tables and its meta.
+            graph.edges.clear()
         self._store = store
         # Telemetry providers for this phase: the sampler thread (started
         # idempotently) polls these at its cadence; they are unbound
@@ -420,24 +430,23 @@ class GraphEngine:
             # a --resume of this workdir must pick up right here.
             self.faults.kill_self()
 
-    def _open_log(self) -> DeltaLog:
-        """Start the phase's arrival log and seed its join index from
-        the partitions' present contents."""
-        store = self._store
-        log = DeltaLog(
+    def _new_log(self) -> DeltaLog:
+        return DeltaLog(
             self._rel_src_id, self._rel_tgt_id,
             cap_rows=max(1, self.options.memory_budget // 2 // ROW_BYTES),
         )
+
+    def _open_log(self) -> DeltaLog:
+        """Attach the phase's arrival log to the store.  A fresh run's
+        join index was noted as :meth:`PartitionStore.initialize` took
+        the input edges; restored partitions hold input *and* derived
+        edges, so a resume seeds it from the files."""
+        store = self._store
+        log = self._log
         if self._resume_manifest is not None:
-            # Restored partitions hold input *and* derived edges (the
-            # graph's edge map only the former): read the files.
+            log = self._new_log()
             for part in store.partitions:
                 log.reset(part.index, store.load(part))
-        else:
-            for src, targets in self._graph.edges.items():
-                index = store.partition_of(src).index
-                for dst, label_id in targets:
-                    log.note_target(index, dst, label_id)
         self._log = store.log = log
         return log
 

@@ -154,22 +154,35 @@ class PartitionStore:
     # -- construction --------------------------------------------------------
 
     def initialize(self, edges: dict, num_vertices: int,
-                   min_partitions: int = MIN_PARTITIONS) -> None:
+                   min_partitions: int = MIN_PARTITIONS,
+                   note_target=None) -> None:
         """Preprocessing: split the input graph into balanced partitions.
 
         Partition boundaries are chosen so each holds roughly equal edge
         bytes, with enough partitions that any two fit in the budget.
+        The store *takes* ``edges`` (``{src: {(dst, label_id): set}}``):
+        one sorted walk moves each source's targets out of the map into
+        its partition's columns, so every input edge exists once, in the
+        budgeted store, and the map is left empty.  ``note_target(index,
+        dst, label_id)`` is called for each moved ``(dst, label_id)`` --
+        the engine's join index, read before the targets are dropped.
         """
-        total_bytes = _estimate_bytes(edges)
+        sources = sorted(edges)
+        sizes = [_source_bytes(edges[src]) for src in sources]
         per_partition_cap = max(self.memory_budget // 2, 1)
-        wanted = max(min_partitions, -(-total_bytes // per_partition_cap))
-        boundaries = _balanced_boundaries(edges, num_vertices, wanted)
-        for lo, hi in boundaries:
-            chunk = {
-                src: targets
-                for src, targets in edges.items()
-                if lo <= src < hi
-            }
+        wanted = max(min_partitions, -(-sum(sizes) // per_partition_cap))
+        at = 0
+        for lo, hi in _balanced_boundaries(sources, sizes, num_vertices,
+                                           wanted):
+            chunk = {}
+            index = len(self.partitions)
+            while at < len(sources) and sources[at] < hi:
+                src = sources[at]
+                targets = chunk[src] = edges.pop(src)
+                if note_target is not None:
+                    for dst, label_id in targets:
+                        note_target(index, dst, label_id)
+                at += 1
             self._create_partition(lo, hi, chunk)
 
     def _create_partition(self, lo: int, hi: int, chunk: dict) -> Partition:
@@ -559,18 +572,19 @@ class PartitionStore:
                 yield src, dst, label_id, decode(eid)
 
 
-def _balanced_boundaries(edges: dict, num_vertices: int, wanted: int):
-    """Split ``[0, num_vertices)`` into ``wanted`` byte-balanced intervals."""
+def _balanced_boundaries(sources: list, sizes: list, num_vertices: int,
+                         wanted: int):
+    """Split ``[0, num_vertices)`` into ``wanted`` byte-balanced intervals
+    (``sources`` sorted, ``sizes`` their estimated bytes)."""
     span = max(num_vertices, 1)
     wanted = max(1, min(wanted, span))
-    total = _estimate_bytes(edges) or 1
-    target = total / wanted
+    target = (sum(sizes) or 1) / wanted
     boundaries = []
     lo = 0
     running = 0
     produced = 0
-    for src in sorted(edges):
-        running += _estimate_bytes({src: edges[src]})
+    for src, size in zip(sources, sizes):
+        running += size
         if running >= target and produced < wanted - 1 and src + 1 < span:
             boundaries.append((lo, src + 1))
             lo = src + 1
@@ -580,15 +594,15 @@ def _balanced_boundaries(edges: dict, num_vertices: int, wanted: int):
     return boundaries
 
 
-def _estimate_bytes(edges: dict) -> int:
-    """Columnar-bytes estimate of a tuple-shaped edge dict (32 per row
-    plus string-constraint text, matching EdgeColumns accounting)."""
+def _source_bytes(targets: dict) -> int:
+    """Columnar-bytes estimate of one source's tuple-shaped targets (32
+    per row plus string-constraint text, matching EdgeColumns
+    accounting)."""
     total = 0
-    for targets in edges.values():
-        for encodings in targets.values():
-            for encoding in encodings:
-                total += ROW_BYTES
-                for elem in encoding:
-                    if elem[0] == "S":
-                        total += 64 + len(elem[1])
+    for encodings in targets.values():
+        for encoding in encodings:
+            total += ROW_BYTES
+            for elem in encoding:
+                if elem[0] == "S":
+                    total += 64 + len(elem[1])
     return total

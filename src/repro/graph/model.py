@@ -99,6 +99,12 @@ class ProgramGraph:
     encodings per (src, dst, label) are allowed -- they are distinct
     witness paths.  ``meta`` carries static per-base-edge data (the
     dataflow graph's event lists) keyed by ``(src, dst, label_id)``.
+
+    :meth:`GraphEngine.run <repro.engine.computation.GraphEngine.run>`
+    takes the edge map: its partition store moves every source into its
+    columns, so after a run (fresh or resumed) ``edges`` is empty and
+    the graph keeps its vertex and label tables and ``meta``, which the
+    run's result reads edges back through.
     """
 
     vertices: VertexTable = field(default_factory=VertexTable)

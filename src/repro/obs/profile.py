@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 import threading
 import time
 
@@ -56,6 +57,15 @@ def read_rss_bytes() -> int | None:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     except Exception:  # pragma: no cover - platform without getrusage
         return None
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB
+    (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class GcWatch:

@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import fields
 
+from repro.obs.profile import peak_rss_mb
+
 REPORT_SCHEMA = "grapple/run-report"
 #: Version 2 added the optional ``telemetry`` section (the resource
 #: sampler's gauge timeseries, ``repro.obs.profile``) and later the
@@ -84,11 +86,15 @@ def run_report(stats, warnings: int, *, spans: dict, closure: dict,
     ``scopes``, ``subject``, ``telemetry``, serve's ``edit``), appended
     in the order given and dropped when None.  Counters and gauges come
     straight from the stats fields' ``kind`` metadata (flags as 0/1
-    gauges, plus the derived cache hit rate), sorted by name, floats
-    rounded to 6 places.
+    gauges, plus the derived cache hit rate and ``peak_rss_mb``, the
+    process's ``ru_maxrss`` when the report is built), sorted by name,
+    floats rounded to 6 places.
     """
     counters: dict = {}
-    gauges: dict = {"cache_hit_rate": stats.cache_hit_rate}
+    gauges: dict = {
+        "cache_hit_rate": stats.cache_hit_rate,
+        "peak_rss_mb": peak_rss_mb(),
+    }
     for f in fields(stats):
         kind = f.metadata["kind"]
         value = getattr(stats, f.name)
@@ -192,6 +198,13 @@ def validate_run_report(report) -> list[str]:
         for name, value in values.items():
             if not isinstance(value, (int, float)):
                 errors.append(f"{section}.{name} is not a number")
+    gauges = report.get("gauges")
+    if isinstance(gauges, dict) and "peak_rss_mb" in gauges:
+        # Absent in reports of older builds; a process that built a
+        # report has touched memory.
+        peak = gauges["peak_rss_mb"]
+        if not _is_number(peak) or peak <= 0:
+            errors.append("gauges.peak_rss_mb is not a positive number")
     histograms = report.get("histograms")
     if not isinstance(histograms, dict):
         errors.append("histograms section missing")

@@ -311,3 +311,29 @@ def test_stats_populated():
     assert stats.edges_after >= stats.edges_before
     assert result.total_time > 0
     assert result.preprocess_time > 0
+
+
+def test_a_batch_run_lets_the_frontend_go_after_the_alias_graph():
+    """Without a scope cache nothing reads the AST, the object facts or
+    the call graph after the alias graph is built, so a batch run drops
+    them (and the summaries after relevance) before the dataflow
+    closure; the ICFET and the forest stay for the report.  A run
+    handed a scope cache keeps all of them."""
+    from repro.analysis.pipeline import GrappleOptions
+    from repro.sa.scopes import ScopeArtifactCache
+
+    sources = {"app.mini": "module app;" + FIG3B}
+    batch = Grapple(sources, [IO]).run()
+    cached = Grapple(
+        sources, [IO], GrappleOptions(scope_cache=ScopeArtifactCache())
+    ).run()
+    compiled = batch.compiled
+    assert compiled.program is compiled.info is compiled.callgraph is None
+    assert compiled.summaries == {}
+    assert compiled.icfet is not None and len(compiled.forest)
+    kept = cached.compiled
+    assert list(kept.program.functions) == ["app.main"]
+    assert list(kept.callgraph.edges) == ["app.main"]
+    assert kept.info is not None and kept.summaries
+    assert batch.report.warnings == cached.report.warnings
+    assert len(batch.report.warnings) == 1

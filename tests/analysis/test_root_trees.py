@@ -11,6 +11,7 @@ has moved (key completeness).
 
 import pytest
 
+from repro.analysis.frontend import compile_source
 from repro.analysis.pipeline import Grapple, GrappleOptions
 from repro.checkers.checker import default_checkers, pack_checkers
 from repro.workloads.multifile import build_multifile_subject
@@ -232,9 +233,16 @@ def _moved_roots(after, fsms=None, before=BASE, fsms_before=None):
     return moved, scratch
 
 
-def _reaching(run, *funcs):
-    """Roots whose call-graph reach includes one of ``funcs``."""
-    edges = run.compiled.callgraph.edges
+def _frontend(sources):
+    """What ``Grapple`` compiles of ``sources``; a batch run lets the
+    frontend go after the alias graph, so tests read it from here."""
+    return compile_source(sources, reduce=True, roots=())
+
+
+def _reaching(sources, run, *funcs):
+    """Roots of ``run`` over ``sources`` whose call-graph reach includes
+    one of ``funcs``."""
+    edges = _frontend(sources).callgraph.edges
     out = set()
     for root in run.root_table:
         seen, stack = {root}, [root]
@@ -258,18 +266,20 @@ def test_an_unchanged_program_moves_no_key():
 
 
 def test_body_statement_of_a_shared_callee():
-    moved, run = _moved_roots(_edit(
+    after = _edit(
         "lib.mini", "var f = new FileWriter();\n    return f;",
         "var f = new FileWriter();\n    f.write(x);\n    return f;",
-    ))
+    )
+    moved, run = _moved_roots(after)
     # The new line also shifts lib.pass and lib.touch down the file.
-    assert moved == _reaching(run, "lib.make", "lib.pass", "lib.touch")
+    assert moved == _reaching(after, run, "lib.make", "lib.pass", "lib.touch")
     assert "app.first" not in moved and "far.solo" not in moved
 
 
 def test_body_statement_of_the_last_function_in_its_file():
-    moved, run = _moved_roots(_edit("lib.mini", "q.write(1);", "q.write(2);"))
-    assert moved == _reaching(run, "lib.touch") \
+    after = _edit("lib.mini", "q.write(1);", "q.write(2);")
+    moved, run = _moved_roots(after)
+    assert moved == _reaching(after, run, "lib.touch") \
         == {"app.uses_touch", "far.feeds_touch"}
 
 
@@ -300,12 +310,13 @@ def test_object_classification_changed_only_by_a_caller_in_another_root():
     """``lib.pass``'s parameter holds an object once *some* caller hands
     it one; ``app.uses_pass`` reaches ``lib.pass`` and must be
     re-analysed although no function it reaches changed a token."""
-    moved, run = _moved_roots(_edit(
+    after = _edit(
         "far.mini", "func solo(a) {",
         "func hands_object(a) {\n    var o = new Plain();\n"
         "    var r = lib.pass(o);\n    return;\n}\nfunc solo(a) {",
-    ))
-    assert "p" in run.compiled.info.object_vars["lib.pass"]
+    )
+    moved, run = _moved_roots(after)
+    assert "p" in _frontend(after).info.object_vars["lib.pass"]
     # far.solo moved down five lines; far.feeds_touch sits above.
     assert moved == {"app.uses_pass", "far.hands_object", "far.solo"}
 
@@ -314,10 +325,11 @@ def test_relevance_bit_changed_only_by_a_caller_in_another_root():
     """``lib.touch``'s ``q`` is an object variable either way; it turns
     FSM-relevant when ``far.feeds_touch`` starts passing a tracked
     type, which un-slices ``touch`` under ``app.uses_touch`` too."""
-    moved, run = _moved_roots(_edit(
+    after = _edit(
         "far.mini", "var g = new Plain();", "var g = new FileWriter();",
-    ))
-    assert moved == _reaching(run, "lib.touch") \
+    )
+    moved, run = _moved_roots(after)
+    assert moved == _reaching(after, run, "lib.touch") \
         == {"app.uses_touch", "far.feeds_touch"}
 
 

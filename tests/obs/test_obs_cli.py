@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.obs.__main__ import main as obs_main
+from repro.obs.report import run_report, validate_run_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -69,6 +70,28 @@ def test_validate_accepts_good_report(tmp_path, capsys):
     path = write_json(tmp_path / "report.json", minimal_report())
     assert obs_main(["validate", "--metrics", path]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("peak, ok", [
+    (63.5, True), (0, False), (-1.0, False), ("63", False), (True, False),
+])
+def test_validate_checks_the_peak_rss_gauge(peak, ok):
+    """``gauges.peak_rss_mb`` is the process's ``ru_maxrss`` when the
+    report was built: a positive number when present (older builds'
+    reports lack it)."""
+    errors = validate_run_report(minimal_report(gauges={"peak_rss_mb": peak}))
+    assert (errors == []) is ok
+    assert validate_run_report(minimal_report()) == []
+
+
+def test_a_built_report_carries_the_process_peak_rss():
+    from repro.engine.stats import EngineStats
+    from repro.obs.profile import peak_rss_mb
+
+    report = run_report(EngineStats(), 0, spans={}, closure={}, histograms={})
+    # Rounded to 6 places like every float gauge; the peak only grows.
+    assert 0 < report["gauges"]["peak_rss_mb"] <= peak_rss_mb() + 1e-6
+    assert validate_run_report(report) == []
 
 
 def test_validate_rejects_future_schema_version(tmp_path, capsys):

@@ -1,8 +1,13 @@
 """Reduction stats and cf-chain compression."""
 
 from repro import Grapple, GrappleOptions, default_checkers
+from repro.analysis.alias import run_alias_phase
+from repro.analysis.frontend import compile_source
 from repro.cfet import encoding as enc
-from repro.sa.reduce import ReductionStats, _constraint_free
+from repro.checkers.fsm import fsms_by_type
+from repro.graph.dataflow_graph import build_dataflow_graph
+from repro.sa.reduce import ReductionStats, _constraint_free, compress_cf_chains
+from repro.sa.relevance import compute_relevance
 
 FIG3B = """
 func main(arg0) {
@@ -78,9 +83,32 @@ def test_compression_shrinks_phase2_input():
     assert after < before
 
 
+def _compressed_dataflow_graph(source: str):
+    """Phase 2's input as ``Grapple`` builds it with reduction on, read
+    before an engine takes its edges: the alias phase, the dataflow
+    graph and cf-chain compression."""
+    fsms = [c.fsm for c in default_checkers()]
+    by_type = fsms_by_type(fsms)
+    rstats = ReductionStats()
+    compiled = compile_source(source, reduce=True, reduction=rstats)
+    events = set().union(*(fsm.events() for fsm in fsms))
+    relevance = compute_relevance(
+        compiled.summaries, compiled.callgraph, compiled.info,
+        set(by_type), events,
+    )
+    alias = run_alias_phase(compiled, set(by_type), relevance=relevance,
+                            rstats=rstats)
+    graph_result = build_dataflow_graph(
+        compiled.icfet, alias.graph_result, by_type,
+        relevance=relevance, rstats=rstats,
+    )
+    compress_cf_chains(graph_result, compiled.icfet, rstats)
+    assert rstats.cf_chains_merged > 0
+    return graph_result
+
+
 def test_compression_keeps_objects_and_exits():
-    on = run(FIG3B, reduce=True)
-    graph_result = on.dataflow_phase.graph_result
+    graph_result = _compressed_dataflow_graph(FIG3B)
     edges = graph_result.graph.edges
     touching = set(edges)
     for targets in edges.values():
@@ -94,12 +122,12 @@ def test_compression_keeps_objects_and_exits():
 
 
 def test_event_edges_survive_with_consistent_metadata():
-    on = run(FIG3B, reduce=True)
-    graph_result = on.dataflow_phase.graph_result
+    graph_result = _compressed_dataflow_graph(FIG3B)
     edge_pairs = {
         (src, dst)
         for src, targets in graph_result.graph.edges.items()
         for dst, _label in targets
     }
+    assert graph_result.events_meta
     for key in graph_result.events_meta:
         assert key in edge_pairs  # no metadata orphaned by rewiring

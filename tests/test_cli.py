@@ -473,6 +473,7 @@ def test_stats_text_is_a_view_of_the_run_report(tmp_path, capsys):
         "slowest spans (self)": " · ".join(
             f"{name} {row['self_s']:.2f}s" for name, row in slowest[:5]),
         "total time": f"{timing['total_s']:.2f}s",
+        "peak rss": f"{g['peak_rss_mb']:.1f} MiB",
     }
     seen = []
     for line in text.strip().splitlines():

@@ -55,13 +55,16 @@ def _engine(tmp_path, scale=SCALE, **kw):
     return ServeEngine(ws, wd, _fsms(), **kw)
 
 
-def _scratch_warnings(workspace):
-    sources = {
+def _workspace_sources(workspace):
+    return {
         name: open(os.path.join(workspace, name)).read()
         for name in sorted(os.listdir(workspace))
         if name.endswith(".mini")
     }
-    run = Grapple(sources, _fsms()).run()
+
+
+def _scratch_warnings(workspace):
+    run = Grapple(_workspace_sources(workspace), _fsms()).run()
     return run, sorted(
         (w.checker, w.kind, w.site, w.type_name, w.state, w.func, w.line)
         for w in run.report.warnings
@@ -124,25 +127,29 @@ def _assert_compiled_as_cold(engine, runs):
     root table: functions, ICFET, forest, the summaries and what the
     whole-program passes stitched from them, root keys and report."""
     for membership, table, run in runs:
+        sources = {p: _read(engine, p) for p in membership}
         cold = Grapple(
-            {p: _read(engine, p) for p in membership}, engine.fsms,
+            sources, engine.fsms,
             GrappleOptions(unroll=engine.unroll, reduce=engine.reduce,
                            root_table=table),
         ).run()
-        assert _compiled_shape(run.compiled) == _compiled_shape(cold.compiled)
-        # A batch run drops its summaries after relevance: read a cold
-        # compile's off the frontend itself.
-        summaries = compile_source(
-            {p: _read(engine, p) for p in membership},
-            unroll=engine.unroll, reduce=engine.reduce,
-        ).summaries
+        # A batch run drops its summaries after relevance and its
+        # program, object facts and call graph after the alias graph:
+        # read a cold compile's off the frontend itself, with the cold
+        # run's forest (the trees its table left to build).
+        frontend = compile_source(
+            sources, unroll=engine.unroll, reduce=engine.reduce, roots=(),
+        )
+        frontend.forest = cold.compiled.forest
+        assert _compiled_shape(run.compiled) == _compiled_shape(frontend)
+        summaries = frontend.summaries
         assert run.compiled.summaries == summaries
         assert list(run.compiled.summaries) == list(summaries)
-        assert run.compiled.info == cold.compiled.info
+        assert run.compiled.info == frontend.info
         assert run.relevance == cold.relevance
-        for graph in (run.compiled.callgraph, cold.compiled.callgraph):
+        for graph in (run.compiled.callgraph, frontend.callgraph):
             assert list(graph.edges) == list(run.compiled.program.functions)
-        assert run.compiled.callgraph == cold.compiled.callgraph
+        assert run.compiled.callgraph == frontend.callgraph
         assert {root: entry[0] for root, entry in run.root_table.items()} \
             == {root: entry[0] for root, entry in cold.root_table.items()}
         assert run.root_table == cold.root_table
@@ -183,9 +190,11 @@ def _edit_checked(engine, path, text, also=()):
         for w in run.report.warnings
     )
     changed = _changed_functions(before, text) | set(also)
-    edges = run.compiled.callgraph.edges
+    frontend = compile_source(_workspace_sources(engine.workspace),
+                              reduce=True, roots=())
+    edges = frontend.callgraph.edges
     reaching = set()
-    for root in root_functions(run.compiled.program, run.compiled.callgraph):
+    for root in root_functions(frontend.program, frontend.callgraph):
         seen, stack = {root}, [root]
         while stack:
             for callee in edges.get(stack.pop(), ()):
