@@ -4,6 +4,12 @@ Paper columns: #Const (constraints solved during computation), #Hits,
 hit Rate, TOC (constraint-solving time without caching), TWC (with
 caching), Saving = 1 - TWC/TOC.  Shapes: hit rates of 60-80% and large
 savings (64-87%) from memoisation.
+
+The paper's one constraint cache is two levels here: the verdict cache
+keyed by encoding id (``Rate``: an id repeats only when the same
+encoding recurs) and, behind it, the form memo keyed by the constraint
+up to variable renaming (``Form``: the share of the queries that reach
+it which it answers).
 """
 
 import pytest
@@ -12,7 +18,14 @@ from benchmarks.helpers import SUBJECT_NAMES, emit, grapple_run
 
 #: What a feasibility query past the verdict cache runs: TOC/TWC are
 #: these spans' inclusive seconds in the closure windows.
-FEASIBILITY_SPANS = ("form-key", "decode", "smt-solve")
+FEASIBILITY_SPANS = ("form-key", "smt-solve")
+
+
+def form_hit_rate(stats) -> float:
+    """The form memo's level: group hits over the queries the verdict
+    cache did not answer."""
+    misses = stats.constraint_queries - stats.cache_hits
+    return stats.group_hits / misses if misses else 0.0
 
 
 def _feasibility_s(run) -> float:
@@ -45,7 +58,7 @@ def test_table4_summary(benchmark, capsys):
 
     rows = benchmark.pedantic(collect, rounds=1, iterations=1)
     lines = [
-        f"{'Subject':<11}{'#Const':>9}{'#Hits':>9}{'Rate':>7}"
+        f"{'Subject':<11}{'#Const':>9}{'#Hits':>9}{'Rate':>7}{'Form':>7}"
         f"{'#SolvedOC':>11}{'#SolvedWC':>11}"
         f"{'TOC(s)':>9}{'TWC(s)':>9}{'Saving':>8}"
     ]
@@ -58,11 +71,15 @@ def test_table4_summary(benchmark, capsys):
         lines.append(
             f"{name:<11}{cached.constraint_queries:>9}"
             f"{cached.cache_hits:>9}{cached.cache_hit_rate:>7.1%}"
+            f"{form_hit_rate(cached):>7.1%}"
             f"{uncached.constraints_solved:>11}"
             f"{cached.constraints_solved:>11}"
             f"{toc:>9.2f}{twc:>9.2f}{saving:>8.1%}"
         )
     lines.append(
+        "\nRate is the verdict cache (by encoding id), Form the form memo"
+        " behind it (by constraint up to renaming); the paper's one cache"
+        " is the two together."
         "\nshape checks: hit rates around the paper's 60-80% band; the"
         " cache eliminates the majority of lookup+solve work (paper saved"
         " 64-87% of solving *time*; our Fourier-Motzkin cost grows with"

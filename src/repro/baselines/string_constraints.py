@@ -81,13 +81,13 @@ class StringConstraintEngine(GraphEngine):
     def _reverse_encoding(self, encoding):
         return encoding  # constraints are direction-independent
 
-    def _decode(self, encoding):
-        return parse_expr(encoding[0][1])
-
     def _form_key(self, ids: tuple) -> tuple:
-        # The text has to be parsed to be keyed (and is parsed again if
-        # the form then goes to the solver).
-        return enc_mod.constraint_form_key(self._decode_ids(ids), self._pieces)
+        # The text has to be parsed to be keyed; the key is then solved
+        # like an interval query's.
+        decode = self._enc.decode
+        return enc_mod.constraint_form_key(
+            [parse_expr(decode(eid)[0][1]) for eid in ids], self._pieces
+        )
 
 
 @dataclass

@@ -22,7 +22,11 @@ method on one path do not share constraint variables.
 
 :func:`form_key` answers "do these encodings decode to the same constraint
 up to variable names?" without decoding: it stitches per-element pieces
-(computed once per distinct element) along the same walk.
+(computed once per distinct element, an interval's from per-CFET-edge
+pieces) along the same walk.  The key holds the constraint up to that
+renaming, so :func:`key_literals` turns it into the solver's input
+directly; :func:`decode_constraint` is left for witness models and the
+baselines.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from __future__ import annotations
 import sys
 
 from repro.smt import expr as E
+from repro.smt.linear import LinearAtom
+from repro.smt.solver import FALSE_LITERAL, Literal, literal_of
 from repro.cfet.icfet import Icfet
 
 # Tags.
@@ -70,46 +76,47 @@ def merge(enc1: Encoding, enc2: Encoding, icfet: Icfet) -> Encoding | None:
 
     Returns None when the composition exceeds :data:`MAX_ELEMENTS`.
     """
-    seq = list(enc1) + list(enc2)
-    _normalize(seq, icfet)
+    seq: list = []
+    for elem in enc1:
+        _push(seq, elem, icfet)
+    for elem in enc2:
+        _push(seq, elem, icfet)
     if len(seq) > MAX_ELEMENTS:
         return None
     return tuple(seq)
 
 
-def _normalize(seq: list, icfet: Icfet) -> None:
-    """Apply interval chaining and call/return cancellation to fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(seq):
-            a, b = seq[i], seq[i + 1]
-            if (
-                a[0] == INTERVAL
-                and b[0] == INTERVAL
-                and a[1] == b[1]
-                and a[3] == b[2]
-            ):
-                seq[i : i + 2] = [(INTERVAL, a[1], a[2], b[3])]
-                changed = True
-                continue
-            i += 1
-        i = 0
-        while i + 2 < len(seq):
-            a, m, b = seq[i], seq[i + 1], seq[i + 2]
-            if (
-                a[0] == CALL
-                and m[0] == INTERVAL
-                and b[0] == RETURN
-                and _matched(a[1], b[1], icfet)
-                and m[2] == 0  # the callee path is complete (root to leaf)
-            ):
-                # Case 3: the callee part has completed; drop the triple.
-                seq[i : i + 3] = []
-                changed = True
-                continue
-            i += 1
+def _push(seq: list, elem: tuple, icfet: Icfet) -> None:
+    """Append ``elem`` to a sequence in normal form and reduce at its end.
+
+    The two rewrites -- chaining ``[a, b] [b, c]`` of one method into
+    ``[a, c]``, and dropping a completed ``(C, callee-path, R)`` triple
+    -- have no overlap that could be reduced two ways, so every order
+    of applying them reaches the same normal form.  ``seq`` holds no
+    redex, so one can only end at the new element, and reducing it
+    leaves none behind: a chained interval starts where the old last
+    one did, and a dropped triple uncovers an end that was already
+    irreducible.
+    """
+    tag = elem[0]
+    if tag == INTERVAL:
+        if seq:
+            last = seq[-1]
+            if last[0] == INTERVAL and last[1] == elem[1] and last[3] == elem[2]:
+                seq[-1] = (INTERVAL, elem[1], last[2], elem[3])
+                return
+    elif tag == RETURN and len(seq) >= 2:
+        call, path = seq[-2], seq[-1]
+        if (
+            call[0] == CALL
+            and path[0] == INTERVAL
+            and path[2] == 0  # the callee path is complete (root to leaf)
+            and _matched(call[1], elem[1], icfet)
+        ):
+            # Case 3: the callee part has completed; drop the triple.
+            del seq[-2:]
+            return
+    seq.append(elem)
 
 
 def _matched(cid: int, rid: int, icfet: Icfet) -> bool:
@@ -278,29 +285,44 @@ _NEXT_KEY = -2  # boundary between the encodings of one query
 _ABSORBED = None  # piece of an element that contributes a FALSE literal
 _UNCACHED = object()
 
+# Piece-table tag of one CFET edge's piece, keyed ``(_EDGE, func, child)``.
+_EDGE = "E"
+
 
 class FormPieces:
-    """The per-element partial results :func:`form_key` stitches together.
+    """The per-element partial results :func:`form_key` stitches together,
+    and the literal templates :func:`key_literals` solves a key with.
 
     A *piece* is what one walked element contributes to the conjunction,
     flattened the way :func:`repro.smt.expr.and_` flattens it: a tuple of
     ``(shape id, ((symbol id, in callee namespace?), ...))`` per literal,
-    with TRUE literals dropped, or ``None`` when a literal is FALSE.
+    with TRUE literals dropped, or ``None`` when a literal is FALSE.  An
+    interval's piece is stitched from the pieces of the CFET edges on its
+    path (bottom-up, as :meth:`repro.cfet.cfet.Cfet.path_constraint`
+    lists their literals), each computed once per ``(func, child node)``.
     Shapes (a literal with its variables blanked to their sorts) and
     symbols (``(name, sort)``) are interned to dense ids here, so keys
     built through one ``FormPieces`` are comparable with each other and
-    with no others.  ``cap`` bounds the piece table like the engine's other
-    id-keyed memos: once full it stops accepting writes, which costs
-    recomputation but never changes a key.
+    with no others.  ``cap`` bounds the piece and template tables like
+    the engine's other id-keyed memos: once full they stop accepting
+    writes, which costs recomputation but never changes a key or a
+    verdict.
     """
 
-    __slots__ = ("cap", "pieces", "shapes", "symbols")
+    __slots__ = ("cap", "pieces", "shapes", "symbols", "shape_list",
+                 "arity", "templates")
 
     def __init__(self, cap: int = sys.maxsize):
         self.cap = cap
         self.pieces: dict = {}
         self.shapes: dict = {}
         self.symbols: dict = {}
+        # Shape id -> its shape, and the number of variable occurrences
+        # it blanks (how many slots follow the id in a key).
+        self.shape_list: list = []
+        self.arity: list[int] = []
+        # (shape id, occurrence pattern) -> literal template.
+        self.templates: dict = {}
 
     def of_literals(self, literals, callee: str | None):
         """The piece of un-instanced ``literals``; symbols prefixed
@@ -316,8 +338,13 @@ class FormPieces:
                     continue
                 variables: list = []
                 shape = _shape(term, variables)
+                shape_id = shapes.get(shape)
+                if shape_id is None:
+                    shape_id = shapes[shape] = len(self.shape_list)
+                    self.shape_list.append(shape)
+                    self.arity.append(len(variables))
                 piece.append((
-                    shapes.setdefault(shape, len(shapes)),
+                    shape_id,
                     tuple(
                         (
                             symbols.setdefault(var, len(symbols)),
@@ -326,6 +353,27 @@ class FormPieces:
                         for var in variables
                     ),
                 ))
+        return tuple(piece)
+
+    def of_interval(self, cfet, start: int, end: int):
+        """The piece of the interval ``[start, end]`` on ``cfet``: its
+        edges' pieces from ``end`` up to ``start``, concatenated."""
+        cache = self.pieces
+        piece: list = []
+        node = end
+        while node != start:
+            if node == 0:
+                raise ValueError(f"{start} is not an ancestor of {end}")
+            edge_key = (_EDGE, cfet.func, node)
+            edge = cache.get(edge_key, _UNCACHED)
+            if edge is _UNCACHED:
+                edge = self.of_literals((cfet.condition_of_edge(node),), None)
+                if len(cache) < self.cap:
+                    cache[edge_key] = edge
+            if edge is _ABSORBED:
+                return _ABSORBED
+            piece.extend(edge)
+            node = (node - 1) >> 1
         return tuple(piece)
 
 
@@ -360,12 +408,13 @@ def form_key(encodings, icfet: Icfet, pieces: FormPieces) -> tuple:
     Two encoding tuples get the same key exactly when their decoded
     constraints, rendered one after the other, are equal up to a renaming
     of variables by first appearance; alpha-equivalent conjunctions are
-    equisatisfiable, so one solver verdict answers every query with the
-    same key.  The key is a flat tuple: per literal its shape id followed
-    by the first-appearance number of each variable occurrence, where a
-    variable is a ``(symbol, invocation instance)`` pair under the same
-    instance discipline as :func:`decode_constraint` (a fresh instance
-    stack per encoding, one numbering across the query).
+    equisatisfiable, and the key holds the conjunction up to that
+    renaming, so :func:`key_literals` solves the key itself.  The key is a
+    flat tuple: per literal its shape id followed by the first-appearance
+    number (its *slot*) of each variable occurrence, where a variable is
+    a ``(symbol, invocation instance)`` pair under the same instance
+    discipline as :func:`decode_constraint` (a fresh instance stack per
+    encoding, one numbering across the query).
     """
     index: dict = {}
     key: list = []
@@ -379,10 +428,16 @@ def form_key(encodings, icfet: Icfet, pieces: FormPieces) -> tuple:
             piece_key = elem if last is None else (elem, last)
             piece = cache.get(piece_key, _UNCACHED)
             if piece is _UNCACHED:
-                piece = pieces.of_literals(
-                    _element_literals(elem, record, last, icfet),
-                    None if record is None else record.callee,
-                )
+                if record is not None:
+                    piece = pieces.of_literals(
+                        _element_literals(elem, record, last, icfet),
+                        record.callee,
+                    )
+                else:
+                    cfet = icfet.cfets.get(elem[1])
+                    piece = () if cfet is None else pieces.of_interval(
+                        cfet, elem[2], elem[3]
+                    )
                 if len(cache) < pieces.cap:
                     cache[piece_key] = piece
             if piece:
@@ -412,3 +467,91 @@ def constraint_form_key(constraints, pieces: FormPieces) -> tuple:
         else:
             _emit(piece, 0, 0, index, key.append)
     return tuple(key)
+
+
+# -- solving a key ----------------------------------------------------------------
+
+
+def key_literals(key: tuple, pieces: FormPieces) -> list:
+    """The solver literals (:class:`repro.smt.solver.Literal`) of the
+    conjunction ``key`` stands for, over variables named by slot, in the
+    key's literal order; ``[FALSE_LITERAL]`` when one of its constraints
+    is FALSE.  ``pieces`` must be the table that interned the key's
+    shapes.
+
+    A literal's template is made once per shape and *occurrence
+    pattern* (its slots renumbered by first appearance within the
+    literal, so ``x - x`` cancels as it does when decoded): a linear atom
+    over pattern positions, filled by renaming; any other literal (a
+    boolean variable, an opaque comparison) is rebuilt and classified
+    with its slots as names.
+    """
+    literals: list = []
+    arity, shape_list, templates = pieces.arity, pieces.shape_list, pieces.templates
+    position, end = 0, len(key)
+    while position < end:
+        shape_id = key[position]
+        position += 1
+        if shape_id < 0:
+            if shape_id == _FALSE_KEY:
+                return [FALSE_LITERAL]
+            continue
+        stop = position + arity[shape_id]
+        local: dict = {}
+        pattern = tuple(
+            local.setdefault(slot, len(local)) for slot in key[position:stop]
+        )
+        position = stop
+        slots = tuple(local)
+        template_key = (shape_id, pattern)
+        template = templates.get(template_key)
+        if template is None:
+            template = _template(shape_list[shape_id], pattern)
+            if len(templates) < pieces.cap:
+                templates[template_key] = template
+        if type(template) is tuple:
+            coeffs, const, rel, positive = template
+            literals.append(Literal(
+                LinearAtom(
+                    tuple(sorted((slots[i], c) for i, c in coeffs)), const, rel
+                ),
+                positive,
+            ))
+        else:
+            literals.append(literal_of(
+                E.rename_variables(template, lambda n: str(slots[int(n)]))
+            ))
+    return literals
+
+
+def _template(shape, pattern: tuple):
+    """A literal template for ``shape`` with its variable occurrences
+    named by ``pattern``: ``(coeffs by pattern position, const, rel,
+    positive)`` for a linear atom, else the rebuilt literal itself."""
+    names = iter(pattern)
+    term = _rebuild(shape, names)
+    literal = literal_of(term)
+    if literal is None:
+        raise ValueError(f"not a conjunction of literals: {term!r}")
+    atom = literal.atom
+    if isinstance(atom, LinearAtom):
+        return (
+            tuple((int(name), c) for name, c in atom.coeffs),
+            atom.const, atom.rel, literal.positive,
+        )
+    return term
+
+
+def _rebuild(shape, names):
+    """The expression ``shape`` blanks, its variables named ``str`` of
+    successive ``names`` (the inverse of :func:`_shape`)."""
+    if isinstance(shape, str):
+        return E.Expr(E.VAR, (str(next(names)),), shape)
+    kind = shape[0]
+    if kind == E.INT_CONST:
+        return E.IntConst(shape[1])
+    if kind == E.BOOL_CONST:
+        return E.BoolConst(shape[1])
+    args = tuple(_rebuild(arg, names) for arg in shape[1:])
+    sort = "int" if kind in (E.ADD, E.MUL) else "bool"
+    return E.Expr(kind, args, sort)

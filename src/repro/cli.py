@@ -399,8 +399,8 @@ def _stats_text(report: dict) -> str:
         f" / {c['pairs_skipped']} ({c['pairs_delta_seeded']} delta-seeded)",
         f"compositions tried  : {c['compositions_tried']}",
         f"constraints solved  : {c['constraints_solved']}",
-        f"constraints decoded/solved : {c['constraints_decoded']}"
-        f" / {c['constraints_solved']}",
+        f"constraint queries  : {c['constraint_queries']}"
+        f" ({c['cache_hits']} cache hits)",
         f"cache hit rate      : {g['cache_hit_rate']:.0%}",
         f"pending rows        : {c['pending_rows']}",
         f"partition files written : {c['partition_writes']}"

@@ -62,7 +62,6 @@ from repro.obs.trace import TraceRecorder
 from repro.grammar.cfg_grammar import ComposeContext, Grammar
 from repro.graph.model import ProgramGraph
 from repro.smt import Result, Solver
-from repro.smt import expr as E
 
 #: Caps on the per-engine id-keyed memo tables (entries are a few
 #: machine words each, so these allow tens of MB at most).  The verdict
@@ -212,17 +211,21 @@ class GraphEngine:
         # The paper's memoisation cache: enc id (or the sorted id tuple
         # of a multi-encoding query) -> verdict.
         self.cache = LRUCache(VERDICT_CACHE_CAP)
-        self._compose_memo: dict = {}  # (label id, label id) -> label ids
+        # Grammar.compose_key(...) -> composed label ids.
+        self._compose_memo: dict = {}
         self._merge_memo: dict = {}  # (enc id, enc id) -> enc id | None
         self._reverse_memo: dict = {}  # enc id -> enc id
         self._rel_src_memo: dict = {}  # label id -> bool
         self._rel_tgt_memo: dict = {}  # label id -> bool
         self._derived_memo: dict = {}  # label id -> ((label id, rev), ...)
-        self._table_driven = getattr(grammar, "table_driven", False)
         # The canonical-form verdict memo and the per-element pieces
         # its structural keys are stitched from.
         self._form_memo: dict = {}  # structural form key -> verdict
         self._pieces = enc_mod.FormPieces(FORM_PIECES_CAP)
+        # The two regions every composition may enter: leaf spans, so
+        # timing them allocates nothing per call.
+        self._merge_span = self.trace.leaf("enc-merge", cat="encode")
+        self._form_key_span = self.trace.leaf("form-key", cat="encode")
         # Semi-naive state: the phase's arrival log (every edge inserted
         # into a loaded partition is recorded there), and the current
         # visit's reverse index (join vertex -> relevant-source in-edges
@@ -303,7 +306,6 @@ class GraphEngine:
                 )
         self._graph = graph
         with trace.span("engine-init", phase=self.phase):
-            self._seed_derived(graph)
             store = PartitionStore(
                 workdir, self.options.memory_budget, stats,
                 table=self._enc, trace=trace,
@@ -313,6 +315,9 @@ class GraphEngine:
             if manifest is not None:
                 # Refuse a resume that would not continue the original
                 # run, then adopt its partitions, frontier, and stats.
+                # The files hold the derived edges already, and validate
+                # interns the manifest's labels in id order: nothing is
+                # seeded.
                 ckpt.validate(manifest, ckpt.config_digest(self), graph)
                 ckpt.restore_encodings(manifest, store)
                 ckpt.restore_store(manifest, store)
@@ -333,6 +338,7 @@ class GraphEngine:
                                 os.remove(os.path.join(workdir, name))
                             except OSError:
                                 pass
+                self._seed_derived(graph)
                 stats.edges_before = graph.edge_count()
                 stats.vertices = len(graph.vertices)
                 # The store takes the edge map; the join index is noted
@@ -363,6 +369,7 @@ class GraphEngine:
         self._ctx = ComposeContext(
             feasible=self._feasible, vertex=graph.vertices.lookup
         )
+        self._compose_key = self.grammar.compose_key
 
         resumed_complete = manifest is not None and manifest["complete"]
         window = trace.window()
@@ -637,7 +644,7 @@ class GraphEngine:
         if key in memo:
             return memo[key]
         table = self._enc
-        with self.trace.span("enc-merge", cat="encode"):
+        with self._merge_span:
             merged = self._merge_encodings(table.decode(e1), table.decode(e2))
         result = None if merged is None else table.intern(merged)
         if len(memo) < MERGE_MEMO_CAP:
@@ -816,33 +823,29 @@ class GraphEngine:
     ):
         """Label ids produced by composing the two edges' labels.
 
-        Table-driven grammars compose on labels alone, so the result is
-        memoised on the interned label-id pair -- an int-tuple identity
-        probe instead of nested tuple hashing.  Encoding-sensitive
-        grammars (the dataflow grammar consults edge feasibility) are
-        called per composition with the decoded edges.
+        The grammar's :meth:`~repro.grammar.cfg_grammar.Grammar.
+        compose_key` names what the result depends on; a keyed result
+        is memoised on that key (an int-tuple probe instead of decoding
+        and composing), and only an unkeyed step -- one whose result
+        reads the encodings -- calls the grammar with the decoded
+        edges.
         """
-        labels = self._graph.labels
-        if self._table_driven:
-            key = (label1_id, label2_id)
+        key = self._compose_key(src, dst, dst2, label1_id, label2_id)
+        if key is not None:
             memo = self._compose_memo.get(key)
-            if memo is None:
-                table = self._enc
-                edge1 = (src, dst, labels.lookup(label1_id), table.decode(enc1))
-                edge2 = (dst, dst2, labels.lookup(label2_id), table.decode(enc2))
-                memo = tuple(
-                    labels.intern(label)
-                    for label in self.grammar.compose(edge1, edge2, self._ctx)
-                )
-                self._compose_memo[key] = memo
-            return memo
+            if memo is not None:
+                return memo
+        labels = self._graph.labels
         table = self._enc
         edge1 = (src, dst, labels.lookup(label1_id), table.decode(enc1))
         edge2 = (dst, dst2, labels.lookup(label2_id), table.decode(enc2))
-        return tuple(
+        result = tuple(
             labels.intern(label)
             for label in self.grammar.compose(edge1, edge2, self._ctx)
         )
+        if key is not None:
+            self._compose_memo[key] = result
+        return result
 
     def _insert(
         self, src, dst, label_id, eid, loaded, parts, outbound, dirty,
@@ -929,9 +932,6 @@ class GraphEngine:
     def _reverse_encoding(self, encoding):
         return enc_mod.reverse(encoding)
 
-    def _decode(self, encoding):
-        return enc_mod.decode_constraint(encoding, self.icfet)
-
     def _split_loaded(self, index, loaded, parts, outbound, dirty) -> None:
         """Mid-iteration split of a loaded partition that outgrew the
         budget: the left half stays loaded, the right half goes to disk
@@ -982,7 +982,8 @@ class GraphEngine:
     def _feasible_ids(self, ids: tuple) -> bool:
         """One feasibility query: the verdict cache (paper §4.3, keyed by
         hash-consed id), then the canonical-form memo, and only then
-        materialise the constraint and solve it."""
+        solve the form key itself (:func:`repro.cfet.encoding.
+        key_literals`): a verdict depends on the key alone."""
         if not self.options.path_sensitive:
             return True
         stats = self.stats
@@ -994,33 +995,22 @@ class GraphEngine:
             if cached is not None:
                 stats.cache_hits += 1
                 return cached
-        form = result = None
-        if enable_cache:
-            with self.trace.span("form-key", cat="encode"):
-                form = self._form_key(ids)
-            result = self._form_memo.get(form)
+        with self._form_key_span:
+            form = self._form_key(ids)
+        result = self._form_memo.get(form) if enable_cache else None
         if result is not None:
             # Alpha-equivalent constraint already solved: edges in
             # different scopes share constraint shapes, so this is the
             # common case once the closure warms up.
             stats.group_hits += 1
         else:
-            stats.constraints_decoded += 1
-            with self.trace.span("decode", cat="encode"):
-                constraints = self._decode_ids(ids)
-            result = self._solve_formula(E.and_(*constraints))
-            if form is not None:
+            result = self._solve_form(form)
+            if enable_cache:
                 stats.feasibility_groups += 1
                 self._form_memo[form] = result
         if enable_cache:
             self.cache.put(key, result)
         return result
-
-    def _decode_ids(self, ids: tuple) -> list:
-        """The ids' constraints, materialised (nothing remembers them:
-        a query gets here once per form, or with caching off)."""
-        decode = self._enc.decode
-        return [self._decode(decode(eid)) for eid in ids]
 
     def _form_key(self, ids: tuple) -> tuple:
         """Structural canonical-form key of the ids' conjunction
@@ -1034,12 +1024,13 @@ class GraphEngine:
             [decode(eid) for eid in ids], self.icfet, self._pieces
         )
 
-    def _solve_formula(self, formula) -> bool:
-        """One solver call, in an ``smt-solve`` span (which feeds the
-        solve-latency histogram)."""
+    def _solve_form(self, form: tuple) -> bool:
+        """One solver call on a form key's literals, in an ``smt-solve``
+        span (which feeds the solve-latency histogram)."""
         self.stats.constraints_solved += 1
         with self.trace.span("smt-solve", cat="smt") as span:
+            literals = enc_mod.key_literals(form, self._pieces)
             result = span.args["sat"] = (
-                self.solver.check(formula) is Result.SAT
+                self.solver.check_literals(literals) is Result.SAT
             )
         return result

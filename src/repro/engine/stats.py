@@ -34,9 +34,6 @@ class EngineStats:
     new_edges: int = stat_field()
     compositions_tried: int = stat_field()
     constraints_solved: int = stat_field()  # solver invocations (cache misses)
-    # Queries whose constraints were materialised as expressions (every
-    # other memo miss was answered from its encodings' structural key).
-    constraints_decoded: int = stat_field()
     constraint_queries: int = stat_field()  # all feasibility queries
     cache_hits: int = stat_field()
     infeasible_dropped: int = stat_field()

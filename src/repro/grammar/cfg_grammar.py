@@ -26,7 +26,8 @@ class ComposeContext:
 
 
 class Grammar:
-    """Base grammar: table-driven binary rules plus derivation hooks."""
+    """Base grammar: binary rules, derivation hooks, and the key the
+    engine memoises a composition on."""
 
     def derived(self, label: tuple) -> Iterable[tuple[tuple, bool]]:
         """Labels derived from a newly inserted edge.
@@ -43,6 +44,17 @@ class Grammar:
         tuple.  Returns an iterable of label tuples.
         """
         raise NotImplementedError
+
+    def compose_key(self, src: int, dst: int, dst2: int, label1_id: int,
+                    label2_id: int):
+        """What :meth:`compose` of ``src -> dst -> dst2`` depends on, as a
+        hashable key, or None when it reads the encodings.  The engine
+        memoises a keyed step's result on the key (one memo per engine:
+        a grammar's keys must not collide with each other).  Labels
+        arrive as the engine's interned ids.  The default says the
+        labels decide, as in a table-driven grammar.
+        """
+        return (label1_id, label2_id)
 
     def relevant_source(self, label: tuple) -> bool:
         """Whether edges with this label can be the *left* edge of a pair.

@@ -27,8 +27,6 @@ def state_label(fsm_name: str, state: str) -> tuple:
 class DataflowGrammar(Grammar):
     """Path-sensitive FSM-state propagation over control-flow edges."""
 
-    table_driven = False
-
     def __init__(self, objects: dict, alias_index: dict, events_meta: dict):
         """
         ``objects``: dataflow obj vertex -> (FSM, alias obj vertex, tracked)
@@ -67,6 +65,14 @@ class DataflowGrammar(Grammar):
             ):
                 new_state = fsm.step(new_state, method)
         return (state_label(fsm.name, new_state),)
+
+    def compose_key(self, src, dst, dst2, label1_id, label2_id):
+        """A step over a cf edge that carries no event keeps the state:
+        its result depends on the object and the two labels only.  Any
+        other step consults alias feasibility, so it is not keyed."""
+        if self.events_meta.get((dst, dst2)):
+            return None
+        return (src, label1_id, label2_id)
 
     def relevant_source(self, label: tuple) -> bool:
         return label[0] == "st"

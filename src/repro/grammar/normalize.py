@@ -81,7 +81,6 @@ class _CompiledGrammar(Grammar):
     reversals: dict = field(default_factory=dict)  # base -> [target]
     sources: frozenset = frozenset()
     targets: frozenset = frozenset()
-    table_driven = True
 
     def derived(self, label: tuple):
         base = (label[0],)

@@ -57,9 +57,6 @@ def sa_label(fieldname: str) -> tuple:
 class PointsToGrammar(Grammar):
     """Path-sensitive, field-sensitive points-to grammar."""
 
-    #: compose() depends only on the labels, so the engine may memoise it.
-    table_driven = True
-
     def derived(self, label: tuple):
         if label == NEW:
             yield FLOWS_TO, False

@@ -34,7 +34,7 @@ REPORT_VERSION = 2
 #: a ``closure`` span (a closure-window span not listed is computation).
 COMPONENTS = {
     "io": ("partition-load", "partition-save", "checkpoint", "retry"),
-    "encode": ("enc-merge", "enc-reverse", "form-key", "decode"),
+    "encode": ("enc-merge", "enc-reverse", "form-key"),
     "smt": ("smt-solve",),
     "compute": ("closure", "iteration", "pair-compute", "repartition"),
 }

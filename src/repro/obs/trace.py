@@ -10,6 +10,12 @@ names for it.  Only a recorder made with ``chrome=True`` (the default)
 also appends a complete (``"ph": "X"``) event, ``ts`` relative to the
 recorder's ``perf0``, for ``chrome://tracing`` or https://ui.perfetto.dev.
 
+A region that opens no span inside it and is entered tens of thousands
+of times (the closure's encoding merges and form keys) is a
+:class:`Leaf`: one reusable object per name, bound to its thread, whose
+end makes the same table row, parent self-time charge and Chrome event
+a :class:`Span` would, without allocating a span or its arguments.
+
 A :class:`Window` reads what one thread's table and the histograms
 gained since it opened: a run's ``spans`` section, the closure windows
 the Figure-9 breakdown reads and a serve edit's fragment are windows on
@@ -92,7 +98,46 @@ class Span:
                     elapsed if arg is None else self.args[arg]
                 )
         if rec.chrome:
-            rec._emit(self, thread.tid, end)
+            rec._emit(self.name, self.cat, self.args, thread.tid,
+                      self._start, end)
+        return False
+
+
+class Leaf:
+    """A reusable span for a region inside which no span opens: ``with
+    leaf: ...`` records what ``with rec.span(name, cat):`` would (the
+    row, with self time equal to inclusive time; the charge to the
+    enclosing span's self time; the Chrome event, with no arguments).
+    It is bound to the thread that made it and must not nest in itself.
+    """
+
+    __slots__ = ("_rec", "_thread", "name", "cat", "_start")
+
+    def __init__(self, rec: "TraceRecorder", name: str, cat: str):
+        if name in OBSERVED:
+            raise ValueError(f"span {name!r} feeds histograms; not a leaf")
+        self._rec = rec
+        self._thread = rec._current()
+        self.name = name
+        self.cat = cat
+
+    def __enter__(self) -> "Leaf":
+        self._start = _perf()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = _perf()
+        elapsed = end - self._start
+        thread = self._thread
+        parent = thread.top
+        if parent is not None:
+            parent._child += elapsed
+        table = thread.table
+        self_s, incl_s, calls = table.get(self.name, _EMPTY)
+        table[self.name] = (self_s + elapsed, incl_s + elapsed, calls + 1)
+        rec = self._rec
+        if rec.chrome:
+            rec._emit(self.name, self.cat, None, thread.tid, self._start, end)
         return False
 
 
@@ -164,21 +209,26 @@ class TraceRecorder:
     def span(self, name: str, cat: str = "engine", **args) -> Span:
         return Span(self, name, cat, args)
 
+    def leaf(self, name: str, cat: str = "engine") -> Leaf:
+        """A reusable :class:`Leaf` span on the calling thread."""
+        return Leaf(self, name, cat)
+
     def window(self) -> Window:
         return Window(self)
 
-    def _emit(self, span: Span, tid: int, end: float) -> None:
+    def _emit(self, name: str, cat: str, args, tid: int, start: float,
+              end: float) -> None:
         if len(self.events) >= MAX_EVENTS:
             self.dropped += 1
             return
         event = {
-            "ph": "X", "name": span.name, "cat": span.cat,
+            "ph": "X", "name": name, "cat": cat,
             "pid": self.pid, "tid": tid,
-            "ts": (span._start - self.perf0) * 1e6,
-            "dur": (end - span._start) * 1e6,
+            "ts": (start - self.perf0) * 1e6,
+            "dur": (end - start) * 1e6,
         }
-        if span.args:
-            event["args"] = span.args
+        if args:
+            event["args"] = args
         self.events.append(event)
 
     # -- export ---------------------------------------------------------------

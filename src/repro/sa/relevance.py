@@ -34,7 +34,7 @@ encoding the builder already uses for extern callees -- instead of
 call/return edges plus the callee clone.  A state fact traversing the
 through-callee path acquires ``(C cid, I[0, leaf], R rid)``, which the
 encoding algebra cancels to nothing once the callee path completes
-(:func:`repro.cfet.encoding._normalize` case 3), leaving the same
+(:func:`repro.cfet.encoding.merge` case 3), leaving the same
 encoding as the single-interval step-over; at least one callee leaf is
 always feasible because the leaves' branch constraints partition the
 input space.  Irrelevant subtrees contain no tracked events or

@@ -40,11 +40,15 @@ class SolverStats:
 
 
 @dataclass
-class _Literal:
+class Literal:
     """A theory literal: an atom plus polarity."""
 
-    atom: object  # LinearAtom | ("bvar", name) | ("opaque", Expr)
+    atom: object  # LinearAtom | ("bvar", name) | ("opaque", kind, l, r)
     positive: bool
+
+
+#: The constantly-false literal ``1 == 0``.
+FALSE_LITERAL = Literal(LinearAtom((), Fraction(1), "=="), True)
 
 
 class Solver:
@@ -55,8 +59,13 @@ class Solver:
 
     def check(self, formula: E.Expr) -> Result:
         """Check one formula; returns :class:`Result`."""
+        return self.check_literals(_conjunction_literals(formula))
+
+    def check_literals(self, literals) -> Result:
+        """Check a conjunction given as its :class:`Literal` s (what
+        :func:`literal_of` makes of each conjunct)."""
         self.stats.checks += 1
-        if self._theory(formula, _satisfiable) is None:
+        if _theory(literals, _satisfiable) is None:
             self.stats.unsat += 1
             return Result.UNSAT
         self.stats.sat += 1
@@ -82,32 +91,31 @@ class Solver:
         boolean variables get bools.  Opaque atoms are unconstrained and
         do not appear in the model.
         """
-        return self._theory(formula, find_model)
+        return _theory(_conjunction_literals(formula), find_model)
 
-    # -- internals --------------------------------------------------------
 
-    def _theory(self, formula: E.Expr, decide):
-        """``decide``'s model of a conjunction of literals, or None when
-        they are inconsistent.  ``decide`` maps linear atoms to an integer
-        model or None (:func:`find_model`, or :func:`_satisfiable` when
-        only the verdict is wanted)."""
-        # Boolean variables and opaque comparisons constrain nothing in
-        # the theory: only an atom taken with both polarities is a conflict.
-        polarity: dict = {}
-        atoms: list[LinearAtom] = []
-        for lit in _conjunction_literals(formula):
-            atom = lit.atom
-            if isinstance(atom, LinearAtom):
-                atoms.append(atom if lit.positive else atom.negated())
-            elif polarity.setdefault(atom, lit.positive) != lit.positive:
-                return None
-        model = decide(atoms)
-        if model is not None:
-            model.update(
-                (atom[1], positive)
-                for atom, positive in polarity.items() if atom[0] == "bvar"
-            )
-        return model
+def _theory(literals, decide):
+    """``decide``'s model of a conjunction of literals, or None when
+    they are inconsistent.  ``decide`` maps linear atoms to an integer
+    model or None (:func:`find_model`, or :func:`_satisfiable` when only
+    the verdict is wanted)."""
+    # Boolean variables and opaque comparisons constrain nothing in the
+    # theory: only an atom taken with both polarities is a conflict.
+    polarity: dict = {}
+    atoms: list[LinearAtom] = []
+    for lit in literals:
+        atom = lit.atom
+        if isinstance(atom, LinearAtom):
+            atoms.append(atom if lit.positive else atom.negated())
+        elif polarity.setdefault(atom, lit.positive) != lit.positive:
+            return None
+    model = decide(atoms)
+    if model is not None:
+        model.update(
+            (atom[1], positive)
+            for atom, positive in polarity.items() if atom[0] == "bvar"
+        )
+    return model
 
 
 def _satisfiable(atoms: list[LinearAtom]):
@@ -151,26 +159,37 @@ def _opaque_atom(expr: E.Expr):
     return ("opaque", kind, left, right), positive
 
 
-def _conjunction_literals(formula: E.Expr) -> list[_Literal]:
+def literal_of(term: E.Expr) -> Literal | None:
+    """The theory literal of one non-constant conjunct (negations
+    stripped into its polarity), or None when it is not a literal."""
+    positive = True
+    while term.kind == E.NOT:
+        positive = not positive
+        term = term.args[0]
+    classified = _atom_of(term)
+    if classified is None:
+        return None
+    atom, atom_positive = classified
+    return Literal(atom, positive == atom_positive)
+
+
+def _conjunction_literals(formula: E.Expr) -> list[Literal]:
     """The literals of a conjunction; ``ValueError`` for any other
     formula."""
     terms = formula.args if formula.kind == E.AND else (formula,)
-    literals: list[_Literal] = []
+    literals: list[Literal] = []
     for term in terms:
-        positive = True
-        while term.kind == E.NOT:
+        positive, constant = True, term
+        while constant.kind == E.NOT:
             positive = not positive
-            term = term.args[0]
-        if term is E.TRUE or term is E.FALSE:
-            if (term is E.TRUE) != positive:
+            constant = constant.args[0]
+        if constant is E.TRUE or constant is E.FALSE:
+            if (constant is E.TRUE) != positive:
                 # A constantly-false literal: inject the unsat atom 1 == 0.
-                literals.append(
-                    _Literal(LinearAtom((), Fraction(1), "=="), True)
-                )
+                literals.append(FALSE_LITERAL)
             continue
-        classified = _atom_of(term)
-        if classified is None:
+        literal = literal_of(term)
+        if literal is None:
             raise ValueError(f"not a conjunction of literals: {formula!r}")
-        atom, atom_positive = classified
-        literals.append(_Literal(atom, positive == atom_positive))
+        literals.append(literal)
     return literals

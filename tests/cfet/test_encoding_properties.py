@@ -163,3 +163,62 @@ def test_case3_cancellation_preserves_caller_constraint(icfet):
     x = E.IntVar("main::x")
     solver = Solver()
     assert solver.check(E.and_(constraint, E.le(x, E.IntConst(10)))) is Result.UNSAT
+
+
+def _fixpoint_normalize(seq: list, icfet) -> list:
+    """The reference: apply interval chaining and call/return
+    cancellation in whole passes until neither changes anything (what
+    ``merge`` did before it reduced at each push)."""
+    seq = list(seq)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i + 1 < len(seq):
+            a, b = seq[i], seq[i + 1]
+            if a[0] == b[0] == "I" and a[1] == b[1] and a[3] == b[2]:
+                seq[i : i + 2] = [("I", a[1], a[2], b[3])]
+                changed = True
+                continue
+            i += 1
+        i = 0
+        while i + 2 < len(seq):
+            a, m, b = seq[i], seq[i + 1], seq[i + 2]
+            record = icfet.by_rid.get(b[1]) if b[0] == "R" else None
+            if (a[0] == "C" and m[0] == "I" and record is not None
+                    and record.cid == a[1] and m[2] == 0):
+                seq[i : i + 3] = []
+                changed = True
+                continue
+            i += 1
+    return seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_reaches_the_fixpoint_normal_form(icfet, data):
+    """Reducing at each push gives the whole-pass fixpoint's normal form
+    on arbitrary element sequences -- chains through ``[i, i]``,
+    nested and unmatched call/return edges, callee paths that do and do
+    not start at the root, inputs that are not themselves normal."""
+    record = next(iter(icfet.by_cid.values()))
+    nodes = sorted(icfet.cfets["main"].nodes)
+    element = st.one_of(
+        st.builds(
+            lambda f, a, b: ("I", f, a, b),
+            st.sampled_from(("main", "callee")),
+            st.sampled_from(nodes[:4]), st.sampled_from(nodes[:4]),
+        ),
+        st.sampled_from((
+            ("C", record.cid), ("R", record.rid),
+            ("C", record.cid + 2), ("R", record.rid + 2),
+        )),
+    )
+    enc1 = tuple(data.draw(st.lists(element, max_size=8)))
+    enc2 = tuple(data.draw(st.lists(element, max_size=8)))
+    want = _fixpoint_normalize(list(enc1) + list(enc2), icfet)
+    merged = enc.merge(enc1, enc2, icfet)
+    if len(want) > enc.MAX_ELEMENTS:
+        assert merged is None
+    else:
+        assert merged == tuple(want)

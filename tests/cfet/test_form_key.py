@@ -20,6 +20,7 @@ from repro.cfet.icfet import build_icfet
 from repro.checkers.checker import pack_checkers
 from repro.lang.parser import parse_program
 from repro.lang.transform import lower_exceptions, normalize_calls, unroll_loops
+from repro.smt import Result, Solver
 from repro.smt import expr as E
 from repro.smt.sexpr import serialize_expr
 from repro.workloads.multifile import build_multifile_subject
@@ -292,3 +293,107 @@ def test_key_is_sort_aware_like_the_text():
     assert key(same_name) == key(two_names)
     assert text(reused) != text(fresh)
     assert key(reused) != key(fresh)
+
+
+# -- the key is the solver's input ---------------------------------------------
+
+
+def _key_verdict(key, pieces) -> bool:
+    return Solver().check_literals(enc.key_literals(key, pieces)) is Result.SAT
+
+
+def _decoded_verdict(query, icfet) -> bool:
+    constraints = [enc.decode_constraint(e, icfet) for e in query]
+    return Solver().check(E.and_(*constraints)) is Result.SAT
+
+
+def test_key_solves_like_the_decoded_constraint(folded, gateway):
+    """Solving a query's form key gives the verdict of solving its
+    decoded conjunction, for every query of both corpora."""
+    for icfet, corpus in (folded, gateway):
+        pieces = enc.FormPieces()
+        verdicts = set()
+        for query in _queries(corpus, random.Random(41), 300):
+            key = enc.form_key(query, icfet, pieces)
+            verdict = _key_verdict(key, pieces)
+            assert verdict == _decoded_verdict(query, icfet), query
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def _random_literal(rng: random.Random) -> E.Expr:
+    ints = [E.IntVar(name) for name in ("a", "b", "c")]
+    bools = [E.BoolVar(name) for name in ("p", "q")]
+
+    def term():
+        left = rng.choice(ints)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return E.add(left, E.IntConst(rng.randint(-3, 3)))
+        if kind == 1:
+            return E.mul(E.IntConst(rng.randint(-2, 2)), left)
+        if kind == 2:
+            return E.sub(left, rng.choice(ints))  # x - x cancels
+        return E.mul(left, rng.choice(ints))  # not linear: opaque
+
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice(bools)
+    if kind == 1:
+        return E.not_(rng.choice(bools))
+    if kind == 2:
+        return E.eq(rng.choice(bools), rng.choice(bools))
+    compare = rng.choice((E.lt, E.le, E.eq, E.ne))
+    right = rng.choice((term(), E.IntConst(rng.randint(-3, 3))))
+    return compare(term(), right)
+
+
+def test_key_solves_random_conjunctions_like_the_solver():
+    """Seeded conjunctions of linear, cancelling, non-linear, boolean
+    and opaque literals, one to three constraints a query: the key's
+    verdict is ``Solver.check``'s."""
+    rng = random.Random(7)
+    pieces = enc.FormPieces()
+    verdicts = []
+    for _ in range(600):
+        constraints = [
+            E.and_(*(_random_literal(rng) for _ in range(rng.randint(1, 5))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        key = enc.constraint_form_key(constraints, pieces)
+        want = Solver().check(E.and_(*constraints)) is Result.SAT
+        assert _key_verdict(key, pieces) == want, constraints
+        verdicts.append(want)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_stitched_interval_piece_is_the_path_constraints_piece(
+    folded, gateway
+):
+    """An interval's piece, stitched from its CFET edges' pieces, is the
+    piece of its ``path_constraint``."""
+    for icfet, _corpus in (folded, gateway):
+        pieces = enc.FormPieces()
+        intervals = 0
+        for cfet in icfet.cfets.values():
+            for node in cfet.nodes:
+                for start in cfet.path_to_root(node):
+                    assert pieces.of_interval(
+                        cfet, start, node
+                    ) == pieces.of_literals(
+                        (cfet.path_constraint(start, node),), None
+                    )
+                    intervals += 1
+        assert intervals > len(icfet.cfets)
+
+
+def test_piece_cap_never_changes_a_verdict(folded, gateway):
+    """A ``FormPieces(cap=2)`` -- pieces and templates both full after
+    two writes -- gives every key and verdict an uncapped table gives."""
+    for icfet, corpus in (folded, gateway):
+        roomy, cramped = enc.FormPieces(), enc.FormPieces(cap=2)
+        for query in _queries(corpus, random.Random(43), 200):
+            key = enc.form_key(query, icfet, cramped)
+            assert key == enc.form_key(query, icfet, roomy)
+            assert _key_verdict(key, cramped) == _key_verdict(key, roomy)
+        assert len(cramped.templates) == 2 < len(roomy.templates)

@@ -75,8 +75,6 @@ def test_engine_counts_feasibility_memo_hits():
     from repro.lang.parser import parse_program
 
     class ChainGrammar(Grammar):
-        table_driven = True
-
         def compose(self, edge1, edge2, ctx):
             if edge1[2] == ("a",) and edge2[2] == ("a",):
                 return (("a",),)

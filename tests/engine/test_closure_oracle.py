@@ -36,8 +36,6 @@ class LabelledGrammar(Grammar):
     often lands in one the visit has not loaded).  Only ``a`` can be a
     left operand."""
 
-    table_driven = True
-
     def compose(self, edge1, edge2, ctx):
         if edge1[2] == A and edge2[2] in (A, B):
             return (edge2[2],)

@@ -42,8 +42,6 @@ def icfet():
 class ChainGrammar(Grammar):
     """a . a -> a : plain transitive closure over label ('a',)."""
 
-    table_driven = True
-
     def compose(self, edge1, edge2, ctx):
         if edge1[2] == ("a",) and edge2[2] == ("a",):
             return (("a",),)
@@ -125,8 +123,6 @@ def test_witness_cap_limits_encodings(icfet):
 
 def test_derived_reverse_edges(icfet):
     class RevGrammar(Grammar):
-        table_driven = True
-
         def derived(self, label):
             if label == ("fwd",):
                 yield ("bwd",), True

@@ -41,8 +41,6 @@ def icfet():
 
 
 class ChainGrammar(Grammar):
-    table_driven = True
-
     def compose(self, edge1, edge2, ctx):
         if edge1[2] == ("a",) and edge2[2] == ("a",):
             return (("a",),)

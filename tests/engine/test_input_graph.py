@@ -120,3 +120,49 @@ def test_nothing_reads_the_edge_map_once_the_store_took_it(budget):
     assert set(result.iter_edges()) == naive_closure(
         edges, LabelledGrammar(), sample_icfet()
     )
+
+
+def _label_table(graph) -> list:
+    labels = graph.labels
+    return [labels.lookup(i) for i in range(len(labels))]
+
+
+def test_a_resume_seeds_nothing_and_keeps_the_label_table(
+    tmp_path, monkeypatch
+):
+    """A resumed run's store restores input and derived edges from the
+    files, and ``checkpoint.validate`` interns the manifest's labels in
+    id order: seeding would be work dropped with the edge map.  The
+    resumed run never seeds, and ends with the uninterrupted run's
+    label table and edges."""
+    n, edges = random_edges(6, n=30)
+    graph = build_graph(n, edges)
+    clean = _engine(tmp_path / "clean").run(graph)
+    want_labels = _label_table(graph)
+    assert RB in want_labels  # seeding derived a label
+
+    class Crash(Exception):
+        pass
+
+    real, calls = GraphEngine._write_checkpoint, []
+
+    def dying(self, complete=False):
+        real(self, complete)
+        calls.append(1)
+        if len(calls) == 2:
+            raise Crash
+
+    monkeypatch.setattr(GraphEngine, "_write_checkpoint", dying)
+    with pytest.raises(Crash):
+        _engine(tmp_path / "killed").run(build_graph(n, edges))
+    monkeypatch.setattr(GraphEngine, "_write_checkpoint", real)
+
+    def never(self, graph):
+        raise AssertionError("a resumed run seeded its input graph")
+
+    monkeypatch.setattr(GraphEngine, "_seed_derived", never)
+    graph = build_graph(n, edges)
+    resumed = _engine(tmp_path / "killed", resume=True).run(graph)
+    assert _label_table(graph) == want_labels
+    assert set(resumed.iter_edges()) == set(clean.iter_edges())
+    assert resumed.stats.edges_before == clean.stats.edges_before

@@ -13,6 +13,8 @@ from repro.cfet import encoding as enc
 from repro.engine import computation as computation_mod
 from repro.engine.computation import EngineOptions, GraphEngine
 from repro.graph.model import ProgramGraph
+from repro.smt import Result, Solver
+from repro.smt import expr as E
 
 from .test_closure_oracle import build_graph, naive_closure, random_edges
 from .test_computation import ChainGrammar, build_chain, icfet  # noqa: F401
@@ -47,16 +49,43 @@ def _observe(engine, result):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_full_decode_caches_change_nothing(icfet, seed, monkeypatch):
-    """FORM_PIECES_CAP bounds the form-key piece table; once full it
-    stops accepting writes, which may cost recomputation but no verdict,
-    counter or memo entry."""
+    """FORM_PIECES_CAP bounds the form-key piece table and the literal
+    templates a key is solved with; once full they stop accepting
+    writes, which may cost recomputation but no verdict, counter or
+    memo entry."""
     base = _observe(*_run_engine(seed, icfet))
     assert base[0], "fuzz graph produced no edges"
     monkeypatch.setattr(computation_mod, "FORM_PIECES_CAP", 2)
     engine, result = _run_engine(seed, icfet)
     assert len(engine._pieces.pieces) == 2
-    assert result.stats.constraints_decoded > 2
+    assert len(engine._pieces.templates) == 2
+    assert result.stats.constraints_solved > 2
     assert _observe(engine, result) == base
+
+
+def test_a_seeded_run_solves_every_query_like_its_decoded_constraint(
+    icfet, monkeypatch
+):
+    """The engine solves a query's form key (``cfet.encoding.
+    key_literals``), never its decoded constraint: on a seeded run with
+    UNSAT compositions, every query answers what ``Solver.check`` says
+    of the decoded conjunction."""
+    real, checked = GraphEngine._feasible_ids, []
+
+    def compared(engine, ids):
+        verdict = real(engine, ids)
+        constraints = [
+            enc.decode_constraint(engine._enc.decode(eid), engine.icfet)
+            for eid in ids
+        ]
+        want = Solver().check(E.and_(*constraints)) is Result.SAT
+        assert verdict == want, constraints
+        checked.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(GraphEngine, "_feasible_ids", compared)
+    _run_engine(1, icfet)
+    assert len(checked) > 20 and True in checked and False in checked
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -75,7 +104,7 @@ def test_full_verdict_cache_costs_rekeying_never_a_verdict(
     assert engine._form_memo == base_engine._form_memo
     stats, base = result.stats, base_result.stats
     for name in ("constraint_queries", "constraints_solved",
-                 "constraints_decoded", "feasibility_groups"):
+                 "feasibility_groups"):
         assert getattr(stats, name) == getattr(base, name)
     # What the evicted verdicts would have answered, the form memo did.
     assert stats.cache_hits <= base.cache_hits

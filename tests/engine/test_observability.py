@@ -297,19 +297,40 @@ def test_run_report_schema_roundtrip():
 
 def _feasibility_counters(stats):
     return (stats.constraint_queries, stats.cache_hits, stats.group_hits,
-            stats.feasibility_groups, stats.constraints_decoded,
-            stats.constraints_solved)
+            stats.feasibility_groups, stats.constraints_solved)
 
 
-def test_constraints_are_decoded_only_to_be_solved():
-    """Feasibility queries are keyed by their encodings' structure; a
-    constraint is materialised only for a query that then goes to the
-    solver, and the counter reaches the run report."""
+def test_constraints_are_decoded_only_to_be_solved(monkeypatch):
+    """Feasibility queries are keyed by their encodings' structure and
+    the key is what is solved: each form is solved once, no constraint
+    is decoded inside a closure (only a warning's witness model decodes
+    one, after both), and the counters reach the run report."""
+    from repro.cfet import encoding as enc_mod
+    from repro.engine.computation import GraphEngine
+
+    decodes = []
+    in_closure = []
+    real_decode, real_run = enc_mod.decode_constraint, GraphEngine.run
+
+    def counting_decode(encoding, icfet):
+        decodes.append(bool(in_closure))
+        return real_decode(encoding, icfet)
+
+    def marked_run(engine, graph):
+        in_closure.append(engine)
+        try:
+            return real_run(engine, graph)
+        finally:
+            in_closure.pop()
+
+    monkeypatch.setattr(enc_mod, "decode_constraint", counting_decode)
+    monkeypatch.setattr(GraphEngine, "run", marked_run)
     source = build_subject("zookeeper", scale=1.0).source
     run = Grapple(source, [c.fsm for c in default_checkers()]).run()
     stats = run.stats
-    assert 0 < stats.constraints_decoded <= stats.constraints_solved
-    assert stats.constraints_decoded < stats.group_hits
+    assert decodes and not any(decodes)
+    assert 0 < stats.constraints_solved == stats.feasibility_groups
+    assert stats.feasibility_groups < stats.group_hits
     # Pinned per phase: a change to the points-to grammar moves only the
     # first tuple, a change to the feasibility path moves both.
     def phases(run):
@@ -319,25 +340,27 @@ def test_constraints_are_decoded_only_to_be_solved():
         )
 
     assert phases(run) == (
-        (1934, 821, 1101, 12, 12, 12), (4980, 1326, 3173, 481, 481, 481),
+        (1934, 821, 1101, 12, 12), (4980, 1326, 3173, 481, 481),
     )
     gateway = Grapple(
         build_multifile_subject("gateway", scale=1.0).sources,
         [c.fsm for c in pack_checkers()],
     ).run()
     assert phases(gateway) == (
-        (60, 0, 57, 3, 3, 3), (110, 11, 85, 14, 14, 14),
+        (60, 0, 57, 3, 3), (110, 11, 85, 14, 14),
     )
     for each in (run, gateway):
         assert _feasibility_counters(each.stats) == tuple(
             map(sum, zip(*phases(each)))
         )
     report = run.run_report()
-    assert report["counters"]["constraints_decoded"] == (
-        stats.constraints_decoded
+    assert report["counters"]["constraints_solved"] == (
+        stats.constraints_solved
     )
-    # Optional, like every counter: older reports lack it and stay valid.
-    del report["counters"]["constraints_decoded"]
+    # The retired decode counter is gone; an older report that still
+    # carries it stays valid, like any counter.
+    assert "constraints_decoded" not in report["counters"]
+    report["counters"]["constraints_decoded"] = stats.constraints_solved
     assert validate_run_report(report) == []
 
 
