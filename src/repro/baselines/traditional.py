@@ -93,7 +93,9 @@ def _alias_closure(
     graph = graph_result.graph
     grammar = PointsToGrammar()
     solver = Solver()
-    ctx = ComposeContext(feasible=lambda encs: True, vertex=graph.vertices.lookup)
+    ctx = ComposeContext(
+        feasible=lambda ids, encoding: True, vertex=graph.vertices.lookup
+    )
 
     # Materialise all edges with explicit constraint objects.
     adjacency: dict[int, dict] = {}  # src -> {(dst, label) -> [constraints]}

@@ -356,10 +356,16 @@ def cmd_check(args) -> int:
     finally:
         if sampler is not None:
             sampler.stop()
-        # After the sampler's GC watch is gone: the first allocation
-        # with the collector back on pays one pass over the run's
-        # survivors, which is the hand-back's cost, not the run's.
+        # After the sampler's GC watch is gone.  Every survivor of the
+        # run is still in the young generation, so the first allocation
+        # with the collector back on would pay a pass over all of them
+        # that frees nothing: freeze + unfreeze moves them to the oldest
+        # generation instead and leaves no permanent generation behind
+        # (a caller's own frozen objects stay frozen).
         if collecting:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
     if args.trace:
         recorder.export(args.trace)

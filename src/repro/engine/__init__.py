@@ -10,7 +10,7 @@ partitioned, on-disk program graph:
 3. oversized partitions are eagerly repartitioned so that any two
    partitions fit in the configured memory budget.
 
-Constraint solving results are memoised in an LRU cache (§4.3), and all
+Constraint solving results are memoised per encoding id (§4.3), and all
 work is accounted into the four cost components of the paper's Figure 9:
 I/O, constraint encoding/decoding, SMT solving, and edge computation.
 """

@@ -1,11 +1,11 @@
-"""LRU constraint-memoisation cache (paper §4.3, Table 4).
+"""A bounded least-recently-used map.
 
-Edges in the same program scope share path constraints, so memoising the
-result of constraint solving -- keyed by the encoded path, which the engine
-hash-conses to an int id -- converts most feasibility checks into hash-map
-lookups.  The implementation keeps an ``OrderedDict``, moving hits to the
-back and evicting from the front when capacity is exceeded ("least used
-keys are moved away").
+The serve daemon's per-file scope artifacts and per-function fact
+digests (``repro.sa.scopes``) are kept in one.  The implementation keeps
+an ``OrderedDict``, moving hits to the back and evicting from the front
+when capacity is exceeded ("least used keys are moved away").  The
+closure's constraint verdicts are not: they are stored by encoding id
+(``GraphEngine._feasible_ids``), which bounds them without eviction.
 """
 
 from __future__ import annotations

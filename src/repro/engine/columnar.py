@@ -31,6 +31,7 @@ payloads, which dominate row size under the Table-5 string baseline
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 
@@ -177,48 +178,47 @@ class EdgeColumns:
             self._probe[s] = probe
         return probe
 
-    def insert(self, s: int, d: int, l: int, eid: int) -> bool:
-        """Add one edge; returns False when it is already present."""
+    def admit(self, s: int, d: int, l: int, eid: int, cap: int):
+        """One probe of the ``(s, d, l)`` slot: the overlay set to
+        :meth:`add` ``eid`` to, or None when the edge is already present
+        or the slot already holds ``cap`` encodings.  A slot the overlay
+        does not hold yet comes back as a new empty set, attached only
+        by :meth:`add`, so a rejected edge leaves nothing behind."""
         key = (d, l)
         base = self._probe_src(s).get(key)
-        if base is not None and eid in base:
-            return False
-        targets = self.extra.get(s)
-        if targets is None:
-            targets = self.extra[s] = {}
-            slot = targets[key] = set()
+        if base is None:
+            count = 0
+        elif eid in base:
+            return None
         else:
-            slot = targets.get(key)
-            if slot is None:
-                slot = targets[key] = set()
-            elif eid in slot:
-                return False
+            count = len(base)
+        targets = self.extra.get(s)
+        slot = None if targets is None else targets.get(key)
+        if slot is None:
+            return set() if count < cap else None
+        if eid in slot or count + len(slot) >= cap:
+            return None
+        return slot
+
+    def add(self, s: int, d: int, l: int, slot: set, eid: int) -> None:
+        """Add ``eid`` to the slot :meth:`admit` returned for it."""
+        if not slot:
+            targets = self.extra.get(s)
+            if targets is None:
+                targets = self.extra[s] = {}
+            targets[(d, l)] = slot
         slot.add(eid)
         self._extra_rows += 1
         self._bytes += self.table.row_bytes(eid)
-        return True
 
-    def contains(self, s: int, d: int, l: int, eid: int) -> bool:
-        key = (d, l)
-        base = self._probe_src(s).get(key)
-        if base is not None and eid in base:
-            return True
-        targets = self.extra.get(s)
-        if targets is None:
+    def insert(self, s: int, d: int, l: int, eid: int) -> bool:
+        """Add one edge, uncapped; returns False when it is already
+        present."""
+        slot = self.admit(s, d, l, eid, sys.maxsize)
+        if slot is None:
             return False
-        slot = targets.get(key)
-        return slot is not None and eid in slot
-
-    def witness_count(self, s: int, d: int, l: int) -> int:
-        key = (d, l)
-        base = self._probe_src(s).get(key)
-        count = len(base) if base is not None else 0
-        targets = self.extra.get(s)
-        if targets is not None:
-            slot = targets.get(key)
-            if slot is not None:
-                count += len(slot)
-        return count
+        self.add(s, d, l, slot, eid)
+        return True
 
     def out_rows(self, s: int) -> list:
         """All ``(dst, label, enc_id)`` rows with source ``s`` (a fresh

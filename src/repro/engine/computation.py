@@ -52,7 +52,6 @@ from repro.cfet.icfet import Icfet
 from repro.engine import checkpoint as ckpt
 from repro.engine import kernel as kernel_mod
 from repro.engine import serialize
-from repro.engine.cache import LRUCache
 from repro.engine.columnar import ROW_BYTES, EncodingTable
 from repro.engine.partition import Partition, PartitionStore
 from repro.engine.scheduling import DeltaLog, PairScheduler
@@ -64,12 +63,15 @@ from repro.graph.model import ProgramGraph
 from repro.smt import Result, Solver
 
 #: Caps on the per-engine id-keyed memo tables (entries are a few
-#: machine words each, so these allow tens of MB at most).  The verdict
-#: cache is an LRU; the other two are plain dicts that stop accepting
-#: writes when full.
-VERDICT_CACHE_CAP = 1_000_000
+#: machine words each, so these allow tens of MB at most); they are
+#: plain dicts that stop accepting writes when full.  The verdict store
+#: has no cap: it is one byte per interned encoding (DESIGN §7).
 MERGE_MEMO_CAP = 500_000
 FORM_PIECES_CAP = 500_000
+
+#: Verdict-store bytes (0 = not yet known).
+FEASIBLE = 2
+INFEASIBLE = 1
 
 
 @dataclass
@@ -208,9 +210,11 @@ class GraphEngine:
         # All id-keyed memo tables below live and die with the
         # EncodingTable that defines the ids.
         self._enc = EncodingTable()
-        # The paper's memoisation cache: enc id (or the sorted id tuple
-        # of a multi-encoding query) -> verdict.
-        self.cache = LRUCache(VERDICT_CACHE_CAP)
+        # The paper's memoisation cache, indexed by encoding id: one
+        # byte per id (0 unknown, else FEASIBLE or INFEASIBLE), and the
+        # sorted id tuple of a grammar's multi-encoding query -> verdict.
+        self._verdicts = bytearray()
+        self._multi_verdicts: dict = {}
         # Grammar.compose_key(...) -> composed label ids.
         self._compose_memo: dict = {}
         self._merge_memo: dict = {}  # (enc id, enc id) -> enc id | None
@@ -367,7 +371,7 @@ class GraphEngine:
             sampler.start()
         self._resume_manifest = manifest
         self._ctx = ComposeContext(
-            feasible=self._feasible, vertex=graph.vertices.lookup
+            feasible=self._feasible_with, vertex=graph.vertices.lookup
         )
         self._compose_key = self.grammar.compose_key
 
@@ -379,7 +383,7 @@ class GraphEngine:
                 if not resumed_complete:
                     self._serial_loop()
         finally:
-            # The context holds the bound ``self._feasible``: a cycle
+            # The context holds the bound ``self._feasible_with``: a cycle
             # through the engine that would keep it and every memo table
             # alive until a cycle collection (DESIGN §17).
             self._ctx = None
@@ -825,10 +829,10 @@ class GraphEngine:
 
         The grammar's :meth:`~repro.grammar.cfg_grammar.Grammar.
         compose_key` names what the result depends on; a keyed result
-        is memoised on that key (an int-tuple probe instead of decoding
-        and composing), and only an unkeyed step -- one whose result
-        reads the encodings -- calls the grammar with the decoded
-        edges.
+        is memoised on that key (an int-tuple probe instead of
+        composing), and only an unkeyed step -- one whose result reads
+        the encodings -- calls the grammar, with the edges' encoding
+        ids (:class:`~repro.grammar.cfg_grammar.ComposeContext`).
         """
         key = self._compose_key(src, dst, dst2, label1_id, label2_id)
         if key is not None:
@@ -836,9 +840,8 @@ class GraphEngine:
             if memo is not None:
                 return memo
         labels = self._graph.labels
-        table = self._enc
-        edge1 = (src, dst, labels.lookup(label1_id), table.decode(enc1))
-        edge2 = (dst, dst2, labels.lookup(label2_id), table.decode(enc2))
+        edge1 = (src, dst, labels.lookup(label1_id), enc1)
+        edge2 = (dst, dst2, labels.lookup(label2_id), enc2)
         result = tuple(
             labels.intern(label)
             for label in self.grammar.compose(edge1, edge2, self._ctx)
@@ -878,14 +881,13 @@ class GraphEngine:
             slot.add(eid)
             stats.new_edges += 1
         else:
-            if cols.contains(src, dst, label_id, eid):
-                return
-            if cols.witness_count(src, dst, label_id) >= self.options.witness_cap:
+            slot = cols.admit(src, dst, label_id, eid, self.options.witness_cap)
+            if slot is None:
                 return
             if check and not self._feasible_ids((eid,)):
                 stats.infeasible_dropped += 1
                 return
-            cols.insert(src, dst, label_id, eid)
+            cols.add(src, dst, label_id, slot, eid)
             stats.new_edges += 1
             self._log.record(owner_index, src, dst, label_id, eid)
             owner = parts[owner_index]
@@ -965,23 +967,21 @@ class GraphEngine:
 
     # -- constraint feasibility --------------------------------------------------
 
-    def _feasible(self, encodings: tuple) -> bool:
-        """Satisfiability of the conjunction of the encodings' constraints.
-
-        Entry point for grammar callbacks (``ComposeContext.feasible``),
-        which pass encoding tuples; interning them here keys the verdict
-        cache by hash-consed id.
-        """
+    def _feasible_with(self, ids: tuple, encoding: tuple) -> bool:
+        """The grammar's feasibility check (``ComposeContext.feasible``):
+        the conjunction of the encoding ids ``ids`` and of ``encoding``,
+        a path encoding from outside the closure (phase 1's alias
+        results).  ``encoding`` is interned here, so the table numbers
+        it when the closure first asks about it."""
         if not self.options.path_sensitive:
             return True
-        intern = self._enc.intern
         return self._feasible_ids(
-            tuple(sorted(intern(encoding) for encoding in encodings))
+            tuple(sorted((*ids, self._enc.intern(encoding))))
         )
 
     def _feasible_ids(self, ids: tuple) -> bool:
-        """One feasibility query: the verdict cache (paper §4.3, keyed by
-        hash-consed id), then the canonical-form memo, and only then
+        """One feasibility query: the verdict store (paper §4.3, indexed
+        by hash-consed id), then the canonical-form memo, and only then
         solve the form key itself (:func:`repro.cfet.encoding.
         key_literals`): a verdict depends on the key alone."""
         if not self.options.path_sensitive:
@@ -989,12 +989,19 @@ class GraphEngine:
         stats = self.stats
         stats.constraint_queries += 1
         enable_cache = self.options.enable_cache
-        key = ids[0] if len(ids) == 1 else ids
         if enable_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                stats.cache_hits += 1
-                return cached
+            if len(ids) == 1:
+                verdicts = self._verdicts
+                eid = ids[0]
+                known = verdicts[eid] if eid < len(verdicts) else 0
+                if known:
+                    stats.cache_hits += 1
+                    return known == FEASIBLE
+            else:
+                cached = self._multi_verdicts.get(ids)
+                if cached is not None:
+                    stats.cache_hits += 1
+                    return cached
         with self._form_key_span:
             form = self._form_key(ids)
         result = self._form_memo.get(form) if enable_cache else None
@@ -1009,7 +1016,14 @@ class GraphEngine:
                 stats.feasibility_groups += 1
                 self._form_memo[form] = result
         if enable_cache:
-            self.cache.put(key, result)
+            if len(ids) == 1:
+                verdicts = self._verdicts
+                eid = ids[0]
+                if eid >= len(verdicts):
+                    verdicts.extend(bytes(len(self._enc) - len(verdicts)))
+                verdicts[eid] = FEASIBLE if result else INFEASIBLE
+            else:
+                self._multi_verdicts[ids] = result
         return result
 
     def _form_key(self, ids: tuple) -> tuple:
@@ -1017,7 +1031,7 @@ class GraphEngine:
         (:func:`repro.cfet.encoding.form_key`): equal keys mean
         alpha-equivalent, hence equisatisfiable, conjunctions.  Interval
         encodings are keyed without being decoded.  Keys are not cached
-        per id: the verdict cache remembers the answer.
+        per id: the verdict store remembers the answer.
         """
         decode = self._enc.decode
         return enc_mod.form_key(

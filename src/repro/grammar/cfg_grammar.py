@@ -16,12 +16,14 @@ from typing import Callable, Iterable
 class ComposeContext:
     """Facilities the engine exposes to grammar UDFs during composition.
 
-    ``feasible(encodings)`` checks the conjunction of the constraints of
-    several path encodings (memoised); ``vertex(v)`` resolves a vertex id
-    back to its key tuple.
+    ``feasible(ids, encoding)`` checks the conjunction of the constraints
+    of the encoding ids ``ids`` (an edge's encoding, as :meth:`Grammar.
+    compose` is handed it) and of one more path encoding from outside
+    the closure (memoised); ``vertex(v)`` resolves a vertex id back to
+    its key tuple.
     """
 
-    feasible: Callable[[tuple], bool]
+    feasible: Callable[[tuple, tuple], bool]
     vertex: Callable[[int], tuple]
 
 
@@ -40,8 +42,9 @@ class Grammar:
     def compose(self, edge1, edge2, ctx: ComposeContext):
         """Transitive labels for consecutive edges ``edge1 . edge2``.
 
-        Each edge is ``(src, dst, label, encoding)`` with the label as a raw
-        tuple.  Returns an iterable of label tuples.
+        Each edge is ``(src, dst, label, encoding id)`` with the label as
+        a raw tuple; the id means something only to ``ctx.feasible``.
+        Returns an iterable of label tuples.
         """
         raise NotImplementedError
 

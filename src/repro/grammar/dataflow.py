@@ -59,10 +59,8 @@ class DataflowGrammar(Grammar):
             encodings = self.alias_index.get((alias_obj, base_vertex))
             if not encodings:
                 continue
-            if any(
-                ctx.feasible((edge1[3], edge2[3], alias_enc))
-                for alias_enc in encodings
-            ):
+            ids = (edge1[3], edge2[3])
+            if any(ctx.feasible(ids, alias_enc) for alias_enc in encodings):
                 new_state = fsm.step(new_state, method)
         return (state_label(fsm.name, new_state),)
 

@@ -514,15 +514,21 @@ def link_file(mf: ast.ModuleFile, bindings: dict,
     therefore consume resolved symbol ids -- interprocedural analysis
     crosses file boundaries for free.  Unresolved (extern) callees keep
     their raw name, preserving the single-file extern-call semantics.
+    A file that moves no site and whose every binding is a name to
+    itself (a header-less file) links as parsed, bodies untouched.
     """
 
     def rewrite(name: str) -> str:
         return bindings.get(name, name)
 
+    identity = not shift and all(
+        name == target for name, target in bindings.items()
+    )
     out = {}
     mf.next_site += shift
     for fname, fn in mf.functions.items():
-        _rewrite_body(fn.body, rewrite, shift)
+        if not identity:
+            _rewrite_body(fn.body, rewrite, shift)
         global_name = symbol_id(mf.module, fname)
         out[global_name] = ast.Function(
             global_name, fn.params, fn.body, line=fn.line

@@ -65,8 +65,9 @@ def test_cache_clear():
 
 def test_engine_counts_feasibility_memo_hits():
     """Repeated feasibility queries for the same encoding id are answered
-    by the id-keyed verdict cache, and every hit the stats report is a
-    hit of that cache (there is no other level to hit)."""
+    by the id-indexed verdict store, and every hit the stats report is a
+    hit of that store (there is no other level to hit): each miss
+    stores exactly one verdict, each hit reads one."""
     from repro.cfet import encoding as enc
     from repro.cfet.icfet import build_icfet
     from repro.engine.computation import EngineOptions, GraphEngine
@@ -91,9 +92,13 @@ def test_engine_counts_feasibility_memo_hits():
     engine.run(graph)
     stats = engine.stats
     assert stats.cache_hits > 0
-    assert engine.cache.hits == stats.cache_hits
-    assert engine.cache.misses == stats.constraint_queries - stats.cache_hits
-    assert all(isinstance(key, int) for key in engine.cache._data)
+    stored = sum(1 for verdict in engine._verdicts if verdict)
+    assert stored + len(engine._multi_verdicts) == (
+        stats.constraint_queries - stats.cache_hits
+    )
+    # Single-encoding queries only: the store is one byte per id.
+    assert not engine._multi_verdicts
+    assert len(engine._verdicts) <= len(engine._enc)
 
 
 def test_stats_timing_accumulates():

@@ -65,14 +65,21 @@ def test_insert_and_contains():
     cols = make({1: {(2, 0): {ENC_A}}}, table)
     a = table.intern(ENC_A)
     b = table.intern(ENC_B)
-    assert cols.contains(1, 2, 0, a)
-    assert not cols.contains(1, 2, 0, b)
+    c = table.intern(ENC_S)
+    assert cols.admit(1, 2, 0, a, 3) is None  # present in the base
+    assert cols.admit(1, 2, 0, b, 1) is None  # the base fills the cap
+    assert cols.admit(1, 2, 0, b, 3) == set()  # a new overlay slot ...
+    assert cols.extra == {}  # ... attached only by add
     assert cols.insert(1, 2, 0, b)
     assert not cols.insert(1, 2, 0, b)  # duplicate in overlay
     assert not cols.insert(1, 2, 0, a)  # duplicate in base
-    assert cols.contains(1, 2, 0, b)
-    assert cols.witness_count(1, 2, 0) == 2
-    assert cols.edge_count == 2
+    assert cols.admit(1, 2, 0, b, 3) is None  # present in the overlay
+    assert cols.admit(1, 2, 0, c, 2) is None  # base + overlay fill the cap
+    slot = cols.admit(1, 2, 0, c, 3)
+    assert slot == {b}
+    cols.add(1, 2, 0, slot, c)
+    assert cols.edge_count == 3
+    assert cols.columnar_bytes() == 2 * ROW_BYTES + table.row_bytes(c)
 
 
 def test_out_rows_merges_base_and_overlay():
@@ -213,3 +220,58 @@ def test_columns_equal_dict_semantics(base, extra):
     # And the whole thing survives compaction + disk.
     parsed = serialize.parse_columnar(cols.encode())
     assert EdgeColumns.from_file(parsed, table).to_dict() == model
+
+
+_admits = st.lists(
+    st.one_of(
+        st.just(None),  # compact()
+        st.tuples(
+            st.integers(0, 4), st.integers(0, 4), st.integers(0, 1),
+            st.integers(0, 5), st.booleans(),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partitions, _admits, st.integers(1, 4))
+def test_one_probe_admit_matches_a_capped_dict_of_sets(base, ops, cap):
+    """The engine's insert path -- ``admit``, the feasibility check,
+    then ``add`` or a drop -- against a reference model: a dict of sets
+    that takes an encoding when it is new to its ``(src, dst, label)``
+    slot and the slot holds fewer than ``cap``.  ``compact()`` between
+    inserts moves the overlay into the base and changes no answer; a
+    dropped edge leaves nothing behind."""
+    table = EncodingTable()
+    cols = EdgeColumns.from_dict(base, table)
+    model = {
+        (s, d, l): {table.intern(e) for e in encodings}
+        for s, targets in base.items()
+        for (d, l), encodings in targets.items()
+    }
+    for op in ops:
+        if op is None:
+            cols.compact()
+            continue
+        s, d, l, e, feasible = op
+        eid = table.intern((("I", "f", 0, e),))
+        held = model.get((s, d, l), set())
+        slot = cols.admit(s, d, l, eid, cap)
+        assert (slot is not None) == (eid not in held and len(held) < cap)
+        if slot is not None and feasible:
+            cols.add(s, d, l, slot, eid)
+            model.setdefault((s, d, l), set()).add(eid)
+    rows = sorted(cols.iter_rows())
+    assert rows == sorted(
+        (s, d, l, eid) for (s, d, l), eids in model.items() for eid in eids
+    )
+    assert cols.iter_sources() == {s for (s, _d, _l) in model}
+    assert cols.src_weights() == {
+        s: sum(table.row_bytes(e) for (s2, _d, _l), eids in model.items()
+               if s2 == s for e in eids)
+        for (s, _d, _l) in model
+    }
+    assert cols.columnar_bytes() == sum(
+        table.row_bytes(eid) for eids in model.values() for eid in eids
+    )

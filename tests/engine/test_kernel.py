@@ -41,7 +41,7 @@ def _observe(engine, result):
     counters = {f: getattr(result.stats, f) for f in PARITY_FIELDS}
     memos = {
         "form_memo": dict(engine._form_memo),
-        "verdicts": dict(engine.cache._data),
+        "verdicts": (bytes(engine._verdicts), dict(engine._multi_verdicts)),
         "merge_memo": dict(engine._merge_memo),
     }
     return edges, counters, memos
@@ -92,22 +92,30 @@ def test_a_seeded_run_solves_every_query_like_its_decoded_constraint(
 def test_full_verdict_cache_costs_rekeying_never_a_verdict(
     icfet, seed, monkeypatch
 ):
-    """With VERDICT_CACHE_CAP at 2 nearly every repeated query misses
-    the verdict cache -- and lands on the form memo: same edges, same
-    solves, same form memo as the uncapped run."""
+    """The verdict store has no cap and evicts nothing; dropping every
+    stored verdict mid-run (here before every third query) makes the
+    repeated queries miss it -- and land on the form memo: same edges,
+    same solves, same form memo as the undisturbed run."""
     base_engine, base_result = _run_engine(seed, icfet)
-    assert base_engine.cache.evictions == 0
-    monkeypatch.setattr(computation_mod, "VERDICT_CACHE_CAP", 2)
+    real, calls = GraphEngine._feasible_ids, []
+
+    def forgetful(engine, ids):
+        calls.append(ids)
+        if len(calls) % 3 == 0:
+            del engine._verdicts[:]
+            engine._multi_verdicts.clear()
+        return real(engine, ids)
+
+    monkeypatch.setattr(GraphEngine, "_feasible_ids", forgetful)
     engine, result = _run_engine(seed, icfet)
-    assert engine.cache.evictions > 0 and len(engine.cache) == 2
     assert sorted(result.iter_edges()) == sorted(base_result.iter_edges())
     assert engine._form_memo == base_engine._form_memo
     stats, base = result.stats, base_result.stats
     for name in ("constraint_queries", "constraints_solved",
-                 "feasibility_groups"):
+                 "feasibility_groups", "new_edges", "infeasible_dropped"):
         assert getattr(stats, name) == getattr(base, name)
-    # What the evicted verdicts would have answered, the form memo did.
-    assert stats.cache_hits <= base.cache_hits
+    # What the dropped verdicts would have answered, the form memo did.
+    assert stats.cache_hits < base.cache_hits
     assert (stats.cache_hits + stats.group_hits
             == base.cache_hits + base.group_hits)
 

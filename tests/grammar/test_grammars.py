@@ -15,7 +15,7 @@ from repro.grammar.pointsto import (
     store_bar_label,
 )
 
-CTX = ComposeContext(feasible=lambda encs: True, vertex=lambda v: ("v", v))
+CTX = ComposeContext(feasible=lambda ids, encoding: True, vertex=lambda v: ("v", v))
 
 
 def edge(src, dst, label):
@@ -112,27 +112,35 @@ def make_dataflow_grammar(feasible=True, alias_present=True):
     alias_index = {(100, 200): ((("I", "f", 0, 0),),)} if alias_present else {}
     events_meta = {(1, 2): ((0, 200, "close"),)}
     grammar = DataflowGrammar(objects, alias_index, events_meta)
-    ctx = ComposeContext(
-        feasible=lambda encs: feasible, vertex=lambda v: ("v", v)
-    )
+    asked = []
+
+    def check(ids, encoding):
+        asked.append((ids, encoding))
+        return feasible
+
+    ctx = ComposeContext(feasible=check, vertex=lambda v: ("v", v))
+    ctx.asked = asked
     return grammar, ctx
 
 
 def test_state_advances_on_aliased_event():
+    """Edges reach the grammar with their encoding ids; the alias
+    check conjoins both with the alias result's encoding."""
     grammar, ctx = make_dataflow_grammar()
     out = grammar.compose(
-        (10, 1, state_label("io", "Open"), (("I", "f", 0, 0),)),
-        (1, 2, CF, (("I", "f", 0, 0),)),
+        (10, 1, state_label("io", "Open"), 0),
+        (1, 2, CF, 1),
         ctx,
     )
     assert tuple(out) == (state_label("io", "Closed"),)
+    assert ctx.asked == [((0, 1), (("I", "f", 0, 0),))]
 
 
 def test_state_unchanged_without_alias():
     grammar, ctx = make_dataflow_grammar(alias_present=False)
     out = grammar.compose(
-        (10, 1, state_label("io", "Open"), (("I", "f", 0, 0),)),
-        (1, 2, CF, (("I", "f", 0, 0),)),
+        (10, 1, state_label("io", "Open"), 0),
+        (1, 2, CF, 1),
         ctx,
     )
     assert tuple(out) == (state_label("io", "Open"),)
@@ -141,8 +149,8 @@ def test_state_unchanged_without_alias():
 def test_state_unchanged_when_alias_infeasible():
     grammar, ctx = make_dataflow_grammar(feasible=False)
     out = grammar.compose(
-        (10, 1, state_label("io", "Open"), (("I", "f", 0, 0),)),
-        (1, 2, CF, (("I", "f", 0, 0),)),
+        (10, 1, state_label("io", "Open"), 0),
+        (1, 2, CF, 1),
         ctx,
     )
     assert tuple(out) == (state_label("io", "Open"),)
@@ -151,8 +159,8 @@ def test_state_unchanged_when_alias_infeasible():
 def test_error_state_is_sticky_and_stops():
     grammar, ctx = make_dataflow_grammar()
     out = grammar.compose(
-        (10, 1, state_label("io", "Error"), (("I", "f", 0, 0),)),
-        (1, 2, CF, (("I", "f", 0, 0),)),
+        (10, 1, state_label("io", "Error"), 0),
+        (1, 2, CF, 1),
         ctx,
     )
     assert tuple(out) == ()
@@ -161,8 +169,8 @@ def test_error_state_is_sticky_and_stops():
 def test_unknown_object_ignored():
     grammar, ctx = make_dataflow_grammar()
     out = grammar.compose(
-        (99, 1, state_label("io", "Open"), (("I", "f", 0, 0),)),
-        (1, 2, CF, (("I", "f", 0, 0),)),
+        (99, 1, state_label("io", "Open"), 0),
+        (1, 2, CF, 1),
         ctx,
     )
     assert tuple(out) == ()

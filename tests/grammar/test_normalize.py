@@ -18,7 +18,7 @@ from repro.graph.model import ProgramGraph
 from repro.lang.parser import parse_program
 from repro.lang.transform import lower_exceptions, normalize_calls, unroll_loops
 
-CTX = ComposeContext(feasible=lambda encs: True, vertex=lambda v: ("v", v))
+CTX = ComposeContext(feasible=lambda ids, encoding: True, vertex=lambda v: ("v", v))
 
 
 def edge(src, dst, label):

@@ -75,6 +75,51 @@ def test_single_file_dict_links_byte_identical_to_legacy_parse():
     assert loaded.resolution.diagnostics == []
 
 
+LINKED = """
+func helper(v) {
+    return v + 1;
+}
+
+func main(x) {
+    var y = helper(x);
+    helper(y);
+    return y;
+}
+"""
+
+
+def _main_calls(functions, name="main"):
+    body = functions[name].body
+    return [body[0].value, body[1].call]
+
+
+def test_identity_link_keeps_the_parsed_calls():
+    """A header-less file at shift 0, every binding a name to itself,
+    links as parsed: the very ``Call`` objects the parser made."""
+    mf = parse_module(LINKED, path="prog.mini")
+    parsed = _main_calls(mf.functions)
+    functions = scopes.link_file(mf, {"helper": "helper"})
+    assert all(a is b for a, b in zip(_main_calls(functions), parsed))
+    assert [call.site for call in parsed] == [0, 1]
+
+
+def test_shifted_or_qualified_link_still_rewrites():
+    """A shift moves every site; a qualified binding renames the call."""
+    mf = parse_module(LINKED, path="prog.mini")
+    base = mf.next_site
+    shifted = _main_calls(scopes.link_file(mf, {"helper": "helper"}, 5))
+    assert [(c.func, c.site) for c in shifted] == [("helper", 5), ("helper", 6)]
+    assert mf.next_site == base + 5
+
+    mf = parse_module(LINKED, path="prog.mini")
+    parsed = _main_calls(mf.functions)
+    renamed = _main_calls(scopes.link_file(mf, {"helper": "lib.helper"}))
+    assert [(c.func, c.site) for c in renamed] == [
+        ("lib.helper", 0), ("lib.helper", 1)
+    ]
+    assert all(a is not b for a, b in zip(renamed, parsed))
+
+
 def test_cross_module_bindings_and_linked_names():
     loaded = load_modules({"app.mini": APP, "net.mini": NET})
     res = loaded.resolution

@@ -236,6 +236,34 @@ def test_check_runs_the_pipeline_with_the_collector_off(
     assert gc.isenabled()
 
 
+def test_the_collector_comes_back_with_an_empty_young_generation(
+    source_file, capsys, monkeypatch, collector_state
+):
+    """Handing the collector back costs no pass over the run's
+    survivors: they leave generation 0 before ``gc.enable()``, and no
+    permanent generation is left behind."""
+    from repro import cli
+
+    threshold = gc.get_threshold()[0]
+    young_at_enable = []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(gc, name)
+
+        def enable(self):
+            young_at_enable.append(gc.get_count()[0])
+            gc.enable()
+
+    monkeypatch.setattr(cli, "gc", Watched())
+    gc.enable()
+    assert main(["check", source_file(BUGGY), "--checkers", "io"]) == 1
+    assert young_at_enable and young_at_enable[0] < threshold
+    assert gc.get_count()[0] < threshold
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 ENGINE_OPTION_FIELDS = {
